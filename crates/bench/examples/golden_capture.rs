@@ -1,11 +1,25 @@
-//! Prints the golden fingerprints used by `tests/message_plane.rs`:
-//! transcript digest, metrics, and a state fingerprint for each
-//! broadcast-heavy stress workload. Run once on a known-good engine and
-//! paste the output into the test's golden table.
+//! Prints golden fingerprint tables for the root differential tests.
+//!
+//! * `golden_capture` (no argument) — the message-plane table of
+//!   `tests/message_plane.rs`: transcript digest, metrics, and a state
+//!   fingerprint for each broadcast-heavy stress workload.
+//! * `golden_capture drivers` — the centralized-driver table of
+//!   `tests/driver_golden.rs`: one fingerprint per graph and entry point
+//!   (`luby::run`, `metivier::{run, run_region, run_partial}`,
+//!   `bounded_arb_independent_set_with` with and without the ρ_k cutoff)
+//!   over masks, round and iteration counts, the full `ScaleTrace`, and
+//!   the deterministic recorder output.
+//!
+//! Run once on a known-good engine and paste the output into the test's
+//! golden table. The fingerprint code here and in the tests must stay
+//! identical.
 
 use arbmis_congest::Simulator;
+use arbmis_core::bounded_arb::{bounded_arb_independent_set_with, BoundedArbConfig};
 use arbmis_core::protocols::{GhaffariProtocol, LubyProtocol, MetivierProtocol, MisNodeState};
+use arbmis_core::{luby, metivier, ParamMode};
 use arbmis_graph::{gen, Graph};
+use arbmis_obs::Recorder;
 use rand::SeedableRng;
 
 fn fnv(mut h: u64, x: u64) -> u64 {
@@ -42,11 +56,174 @@ fn capture(name: &str, g: &Graph, seed: u64, which: u8) {
     );
 }
 
-fn main() {
+fn message_plane() {
     let mut r11 = rand::rngs::StdRng::seed_from_u64(11);
     let mut r12 = rand::rngs::StdRng::seed_from_u64(12);
     capture("gnp300_dense_metivier", &gen::gnp(300, 0.2, &mut r11), 7, 0);
     capture("gnp150_half_luby", &gen::gnp(150, 0.5, &mut r12), 8, 1);
     capture("star400_metivier", &gen::star(400), 9, 0);
     capture("star257_ghaffari", &gen::star(257), 10, 2);
+}
+
+// ------------------------------------------------------------- drivers
+// Everything from here down is mirrored verbatim in tests/driver_golden.rs.
+
+const SEEDS: [u64; 3] = [1, 7, 42];
+const PARTIAL_ITERATIONS: [u64; 3] = [0, 1, 3];
+
+/// `(name, graph, α, parameter mode)` for every golden workload.
+fn driver_graphs() -> Vec<(&'static str, Graph, usize, ParamMode)> {
+    let rng = rand::rngs::StdRng::seed_from_u64;
+    let practical = ParamMode::default();
+    vec![
+        ("empty0", Graph::empty(0), 1, practical),
+        ("single1", Graph::empty(1), 1, practical),
+        (
+            "tree300",
+            gen::random_tree_prufer(300, &mut rng(1)),
+            1,
+            practical,
+        ),
+        (
+            "ktree3_300",
+            gen::random_ktree(300, 3, &mut rng(2)),
+            3,
+            practical,
+        ),
+        ("gnp300", gen::gnp(300, 0.02, &mut rng(3)), 4, practical),
+        (
+            "ba600",
+            gen::barabasi_albert(600, 2, &mut rng(4)),
+            2,
+            practical,
+        ),
+        (
+            "geo400",
+            gen::random_geometric(400, 0.09, &mut rng(5)),
+            6,
+            practical,
+        ),
+        // Λ = 1 per scale starves shattering, so dense geometric clusters
+        // violate the Invariant and step 2(b) marks bad nodes (seed 7).
+        (
+            "geo1500_starved",
+            gen::random_geometric(1500, 0.06, &mut rng(6)),
+            3,
+            ParamMode::Practical { lambda_scale: 1e-9 },
+        ),
+        // Faithful constants on a small tree: Θ = 0, no scale runs.
+        (
+            "tree100_faithful",
+            gen::random_tree_prufer(100, &mut rng(7)),
+            1,
+            ParamMode::Faithful { p: 1 },
+        ),
+    ]
+}
+
+fn fp_mask(mut h: u64, mask: &[bool]) -> u64 {
+    h = fnv(h, mask.len() as u64);
+    for &b in mask {
+        h = fnv(h, u64::from(b));
+    }
+    h
+}
+
+fn fp_run(run: &arbmis_core::MisRun) -> u64 {
+    let h = fp_mask(0xcbf2_9ce4_8422_2325, &run.in_mis);
+    fnv(fnv(h, run.iterations), run.rounds)
+}
+
+fn fp_partial(p: &metivier::PartialRun) -> u64 {
+    let h = fp_mask(0xcbf2_9ce4_8422_2325, &p.in_mis);
+    fnv(fp_mask(h, &p.active), p.iterations)
+}
+
+fn fp_shatter(g: &Graph, cfg: &BoundedArbConfig) -> u64 {
+    let rec = Recorder::deterministic();
+    let out = bounded_arb_independent_set_with(g, cfg, &rec);
+    let mut h = fp_mask(0xcbf2_9ce4_8422_2325, &out.in_mis);
+    h = fp_mask(h, &out.bad);
+    h = fp_mask(h, &out.active);
+    for x in [
+        out.iterations,
+        out.rounds,
+        out.params.alpha as u64,
+        out.params.delta as u64,
+        u64::from(out.params.theta),
+        out.params.lambda,
+    ] {
+        h = fnv(h, x);
+    }
+    for t in &out.trace {
+        for x in [
+            u64::from(t.k),
+            t.rho.to_bits(),
+            t.iterations,
+            t.active_start as u64,
+            t.active_end as u64,
+            t.joined as u64,
+            t.eliminated as u64,
+            t.bad_marked as u64,
+            t.max_active_degree_end as u64,
+            t.joined_per_iteration.len() as u64,
+        ] {
+            h = fnv(h, x);
+        }
+        for &j in &t.joined_per_iteration {
+            h = fnv(h, j as u64);
+        }
+    }
+    for b in rec.snapshot().to_jsonl().bytes() {
+        h = fnv(h, u64::from(b));
+    }
+    h
+}
+
+/// One fingerprint per `(graph, driver)`, folding every seed.
+fn driver_fingerprints() -> Vec<(String, u64)> {
+    let mut rows = Vec::new();
+    for (name, g, alpha, mode) in driver_graphs() {
+        let region: Vec<bool> = (0..g.n()).map(|v| v % 3 != 1).collect();
+        let mut row = |driver: &str, f: &dyn Fn(u64) -> u64| {
+            let h = SEEDS
+                .iter()
+                .fold(0xcbf2_9ce4_8422_2325, |h, &s| fnv(h, f(s)));
+            rows.push((format!("{name}/{driver}"), h));
+        };
+        row("luby", &|s| fp_run(&luby::run(&g, s)));
+        row("metivier", &|s| fp_run(&metivier::run(&g, s)));
+        row("metivier_region", &|s| {
+            fp_run(&metivier::run_region(&g, &region, s))
+        });
+        for it in PARTIAL_ITERATIONS {
+            row(&format!("metivier_partial{it}"), &|s| {
+                fp_partial(&metivier::run_partial(&g, s, it))
+            });
+        }
+        for rho_cutoff in [true, false] {
+            row(&format!("bounded_arb_rho{}", u8::from(rho_cutoff)), &|s| {
+                let cfg = BoundedArbConfig {
+                    alpha,
+                    mode,
+                    seed: s,
+                    rho_cutoff,
+                    record_iterations: rho_cutoff,
+                };
+                fp_shatter(&g, &cfg)
+            });
+        }
+    }
+    rows
+}
+
+fn main() {
+    match std::env::args().nth(1).as_deref() {
+        Some("drivers") => {
+            for (name, h) in driver_fingerprints() {
+                println!("(\"{name}\", {h:#018x}),");
+            }
+        }
+        _ => message_plane(),
+    }
 }

@@ -1,8 +1,7 @@
 //! Backend benchmark: measures median ns/round of the CONGEST
-//! simulator, the historical byte-mask flat engine, and the bit-packed
-//! flat engine on identical executions (same coins, same rounds) and
-//! writes `BENCH_backends.json` so the speedup trajectory accumulates
-//! across commits.
+//! simulator and the flat engine on identical executions (same coins,
+//! same rounds) and writes `BENCH_backends.json` so the speedup
+//! trajectory accumulates across commits.
 //!
 //! Usage:
 //!
@@ -13,23 +12,20 @@
 //! The workload is G(n, d̄ = 4): Métivier at generator scales
 //! 50k / 1M / 10M nodes plus a Luby row at 1M; `--quick` keeps only the
 //! 50k Métivier and Luby points (the CI smoke). Before timing, each
-//! point cross-checks that all three engines computed the same MIS in
-//! the same number of rounds — the numbers are only comparable because
-//! the executions are identical.
+//! point cross-checks that both engines computed the same MIS — the
+//! numbers are only comparable because the executions are identical.
 //!
 //! Columns per row:
 //!
 //! * `congest_serial_ns_per_round` — the message-passing simulator.
-//! * `flat_ns_per_round` — the byte-mask flat path
-//!   ([`arbmis_bench::flatref::ByteMaskFlat`], the engine as it was
-//!   before bit-packing), kept so the column stays comparable with
-//!   artifacts committed before the optimization.
-//! * `flat_opt_ns_per_round` — the current bit-packed engine
-//!   ([`arbmis_flat::FlatBackend`]) at identity order, single thread.
-//! * `flat_speedup` — congest / flat; `flat_opt_speedup` — flat /
-//!   flat_opt (the win of bit-packing alone, same machine, same run).
+//! * `flat_ns_per_round` — the flat engine ([`arbmis_flat::FlatBackend`])
+//!   at identity order, single thread.
+//! * `flat_speedup` — congest / flat.
+//!
+//! Artifacts committed before the byte-mask reference engine was retired
+//! also carry `flat_opt_*` columns; there `flat_ns_per_round` is the
+//! byte-mask engine and `flat_opt_ns_per_round` the bit-packed one.
 
-use arbmis_bench::flatref::{ByteMaskFlat, RefAlgo};
 use arbmis_congest::{Parallelism, Simulator};
 use arbmis_core::protocols::{LubyProtocol, MetivierProtocol, MisNodeState};
 use arbmis_flat::{FlatAlgo, FlatBackend, MisBackend};
@@ -59,11 +55,8 @@ struct BenchEntry {
     rounds: u64,
     congest_serial_ns_per_round: f64,
     flat_ns_per_round: f64,
-    flat_opt_ns_per_round: f64,
     /// `congest_serial_ns_per_round / flat_ns_per_round`.
     flat_speedup: f64,
-    /// `flat_ns_per_round / flat_opt_ns_per_round`.
-    flat_opt_speedup: f64,
 }
 
 /// Median of `samples` measurements of `ns/round`; also returns the
@@ -83,103 +76,43 @@ fn median_ns_per_round(samples: usize, mut run: impl FnMut() -> (u64, u64)) -> (
 }
 
 fn measure(g: &Graph, algo: FlatAlgo, samples: usize) -> BenchEntry {
-    let ref_algo = match algo {
-        FlatAlgo::Luby => RefAlgo::Luby,
-        FlatAlgo::Metivier => RefAlgo::Metivier,
-        FlatAlgo::BoundedArb { .. } => unreachable!("benchmark covers maximal protocols"),
-    };
-    // Cross-check once: same MIS, same round count, all three engines.
-    let sim_states: Vec<MisNodeState> = match algo {
-        FlatAlgo::Luby => {
-            Simulator::new(g, SEED)
-                .with_parallelism(Parallelism::Serial)
-                .run(&LubyProtocol, MAX_ROUNDS)
-                .expect("congest run")
-                .states
+    let run_congest = || {
+        let sim = Simulator::new(g, SEED).with_parallelism(Parallelism::Serial);
+        match algo {
+            FlatAlgo::Luby => sim.run(&LubyProtocol, MAX_ROUNDS),
+            _ => sim.run(&MetivierProtocol, MAX_ROUNDS),
         }
-        _ => {
-            Simulator::new(g, SEED)
-                .with_parallelism(Parallelism::Serial)
-                .run(&MetivierProtocol, MAX_ROUNDS)
-                .expect("congest run")
-                .states
-        }
+        .expect("congest run")
     };
-    let mut flat_opt = FlatBackend::new(g, SEED, algo);
-    let opt_run = flat_opt.run(MAX_ROUNDS).expect("flat run");
-    let mut flat_ref = ByteMaskFlat::new(g, SEED, ref_algo);
-    let ref_rounds = flat_ref.run(MAX_ROUNDS);
-    assert_eq!(
-        opt_run.rounds, ref_rounds,
-        "flat engines disagree on round count"
-    );
+    // Cross-check once: same MIS, same round count, both engines.
+    let sim_states: Vec<MisNodeState> = run_congest().states;
+    let mut flat = FlatBackend::new(g, SEED, algo);
+    flat.run(MAX_ROUNDS).expect("flat run");
     for (v, s) in sim_states.iter().enumerate() {
         assert_eq!(
-            flat_opt.mis().test(v),
+            flat.mis().test(v),
             s.in_mis,
             "backends disagree on node {v}"
-        );
-        assert_eq!(
-            flat_ref.mis()[v],
-            s.in_mis,
-            "reference engine disagrees on node {v}"
         );
     }
 
     let (congest_ns, rounds) = median_ns_per_round(samples, || {
-        let sim = Simulator::new(g, SEED).with_parallelism(Parallelism::Serial);
         let t0 = Instant::now();
-        let r = match algo {
-            FlatAlgo::Luby => sim.run(&LubyProtocol, MAX_ROUNDS).unwrap().metrics.rounds,
-            _ => {
-                sim.run(&MetivierProtocol, MAX_ROUNDS)
-                    .unwrap()
-                    .metrics
-                    .rounds
-            }
-        };
+        let r = run_congest().metrics.rounds;
         (t0.elapsed().as_nanos() as u64, r)
     });
-    // The two flat engines are sampled interleaved (ref/opt inside each
-    // sample, order alternating) rather than in separate blocks: on a
-    // shared host a slow window then inflates both columns instead of
-    // whichever engine happened to be measured during it, so the
-    // flat-vs-flat_opt ratio survives machine-level drift.
-    let mut ref_samples = Vec::with_capacity(samples);
-    let mut opt_samples = Vec::with_capacity(samples);
-    for s in 0..samples {
-        let mut time_ref = |v: &mut Vec<f64>| {
-            let t0 = Instant::now();
-            let r = flat_ref.run(MAX_ROUNDS);
-            assert_eq!(r, rounds);
-            v.push(t0.elapsed().as_nanos() as f64 / r.max(1) as f64);
-        };
-        let mut time_opt = |v: &mut Vec<f64>| {
-            let t0 = Instant::now();
-            let run = flat_opt.run(MAX_ROUNDS).unwrap();
-            assert_eq!(run.rounds, rounds);
-            v.push(t0.elapsed().as_nanos() as f64 / run.rounds.max(1) as f64);
-        };
-        if s % 2 == 0 {
-            time_ref(&mut ref_samples);
-            time_opt(&mut opt_samples);
-        } else {
-            time_opt(&mut opt_samples);
-            time_ref(&mut ref_samples);
-        }
-    }
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        v[v.len() / 2]
-    };
-    let flat_ns = median(&mut ref_samples);
-    let flat_opt_ns = median(&mut opt_samples);
+    let (flat_ns, flat_rounds) = median_ns_per_round(samples, || {
+        let t0 = Instant::now();
+        let r = flat.run(MAX_ROUNDS).unwrap().rounds;
+        (t0.elapsed().as_nanos() as u64, r)
+    });
+    assert_eq!(flat_rounds, rounds, "backends disagree on round count");
 
     let name = format!("gnp{}_d4", fmt_scale(g.n()));
     eprintln!(
-        "{name}/{}: congest {congest_ns:.0} ns/round, flat {flat_ns:.0}, flat_opt {flat_opt_ns:.0} ({:.2}x over flat)",
+        "{name}/{}: congest {congest_ns:.0} ns/round, flat {flat_ns:.0} ({:.2}x)",
         algo.label(),
-        flat_ns / flat_opt_ns
+        congest_ns / flat_ns
     );
     BenchEntry {
         name,
@@ -189,9 +122,7 @@ fn measure(g: &Graph, algo: FlatAlgo, samples: usize) -> BenchEntry {
         rounds,
         congest_serial_ns_per_round: congest_ns,
         flat_ns_per_round: flat_ns,
-        flat_opt_ns_per_round: flat_opt_ns,
         flat_speedup: congest_ns / flat_ns,
-        flat_opt_speedup: flat_ns / flat_opt_ns,
     }
 }
 

@@ -18,10 +18,6 @@
 //! experiments --perfetto-out t.json # Chrome trace-event (Perfetto) export
 //! experiments --flight        # bounded per-round flight recorder, dumped
 //!                             # to stderr on panic (--flight-out saves it)
-//! experiments --backend flat  # route Luby/Métivier baselines through a
-//!                             # MisBackend engine (fast|congest|flat);
-//!                             # reports are byte-identical, cache keys
-//!                             # differ (DESIGN.md §11)
 //! ```
 //!
 //! Experiments are decomposed into cells and fanned onto one shared
@@ -35,7 +31,6 @@
 //! ever changes an experiment result — the `--json` report is
 //! byte-identical with and without them (CI diffs exactly that).
 
-use arbmis_bench::backend::MisBackendChoice;
 use arbmis_bench::cache::{set_global_cache, Cache};
 use arbmis_bench::sched::{cell_count, run_scheduled};
 use arbmis_bench::ExperimentReport;
@@ -60,7 +55,6 @@ struct Args {
     perfetto_out: Option<String>,
     flight: bool,
     flight_out: Option<String>,
-    backend: MisBackendChoice,
 }
 
 fn parse_args() -> Args {
@@ -78,7 +72,6 @@ fn parse_args() -> Args {
         perfetto_out: None,
         flight: false,
         flight_out: None,
-        backend: MisBackendChoice::Fast,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -110,13 +103,6 @@ fn parse_args() -> Args {
             "--flight-out" => {
                 args.flight_out = Some(it.next().expect("--flight-out needs a path"));
             }
-            "--backend" => {
-                let v = it.next().expect("--backend needs fast, congest, or flat");
-                args.backend = v.parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                });
-            }
             "--exp" => {
                 // Consume ids until the next flag.
             }
@@ -125,7 +111,7 @@ fn parse_args() -> Args {
                     "usage: experiments [--list] [--quick] [--markdown] [--json PATH] \
                      [--threads N] [--cache-dir PATH] [--no-cache] [--metrics-out PATH] \
                      [--trace-out PATH] [--perfetto-out PATH] [--flight] [--flight-out PATH] \
-                     [--backend fast|congest|flat] [--exp E1 E2 ...]"
+                     [--exp E1 E2 ...]"
                 );
                 std::process::exit(0);
             }
@@ -143,11 +129,6 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
-    // Before building plans: cell keys embed the backend label.
-    arbmis_bench::backend::set_choice(args.backend);
-    if args.backend != MisBackendChoice::Fast {
-        eprintln!("[experiments] backend: {}", args.backend.label());
-    }
     let registry = arbmis_bench::exps::all();
     if args.list {
         for (id, desc, _) in registry {

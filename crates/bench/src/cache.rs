@@ -45,7 +45,7 @@ use std::sync::{Arc, Mutex};
 /// The code-version salt mixed into every cache digest. Bump whenever a
 /// generator, experiment cell, or the cache payload encoding changes in
 /// a way that could alter stored bytes.
-pub const CODE_SALT: &str = "arbmis-cells-v1";
+pub const CODE_SALT: &str = "arbmis-cells-v2";
 
 /// Entry-file magic + format version.
 const MAGIC: &str = "arbmis-cache v1";

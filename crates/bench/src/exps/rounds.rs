@@ -4,7 +4,7 @@ use crate::cache::cached_graph;
 use crate::cell::{Cell, CellOut, ExperimentPlan};
 use crate::exps::seed_chunks;
 use crate::{fmt_f, ExperimentReport, Table};
-use arbmis_core::{arb_mis, check_mis, ghaffari, ArbMisConfig};
+use arbmis_core::{arb_mis, check_mis, ghaffari, luby, metivier, ArbMisConfig};
 use arbmis_graph::gen::{GraphFamily, GraphSpec};
 
 fn e8_sweep(quick: bool) -> Vec<(&'static str, usize, usize)> {
@@ -124,11 +124,7 @@ pub fn e9_race_plan(quick: bool) -> ExperimentPlan {
         for &(lo, hi) in &chunks {
             cells.push(Cell::new(
                 format!("E9/{}[{lo}..{hi})", fam.label()),
-                format!(
-                    "E9;{};gseed=233;seeds={lo}..{hi}{}",
-                    spec.stable_key(),
-                    crate::backend::key_suffix()
-                ),
+                format!("E9;{};gseed=233;seeds={lo}..{hi}", spec.stable_key()),
                 move || {
                     let g = cached_graph(&spec, 0xe9);
                     let mut sums = [0u64; 5];
@@ -136,8 +132,8 @@ pub fn e9_race_plan(quick: bool) -> ExperimentPlan {
                         let out = arb_mis(&g, &ArbMisConfig::new(alpha, seed));
                         debug_assert!(check_mis(&g, &out.in_mis).is_ok());
                         let runs = [
-                            crate::backend::luby_rounds(&g, seed),
-                            crate::backend::metivier_rounds(&g, seed),
+                            luby::run(&g, seed).rounds,
+                            metivier::run(&g, seed).rounds,
                             ghaffari::run(&g, seed).rounds,
                             out.rounds,
                             out.phases.shattering,

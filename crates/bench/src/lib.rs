@@ -9,12 +9,10 @@
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
-pub mod backend;
 pub mod cache;
 pub mod cell;
 pub mod churn;
 pub mod exps;
-pub mod flatref;
 pub mod sched;
 
 /// A rendered experiment: identifier, headline, table, commentary.

@@ -254,12 +254,13 @@ pub fn arb_mis_with(g: &Graph, cfg: &ArbMisConfig, rec: &Recorder) -> ArbMisOutc
         };
         let local = bounded_arb_independent_set_with(sub.graph(), &ba_cfg, rec);
         phases.shattering = local.rounds;
-        // Lift the shatter outcome to original ids.
+        // Lift the shatter outcome to original ids: the masks are
+        // remapped below, the trace and scalar fields move over as is.
         let mut shatter = ShatterOutcome {
             in_mis: vec![false; n],
             bad: vec![false; n],
             active: vec![false; n],
-            ..local.clone()
+            ..local
         };
         for i in 0..sub.n() {
             let v = sub.to_parent(i);

@@ -16,10 +16,11 @@
 //! needs an edge orientation or forest decomposition — those exist only in
 //! the analysis.
 
+use crate::backend::{FlatAlgo, MisBackend};
 use crate::params::{ArbParams, ParamMode};
 use crate::trace::ScaleTrace;
-use arbmis_congest::rng;
-use arbmis_graph::{ActiveView, Graph, NodeId};
+use crate::FlatBackend;
+use arbmis_graph::Graph;
 use arbmis_obs::{Histogram, Recorder};
 use serde::{Deserialize, Serialize};
 
@@ -100,14 +101,6 @@ impl ShatterOutcome {
     }
 }
 
-/// The priority of node `v` in global iteration `iter`: 0 when opted out,
-/// otherwise a nonzero `O(log n)`-bit value; ties broken by id at
-/// comparison sites.
-#[inline]
-pub(crate) fn draw_priority(seed: u64, v: NodeId, iter: u64, n: usize) -> u64 {
-    rng::draw_priority(seed, v, iter, TAG_PRIORITY, n)
-}
-
 /// Runs Algorithm 1.
 ///
 /// # Panics
@@ -143,15 +136,15 @@ pub fn bounded_arb_independent_set_with(
     let obs = rec.enabled();
     let mut joiners_hist = Histogram::new();
     let params = ArbParams::new(cfg.alpha, g.max_degree(), cfg.mode);
-    let mut view = ActiveView::new(g);
-    let mut in_mis = vec![false; g.n()];
-    let mut bad = vec![false; g.n()];
+    let algo = FlatAlgo::BoundedArb {
+        params,
+        rho_cutoff: cfg.rho_cutoff,
+    };
+    let mut engine = FlatBackend::unobserved(g, cfg.seed, algo);
     let mut trace = Vec::with_capacity(params.theta as usize);
-    let mut global_iter = 0u64;
 
     for k in 1..=params.theta {
-        let rho = params.rho(k);
-        let active_start = view.active_count();
+        let active_start = engine.active_count();
         let mut joined = 0usize;
         let mut eliminated = 0usize;
         let mut joined_per_iteration = Vec::new();
@@ -159,55 +152,40 @@ pub fn bounded_arb_independent_set_with(
         // The schedule is oblivious: exactly Λ iterations run per scale
         // (the paper's algorithm never adaptively stops), so iteration
         // indices — and hence priority draws — are a pure function of the
-        // schedule. This keeps the fast path and the CONGEST protocol
-        // bit-identical. Empty iterations only bump the counter.
+        // schedule. Once nothing is active the engine has nothing left to
+        // decide, so the remaining iterations are recorded as empty
+        // without stepping it.
         for _ in 0..params.lambda {
-            if view.active_count() > 0 {
-                let joiners = iteration_joiners(&view, cfg, rho, global_iter);
-                if cfg.record_iterations {
-                    joined_per_iteration.push(joiners.len());
-                }
-                if obs {
-                    joiners_hist.observe(joiners.len() as u64);
-                }
-                for &v in &joiners {
-                    in_mis[v] = true;
-                    joined += 1;
-                    let nbrs: Vec<NodeId> = view.active_neighbors(v).collect();
-                    view.deactivate(v);
-                    for u in nbrs {
-                        eliminated += 1;
-                        view.deactivate(u);
-                    }
-                }
+            let before = engine.active_count();
+            let joiners = if before > 0 {
+                engine.advance_rounds(ROUNDS_PER_ITERATION);
+                engine.joiners().len()
             } else {
-                if cfg.record_iterations {
-                    joined_per_iteration.push(0);
-                }
-                if obs {
-                    joiners_hist.observe(0);
-                }
+                0
+            };
+            joined += joiners;
+            eliminated += before - engine.active_count() - joiners;
+            if cfg.record_iterations {
+                joined_per_iteration.push(joiners);
             }
-            global_iter += 1;
+            if obs {
+                joiners_hist.observe(joiners as u64);
+            }
         }
 
-        // Step 2(b): exile Invariant violators to B.
-        let violators = crate::invariant::invariant_violators(&view, &params, k);
-        for &v in &violators {
-            bad[v] = true;
-            view.deactivate(v);
+        // Step 2(b): degree exchange, then Invariant violators exit to B.
+        let before = engine.active_count();
+        if before > 0 {
+            engine.advance_rounds(ROUNDS_PER_SCALE_END);
         }
+        let bad_marked = before - engine.active_count();
 
         if obs {
-            rec.point("scale_bad_marked", violators.len() as u64);
+            rec.point("scale_bad_marked", bad_marked as u64);
             // Headroom of the Invariant check after exile: the bad
             // threshold Δ/2^{k+2} minus the worst surviving node's
             // high-degree neighbor count (≥ 0 by construction of 2(b)).
-            let worst = view
-                .active_nodes()
-                .map(|v| crate::invariant::high_degree_neighbor_count(&view, &params, k, v))
-                .max()
-                .unwrap_or(0);
+            let worst = engine.max_high_degree_neighbors(params.high_degree_threshold(k));
             rec.gauge(
                 &format!("arbmis_invariant_headroom{{scale=\"{k}\"}}"),
                 params.bad_threshold(k) - worst as f64,
@@ -216,19 +194,19 @@ pub fn bounded_arb_independent_set_with(
 
         trace.push(ScaleTrace {
             k,
-            rho,
+            rho: params.rho(k),
             iterations: params.lambda,
             active_start,
-            active_end: view.active_count(),
+            active_end: engine.active_count(),
             joined,
             eliminated,
-            bad_marked: violators.len(),
-            max_active_degree_end: view.max_active_degree(),
+            bad_marked,
+            max_active_degree_end: engine.max_active_degree(),
             joined_per_iteration,
         });
     }
 
-    let iterations = global_iter;
+    let iterations = u64::from(params.theta) * params.lambda;
     let rounds = iterations * ROUNDS_PER_ITERATION + u64::from(params.theta) * ROUNDS_PER_SCALE_END;
     if obs {
         rec.add("arbmis_shatter_iterations", iterations);
@@ -237,48 +215,14 @@ pub fn bounded_arb_independent_set_with(
         rec.point("rounds", rounds);
     }
     ShatterOutcome {
-        in_mis,
-        bad,
-        active: view.mask().to_vec(),
+        in_mis: engine.mis().to_bools(),
+        bad: engine.bad().to_bools(),
+        active: engine.active_mask(),
         iterations,
         rounds,
         params,
         trace,
     }
-}
-
-/// One iteration's joiners: competitive nodes beating all active
-/// neighbors, with `(priority, id)` tie-break. Non-competitive nodes have
-/// priority 0 and can neither join nor block a competitive neighbor —
-/// except against other priority-0 nodes, which simply never join,
-/// matching the paper (a node joins only on a *strictly greater*
-/// priority, and `0 > 0` is false; our `(0, id)` comparison would let a
-/// 0-priority node "beat" another, so competitiveness is required
-/// explicitly).
-fn iteration_joiners(
-    view: &ActiveView<'_>,
-    cfg: &BoundedArbConfig,
-    rho: f64,
-    iter: u64,
-) -> Vec<NodeId> {
-    let n = view.graph().n();
-    let competitive =
-        |v: NodeId| -> bool { !cfg.rho_cutoff || (view.active_degree(v) as f64) <= rho };
-    let pri = |v: NodeId| -> (u64, NodeId) {
-        if competitive(v) {
-            (draw_priority(cfg.seed, v, iter, n), v)
-        } else {
-            (0, v)
-        }
-    };
-    view.active_nodes()
-        .filter(|&v| {
-            competitive(v) && {
-                let pv = pri(v);
-                view.active_neighbors(v).all(|u| pv > pri(u))
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]

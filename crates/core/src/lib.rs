@@ -26,24 +26,32 @@
 //! * [`cole_vishkin`] — deterministic coin tossing: O(log* n) forest
 //!   3-coloring and the color-sweep MIS for small components.
 //!
-//! Every randomized algorithm has two interchangeable executions drawing
-//! *identical* random bits:
+//! Luby, Métivier and Algorithm 1 each have two interchangeable
+//! executions drawing *identical* random bits:
 //!
-//! 1. a **fast path** (`run` functions) — centralized simulation that
-//!    reports CONGEST round counts analytically; and
+//! 1. the **flat engine** ([`FlatBackend`]) — centralized frontier sweeps
+//!    over the CSR arrays. It is the only centralized implementation:
+//!    [`luby::run`], [`metivier::run`] (and its region and partial
+//!    variants) and [`bounded_arb::bounded_arb_independent_set`] are
+//!    short drivers over it that report *schedule* rounds (3 per
+//!    iteration, 2 per scale end); and
 //! 2. a **CONGEST protocol** ([`protocols`]) — runs on
 //!    [`arbmis_congest::Simulator`] with real message passing and
 //!    per-message bit accounting.
 //!
-//! Tests assert the two produce identical independent sets.
+//! [`backend::MisBackend`] is the round-steppable surface both share
+//! (the simulator adapter lives in `arbmis-flat`); tests assert the two
+//! are round-identical. Ghaffari's algorithm keeps its own centralized
+//! loop beside its protocol twin.
 
 pub mod arb_mis;
+pub mod backend;
 pub mod bounded_arb;
 pub mod cole_vishkin;
+mod flat_backend;
 pub mod forest_decomp;
 pub mod ghaffari;
 pub mod greedy;
-pub mod invariant;
 pub mod luby;
 pub mod metivier;
 pub mod params;
@@ -54,7 +62,9 @@ pub mod tree_mis;
 pub mod verify;
 
 pub use arb_mis::{arb_mis, ArbMisConfig, ArbMisOutcome, PhaseRounds};
+pub use backend::{BackendError, BackendRun, CoinFlip, FlatAlgo, MisBackend, ScanMode};
 pub use bounded_arb::{bounded_arb_independent_set, BoundedArbConfig, ShatterOutcome};
+pub use flat_backend::FlatBackend;
 pub use params::{ArbParams, ParamMode};
 pub use result::MisRun;
 pub use verify::{check_mis, is_independent, is_maximal, is_valid_mis, MisError};

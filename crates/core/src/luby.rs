@@ -6,9 +6,11 @@
 //! higher active degree wins, ties broken by id. O(log n) iterations whp
 //! (Luby 1986; also Alon–Babai–Itai, Israeli–Itai).
 
+use crate::backend::FlatAlgo;
 use crate::result::MisRun;
+use crate::FlatBackend;
 use arbmis_congest::rng;
-use arbmis_graph::{ActiveView, Graph, NodeId};
+use arbmis_graph::{Graph, NodeId};
 
 /// Randomness tag for marking coins.
 pub const TAG_MARK: u64 = 0x4c55_4259; // "LUBY"
@@ -24,7 +26,7 @@ pub fn is_marked(seed: u64, v: NodeId, iter: u64, d: usize) -> bool {
     rng::draw_unit(seed, v, iter, TAG_MARK) < 1.0 / (2.0 * d as f64)
 }
 
-/// Runs Luby's Algorithm B to completion.
+/// Runs Luby's Algorithm B to completion on the flat engine.
 ///
 /// ```
 /// use arbmis_graph::gen;
@@ -33,46 +35,7 @@ pub fn is_marked(seed: u64, v: NodeId, iter: u64, d: usize) -> bool {
 /// assert!(arbmis_core::check_mis(&g, &run.in_mis).is_ok());
 /// ```
 pub fn run(g: &Graph, seed: u64) -> MisRun {
-    let mut view = ActiveView::new(g);
-    let mut in_mis = vec![false; g.n()];
-    let mut iter = 0u64;
-    while view.active_count() > 0 {
-        // Degree-0 nodes join unconditionally.
-        let mut joiners: Vec<NodeId> = Vec::new();
-        let marked: Vec<NodeId> = view
-            .active_nodes()
-            .filter(|&v| {
-                let d = view.active_degree(v);
-                if d == 0 {
-                    joiners.push(v);
-                    false
-                } else {
-                    is_marked(seed, v, iter, d)
-                }
-            })
-            .collect();
-        let mark_set: std::collections::HashSet<NodeId> = marked.iter().copied().collect();
-        for &v in &marked {
-            // v wins against marked neighbor u iff (d(v), v) > (d(u), u).
-            let key_v = (view.active_degree(v), v);
-            let dominated = view
-                .active_neighbors(v)
-                .any(|u| mark_set.contains(&u) && (view.active_degree(u), u) > key_v);
-            if !dominated {
-                joiners.push(v);
-            }
-        }
-        for &v in &joiners {
-            in_mis[v] = true;
-            let nbrs: Vec<NodeId> = view.active_neighbors(v).collect();
-            view.deactivate(v);
-            for u in nbrs {
-                view.deactivate(u);
-            }
-        }
-        iter += 1;
-    }
-    MisRun::new(in_mis, iter, iter * ROUNDS_PER_ITERATION)
+    FlatBackend::unobserved(g, seed, FlatAlgo::Luby).into_mis_run()
 }
 
 #[cfg(test)]

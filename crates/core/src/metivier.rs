@@ -10,9 +10,11 @@
 //! active component loses at least its maximum-priority node — termination
 //! is deterministic in ≤ n iterations.
 
+use crate::backend::{FlatAlgo, MisBackend};
 use crate::result::MisRun;
+use crate::FlatBackend;
 use arbmis_congest::rng;
-use arbmis_graph::{ActiveView, Graph, NodeId};
+use arbmis_graph::{Graph, NodeId};
 
 /// Randomness tag for priority draws (shared with the CONGEST protocol so
 /// both executions draw identical priorities).
@@ -44,43 +46,7 @@ pub fn priority(seed: u64, v: NodeId, iter: u64, n: usize) -> (u64, NodeId) {
     (rng::draw_priority(seed, v, iter, TAG_PRIORITY, n), v)
 }
 
-/// Runs one iteration on `view`: computes joiners, deactivates them and
-/// their neighbors, records them in `in_mis`. Returns how many joined.
-///
-/// `prio` is caller-owned scratch of length `n`: each active node's draw
-/// is hashed once per iteration and compared as the tuple `(prio[v], v)`
-/// — exactly [`priority`], so joiner sets are identical to the naive
-/// per-edge re-draw, at O(active) hashes instead of O(Σ deg).
-pub(crate) fn step(
-    view: &mut ActiveView<'_>,
-    in_mis: &mut [bool],
-    seed: u64,
-    iter: u64,
-    prio: &mut [u64],
-) -> usize {
-    let n = view.graph().n();
-    for v in view.active_nodes() {
-        prio[v] = rng::draw_priority(seed, v, iter, TAG_PRIORITY, n);
-    }
-    let joiners: Vec<NodeId> = view
-        .active_nodes()
-        .filter(|&v| {
-            view.active_neighbors(v)
-                .all(|u| (prio[v], v) > (prio[u], u))
-        })
-        .collect();
-    for &v in &joiners {
-        in_mis[v] = true;
-        let nbrs: Vec<NodeId> = view.active_neighbors(v).collect();
-        view.deactivate(v);
-        for u in nbrs {
-            view.deactivate(u);
-        }
-    }
-    joiners.len()
-}
-
-/// Runs to completion.
+/// Runs to completion on the flat engine.
 ///
 /// ```
 /// use arbmis_graph::gen;
@@ -91,48 +57,29 @@ pub(crate) fn step(
 /// assert!(arbmis_core::check_mis(&g, &run.in_mis).is_ok());
 /// ```
 pub fn run(g: &Graph, seed: u64) -> MisRun {
-    let mut view = ActiveView::new(g);
-    let mut in_mis = vec![false; g.n()];
-    let mut prio = vec![0u64; g.n()];
-    let mut iter = 0u64;
-    while view.active_count() > 0 {
-        step(&mut view, &mut in_mis, seed, iter, &mut prio);
-        iter += 1;
-    }
-    MisRun::new(in_mis, iter, iter * ROUNDS_PER_ITERATION)
+    FlatBackend::unobserved(g, seed, FlatAlgo::Metivier).into_mis_run()
 }
 
 /// Runs to completion on the subgraph induced by `region`: only region
 /// nodes compete, and the result is an MIS *of the region* (see
-/// [`crate::verify::is_mis_of_region`]). Used by the ArbMIS pipeline to
+/// [`crate::verify::is_mis_of_region`]). Coins are keyed by `g`'s ids
+/// and `g.n()`, exactly as in [`run`]. Used by the ArbMIS pipeline to
 /// finish `V_lo`/`V_hi`.
 pub fn run_region(g: &Graph, region: &[bool], seed: u64) -> MisRun {
-    let mut view = ActiveView::from_mask(g, region);
-    let mut in_mis = vec![false; g.n()];
-    let mut prio = vec![0u64; g.n()];
-    let mut iter = 0u64;
-    while view.active_count() > 0 {
-        step(&mut view, &mut in_mis, seed, iter, &mut prio);
-        iter += 1;
-    }
-    MisRun::new(in_mis, iter, iter * ROUNDS_PER_ITERATION)
+    FlatBackend::unobserved(g, seed, FlatAlgo::Metivier)
+        .with_region(region)
+        .into_mis_run()
 }
 
 /// Runs at most `iterations` iterations and returns the partial state —
 /// the "stop after shattering" usage.
 pub fn run_partial(g: &Graph, seed: u64, iterations: u64) -> PartialRun {
-    let mut view = ActiveView::new(g);
-    let mut in_mis = vec![false; g.n()];
-    let mut prio = vec![0u64; g.n()];
-    let mut iter = 0u64;
-    while iter < iterations && view.active_count() > 0 {
-        step(&mut view, &mut in_mis, seed, iter, &mut prio);
-        iter += 1;
-    }
+    let mut engine = FlatBackend::unobserved(g, seed, FlatAlgo::Metivier);
+    let iterations = engine.run_iterations(iterations);
     PartialRun {
-        in_mis,
-        active: view.mask().to_vec(),
-        iterations: iter,
+        in_mis: engine.mis().to_bools(),
+        active: engine.active_mask(),
+        iterations,
     }
 }
 

@@ -537,7 +537,13 @@ impl BoundedArbProtocol {
         let competitive =
             !self.rho_cutoff || (state.active_nbrs.len() as f64) <= self.params.rho(scale);
         if competitive {
-            bounded_arb::draw_priority(node.seed, node.id, global_iter, node.n)
+            rng::draw_priority(
+                node.seed,
+                node.id,
+                global_iter,
+                bounded_arb::TAG_PRIORITY,
+                node.n,
+            )
         } else {
             0
         }

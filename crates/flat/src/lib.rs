@@ -1,28 +1,28 @@
 #![warn(missing_docs)]
-//! Flat shared-memory MIS backends behind a common [`MisBackend`] trait.
+//! The CONGEST-backed MIS backend and the tooling that compares
+//! backends.
 //!
 //! The CONGEST simulator ([`arbmis_congest::Simulator`]) is the semantic
 //! reference: it charges every message against the bandwidth budget and
-//! counts rounds exactly. But for large-scale experiments its message
-//! plane is pure overhead — the MIS protocols in this repository are
-//! *oblivious* (what a node sends in round `r` is a pure function of its
-//! state), so the same execution can be replayed as direct frontier
-//! sweeps over the CSR adjacency with no message objects at all.
+//! counts rounds exactly. The flat engine ([`FlatBackend`], which lives
+//! in `arbmis-core` because the centralized `luby`, `metivier` and
+//! `bounded_arb` entry points drive it) replays the same oblivious
+//! protocols as frontier sweeps over the CSR arrays with no message
+//! objects. This crate holds everything that relates the two:
 //!
-//! This crate provides two interchangeable executions of that idea:
+//! * [`CongestBackend`] — a thin [`MisBackend`] adapter over the
+//!   simulator's [`arbmis_congest::Stepper`], stepping one CONGEST round
+//!   at a time and diffing node states to report joiners.
+//! * [`divergence`] — [`localize`] lockstep-replays two backends to the
+//!   first divergent round, and [`ReplayArtifact`] packages a divergence
+//!   for `arbmis replay`.
+//! * [`region`] — [`solve_mis`], the one-call flat MIS of a (sub)graph
+//!   used by `arbmis-dynamic`.
 //!
-//! * [`CongestBackend`] — a thin adapter over the simulator's
-//!   [`arbmis_congest::Stepper`], stepping one CONGEST round at a time
-//!   and diffing node states to report joiners.
-//! * [`FlatBackend`] — the flat engine: word-packed
-//!   ([`arbmis_congest::BitMask`]) `active` / `in_mis` / `bad` / `marked`
-//!   flags, incrementally-maintained active degrees, and a two-level
-//!   bitset frontier ([`arbmis_congest::Frontier`]) swept either
-//!   sparsely (summary-skipping iteration) or densely (flat word walk),
-//!   switching on frontier density. Optional extras, both transcript-
-//!   invisible: a cache-aware node ordering
-//!   ([`arbmis_graph::NodeOrder`], see DESIGN.md §13) and a
-//!   deterministic parallel sweep ([`FlatBackend::with_threads`]).
+//! The engine contract ([`MisBackend`], [`FlatAlgo`], [`ScanMode`],
+//! [`BackendError`], [`BackendRun`]) is re-exported from
+//! `arbmis_core::backend`, so `arbmis_flat::{FlatBackend, FlatAlgo,
+//! MisBackend, solve_mis}` is the one import path for callers.
 //!
 //! Both backends draw coin flips from the same counter-pure RNG
 //! ([`arbmis_congest::rng`]), keyed by `(seed, node, iteration, tag)`, so
@@ -42,194 +42,23 @@
 
 mod congest_backend;
 pub mod divergence;
-mod flat_backend;
 pub mod region;
 
 pub use congest_backend::CongestBackend;
 pub use divergence::{localize, CoinFlip, Divergence, DivergenceKind, ReplayArtifact};
-pub use flat_backend::FlatBackend;
 pub use region::{solve_mis, RegionMis};
 
 pub use arbmis_congest::BitMask;
+pub use arbmis_core::backend::{
+    BackendError, BackendRun, FlatAlgo, MisBackend, ScanMode, DENSE_FRACTION,
+};
+pub use arbmis_core::FlatBackend;
 pub use arbmis_graph::{NodeOrder, Permutation};
-
-use arbmis_congest::SimulatorError;
-use arbmis_core::ArbParams;
-use arbmis_graph::NodeId;
-use std::fmt;
-
-/// Which MIS algorithm a backend executes.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum FlatAlgo {
-    /// Luby's Algorithm B: mark with probability `1/2d`, higher
-    /// `(degree, id)` wins among marked neighbors.
-    Luby,
-    /// Métivier et al. priority competition: higher `(priority, id)` wins.
-    Metivier,
-    /// `BoundedArbIndependentSet` (Algorithm 1): Θ scales of Λ Métivier
-    /// iterations with the ρ_k opt-out, plus per-scale bad exits.
-    BoundedArb {
-        /// The instantiated parameter schedule.
-        params: ArbParams,
-        /// Whether the ρ_k competitiveness cutoff is active.
-        rho_cutoff: bool,
-    },
-}
-
-impl FlatAlgo {
-    /// Short stable name for logs and cache keys.
-    pub fn label(&self) -> &'static str {
-        match self {
-            FlatAlgo::Luby => "luby",
-            FlatAlgo::Metivier => "metivier",
-            FlatAlgo::BoundedArb { .. } => "bounded_arb",
-        }
-    }
-}
-
-/// How [`FlatBackend`] walks the active set each sub-round.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ScanMode {
-    /// Sparse (frontier iteration) while the active set is small, dense
-    /// (linear scan over all nodes) once it crosses [`DENSE_FRACTION`].
-    #[default]
-    Auto,
-    /// Always iterate the frontier bitset.
-    Sparse,
-    /// Always scan `0..n` and filter on the `active` flag.
-    Dense,
-}
-
-impl ScanMode {
-    /// The one shared density decision: whether a sweep over
-    /// `active_count` of `n` nodes should walk the flat word array
-    /// (dense) rather than the summary-skipping frontier (sparse).
-    /// Every per-round derivation in the engine routes through here so
-    /// the flight-record label and the sweeps can never disagree.
-    #[inline]
-    pub fn is_dense(self, active_count: usize, n: usize) -> bool {
-        match self {
-            ScanMode::Sparse => false,
-            ScanMode::Dense => true,
-            ScanMode::Auto => active_count.saturating_mul(DENSE_FRACTION) >= n,
-        }
-    }
-}
-
-/// `Auto` sweeps go dense when `active_count ≥ n / DENSE_FRACTION`.
-pub const DENSE_FRACTION: usize = 8;
-
-/// Why a backend run failed.
-#[derive(Debug)]
-pub enum BackendError {
-    /// The underlying CONGEST simulator rejected the execution (budget
-    /// violation etc.). Only [`CongestBackend`] produces this.
-    Congest(SimulatorError),
-    /// `run` exceeded its round limit before every node finished.
-    RoundLimitExceeded {
-        /// The limit that was hit.
-        limit: u64,
-    },
-}
-
-impl fmt::Display for BackendError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BackendError::Congest(e) => write!(f, "congest backend: {e}"),
-            BackendError::RoundLimitExceeded { limit } => {
-                write!(f, "backend exceeded round limit {limit}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for BackendError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            BackendError::Congest(e) => Some(e),
-            BackendError::RoundLimitExceeded { .. } => None,
-        }
-    }
-}
-
-impl From<SimulatorError> for BackendError {
-    fn from(e: SimulatorError) -> Self {
-        BackendError::Congest(e)
-    }
-}
-
-/// Summary of a completed [`MisBackend::run`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BackendRun {
-    /// CONGEST rounds executed (identical across backends for the same
-    /// graph, seed, and algorithm).
-    pub rounds: u64,
-}
-
-/// A round-steppable MIS execution.
-///
-/// The contract that makes backends interchangeable:
-///
-/// * [`round`](MisBackend::round) counts CONGEST rounds; one
-///   [`step_round`](MisBackend::step_round) call executes exactly one.
-/// * [`joiners`](MisBackend::joiners) is the ascending list of nodes
-///   that entered the MIS during the *last executed* round — empty on
-///   rounds where the protocol does not admit joiners.
-/// * [`is_done`](MisBackend::is_done) mirrors the simulator's
-///   termination test (`pending == 0`): true once every node has
-///   halted, so total round counts agree across backends.
-/// * [`init`](MisBackend::init) rewinds to round 0, reusing internal
-///   buffers (no steady-state allocation on re-runs).
-pub trait MisBackend {
-    /// Resets to round 0 on the same graph/seed/algorithm.
-    fn init(&mut self);
-
-    /// Executes one CONGEST round.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator failures for the CONGEST-backed adapter;
-    /// the flat engine never fails.
-    fn step_round(&mut self) -> Result<(), BackendError>;
-
-    /// Nodes that joined the MIS in the last executed round, ascending.
-    fn joiners(&self) -> &[NodeId];
-
-    /// True once every node has terminated.
-    fn is_done(&self) -> bool;
-
-    /// Current MIS membership mask (word-packed, length `n`, original
-    /// id space regardless of any execution-layout permutation).
-    fn mis(&self) -> &BitMask;
-
-    /// CONGEST rounds executed so far.
-    fn round(&self) -> u64;
-
-    /// Runs from a fresh [`init`](MisBackend::init) to completion.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BackendError::RoundLimitExceeded`] if the execution is
-    /// still pending after `max_rounds`, or any error from
-    /// [`step_round`](MisBackend::step_round).
-    fn run(&mut self, max_rounds: u64) -> Result<BackendRun, BackendError> {
-        self.init();
-        while !self.is_done() {
-            if self.round() >= max_rounds {
-                return Err(BackendError::RoundLimitExceeded { limit: max_rounds });
-            }
-            self.step_round()?;
-        }
-        Ok(BackendRun {
-            rounds: self.round(),
-        })
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arbmis_core::{luby, metivier, ArbParams, ParamMode};
+    use arbmis_core::{ArbParams, ParamMode};
     use arbmis_graph::{gen, Graph};
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -312,35 +141,6 @@ mod tests {
                     s.active,
                     "residual active set diverges at {v}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn flat_matches_fast_path_rounds_and_mis() {
-        for (name, g) in &graphs() {
-            for seed in [3, 99] {
-                let fast = luby::run(g, seed);
-                let mut flat = FlatBackend::new(g, seed, FlatAlgo::Luby);
-                let run = flat.run(MAX_ROUNDS).unwrap();
-                assert_eq!(flat.mis(), &fast.in_mis[..], "{name}: luby MIS");
-                let expect = if fast.iterations == 0 {
-                    0
-                } else {
-                    3 * fast.iterations + 1
-                };
-                assert_eq!(run.rounds, expect, "{name}: luby rounds");
-
-                let fast = metivier::run(g, seed);
-                let mut flat = FlatBackend::new(g, seed, FlatAlgo::Metivier);
-                let run = flat.run(MAX_ROUNDS).unwrap();
-                assert_eq!(flat.mis(), &fast.in_mis[..], "{name}: metivier MIS");
-                let expect = if fast.iterations == 0 {
-                    0
-                } else {
-                    3 * fast.iterations + 1
-                };
-                assert_eq!(run.rounds, expect, "{name}: metivier rounds");
             }
         }
     }

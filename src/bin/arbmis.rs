@@ -14,7 +14,7 @@
 //! arbmis gen --family ktree2 --n 1000 --output k.txt
 //! ```
 
-use arbmis::core::{arb_mis, check_mis, ghaffari, greedy, luby, metivier, tree_mis, ArbMisConfig};
+use arbmis::core::{arb_mis, check_mis, ghaffari, greedy, tree_mis, ArbMisConfig};
 use arbmis::flat::{CongestBackend, FlatAlgo, FlatBackend, MisBackend, NodeOrder, ReplayArtifact};
 use arbmis::graph::gen::{GraphFamily, GraphSpec};
 use arbmis::graph::stats::GraphStats;
@@ -28,7 +28,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:
   arbmis run    (--input FILE | --family NAME --n N) --algo ALGO [--alpha A] [--seed S] [--obs]
-                [--backend fast|congest|flat] [--order identity|degree|bfs] [--flat-threads N]
+                [--backend flat|congest] [--order identity|degree|bfs] [--flat-threads N]
                 [--flight] [--flight-out FILE] [--trace-out FILE] [--perfetto-out FILE]
   arbmis stats  (--input FILE | --family NAME --n N) [--seed S]
   arbmis gen    --family NAME --n N --output FILE [--seed S]
@@ -51,11 +51,10 @@ JSONL / as a Chrome trace-event file loadable in Perfetto.
 dumped to stderr on panic or backend failure; --flight-out saves it as
 JSONL after the run.
 
---backend picks the execution engine for luby/metivier: the analytic
-fast path (default), the CONGEST message-passing simulator, or the flat
-shared-memory backend. All three produce the same MIS; the engines
-report one extra round (the final all-halt round the fast path's
-counting convention omits; DESIGN.md §11).
+--backend picks the execution engine for luby/metivier: the flat
+shared-memory engine (default) or the CONGEST message-passing
+simulator. Both produce the same MIS in the same number of executed
+rounds, counting the final all-halt round (DESIGN.md §11).
 
 --order relabels the flat backend's internal node layout (cache
 locality); --flat-threads N runs its sweeps on N worker threads. Both
@@ -422,12 +421,12 @@ fn main() -> ExitCode {
                 );
                 return ExitCode::FAILURE;
             }
-            let backend = flags.get("backend").map(String::as_str).unwrap_or("fast");
-            if !matches!(backend, "fast" | "congest" | "flat") {
-                eprintln!("unknown backend {backend:?} (expected fast, congest, or flat)");
+            let backend = flags.get("backend").map(String::as_str).unwrap_or("flat");
+            if !matches!(backend, "flat" | "congest") {
+                eprintln!("unknown backend {backend:?} (expected flat or congest)");
                 return usage();
             }
-            if backend != "fast" && !matches!(algo, "luby" | "metivier") {
+            if flags.contains_key("backend") && !matches!(algo, "luby" | "metivier") {
                 eprintln!("--backend {backend} only supports --algo luby or metivier");
                 return ExitCode::FAILURE;
             }
@@ -452,14 +451,16 @@ fn main() -> ExitCode {
                 },
             };
             if (flags.contains_key("order") || flags.contains_key("flat-threads"))
-                && backend != "flat"
+                && (backend != "flat" || !matches!(algo, "luby" | "metivier"))
             {
-                eprintln!("--order / --flat-threads need --backend flat");
+                eprintln!(
+                    "--order / --flat-threads need --algo luby or metivier on --backend flat"
+                );
                 return ExitCode::FAILURE;
             }
             let (in_mis, rounds) = match algo {
                 "greedy" => (greedy::greedy_mis(&g), 0),
-                "luby" | "metivier" if backend != "fast" => {
+                "luby" | "metivier" => {
                     let flat_algo = if algo == "luby" {
                         FlatAlgo::Luby
                     } else {
@@ -497,14 +498,6 @@ fn main() -> ExitCode {
                             return ExitCode::FAILURE;
                         }
                     }
-                }
-                "luby" => {
-                    let r = luby::run(&g, seed);
-                    (r.in_mis, r.rounds)
-                }
-                "metivier" => {
-                    let r = metivier::run(&g, seed);
-                    (r.in_mis, r.rounds)
                 }
                 "ghaffari" => {
                     let r = ghaffari::run(&g, seed);

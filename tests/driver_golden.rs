@@ -1,0 +1,266 @@
+//! Golden differential for the centralized MIS drivers.
+//!
+//! `luby::run`, `metivier::{run, run_region, run_partial}` and
+//! `bounded_arb_independent_set_with` are thin drivers over the flat
+//! engine (`arbmis_core::FlatBackend`). The table below was captured from
+//! the earlier standalone `ActiveView` loops via
+//! `cargo run -p arbmis-bench --example golden_capture -- drivers`; the
+//! drivers must reproduce every fingerprint bit for bit. A fingerprint
+//! folds, over seeds {1, 7, 42}, the MIS mask, the iteration and round
+//! counts, the residual active and bad masks, the parameter schedule, the
+//! full per-scale `ScaleTrace`, and the deterministic recorder output
+//! (shattering span, joiner histogram, bad-marked points and Invariant
+//! headroom gauges).
+//!
+//! The fingerprint code below is mirrored verbatim from the capture
+//! example.
+
+use arbmis::core::bounded_arb::{bounded_arb_independent_set_with, BoundedArbConfig};
+use arbmis::core::{luby, metivier, ParamMode};
+use arbmis::graph::{gen, Graph};
+use arbmis::obs::Recorder;
+use rand::SeedableRng;
+
+/// `(graph/driver, fingerprint)` captured from the `ActiveView` loops.
+const GOLDEN: [(&str, u64); 72] = [
+    ("empty0/luby", 0x4e3583d08ce6ac2c),
+    ("empty0/metivier", 0x4e3583d08ce6ac2c),
+    ("empty0/metivier_region", 0x4e3583d08ce6ac2c),
+    ("empty0/metivier_partial0", 0x4e3583d08ce6ac2c),
+    ("empty0/metivier_partial1", 0x4e3583d08ce6ac2c),
+    ("empty0/metivier_partial3", 0x4e3583d08ce6ac2c),
+    ("empty0/bounded_arb_rho1", 0x17a394c3e89c3a95),
+    ("empty0/bounded_arb_rho0", 0x17a394c3e89c3a95),
+    ("single1/luby", 0x3df7d4bee1d9f6b0),
+    ("single1/metivier", 0x3df7d4bee1d9f6b0),
+    ("single1/metivier_region", 0x3df7d4bee1d9f6b0),
+    ("single1/metivier_partial0", 0x1bbb163fb6b53559),
+    ("single1/metivier_partial1", 0x1a8122bc889f332e),
+    ("single1/metivier_partial3", 0x1a8122bc889f332e),
+    ("single1/bounded_arb_rho1", 0x1a383946ffbcbbcd),
+    ("single1/bounded_arb_rho0", 0x1a383946ffbcbbcd),
+    ("tree300/luby", 0x1cb2f38659b980b7),
+    ("tree300/metivier", 0x581cc5618eeb64de),
+    ("tree300/metivier_region", 0x1d49b13f044a95ff),
+    ("tree300/metivier_partial0", 0xfc83af50ac2397a0),
+    ("tree300/metivier_partial1", 0x458753ffb9231916),
+    ("tree300/metivier_partial3", 0xa5a90ccc9b7c1e3d),
+    ("tree300/bounded_arb_rho1", 0x447fef05f07b485e),
+    ("tree300/bounded_arb_rho0", 0x4de7bf7ef4b35678),
+    ("ktree3_300/luby", 0x4290a951bf049f89),
+    ("ktree3_300/metivier", 0xccbc236d075ba10d),
+    ("ktree3_300/metivier_region", 0xb9fbde34cb9ba98d),
+    ("ktree3_300/metivier_partial0", 0xfc83af50ac2397a0),
+    ("ktree3_300/metivier_partial1", 0x4975ded46da2ef6d),
+    ("ktree3_300/metivier_partial3", 0xe863136f1411b920),
+    ("ktree3_300/bounded_arb_rho1", 0x4322658f4d9217ae),
+    ("ktree3_300/bounded_arb_rho0", 0x7b59b4a72ac265cc),
+    ("gnp300/luby", 0x12601632ec799177),
+    ("gnp300/metivier", 0x400f7dc42240ce9a),
+    ("gnp300/metivier_region", 0x1ab26573ee97807e),
+    ("gnp300/metivier_partial0", 0xfc83af50ac2397a0),
+    ("gnp300/metivier_partial1", 0x87120a9a538f2bc6),
+    ("gnp300/metivier_partial3", 0x1335fca3c63ab353),
+    ("gnp300/bounded_arb_rho1", 0x62788317fac44f1c),
+    ("gnp300/bounded_arb_rho0", 0x365f0251afa29296),
+    ("ba600/luby", 0x7f5f7fd9a20a5e4b),
+    ("ba600/metivier", 0xaa3406b06cdf678a),
+    ("ba600/metivier_region", 0xdd736148db53dd6d),
+    ("ba600/metivier_partial0", 0x7585ed2a3721aef4),
+    ("ba600/metivier_partial1", 0xe58890f9e6fee5e1),
+    ("ba600/metivier_partial3", 0x6542e91c8fcc4c53),
+    ("ba600/bounded_arb_rho1", 0xb9955ef2be001415),
+    ("ba600/bounded_arb_rho0", 0x019754a6de66a6af),
+    ("geo400/luby", 0xa2c381f0e8c9ed01),
+    ("geo400/metivier", 0x1d01b4a3f1efb3d7),
+    ("geo400/metivier_region", 0xaec62a9cfa605775),
+    ("geo400/metivier_partial0", 0x102452ae34a78ebc),
+    ("geo400/metivier_partial1", 0x1bc47794a125dcc8),
+    ("geo400/metivier_partial3", 0x885504df6c15194a),
+    ("geo400/bounded_arb_rho1", 0x66ec63d04fc39872),
+    ("geo400/bounded_arb_rho0", 0xf190ea6f0ebfa848),
+    ("geo1500_starved/luby", 0x15a603d58d97e822),
+    ("geo1500_starved/metivier", 0x7f66f25e8028f31c),
+    ("geo1500_starved/metivier_region", 0x605c7f1bf088da7b),
+    ("geo1500_starved/metivier_partial0", 0x8e0a8aceb84ea190),
+    ("geo1500_starved/metivier_partial1", 0xd37e795cec6a192c),
+    ("geo1500_starved/metivier_partial3", 0xa048f344b57d289e),
+    ("geo1500_starved/bounded_arb_rho1", 0x07d8fb93898db50c),
+    ("geo1500_starved/bounded_arb_rho0", 0xa43a6d2602c6d6c2),
+    ("tree100_faithful/luby", 0xd5e45a96894ce759),
+    ("tree100_faithful/metivier", 0x271b7029c4225a37),
+    ("tree100_faithful/metivier_region", 0x84606291fd2c2320),
+    ("tree100_faithful/metivier_partial0", 0x1e42c596ee72f338),
+    ("tree100_faithful/metivier_partial1", 0x710de1e1016d16ce),
+    ("tree100_faithful/metivier_partial3", 0x699997cc2257a389),
+    ("tree100_faithful/bounded_arb_rho1", 0x7f16e50c002070d7),
+    ("tree100_faithful/bounded_arb_rho0", 0x7f16e50c002070d7),
+];
+
+fn fnv(mut h: u64, x: u64) -> u64 {
+    h ^= x;
+    h.wrapping_mul(0x0000_0100_0000_01b3)
+}
+
+const SEEDS: [u64; 3] = [1, 7, 42];
+const PARTIAL_ITERATIONS: [u64; 3] = [0, 1, 3];
+
+/// `(name, graph, α, parameter mode)` for every golden workload.
+fn driver_graphs() -> Vec<(&'static str, Graph, usize, ParamMode)> {
+    let rng = rand::rngs::StdRng::seed_from_u64;
+    let practical = ParamMode::default();
+    vec![
+        ("empty0", Graph::empty(0), 1, practical),
+        ("single1", Graph::empty(1), 1, practical),
+        (
+            "tree300",
+            gen::random_tree_prufer(300, &mut rng(1)),
+            1,
+            practical,
+        ),
+        (
+            "ktree3_300",
+            gen::random_ktree(300, 3, &mut rng(2)),
+            3,
+            practical,
+        ),
+        ("gnp300", gen::gnp(300, 0.02, &mut rng(3)), 4, practical),
+        (
+            "ba600",
+            gen::barabasi_albert(600, 2, &mut rng(4)),
+            2,
+            practical,
+        ),
+        (
+            "geo400",
+            gen::random_geometric(400, 0.09, &mut rng(5)),
+            6,
+            practical,
+        ),
+        // Λ = 1 per scale starves shattering, so dense geometric clusters
+        // violate the Invariant and step 2(b) marks bad nodes (seed 7).
+        (
+            "geo1500_starved",
+            gen::random_geometric(1500, 0.06, &mut rng(6)),
+            3,
+            ParamMode::Practical { lambda_scale: 1e-9 },
+        ),
+        // Faithful constants on a small tree: Θ = 0, no scale runs.
+        (
+            "tree100_faithful",
+            gen::random_tree_prufer(100, &mut rng(7)),
+            1,
+            ParamMode::Faithful { p: 1 },
+        ),
+    ]
+}
+
+fn fp_mask(mut h: u64, mask: &[bool]) -> u64 {
+    h = fnv(h, mask.len() as u64);
+    for &b in mask {
+        h = fnv(h, u64::from(b));
+    }
+    h
+}
+
+fn fp_run(run: &arbmis::core::MisRun) -> u64 {
+    let h = fp_mask(0xcbf2_9ce4_8422_2325, &run.in_mis);
+    fnv(fnv(h, run.iterations), run.rounds)
+}
+
+fn fp_partial(p: &metivier::PartialRun) -> u64 {
+    let h = fp_mask(0xcbf2_9ce4_8422_2325, &p.in_mis);
+    fnv(fp_mask(h, &p.active), p.iterations)
+}
+
+fn fp_shatter(g: &Graph, cfg: &BoundedArbConfig) -> u64 {
+    let rec = Recorder::deterministic();
+    let out = bounded_arb_independent_set_with(g, cfg, &rec);
+    let mut h = fp_mask(0xcbf2_9ce4_8422_2325, &out.in_mis);
+    h = fp_mask(h, &out.bad);
+    h = fp_mask(h, &out.active);
+    for x in [
+        out.iterations,
+        out.rounds,
+        out.params.alpha as u64,
+        out.params.delta as u64,
+        u64::from(out.params.theta),
+        out.params.lambda,
+    ] {
+        h = fnv(h, x);
+    }
+    for t in &out.trace {
+        for x in [
+            u64::from(t.k),
+            t.rho.to_bits(),
+            t.iterations,
+            t.active_start as u64,
+            t.active_end as u64,
+            t.joined as u64,
+            t.eliminated as u64,
+            t.bad_marked as u64,
+            t.max_active_degree_end as u64,
+            t.joined_per_iteration.len() as u64,
+        ] {
+            h = fnv(h, x);
+        }
+        for &j in &t.joined_per_iteration {
+            h = fnv(h, j as u64);
+        }
+    }
+    for b in rec.snapshot().to_jsonl().bytes() {
+        h = fnv(h, u64::from(b));
+    }
+    h
+}
+
+/// One fingerprint per `(graph, driver)`, folding every seed.
+fn driver_fingerprints() -> Vec<(String, u64)> {
+    let mut rows = Vec::new();
+    for (name, g, alpha, mode) in driver_graphs() {
+        let region: Vec<bool> = (0..g.n()).map(|v| v % 3 != 1).collect();
+        let mut row = |driver: &str, f: &dyn Fn(u64) -> u64| {
+            let h = SEEDS
+                .iter()
+                .fold(0xcbf2_9ce4_8422_2325, |h, &s| fnv(h, f(s)));
+            rows.push((format!("{name}/{driver}"), h));
+        };
+        row("luby", &|s| fp_run(&luby::run(&g, s)));
+        row("metivier", &|s| fp_run(&metivier::run(&g, s)));
+        row("metivier_region", &|s| {
+            fp_run(&metivier::run_region(&g, &region, s))
+        });
+        for it in PARTIAL_ITERATIONS {
+            row(&format!("metivier_partial{it}"), &|s| {
+                fp_partial(&metivier::run_partial(&g, s, it))
+            });
+        }
+        for rho_cutoff in [true, false] {
+            row(&format!("bounded_arb_rho{}", u8::from(rho_cutoff)), &|s| {
+                let cfg = BoundedArbConfig {
+                    alpha,
+                    mode,
+                    seed: s,
+                    rho_cutoff,
+                    record_iterations: rho_cutoff,
+                };
+                fp_shatter(&g, &cfg)
+            });
+        }
+    }
+    rows
+}
+
+#[test]
+fn drivers_reproduce_the_golden_fingerprints() {
+    let got = driver_fingerprints();
+    assert_eq!(got.len(), GOLDEN.len(), "workload table changed");
+    let mut mismatches = Vec::new();
+    for ((name, h), &(gname, gh)) in got.iter().zip(GOLDEN.iter()) {
+        assert_eq!(name, gname, "workload order changed");
+        if *h != gh {
+            mismatches.push(format!("{name}: got {h:#018x}, golden {gh:#018x}"));
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
