@@ -6,18 +6,23 @@
 //! * `golden_capture drivers` — the centralized-driver table of
 //!   `tests/driver_golden.rs`: one fingerprint per graph and entry point
 //!   (`luby::run`, `metivier::{run, run_region, run_partial}`,
-//!   `bounded_arb_independent_set_with` with and without the ρ_k cutoff)
-//!   over masks, round and iteration counts, the full `ScaleTrace`, and
-//!   the deterministic recorder output.
+//!   `bounded_arb_independent_set_with` with and without the ρ_k cutoff,
+//!   the engine itself under an understated Δ, and `arb_mis_with`) over
+//!   masks, round and iteration counts, the full `ScaleTrace`, the
+//!   `ArbMIS` phase rounds and bad-component sizes, and the deterministic
+//!   recorder output.
 //!
 //! Run once on a known-good engine and paste the output into the test's
 //! golden table. The fingerprint code here and in the tests must stay
 //! identical.
 
 use arbmis_congest::Simulator;
-use arbmis_core::bounded_arb::{bounded_arb_independent_set_with, BoundedArbConfig};
+use arbmis_core::arb_mis::{arb_mis_with, ArbMisConfig};
+use arbmis_core::bounded_arb::{
+    bounded_arb_independent_set_with, BoundedArbConfig, ShatterOutcome,
+};
 use arbmis_core::protocols::{GhaffariProtocol, LubyProtocol, MetivierProtocol, MisNodeState};
-use arbmis_core::{luby, metivier, ParamMode};
+use arbmis_core::{luby, metivier, ArbParams, FlatAlgo, FlatBackend, MisBackend, ParamMode};
 use arbmis_graph::{gen, Graph};
 use arbmis_obs::Recorder;
 use rand::SeedableRng;
@@ -139,9 +144,7 @@ fn fp_partial(p: &metivier::PartialRun) -> u64 {
     fnv(fp_mask(h, &p.active), p.iterations)
 }
 
-fn fp_shatter(g: &Graph, cfg: &BoundedArbConfig) -> u64 {
-    let rec = Recorder::deterministic();
-    let out = bounded_arb_independent_set_with(g, cfg, &rec);
+fn fp_shatter_outcome(out: &ShatterOutcome) -> u64 {
     let mut h = fp_mask(0xcbf2_9ce4_8422_2325, &out.in_mis);
     h = fp_mask(h, &out.bad);
     h = fp_mask(h, &out.active);
@@ -174,10 +177,103 @@ fn fp_shatter(g: &Graph, cfg: &BoundedArbConfig) -> u64 {
             h = fnv(h, j as u64);
         }
     }
+    h
+}
+
+fn fp_recorder(mut h: u64, rec: &Recorder) -> u64 {
     for b in rec.snapshot().to_jsonl().bytes() {
         h = fnv(h, u64::from(b));
     }
     h
+}
+
+fn fp_shatter(g: &Graph, cfg: &BoundedArbConfig) -> u64 {
+    let rec = Recorder::deterministic();
+    let out = bounded_arb_independent_set_with(g, cfg, &rec);
+    fp_recorder(fp_shatter_outcome(&out), &rec)
+}
+
+/// Algorithm 1 on the engine with Δ understated as 4, so `ρ_1 ≈ 11`:
+/// active nodes above it opt out at the scale start and compete again
+/// once their degree falls. With the graph's true Δ no active degree
+/// exceeds `ρ_k` at a scale start on graphs this small.
+fn fp_flat_arb_understated(g: &Graph, alpha: usize, mode: ParamMode, seed: u64) -> u64 {
+    let params = ArbParams::new(alpha, 4, mode);
+    let algo = FlatAlgo::BoundedArb {
+        params,
+        rho_cutoff: true,
+    };
+    let mut engine = FlatBackend::new(g, seed, algo);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    while !engine.is_done() {
+        engine.step_round().unwrap();
+        h = fnv(h, engine.joiners().len() as u64);
+        for &j in engine.joiners() {
+            h = fnv(h, j as u64);
+        }
+    }
+    let active: Vec<bool> = (0..g.n()).map(|v| engine.is_active(v)).collect();
+    h = fp_mask(h, &engine.mis().to_bools());
+    h = fp_mask(h, &engine.bad().to_bools());
+    fnv(fp_mask(h, &active), engine.round())
+}
+
+/// `(name, graph, α, parameter mode)` for the `arb_mis` rows. Degree
+/// reduction fires on the first three graphs and never on the rest.
+fn arb_mis_graphs() -> Vec<(&'static str, Graph, usize, ParamMode)> {
+    let rng = rand::rngs::StdRng::seed_from_u64;
+    let practical = ParamMode::default();
+    vec![
+        (
+            "ba2000_m1",
+            gen::barabasi_albert(2000, 1, &mut rng(9)),
+            1,
+            practical,
+        ),
+        ("star300", gen::star(300), 1, practical),
+        (
+            "ktree3_2000",
+            gen::random_ktree(2000, 3, &mut rng(8)),
+            3,
+            practical,
+        ),
+        (
+            "tree2000",
+            gen::random_tree_prufer(2000, &mut rng(3)),
+            1,
+            practical,
+        ),
+        ("grid40", gen::grid(40, 40), 2, practical),
+        // Λ = 1 leaves a bad component for Phase 4 (seed 7).
+        (
+            "geo1500_starved",
+            gen::random_geometric(1500, 0.06, &mut rng(6)),
+            3,
+            ParamMode::Practical { lambda_scale: 1e-9 },
+        ),
+    ]
+}
+
+fn fp_arb_mis(g: &Graph, cfg: &ArbMisConfig) -> u64 {
+    let rec = Recorder::deterministic();
+    let out = arb_mis_with(g, cfg, &rec);
+    let mut h = fp_mask(fp_shatter_outcome(&out.shatter), &out.in_mis);
+    let p = out.phases;
+    for x in [
+        out.rounds,
+        p.degree_reduction,
+        p.shattering,
+        p.vlo,
+        p.vhi,
+        p.bad_components,
+        out.bad_component_sizes.len() as u64,
+    ] {
+        h = fnv(h, x);
+    }
+    for &size in &out.bad_component_sizes {
+        h = fnv(h, size as u64);
+    }
+    fp_recorder(h, &rec)
 }
 
 /// One fingerprint per `(graph, driver)`, folding every seed.
@@ -213,6 +309,19 @@ fn driver_fingerprints() -> Vec<(String, u64)> {
                 fp_shatter(&g, &cfg)
             });
         }
+        row("flat_arb_understated", &|s| {
+            fp_flat_arb_understated(&g, alpha, mode, s)
+        });
+    }
+    for (name, g, alpha, mode) in arb_mis_graphs() {
+        let h = SEEDS.iter().fold(0xcbf2_9ce4_8422_2325, |h, &s| {
+            let cfg = ArbMisConfig {
+                mode,
+                ..ArbMisConfig::new(alpha, s)
+            };
+            fnv(h, fp_arb_mis(&g, &cfg))
+        });
+        rows.push((format!("{name}/arb_mis"), h));
     }
     rows
 }

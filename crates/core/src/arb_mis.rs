@@ -9,7 +9,12 @@
 //!    the substitution preserves the pipeline structure and the round
 //!    accounting; the exact degree guarantee is BEPS-internal machinery
 //!    the brief announcement treats as a black box).
-//! 2. **Shattering**: [`crate::bounded_arb`] produces `(I, B, VIB)`.
+//! 2. **Shattering**: [`crate::bounded_arb`] produces `(I, B, VIB)` on
+//!    the graph the pre-phase leaves. It runs in place on the input
+//!    ([`bounded_arb_region_with`]): the flat engine starts from the
+//!    surviving nodes, and coins are keyed by each node's rank among them,
+//!    so no residual graph is built and the outcome is the one the
+//!    extracted residual graph would give (DESIGN.md §11.1).
 //! 3. **Residual split**: `VIB = V_lo ∪ V_hi` by the final-scale
 //!    high-degree threshold; each side induces a low-degree graph (the
 //!    Invariant guarantees it for `V_hi`) and is finished by a
@@ -26,7 +31,7 @@
 //! Every phase only lets nodes not yet dominated by the growing `I` join,
 //! so the union is an MIS of the whole graph — asserted in debug builds.
 
-use crate::bounded_arb::{bounded_arb_independent_set_with, BoundedArbConfig, ShatterOutcome};
+use crate::bounded_arb::{bounded_arb_region_with, BoundedArbConfig, ShatterOutcome};
 use crate::params::ParamMode;
 use crate::{cole_vishkin, forest_decomp, metivier};
 use arbmis_graph::{traversal, Graph, NodeId};
@@ -173,10 +178,6 @@ pub fn arb_mis_with(g: &Graph, cfg: &ArbMisConfig, rec: &Recorder) -> ArbMisOutc
     }
     let mut in_mis = vec![false; n];
     let mut phases = PhaseRounds::default();
-    // One reusable extraction scratch for the whole pipeline: Phase 2's
-    // region lift and every Phase-4 component reuse its tables, so
-    // subgraph extraction costs O(|C| + m(C)) per component, not O(n).
-    let mut scratch = arbmis_graph::SubgraphScratch::new();
 
     // Phase 1: degree reduction (substituted; see module docs). The BEPS
     // contract is "reduce the maximum degree to the target, in
@@ -240,39 +241,20 @@ pub fn arb_mis_with(g: &Graph, cfg: &ArbMisConfig, rec: &Recorder) -> ArbMisOutc
     rec.point("rounds", phases.degree_reduction);
     drop(dr_span);
 
-    // Phase 2: shattering on the residual region (opens its own span).
-    // The extraction borrows `scratch`, so the block scopes it: the
-    // scratch is free again for the Phase-4 component loop.
-    let shatter = {
-        let sub = scratch.induce_mask(g, &region);
-        let ba_cfg = BoundedArbConfig {
-            alpha: cfg.alpha,
-            mode: cfg.mode,
-            seed: cfg.seed,
-            rho_cutoff: true,
-            record_iterations: false,
-        };
-        let local = bounded_arb_independent_set_with(sub.graph(), &ba_cfg, rec);
-        phases.shattering = local.rounds;
-        // Lift the shatter outcome to original ids: the masks are
-        // remapped below, the trace and scalar fields move over as is.
-        let mut shatter = ShatterOutcome {
-            in_mis: vec![false; n],
-            bad: vec![false; n],
-            active: vec![false; n],
-            ..local
-        };
-        for i in 0..sub.n() {
-            let v = sub.to_parent(i);
-            shatter.in_mis[v] = local.in_mis[i];
-            shatter.bad[v] = local.bad[i];
-            shatter.active[v] = local.active[i];
-            if local.in_mis[i] {
-                in_mis[v] = true;
-            }
-        }
-        shatter
+    // Phase 2: shattering on the residual region, in place on `g`
+    // (opens its own span; outcome in original ids).
+    let ba_cfg = BoundedArbConfig {
+        alpha: cfg.alpha,
+        mode: cfg.mode,
+        seed: cfg.seed,
+        rho_cutoff: true,
+        record_iterations: false,
     };
+    let shatter = bounded_arb_region_with(g, &region, &ba_cfg, rec);
+    phases.shattering = shatter.rounds;
+    for (slot, &joined) in in_mis.iter_mut().zip(&shatter.in_mis) {
+        *slot |= joined;
+    }
 
     // Phase 3: split the residual VIB into V_lo / V_hi by the final
     // scale's high-degree threshold (measured in the shattering graph's
@@ -329,6 +311,9 @@ pub fn arb_mis_with(g: &Graph, cfg: &ArbMisConfig, rec: &Recorder) -> ArbMisOutc
     let members = comps.members();
     let mut bad_component_sizes: Vec<usize> = Vec::new();
     let mut max_component_rounds = 0u64;
+    // One reusable extraction scratch for every Phase-4 component, so
+    // subgraph extraction costs O(|C| + m(C)) per component, not O(n).
+    let mut scratch = arbmis_graph::SubgraphScratch::new();
     {
         let _s = rec.span("bad_components");
         let mut comp_hist = Histogram::new();

@@ -133,14 +133,63 @@ pub fn bounded_arb_independent_set_with(
     rec: &Recorder,
 ) -> ShatterOutcome {
     let _span = rec.span("shattering");
-    let obs = rec.enabled();
-    let mut joiners_hist = Histogram::new();
     let params = ArbParams::new(cfg.alpha, g.max_degree(), cfg.mode);
-    let algo = FlatAlgo::BoundedArb {
+    let engine = FlatBackend::unobserved(g, cfg.seed, arb_algo(params, cfg));
+    shatter(engine, params, cfg, rec)
+}
+
+/// [`bounded_arb_independent_set_with`] on the subgraph of `g` induced by
+/// `region`, run in place: no subgraph is built. The outcome equals
+/// running on [`arbmis_graph::InducedSubgraph::new`]`(g, region)` and
+/// lifting it to parent ids. Coins are keyed by each node's rank within
+/// the region and drawn with `priority_bits` of the region size, which
+/// are the subgraph's ids and `n`; ranks keep parent-id order, so
+/// tie-breaks agree too. Δ is the region's maximum induced degree. The
+/// masks are in parent ids and `false` outside the region. An all-true
+/// region runs the plain full-graph path.
+///
+/// # Panics
+///
+/// Panics if `cfg.alpha == 0` or `region.len() != g.n()`.
+pub fn bounded_arb_region_with(
+    g: &Graph,
+    region: &[bool],
+    cfg: &BoundedArbConfig,
+    rec: &Recorder,
+) -> ShatterOutcome {
+    assert_eq!(region.len(), g.n(), "region mask length must equal n");
+    if region.iter().all(|&inside| inside) {
+        return bounded_arb_independent_set_with(g, cfg, rec);
+    }
+    let _span = rec.span("shattering");
+    // The engine's start-up count of in-region degrees is the region's
+    // Δ, so the schedule is set once that count exists.
+    let placeholder = ArbParams::new(cfg.alpha, 0, cfg.mode);
+    let mut engine =
+        FlatBackend::unobserved(g, cfg.seed, arb_algo(placeholder, cfg)).with_ranked_region(region);
+    let params = ArbParams::new(cfg.alpha, engine.max_active_degree(), cfg.mode);
+    engine.set_arb_params(params);
+    shatter(engine, params, cfg, rec)
+}
+
+fn arb_algo(params: ArbParams, cfg: &BoundedArbConfig) -> FlatAlgo {
+    FlatAlgo::BoundedArb {
         params,
         rho_cutoff: cfg.rho_cutoff,
-    };
-    let mut engine = FlatBackend::unobserved(g, cfg.seed, algo);
+    }
+}
+
+/// Drives `engine` through the oblivious `Θ × (Λ + scale end)` schedule
+/// and rebuilds the trace and the recorder output from its joiners and
+/// active counts.
+fn shatter(
+    mut engine: FlatBackend<'_>,
+    params: ArbParams,
+    cfg: &BoundedArbConfig,
+    rec: &Recorder,
+) -> ShatterOutcome {
+    let obs = rec.enabled();
+    let mut joiners_hist = Histogram::new();
     let mut trace = Vec::with_capacity(params.theta as usize);
 
     for k in 1..=params.theta {

@@ -54,6 +54,10 @@ pub struct FlatBackend<'g> {
     /// Nodes active at round 0, **original** id space; `None` starts
     /// from every node. Nodes outside it never run.
     region: Option<BitMask>,
+    /// Coin key of each node of a rank-keyed region run: its rank within
+    /// the region ([`with_ranked_region`](FlatBackend::with_ranked_region),
+    /// identity layout only, so positions are original ids).
+    ranks: Option<Vec<NodeId>>,
     /// Worker threads for the parallel sweep path (1 = serial).
     threads: usize,
     recorder: Recorder,
@@ -77,8 +81,10 @@ pub struct FlatBackend<'g> {
     in_mis: BitMask,
     /// Bad set (BoundedArb exiles), **original** id space.
     bad: BitMask,
-    /// `active_deg[p]` = number of active neighbors of position `p`,
-    /// maintained incrementally: deactivating decrements all neighbors.
+    /// `active_deg[p]` = number of active neighbors of position `p` while
+    /// `deg_exact` holds, an upper bound on it otherwise (stored degrees
+    /// only ever fall). Kept exact by decrementing all neighbors on each
+    /// deactivation while `track_deg` is set.
     active_deg: Vec<u32>,
     /// Per-iteration priority scratch (Métivier / BoundedArb), layout
     /// positions. Stale for inactive nodes — reads are gated on active.
@@ -90,11 +96,16 @@ pub struct FlatBackend<'g> {
     /// recomputes a floating-point `⌈log₂ n⌉` on every draw, which the
     /// fill sweep would otherwise pay per active node per iteration.
     prio_shift: u32,
-    /// Whether the protocol ever reads `active_deg` (Luby's mark
-    /// probability and keys, BoundedArb's ρ_k cutoff and bad exits).
-    /// Métivier does not, so its exit path skips degree maintenance —
-    /// see [`deactivate_in`].
+    /// Whether deactivations currently decrement `active_deg` (see
+    /// [`deactivate_in`]). Luby reads every active degree in every
+    /// iteration and always tracks; Métivier reads none and never
+    /// tracks. BoundedArb tracks only in scales whose ρ_k opt-out can
+    /// fire, and recounts exactly before each scale's bad exits
+    /// ([`start_arb_scale`](FlatBackend::start_arb_scale)).
     track_deg: bool,
+    /// Whether `active_deg` is exact for every active node. Reads that
+    /// need exact degrees (bad exits, the trace maxima) check it.
+    deg_exact: bool,
     /// Winners of the current iteration, ascending layout positions.
     wins: Vec<NodeId>,
     /// Joiners of the last executed round, ascending **original** ids.
@@ -128,15 +139,16 @@ fn sweep(dense: bool, frontier: &Frontier, mut f: impl FnMut(NodeId)) {
     }
 }
 
-/// Removes position `v` from the active set: clears the frontier bit and
-/// decrements every neighbor's active degree (when the protocol reads
-/// degrees at all). `v` halts at the next announce-type round. Free
-/// function over the split-off fields so callers can hold the execution
-/// graph across calls.
+/// Removes position `v` from the active set: clears the frontier bit and,
+/// with `track_deg`, decrements every neighbor's active degree. `v` halts
+/// at the next announce-type round. Free function over the split-off
+/// fields so callers can hold the execution graph across calls.
 ///
 /// `track_deg = false` skips the decrement loop — over a run it is 2m
 /// random u32 read-modify-writes, the single largest memory cost of the
-/// exit path at large n, and Métivier never reads `active_deg`.
+/// exit path at large n — and leaves the stored degrees as upper bounds.
+/// Métivier never reads `active_deg`; BoundedArb skips the loop in scales
+/// whose opt-out cannot fire.
 fn deactivate_in(
     eg: &Graph,
     active: &mut Frontier,
@@ -168,6 +180,18 @@ fn high_degree_neighbors(
         .iter()
         .filter(|&&u| active.test(u) && f64::from(deg[u]) > threshold)
         .count()
+}
+
+/// The table that maps a position to the id keying its coins, `None`
+/// when that id is the position itself: a ranked region's ranks, else a
+/// layout's original ids.
+fn coin_keys<'a>(
+    layout: &'a Option<Box<Layout>>,
+    ranks: &'a Option<Vec<NodeId>>,
+) -> Option<&'a [NodeId]> {
+    ranks
+        .as_deref()
+        .or_else(|| layout.as_deref().map(|l| l.perm.to_old()))
 }
 
 /// Shared pointer for disjoint-range parallel writes. Each chunk of the
@@ -202,6 +226,7 @@ impl<'g> FlatBackend<'g> {
             order: NodeOrder::Identity,
             layout: None,
             region: None,
+            ranks: None,
             threads: 1,
             recorder: arbmis_obs::global(),
             flight: arbmis_obs::global_flight(),
@@ -217,7 +242,8 @@ impl<'g> FlatBackend<'g> {
             prio: vec![0; n],
             marked: BitMask::new(n),
             prio_shift: 64 - rng::priority_bits(n),
-            track_deg: !matches!(algo, FlatAlgo::Metivier),
+            track_deg: false,
+            deg_exact: false,
             wins: Vec::new(),
             joiners: Vec::new(),
             removals: Vec::new(),
@@ -240,6 +266,7 @@ impl<'g> FlatBackend<'g> {
     /// byte-identical across orders (see the type-level docs).
     #[must_use]
     pub fn with_order(mut self, order: NodeOrder) -> Self {
+        debug_assert!(self.ranks.is_none(), "ranked regions scan in id order");
         self.order = order;
         self.layout = match order {
             NodeOrder::Identity => None,
@@ -277,6 +304,40 @@ impl<'g> FlatBackend<'g> {
         self.region = Some(BitMask::from_bools(region));
         self.reset();
         self
+    }
+
+    /// Starts from exactly the nodes of `region` and keys every coin by
+    /// the node's rank within the region, drawing `priority_bits` of the
+    /// region size: the ids and `n` of the subgraph `region` induces.
+    /// Ranks ascend with original ids, so tie-breaks on original ids
+    /// order nodes as the subgraph's ids would, and the run decides
+    /// exactly what the same engine decides on the extracted subgraph.
+    /// For unobserved drivers only: flight coin digests and injected coin
+    /// flips stay keyed by original id.
+    pub(crate) fn with_ranked_region(mut self, region: &[bool]) -> Self {
+        debug_assert!(self.layout.is_none());
+        // Each id's key is the number of region nodes before it.
+        let mut size = 0;
+        let ranks = region
+            .iter()
+            .map(|&inside| {
+                let rank = size;
+                size += usize::from(inside);
+                rank
+            })
+            .collect();
+        self.ranks = Some(ranks);
+        self.prio_shift = 64 - rng::priority_bits(size);
+        self.with_region(region)
+    }
+
+    /// Replaces the BoundedArb schedule before the first round, for
+    /// drivers whose Δ is the start-up degree count of a region.
+    pub(crate) fn set_arb_params(&mut self, params: ArbParams) {
+        debug_assert_eq!(self.round, 0);
+        if let FlatAlgo::BoundedArb { params: slot, .. } = &mut self.algo {
+            *slot = params;
+        }
     }
 
     /// Routes observability through `recorder` instead of the global one.
@@ -338,10 +399,10 @@ impl<'g> FlatBackend<'g> {
     }
 
     /// Largest active degree over active nodes, 0 when none is active.
-    /// Meaningful only for algorithms that track degrees (Luby,
-    /// BoundedArb).
+    /// Reads exact degrees only: at round 0 of Luby or BoundedArb, during
+    /// Luby, or after a BoundedArb scale end.
     pub(crate) fn max_active_degree(&self) -> usize {
-        debug_assert!(self.track_deg);
+        self.debug_assert_degrees_exact();
         self.active
             .iter()
             .map(|p| self.active_deg[p] as usize)
@@ -351,16 +412,24 @@ impl<'g> FlatBackend<'g> {
 
     /// Largest number of active neighbors with active degree above
     /// `threshold`, over active nodes — the Invariant's worst surviving
-    /// high-degree count. Same degree-tracking caveat as
+    /// high-degree count. Same exactness requirement as
     /// [`max_active_degree`](Self::max_active_degree).
     pub(crate) fn max_high_degree_neighbors(&self, threshold: f64) -> usize {
-        debug_assert!(self.track_deg);
+        self.debug_assert_degrees_exact();
         let eg = self.layout.as_deref().map_or(self.g, |l| &l.pg);
         self.active
             .iter()
             .map(|p| high_degree_neighbors(eg, self.active.mask(), &self.active_deg, p, threshold))
             .max()
             .unwrap_or(0)
+    }
+
+    /// Degree reads need exact stored degrees, or nothing active to read.
+    fn debug_assert_degrees_exact(&self) {
+        debug_assert!(
+            self.deg_exact || self.active_count == 0,
+            "active degrees read while they are only upper bounds"
+        );
     }
 
     /// Steps whole Luby/Métivier iterations (announce, decide, exit) from
@@ -434,22 +503,55 @@ impl<'g> FlatBackend<'g> {
         self.wins.clear();
         self.joiners.clear();
         self.removals.clear();
-        let eg = match &self.layout {
-            Some(l) => &l.pg,
-            None => self.g,
-        };
-        if self.track_deg {
-            let active = self.active.mask();
-            for (p, d) in self.active_deg.iter_mut().enumerate() {
-                *d = match self.region {
-                    None => eg.degree(p),
-                    Some(_) => eg.neighbors(p).iter().filter(|&&u| active.test(u)).count(),
-                } as u32;
+        // Luby and BoundedArb start from exact degrees; BoundedArb then
+        // decides per scale whether to keep them exact.
+        self.track_deg = matches!(self.algo, FlatAlgo::Luby);
+        self.deg_exact = !matches!(self.algo, FlatAlgo::Metivier);
+        if self.deg_exact {
+            match self.region {
+                None => {
+                    let eg = self.layout.as_deref().map_or(self.g, |l| &l.pg);
+                    for (p, d) in self.active_deg.iter_mut().enumerate() {
+                        *d = eg.degree(p) as u32;
+                    }
+                }
+                Some(_) => self.recount_degrees(),
             }
         }
         // `prio` is intentionally left stale: every decide round writes
         // the priority of each active node before any read. `active_deg`
         // is likewise stale when the protocol never reads it.
+    }
+
+    /// Recounts the exact active degree of every active node.
+    fn recount_degrees(&mut self) {
+        let Self {
+            g,
+            layout,
+            active,
+            active_deg,
+            ..
+        } = self;
+        let eg = layout.as_deref().map_or(*g, |l| &l.pg);
+        let mask = active.mask();
+        for p in mask.iter() {
+            active_deg[p] = eg.neighbors(p).iter().filter(|&&u| mask.test(u)).count() as u32;
+        }
+        self.deg_exact = true;
+    }
+
+    /// BoundedArb scale start. A scale reads active degrees only through
+    /// the ρ_k opt-out, and stored degrees never rise, so when no stored
+    /// degree exceeds ρ_k (or the cutoff is off) no node opts out all
+    /// scale and the scale runs without degree upkeep. Otherwise the
+    /// degrees are made exact and kept exact for the scale.
+    fn start_arb_scale(&mut self, rho: Option<f64>) {
+        let active_deg = &self.active_deg;
+        self.track_deg =
+            rho.is_some_and(|r| self.active.iter().any(|p| f64::from(active_deg[p]) > r));
+        if self.track_deg && !self.deg_exact {
+            self.recount_degrees();
+        }
     }
 
     /// Announce-type round: nodes deactivated since the previous one
@@ -473,20 +575,21 @@ impl<'g> FlatBackend<'g> {
         };
         let Self {
             layout,
+            ranks,
             active,
             active_deg,
             prio,
             ..
         } = self;
-        let to_old = layout.as_deref().map(|l| l.perm.to_old());
+        let keys = coin_keys(layout, ranks);
         let deg = &active_deg[..];
         let draw = |p: NodeId| {
-            let old = to_old.map_or(p, |t| t[p]);
+            let key = keys.map_or(p, |t| t[p]);
             let competitive = rho.is_none_or(|r| f64::from(deg[p]) <= r);
             if competitive {
                 // `draw_priority` with the `priority_bits(n)` shift
                 // hoisted out of the per-node loop (identical value).
-                (rng::draw(seed, old, iter, tag) >> shift) | 1
+                (rng::draw(seed, key, iter, tag) >> shift) | 1
             } else {
                 0
             }
@@ -650,17 +753,18 @@ impl<'g> FlatBackend<'g> {
         {
             let Self {
                 layout,
+                ranks,
                 active,
                 active_deg,
                 marked,
                 ..
             } = self;
-            let to_old = layout.as_deref().map(|l| l.perm.to_old());
+            let keys = coin_keys(layout, ranks);
             let deg = &active_deg[..];
             let mark = |p: NodeId| {
                 let d = deg[p] as usize;
-                let old = to_old.map_or(p, |t| t[p]);
-                d > 0 && luby::is_marked(seed, old, iter, d)
+                let key = keys.map_or(p, |t| t[p]);
+                d > 0 && luby::is_marked(seed, key, iter, d)
             };
             if threads > 1 {
                 let mask = active.mask();
@@ -818,6 +922,7 @@ impl<'g> FlatBackend<'g> {
                     }
                 }
             }
+            self.deg_exact &= track_deg || wins.is_empty();
             self.joiners.clear();
             match to_old {
                 None => self.joiners.extend_from_slice(&wins),
@@ -836,6 +941,9 @@ impl<'g> FlatBackend<'g> {
     /// protocol (every node judges the degrees announced one round
     /// earlier).
     fn bad_exits(&mut self, params: &ArbParams, scale: u32) {
+        if !self.deg_exact {
+            self.recount_degrees();
+        }
         let n = self.g.n();
         let dense = self.scan.is_dense(self.active_count, n);
         let hd = params.high_degree_threshold(scale);
@@ -916,8 +1024,8 @@ impl<'g> FlatBackend<'g> {
             };
             for &p in &removals {
                 bad.set(to_old.map_or(p, |t| t[p]));
-                // Bad exits only happen under BoundedArb, which always
-                // tracks degrees.
+                // Always decrement: the trace and the headroom gauge read
+                // exact degrees after the scale end.
                 deactivate_in(eg, active, active_count, active_deg, true, p);
             }
         }
@@ -959,7 +1067,12 @@ impl<'g> FlatBackend<'g> {
         let lam3 = 3 * params.lambda;
         if within < lam3 {
             match within % 3 {
-                0 => self.promote_finished(),
+                0 => {
+                    if within == 0 {
+                        self.start_arb_scale(rho_cutoff.then(|| params.rho(scale)));
+                    }
+                    self.promote_finished();
+                }
                 1 => {
                     let iter = u64::from(scale - 1) * params.lambda + within / 3;
                     self.decide_arb(&params, rho_cutoff, scale, iter);

@@ -216,23 +216,6 @@ impl SubgraphScratch {
             scratch: self,
         }
     }
-
-    /// Extracts the subgraph induced by `mask` (`O(n)` scan — intended
-    /// for once-per-run extractions, not per-component loops).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mask.len() != g.n()`.
-    pub fn induce_mask<'a>(&'a mut self, g: &Graph, mask: &[bool]) -> ScratchSubgraph<'a> {
-        assert_eq!(mask.len(), g.n());
-        self.begin(g.n());
-        self.nodes.extend((0..g.n()).filter(|&v| mask[v]));
-        let graph = self.finish(g);
-        ScratchSubgraph {
-            graph,
-            scratch: self,
-        }
-    }
 }
 
 /// A borrowed view of one [`SubgraphScratch`] extraction: the compacted
@@ -508,19 +491,6 @@ mod tests {
             for v in 0..g.n() {
                 assert_eq!(got.to_local(v), expect.to_local(v), "node {v}");
             }
-        }
-    }
-
-    #[test]
-    fn scratch_mask_matches_new() {
-        let g = gen::cycle(9);
-        let mask = [true, true, false, true, true, true, false, false, true];
-        let expect = InducedSubgraph::new(&g, &mask);
-        let mut scratch = SubgraphScratch::new();
-        let got = scratch.induce_mask(&g, &mask);
-        assert_eq!(got.graph(), expect.graph());
-        for i in 0..expect.n() {
-            assert_eq!(got.to_parent(i), expect.to_parent(i));
         }
     }
 

@@ -2,8 +2,7 @@
 //!
 //! `luby::run`, `metivier::{run, run_region, run_partial}` and
 //! `bounded_arb_independent_set_with` are thin drivers over the flat
-//! engine (`arbmis_core::FlatBackend`). The table below was captured from
-//! the earlier standalone `ActiveView` loops via
+//! engine (`arbmis_core::FlatBackend`). The table below was captured via
 //! `cargo run -p arbmis-bench --example golden_capture -- drivers`; the
 //! drivers must reproduce every fingerprint bit for bit. A fingerprint
 //! folds, over seeds {1, 7, 42}, the MIS mask, the iteration and round
@@ -12,17 +11,29 @@
 //! (shattering span, joiner histogram, bad-marked points and Invariant
 //! headroom gauges).
 //!
+//! The driver rows were captured from the earlier standalone `ActiveView`
+//! loops. The `flat_arb_understated` rows (the engine with Δ understated,
+//! so degrees exceed `ρ_k` at a scale start) and the `arb_mis` rows
+//! (phase rounds, the full shatter outcome and bad-component sizes, with
+//! and without degree reduction) were captured from the engine that
+//! maintained active degrees in every BoundedArb scale and ran ArbMIS's
+//! shattering on an extracted copy of the residual graph.
+//!
 //! The fingerprint code below is mirrored verbatim from the capture
 //! example.
 
-use arbmis::core::bounded_arb::{bounded_arb_independent_set_with, BoundedArbConfig};
-use arbmis::core::{luby, metivier, ParamMode};
+use arbmis::core::arb_mis::{arb_mis_with, ArbMisConfig};
+use arbmis::core::bounded_arb::{
+    bounded_arb_independent_set_with, BoundedArbConfig, ShatterOutcome,
+};
+use arbmis::core::{luby, metivier, ArbParams, FlatAlgo, FlatBackend, MisBackend, ParamMode};
 use arbmis::graph::{gen, Graph};
 use arbmis::obs::Recorder;
 use rand::SeedableRng;
 
-/// `(graph/driver, fingerprint)` captured from the `ActiveView` loops.
-const GOLDEN: [(&str, u64); 72] = [
+/// `(graph/driver, fingerprint)`, captured as described in the module
+/// docs.
+const GOLDEN: [(&str, u64); 87] = [
     ("empty0/luby", 0x4e3583d08ce6ac2c),
     ("empty0/metivier", 0x4e3583d08ce6ac2c),
     ("empty0/metivier_region", 0x4e3583d08ce6ac2c),
@@ -31,6 +42,7 @@ const GOLDEN: [(&str, u64); 72] = [
     ("empty0/metivier_partial3", 0x4e3583d08ce6ac2c),
     ("empty0/bounded_arb_rho1", 0x17a394c3e89c3a95),
     ("empty0/bounded_arb_rho0", 0x17a394c3e89c3a95),
+    ("empty0/flat_arb_understated", 0x69c0bb008cd0acfe),
     ("single1/luby", 0x3df7d4bee1d9f6b0),
     ("single1/metivier", 0x3df7d4bee1d9f6b0),
     ("single1/metivier_region", 0x3df7d4bee1d9f6b0),
@@ -39,6 +51,7 @@ const GOLDEN: [(&str, u64); 72] = [
     ("single1/metivier_partial3", 0x1a8122bc889f332e),
     ("single1/bounded_arb_rho1", 0x1a383946ffbcbbcd),
     ("single1/bounded_arb_rho0", 0x1a383946ffbcbbcd),
+    ("single1/flat_arb_understated", 0xbf8cd52323fcbcf5),
     ("tree300/luby", 0x1cb2f38659b980b7),
     ("tree300/metivier", 0x581cc5618eeb64de),
     ("tree300/metivier_region", 0x1d49b13f044a95ff),
@@ -47,6 +60,7 @@ const GOLDEN: [(&str, u64); 72] = [
     ("tree300/metivier_partial3", 0xa5a90ccc9b7c1e3d),
     ("tree300/bounded_arb_rho1", 0x447fef05f07b485e),
     ("tree300/bounded_arb_rho0", 0x4de7bf7ef4b35678),
+    ("tree300/flat_arb_understated", 0x0fc161523bc5e9e1),
     ("ktree3_300/luby", 0x4290a951bf049f89),
     ("ktree3_300/metivier", 0xccbc236d075ba10d),
     ("ktree3_300/metivier_region", 0xb9fbde34cb9ba98d),
@@ -55,6 +69,7 @@ const GOLDEN: [(&str, u64); 72] = [
     ("ktree3_300/metivier_partial3", 0xe863136f1411b920),
     ("ktree3_300/bounded_arb_rho1", 0x4322658f4d9217ae),
     ("ktree3_300/bounded_arb_rho0", 0x7b59b4a72ac265cc),
+    ("ktree3_300/flat_arb_understated", 0x85efcaf8dcaa6bf7),
     ("gnp300/luby", 0x12601632ec799177),
     ("gnp300/metivier", 0x400f7dc42240ce9a),
     ("gnp300/metivier_region", 0x1ab26573ee97807e),
@@ -63,6 +78,7 @@ const GOLDEN: [(&str, u64); 72] = [
     ("gnp300/metivier_partial3", 0x1335fca3c63ab353),
     ("gnp300/bounded_arb_rho1", 0x62788317fac44f1c),
     ("gnp300/bounded_arb_rho0", 0x365f0251afa29296),
+    ("gnp300/flat_arb_understated", 0xeaaa30f904e6574e),
     ("ba600/luby", 0x7f5f7fd9a20a5e4b),
     ("ba600/metivier", 0xaa3406b06cdf678a),
     ("ba600/metivier_region", 0xdd736148db53dd6d),
@@ -71,6 +87,7 @@ const GOLDEN: [(&str, u64); 72] = [
     ("ba600/metivier_partial3", 0x6542e91c8fcc4c53),
     ("ba600/bounded_arb_rho1", 0xb9955ef2be001415),
     ("ba600/bounded_arb_rho0", 0x019754a6de66a6af),
+    ("ba600/flat_arb_understated", 0x0ad89de29b32f065),
     ("geo400/luby", 0xa2c381f0e8c9ed01),
     ("geo400/metivier", 0x1d01b4a3f1efb3d7),
     ("geo400/metivier_region", 0xaec62a9cfa605775),
@@ -79,6 +96,7 @@ const GOLDEN: [(&str, u64); 72] = [
     ("geo400/metivier_partial3", 0x885504df6c15194a),
     ("geo400/bounded_arb_rho1", 0x66ec63d04fc39872),
     ("geo400/bounded_arb_rho0", 0xf190ea6f0ebfa848),
+    ("geo400/flat_arb_understated", 0xe7e07b314550cc16),
     ("geo1500_starved/luby", 0x15a603d58d97e822),
     ("geo1500_starved/metivier", 0x7f66f25e8028f31c),
     ("geo1500_starved/metivier_region", 0x605c7f1bf088da7b),
@@ -87,6 +105,7 @@ const GOLDEN: [(&str, u64); 72] = [
     ("geo1500_starved/metivier_partial3", 0xa048f344b57d289e),
     ("geo1500_starved/bounded_arb_rho1", 0x07d8fb93898db50c),
     ("geo1500_starved/bounded_arb_rho0", 0xa43a6d2602c6d6c2),
+    ("geo1500_starved/flat_arb_understated", 0x6f55b2f807a8b9de),
     ("tree100_faithful/luby", 0xd5e45a96894ce759),
     ("tree100_faithful/metivier", 0x271b7029c4225a37),
     ("tree100_faithful/metivier_region", 0x84606291fd2c2320),
@@ -95,6 +114,13 @@ const GOLDEN: [(&str, u64); 72] = [
     ("tree100_faithful/metivier_partial3", 0x699997cc2257a389),
     ("tree100_faithful/bounded_arb_rho1", 0x7f16e50c002070d7),
     ("tree100_faithful/bounded_arb_rho0", 0x7f16e50c002070d7),
+    ("tree100_faithful/flat_arb_understated", 0xebf5116fd6ee3f5b),
+    ("ba2000_m1/arb_mis", 0x06d15975e7040fd2),
+    ("star300/arb_mis", 0xcecd386b8fcc2eaa),
+    ("ktree3_2000/arb_mis", 0xd9542e2a56aefcad),
+    ("tree2000/arb_mis", 0x6ee93204ef8f88cc),
+    ("grid40/arb_mis", 0xac66d72ef2ca313f),
+    ("geo1500_starved/arb_mis", 0x03426f44ac5e714e),
 ];
 
 fn fnv(mut h: u64, x: u64) -> u64 {
@@ -173,9 +199,7 @@ fn fp_partial(p: &metivier::PartialRun) -> u64 {
     fnv(fp_mask(h, &p.active), p.iterations)
 }
 
-fn fp_shatter(g: &Graph, cfg: &BoundedArbConfig) -> u64 {
-    let rec = Recorder::deterministic();
-    let out = bounded_arb_independent_set_with(g, cfg, &rec);
+fn fp_shatter_outcome(out: &ShatterOutcome) -> u64 {
     let mut h = fp_mask(0xcbf2_9ce4_8422_2325, &out.in_mis);
     h = fp_mask(h, &out.bad);
     h = fp_mask(h, &out.active);
@@ -208,10 +232,103 @@ fn fp_shatter(g: &Graph, cfg: &BoundedArbConfig) -> u64 {
             h = fnv(h, j as u64);
         }
     }
+    h
+}
+
+fn fp_recorder(mut h: u64, rec: &Recorder) -> u64 {
     for b in rec.snapshot().to_jsonl().bytes() {
         h = fnv(h, u64::from(b));
     }
     h
+}
+
+fn fp_shatter(g: &Graph, cfg: &BoundedArbConfig) -> u64 {
+    let rec = Recorder::deterministic();
+    let out = bounded_arb_independent_set_with(g, cfg, &rec);
+    fp_recorder(fp_shatter_outcome(&out), &rec)
+}
+
+/// Algorithm 1 on the engine with Δ understated as 4, so `ρ_1 ≈ 11`:
+/// active nodes above it opt out at the scale start and compete again
+/// once their degree falls. With the graph's true Δ no active degree
+/// exceeds `ρ_k` at a scale start on graphs this small.
+fn fp_flat_arb_understated(g: &Graph, alpha: usize, mode: ParamMode, seed: u64) -> u64 {
+    let params = ArbParams::new(alpha, 4, mode);
+    let algo = FlatAlgo::BoundedArb {
+        params,
+        rho_cutoff: true,
+    };
+    let mut engine = FlatBackend::new(g, seed, algo);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    while !engine.is_done() {
+        engine.step_round().unwrap();
+        h = fnv(h, engine.joiners().len() as u64);
+        for &j in engine.joiners() {
+            h = fnv(h, j as u64);
+        }
+    }
+    let active: Vec<bool> = (0..g.n()).map(|v| engine.is_active(v)).collect();
+    h = fp_mask(h, &engine.mis().to_bools());
+    h = fp_mask(h, &engine.bad().to_bools());
+    fnv(fp_mask(h, &active), engine.round())
+}
+
+/// `(name, graph, α, parameter mode)` for the `arb_mis` rows. Degree
+/// reduction fires on the first three graphs and never on the rest.
+fn arb_mis_graphs() -> Vec<(&'static str, Graph, usize, ParamMode)> {
+    let rng = rand::rngs::StdRng::seed_from_u64;
+    let practical = ParamMode::default();
+    vec![
+        (
+            "ba2000_m1",
+            gen::barabasi_albert(2000, 1, &mut rng(9)),
+            1,
+            practical,
+        ),
+        ("star300", gen::star(300), 1, practical),
+        (
+            "ktree3_2000",
+            gen::random_ktree(2000, 3, &mut rng(8)),
+            3,
+            practical,
+        ),
+        (
+            "tree2000",
+            gen::random_tree_prufer(2000, &mut rng(3)),
+            1,
+            practical,
+        ),
+        ("grid40", gen::grid(40, 40), 2, practical),
+        // Λ = 1 leaves a bad component for Phase 4 (seed 7).
+        (
+            "geo1500_starved",
+            gen::random_geometric(1500, 0.06, &mut rng(6)),
+            3,
+            ParamMode::Practical { lambda_scale: 1e-9 },
+        ),
+    ]
+}
+
+fn fp_arb_mis(g: &Graph, cfg: &ArbMisConfig) -> u64 {
+    let rec = Recorder::deterministic();
+    let out = arb_mis_with(g, cfg, &rec);
+    let mut h = fp_mask(fp_shatter_outcome(&out.shatter), &out.in_mis);
+    let p = out.phases;
+    for x in [
+        out.rounds,
+        p.degree_reduction,
+        p.shattering,
+        p.vlo,
+        p.vhi,
+        p.bad_components,
+        out.bad_component_sizes.len() as u64,
+    ] {
+        h = fnv(h, x);
+    }
+    for &size in &out.bad_component_sizes {
+        h = fnv(h, size as u64);
+    }
+    fp_recorder(h, &rec)
 }
 
 /// One fingerprint per `(graph, driver)`, folding every seed.
@@ -247,6 +364,19 @@ fn driver_fingerprints() -> Vec<(String, u64)> {
                 fp_shatter(&g, &cfg)
             });
         }
+        row("flat_arb_understated", &|s| {
+            fp_flat_arb_understated(&g, alpha, mode, s)
+        });
+    }
+    for (name, g, alpha, mode) in arb_mis_graphs() {
+        let h = SEEDS.iter().fold(0xcbf2_9ce4_8422_2325, |h, &s| {
+            let cfg = ArbMisConfig {
+                mode,
+                ..ArbMisConfig::new(alpha, s)
+            };
+            fnv(h, fp_arb_mis(&g, &cfg))
+        });
+        rows.push((format!("{name}/arb_mis"), h));
     }
     rows
 }
@@ -263,4 +393,16 @@ fn drivers_reproduce_the_golden_fingerprints() {
         }
     }
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+#[test]
+fn arb_mis_rows_cover_both_degree_reduction_branches() {
+    for (i, (name, g, alpha, mode)) in arb_mis_graphs().into_iter().enumerate() {
+        let cfg = ArbMisConfig {
+            mode,
+            ..ArbMisConfig::new(alpha, SEEDS[0])
+        };
+        let fired = arbmis::core::arb_mis(&g, &cfg).phases.degree_reduction > 0;
+        assert_eq!(fired, i < 3, "{name}: degree reduction fired = {fired}");
+    }
 }

@@ -148,6 +148,58 @@ proptest! {
             .count();
         prop_assert_eq!(sub.graph().m(), expected);
     }
+
+    /// Shattering a region in place equals shattering the extracted
+    /// subgraph and lifting the result to parent ids: masks, iteration
+    /// and round counts, the parameter schedule, the per-scale trace and
+    /// the recorder output.
+    #[test]
+    fn region_shattering_equals_extracted_subgraph(
+        g in arb_graph(80, 500),
+        mask_seed in 0u64..1000,
+        density_pct in 20u32..100,
+        seed in 0u64..1000,
+        alpha in 1usize..4,
+        flags in 0u8..4,
+    ) {
+        use arbmis::core::bounded_arb::{
+            bounded_arb_independent_set_with, bounded_arb_region_with, BoundedArbConfig,
+        };
+        use arbmis::core::ParamMode;
+        use arbmis::obs::Recorder;
+        let mask: Vec<bool> = (0..g.n())
+            .map(|v| arbmis::congest::rng::draw_bool(mask_seed, v, 0, 0, f64::from(density_pct) / 100.0))
+            .collect();
+        // Bit 0 starves the schedule (Λ = 1) so step 2(b) exiles nodes;
+        // bit 1 switches the ρ_k cutoff off.
+        let lambda_scale = if flags & 1 == 1 { 1e-9 } else { 1.0 };
+        let cfg = BoundedArbConfig {
+            alpha,
+            mode: ParamMode::Practical { lambda_scale },
+            seed,
+            rho_cutoff: flags & 2 == 0,
+            record_iterations: true,
+        };
+        let (rec_region, rec_sub) = (Recorder::deterministic(), Recorder::deterministic());
+        let got = bounded_arb_region_with(&g, &mask, &cfg, &rec_region);
+        let sub = arbmis::graph::InducedSubgraph::new(&g, &mask);
+        let local = bounded_arb_independent_set_with(sub.graph(), &cfg, &rec_sub);
+        let lift = |local_mask: &[bool]| {
+            let mut parent = vec![false; g.n()];
+            for (i, &b) in local_mask.iter().enumerate() {
+                parent[sub.to_parent(i)] = b;
+            }
+            parent
+        };
+        prop_assert_eq!(&got.in_mis, &lift(&local.in_mis));
+        prop_assert_eq!(&got.bad, &lift(&local.bad));
+        prop_assert_eq!(&got.active, &lift(&local.active));
+        prop_assert_eq!(got.iterations, local.iterations);
+        prop_assert_eq!(got.rounds, local.rounds);
+        prop_assert_eq!(got.params, local.params);
+        prop_assert_eq!(&got.trace, &local.trace);
+        prop_assert_eq!(rec_region.snapshot().to_jsonl(), rec_sub.snapshot().to_jsonl());
+    }
 }
 
 // ------------------------------------------------------- backend contract
