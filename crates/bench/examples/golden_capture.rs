@@ -7,10 +7,10 @@
 //!   `tests/driver_golden.rs`: one fingerprint per graph and entry point
 //!   (`luby::run`, `metivier::{run, run_region, run_partial}`,
 //!   `bounded_arb_independent_set_with` with and without the ρ_k cutoff,
-//!   the engine itself under an understated Δ, and `arb_mis_with`) over
-//!   masks, round and iteration counts, the full `ScaleTrace`, the
-//!   `ArbMIS` phase rounds and bad-component sizes, and the deterministic
-//!   recorder output.
+//!   the engine itself under an understated Δ, `arb_mis_with`, and
+//!   `ghaffari::run`) over masks, round and iteration counts, the full
+//!   `ScaleTrace`, the `ArbMIS` phase rounds and bad-component sizes, and
+//!   the deterministic recorder output.
 //!
 //! Run once on a known-good engine and paste the output into the test's
 //! golden table. The fingerprint code here and in the tests must stay
@@ -22,7 +22,9 @@ use arbmis_core::bounded_arb::{
     bounded_arb_independent_set_with, BoundedArbConfig, ShatterOutcome,
 };
 use arbmis_core::protocols::{GhaffariProtocol, LubyProtocol, MetivierProtocol, MisNodeState};
-use arbmis_core::{luby, metivier, ArbParams, FlatAlgo, FlatBackend, MisBackend, ParamMode};
+use arbmis_core::{
+    ghaffari, luby, metivier, ArbParams, FlatAlgo, FlatBackend, MisBackend, ParamMode,
+};
 use arbmis_graph::{gen, Graph};
 use arbmis_obs::Recorder;
 use rand::SeedableRng;
@@ -254,6 +256,27 @@ fn arb_mis_graphs() -> Vec<(&'static str, Graph, usize, ParamMode)> {
     ]
 }
 
+/// `(name, graph)` for the `ghaffari` rows: every driver graph, then
+/// families where desire exponents climb (a star's centre, BA hubs,
+/// dense G(n,p), a clique, and a hub over a clique).
+fn ghaffari_graphs() -> Vec<(&'static str, Graph)> {
+    let rng = rand::rngs::StdRng::seed_from_u64;
+    let mut graphs: Vec<_> = driver_graphs()
+        .into_iter()
+        .map(|(name, g, ..)| (name, g))
+        .collect();
+    let mut hub = gen::complete(128).edges().collect::<Vec<_>>();
+    hub.extend((0..128).map(|v| (v, 128)));
+    graphs.extend([
+        ("star300", gen::star(300)),
+        ("ba2000_m3", gen::barabasi_albert(2000, 3, &mut rng(10))),
+        ("gnp200_dense", gen::gnp(200, 0.3, &mut rng(11))),
+        ("k100", gen::complete(100)),
+        ("hub_k128", Graph::from_edges(129, &hub)),
+    ]);
+    graphs
+}
+
 fn fp_arb_mis(g: &Graph, cfg: &ArbMisConfig) -> u64 {
     let rec = Recorder::deterministic();
     let out = arb_mis_with(g, cfg, &rec);
@@ -322,6 +345,12 @@ fn driver_fingerprints() -> Vec<(String, u64)> {
             fnv(h, fp_arb_mis(&g, &cfg))
         });
         rows.push((format!("{name}/arb_mis"), h));
+    }
+    for (name, g) in ghaffari_graphs() {
+        let h = SEEDS.iter().fold(0xcbf2_9ce4_8422_2325, |h, &s| {
+            fnv(h, fp_run(&ghaffari::run(&g, s)))
+        });
+        rows.push((format!("{name}/ghaffari"), h));
     }
     rows
 }

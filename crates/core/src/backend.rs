@@ -7,7 +7,7 @@
 //! implementation lives in `arbmis-flat`, which re-exports everything in
 //! this module.
 
-use crate::{bounded_arb, luby, metivier, ArbParams};
+use crate::{bounded_arb, ghaffari, luby, metivier, ArbParams};
 use arbmis_congest::{rng, BitMask, SimulatorError};
 use arbmis_graph::digest::Fnv128;
 use arbmis_graph::NodeId;
@@ -22,6 +22,10 @@ pub enum FlatAlgo {
     Luby,
     /// Métivier et al. priority competition: higher `(priority, id)` wins.
     Metivier,
+    /// Ghaffari's desire levels: mark with probability `2^-e`, a marked
+    /// node with no marked active neighbor wins, and `e` rises or falls
+    /// with the effective degree `Σ 2^-e_u`.
+    Ghaffari,
     /// `BoundedArbIndependentSet` (Algorithm 1): Θ scales of Λ Métivier
     /// iterations with the ρ_k opt-out, plus per-scale bad exits.
     BoundedArb {
@@ -38,6 +42,7 @@ impl FlatAlgo {
         match self {
             FlatAlgo::Luby => "luby",
             FlatAlgo::Metivier => "metivier",
+            FlatAlgo::Ghaffari => "ghaffari",
             FlatAlgo::BoundedArb { .. } => "bounded_arb",
         }
     }
@@ -193,7 +198,7 @@ pub trait MisBackend {
 /// * Métivier / BoundedArb: the drawn priority `p` becomes
 ///   `(p ^ xor) | 1` (the low bit keeps the value a valid nonzero
 ///   priority).
-/// * Luby: the mark bit is toggled when `xor != 0`.
+/// * Luby / Ghaffari: the mark bit is toggled when `xor != 0`.
 ///
 /// A flip with `xor == 0` is a no-op for the priority protocols; use an
 /// odd `xor` to guarantee a change.
@@ -228,13 +233,15 @@ pub fn joiner_digest(joiners: &[NodeId]) -> u64 {
 /// The protocol iteration whose coins are consumed at `round`, or `None`
 /// when `round` is not a decide round for `algo`.
 ///
-/// Luby and Métivier decide at rounds `r ≡ 1 (mod 3)` with
+/// Luby, Métivier and Ghaffari decide at rounds `r ≡ 1 (mod 3)` with
 /// `iter = r / 3`; BoundedArb follows its oblivious
 /// `Θ × (3Λ + 2)` schedule (decides only inside the first `3Λ` rounds of
 /// each scale).
 pub fn decide_iteration(algo: &FlatAlgo, round: u64) -> Option<u64> {
     match algo {
-        FlatAlgo::Luby | FlatAlgo::Metivier => (round % 3 == 1).then_some(round / 3),
+        FlatAlgo::Luby | FlatAlgo::Metivier | FlatAlgo::Ghaffari => {
+            (round % 3 == 1).then_some(round / 3)
+        }
         FlatAlgo::BoundedArb { params, .. } => {
             let rps = 3 * params.lambda + bounded_arb::ROUNDS_PER_SCALE_END;
             let total = u64::from(params.theta) * rps;
@@ -256,7 +263,8 @@ pub fn decide_iteration(algo: &FlatAlgo, round: u64) -> Option<u64> {
 /// 0 on non-decide rounds or when no node is active.
 ///
 /// The digested coin is the **pure** per-node draw — `draw(TAG_MARK)`
-/// for Luby, `draw_priority` for Métivier/BoundedArb (ignoring the ρ_k
+/// for Luby and Ghaffari (before it meets the degree or desire
+/// threshold), `draw_priority` for Métivier/BoundedArb (ignoring the ρ_k
 /// cutoff) — so the digest is a function of `(seed, algo, round,
 /// active set)` only, identical across backends at every decide round.
 /// An injected [`CoinFlip`] XORs the matching node's coin, which is
@@ -282,6 +290,7 @@ pub fn coin_digest(
         any = true;
         let mut coin = match algo {
             FlatAlgo::Luby => rng::draw(seed, v, iter, luby::TAG_MARK),
+            FlatAlgo::Ghaffari => rng::draw(seed, v, iter, ghaffari::TAG_MARK),
             FlatAlgo::Metivier => rng::draw_priority(seed, v, iter, metivier::TAG_PRIORITY, n),
             FlatAlgo::BoundedArb { .. } => {
                 rng::draw_priority(seed, v, iter, bounded_arb::TAG_PRIORITY, n)
@@ -310,6 +319,8 @@ mod tests {
         assert_eq!(decide_iteration(&FlatAlgo::Luby, 0), None);
         assert_eq!(decide_iteration(&FlatAlgo::Luby, 1), Some(0));
         assert_eq!(decide_iteration(&FlatAlgo::Metivier, 7), Some(2));
+        assert_eq!(decide_iteration(&FlatAlgo::Ghaffari, 5), None);
+        assert_eq!(decide_iteration(&FlatAlgo::Ghaffari, 4), Some(1));
         let params = ArbParams::new(3, 100_000, Default::default());
         assert!(params.theta >= 2, "need a multi-scale schedule");
         let algo = FlatAlgo::BoundedArb {

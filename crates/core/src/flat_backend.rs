@@ -1,7 +1,7 @@
 //! The flat engine: MIS rounds as frontier sweeps over CSR adjacency.
 
 use crate::backend::{self, BackendError, CoinFlip, FlatAlgo, MisBackend, ScanMode};
-use crate::{bounded_arb, luby, metivier, ArbParams, MisRun};
+use crate::{bounded_arb, ghaffari, luby, metivier, ArbParams, MisRun};
 use arbmis_congest::{execute_indexed, rng, BitMask, Frontier, Parallelism};
 use arbmis_graph::{Graph, NodeId, NodeOrder, Permutation};
 use arbmis_obs::{FlightRecorder, Recorder, RoundRecord};
@@ -37,7 +37,8 @@ use arbmis_obs::{FlightRecorder, Recorder, RoundRecord};
 /// concatenated in chunk index order (= ascending node order), so the
 /// result is bit-identical to the serial sweep at every thread count —
 /// the same contract the CONGEST parallel engine keeps. Only the
-/// single-threaded path is steady-state alloc-free.
+/// single-threaded path is steady-state alloc-free. Ghaffari's decide
+/// sweeps stay serial at every thread count.
 ///
 /// Randomness is the counter-pure [`rng`] keyed by
 /// `(seed, node, iteration, tag)`, the same draws the CONGEST protocols
@@ -89,9 +90,16 @@ pub struct FlatBackend<'g> {
     /// Per-iteration priority scratch (Métivier / BoundedArb), layout
     /// positions. Stale for inactive nodes — reads are gated on active.
     prio: Vec<u64>,
-    /// Per-iteration mark scratch (Luby), layout positions. Stale for
-    /// inactive nodes.
+    /// Per-iteration mark scratch (Luby, Ghaffari), layout positions.
+    /// Stale for inactive nodes.
     marked: BitMask,
+    /// Ghaffari's desire exponents (`p = 2^-e`), layout positions; stale
+    /// for inactive nodes. Empty for every other algorithm.
+    exponent: Vec<u32>,
+    /// The exponents the decide sweep computes for the next iteration,
+    /// swapped into `exponent` once the sweep is done (it reads the
+    /// current ones). Empty for every other algorithm.
+    next_exponent: Vec<u32>,
     /// `64 - priority_bits(n)`, hoisted: [`rng::draw_priority`]
     /// recomputes a floating-point `⌈log₂ n⌉` on every draw, which the
     /// fill sweep would otherwise pay per active node per iteration.
@@ -218,6 +226,11 @@ impl<'g> FlatBackend<'g> {
     /// A flat backend for `algo` on `g` under `seed`, ready at round 0.
     pub fn new(g: &'g Graph, seed: u64, algo: FlatAlgo) -> Self {
         let n = g.n();
+        let exponent_len = if matches!(algo, FlatAlgo::Ghaffari) {
+            n
+        } else {
+            0
+        };
         let mut b = FlatBackend {
             g,
             seed,
@@ -241,6 +254,8 @@ impl<'g> FlatBackend<'g> {
             active_deg: vec![0; n],
             prio: vec![0; n],
             marked: BitMask::new(n),
+            exponent: vec![0; exponent_len],
+            next_exponent: vec![0; exponent_len],
             prio_shift: 64 - rng::priority_bits(n),
             track_deg: false,
             deg_exact: false,
@@ -432,9 +447,9 @@ impl<'g> FlatBackend<'g> {
         );
     }
 
-    /// Steps whole Luby/Métivier iterations (announce, decide, exit) from
-    /// an iteration boundary until the active set is empty or `max`
-    /// iterations ran, and returns how many ran. The closing all-halt
+    /// Steps whole Luby/Métivier/Ghaffari iterations (announce, decide,
+    /// exit) from an iteration boundary until the active set is empty or
+    /// `max` iterations ran, and returns how many ran. The closing all-halt
     /// round of a full run is never executed: it decides nothing.
     pub(crate) fn run_iterations(&mut self, max: u64) -> u64 {
         debug_assert!(self.round.is_multiple_of(3));
@@ -503,10 +518,13 @@ impl<'g> FlatBackend<'g> {
         self.wins.clear();
         self.joiners.clear();
         self.removals.clear();
+        // Every desire starts at 1/2.
+        self.exponent.fill(1);
         // Luby and BoundedArb start from exact degrees; BoundedArb then
-        // decides per scale whether to keep them exact.
+        // decides per scale whether to keep them exact. Métivier and
+        // Ghaffari never read degrees.
         self.track_deg = matches!(self.algo, FlatAlgo::Luby);
-        self.deg_exact = !matches!(self.algo, FlatAlgo::Metivier);
+        self.deg_exact = !matches!(self.algo, FlatAlgo::Metivier | FlatAlgo::Ghaffari);
         if self.deg_exact {
             match self.region {
                 None => {
@@ -610,19 +628,32 @@ impl<'g> FlatBackend<'g> {
         }
     }
 
-    /// Applies an injected priority coin flip (original-id keyed) after
-    /// phase 1.
+    /// Layout position and XOR mask of the injected coin flip aimed at
+    /// iteration `iter`, if its (original-id) node is active.
+    fn active_flip(&self, iter: u64) -> Option<(NodeId, u64)> {
+        let f = self
+            .coin_flip
+            .filter(|f| f.iteration == iter && f.node < self.g.n())?;
+        let pos = self
+            .layout
+            .as_ref()
+            .map_or(f.node, |l| l.perm.new_of(f.node));
+        self.active.contains(pos).then_some((pos, f.xor))
+    }
+
+    /// Applies an injected priority coin flip after phase 1.
     fn apply_prio_flip(&mut self, iter: u64) {
-        if let Some(f) = self.coin_flip {
-            if f.iteration == iter && f.node < self.g.n() {
-                let pos = match &self.layout {
-                    Some(l) => l.perm.new_of(f.node),
-                    None => f.node,
-                };
-                if self.active.contains(pos) {
-                    self.prio[pos] = (self.prio[pos] ^ f.xor) | 1;
-                }
-            }
+        if let Some((pos, xor)) = self.active_flip(iter) {
+            self.prio[pos] = (self.prio[pos] ^ xor) | 1;
+        }
+    }
+
+    /// Toggles the mark bit of position `pos`.
+    fn toggle_mark(&mut self, pos: NodeId) {
+        if self.marked.test(pos) {
+            self.marked.clear(pos);
+        } else {
+            self.marked.set(pos);
         }
     }
 
@@ -741,7 +772,6 @@ impl<'g> FlatBackend<'g> {
     fn decide_luby(&mut self, iter: u64) {
         let n = self.g.n();
         let seed = self.seed;
-        let flip = self.coin_flip;
         let dense = self.scan.is_dense(self.active_count, n);
         let threads = self.threads;
         let bounds = if threads > 1 {
@@ -796,19 +826,9 @@ impl<'g> FlatBackend<'g> {
                 });
             }
         }
-        if let Some(f) = flip {
-            if f.iteration == iter && f.xor != 0 && f.node < n {
-                let pos = match &self.layout {
-                    Some(l) => l.perm.new_of(f.node),
-                    None => f.node,
-                };
-                if self.active.contains(pos) && self.active_deg[pos] > 0 {
-                    if self.marked.test(pos) {
-                        self.marked.clear(pos);
-                    } else {
-                        self.marked.set(pos);
-                    }
-                }
+        if let Some((pos, xor)) = self.active_flip(iter) {
+            if xor != 0 && self.active_deg[pos] > 0 {
+                self.toggle_mark(pos);
             }
         }
         // Phase 2: competition among marked nodes.
@@ -890,6 +910,73 @@ impl<'g> FlatBackend<'g> {
                 }
             });
         }
+    }
+
+    /// Ghaffari decide, serial at every thread count. The first sweep
+    /// draws each active node's mark at its desire exponent, keyed like
+    /// every other coin. The second records the winners (marked, no
+    /// marked active neighbor) and computes each active node's next
+    /// exponent from its pre-removal active neighborhood. The effective
+    /// degree is summed in the original graph's adjacency order, so a
+    /// layout adds the same `2^-e` terms in the same order as the
+    /// identity run and every comparison with 2 comes out the same.
+    fn decide_ghaffari(&mut self, iter: u64) {
+        let seed = self.seed;
+        let dense = self.scan.is_dense(self.active_count, self.g.n());
+        {
+            let Self {
+                layout,
+                ranks,
+                active,
+                marked,
+                exponent,
+                ..
+            } = self;
+            let keys = coin_keys(layout, ranks);
+            sweep(dense, active, |p| {
+                let key = keys.map_or(p, |t| t[p]);
+                if ghaffari::is_marked(seed, key, iter, exponent[p]) {
+                    marked.set(p);
+                } else {
+                    marked.clear(p);
+                }
+            });
+        }
+        if let Some((pos, xor)) = self.active_flip(iter) {
+            if xor != 0 {
+                self.toggle_mark(pos);
+            }
+        }
+        let Self {
+            g,
+            layout,
+            active,
+            marked,
+            exponent,
+            next_exponent,
+            wins,
+            ..
+        } = self;
+        let perm = layout.as_deref().map(|l| &l.perm);
+        let (exponent, marked) = (&exponent[..], &*marked);
+        wins.clear();
+        sweep(dense, active, |p| {
+            let old = perm.map_or(p, |pm| pm.old_of(p));
+            let mut d = 0.0;
+            let mut blocked = false;
+            for &v in g.neighbors(old) {
+                let u = perm.map_or(v, |pm| pm.new_of(v));
+                if active.contains(u) {
+                    d += ghaffari::desire(exponent[u]);
+                    blocked |= marked.test(u);
+                }
+            }
+            if marked.test(p) && !blocked {
+                wins.push(p);
+            }
+            next_exponent[p] = ghaffari::next_exponent(exponent[p], d);
+        });
+        std::mem::swap(&mut self.exponent, &mut self.next_exponent);
     }
 
     /// Exit round: winners join the MIS; winners and their dominated
@@ -1038,7 +1125,9 @@ impl<'g> FlatBackend<'g> {
         self.unfinished = 0;
     }
 
-    /// One Luby/Métivier round on the 3-sub-round iteration timeline.
+    /// One Luby/Métivier/Ghaffari round on the 3-sub-round iteration
+    /// timeline. The exit round reads no desire exponents, so Ghaffari's
+    /// next ones are already in place when it runs.
     fn step_fast3(&mut self) {
         match self.round % 3 {
             0 => self.promote_finished(),
@@ -1046,6 +1135,7 @@ impl<'g> FlatBackend<'g> {
                 let iter = self.round / 3;
                 match self.algo {
                     FlatAlgo::Luby => self.decide_luby(iter),
+                    FlatAlgo::Ghaffari => self.decide_ghaffari(iter),
                     _ => self.decide_metivier(iter),
                 }
             }
@@ -1123,7 +1213,7 @@ impl<'g> FlatBackend<'g> {
         };
         self.joiners.clear();
         match self.algo {
-            FlatAlgo::Luby | FlatAlgo::Metivier => self.step_fast3(),
+            FlatAlgo::Luby | FlatAlgo::Metivier | FlatAlgo::Ghaffari => self.step_fast3(),
             FlatAlgo::BoundedArb { params, rho_cutoff } => self.step_arb(params, rho_cutoff),
         }
         self.round += 1;

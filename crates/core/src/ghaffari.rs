@@ -12,10 +12,22 @@
 //!
 //! Desire levels being powers of two means the CONGEST protocol only
 //! exchanges exponents — `O(log log Δ)` bits.
+//!
+//! [`run`] is a short driver over the flat engine
+//! ([`FlatBackend`] with [`FlatAlgo::Ghaffari`]), on the same
+//! announce/decide/exit timeline as Luby. The decide round marks every
+//! active node, records the winners, and computes every active node's
+//! next exponent from its pre-removal active neighborhood. The
+//! effective degree is summed in the original graph's adjacency order,
+//! so every execution layout reproduces the same floating-point sums
+//! (DESIGN.md §13). A run still active after its generous iteration cap
+//! panics.
 
+use crate::backend::{FlatAlgo, MisBackend};
 use crate::result::MisRun;
+use crate::FlatBackend;
 use arbmis_congest::rng;
-use arbmis_graph::{ActiveView, Graph, NodeId};
+use arbmis_graph::{Graph, NodeId};
 
 /// Randomness tag for marking coins.
 pub const TAG_MARK: u64 = 0x4748_4146; // "GHAF"
@@ -31,13 +43,37 @@ fn iteration_cap(n: usize) -> u64 {
     2000 + (60.0 * logn * logn) as u64
 }
 
+/// The desire level `2^-e`, exactly: the bits of `0.5f64.powi(e)`, built
+/// from the exponent field (subnormal below `2^-1022`, 0 below
+/// `2^-1074`) instead of by repeated multiplication.
+#[inline]
+pub fn desire(e: u32) -> f64 {
+    match e {
+        0..=1022 => f64::from_bits(u64::from(1023 - e) << 52),
+        1023..=1074 => f64::from_bits(1 << (1074 - e)),
+        _ => 0.0,
+    }
+}
+
 /// Whether `v` marks itself in `iter` at desire exponent `e` (`p = 2^-e`).
 #[inline]
 pub fn is_marked(seed: u64, v: NodeId, iter: u64, e: u32) -> bool {
-    rng::draw_unit(seed, v, iter, TAG_MARK) < 0.5f64.powi(e as i32)
+    rng::draw_unit(seed, v, iter, TAG_MARK) < desire(e)
 }
 
-/// Runs Ghaffari's algorithm to completion.
+/// The next desire exponent of a node at exponent `e` whose active
+/// neighbors' desires sum to `d`: halve the desire when `d ≥ 2`, else
+/// double it, capped at 1/2.
+#[inline]
+pub fn next_exponent(e: u32, d: f64) -> u32 {
+    if d >= 2.0 {
+        e + 1
+    } else {
+        e.saturating_sub(1).max(1)
+    }
+}
+
+/// Runs Ghaffari's algorithm to completion on the flat engine.
 ///
 /// # Panics
 ///
@@ -51,52 +87,18 @@ pub fn is_marked(seed: u64, v: NodeId, iter: u64, e: u32) -> bool {
 /// assert!(arbmis_core::check_mis(&g, &run.in_mis).is_ok());
 /// ```
 pub fn run(g: &Graph, seed: u64) -> MisRun {
-    let n = g.n();
-    let mut view = ActiveView::new(g);
-    let mut in_mis = vec![false; n];
-    // Desire exponent e_v: p_v = 2^{-e_v}, e_v ≥ 1.
-    let mut exponent = vec![1u32; n];
-    let cap = iteration_cap(n);
-    let mut iter = 0u64;
-    while view.active_count() > 0 {
-        assert!(iter < cap, "ghaffari exceeded iteration cap {cap}");
-        let marked: Vec<bool> = (0..n)
-            .map(|v| view.is_active(v) && is_marked(seed, v, iter, exponent[v]))
-            .collect();
-        let joiners: Vec<NodeId> = view
-            .active_nodes()
-            .filter(|&v| marked[v] && view.active_neighbors(v).all(|u| !marked[u]))
-            .collect();
-        // Desire update uses the *pre-removal* neighborhood, matching the
-        // algorithm's simultaneous semantics.
-        let new_exponent: Vec<u32> = (0..n)
-            .map(|v| {
-                if !view.is_active(v) {
-                    return exponent[v];
-                }
-                let d: f64 = view
-                    .active_neighbors(v)
-                    .map(|u| 0.5f64.powi(exponent[u] as i32))
-                    .sum();
-                if d >= 2.0 {
-                    exponent[v] + 1
-                } else {
-                    exponent[v].saturating_sub(1).max(1)
-                }
-            })
-            .collect();
-        exponent = new_exponent;
-        for &v in &joiners {
-            in_mis[v] = true;
-            let nbrs: Vec<NodeId> = view.active_neighbors(v).collect();
-            view.deactivate(v);
-            for u in nbrs {
-                view.deactivate(u);
-            }
-        }
-        iter += 1;
-    }
-    MisRun::new(in_mis, iter, iter * ROUNDS_PER_ITERATION)
+    let cap = iteration_cap(g.n());
+    let mut engine = FlatBackend::unobserved(g, seed, FlatAlgo::Ghaffari);
+    let iterations = engine.run_iterations(cap);
+    assert!(
+        engine.active_count() == 0,
+        "ghaffari exceeded iteration cap {cap}"
+    );
+    MisRun::new(
+        engine.mis().to_bools(),
+        iterations,
+        iterations * ROUNDS_PER_ITERATION,
+    )
 }
 
 #[cfg(test)]
@@ -156,6 +158,17 @@ mod tests {
         let res = run(&g, 9);
         assert_eq!(res.size(), 20);
         assert!(res.iterations <= 30);
+    }
+
+    #[test]
+    fn desire_matches_powi_bit_for_bit() {
+        for e in 0..=2200u32 {
+            assert_eq!(
+                desire(e).to_bits(),
+                0.5f64.powi(e as i32).to_bits(),
+                "e = {e}"
+            );
+        }
     }
 
     #[test]

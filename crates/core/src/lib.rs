@@ -26,14 +26,14 @@
 //! * [`cole_vishkin`] — deterministic coin tossing: O(log* n) forest
 //!   3-coloring and the color-sweep MIS for small components.
 //!
-//! Luby, Métivier and Algorithm 1 each have two interchangeable
-//! executions drawing *identical* random bits:
+//! Luby, Métivier, Ghaffari and Algorithm 1 each have two
+//! interchangeable executions drawing *identical* random bits:
 //!
 //! 1. the **flat engine** ([`FlatBackend`]) — centralized frontier sweeps
 //!    over the CSR arrays. It is the only centralized implementation:
 //!    [`luby::run`], [`metivier::run`] (and its region and partial
-//!    variants) and [`bounded_arb::bounded_arb_independent_set`] are
-//!    short drivers over it that report *schedule* rounds (3 per
+//!    variants), [`ghaffari::run`] and
+//!    [`bounded_arb::bounded_arb_independent_set`] are short drivers over it that report *schedule* rounds (3 per
 //!    iteration, 2 per scale end); and
 //! 2. a **CONGEST protocol** ([`protocols`]) — runs on
 //!    [`arbmis_congest::Simulator`] with real message passing and
@@ -41,8 +41,7 @@
 //!
 //! [`backend::MisBackend`] is the round-steppable surface both share
 //! (the simulator adapter lives in `arbmis-flat`); tests assert the two
-//! are round-identical. Ghaffari's algorithm keeps its own centralized
-//! loop beside its protocol twin.
+//! are round-identical.
 
 pub mod arb_mis;
 pub mod backend;

@@ -342,17 +342,11 @@ impl Protocol for GhaffariProtocol {
                 let d: f64 = inbox
                     .iter()
                     .filter_map(|(_, m)| match m {
-                        MisMsg::GhaffariMark { exponent, .. } => {
-                            Some(0.5f64.powi(*exponent as i32))
-                        }
+                        MisMsg::GhaffariMark { exponent, .. } => Some(ghaffari::desire(*exponent)),
                         _ => None,
                     })
                     .sum();
-                state.pending_exponent = if d >= 2.0 {
-                    state.exponent + 1
-                } else {
-                    state.exponent.saturating_sub(1).max(1)
-                };
+                state.pending_exponent = ghaffari::next_exponent(state.exponent, d);
                 decide_phase(state, wins)
             }
             _ => {

@@ -2,15 +2,18 @@
 
 use crate::{divergence, BackendError, FlatAlgo, MisBackend};
 use arbmis_congest::{BitMask, Simulator, Stepper};
-use arbmis_core::protocols::{BoundedArbProtocol, LubyProtocol, MetivierProtocol, MisNodeState};
+use arbmis_core::protocols::{
+    BoundedArbProtocol, GhaffariProtocol, LubyProtocol, MetivierProtocol, MisNodeState,
+};
 use arbmis_graph::{Graph, NodeId};
 use arbmis_obs::{FlightRecorder, RoundRecord};
 
-/// All three MIS protocols share `MisNodeState`, so the adapter only
+/// All four MIS protocols share `MisNodeState`, so the adapter only
 /// needs to dispatch the stepper calls.
 enum Inner<'g> {
     Luby(Stepper<'g, LubyProtocol>),
     Metivier(Stepper<'g, MetivierProtocol>),
+    Ghaffari(Stepper<'g, GhaffariProtocol>),
     BoundedArb(Stepper<'g, BoundedArbProtocol>),
 }
 
@@ -19,6 +22,7 @@ macro_rules! dispatch {
         match $inner {
             Inner::Luby($st) => $body,
             Inner::Metivier($st) => $body,
+            Inner::Ghaffari($st) => $body,
             Inner::BoundedArb($st) => $body,
         }
     };
@@ -61,6 +65,7 @@ fn build<'g>(
     match algo {
         FlatAlgo::Luby => Inner::Luby(sim.stepper(LubyProtocol)),
         FlatAlgo::Metivier => Inner::Metivier(sim.stepper(MetivierProtocol)),
+        FlatAlgo::Ghaffari => Inner::Ghaffari(sim.stepper(GhaffariProtocol)),
         FlatAlgo::BoundedArb { params, rho_cutoff } => {
             Inner::BoundedArb(sim.stepper(BoundedArbProtocol { params, rho_cutoff }))
         }

@@ -237,7 +237,7 @@ pub struct ReplayArtifact {
     pub edges: Vec<(NodeId, NodeId)>,
     /// RNG seed.
     pub seed: u64,
-    /// `"luby"` / `"metivier"` / `"bounded_arb"`.
+    /// `"luby"` / `"metivier"` / `"ghaffari"` / `"bounded_arb"`.
     pub algo: String,
     /// Required when `algo == "bounded_arb"`.
     pub arb: Option<ArbSpec>,
@@ -347,6 +347,7 @@ impl ReplayArtifact {
         match self.algo.as_str() {
             "luby" => Ok(FlatAlgo::Luby),
             "metivier" => Ok(FlatAlgo::Metivier),
+            "ghaffari" => Ok(FlatAlgo::Ghaffari),
             "bounded_arb" => {
                 let spec = self
                     .arb
@@ -567,6 +568,37 @@ mod tests {
         art.algo = "luby".into();
         art.edges.push((0, 99));
         assert!(ReplayArtifact::from_json(&art.to_json()).is_err());
+    }
+
+    #[test]
+    fn ghaffari_artifact_localizes_a_mark_flip() {
+        let g = gen::cycle(16);
+        let flip = CoinFlip {
+            node: 5,
+            iteration: 0,
+            xor: 1,
+        };
+        let art = ReplayArtifact::from_case(
+            &g,
+            3,
+            FlatAlgo::Ghaffari,
+            BackendSpec::flat().with_coin_flip(flip),
+            BackendSpec::congest(),
+            10_000,
+            None,
+        );
+        let back = ReplayArtifact::from_json(&art.to_json()).unwrap();
+        assert_eq!(back.algo(), Ok(FlatAlgo::Ghaffari));
+        let d = back.replay().unwrap().divergence.expect("diverges");
+        // The toggled mark changes iteration 0's joiners, reported at
+        // round 2.
+        assert_eq!(d.round, 2);
+        assert_eq!(d.kind, DivergenceKind::Joiners);
+        let pristine = ReplayArtifact {
+            a: BackendSpec::flat(),
+            ..back
+        };
+        assert_eq!(pristine.replay().unwrap().divergence, None);
     }
 
     #[test]

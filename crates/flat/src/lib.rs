@@ -5,8 +5,8 @@
 //! The CONGEST simulator ([`arbmis_congest::Simulator`]) is the semantic
 //! reference: it charges every message against the bandwidth budget and
 //! counts rounds exactly. The flat engine ([`FlatBackend`], which lives
-//! in `arbmis-core` because the centralized `luby`, `metivier` and
-//! `bounded_arb` entry points drive it) replays the same oblivious
+//! in `arbmis-core` because the centralized `luby`, `metivier`,
+//! `ghaffari` and `bounded_arb` entry points drive it) replays the same oblivious
 //! protocols as frontier sweeps over the CSR arrays with no message
 //! objects. This crate holds everything that relates the two:
 //!
@@ -33,8 +33,8 @@
 //!
 //! # Round timeline
 //!
-//! A backend round is exactly one CONGEST round. Luby and Métivier spend
-//! three rounds per iteration (announce, decide, exit); joiners are
+//! A backend round is exactly one CONGEST round. Luby, Métivier and
+//! Ghaffari spend three rounds per iteration (announce, decide, exit); joiners are
 //! reported at rounds `r ≡ 2 (mod 3)`. BoundedArb follows the oblivious
 //! schedule of [`arbmis_core::protocols::BoundedArbProtocol`]:
 //! `3Λ + 2` rounds per scale (Λ iterations, then a degree exchange and a
@@ -103,9 +103,9 @@ mod tests {
     }
 
     #[test]
-    fn flat_matches_congest_luby_and_metivier() {
+    fn flat_matches_congest_luby_metivier_and_ghaffari() {
         for (name, g) in &graphs() {
-            for algo in [FlatAlgo::Luby, FlatAlgo::Metivier] {
+            for algo in [FlatAlgo::Luby, FlatAlgo::Metivier, FlatAlgo::Ghaffari] {
                 for seed in [1, 42] {
                     let mut flat = FlatBackend::new(g, seed, algo);
                     let mut congest = CongestBackend::new(g, seed, algo);
@@ -149,7 +149,7 @@ mod tests {
     fn scan_modes_agree() {
         let mut rng = StdRng::seed_from_u64(23);
         let g = gen::gnp(150, 0.04, &mut rng);
-        for algo in [FlatAlgo::Luby, FlatAlgo::Metivier] {
+        for algo in [FlatAlgo::Luby, FlatAlgo::Metivier, FlatAlgo::Ghaffari] {
             let mut sparse = FlatBackend::new(&g, 9, algo).with_scan(ScanMode::Sparse);
             let mut dense = FlatBackend::new(&g, 9, algo).with_scan(ScanMode::Dense);
             assert_lockstep(&format!("{}/scan", algo.label()), &mut sparse, &mut dense);
@@ -165,6 +165,7 @@ mod tests {
         for algo in [
             FlatAlgo::Luby,
             FlatAlgo::Metivier,
+            FlatAlgo::Ghaffari,
             FlatAlgo::BoundedArb {
                 params,
                 rho_cutoff: true,

@@ -42,7 +42,7 @@ pub fn solve_mis(
 ) -> Result<RegionMis, BackendError> {
     assert!(
         !matches!(algo, FlatAlgo::BoundedArb { .. }),
-        "solve_mis needs a maximal algorithm (Luby/Metivier); BoundedArb shatters only"
+        "solve_mis needs a maximal algorithm (Luby/Metivier/Ghaffari); BoundedArb shatters only"
     );
     let mut b = FlatBackend::new(g, seed, algo);
     let run = b.run(max_rounds)?;
@@ -68,7 +68,7 @@ mod tests {
             gen::path(9),
             gen::gnp(200, 0.05, &mut rng),
         ] {
-            for algo in [FlatAlgo::Luby, FlatAlgo::Metivier] {
+            for algo in [FlatAlgo::Luby, FlatAlgo::Metivier, FlatAlgo::Ghaffari] {
                 let r = solve_mis(&g, 7, algo, 100_000).unwrap();
                 assert!(is_valid_mis(&g, &r.in_mis));
                 assert_eq!(r.in_mis.len(), g.n());

@@ -14,7 +14,7 @@
 //! arbmis gen --family ktree2 --n 1000 --output k.txt
 //! ```
 
-use arbmis::core::{arb_mis, check_mis, ghaffari, greedy, tree_mis, ArbMisConfig};
+use arbmis::core::{arb_mis, check_mis, greedy, tree_mis, ArbMisConfig};
 use arbmis::flat::{CongestBackend, FlatAlgo, FlatBackend, MisBackend, NodeOrder, ReplayArtifact};
 use arbmis::graph::gen::{GraphFamily, GraphSpec};
 use arbmis::graph::stats::GraphStats;
@@ -51,7 +51,7 @@ JSONL / as a Chrome trace-event file loadable in Perfetto.
 dumped to stderr on panic or backend failure; --flight-out saves it as
 JSONL after the run.
 
---backend picks the execution engine for luby/metivier: the flat
+--backend picks the execution engine for luby/metivier/ghaffari: the flat
 shared-memory engine (default) or the CONGEST message-passing
 simulator. Both produce the same MIS in the same number of executed
 rounds, counting the final all-halt round (DESIGN.md §11).
@@ -426,8 +426,9 @@ fn main() -> ExitCode {
                 eprintln!("unknown backend {backend:?} (expected flat or congest)");
                 return usage();
             }
-            if flags.contains_key("backend") && !matches!(algo, "luby" | "metivier") {
-                eprintln!("--backend {backend} only supports --algo luby or metivier");
+            let engine_algo = matches!(algo, "luby" | "metivier" | "ghaffari");
+            if flags.contains_key("backend") && !engine_algo {
+                eprintln!("--backend {backend} only supports --algo luby, metivier or ghaffari");
                 return ExitCode::FAILURE;
             }
             let order = match flags.get("order") {
@@ -451,20 +452,20 @@ fn main() -> ExitCode {
                 },
             };
             if (flags.contains_key("order") || flags.contains_key("flat-threads"))
-                && (backend != "flat" || !matches!(algo, "luby" | "metivier"))
+                && (backend != "flat" || !engine_algo)
             {
                 eprintln!(
-                    "--order / --flat-threads need --algo luby or metivier on --backend flat"
+                    "--order / --flat-threads need --algo luby, metivier or ghaffari on --backend flat"
                 );
                 return ExitCode::FAILURE;
             }
             let (in_mis, rounds) = match algo {
                 "greedy" => (greedy::greedy_mis(&g), 0),
-                "luby" | "metivier" => {
-                    let flat_algo = if algo == "luby" {
-                        FlatAlgo::Luby
-                    } else {
-                        FlatAlgo::Metivier
+                "luby" | "metivier" | "ghaffari" => {
+                    let flat_algo = match algo {
+                        "luby" => FlatAlgo::Luby,
+                        "metivier" => FlatAlgo::Metivier,
+                        _ => FlatAlgo::Ghaffari,
                     };
                     let max_rounds = 100_000;
                     // Both engine paths report under the same span name so
@@ -498,10 +499,6 @@ fn main() -> ExitCode {
                             return ExitCode::FAILURE;
                         }
                     }
-                }
-                "ghaffari" => {
-                    let r = ghaffari::run(&g, seed);
-                    (r.in_mis, r.rounds)
                 }
                 "treemis" => {
                     let r = tree_mis::tree_mis(&g, seed);

@@ -215,14 +215,16 @@ fn frontier_bookkeeping_steady_state_allocates_nothing() {
 /// reuse buffers (DESIGN.md §11, §13). Runs are deterministic, so
 /// repeat executions replay the exact same buffer demands. The degree
 /// layout exercises the permuted path too: joiner re-sorting and the
-/// pos↔original id mapping must also be alloc-free once warm.
+/// pos↔original id mapping must also be alloc-free once warm. Ghaffari's
+/// exponent buffers are sized at construction and swapped, never
+/// regrown.
 fn flat_backend_steady_state_allocates_nothing() {
     use arbmis::flat::{FlatAlgo, FlatBackend, MisBackend, NodeOrder, ScanMode};
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
     let g = arbmis::graph::gen::gnp(400, 0.02, &mut rng);
 
-    for algo in [FlatAlgo::Luby, FlatAlgo::Metivier] {
+    for algo in [FlatAlgo::Luby, FlatAlgo::Metivier, FlatAlgo::Ghaffari] {
         for order in [NodeOrder::Identity, NodeOrder::Degree] {
             for scan in [ScanMode::Sparse, ScanMode::Dense, ScanMode::Auto] {
                 let mut b = FlatBackend::new(&g, 3, algo)

@@ -20,7 +20,9 @@
 //! so CI can pin one slice per job.
 
 use arbmis::congest::{Parallelism, Protocol, Simulator};
-use arbmis::core::protocols::{BoundedArbProtocol, LubyProtocol, MetivierProtocol, MisNodeState};
+use arbmis::core::protocols::{
+    BoundedArbProtocol, GhaffariProtocol, LubyProtocol, MetivierProtocol, MisNodeState,
+};
 use arbmis::core::{ArbParams, ParamMode};
 use arbmis::flat::{CongestBackend, FlatAlgo, FlatBackend, MisBackend, NodeOrder, ScanMode};
 use arbmis::graph::{gen, Graph};
@@ -168,6 +170,7 @@ fn assert_workload(label: &str, g: &Graph, seed: u64, algo: FlatAlgo, max_rounds
         let (par_mis, par_rounds) = match algo {
             FlatAlgo::Luby => parallel_outcome(g, seed, &LubyProtocol, max_rounds, threads),
             FlatAlgo::Metivier => parallel_outcome(g, seed, &MetivierProtocol, max_rounds, threads),
+            FlatAlgo::Ghaffari => parallel_outcome(g, seed, &GhaffariProtocol, max_rounds, threads),
             FlatAlgo::BoundedArb { params, rho_cutoff } => parallel_outcome(
                 g,
                 seed,
@@ -208,6 +211,21 @@ fn metivier_backends_equivalent() {
                 g,
                 seed,
                 FlatAlgo::Metivier,
+                MAX_ROUNDS,
+            );
+        }
+    }
+}
+
+#[test]
+fn ghaffari_backends_equivalent() {
+    for (fam, g) in &families(200) {
+        for seed in SEEDS {
+            assert_workload(
+                &format!("ghaffari/{fam}/seed{seed}"),
+                g,
+                seed,
+                FlatAlgo::Ghaffari,
                 MAX_ROUNDS,
             );
         }

@@ -1,8 +1,8 @@
 //! Golden differential for the centralized MIS drivers.
 //!
-//! `luby::run`, `metivier::{run, run_region, run_partial}` and
-//! `bounded_arb_independent_set_with` are thin drivers over the flat
-//! engine (`arbmis_core::FlatBackend`). The table below was captured via
+//! `luby::run`, `metivier::{run, run_region, run_partial}`,
+//! `ghaffari::run` and `bounded_arb_independent_set_with` are thin
+//! drivers over the flat engine (`arbmis_core::FlatBackend`). The table below was captured via
 //! `cargo run -p arbmis-bench --example golden_capture -- drivers`; the
 //! drivers must reproduce every fingerprint bit for bit. A fingerprint
 //! folds, over seeds {1, 7, 42}, the MIS mask, the iteration and round
@@ -17,7 +17,11 @@
 //! (phase rounds, the full shatter outcome and bad-component sizes, with
 //! and without degree reduction) were captured from the engine that
 //! maintained active degrees in every BoundedArb scale and ran ArbMIS's
-//! shattering on an extracted copy of the residual graph.
+//! shattering on an extracted copy of the residual graph. The `ghaffari`
+//! rows (MIS mask, iterations and rounds, on every driver graph plus a
+//! star, BA hubs, dense G(n,p), a clique and a hub over a clique, where
+//! desire exponents climb) were captured from `ghaffari::run`'s own
+//! `ActiveView` loop.
 //!
 //! The fingerprint code below is mirrored verbatim from the capture
 //! example.
@@ -26,14 +30,16 @@ use arbmis::core::arb_mis::{arb_mis_with, ArbMisConfig};
 use arbmis::core::bounded_arb::{
     bounded_arb_independent_set_with, BoundedArbConfig, ShatterOutcome,
 };
-use arbmis::core::{luby, metivier, ArbParams, FlatAlgo, FlatBackend, MisBackend, ParamMode};
+use arbmis::core::{
+    ghaffari, luby, metivier, ArbParams, FlatAlgo, FlatBackend, MisBackend, ParamMode,
+};
 use arbmis::graph::{gen, Graph};
 use arbmis::obs::Recorder;
 use rand::SeedableRng;
 
 /// `(graph/driver, fingerprint)`, captured as described in the module
 /// docs.
-const GOLDEN: [(&str, u64); 87] = [
+const GOLDEN: [(&str, u64); 101] = [
     ("empty0/luby", 0x4e3583d08ce6ac2c),
     ("empty0/metivier", 0x4e3583d08ce6ac2c),
     ("empty0/metivier_region", 0x4e3583d08ce6ac2c),
@@ -121,6 +127,20 @@ const GOLDEN: [(&str, u64); 87] = [
     ("tree2000/arb_mis", 0x6ee93204ef8f88cc),
     ("grid40/arb_mis", 0xac66d72ef2ca313f),
     ("geo1500_starved/arb_mis", 0x03426f44ac5e714e),
+    ("empty0/ghaffari", 0x4e3583d08ce6ac2c),
+    ("single1/ghaffari", 0xa5fe112f535fc858),
+    ("tree300/ghaffari", 0x757836789951c711),
+    ("ktree3_300/ghaffari", 0x76a9944f2944e0f3),
+    ("gnp300/ghaffari", 0x40d0a46c595615d3),
+    ("ba600/ghaffari", 0x8f9a18d6e56d05bb),
+    ("geo400/ghaffari", 0x6365c9fbc9298c61),
+    ("geo1500_starved/ghaffari", 0xac351ec344e7bb00),
+    ("tree100_faithful/ghaffari", 0xe7cff72ea1beb3c3),
+    ("star300/ghaffari", 0x9cd08546d345a6d5),
+    ("ba2000_m3/ghaffari", 0xa1d6f36b94b8ec14),
+    ("gnp200_dense/ghaffari", 0x868958f8ce14d256),
+    ("k100/ghaffari", 0x2d251c981754c49f),
+    ("hub_k128/ghaffari", 0xed853ce6d9c8ccaa),
 ];
 
 fn fnv(mut h: u64, x: u64) -> u64 {
@@ -309,6 +329,27 @@ fn arb_mis_graphs() -> Vec<(&'static str, Graph, usize, ParamMode)> {
     ]
 }
 
+/// `(name, graph)` for the `ghaffari` rows: every driver graph, then
+/// families where desire exponents climb (a star's centre, BA hubs,
+/// dense G(n,p), a clique, and a hub over a clique).
+fn ghaffari_graphs() -> Vec<(&'static str, Graph)> {
+    let rng = rand::rngs::StdRng::seed_from_u64;
+    let mut graphs: Vec<_> = driver_graphs()
+        .into_iter()
+        .map(|(name, g, ..)| (name, g))
+        .collect();
+    let mut hub = gen::complete(128).edges().collect::<Vec<_>>();
+    hub.extend((0..128).map(|v| (v, 128)));
+    graphs.extend([
+        ("star300", gen::star(300)),
+        ("ba2000_m3", gen::barabasi_albert(2000, 3, &mut rng(10))),
+        ("gnp200_dense", gen::gnp(200, 0.3, &mut rng(11))),
+        ("k100", gen::complete(100)),
+        ("hub_k128", Graph::from_edges(129, &hub)),
+    ]);
+    graphs
+}
+
 fn fp_arb_mis(g: &Graph, cfg: &ArbMisConfig) -> u64 {
     let rec = Recorder::deterministic();
     let out = arb_mis_with(g, cfg, &rec);
@@ -377,6 +418,12 @@ fn driver_fingerprints() -> Vec<(String, u64)> {
             fnv(h, fp_arb_mis(&g, &cfg))
         });
         rows.push((format!("{name}/arb_mis"), h));
+    }
+    for (name, g) in ghaffari_graphs() {
+        let h = SEEDS.iter().fold(0xcbf2_9ce4_8422_2325, |h, &s| {
+            fnv(h, fp_run(&ghaffari::run(&g, s)))
+        });
+        rows.push((format!("{name}/ghaffari"), h));
     }
     rows
 }

@@ -213,7 +213,7 @@ proptest! {
     fn every_backend_output_is_a_valid_mis(g in arbitrary_graph(), seed in 0u64..1000) {
         use arbmis::core::is_valid_mis;
         use arbmis::flat::{CongestBackend, FlatAlgo, FlatBackend, MisBackend, ScanMode};
-        for algo in [FlatAlgo::Luby, FlatAlgo::Metivier] {
+        for algo in [FlatAlgo::Luby, FlatAlgo::Metivier, FlatAlgo::Ghaffari] {
             for scan in [ScanMode::Auto, ScanMode::Sparse, ScanMode::Dense] {
                 let mut b = FlatBackend::new(&g, seed, algo).with_scan(scan);
                 b.run(100_000).unwrap();
@@ -233,7 +233,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         use arbmis::flat::{CongestBackend, FlatAlgo, FlatBackend, MisBackend};
-        for algo in [FlatAlgo::Luby, FlatAlgo::Metivier] {
+        for algo in [FlatAlgo::Luby, FlatAlgo::Metivier, FlatAlgo::Ghaffari] {
             let mut flat = FlatBackend::new(&g, seed, algo);
             let mut congest = CongestBackend::new(&g, seed, algo);
             flat.init();
@@ -258,6 +258,119 @@ proptest! {
             prop_assert_eq!(flat.mis(), congest.mis());
         }
     }
+}
+
+/// Strategy: an arbitrary graph on 1–64 nodes, up to half-dense, plus up
+/// to three hubs adjacent to every node, so desire exponents climb.
+fn ghaffari_graph() -> impl Strategy<Value = Graph> {
+    (1usize..=64, 0usize..4).prop_flat_map(|(n, hubs)| {
+        proptest::collection::vec((0..n, 0..n), 0..n * n / 2 + 1).prop_map(move |pairs| {
+            let mut b = arbmis::graph::GraphBuilder::new(n);
+            for (u, v) in pairs {
+                b.try_add_edge(u, v);
+            }
+            for h in 0..hubs.min(n) {
+                for v in 0..n {
+                    b.try_add_edge(h, v);
+                }
+            }
+            b.build()
+        })
+    })
+}
+
+/// Ghaffari's algorithm written out plainly over `Vec<bool>` flags,
+/// independently of the engine: `(MIS, iterations, largest desire
+/// exponent any active node reached)`.
+fn reference_ghaffari(g: &Graph, seed: u64) -> (Vec<bool>, u64, u32) {
+    let n = g.n();
+    let mut active = vec![true; n];
+    let mut in_mis = vec![false; n];
+    let mut exponent = vec![1u32; n];
+    let (mut iter, mut max_exponent) = (0, 1);
+    while active.contains(&true) {
+        let marked: Vec<bool> = (0..n)
+            .map(|v| active[v] && ghaffari::is_marked(seed, v, iter, exponent[v]))
+            .collect();
+        let live = |v: usize| g.neighbors(v).iter().copied().filter(|&u| active[u]);
+        let winners: Vec<usize> = (0..n)
+            .filter(|&v| marked[v] && live(v).all(|u| !marked[u]))
+            .collect();
+        let next: Vec<u32> = (0..n)
+            .map(|v| {
+                let d: f64 = live(v).map(|u| ghaffari::desire(exponent[u])).sum();
+                ghaffari::next_exponent(exponent[v], d)
+            })
+            .collect();
+        for v in (0..n).filter(|&v| active[v]) {
+            max_exponent = max_exponent.max(next[v]);
+        }
+        exponent = next;
+        for w in winners {
+            in_mis[w] = true;
+            active[w] = false;
+            for &u in g.neighbors(w) {
+                active[u] = false;
+            }
+        }
+        iter += 1;
+    }
+    (in_mis, iter, max_exponent)
+}
+
+/// Runs `FlatAlgo::Ghaffari` under every layout and both fixed scan
+/// modes and checks each against `ghaffari::run` and the reference:
+/// the same MIS, and `3 × iterations` schedule rounds plus the closing
+/// halt round. Returns the reference's largest exponent.
+fn check_ghaffari_layouts(g: &Graph, seed: u64) -> Result<u32, TestCaseError> {
+    use arbmis::flat::{FlatAlgo, FlatBackend, MisBackend, NodeOrder, ScanMode};
+    let (mis, iterations, max_exponent) = reference_ghaffari(g, seed);
+    let driver = ghaffari::run(g, seed);
+    prop_assert_eq!(&driver.in_mis, &mis);
+    prop_assert_eq!(driver.iterations, iterations);
+    prop_assert_eq!(driver.rounds, 3 * iterations);
+    for order in [NodeOrder::Identity, NodeOrder::Degree, NodeOrder::Bfs] {
+        for scan in [ScanMode::Sparse, ScanMode::Dense] {
+            let mut b = FlatBackend::new(g, seed, FlatAlgo::Ghaffari)
+                .with_order(order)
+                .with_scan(scan);
+            let run = b.run(100_000).unwrap();
+            prop_assert!(b.mis() == &mis[..], "{order:?} {scan:?}: MIS");
+            prop_assert!(
+                run.rounds == 3 * iterations + 1,
+                "{order:?} {scan:?}: rounds"
+            );
+        }
+    }
+    Ok(max_exponent)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// DESIGN.md §13 for Ghaffari: the desire sums, hence the MIS and
+    /// the round count, do not depend on the layout or the scan mode.
+    #[test]
+    fn ghaffari_engine_is_layout_and_scan_independent(
+        g in ghaffari_graph(),
+        seed in 0u64..1000,
+    ) {
+        check_ghaffari_layouts(&g, seed)?;
+    }
+}
+
+/// The same check where desire exponents climb past 10: a half-dense
+/// hub over dense G(n, p) keeps many nodes at effective degree ≥ 2 for
+/// a dozen iterations.
+#[test]
+fn ghaffari_layouts_agree_where_exponents_exceed_10() {
+    use rand::SeedableRng;
+    let g = gen::gnp(200, 0.3, &mut rand::rngs::StdRng::seed_from_u64(11));
+    let mut highest = 0;
+    for seed in [7, 42] {
+        highest = highest.max(check_ghaffari_layouts(&g, seed).unwrap());
+    }
+    assert!(highest > 10, "exponents peaked at {highest}");
 }
 
 // ------------------------------------------------- bit-packed substrate
@@ -333,7 +446,7 @@ proptest! {
     fn permuted_runs_report_identical_joiners(g in arbitrary_graph(), seed in 0u64..500) {
         use arbmis::flat::{FlatAlgo, FlatBackend, MisBackend};
         use arbmis::graph::NodeOrder;
-        for algo in [FlatAlgo::Luby, FlatAlgo::Metivier] {
+        for algo in [FlatAlgo::Luby, FlatAlgo::Metivier, FlatAlgo::Ghaffari] {
             let mut base = FlatBackend::new(&g, seed, algo);
             let mut permuted: Vec<FlatBackend> = [NodeOrder::Degree, NodeOrder::Bfs]
                 .iter()
