@@ -44,9 +44,15 @@ impl BitMask {
         m
     }
 
-    /// Unpacks to a `&[bool]`-style mask of length `n`.
+    /// Unpacks to a `&[bool]`-style mask of length `n`. Writes only the
+    /// set bits into a zeroed vector, so a sparse mask costs `O(n/64)`
+    /// word reads plus its set bits.
     pub fn to_bools(&self) -> Vec<bool> {
-        (0..self.n).map(|v| self.test(v)).collect()
+        let mut bools = vec![false; self.n];
+        for v in self.iter() {
+            bools[v] = true;
+        }
+        bools
     }
 
     /// Capacity (number of addressable bits).

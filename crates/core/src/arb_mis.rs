@@ -1,20 +1,27 @@
 //! `ArbMIS` — Algorithm 2: the full MIS pipeline.
 //!
+//! The whole pipeline is one run of the flat engine ([`FlatBackend`]):
+//! each phase switches the engine's algorithm on the active set the
+//! previous phase left, so no phase builds a second engine, a region mask
+//! or a residual graph (DESIGN.md §11.2).
+//!
 //! 1. *(optional pre-phase)* **Degree reduction**: when
 //!    `Δ > α·2^√(log n·log log n)` the paper invokes the BEPS
 //!    degree-reduction procedure (their Theorem 7.2) for
 //!    `O(√(log n·log log n))` rounds. We substitute the closest synthetic
-//!    equivalent: that many iterations of the Métivier step, which removes
-//!    MIS stars and empirically collapses high degrees (see DESIGN.md §3 —
-//!    the substitution preserves the pipeline structure and the round
-//!    accounting; the exact degree guarantee is BEPS-internal machinery
-//!    the brief announcement treats as a black box).
+//!    equivalent: up to that many iterations of the Métivier step among
+//!    the nodes above the target and their neighbors
+//!    ([`FlatAlgo::DegreeReduction`]), which removes MIS stars around the
+//!    hubs (see DESIGN.md §3 — the substitution preserves the pipeline
+//!    structure and the round accounting; the exact degree guarantee is
+//!    BEPS-internal machinery the brief announcement treats as a black
+//!    box, so the `arbmis_degree_reduction_*` gauges record what the
+//!    substitute achieved).
 //! 2. **Shattering**: [`crate::bounded_arb`] produces `(I, B, VIB)` on
-//!    the graph the pre-phase leaves. It runs in place on the input
-//!    ([`bounded_arb_region_with`]): the flat engine starts from the
-//!    surviving nodes, and coins are keyed by each node's rank among them,
-//!    so no residual graph is built and the outcome is the one the
-//!    extracted residual graph would give (DESIGN.md §11.1).
+//!    the graph the pre-phase leaves. It runs in place on the engine's
+//!    surviving active set, with coins keyed by each node's rank among
+//!    them, so the outcome is the one the extracted residual graph would
+//!    give (DESIGN.md §11.1).
 //! 3. **Residual split**: `VIB = V_lo ∪ V_hi` by the final-scale
 //!    high-degree threshold; each side induces a low-degree graph (the
 //!    Invariant guarantees it for `V_hi`) and is finished by a
@@ -26,14 +33,17 @@
 //!    decomposition, Cole–Vishkin 3-color the first forest, and sweep
 //!    color classes (id tie-break for cross-forest edges). Components are
 //!    processed in parallel in the network, so the phase costs the *max*
-//!    over components.
+//!    over components. Under an understated α a component's decomposition
+//!    can get stuck; it is then finished by Métivier and counted in
+//!    `arbmis_alpha_understated`.
 //!
 //! Every phase only lets nodes not yet dominated by the growing `I` join,
 //! so the union is an MIS of the whole graph — asserted in debug builds.
 
-use crate::bounded_arb::{bounded_arb_region_with, BoundedArbConfig, ShatterOutcome};
+use crate::backend::{FlatAlgo, MisBackend};
+use crate::bounded_arb::{shatter_active, BoundedArbConfig, ShatterOutcome};
 use crate::params::ParamMode;
-use crate::{cole_vishkin, forest_decomp, metivier};
+use crate::{cole_vishkin, forest_decomp, metivier, FlatBackend};
 use arbmis_graph::{traversal, Graph, NodeId};
 use arbmis_obs::{Histogram, Recorder};
 use serde::{Deserialize, Serialize};
@@ -157,7 +167,9 @@ pub fn arb_mis(g: &Graph, cfg: &ArbMisConfig) -> ArbMisOutcome {
 /// phase runs under a span (`arbmis/degree_reduction`,
 /// `arbmis/shattering`, `arbmis/vlo`, `arbmis/vhi`,
 /// `arbmis/bad_components` with nested `forest_decomp` / `cole_vishkin`),
-/// and the node-degree and bad-component-size histograms are collected.
+/// the node-degree and bad-component-size histograms are collected, and
+/// the `arbmis_degree_reduction_target` / `_max_degree` gauges record
+/// Phase 1's contract.
 /// Recording never changes the outcome (DESIGN.md §8).
 ///
 /// # Panics
@@ -176,73 +188,29 @@ pub fn arb_mis_with(g: &Graph, cfg: &ArbMisConfig, rec: &Recorder) -> ArbMisOutc
         }
         rec.merge_histogram("arbmis_node_degree", &degrees);
     }
-    let mut in_mis = vec![false; n];
     let mut phases = PhaseRounds::default();
 
     // Phase 1: degree reduction (substituted; see module docs). The BEPS
     // contract is "reduce the maximum degree to the target, in
     // O(√(log n·log log n)) rounds" — so the competition is restricted to
     // high-degree nodes and their neighborhoods, leaving the rest of the
-    // graph untouched for the shattering phase.
+    // graph untouched for the shattering phase. The engine built here
+    // carries every later phase.
     let target = degree_reduction_target(cfg.alpha, n);
-    let mut region: Vec<bool> = vec![true; n];
     let dr_span = rec.span("degree_reduction");
+    let mut engine =
+        FlatBackend::unobserved(g, cfg.seed ^ 0xdeed, FlatAlgo::DegreeReduction { target });
+    let mut reduced = None;
     if cfg.degree_reduction && g.max_degree() as f64 > target {
-        let cap = degree_reduction_iterations(n);
-        let mut view = arbmis_graph::ActiveView::new(g);
-        let mut prio = vec![0u64; n];
-        let mut iters = 0u64;
-        while iters < cap {
-            // High-degree nodes and their active neighborhoods compete.
-            let mut competes = vec![false; n];
-            let mut any_high = false;
-            for v in view.active_nodes() {
-                if view.active_degree(v) as f64 > target {
-                    any_high = true;
-                    competes[v] = true;
-                    for u in view.active_neighbors(v) {
-                        competes[u] = true;
-                    }
-                }
-            }
-            if !any_high {
-                break;
-            }
-            // Draw each competitor's priority once per iteration instead
-            // of re-hashing it for every incident edge (the comparison
-            // tuple `(prio[v], v)` is exactly `metivier::priority`).
-            for v in view.active_nodes() {
-                if competes[v] {
-                    prio[v] = metivier::priority(cfg.seed ^ 0xdeed, v, iters, n).0;
-                }
-            }
-            let joiners: Vec<NodeId> = view
-                .active_nodes()
-                .filter(|&v| {
-                    competes[v]
-                        && view
-                            .active_neighbors(v)
-                            .all(|u| !competes[u] || (prio[v], v) > (prio[u], u))
-                })
-                .collect();
-            for &v in &joiners {
-                in_mis[v] = true;
-                let nbrs: Vec<NodeId> = view.active_neighbors(v).collect();
-                view.deactivate(v);
-                for u in nbrs {
-                    view.deactivate(u);
-                }
-            }
-            iters += 1;
-        }
-        region.copy_from_slice(view.mask());
-        phases.degree_reduction = iters * metivier::ROUNDS_PER_ITERATION;
+        let iterations = engine.run_iterations(degree_reduction_iterations(n));
+        phases.degree_reduction = iterations * metivier::ROUNDS_PER_ITERATION;
+        reduced = Some(engine.mis().clone());
     }
     rec.point("rounds", phases.degree_reduction);
     drop(dr_span);
 
-    // Phase 2: shattering on the residual region, in place on `g`
-    // (opens its own span; outcome in original ids).
+    // Phase 2: shattering on the surviving active set, in place (opens
+    // its own span). Its `in_mis` is reported without Phase 1's joiners.
     let ba_cfg = BoundedArbConfig {
         alpha: cfg.alpha,
         mode: cfg.mode,
@@ -250,65 +218,45 @@ pub fn arb_mis_with(g: &Graph, cfg: &ArbMisConfig, rec: &Recorder) -> ArbMisOutc
         rho_cutoff: true,
         record_iterations: false,
     };
-    let shatter = bounded_arb_region_with(g, &region, &ba_cfg, rec);
+    let mut shatter = shatter_active(&mut engine, &ba_cfg, rec);
+    if let Some(reduced) = &reduced {
+        for v in reduced.iter() {
+            shatter.in_mis[v] = false;
+        }
+    }
     phases.shattering = shatter.rounds;
-    for (slot, &joined) in in_mis.iter_mut().zip(&shatter.in_mis) {
-        *slot |= joined;
+    if obs {
+        // Phase 1's contract: the post-phase Δ (the schedule's Δ) is at
+        // most the target whenever the phase stopped before its cap.
+        rec.gauge("arbmis_degree_reduction_target", target);
+        rec.gauge(
+            "arbmis_degree_reduction_max_degree",
+            shatter.params.delta as f64,
+        );
     }
 
     // Phase 3: split the residual VIB into V_lo / V_hi by the final
-    // scale's high-degree threshold (measured in the shattering graph's
-    // active degrees ≈ degrees among VIB ∪ B; we use current undominated
-    // degree, which the Invariant controls identically).
+    // scale's high-degree threshold on its active degrees (exact after
+    // the last scale end). Active nodes are undominated: every exit
+    // removes a joiner's whole neighborhood. V_hi waits outside the
+    // active set while V_lo runs, then rejoins minus what V_lo dominated.
     let hi_threshold = if shatter.params.theta > 0 {
         shatter.params.high_degree_threshold(shatter.params.theta)
     } else {
         f64::INFINITY
     };
-    let undominated = |in_mis: &[bool], v: NodeId| -> bool {
-        !in_mis[v] && g.neighbors(v).iter().all(|&u| !in_mis[u])
-    };
-    let residual_degree = |v: NodeId| -> usize {
-        g.neighbors(v)
-            .iter()
-            .filter(|&&u| shatter.active[u])
-            .count()
-    };
-    let vlo: Vec<bool> = (0..n)
-        .map(|v| {
-            shatter.active[v]
-                && undominated(&in_mis, v)
-                && (residual_degree(v) as f64) <= hi_threshold
-        })
-        .collect();
-    let lo_run = {
-        let _s = rec.span("vlo");
-        let run = metivier::run_region(g, &vlo, cfg.seed ^ 0x10);
-        rec.point("rounds", run.rounds);
-        run
-    };
-    for (slot, &joined) in in_mis.iter_mut().zip(&lo_run.in_mis) {
-        *slot |= joined;
-    }
-    phases.vlo = lo_run.rounds;
-
-    let vhi: Vec<bool> = (0..n)
-        .map(|v| shatter.active[v] && undominated(&in_mis, v) && !vlo[v])
-        .collect();
-    let hi_run = {
-        let _s = rec.span("vhi");
-        let run = metivier::run_region(g, &vhi, cfg.seed ^ 0x11);
-        rec.point("rounds", run.rounds);
-        run
-    };
-    for (slot, &joined) in in_mis.iter_mut().zip(&hi_run.in_mis) {
-        *slot |= joined;
-    }
-    phases.vhi = hi_run.rounds;
+    let vhi = engine.take_active_above(hi_threshold);
+    phases.vlo = finish_region(&mut engine, cfg.seed ^ 0x10, rec, "vlo");
+    engine.activate_undominated(&vhi);
+    phases.vhi = finish_region(&mut engine, cfg.seed ^ 0x11, rec, "vhi");
+    let mut in_mis = engine.mis().to_bools();
 
     // Phase 4: bad components, processed independently (max rounds).
-    let comps = traversal::components_of_subset(g, &shatter.bad);
-    let members = comps.members();
+    let members = if engine.bad().count_ones() > 0 {
+        traversal::components_of_subset(g, &shatter.bad).members()
+    } else {
+        Vec::new()
+    };
     let mut bad_component_sizes: Vec<usize> = Vec::new();
     let mut max_component_rounds = 0u64;
     // One reusable extraction scratch for every Phase-4 component, so
@@ -355,11 +303,27 @@ pub fn arb_mis_with(g: &Graph, cfg: &ArbMisConfig, rec: &Recorder) -> ArbMisOutc
     }
 }
 
+/// Phase 3 on one side of the split: Métivier under `seed` on the
+/// engine's active set, to completion, under the span `name`. Returns
+/// its schedule rounds.
+fn finish_region(engine: &mut FlatBackend<'_>, seed: u64, rec: &Recorder, name: &str) -> u64 {
+    let _s = rec.span(name);
+    engine.switch_algo(FlatAlgo::Metivier, seed);
+    let rounds = engine.run_iterations(u64::MAX) * metivier::ROUNDS_PER_ITERATION;
+    rec.point("rounds", rounds);
+    rounds
+}
+
 /// Lemma 3.8 on one component of `B`: forest-decompose, Cole–Vishkin
 /// 3-color the densest forest, sweep color classes restricted to the
 /// still-undominated part of the component. Returns the rounds spent.
 /// Extraction goes through the caller's `scratch`, so the cost is
 /// O(|C| + m(C)) per component with no O(n) allocations.
+///
+/// A component whose peeling gets stuck proves α understated (subgraphs
+/// never exceed the true arboricity). It is finished with Métivier on its
+/// undominated nodes instead and counted in `arbmis_alpha_understated`;
+/// its rounds are Métivier's alone, without the stuck peeling's.
 fn finish_bad_component(
     g: &Graph,
     component: &[NodeId],
@@ -370,25 +334,6 @@ fn finish_bad_component(
 ) -> u64 {
     let sub = scratch.induce(g, component);
     let cg = sub.graph();
-    // The component has arboricity ≤ α (subgraphs never exceed the bound).
-    let (forests, decomp_rounds) = {
-        let _s = rec.span("forest_decomp");
-        forest_decomp::forest_decomposition(cg, cfg.alpha, cfg.eps)
-            .expect("component arboricity exceeds the global bound")
-    };
-    // Color the first forest (largest by construction of out-edge
-    // indexing); isolated-in-forest nodes are roots and get colored too.
-    let coloring = {
-        let _s = rec.span("cole_vishkin");
-        match forests.first() {
-            Some(f) => cole_vishkin::cv_color_to_three(f),
-            None => cole_vishkin::ForestColoring {
-                colors: vec![0; cg.n()],
-                num_colors: 1,
-                rounds: 0,
-            },
-        }
-    };
     // Region: component nodes not yet dominated by the global MIS.
     let region: Vec<bool> = (0..cg.n())
         .map(|i| {
@@ -396,14 +341,46 @@ fn finish_bad_component(
             !in_mis[v] && g.neighbors(v).iter().all(|&u| !in_mis[u])
         })
         .collect();
-    let (local_mis, sweep_rounds) =
-        cole_vishkin::colorwise_mis(cg, &coloring.colors, coloring.num_colors, Some(&region));
+    let decomposition = {
+        let _s = rec.span("forest_decomp");
+        forest_decomp::forest_decomposition(cg, cfg.alpha, cfg.eps)
+    };
+    let (local_mis, rounds) = match decomposition {
+        Ok((forests, decomp_rounds)) => {
+            // Color the first forest (largest by construction of out-edge
+            // indexing); isolated-in-forest nodes are roots and get
+            // colored too.
+            let coloring = {
+                let _s = rec.span("cole_vishkin");
+                match forests.first() {
+                    Some(f) => cole_vishkin::cv_color_to_three(f),
+                    None => cole_vishkin::ForestColoring {
+                        colors: vec![0; cg.n()],
+                        num_colors: 1,
+                        rounds: 0,
+                    },
+                }
+            };
+            let (local_mis, sweep_rounds) = cole_vishkin::colorwise_mis(
+                cg,
+                &coloring.colors,
+                coloring.num_colors,
+                Some(&region),
+            );
+            (local_mis, decomp_rounds + coloring.rounds + sweep_rounds)
+        }
+        Err(_) => {
+            rec.add("arbmis_alpha_understated", 1);
+            let run = metivier::run_region(cg, &region, cfg.seed ^ 0xbad);
+            (run.in_mis, run.rounds)
+        }
+    };
     for i in 0..cg.n() {
         if local_mis[i] {
             in_mis[sub.to_parent(i)] = true;
         }
     }
-    decomp_rounds + coloring.rounds + sweep_rounds
+    rounds
 }
 
 #[cfg(test)]
@@ -479,6 +456,41 @@ mod tests {
             assert!(with.phases.degree_reduction > 0);
             assert_eq!(without.phases.degree_reduction, 0);
         }
+    }
+
+    #[test]
+    fn degree_reduction_gauges_record_the_phase_contract() {
+        let mut r = rng(11);
+        let cases: Vec<(Graph, usize)> = vec![
+            (gen::gnp(300, 0.3, &mut rng(0)), 1),
+            (gen::barabasi_albert(2000, 1, &mut r), 1),
+            (gen::star(300), 1),
+            (gen::random_ktree(3000, 3, &mut r), 3),
+            (gen::random_tree_prufer(500, &mut r), 1),
+        ];
+        let mut stopped_early = 0;
+        for (g, alpha) in &cases {
+            for seed in 0..4 {
+                let rec = arbmis_obs::Recorder::deterministic();
+                let out = arb_mis_with(g, &ArbMisConfig::new(*alpha, seed), &rec);
+                let snap = rec.snapshot();
+                let target = snap.gauge_value("arbmis_degree_reduction_target");
+                let max_degree = snap.gauge_value("arbmis_degree_reduction_max_degree");
+                assert_eq!(target, Some(degree_reduction_target(*alpha, g.n())));
+                assert_eq!(max_degree, Some(out.shatter.params.delta as f64));
+                let iterations = out.phases.degree_reduction / metivier::ROUNDS_PER_ITERATION;
+                if iterations < degree_reduction_iterations(g.n()) {
+                    stopped_early += usize::from(iterations > 0);
+                    assert!(
+                        max_degree <= target,
+                        "{g} seed {seed}: {max_degree:?} > {target:?}"
+                    );
+                }
+            }
+        }
+        // Some runs iterated and stopped before the cap, not only runs
+        // where the phase never fired.
+        assert!(stopped_early > 0);
     }
 
     #[test]

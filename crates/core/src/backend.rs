@@ -34,6 +34,15 @@ pub enum FlatAlgo {
         /// Whether the ρ_k competitiveness cutoff is active.
         rho_cutoff: bool,
     },
+    /// ArbMIS's degree-reduction phase: Métivier's decide step among the
+    /// *competitors* only, the active nodes whose active degree exceeds
+    /// `target` plus their active neighbors. Every node halts once no
+    /// active node is above `target`; the output is not maximal. Flat
+    /// engine only.
+    DegreeReduction {
+        /// The active degree above which a node and its neighbors compete.
+        target: f64,
+    },
 }
 
 impl FlatAlgo {
@@ -44,6 +53,7 @@ impl FlatAlgo {
             FlatAlgo::Metivier => "metivier",
             FlatAlgo::Ghaffari => "ghaffari",
             FlatAlgo::BoundedArb { .. } => "bounded_arb",
+            FlatAlgo::DegreeReduction { .. } => "degree_reduction",
         }
     }
 }
@@ -233,15 +243,16 @@ pub fn joiner_digest(joiners: &[NodeId]) -> u64 {
 /// The protocol iteration whose coins are consumed at `round`, or `None`
 /// when `round` is not a decide round for `algo`.
 ///
-/// Luby, Métivier and Ghaffari decide at rounds `r ≡ 1 (mod 3)` with
-/// `iter = r / 3`; BoundedArb follows its oblivious
+/// Luby, Métivier, Ghaffari and degree reduction decide at rounds
+/// `r ≡ 1 (mod 3)` with `iter = r / 3`; BoundedArb follows its oblivious
 /// `Θ × (3Λ + 2)` schedule (decides only inside the first `3Λ` rounds of
 /// each scale).
 pub fn decide_iteration(algo: &FlatAlgo, round: u64) -> Option<u64> {
     match algo {
-        FlatAlgo::Luby | FlatAlgo::Metivier | FlatAlgo::Ghaffari => {
-            (round % 3 == 1).then_some(round / 3)
-        }
+        FlatAlgo::Luby
+        | FlatAlgo::Metivier
+        | FlatAlgo::Ghaffari
+        | FlatAlgo::DegreeReduction { .. } => (round % 3 == 1).then_some(round / 3),
         FlatAlgo::BoundedArb { params, .. } => {
             let rps = 3 * params.lambda + bounded_arb::ROUNDS_PER_SCALE_END;
             let total = u64::from(params.theta) * rps;
@@ -264,8 +275,8 @@ pub fn decide_iteration(algo: &FlatAlgo, round: u64) -> Option<u64> {
 ///
 /// The digested coin is the **pure** per-node draw — `draw(TAG_MARK)`
 /// for Luby and Ghaffari (before it meets the degree or desire
-/// threshold), `draw_priority` for Métivier/BoundedArb (ignoring the ρ_k
-/// cutoff) — so the digest is a function of `(seed, algo, round,
+/// threshold), `draw_priority` for Métivier/BoundedArb/degree reduction
+/// (ignoring the ρ_k cutoff and who competes) — so the digest is a function of `(seed, algo, round,
 /// active set)` only, identical across backends at every decide round.
 /// An injected [`CoinFlip`] XORs the matching node's coin, which is
 /// exactly how a perturbed flat run's flight log reveals *where* its
@@ -291,7 +302,9 @@ pub fn coin_digest(
         let mut coin = match algo {
             FlatAlgo::Luby => rng::draw(seed, v, iter, luby::TAG_MARK),
             FlatAlgo::Ghaffari => rng::draw(seed, v, iter, ghaffari::TAG_MARK),
-            FlatAlgo::Metivier => rng::draw_priority(seed, v, iter, metivier::TAG_PRIORITY, n),
+            FlatAlgo::Metivier | FlatAlgo::DegreeReduction { .. } => {
+                rng::draw_priority(seed, v, iter, metivier::TAG_PRIORITY, n)
+            }
             FlatAlgo::BoundedArb { .. } => {
                 rng::draw_priority(seed, v, iter, bounded_arb::TAG_PRIORITY, n)
             }
@@ -321,6 +334,8 @@ mod tests {
         assert_eq!(decide_iteration(&FlatAlgo::Metivier, 7), Some(2));
         assert_eq!(decide_iteration(&FlatAlgo::Ghaffari, 5), None);
         assert_eq!(decide_iteration(&FlatAlgo::Ghaffari, 4), Some(1));
+        let reduce = FlatAlgo::DegreeReduction { target: 8.0 };
+        assert_eq!(decide_iteration(&reduce, 4), Some(1));
         let params = ArbParams::new(3, 100_000, Default::default());
         assert!(params.theta >= 2, "need a multi-scale schedule");
         let algo = FlatAlgo::BoundedArb {

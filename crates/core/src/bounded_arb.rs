@@ -132,10 +132,7 @@ pub fn bounded_arb_independent_set_with(
     cfg: &BoundedArbConfig,
     rec: &Recorder,
 ) -> ShatterOutcome {
-    let _span = rec.span("shattering");
-    let params = ArbParams::new(cfg.alpha, g.max_degree(), cfg.mode);
-    let engine = FlatBackend::unobserved(g, cfg.seed, arb_algo(params, cfg));
-    shatter(engine, params, cfg, rec)
+    shatter_active(&mut arb_engine(g, cfg), cfg, rec)
 }
 
 /// [`bounded_arb_independent_set_with`] on the subgraph of `g` induced by
@@ -145,8 +142,7 @@ pub fn bounded_arb_independent_set_with(
 /// the region and drawn with `priority_bits` of the region size, which
 /// are the subgraph's ids and `n`; ranks keep parent-id order, so
 /// tie-breaks agree too. Δ is the region's maximum induced degree. The
-/// masks are in parent ids and `false` outside the region. An all-true
-/// region runs the plain full-graph path.
+/// masks are in parent ids and `false` outside the region.
 ///
 /// # Panics
 ///
@@ -158,36 +154,43 @@ pub fn bounded_arb_region_with(
     rec: &Recorder,
 ) -> ShatterOutcome {
     assert_eq!(region.len(), g.n(), "region mask length must equal n");
-    if region.iter().all(|&inside| inside) {
-        return bounded_arb_independent_set_with(g, cfg, rec);
-    }
-    let _span = rec.span("shattering");
-    // The engine's start-up count of in-region degrees is the region's
-    // Δ, so the schedule is set once that count exists.
-    let placeholder = ArbParams::new(cfg.alpha, 0, cfg.mode);
-    let mut engine =
-        FlatBackend::unobserved(g, cfg.seed, arb_algo(placeholder, cfg)).with_ranked_region(region);
-    let params = ArbParams::new(cfg.alpha, engine.max_active_degree(), cfg.mode);
-    engine.set_arb_params(params);
-    shatter(engine, params, cfg, rec)
+    shatter_active(&mut arb_engine(g, cfg).with_region(region), cfg, rec)
 }
 
-fn arb_algo(params: ArbParams, cfg: &BoundedArbConfig) -> FlatAlgo {
-    FlatAlgo::BoundedArb {
-        params,
-        rho_cutoff: cfg.rho_cutoff,
-    }
+/// A BoundedArb engine on `g` whose schedule [`shatter_active`] sets.
+fn arb_engine<'g>(g: &'g Graph, cfg: &BoundedArbConfig) -> FlatBackend<'g> {
+    FlatBackend::unobserved(
+        g,
+        cfg.seed,
+        FlatAlgo::BoundedArb {
+            params: ArbParams::new(cfg.alpha, 0, cfg.mode),
+            rho_cutoff: cfg.rho_cutoff,
+        },
+    )
 }
 
-/// Drives `engine` through the oblivious `Θ × (Λ + scale end)` schedule
-/// and rebuilds the trace and the recorder output from its joiners and
-/// active counts.
-fn shatter(
-    mut engine: FlatBackend<'_>,
-    params: ArbParams,
+/// Algorithm 1 on `engine`'s active set, as on the subgraph it induces,
+/// under a `shattering` span: coins are keyed by rank within the active
+/// set ([`FlatBackend::rank_active`]), Δ is the set's largest active
+/// degree, and the engine is driven through the oblivious
+/// `Θ × (Λ + scale end)` schedule. The trace and the recorder output are
+/// rebuilt from its joiners and active counts. The outcome's `in_mis` is
+/// the engine's whole MIS, including joiners of earlier phases.
+pub(crate) fn shatter_active(
+    engine: &mut FlatBackend<'_>,
     cfg: &BoundedArbConfig,
     rec: &Recorder,
 ) -> ShatterOutcome {
+    let _span = rec.span("shattering");
+    let params = ArbParams::new(cfg.alpha, engine.exact_max_active_degree(), cfg.mode);
+    engine.switch_algo(
+        FlatAlgo::BoundedArb {
+            params,
+            rho_cutoff: cfg.rho_cutoff,
+        },
+        cfg.seed,
+    );
+    engine.rank_active();
     let obs = rec.enabled();
     let mut joiners_hist = Histogram::new();
     let mut trace = Vec::with_capacity(params.theta as usize);

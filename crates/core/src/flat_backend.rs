@@ -55,9 +55,10 @@ pub struct FlatBackend<'g> {
     /// Nodes active at round 0, **original** id space; `None` starts
     /// from every node. Nodes outside it never run.
     region: Option<BitMask>,
-    /// Coin key of each node of a rank-keyed region run: its rank within
-    /// the region ([`with_ranked_region`](FlatBackend::with_ranked_region),
-    /// identity layout only, so positions are original ids).
+    /// Coin key of each node of a rank-keyed run: its rank within the
+    /// active set the phase started from
+    /// ([`rank_active`](FlatBackend::rank_active), identity layout only,
+    /// so positions are original ids).
     ranks: Option<Vec<NodeId>>,
     /// Worker threads for the parallel sweep path (1 = serial).
     threads: usize,
@@ -90,9 +91,13 @@ pub struct FlatBackend<'g> {
     /// Per-iteration priority scratch (Métivier / BoundedArb), layout
     /// positions. Stale for inactive nodes — reads are gated on active.
     prio: Vec<u64>,
-    /// Per-iteration mark scratch (Luby, Ghaffari), layout positions.
-    /// Stale for inactive nodes.
+    /// Per-iteration mark scratch (Luby, Ghaffari) or competitor set
+    /// (degree reduction), layout positions. Stale for inactive nodes.
     marked: BitMask,
+    /// Degree reduction's high nodes at iteration boundaries: the active
+    /// positions whose active degree exceeds the target, with that degree
+    /// stored exactly. Empty for every other algorithm.
+    high: Vec<NodeId>,
     /// Ghaffari's desire exponents (`p = 2^-e`), layout positions; stale
     /// for inactive nodes. Empty for every other algorithm.
     exponent: Vec<u32>,
@@ -109,7 +114,9 @@ pub struct FlatBackend<'g> {
     /// iteration and always tracks; Métivier reads none and never
     /// tracks. BoundedArb tracks only in scales whose ρ_k opt-out can
     /// fire, and recounts exactly before each scale's bad exits
-    /// ([`start_arb_scale`](FlatBackend::start_arb_scale)).
+    /// ([`start_arb_scale`](FlatBackend::start_arb_scale)). Degree
+    /// reduction never tracks: it recounts its high nodes from their
+    /// adjacency after each exit ([`refresh_high`](FlatBackend::refresh_high)).
     track_deg: bool,
     /// Whether `active_deg` is exact for every active node. Reads that
     /// need exact degrees (bad exits, the trace maxima) check it.
@@ -254,6 +261,7 @@ impl<'g> FlatBackend<'g> {
             active_deg: vec![0; n],
             prio: vec![0; n],
             marked: BitMask::new(n),
+            high: Vec::new(),
             exponent: vec![0; exponent_len],
             next_exponent: vec![0; exponent_len],
             prio_shift: 64 - rng::priority_bits(n),
@@ -321,38 +329,44 @@ impl<'g> FlatBackend<'g> {
         self
     }
 
-    /// Starts from exactly the nodes of `region` and keys every coin by
-    /// the node's rank within the region, drawing `priority_bits` of the
-    /// region size: the ids and `n` of the subgraph `region` induces.
-    /// Ranks ascend with original ids, so tie-breaks on original ids
-    /// order nodes as the subgraph's ids would, and the run decides
-    /// exactly what the same engine decides on the extracted subgraph.
-    /// For unobserved drivers only: flight coin digests and injected coin
-    /// flips stay keyed by original id.
-    pub(crate) fn with_ranked_region(mut self, region: &[bool]) -> Self {
+    /// Hands the engine to the next phase of a multi-phase run (ArbMIS):
+    /// `algo` under `seed`, from round 0, on the current active set. The
+    /// MIS and the bad set carry over. Coins are keyed by original id and
+    /// `g.n()` until [`rank_active`](Self::rank_active) rekeys them.
+    /// Stored degrees carry over too: exact, or upper bounds once any
+    /// phase removed nodes without tracking. Identity layout only; a
+    /// switched engine must not be rewound with [`MisBackend::init`].
+    pub(crate) fn switch_algo(&mut self, algo: FlatAlgo, seed: u64) {
         debug_assert!(self.layout.is_none());
-        // Each id's key is the number of region nodes before it.
-        let mut size = 0;
-        let ranks = region
-            .iter()
-            .map(|&inside| {
-                let rank = size;
-                size += usize::from(inside);
-                rank
-            })
-            .collect();
-        self.ranks = Some(ranks);
-        self.prio_shift = 64 - rng::priority_bits(size);
-        self.with_region(region)
+        debug_assert!(
+            !matches!(algo, FlatAlgo::Ghaffari),
+            "Ghaffari's exponents are sized at construction"
+        );
+        self.algo = algo;
+        self.seed = seed;
+        self.ranks = None;
+        self.prio_shift = 64 - rng::priority_bits(self.g.n());
+        self.begin_phase();
     }
 
-    /// Replaces the BoundedArb schedule before the first round, for
-    /// drivers whose Δ is the start-up degree count of a region.
-    pub(crate) fn set_arb_params(&mut self, params: ArbParams) {
-        debug_assert_eq!(self.round, 0);
-        if let FlatAlgo::BoundedArb { params: slot, .. } = &mut self.algo {
-            *slot = params;
+    /// Keys every coin by the node's rank within the current active set
+    /// and draws `priority_bits` of its size: the ids and `n` of the
+    /// subgraph the active set induces. Ranks ascend with original ids,
+    /// so tie-breaks on original ids order nodes as the subgraph's ids
+    /// would, and the phase decides exactly what the same engine decides
+    /// on the extracted subgraph. A full active set keeps the identity
+    /// keys, which are its ranks. For unobserved drivers only: flight
+    /// coin digests and injected coin flips stay keyed by original id.
+    pub(crate) fn rank_active(&mut self) {
+        debug_assert!(self.layout.is_none());
+        if self.active_count < self.g.n() {
+            let mut ranks = vec![0; self.g.n()];
+            for (rank, p) in self.active.iter().enumerate() {
+                ranks[p] = rank;
+            }
+            self.ranks = Some(ranks);
         }
+        self.prio_shift = 64 - rng::priority_bits(self.active_count);
     }
 
     /// Routes observability through `recorder` instead of the global one.
@@ -410,7 +424,10 @@ impl<'g> FlatBackend<'g> {
 
     /// The active set as a mask over **original** ids.
     pub(crate) fn active_mask(&self) -> Vec<bool> {
-        (0..self.g.n()).map(|v| self.is_active(v)).collect()
+        match self.layout {
+            None => self.active.mask().to_bools(),
+            Some(_) => (0..self.g.n()).map(|v| self.is_active(v)).collect(),
+        }
     }
 
     /// Largest active degree over active nodes, 0 when none is active.
@@ -439,6 +456,71 @@ impl<'g> FlatBackend<'g> {
             .unwrap_or(0)
     }
 
+    /// [`max_active_degree`](Self::max_active_degree) from stored degrees
+    /// that may be upper bounds: a node's degree is recounted from its
+    /// adjacency only when its stored bound beats the best exact degree
+    /// so far, and the recount replaces the bound.
+    pub(crate) fn exact_max_active_degree(&mut self) -> usize {
+        if self.deg_exact {
+            return self.max_active_degree();
+        }
+        let Self {
+            g,
+            layout,
+            active,
+            active_deg,
+            ..
+        } = self;
+        let eg = layout.as_deref().map_or(*g, |l| &l.pg);
+        let mask = active.mask();
+        let mut best = 0;
+        for p in active.iter() {
+            if active_deg[p] > best {
+                active_deg[p] = eg.neighbors(p).iter().filter(|&&u| mask.test(u)).count() as u32;
+                best = best.max(active_deg[p]);
+            }
+        }
+        best as usize
+    }
+
+    /// Removes the active nodes whose active degree exceeds `threshold`
+    /// from the active set and returns them, ascending (identity layout,
+    /// so positions are original ids). Reads exact degrees unless the
+    /// threshold is infinite. Neighbors' stored degrees are not
+    /// decremented, so they stay upper bounds if the nodes come back
+    /// through [`activate_undominated`](Self::activate_undominated).
+    pub(crate) fn take_active_above(&mut self, threshold: f64) -> Vec<NodeId> {
+        debug_assert!(self.layout.is_none());
+        if threshold.is_infinite() {
+            return Vec::new();
+        }
+        self.debug_assert_degrees_exact();
+        let taken: Vec<NodeId> = self
+            .active
+            .iter()
+            .filter(|&p| f64::from(self.active_deg[p]) > threshold)
+            .collect();
+        for &p in &taken {
+            self.active.remove(p);
+        }
+        self.active_count -= taken.len();
+        self.deg_exact &= taken.is_empty();
+        taken
+    }
+
+    /// Returns to the active set each node of `nodes` (original ids,
+    /// inactive) that is not in the MIS and has no MIS neighbor.
+    pub(crate) fn activate_undominated(&mut self, nodes: &[NodeId]) {
+        debug_assert!(self.layout.is_none());
+        for &v in nodes {
+            debug_assert!(!self.active.contains(v));
+            if !self.in_mis.test(v) && self.g.neighbors(v).iter().all(|&u| !self.in_mis.test(u)) {
+                self.active.insert(v);
+                self.active_count += 1;
+            }
+        }
+    }
+
     /// Degree reads need exact stored degrees, or nothing active to read.
     fn debug_assert_degrees_exact(&self) {
         debug_assert!(
@@ -447,14 +529,24 @@ impl<'g> FlatBackend<'g> {
         );
     }
 
-    /// Steps whole Luby/Métivier/Ghaffari iterations (announce, decide,
-    /// exit) from an iteration boundary until the active set is empty or
-    /// `max` iterations ran, and returns how many ran. The closing all-halt
-    /// round of a full run is never executed: it decides nothing.
+    /// Whether an iteration starting now could decide anything: some node
+    /// is active and, under degree reduction, some node is high.
+    fn has_competitors(&self) -> bool {
+        match self.algo {
+            FlatAlgo::DegreeReduction { .. } => !self.high.is_empty(),
+            _ => self.active_count > 0,
+        }
+    }
+
+    /// Steps whole Luby/Métivier/Ghaffari/degree-reduction iterations
+    /// (announce, decide, exit) from an iteration boundary until no node
+    /// competes or `max` iterations ran, and returns how many ran. The
+    /// closing all-halt round of a full run is never executed: it decides
+    /// nothing.
     pub(crate) fn run_iterations(&mut self, max: u64) -> u64 {
         debug_assert!(self.round.is_multiple_of(3));
         let mut iterations = 0;
-        while iterations < max && self.active_count > 0 {
+        while iterations < max && self.has_competitors() {
             self.advance_rounds(3);
             iterations += 1;
         }
@@ -497,9 +589,6 @@ impl<'g> FlatBackend<'g> {
     /// Alloc-free rewind to round 0.
     fn reset(&mut self) {
         let n = self.g.n();
-        self.round = 0;
-        self.obs_flushed = false;
-        self.last_dense = None;
         match &self.region {
             None => self.active.fill(),
             Some(region) => {
@@ -511,34 +600,79 @@ impl<'g> FlatBackend<'g> {
             }
         }
         self.active_count = self.region.as_ref().map_or(n, BitMask::count_ones);
-        self.unfinished = self.active_count;
         self.in_mis.clear_all();
         self.bad.clear_all();
         self.marked.clear_all();
-        self.wins.clear();
-        self.joiners.clear();
         self.removals.clear();
         // Every desire starts at 1/2.
         self.exponent.fill(1);
-        // Luby and BoundedArb start from exact degrees; BoundedArb then
-        // decides per scale whether to keep them exact. Métivier and
+        // Algorithms that read degrees start from the full-graph degrees:
+        // exact on a full start, upper bounds on a region. Métivier and
         // Ghaffari never read degrees.
-        self.track_deg = matches!(self.algo, FlatAlgo::Luby);
-        self.deg_exact = !matches!(self.algo, FlatAlgo::Metivier | FlatAlgo::Ghaffari);
-        if self.deg_exact {
-            match self.region {
-                None => {
-                    let eg = self.layout.as_deref().map_or(self.g, |l| &l.pg);
-                    for (p, d) in self.active_deg.iter_mut().enumerate() {
-                        *d = eg.degree(p) as u32;
-                    }
-                }
-                Some(_) => self.recount_degrees(),
+        self.deg_exact = false;
+        if !matches!(self.algo, FlatAlgo::Metivier | FlatAlgo::Ghaffari) {
+            let eg = self.layout.as_deref().map_or(self.g, |l| &l.pg);
+            for (p, d) in self.active_deg.iter_mut().enumerate() {
+                *d = eg.degree(p) as u32;
             }
+            self.deg_exact = self.region.is_none();
         }
+        self.begin_phase();
         // `prio` is intentionally left stale: every decide round writes
         // the priority of each active node before any read. `active_deg`
         // is likewise stale when the protocol never reads it.
+    }
+
+    /// Round 0 of the current algorithm on the current active set: the
+    /// per-phase state [`reset`](Self::reset) and
+    /// [`switch_algo`](Self::switch_algo) share. Luby reads every degree
+    /// from its first iteration and makes them exact; BoundedArb decides
+    /// per scale whether to; degree reduction collects its high nodes.
+    fn begin_phase(&mut self) {
+        self.round = 0;
+        self.obs_flushed = false;
+        self.last_dense = None;
+        self.unfinished = self.active_count;
+        self.wins.clear();
+        self.joiners.clear();
+        self.track_deg = matches!(self.algo, FlatAlgo::Luby);
+        if self.track_deg && !self.deg_exact {
+            self.recount_degrees();
+        }
+        self.high.clear();
+        if let FlatAlgo::DegreeReduction { target } = self.algo {
+            let deg = &self.active_deg;
+            self.high
+                .extend(self.active.iter().filter(|&p| f64::from(deg[p]) > target));
+            self.refresh_high(target);
+        }
+    }
+
+    /// Keeps the high nodes that are still active and still above
+    /// `target`, recounting each one's active degree from its adjacency
+    /// unless stored degrees are exact: O(Σ deg(high)). Stored degrees
+    /// never rise, so a node dropped here never becomes high again.
+    fn refresh_high(&mut self, target: f64) {
+        let Self {
+            g,
+            layout,
+            active,
+            active_deg,
+            high,
+            deg_exact,
+            ..
+        } = self;
+        let eg = layout.as_deref().map_or(*g, |l| &l.pg);
+        let mask = active.mask();
+        high.retain(|&p| {
+            if !mask.test(p) {
+                return false;
+            }
+            if !*deg_exact {
+                active_deg[p] = eg.neighbors(p).iter().filter(|&&u| mask.test(u)).count() as u32;
+            }
+            f64::from(active_deg[p]) > target
+        });
     }
 
     /// Recounts the exact active degree of every active node.
@@ -763,6 +897,69 @@ impl<'g> FlatBackend<'g> {
         self.fill_prio(bounded_arb::TAG_PRIORITY, iter, rho);
         self.apply_prio_flip(iter);
         self.prio_win_scan();
+    }
+
+    /// Degree-reduction decide, serial at every thread count: the high
+    /// nodes and their active neighbors compete, each drawing Métivier's
+    /// priority, and a competitor wins when its `(priority, original id)`
+    /// beats every competing neighbor's. Non-competitors neither draw nor
+    /// block. Work is O(Σ deg(high)) plus the competitors' win checks and
+    /// two word walks of the competitor mask.
+    fn decide_degree_reduction(&mut self, iter: u64) {
+        let seed = self.seed;
+        let shift = self.prio_shift;
+        {
+            let Self {
+                g,
+                layout,
+                ranks,
+                active,
+                prio,
+                marked,
+                high,
+                ..
+            } = self;
+            let eg = layout.as_deref().map_or(*g, |l| &l.pg);
+            let keys = coin_keys(layout, ranks);
+            marked.clear_all();
+            for &h in high.iter() {
+                marked.set(h);
+                for &u in eg.neighbors(h) {
+                    if active.contains(u) {
+                        marked.set(u);
+                    }
+                }
+            }
+            for p in marked.iter() {
+                let key = keys.map_or(p, |t| t[p]);
+                prio[p] = (rng::draw(seed, key, iter, metivier::TAG_PRIORITY) >> shift) | 1;
+            }
+        }
+        self.apply_prio_flip(iter);
+        let Self {
+            g,
+            layout,
+            prio,
+            marked,
+            wins,
+            ..
+        } = self;
+        let (eg, to_old) = match layout.as_deref() {
+            Some(l) => (&l.pg, Some(l.perm.to_old())),
+            None => (*g, None),
+        };
+        let old = |p: NodeId| to_old.map_or(p, |t| t[p]);
+        wins.clear();
+        for p in marked.iter() {
+            let key = (prio[p], old(p));
+            if eg
+                .neighbors(p)
+                .iter()
+                .all(|&u| !marked.test(u) || key > (prio[u], old(u)))
+            {
+                wins.push(p);
+            }
+        }
     }
 
     /// Luby decide: marked with `P = 1/2d`, `(degree, original id)`-
@@ -1125,21 +1322,35 @@ impl<'g> FlatBackend<'g> {
         self.unfinished = 0;
     }
 
-    /// One Luby/Métivier/Ghaffari round on the 3-sub-round iteration
-    /// timeline. The exit round reads no desire exponents, so Ghaffari's
-    /// next ones are already in place when it runs.
+    /// One Luby/Métivier/Ghaffari/degree-reduction round on the
+    /// 3-sub-round iteration timeline. The exit round reads no desire
+    /// exponents, so Ghaffari's next ones are already in place when it
+    /// runs. Degree reduction halts every node at the announce round once
+    /// no node is high.
     fn step_fast3(&mut self) {
         match self.round % 3 {
-            0 => self.promote_finished(),
+            0 => {
+                if self.has_competitors() {
+                    self.promote_finished();
+                } else {
+                    self.finish_all();
+                }
+            }
             1 => {
                 let iter = self.round / 3;
                 match self.algo {
                     FlatAlgo::Luby => self.decide_luby(iter),
                     FlatAlgo::Ghaffari => self.decide_ghaffari(iter),
+                    FlatAlgo::DegreeReduction { .. } => self.decide_degree_reduction(iter),
                     _ => self.decide_metivier(iter),
                 }
             }
-            _ => self.exit_step(),
+            _ => {
+                self.exit_step();
+                if let FlatAlgo::DegreeReduction { target } = self.algo {
+                    self.refresh_high(target);
+                }
+            }
         }
     }
 
@@ -1213,7 +1424,10 @@ impl<'g> FlatBackend<'g> {
         };
         self.joiners.clear();
         match self.algo {
-            FlatAlgo::Luby | FlatAlgo::Metivier | FlatAlgo::Ghaffari => self.step_fast3(),
+            FlatAlgo::Luby
+            | FlatAlgo::Metivier
+            | FlatAlgo::Ghaffari
+            | FlatAlgo::DegreeReduction { .. } => self.step_fast3(),
             FlatAlgo::BoundedArb { params, rho_cutoff } => self.step_arb(params, rho_cutoff),
         }
         self.round += 1;

@@ -11,7 +11,7 @@
 
 use arbmis_graph::forest::{forests_from_orientation, RootedForest};
 use arbmis_graph::orientation::Orientation;
-use arbmis_graph::{ActiveView, Graph};
+use arbmis_graph::Graph;
 use std::fmt;
 
 /// Failure of the H-partition: the supplied arboricity bound was wrong.
@@ -64,24 +64,41 @@ pub fn h_partition(g: &Graph, alpha: usize, eps: f64) -> Result<HPartition, Arbo
     assert!(eps > 0.0, "eps must be positive");
     let threshold = ((2.0 + eps) * alpha as f64).ceil() as usize;
     let n = g.n();
-    let mut view = ActiveView::new(g);
+    // Level queue: `degree` counts unpeeled neighbors, and a node joins
+    // the next level's queue the moment its count falls to `threshold`,
+    // so each edge is read O(1) times over the whole peeling.
+    let mut degree: Vec<usize> = (0..n).map(|v| g.degree(v)).collect();
+    let mut peeled = vec![false; n];
     let mut level = vec![0u32; n];
+    let mut peel: Vec<usize> = (0..n).filter(|&v| degree[v] <= threshold).collect();
+    let mut next = Vec::new();
+    let mut remaining = n;
     let mut phase = 0u32;
-    while view.active_count() > 0 {
-        let peel: Vec<usize> = view
-            .active_nodes()
-            .filter(|&v| view.active_degree(v) <= threshold)
-            .collect();
+    while remaining > 0 {
         if peel.is_empty() {
             return Err(ArboricityTooSmall {
                 threshold,
-                stuck: view.active_count(),
+                stuck: remaining,
             });
         }
+        // The whole level leaves at once: mark it before any count falls.
         for &v in &peel {
             level[v] = phase;
-            view.deactivate(v);
+            peeled[v] = true;
         }
+        remaining -= peel.len();
+        for &v in &peel {
+            for &u in g.neighbors(v) {
+                if !peeled[u] {
+                    degree[u] -= 1;
+                    if degree[u] == threshold {
+                        next.push(u);
+                    }
+                }
+            }
+        }
+        std::mem::swap(&mut peel, &mut next);
+        next.clear();
         phase += 1;
     }
     Ok(HPartition {

@@ -69,11 +69,19 @@ fn build<'g>(
         FlatAlgo::BoundedArb { params, rho_cutoff } => {
             Inner::BoundedArb(sim.stepper(BoundedArbProtocol { params, rho_cutoff }))
         }
+        FlatAlgo::DegreeReduction { .. } => {
+            panic!("degree reduction has no CONGEST protocol; it runs on the flat engine only")
+        }
     }
 }
 
 impl<'g> CongestBackend<'g> {
     /// A congest backend for `algo` on `g` under `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `algo` is [`FlatAlgo::DegreeReduction`], which has no
+    /// CONGEST protocol.
     pub fn new(g: &'g Graph, seed: u64, algo: FlatAlgo) -> Self {
         let flight = arbmis_obs::global_flight();
         CongestBackend {

@@ -170,6 +170,7 @@ mod tests {
                 params,
                 rho_cutoff: true,
             },
+            FlatAlgo::DegreeReduction { target: 6.0 },
         ] {
             let mut base = FlatBackend::new(&g, 9, algo);
             for order in [NodeOrder::Degree, NodeOrder::Bfs] {
@@ -190,6 +191,26 @@ mod tests {
                     &mut par,
                 );
             }
+        }
+    }
+
+    #[test]
+    fn degree_reduction_stops_once_no_node_is_high() {
+        let mut rng = StdRng::seed_from_u64(37);
+        let g = gen::barabasi_albert(400, 2, &mut rng);
+        let target = 8.0;
+        let mut b = FlatBackend::new(&g, 3, FlatAlgo::DegreeReduction { target });
+        b.run(MAX_ROUNDS).unwrap();
+        let mis = b.mis().to_bools();
+        assert!(arbmis_core::is_independent(&g, &mis));
+        assert!(mis.iter().any(|&joined| joined));
+        for v in (0..g.n()).filter(|&v| b.is_active(v)) {
+            let degree = g.neighbors(v).iter().filter(|&&u| b.is_active(u)).count();
+            assert!(degree as f64 <= target, "node {v} still above the target");
+            assert!(
+                g.neighbors(v).iter().all(|&u| !mis[u]),
+                "node {v} dominated"
+            );
         }
     }
 

@@ -31,9 +31,9 @@ pub struct RegionMis {
 ///
 /// # Panics
 ///
-/// Panics if `algo` is [`FlatAlgo::BoundedArb`]: its output is a partial
-/// independent set (shattering), never the maximal set a region repair
-/// must produce.
+/// Panics if `algo` is [`FlatAlgo::BoundedArb`] or
+/// [`FlatAlgo::DegreeReduction`]: their output is a partial independent
+/// set, never the maximal set a region repair must produce.
 pub fn solve_mis(
     g: &Graph,
     seed: u64,
@@ -41,8 +41,11 @@ pub fn solve_mis(
     max_rounds: u64,
 ) -> Result<RegionMis, BackendError> {
     assert!(
-        !matches!(algo, FlatAlgo::BoundedArb { .. }),
-        "solve_mis needs a maximal algorithm (Luby/Metivier/Ghaffari); BoundedArb shatters only"
+        !matches!(
+            algo,
+            FlatAlgo::BoundedArb { .. } | FlatAlgo::DegreeReduction { .. }
+        ),
+        "solve_mis needs a maximal algorithm (Luby/Metivier/Ghaffari), not a partial phase"
     );
     let mut b = FlatBackend::new(g, seed, algo);
     let run = b.run(max_rounds)?;

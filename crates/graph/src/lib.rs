@@ -20,8 +20,8 @@
 //! * [`traversal`] — BFS, connected components, distance computations.
 //! * [`powerband`] — the `G^[a,b]` band-power graphs used in the paper's
 //!   Lemma 3.7 (shattering) analysis.
-//! * [`subgraph`] — induced subgraphs and the mutable *active-set view*
-//!   that shattering algorithms operate on.
+//! * [`subgraph`] — induced subgraphs, one-off or through a reusable
+//!   scratch.
 //! * [`overlay`] — a mutable adjacency overlay over the CSR (delta lists
 //!   + deterministic compaction) for edge/node churn streams.
 //!
@@ -59,4 +59,4 @@ pub use builder::GraphBuilder;
 pub use graph::{Graph, NodeId};
 pub use overlay::OverlayGraph;
 pub use perm::{NodeOrder, Permutation};
-pub use subgraph::{ActiveView, InducedSubgraph, ScratchSubgraph, SubgraphScratch};
+pub use subgraph::{InducedSubgraph, ScratchSubgraph, SubgraphScratch};

@@ -1,12 +1,8 @@
-//! Induced subgraphs and mutable active-set views.
+//! Induced subgraphs.
 //!
-//! Shattering algorithms repeatedly deactivate nodes (joined the MIS, got a
-//! neighbor in the MIS, marked bad) and keep asking for degrees and
-//! neighborhoods *restricted to the active set* — the paper's `VIB`,
-//! `Γ_IB`, `deg_IB`. [`ActiveView`] provides exactly that vocabulary with
-//! `O(1)` deactivation and incrementally-maintained active degrees.
 //! [`InducedSubgraph`] compacts a node subset into a standalone [`Graph`]
-//! for handing components to finishing algorithms.
+//! for handing components to finishing algorithms; [`SubgraphScratch`]
+//! does the same repeatedly without per-call `O(n)` tables.
 
 use crate::graph::{Graph, NodeId};
 use crate::GraphBuilder;
@@ -249,135 +245,6 @@ impl ScratchSubgraph<'_> {
     }
 }
 
-/// A mutable *active set* view of a graph: the paper's `VIB` with
-/// `Γ_IB(v)` and `deg_IB(v)` queries.
-///
-/// Deactivation is one-way (nodes never reactivate), which lets active
-/// degrees be maintained incrementally in `O(deg)` per deactivation.
-///
-/// # Example
-///
-/// ```
-/// use arbmis_graph::{gen, ActiveView};
-///
-/// let g = gen::star(5);
-/// let mut view = ActiveView::new(&g);
-/// assert_eq!(view.active_degree(0), 4);
-/// view.deactivate(1);
-/// view.deactivate(2);
-/// assert_eq!(view.active_degree(0), 2);
-/// assert_eq!(view.active_count(), 3);
-/// ```
-#[derive(Clone, Debug)]
-pub struct ActiveView<'a> {
-    graph: &'a Graph,
-    active: Vec<bool>,
-    active_degree: Vec<usize>,
-    active_count: usize,
-}
-
-impl<'a> ActiveView<'a> {
-    /// Creates a view with every node active.
-    pub fn new(graph: &'a Graph) -> Self {
-        let n = graph.n();
-        ActiveView {
-            graph,
-            active: vec![true; n],
-            active_degree: (0..n).map(|v| graph.degree(v)).collect(),
-            active_count: n,
-        }
-    }
-
-    /// Creates a view with exactly the nodes of `mask` active.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mask.len() != graph.n()`.
-    pub fn from_mask(graph: &'a Graph, mask: &[bool]) -> Self {
-        assert_eq!(mask.len(), graph.n());
-        let n = graph.n();
-        let active_degree = (0..n)
-            .map(|v| graph.neighbors(v).iter().filter(|&&u| mask[u]).count())
-            .collect();
-        ActiveView {
-            graph,
-            active: mask.to_vec(),
-            active_degree,
-            active_count: mask.iter().filter(|&&b| b).count(),
-        }
-    }
-
-    /// The underlying graph.
-    pub fn graph(&self) -> &Graph {
-        self.graph
-    }
-
-    /// Whether `v` is still active.
-    #[inline]
-    pub fn is_active(&self, v: NodeId) -> bool {
-        self.active[v]
-    }
-
-    /// Number of active nodes.
-    #[inline]
-    pub fn active_count(&self) -> usize {
-        self.active_count
-    }
-
-    /// `deg_IB(v)`: number of active neighbors of `v`. Maintained
-    /// incrementally; meaningful for inactive `v` too (their count is still
-    /// updated, matching `Γ_IB` semantics for analysis code).
-    #[inline]
-    pub fn active_degree(&self, v: NodeId) -> usize {
-        self.active_degree[v]
-    }
-
-    /// Iterates over the active neighbors of `v` (`Γ_IB(v)`).
-    pub fn active_neighbors(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.graph
-            .neighbors(v)
-            .iter()
-            .copied()
-            .filter(move |&u| self.active[u])
-    }
-
-    /// Iterates over all active nodes.
-    pub fn active_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.graph.n()).filter(move |&v| self.active[v])
-    }
-
-    /// Deactivates `v` (idempotent). `O(deg(v))` to update neighbor
-    /// degrees.
-    pub fn deactivate(&mut self, v: NodeId) {
-        if !self.active[v] {
-            return;
-        }
-        self.active[v] = false;
-        self.active_count -= 1;
-        for &u in self.graph.neighbors(v) {
-            self.active_degree[u] -= 1;
-        }
-    }
-
-    /// Maximum active degree over *active* nodes (`Δ_IB`), 0 if none.
-    pub fn max_active_degree(&self) -> usize {
-        self.active_nodes()
-            .map(|v| self.active_degree[v])
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Snapshot of the activity mask.
-    pub fn mask(&self) -> &[bool] {
-        &self.active
-    }
-
-    /// Compacts the current active set into a standalone subgraph.
-    pub fn to_induced(&self) -> InducedSubgraph {
-        InducedSubgraph::new(self.graph, &self.active)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,59 +276,6 @@ mod tests {
         let sub = InducedSubgraph::new(&g, &[false, true, true, true, false]);
         let lifted = sub.lift(&[true, false, true]);
         assert_eq!(lifted, vec![1, 3]);
-    }
-
-    #[test]
-    fn active_view_degrees_track_deactivation() {
-        let g = gen::cycle(5);
-        let mut view = ActiveView::new(&g);
-        assert_eq!(view.max_active_degree(), 2);
-        view.deactivate(0);
-        assert_eq!(view.active_degree(1), 1);
-        assert_eq!(view.active_degree(4), 1);
-        assert_eq!(view.active_degree(2), 2);
-        assert_eq!(view.active_count(), 4);
-        // Idempotent.
-        view.deactivate(0);
-        assert_eq!(view.active_count(), 4);
-    }
-
-    #[test]
-    fn active_neighbors_filtered() {
-        let g = gen::star(4);
-        let mut view = ActiveView::new(&g);
-        view.deactivate(2);
-        let nbrs: Vec<_> = view.active_neighbors(0).collect();
-        assert_eq!(nbrs, vec![1, 3]);
-    }
-
-    #[test]
-    fn to_induced_compacts_active_set() {
-        let g = gen::path(4);
-        let mut view = ActiveView::new(&g);
-        view.deactivate(1);
-        let sub = view.to_induced();
-        assert_eq!(sub.n(), 3);
-        assert_eq!(sub.graph().m(), 1); // only 2-3 survives
-    }
-
-    #[test]
-    fn from_mask_view() {
-        let g = gen::cycle(6);
-        let view = ActiveView::from_mask(&g, &[true, false, true, true, false, false]);
-        assert_eq!(view.active_count(), 3);
-        assert_eq!(view.active_degree(2), 1); // only neighbor 3 active
-        assert_eq!(view.active_degree(3), 1);
-        assert_eq!(view.active_degree(0), 0);
-        assert!(!view.is_active(1));
-    }
-
-    #[test]
-    fn empty_view() {
-        let g = crate::Graph::empty(0);
-        let view = ActiveView::new(&g);
-        assert_eq!(view.active_count(), 0);
-        assert_eq!(view.max_active_degree(), 0);
     }
 
     #[test]

@@ -178,6 +178,7 @@ fn assert_workload(label: &str, g: &Graph, seed: u64, algo: FlatAlgo, max_rounds
                 max_rounds,
                 threads,
             ),
+            FlatAlgo::DegreeReduction { .. } => unreachable!("no CONGEST protocol"),
         };
         assert_eq!(par_mis, mis, "{label}: parallel MIS at {threads} threads");
         assert_eq!(

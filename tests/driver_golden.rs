@@ -11,17 +11,23 @@
 //! (shattering span, joiner histogram, bad-marked points and Invariant
 //! headroom gauges).
 //!
-//! The driver rows were captured from the earlier standalone `ActiveView`
-//! loops. The `flat_arb_understated` rows (the engine with Δ understated,
-//! so degrees exceed `ρ_k` at a scale start) and the `arb_mis` rows
-//! (phase rounds, the full shatter outcome and bad-component sizes, with
-//! and without degree reduction) were captured from the engine that
+//! The driver rows were captured from the earlier standalone loops, each
+//! of which kept its own active set and degree table. The
+//! `flat_arb_understated` rows (the engine with Δ understated, so degrees
+//! exceed `ρ_k` at a scale start) and the first six `arb_mis` rows (phase
+//! rounds, the full shatter outcome and bad-component sizes, with and
+//! without degree reduction) were captured from the engine that
 //! maintained active degrees in every BoundedArb scale and ran ArbMIS's
 //! shattering on an extracted copy of the residual graph. The `ghaffari`
 //! rows (MIS mask, iterations and rounds, on every driver graph plus a
 //! star, BA hubs, dense G(n,p), a clique and a hub over a clique, where
-//! desire exponents climb) were captured from `ghaffari::run`'s own
-//! `ActiveView` loop.
+//! desire exponents climb) were captured from `ghaffari::run`'s own loop.
+//! The last two `arb_mis` rows (dense G(n,p) at α = 1, where degree
+//! reduction iterates two or three times, and a 10⁵-node 3-tree) were
+//! captured from the pipeline that ran degree reduction in its own loop
+//! and gave every later phase a fresh engine. The recorder fold leaves
+//! out the `arbmis_degree_reduction_*` gauges, which are newer than every
+//! row.
 //!
 //! The fingerprint code below is mirrored verbatim from the capture
 //! example.
@@ -39,7 +45,7 @@ use rand::SeedableRng;
 
 /// `(graph/driver, fingerprint)`, captured as described in the module
 /// docs.
-const GOLDEN: [(&str, u64); 101] = [
+const GOLDEN: [(&str, u64); 103] = [
     ("empty0/luby", 0x4e3583d08ce6ac2c),
     ("empty0/metivier", 0x4e3583d08ce6ac2c),
     ("empty0/metivier_region", 0x4e3583d08ce6ac2c),
@@ -141,6 +147,8 @@ const GOLDEN: [(&str, u64); 101] = [
     ("gnp200_dense/ghaffari", 0x868958f8ce14d256),
     ("k100/ghaffari", 0x2d251c981754c49f),
     ("hub_k128/ghaffari", 0xed853ce6d9c8ccaa),
+    ("gnp300_dense/arb_mis", 0x6a0b0d5702029d8b),
+    ("ktree3_100k/arb_mis", 0x661968ce8ae170cc),
 ];
 
 fn fnv(mut h: u64, x: u64) -> u64 {
@@ -255,9 +263,17 @@ fn fp_shatter_outcome(out: &ShatterOutcome) -> u64 {
     h
 }
 
+/// Folds the recorder's JSONL except the Phase 1 contract gauges
+/// (`arbmis_degree_reduction_*`), which are newer than the rows; a unit
+/// test in `arb_mis` checks them.
 fn fp_recorder(mut h: u64, rec: &Recorder) -> u64 {
-    for b in rec.snapshot().to_jsonl().bytes() {
-        h = fnv(h, u64::from(b));
+    for line in rec.snapshot().to_jsonl().lines() {
+        if line.contains("\"name\":\"arbmis_degree_reduction_") {
+            continue;
+        }
+        for b in line.bytes().chain([b'\n']) {
+            h = fnv(h, u64::from(b));
+        }
     }
     h
 }
@@ -325,6 +341,23 @@ fn arb_mis_graphs() -> Vec<(&'static str, Graph, usize, ParamMode)> {
             gen::random_geometric(1500, 0.06, &mut rng(6)),
             3,
             ParamMode::Practical { lambda_scale: 1e-9 },
+        ),
+    ]
+}
+
+/// `(name, graph, α, seeds)` for the `arb_mis` rows whose degree
+/// reduction iterates more than once: dense G(n,p) at α = 1 runs 3
+/// iterations at seed 0 and 2 at seed 1 with `B` empty, and a 10⁵-node
+/// 3-tree competes thousands of nodes around its hubs.
+fn arb_mis_iterating_graphs() -> Vec<(&'static str, Graph, usize, &'static [u64])> {
+    let rng = rand::rngs::StdRng::seed_from_u64;
+    vec![
+        ("gnp300_dense", gen::gnp(300, 0.3, &mut rng(0)), 1, &[0, 1]),
+        (
+            "ktree3_100k",
+            gen::random_ktree(100_000, 3, &mut rng(12)),
+            3,
+            &[1],
         ),
     ]
 }
@@ -425,6 +458,12 @@ fn driver_fingerprints() -> Vec<(String, u64)> {
         });
         rows.push((format!("{name}/ghaffari"), h));
     }
+    for (name, g, alpha, seeds) in arb_mis_iterating_graphs() {
+        let h = seeds.iter().fold(0xcbf2_9ce4_8422_2325, |h, &s| {
+            fnv(h, fp_arb_mis(&g, &ArbMisConfig::new(alpha, s)))
+        });
+        rows.push((format!("{name}/arb_mis"), h));
+    }
     rows
 }
 
@@ -451,5 +490,16 @@ fn arb_mis_rows_cover_both_degree_reduction_branches() {
         };
         let fired = arbmis::core::arb_mis(&g, &cfg).phases.degree_reduction > 0;
         assert_eq!(fired, i < 3, "{name}: degree reduction fired = {fired}");
+    }
+    // Every iterating row fires degree reduction at every seed, and dense
+    // G(n,p) runs more than one iteration at every seed.
+    for (name, g, alpha, seeds) in arb_mis_iterating_graphs() {
+        for &s in seeds {
+            let rounds = arbmis::core::arb_mis(&g, &ArbMisConfig::new(alpha, s))
+                .phases
+                .degree_reduction;
+            let least = if name == "gnp300_dense" { 2 } else { 1 };
+            assert!(rounds / 3 >= least, "{name} seed {s}: {rounds} rounds");
+        }
     }
 }

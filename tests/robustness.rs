@@ -150,3 +150,21 @@ fn huge_alpha_overestimate_harmless() {
     let out = arb_mis(&g, &ArbMisConfig::new(50, 1));
     check_mis(&g, &out.in_mis).unwrap();
 }
+
+#[test]
+fn understated_alpha_with_a_bad_component_still_certifies() {
+    // Λ = 1 leaves bad components, and at α = 1 their peeling gets stuck
+    // (threshold 3 on dense geometric clusters). Such a component is
+    // finished by Métivier and counted, never a panic.
+    let g = gen::random_geometric(1500, 0.06, &mut rand::rngs::StdRng::seed_from_u64(1));
+    let cfg = ArbMisConfig {
+        mode: ParamMode::Practical { lambda_scale: 1e-9 },
+        ..ArbMisConfig::new(1, 0)
+    };
+    let rec = arbmis::obs::Recorder::deterministic();
+    let out = arbmis::core::arb_mis::arb_mis_with(&g, &cfg, &rec);
+    check_mis(&g, &out.in_mis).expect("certified MIS under an understated α");
+    assert!(!out.bad_component_sizes.is_empty());
+    let understated = rec.snapshot().counter("arbmis_alpha_understated");
+    assert!(understated.is_some_and(|c| c >= 1), "{understated:?}");
+}
