@@ -26,7 +26,7 @@
 //! also carry `flat_opt_*` columns; there `flat_ns_per_round` is the
 //! byte-mask engine and `flat_opt_ns_per_round` the bit-packed one.
 
-use arbmis_congest::{Parallelism, Simulator};
+use arbmis_congest::Simulator;
 use arbmis_core::protocols::{LubyProtocol, MetivierProtocol, MisNodeState};
 use arbmis_flat::{FlatAlgo, FlatBackend, MisBackend};
 use arbmis_graph::{gen, Graph};
@@ -77,7 +77,7 @@ fn median_ns_per_round(samples: usize, mut run: impl FnMut() -> (u64, u64)) -> (
 
 fn measure(g: &Graph, algo: FlatAlgo, samples: usize) -> BenchEntry {
     let run_congest = || {
-        let sim = Simulator::new(g, SEED).with_parallelism(Parallelism::Serial);
+        let sim = Simulator::new(g, SEED);
         match algo {
             FlatAlgo::Luby => sim.run(&LubyProtocol, MAX_ROUNDS),
             _ => sim.run(&MetivierProtocol, MAX_ROUNDS),

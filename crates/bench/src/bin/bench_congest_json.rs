@@ -1,5 +1,5 @@
 //! Machine-readable companion to the `bench_congest` Criterion group:
-//! measures median ns/round of the CONGEST round engines on the standard
+//! measures median ns/round of the CONGEST round engine on the standard
 //! acceptance workloads — broadcast-heavy G(50k, p = 4/n) and a random
 //! k-tree — and writes `BENCH_congest.json` so the perf trajectory
 //! accumulates across commits.
@@ -16,7 +16,7 @@
 //! the committed artifact carries both numbers.
 
 use arbmis_congest::algorithms::ConvergeCast;
-use arbmis_congest::{Parallelism, Protocol, Simulator};
+use arbmis_congest::{Protocol, Simulator};
 use arbmis_core::params::{ArbParams, ParamMode};
 use arbmis_core::protocols::{BoundedArbProtocol, MetivierProtocol};
 use arbmis_graph::{gen, Graph};
@@ -32,11 +32,9 @@ const MAX_ROUNDS: u64 = 100_000;
 struct BenchDoc {
     schema: String,
     samples: u64,
-    /// Core count of the machine that produced the numbers — without it
-    /// the `threads_parallel` timings are uninterpretable across hosts.
+    /// Core count of the machine that produced the numbers.
     #[serde(default)]
     host_threads: u64,
-    threads_parallel: u64,
     workloads: Vec<BenchEntry>,
     /// Observability-overhead guardrail: serial ns/round on `gnp50k_d4`
     /// with the deterministic metric recorder *and* a bounded flight
@@ -62,7 +60,6 @@ struct BenchEntry {
     m: u64,
     rounds: u64,
     serial_ns_per_round: f64,
-    parallel_ns_per_round: f64,
     baseline_serial_ns_per_round: Option<f64>,
     serial_speedup_vs_baseline: Option<f64>,
 }
@@ -164,32 +161,14 @@ fn median_ns_per_round(samples: usize, mut run: impl FnMut() -> (u64, u64)) -> (
     (per_round[per_round.len() / 2], rounds)
 }
 
-/// Serial + parallel median ns/round for one protocol on one graph.
-fn measure<P>(
-    g: &Graph,
-    proto: &P,
-    max_rounds: u64,
-    samples: usize,
-    threads: usize,
-) -> (f64, f64, u64)
-where
-    P: Protocol + Sync,
-    P::State: Send,
-    P::Msg: Send + Sync,
-{
-    let (serial, rounds) = median_ns_per_round(samples, || {
-        let sim = Simulator::new(g, SEED).with_parallelism(Parallelism::Serial);
+/// Median ns/round for one protocol on one graph.
+fn measure<P: Protocol>(g: &Graph, proto: &P, max_rounds: u64, samples: usize) -> (f64, u64) {
+    median_ns_per_round(samples, || {
+        let sim = Simulator::new(g, SEED);
         let t0 = Instant::now();
         let run = sim.run(proto, max_rounds).unwrap();
         (t0.elapsed().as_nanos() as u64, run.metrics.rounds)
-    });
-    let (parallel, _) = median_ns_per_round(samples, || {
-        let sim = Simulator::new(g, SEED).with_parallelism(Parallelism::Threads(threads));
-        let t0 = Instant::now();
-        let run = sim.run_parallel(proto, max_rounds).unwrap();
-        (t0.elapsed().as_nanos() as u64, run.metrics.rounds)
-    });
-    (serial, parallel, rounds)
+    })
 }
 
 fn main() {
@@ -235,19 +214,16 @@ fn main() {
     let mut obs_overhead = None;
     for w in workloads() {
         let g = &w.graph;
-        let (serial, parallel, rounds) = match &w.proto {
-            WorkloadProto::Metivier => {
-                measure(g, &MetivierProtocol, w.max_rounds, samples, threads)
-            }
-            WorkloadProto::BoundedArb(p) => measure(g, p, w.max_rounds, samples, threads),
-            WorkloadProto::ConvergeCast(p) => measure(g, p, w.max_rounds, samples, threads),
+        let (serial, rounds) = match &w.proto {
+            WorkloadProto::Metivier => measure(g, &MetivierProtocol, w.max_rounds, samples),
+            WorkloadProto::BoundedArb(p) => measure(g, p, w.max_rounds, samples),
+            WorkloadProto::ConvergeCast(p) => measure(g, p, w.max_rounds, samples),
         };
         if w.name == "gnp50k_d4" {
             // Guardrail: the same serial run with full capture attached
             // (deterministic metric recorder + bounded flight ring).
             let (recorded, _) = median_ns_per_round(samples, || {
                 let sim = Simulator::new(g, SEED)
-                    .with_parallelism(Parallelism::Serial)
                     .with_recorder(Recorder::deterministic())
                     .with_flight(FlightRecorder::bounded(4096));
                 let t0 = Instant::now();
@@ -268,7 +244,7 @@ fn main() {
         }
         let base = baseline_serial(w.name);
         eprintln!(
-            "{}: serial {serial:.0} ns/round, parallel({threads}) {parallel:.0} ns/round{}",
+            "{}: serial {serial:.0} ns/round{}",
             w.name,
             base.map(|b| format!(", baseline {b:.0} ({:.2}x)", b / serial))
                 .unwrap_or_default()
@@ -280,7 +256,6 @@ fn main() {
             m: g.m() as u64,
             rounds,
             serial_ns_per_round: serial,
-            parallel_ns_per_round: parallel,
             baseline_serial_ns_per_round: base,
             serial_speedup_vs_baseline: base.map(|b| b / serial),
         });
@@ -290,7 +265,6 @@ fn main() {
         schema: "bench_congest/v1".to_string(),
         samples: samples as u64,
         host_threads: threads as u64,
-        threads_parallel: threads as u64,
         workloads: entries,
         obs_overhead,
     };

@@ -2,18 +2,19 @@
 //!
 //! [`run_scheduled`] fans the cells of *all* requested experiments into
 //! one shared worker pool ([`arbmis_congest::execute_indexed`] — the
-//! same atomic-claim executor the round engine and Monte-Carlo pool
-//! use), then reduces each experiment's outputs in deterministic cell
-//! order. The determinism contract (DESIGN.md §9):
+//! same atomic-claim executor the flat engine's sweeps and the
+//! Monte-Carlo pool use), then reduces each experiment's outputs in
+//! deterministic cell order. The determinism contract (DESIGN.md §9):
 //!
 //! 1. cells are pure, so *what* a cell computes never depends on which
 //!    worker ran it or when;
 //! 2. outputs are assembled by cell index and reduced in plan order, so
 //!    scheduling cannot leak into report bytes;
-//! 3. while the scheduler owns the pool, inner engines are forced to
-//!    [`Parallelism::Serial`] — their results are thread-count-invariant
-//!    by the PR 1 contract, so this changes wall-clock only, and it
-//!    keeps `--threads N` meaning "N cells in flight", never N² threads.
+//! 3. while the scheduler owns the pool, the process-wide default is
+//!    forced to [`Parallelism::Serial`]. Its only reader is the read-k
+//!    Monte-Carlo driver, whose estimates are thread-count-invariant
+//!    (DESIGN.md §7), so this changes wall-clock only, and it keeps
+//!    `--threads N` meaning "N cells in flight", never N² threads.
 //!
 //! Hence `--threads 1` vs `--threads N`, and cold vs warm cache, produce
 //! byte-identical reports.
@@ -101,7 +102,7 @@ pub fn run_scheduled(plans: Vec<ExperimentPlan>, parallelism: Parallelism) -> Sc
     let hits = AtomicU64::new(0);
     let misses = AtomicU64::new(0);
 
-    // Inner engines go serial while the scheduler owns the pool
+    // Monte-Carlo goes serial while the scheduler owns the pool
     // (restored below); see module docs, rule 3.
     let saved = default_parallelism();
     set_default_parallelism(Parallelism::Serial);

@@ -13,13 +13,19 @@
 //! * [`protocol::Protocol`] — a distributed algorithm as a per-node state
 //!   machine (init / round / termination predicate).
 //! * [`simulator::Simulator`] — drives a protocol over a graph until every
-//!   node terminates, collecting [`metrics::Metrics`].
+//!   node terminates, collecting [`metrics::Metrics`]. It is
+//!   single-threaded: threads would change wall-clock only, never a
+//!   round count.
 //! * [`message::Message`] — wire encoding with per-message bit accounting,
 //!   checked against the CONGEST budget `B = bandwidth_factor · ⌈log₂ n⌉`.
 //! * [`rng`] — counter-based per-node randomness, so a protocol execution
 //!   and a centralized "fast path" re-implementation of the same algorithm
 //!   can draw *identical* random bits and be compared transcript-for-
 //!   transcript.
+//! * [`parallel`] — [`execute_indexed`], the deterministic index-ordered
+//!   work-stealing executor behind the flat engine's sweeps, the read-k
+//!   Monte-Carlo driver, and the experiment scheduler, plus its
+//!   [`Parallelism`] policy.
 //!
 //! # Example
 //!

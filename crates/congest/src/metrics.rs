@@ -41,27 +41,6 @@ impl Metrics {
         self.max_message_bits = self.max_message_bits.max(bits as u64);
     }
 
-    /// Merges `other` into `self` — the single accumulation point used
-    /// by the parallel engine's chunk merge and by observability
-    /// snapshots. Combination rules:
-    ///
-    /// * `rounds`: the maximum (partials of one run share its rounds);
-    /// * `messages`, `bits`: summed;
-    /// * `max_message_bits`: the maximum;
-    /// * `budget_bits`: `None` is "unconstrained" and yields to any
-    ///   `Some`; two enforced budgets combine to the *stricter* (both
-    ///   were enforced, so every message respected the minimum).
-    pub fn merge(&mut self, other: &Metrics) {
-        self.rounds = self.rounds.max(other.rounds);
-        self.messages += other.messages;
-        self.bits += other.bits;
-        self.max_message_bits = self.max_message_bits.max(other.max_message_bits);
-        self.budget_bits = match (self.budget_bits, other.budget_bits) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-    }
-
     /// Average bits per message (0.0 if no messages).
     pub fn avg_message_bits(&self) -> f64 {
         if self.messages == 0 {
@@ -124,80 +103,5 @@ mod tests {
     #[test]
     fn empty_metrics_average() {
         assert_eq!(Metrics::default().avg_message_bits(), 0.0);
-    }
-
-    #[test]
-    fn merge_sums_and_maxes() {
-        let mut a = Metrics {
-            rounds: 5,
-            messages: 10,
-            bits: 100,
-            max_message_bits: 12,
-            budget_bits: None,
-        };
-        let b = Metrics {
-            rounds: 3,
-            messages: 4,
-            bits: 40,
-            max_message_bits: 20,
-            budget_bits: None,
-        };
-        a.merge(&b);
-        assert_eq!(a.rounds, 5);
-        assert_eq!(a.messages, 14);
-        assert_eq!(a.bits, 140);
-        assert_eq!(a.max_message_bits, 20);
-        assert_eq!(a.budget_bits, None);
-    }
-
-    #[test]
-    fn merge_budget_combination_rules() {
-        let m = |budget: Option<u64>| Metrics {
-            budget_bits: budget,
-            ..Metrics::default()
-        };
-        // None yields to Some, in both directions.
-        let mut a = m(None);
-        a.merge(&m(Some(64)));
-        assert_eq!(a.budget_bits, Some(64));
-        let mut b = m(Some(64));
-        b.merge(&m(None));
-        assert_eq!(b.budget_bits, Some(64));
-        // Two budgets combine to the stricter one.
-        let mut c = m(Some(64));
-        c.merge(&m(Some(48)));
-        assert_eq!(c.budget_bits, Some(48));
-        // None/None stays unconstrained.
-        let mut d = m(None);
-        d.merge(&m(None));
-        assert_eq!(d.budget_bits, None);
-    }
-
-    #[test]
-    fn merge_max_message_bits_is_order_independent() {
-        let mk = |max| Metrics {
-            max_message_bits: max,
-            ..Metrics::default()
-        };
-        let mut ab = mk(7);
-        ab.merge(&mk(31));
-        let mut ba = mk(31);
-        ba.merge(&mk(7));
-        assert_eq!(ab.max_message_bits, 31);
-        assert_eq!(ab, ba);
-    }
-
-    #[test]
-    fn merge_with_default_is_identity_except_budget() {
-        let mut m = Metrics {
-            rounds: 2,
-            messages: 3,
-            bits: 24,
-            max_message_bits: 8,
-            budget_bits: Some(16),
-        };
-        let before = m;
-        m.merge(&Metrics::default());
-        assert_eq!(m, before);
     }
 }

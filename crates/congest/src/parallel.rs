@@ -1,37 +1,28 @@
-//! Parallel execution configuration for the round engine.
+//! Deterministic index-ordered parallel execution.
 //!
-//! The parallel engine (see [`crate::Simulator::run_parallel`]) fans each
-//! synchronous round's node activations across a scoped thread pool. Its
-//! determinism contract: for a fixed `(graph, seed, protocol)`, the
-//! parallel engine produces *bit-identical* results to the serial engine
-//! at every thread count — same final states, same [`crate::Metrics`],
-//! same transcript digest, same error on protocol misbehaviour. This
-//! holds because
+//! [`execute_indexed`] runs a pure per-item function on a small
+//! work-stealing pool and returns the results in item order. Its users
+//! are the flat MIS engine's per-round sweeps, the read-k Monte-Carlo
+//! driver, and the experiment cell scheduler. Their shared determinism
+//! contract: for fixed inputs, results are *bit-identical* at every
+//! thread count, because
 //!
-//! 1. node randomness is counter-based ([`crate::rng`]): a draw depends
-//!    only on `(seed, node, round, tag)`, never on scheduling;
-//! 2. nodes are partitioned into contiguous id-ranges ("chunks") whose
-//!    boundaries are a pure function of `(n, threads)` — workers steal
-//!    whole chunks, and each chunk's sends are buffered locally in node
-//!    order;
-//! 3. chunk buffers are merged *in chunk index order* (= ascending node
-//!    order), which replays exactly the send sequence the serial
-//!    `for v in 0..n` loop would have produced.
+//! 1. randomness is counter-based ([`crate::rng`]): a draw depends only
+//!    on `(seed, node or trial, round, tag)`, never on scheduling;
+//! 2. each item's result depends only on its index, and items are
+//!    claimed whole;
+//! 3. results are assembled and merged in item-index order.
 //!
-//! Thread count therefore affects wall-clock only, never results.
+//! Thread count therefore affects wall-clock only, never results. The
+//! CONGEST simulator itself is single-threaded.
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// How many chunks each worker thread should get on average. More chunks
-/// give better work-stealing balance on skewed degree distributions, at
-/// the cost of slightly more merge bookkeeping.
-pub(crate) const CHUNKS_PER_THREAD: usize = 4;
-
-/// Thread-count policy for [`crate::Simulator::run_parallel`].
+/// Thread-count policy for [`execute_indexed`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Parallelism {
-    /// Single-threaded: `run_parallel` behaves exactly like `run`.
+    /// Single-threaded: items run inline in index order.
     Serial,
     /// One worker per available hardware thread.
     #[default]
@@ -41,8 +32,8 @@ pub enum Parallelism {
 }
 
 impl Parallelism {
-    /// Resolves the policy to a concrete worker count for an `n`-node
-    /// simulation. Never returns 0; never exceeds `n`.
+    /// Resolves the policy to a concrete worker count for `n` items.
+    /// Never returns 0; never exceeds `n`.
     pub fn effective_threads(self, n: usize) -> usize {
         let raw = match self {
             Parallelism::Serial => 1,
@@ -55,26 +46,17 @@ impl Parallelism {
     }
 }
 
-/// Contiguous node-id chunk boundaries: a pure function of `(n, threads)`
-/// so a given configuration always produces the same partition.
-pub(crate) fn chunk_bounds(n: usize, threads: usize) -> Vec<(usize, usize)> {
-    let chunks = (threads * CHUNKS_PER_THREAD).clamp(1, n.max(1));
-    (0..chunks)
-        .map(|i| (i * n / chunks, (i + 1) * n / chunks))
-        .collect()
-}
-
 /// Runs `f` over the item indices `0..items` on a work-stealing crossbeam
 /// pool sized by `parallelism`, returning the results **in item-index
 /// order** regardless of which worker ran what.
 ///
-/// This is the generalized form of the round engine's chunk pool: workers
-/// claim the next unclaimed item off a shared atomic counter (whole-item
-/// stealing), so load imbalance between items self-corrects, while the
-/// result vector is assembled purely by index — scheduling can never leak
-/// into output order. `f` receives `(worker_index, item_index)`; it must
-/// be a pure function of the item index for the determinism contract to
-/// carry over (worker index is for timing-class bookkeeping only).
+/// Workers claim the next unclaimed item off a shared atomic counter
+/// (whole-item stealing), so load imbalance between items self-corrects,
+/// while the result vector is assembled purely by index — scheduling can
+/// never leak into output order. `f` receives `(worker_index,
+/// item_index)`; it must be a pure function of the item index for the
+/// determinism contract to carry over (worker index is for timing-class
+/// bookkeeping only).
 ///
 /// With one effective thread (or ≤ 1 item) no pool is spun up and `f`
 /// runs inline in index order, with `worker_index = 0`.
@@ -112,9 +94,9 @@ where
 /// 0 = `Auto`, 1 = `Serial`, `t + 1` = `Threads(t)`.
 static DEFAULT_PARALLELISM: AtomicUsize = AtomicUsize::new(0);
 
-/// Sets the process-wide default parallelism picked up by
-/// [`crate::Simulator::new`]. Benchmarks and the `experiments` binary use
-/// this to route every simulation through one `--threads` setting.
+/// Sets the process-wide default parallelism. The read-k Monte-Carlo
+/// driver is its only reader; the experiment scheduler sets it to serial
+/// inside cells so the pool is not oversubscribed.
 pub fn set_default_parallelism(p: Parallelism) {
     let enc = match p {
         Parallelism::Auto => 0,
@@ -137,26 +119,6 @@ pub fn default_parallelism() -> Parallelism {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn chunk_bounds_partition_exactly() {
-        for n in [0, 1, 2, 7, 100, 1001] {
-            for threads in [1, 2, 4, 8] {
-                let bounds = chunk_bounds(n, threads);
-                assert!(!bounds.is_empty());
-                assert_eq!(bounds[0].0, 0);
-                assert_eq!(bounds.last().unwrap().1, n);
-                for w in bounds.windows(2) {
-                    assert_eq!(w[0].1, w[1].0, "chunks must be contiguous");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn chunk_bounds_are_deterministic() {
-        assert_eq!(chunk_bounds(1000, 4), chunk_bounds(1000, 4));
-    }
 
     #[test]
     fn effective_threads_never_zero() {

@@ -59,8 +59,7 @@ pub(crate) const NO_BROADCAST: u32 = u32::MAX;
 ///   broadcast is O(1) for the engine — no per-edge writes at all; the
 ///   receiver discovers it by scanning its own neighbors.
 /// * an *explicit* part: `(sender, arena index)` entries (unicasts in the
-///   serial engine; all traffic in the parallel engine's chunk-local
-///   inboxes).
+///   engine; all traffic in an [`InboxBuf`]).
 ///
 /// Because senders emit either a broadcast or unicasts in a round (never
 /// both) the two parts never collide, and the merge is a strict

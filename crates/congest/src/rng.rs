@@ -90,11 +90,10 @@ pub const STREAM_TAG: u64 = u64::MAX;
 /// function of the `(seed, node, round)` counters, with no state carried
 /// between rounds.
 ///
-/// This is the derivation the parallel round engine relies on: because
-/// the stream is re-derived from counters each round, a node's random
-/// choices are independent of *when* (and on which worker thread) its
-/// activation runs, so serial and parallel executions draw bit-identical
-/// randomness.
+/// Because the stream is re-derived from counters each round, a node's
+/// random choices are independent of *when* its activation runs, so a
+/// protocol execution and a centralized re-implementation draw
+/// bit-identical randomness.
 pub fn node_round_rng(seed: u64, node: usize, round: u64) -> NodeRng {
     StdRng::seed_from_u64(draw(seed, node, round, STREAM_TAG))
 }

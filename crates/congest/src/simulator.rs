@@ -3,14 +3,10 @@
 use crate::frontier::Frontier;
 use crate::message::Message;
 use crate::metrics::Metrics;
-use crate::parallel::{self, Parallelism};
 use crate::protocol::{Inbox, NodeInfo, Outgoing, Protocol};
 use arbmis_graph::{Graph, NodeId};
 use arbmis_obs::{FlightRecorder, Histogram, Recorder, RoundRecord};
-use parking_lot::{Mutex, RwLock};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Barrier;
 use std::time::Instant;
 
 /// Errors a simulation can end with.
@@ -91,7 +87,6 @@ pub struct Simulator<'g> {
     graph: &'g Graph,
     seed: u64,
     budget_bits: Option<usize>,
-    parallelism: Parallelism,
     recorder: Recorder,
     flight: FlightRecorder,
     full_scan: bool,
@@ -99,18 +94,12 @@ pub struct Simulator<'g> {
 
 impl<'g> Simulator<'g> {
     /// Creates a simulator over `graph` with master randomness `seed`.
-    ///
-    /// The parallelism policy for [`run_parallel`](Self::run_parallel)
-    /// starts from the process-wide default
-    /// ([`crate::parallel::default_parallelism`]); override per-instance
-    /// with [`with_parallelism`](Self::with_parallelism).
     pub fn new(graph: &'g Graph, seed: u64) -> Self {
         let logn = (graph.n().max(2) as f64).log2().ceil() as usize;
         Simulator {
             graph,
             seed,
             budget_bits: Some(16 * logn.max(1)),
-            parallelism: parallel::default_parallelism(),
             recorder: arbmis_obs::global(),
             flight: arbmis_obs::global_flight(),
             full_scan: false,
@@ -144,9 +133,7 @@ impl<'g> Simulator<'g> {
     /// Attaches a per-round [`FlightRecorder`]. The default is the
     /// process-wide one ([`arbmis_obs::global_flight`]), disabled unless
     /// a binary installed it. Like the metric recorder, flight capture
-    /// never changes results, and the recorded bytes are identical
-    /// across the serial and parallel engines at every thread count
-    /// (DESIGN.md §8).
+    /// never changes results (DESIGN.md §8).
     pub fn with_flight(mut self, flight: FlightRecorder) -> Self {
         self.flight = flight;
         self
@@ -155,19 +142,6 @@ impl<'g> Simulator<'g> {
     /// The attached flight recorder.
     pub fn flight(&self) -> &FlightRecorder {
         &self.flight
-    }
-
-    /// Sets the thread-count policy used by
-    /// [`run_parallel`](Self::run_parallel). Results are bit-identical at
-    /// every setting; only wall-clock changes.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// The configured thread-count policy.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
     }
 
     /// Overrides the per-message budget to `factor · ⌈log₂ n⌉` bits.
@@ -219,360 +193,6 @@ impl<'g> Simulator<'g> {
         let mut transcript = crate::transcript::Transcript::new();
         let run = self.run_impl(protocol, max_rounds, Some(&mut transcript))?;
         Ok((run, transcript))
-    }
-
-    /// Like [`run`](Self::run), but fans each round's node activations
-    /// across a scoped thread pool per the configured [`Parallelism`].
-    ///
-    /// Determinism contract (see [`crate::parallel`]): the outcome —
-    /// final states, metrics, and any error — is bit-identical to
-    /// [`run`](Self::run) for every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`run`](Self::run).
-    pub fn run_parallel<P>(
-        &self,
-        protocol: &P,
-        max_rounds: u64,
-    ) -> Result<SimulatorRun<P::State>, SimulatorError>
-    where
-        P: Protocol + Sync,
-        P::State: Send,
-        P::Msg: Send + Sync,
-    {
-        self.run_parallel_impl(protocol, max_rounds, None)
-    }
-
-    /// Like [`run_traced`](Self::run_traced) on the parallel engine: the
-    /// transcript (and its digest) is bit-identical to the serial one.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`run`](Self::run).
-    pub fn run_parallel_traced<P>(
-        &self,
-        protocol: &P,
-        max_rounds: u64,
-    ) -> Result<(SimulatorRun<P::State>, crate::transcript::Transcript), SimulatorError>
-    where
-        P: Protocol + Sync,
-        P::State: Send,
-        P::Msg: Send + Sync,
-    {
-        let mut transcript = crate::transcript::Transcript::new();
-        let run = self.run_parallel_impl(protocol, max_rounds, Some(&mut transcript))?;
-        Ok((run, transcript))
-    }
-
-    fn run_parallel_impl<P>(
-        &self,
-        protocol: &P,
-        max_rounds: u64,
-        mut transcript: Option<&mut crate::transcript::Transcript>,
-    ) -> Result<SimulatorRun<P::State>, SimulatorError>
-    where
-        P: Protocol + Sync,
-        P::State: Send,
-        P::Msg: Send + Sync,
-    {
-        let g = self.graph;
-        let n = g.n();
-        let threads = self.parallelism.effective_threads(n);
-        if threads <= 1 || max_rounds == 0 || n == 0 {
-            return self.run_impl(protocol, max_rounds, transcript);
-        }
-        let bounds = parallel::chunk_bounds(n, threads);
-        let chunk_count = bounds.len();
-        let workers = threads.min(chunk_count);
-        let rec = &self.recorder;
-        let flight = &self.flight;
-        let obs = rec.enabled();
-        let timing = rec.timing();
-        let mut msg_bits_hist = Histogram::new();
-        let mut metrics = Metrics {
-            budget_bits: self.budget_bits.map(|b| b as u64),
-            ..Metrics::default()
-        };
-
-        let states: Vec<P::State> = (0..n)
-            .map(|v| {
-                let info = NodeInfo {
-                    id: v,
-                    n,
-                    neighbors: g.neighbors(v),
-                    round: 0,
-                    seed: self.seed,
-                };
-                protocol.init(&info)
-            })
-            .collect();
-
-        // Top-of-round-0 termination check, exactly like the serial loop.
-        if states.iter().all(|s| protocol.is_done(s)) {
-            metrics.rounds = 0;
-            flush_run_obs(rec, &metrics, &msg_bits_hist);
-            return Ok(SimulatorRun { states, metrics });
-        }
-
-        // Node id -> chunk index, for partitioning sends by destination.
-        let mut dest_chunk = vec![0u32; n];
-        for (i, &(lo, hi)) in bounds.iter().enumerate() {
-            dest_chunk[lo..hi].iter_mut().for_each(|c| *c = i as u32);
-        }
-
-        // Per-chunk simulation state. Lock contention is nil: each chunk
-        // is claimed by exactly one worker per phase, and phases are
-        // barrier-separated.
-        let mut slots: Vec<Mutex<ChunkSlot<P>>> = Vec::with_capacity(chunk_count);
-        {
-            let mut it = states.into_iter();
-            for &(lo, hi) in &bounds {
-                let chunk: Vec<P::State> = it.by_ref().take(hi - lo).collect();
-                let len = hi - lo;
-                let done: Vec<bool> = chunk.iter().map(|s| protocol.is_done(s)).collect();
-                let pending = done.iter().filter(|d| !**d).count();
-                let mut cur_frontier = Frontier::new(len);
-                for (off, s) in chunk.iter().enumerate() {
-                    if self.full_scan || !protocol.is_quiescent(s) {
-                        cur_frontier.insert(off);
-                    }
-                }
-                slots.push(Mutex::new(ChunkSlot {
-                    lo,
-                    states: chunk,
-                    halted: vec![false; len],
-                    inbox_entries: vec![Vec::new(); len],
-                    arena: Vec::new(),
-                    done,
-                    pending,
-                    cur_frontier,
-                    next_frontier: Frontier::new(len),
-                    inbox_touched: Vec::new(),
-                }));
-            }
-        }
-
-        let traced = transcript.is_some();
-        let outs: Vec<RwLock<ChunkOut<P::Msg>>> = (0..chunk_count)
-            .map(|_| RwLock::new(ChunkOut::empty()))
-            .collect();
-        // Workers and the coordinator rendezvous three times per round:
-        // round start, activations done, merge decision published.
-        let barrier = Barrier::new(workers + 1);
-        let stop = AtomicBool::new(false);
-        let a_next = AtomicUsize::new(0);
-        let b_next = AtomicUsize::new(0);
-        let (seed, budget, full_scan) = (self.seed, self.budget_bits, self.full_scan);
-
-        enum Outcome {
-            Done,
-            Limit,
-            Fail(SimulatorError),
-        }
-        let mut outcome = Outcome::Limit;
-        // Per-worker utilization: (chunks claimed, busy wall-time ns).
-        // Written once per worker at exit; read after the scope ends.
-        let worker_stats: Vec<Mutex<(u64, u64)>> =
-            (0..workers).map(|_| Mutex::new((0, 0))).collect();
-
-        crossbeam::scope(|scope| {
-            for w in 0..workers {
-                // Shadow the shared structures with references so the
-                // `move` closure copies the borrows (and `w`) instead of
-                // moving the structures themselves.
-                #[allow(clippy::needless_borrow)]
-                let (slots, outs, barrier, stop, a_next, b_next, dest_chunk, worker_stats) = (
-                    &slots,
-                    &outs,
-                    &barrier,
-                    &stop,
-                    &a_next,
-                    &b_next,
-                    &dest_chunk,
-                    &worker_stats,
-                );
-                scope.spawn(move |_| {
-                    let mut round: u64 = 0;
-                    let mut chunks_claimed = 0u64;
-                    let mut busy_ns = 0u64;
-                    loop {
-                        barrier.wait(); // round start
-                                        // Phase A: steal chunks, run their activations.
-                        loop {
-                            let i = a_next.fetch_add(1, Ordering::Relaxed);
-                            if i >= chunk_count {
-                                break;
-                            }
-                            let t0 = timing.then(Instant::now);
-                            let mut slot = slots[i].lock();
-                            let mut out = outs[i].write();
-                            out.reset(chunk_count);
-                            process_chunk(
-                                protocol, g, seed, round, budget, traced, obs, full_scan,
-                                dest_chunk, &mut slot, &mut out,
-                            );
-                            // Utilization bookkeeping is timing-class
-                            // only: skip the counters entirely when
-                            // wall-clock timing is off.
-                            if let Some(t0) = t0 {
-                                chunks_claimed += 1;
-                                busy_ns += t0.elapsed().as_nanos() as u64;
-                            }
-                        }
-                        barrier.wait(); // activations done; coordinator merges
-                        barrier.wait(); // decision published
-                        if stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        // Phase B: steal chunks, deliver their inboxes.
-                        loop {
-                            let j = b_next.fetch_add(1, Ordering::Relaxed);
-                            if j >= chunk_count {
-                                break;
-                            }
-                            let t0 = timing.then(Instant::now);
-                            let mut slot = slots[j].lock();
-                            deliver_chunk(&mut slot, j, outs);
-                            if let Some(t0) = t0 {
-                                chunks_claimed += 1;
-                                busy_ns += t0.elapsed().as_nanos() as u64;
-                            }
-                        }
-                        round += 1;
-                    }
-                    if timing {
-                        *worker_stats[w].lock() = (chunks_claimed, busy_ns);
-                    }
-                });
-            }
-
-            // Coordinator: merge in chunk index order (= ascending node
-            // order) so the first error, metrics, and transcript all
-            // coincide with the serial engine.
-            for round in 0..max_rounds {
-                let round_t0 = timing.then(Instant::now);
-                barrier.wait(); // release phase A
-                barrier.wait(); // phase A complete; workers idle
-
-                let mut first_err = None;
-                for out in &outs {
-                    if let Some(e) = &out.read().error {
-                        first_err = Some(e.clone());
-                        break;
-                    }
-                }
-                let decided = if let Some(e) = first_err {
-                    Some(Outcome::Fail(e))
-                } else {
-                    let mut all_done = true;
-                    let mut stepped: u64 = 0;
-                    let (round_msgs0, round_bits0) = (metrics.messages, metrics.bits);
-                    for out_lock in &outs {
-                        let mut out = out_lock.write();
-                        metrics.merge(&Metrics {
-                            rounds: 0,
-                            messages: out.messages,
-                            bits: out.bits,
-                            max_message_bits: out.max_bits as u64,
-                            budget_bits: None,
-                        });
-                        all_done &= out.all_done;
-                        stepped += out.stepped;
-                        if obs {
-                            msg_bits_hist.merge(&out.bits_hist);
-                        }
-                        if let Some(t) = transcript.as_deref_mut() {
-                            for &(from, to, bits) in &out.events_flat {
-                                t.record(round, from, to, bits);
-                            }
-                            out.events_flat.clear();
-                        }
-                    }
-                    if obs {
-                        observe_round(
-                            rec,
-                            stepped,
-                            metrics.messages - round_msgs0,
-                            metrics.bits - round_bits0,
-                            round_t0,
-                        );
-                    }
-                    if flight.enabled() {
-                        // Chunk-order sums reproduce the serial engine's
-                        // per-round quantities exactly, so this record
-                        // is byte-identical to the serial one at every
-                        // thread count.
-                        flight.record(RoundRecord {
-                            engine: "congest",
-                            round,
-                            frontier: stepped,
-                            joiners: 0,
-                            joiner_digest: 0,
-                            coin_digest: 0,
-                            messages: metrics.messages - round_msgs0,
-                            bits: metrics.bits - round_bits0,
-                            scan: if full_scan { "full" } else { "frontier" },
-                            span_seq: rec.seq(),
-                        });
-                    }
-                    if all_done {
-                        metrics.rounds = round + 1;
-                        Some(Outcome::Done)
-                    } else if round + 1 == max_rounds {
-                        Some(Outcome::Limit)
-                    } else {
-                        None
-                    }
-                };
-                if let Some(o) = decided {
-                    outcome = o;
-                    stop.store(true, Ordering::SeqCst);
-                    barrier.wait(); // release workers into their exit check
-                    break;
-                }
-                // Workers are idle between the two barriers: safe to
-                // reset the steal counters for phase B / the next round.
-                a_next.store(0, Ordering::SeqCst);
-                b_next.store(0, Ordering::SeqCst);
-                barrier.wait(); // release phase B
-            }
-        })
-        .expect("simulator worker thread panicked");
-
-        let mut states = Vec::with_capacity(n);
-        let mut halted = Vec::with_capacity(n);
-        for slot in slots {
-            let slot = slot.into_inner();
-            states.extend(slot.states);
-            halted.extend(slot.halted);
-        }
-        if timing {
-            // Work-stealing utilization: timing class (chunk assignment
-            // is a scheduling race), so only recorded with wall-clock
-            // timing on — `Recorder::deterministic` output omits it.
-            for (w, stats) in worker_stats.iter().enumerate() {
-                let (chunks, busy) = *stats.lock();
-                rec.gauge(&format!("worker_chunks{{worker=\"{w}\"}}"), chunks as f64);
-                rec.gauge(&format!("worker_busy_ns{{worker=\"{w}\"}}"), busy as f64);
-            }
-        }
-        match outcome {
-            Outcome::Done => {
-                flush_run_obs(rec, &metrics, &msg_bits_hist);
-                Ok(SimulatorRun { states, metrics })
-            }
-            Outcome::Fail(e) => Err(e),
-            Outcome::Limit => {
-                let pending = (0..n)
-                    .filter(|&v| !protocol.is_done(&states[v]) && !halted[v])
-                    .count();
-                Err(SimulatorError::RoundLimitExceeded {
-                    limit: max_rounds,
-                    pending,
-                })
-            }
-        }
     }
 
     /// Creates an incremental round driver over `protocol`: the caller
@@ -667,7 +287,7 @@ impl<'g> Simulator<'g> {
     }
 }
 
-/// One in-flight serial simulation: per-node states, halt flags,
+/// One in-flight simulation: per-node states, halt flags,
 /// frontier bookkeeping, and the double-buffered message plane, advanced
 /// one synchronous round per [`step`](Stepper::step).
 ///
@@ -774,7 +394,7 @@ impl<P: Protocol> Stepper<'_, P> {
         let round_t0 = timing.then(Instant::now);
         // Nodes stepped this round (= the frontier size; the [`Frontier`]
         // keeps no count, so tally during iteration). Deterministic
-        // class: identical across engines and thread counts.
+        // class: a pure function of the run.
         let mut stepped: u64 = 0;
         for v in cur_frontier.iter() {
             stepped += 1;
@@ -925,7 +545,7 @@ fn check_bits(
     Ok(())
 }
 
-/// One side of the serial engine's double-buffered message plane.
+/// One side of the engine's double-buffered message plane.
 ///
 /// A broadcast costs the engine O(1): the payload is pushed into
 /// `barena` once and the sender's slot in `bidx` records its index — no
@@ -1020,110 +640,7 @@ impl<M> Plane<M> {
     }
 }
 
-/// One chunk's long-lived simulation state: the node states, halt
-/// flags, and arena-backed inboxes for nodes `lo..lo + states.len()`.
-/// `arena` holds one copy of every payload delivered to this chunk in
-/// the current round; `inbox_entries[off]` lists `(sender, arena index)`
-/// pairs per node. All buffers persist (and are reused) across rounds.
-///
-/// Frontier bookkeeping is chunk-local (indexed by local offset):
-/// phase A steps `cur_frontier` and inserts non-quiescent survivors into
-/// `next_frontier`; phase B inserts a wake for every delivered message —
-/// cross-chunk wakes need no extra machinery because delivery already
-/// routes each message to its destination chunk — then promotes
-/// `next_frontier` to `cur_frontier` for the next round.
-struct ChunkSlot<P: Protocol> {
-    lo: NodeId,
-    states: Vec<P::State>,
-    halted: Vec<bool>,
-    inbox_entries: Vec<Vec<(NodeId, u32)>>,
-    arena: Vec<P::Msg>,
-    /// Cached `is_done` per local offset (exact: state only changes
-    /// inside `round`, which only runs for frontier members).
-    done: Vec<bool>,
-    /// Number of chunk nodes that are neither done nor halted; the
-    /// coordinator's termination test sums these instead of scanning.
-    pending: usize,
-    /// Nodes to step this round (local offsets).
-    cur_frontier: Frontier,
-    /// Nodes to step next round (local offsets).
-    next_frontier: Frontier,
-    /// Local offsets with a non-empty `inbox_entries` list, so clearing
-    /// is O(#receivers), not O(chunk).
-    inbox_touched: Vec<u32>,
-}
-
-/// One worker's output for one chunk's round: the chunk's outgoing
-/// payload arena (broadcasts stored once, unicasts owned) plus index
-/// events partitioned by destination chunk (each partition in serial
-/// emission order) and local metric partials. The worker stops at its
-/// first error (like the serial loop); earlier chunks are checked first
-/// during the merge, so the reported error matches serial node order.
-/// Reused across rounds via [`reset`](ChunkOut::reset).
-struct ChunkOut<M> {
-    /// Payloads this chunk sent this round.
-    arena: Vec<M>,
-    /// `(from, to, arena index)` per destination chunk, in serial
-    /// emission order.
-    events_by_dest: Vec<Vec<(NodeId, NodeId, u32)>>,
-    /// `(from, to, bits)` in serial emission order; filled only when a
-    /// transcript is being recorded.
-    events_flat: Vec<(NodeId, NodeId, usize)>,
-    messages: u64,
-    bits: u64,
-    max_bits: usize,
-    /// Nodes stepped (frontier members) this round; the coordinator's
-    /// chunk-order sum equals the serial engine's per-round frontier
-    /// size exactly.
-    stepped: u64,
-    /// Per-message bit sizes, log₂-bucketed; filled only when a recorder
-    /// is attached, merged (in chunk order) by the coordinator.
-    bits_hist: Histogram,
-    /// Whether every node of the chunk is halted or done after this
-    /// round (= the serial engine's top-of-next-round termination test).
-    all_done: bool,
-    error: Option<SimulatorError>,
-}
-
-impl<M> ChunkOut<M> {
-    /// Placeholder contents; reset + filled by phase A before any read.
-    fn empty() -> Self {
-        ChunkOut {
-            arena: Vec::new(),
-            events_by_dest: Vec::new(),
-            events_flat: Vec::new(),
-            messages: 0,
-            bits: 0,
-            max_bits: 0,
-            stepped: 0,
-            bits_hist: Histogram::new(),
-            all_done: false,
-            error: None,
-        }
-    }
-
-    /// Clears for this round's refill, keeping all allocations, and
-    /// ensures one destination partition per chunk.
-    fn reset(&mut self, chunk_count: usize) {
-        self.arena.clear();
-        if self.events_by_dest.len() != chunk_count {
-            self.events_by_dest.resize_with(chunk_count, Vec::new);
-        }
-        for d in &mut self.events_by_dest {
-            d.clear();
-        }
-        self.events_flat.clear();
-        self.messages = 0;
-        self.bits = 0;
-        self.max_bits = 0;
-        self.stepped = 0;
-        self.bits_hist.clear();
-        self.all_done = false;
-        self.error = None;
-    }
-}
-
-/// Run-level accumulation shared by both engines: called once per
+/// Run-level accumulation: called once per
 /// successful run, folding the run's totals and its message-size
 /// histogram into the recorder.
 fn flush_run_obs(rec: &Recorder, metrics: &Metrics, msg_bits: &Histogram) {
@@ -1137,7 +654,7 @@ fn flush_run_obs(rec: &Recorder, metrics: &Metrics, msg_bits: &Histogram) {
     rec.merge_histogram("congest_message_bits", msg_bits);
 }
 
-/// Per-round observations shared by both engines. `frontier` is the
+/// Per-round observations. `frontier` is the
 /// number of nodes stepped this round; `t0` is `Some` only when
 /// wall-clock timing is on (timing class, name `*_ns`).
 fn observe_round(rec: &Recorder, frontier: u64, msgs: u64, bits: u64, t0: Option<Instant>) {
@@ -1147,206 +664,6 @@ fn observe_round(rec: &Recorder, frontier: u64, msgs: u64, bits: u64, t0: Option
     if let Some(t0) = t0 {
         rec.observe("congest_round_time_ns", t0.elapsed().as_nanos() as u64);
     }
-}
-
-/// Runs one round's activations for a chunk, mirroring the serial loop
-/// body exactly. `out` must have been [`reset`](ChunkOut::reset) for
-/// this round; a broadcast stores its payload once in `out.arena` and
-/// emits one index event per edge.
-#[allow(clippy::too_many_arguments)]
-fn process_chunk<P: Protocol>(
-    protocol: &P,
-    g: &Graph,
-    seed: u64,
-    round: u64,
-    budget: Option<usize>,
-    traced: bool,
-    obs: bool,
-    full_scan: bool,
-    dest_chunk: &[u32],
-    slot: &mut ChunkSlot<P>,
-    out: &mut ChunkOut<P::Msg>,
-) {
-    let n = g.n();
-    let ChunkSlot {
-        lo,
-        states,
-        halted,
-        inbox_entries,
-        arena,
-        done,
-        pending,
-        cur_frontier,
-        next_frontier,
-        ..
-    } = slot;
-    let lo = *lo;
-    let (inbox_entries, arena) = (&*inbox_entries, &*arena);
-    let push_msg = |out: &mut ChunkOut<P::Msg>, msg: P::Msg| -> u32 {
-        let idx = u32::try_from(out.arena.len()).expect("round arena exceeds u32::MAX messages");
-        out.arena.push(msg);
-        idx
-    };
-    // Halted nodes are never frontier members, so no halt check here.
-    for off in cur_frontier.iter() {
-        out.stepped += 1;
-        let state = &mut states[off];
-        let v = lo + off;
-        let info = NodeInfo {
-            id: v,
-            n,
-            neighbors: g.neighbors(v),
-            round,
-            seed,
-        };
-        let inbox = Inbox::from_parts(&inbox_entries[off], arena);
-        let was_pending = !done[off];
-        match protocol.round(state, &info, &inbox) {
-            Outgoing::Silent => {}
-            Outgoing::Halt => {
-                halted[off] = true;
-                // Phase B of the previous round may have woken it.
-                next_frontier.remove(off);
-            }
-            Outgoing::Broadcast(msg) => {
-                let nbrs = g.neighbors(v);
-                if !nbrs.is_empty() {
-                    let bits = msg.bit_size();
-                    // One budget check per broadcast; the first neighbor
-                    // is the reported edge, exactly like the serial
-                    // engine.
-                    if let Some(budget) = budget {
-                        if bits > budget {
-                            out.error = Some(SimulatorError::BandwidthExceeded {
-                                from: v,
-                                to: nbrs[0],
-                                bits,
-                                budget,
-                            });
-                            return;
-                        }
-                    }
-                    out.messages += nbrs.len() as u64;
-                    out.bits += (bits * nbrs.len()) as u64;
-                    out.max_bits = out.max_bits.max(bits);
-                    if obs {
-                        out.bits_hist.observe_n(bits as u64, nbrs.len() as u64);
-                    }
-                    let idx = push_msg(out, msg);
-                    for &u in nbrs {
-                        if traced {
-                            out.events_flat.push((v, u, bits));
-                        }
-                        out.events_by_dest[dest_chunk[u] as usize].push((v, u, idx));
-                    }
-                }
-            }
-            Outgoing::Unicast(list) => {
-                for (u, msg) in list {
-                    if !g.has_edge(v, u) {
-                        out.error = Some(SimulatorError::NotANeighbor { from: v, to: u });
-                        return;
-                    }
-                    let bits = msg.bit_size();
-                    if let Some(budget) = budget {
-                        if bits > budget {
-                            out.error = Some(SimulatorError::BandwidthExceeded {
-                                from: v,
-                                to: u,
-                                bits,
-                                budget,
-                            });
-                            return;
-                        }
-                    }
-                    out.messages += 1;
-                    out.bits += bits as u64;
-                    out.max_bits = out.max_bits.max(bits);
-                    if obs {
-                        out.bits_hist.observe(bits as u64);
-                    }
-                    if traced {
-                        out.events_flat.push((v, u, bits));
-                    }
-                    let idx = push_msg(out, msg);
-                    out.events_by_dest[dest_chunk[u] as usize].push((v, u, idx));
-                }
-            }
-        }
-        if !halted[off] && (full_scan || !protocol.is_quiescent(state)) {
-            next_frontier.insert(off);
-        }
-        done[off] = protocol.is_done(state);
-        let now_pending = !done[off] && !halted[off];
-        match (was_pending, now_pending) {
-            (true, false) => *pending -= 1,
-            (false, true) => *pending += 1,
-            _ => {}
-        }
-    }
-    out.all_done = *pending == 0;
-}
-
-/// Rebuilds chunk `j`'s inboxes from every chunk's sends, visiting
-/// source chunks in ascending order — the exact serial push sequence, so
-/// each inbox comes out sorted by sender with no per-round sort. Each
-/// payload that reaches this chunk is copied into the chunk-local arena
-/// once (a degree-d broadcast costs one clone per destination *chunk*,
-/// not one per edge); a broadcast's events for one destination chunk are
-/// consecutive, so the source-index of the previous event suffices to
-/// share the copy.
-fn deliver_chunk<P: Protocol>(
-    slot: &mut ChunkSlot<P>,
-    j: usize,
-    outs: &[RwLock<ChunkOut<P::Msg>>],
-) {
-    // Touched-based clear: only the inboxes that received something last
-    // round are non-empty.
-    while let Some(off) = slot.inbox_touched.pop() {
-        slot.inbox_entries[off as usize].clear();
-    }
-    slot.arena.clear();
-    let lo = slot.lo;
-    for out_lock in outs {
-        let out = out_lock.read();
-        // (source arena index, local arena index) of the last copied
-        // payload from this source chunk.
-        let mut last: Option<(u32, u32)> = None;
-        for &(from, to, src_idx) in &out.events_by_dest[j] {
-            let local = match last {
-                Some((s, l)) if s == src_idx => l,
-                _ => {
-                    let l = u32::try_from(slot.arena.len())
-                        .expect("round arena exceeds u32::MAX messages");
-                    slot.arena.push(out.arena[src_idx as usize].clone());
-                    last = Some((src_idx, l));
-                    l
-                }
-            };
-            let off = to - lo;
-            if slot.inbox_entries[off].is_empty() {
-                slot.inbox_touched.push(off as u32);
-            }
-            slot.inbox_entries[off].push((from, local));
-            // A delivered message wakes its destination — this resolves
-            // same-chunk and cross-chunk wakes uniformly at the barrier,
-            // matching the serial engine's emission-time wakes exactly
-            // (halted nodes stay asleep in both).
-            if !slot.halted[off] {
-                slot.next_frontier.insert(off);
-            }
-        }
-    }
-    // Promote the next frontier (phase-A survivors + the wakes above)
-    // for the next round's phase A.
-    std::mem::swap(&mut slot.cur_frontier, &mut slot.next_frontier);
-    slot.next_frontier.clear();
-    debug_assert!(
-        slot.inbox_entries
-            .iter()
-            .all(|e| e.windows(2).all(|w| w[0].0 <= w[1].0)),
-        "inbox delivery out of order"
-    );
 }
 
 #[cfg(test)]
@@ -1569,74 +886,5 @@ mod tests {
             pending: 2,
         };
         assert!(e.to_string().contains("round limit"));
-    }
-
-    #[test]
-    fn parallel_matches_serial_exactly() {
-        use rand::SeedableRng;
-        let g = gen::gnp(120, 0.08, &mut rand::rngs::StdRng::seed_from_u64(4));
-        let proto = FloodMax { rounds: 9 };
-        let (serial, t_serial) = Simulator::new(&g, 5).run_traced(&proto, 100).unwrap();
-        for threads in [1, 2, 4, 8] {
-            let sim = Simulator::new(&g, 5).with_parallelism(Parallelism::Threads(threads));
-            let (par, t_par) = sim.run_parallel_traced(&proto, 100).unwrap();
-            assert_eq!(par.metrics, serial.metrics, "threads={threads}");
-            assert_eq!(t_par.digest(), t_serial.digest(), "threads={threads}");
-            assert_eq!(t_par.entries(), t_serial.entries(), "threads={threads}");
-            let a: Vec<u64> = serial.states.iter().map(|s| s.best).collect();
-            let b: Vec<u64> = par.states.iter().map(|s| s.best).collect();
-            assert_eq!(a, b, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_reports_same_errors_as_serial() {
-        let g = gen::path(64);
-        let serial_err = Simulator::new(&g, 1).run(&Oversize, 3).unwrap_err();
-        let par_err = Simulator::new(&g, 1)
-            .with_parallelism(Parallelism::Threads(4))
-            .run_parallel(&Oversize, 3)
-            .unwrap_err();
-        assert_eq!(serial_err, par_err);
-
-        let serial_err = Simulator::new(&g, 1).run(&BadUnicast, 3).unwrap_err();
-        let par_err = Simulator::new(&g, 1)
-            .with_parallelism(Parallelism::Threads(4))
-            .run_parallel(&BadUnicast, 3)
-            .unwrap_err();
-        assert_eq!(serial_err, par_err);
-
-        let serial_err = Simulator::new(&g, 1)
-            .run(&FloodMax { rounds: 50 }, 5)
-            .unwrap_err();
-        let par_err = Simulator::new(&g, 1)
-            .with_parallelism(Parallelism::Threads(4))
-            .run_parallel(&FloodMax { rounds: 50 }, 5)
-            .unwrap_err();
-        assert_eq!(serial_err, par_err);
-    }
-
-    #[test]
-    fn parallel_serial_policy_delegates() {
-        let g = gen::cycle(20);
-        let run = Simulator::new(&g, 2)
-            .with_parallelism(Parallelism::Serial)
-            .run_parallel(&FloodMax { rounds: 5 }, 50)
-            .unwrap();
-        let serial = Simulator::new(&g, 2)
-            .run(&FloodMax { rounds: 5 }, 50)
-            .unwrap();
-        assert_eq!(run.metrics, serial.metrics);
-    }
-
-    #[test]
-    fn parallel_handles_tiny_graphs() {
-        // More threads than nodes: chunking must stay sound.
-        let g = gen::path(3);
-        let run = Simulator::new(&g, 1)
-            .with_parallelism(Parallelism::Threads(8))
-            .run_parallel(&FloodMax { rounds: 4 }, 50)
-            .unwrap();
-        assert!(run.states.iter().all(|s| s.best == 2));
     }
 }

@@ -35,8 +35,8 @@ use arbmis_obs::{FlightRecorder, Recorder, RoundRecord};
 /// [`execute_indexed`] work-stealing pool. Each chunk collects its
 /// winners in ascending order into a private buffer; buffers are
 /// concatenated in chunk index order (= ascending node order), so the
-/// result is bit-identical to the serial sweep at every thread count —
-/// the same contract the CONGEST parallel engine keeps. Only the
+/// result is bit-identical to the serial sweep at every thread count
+/// (DESIGN.md §7). Only the
 /// single-threaded path is steady-state alloc-free. Ghaffari's decide
 /// sweeps stay serial at every thread count.
 ///
@@ -567,11 +567,11 @@ impl<'g> FlatBackend<'g> {
         }
     }
 
-    /// Word-aligned chunk bounds over the layout's word array, as
+    /// Word-aligned chunk ranges over the layout's word array, as
     /// `(word_lo, word_hi)` ranges. Word alignment makes per-chunk bit
     /// writes race-free; the chunk geometry never affects results (each
     /// chunk's output is ascending and chunks concatenate in order).
-    fn word_chunk_bounds(&self) -> Vec<(usize, usize)> {
+    fn word_chunk_ranges(&self) -> Vec<(usize, usize)> {
         let words = self.g.n().div_ceil(64);
         let chunks = (self.threads * 4).clamp(1, words.max(1));
         (0..chunks)
@@ -721,7 +721,7 @@ impl<'g> FlatBackend<'g> {
         let dense = self.scan.is_dense(self.active_count, self.g.n());
         let threads = self.threads;
         let bounds = if threads > 1 {
-            self.word_chunk_bounds()
+            self.word_chunk_ranges()
         } else {
             Vec::new()
         };
@@ -808,7 +808,7 @@ impl<'g> FlatBackend<'g> {
     fn prio_win_scan(&mut self) {
         self.wins.clear();
         if self.threads > 1 {
-            let bounds = self.word_chunk_bounds();
+            let bounds = self.word_chunk_ranges();
             self.ensure_chunk_bufs(bounds.len());
             let Self {
                 g,
@@ -972,7 +972,7 @@ impl<'g> FlatBackend<'g> {
         let dense = self.scan.is_dense(self.active_count, n);
         let threads = self.threads;
         let bounds = if threads > 1 {
-            self.word_chunk_bounds()
+            self.word_chunk_ranges()
         } else {
             Vec::new()
         };
@@ -1238,7 +1238,7 @@ impl<'g> FlatBackend<'g> {
             high_degree_neighbors(eg, mask, deg, p, hd) as f64 > bad_thr
         };
         if threads > 1 {
-            let bounds = self.word_chunk_bounds();
+            let bounds = self.word_chunk_ranges();
             self.ensure_chunk_bufs(bounds.len());
             {
                 let Self {

@@ -469,57 +469,6 @@ impl Protocol for BoundedArbProtocol {
     }
 }
 
-/// Runs a protocol twin over `g` on the parallel round engine, honoring
-/// the process-wide default [`arbmis_congest::Parallelism`].
-///
-/// This is the canonical entry point for executing the protocol twins in
-/// this module: results are bit-identical to the serial engine at every
-/// thread count (see `arbmis_congest::parallel`), so fast-path
-/// equivalence holds unchanged while large runs use all cores.
-///
-/// # Errors
-///
-/// Propagates [`SimulatorError`] from the engine.
-pub fn simulate<P>(
-    g: &arbmis_graph::Graph,
-    seed: u64,
-    protocol: &P,
-    max_rounds: u64,
-) -> Result<SimulatorRun<P::State>, SimulatorError>
-where
-    P: Protocol + Sync,
-    P::State: Send,
-    P::Msg: Send + Sync,
-{
-    Simulator::new(g, seed).run_parallel(protocol, max_rounds)
-}
-
-/// [`simulate`], additionally collecting a message transcript (identical
-/// to the serial engine's, digest included).
-///
-/// # Errors
-///
-/// Propagates [`SimulatorError`] from the engine.
-pub fn simulate_traced<P>(
-    g: &arbmis_graph::Graph,
-    seed: u64,
-    protocol: &P,
-    max_rounds: u64,
-) -> Result<
-    (
-        SimulatorRun<P::State>,
-        arbmis_congest::transcript::Transcript,
-    ),
-    SimulatorError,
->
-where
-    P: Protocol + Sync,
-    P::State: Send,
-    P::Msg: Send + Sync,
-{
-    Simulator::new(g, seed).run_parallel_traced(protocol, max_rounds)
-}
-
 impl BoundedArbProtocol {
     fn my_priority(
         &self,
@@ -570,7 +519,9 @@ mod tests {
             (6, gen::cycle(40)),
         ] {
             let fast = metivier::run(&g, seed);
-            let run = simulate(&g, seed, &MetivierProtocol, 10_000).unwrap();
+            let run = Simulator::new(&g, seed)
+                .run(&MetivierProtocol, 10_000)
+                .unwrap();
             assert_eq!(extract_mis(&run.states), fast.in_mis, "graph {g}");
             assert!(run.metrics.within_budget(), "budget on {g}");
             assert!(check_mis(&g, &extract_mis(&run.states)).is_ok());
@@ -586,7 +537,7 @@ mod tests {
             (9, gen::barabasi_albert(100, 2, &mut r)),
         ] {
             let fast = luby::run(&g, seed);
-            let run = simulate(&g, seed, &LubyProtocol, 10_000).unwrap();
+            let run = Simulator::new(&g, seed).run(&LubyProtocol, 10_000).unwrap();
             assert_eq!(extract_mis(&run.states), fast.in_mis, "graph {g}");
             assert!(run.metrics.within_budget());
         }
@@ -601,7 +552,9 @@ mod tests {
             (13, gen::random_ktree(90, 2, &mut r)),
         ] {
             let fast = ghaffari::run(&g, seed);
-            let run = simulate(&g, seed, &GhaffariProtocol, 20_000).unwrap();
+            let run = Simulator::new(&g, seed)
+                .run(&GhaffariProtocol, 20_000)
+                .unwrap();
             assert_eq!(extract_mis(&run.states), fast.in_mis, "graph {g}");
             assert!(run.metrics.within_budget());
         }
@@ -621,7 +574,9 @@ mod tests {
                 params: fast.params,
                 rho_cutoff: true,
             };
-            let run = simulate(&g, seed, &proto, proto.total_rounds() + 2).unwrap();
+            let run = Simulator::new(&g, seed)
+                .run(&proto, proto.total_rounds() + 2)
+                .unwrap();
             let mis: Vec<bool> = run.states.iter().map(|s| s.in_mis).collect();
             let bad: Vec<bool> = run.states.iter().map(|s| s.bad).collect();
             let active: Vec<bool> = run.states.iter().map(|s| s.active).collect();
@@ -645,7 +600,9 @@ mod tests {
             params: fast.params,
             rho_cutoff: false,
         };
-        let run = simulate(&g, 31, &proto, proto.total_rounds() + 2).unwrap();
+        let run = Simulator::new(&g, 31)
+            .run(&proto, proto.total_rounds() + 2)
+            .unwrap();
         assert_eq!(
             run.states.iter().map(|s| s.in_mis).collect::<Vec<_>>(),
             fast.in_mis
@@ -660,7 +617,9 @@ mod tests {
     fn message_sizes_are_logarithmic() {
         let mut r = rng(5);
         let g = gen::gnp(200, 0.05, &mut r);
-        let run = simulate(&g, 31, &MetivierProtocol, 10_000).unwrap();
+        let run = Simulator::new(&g, 31)
+            .run(&MetivierProtocol, 10_000)
+            .unwrap();
         let budget = Simulator::new(&g, 31).budget_bits().unwrap() as u64;
         assert!(run.metrics.max_message_bits <= budget);
         // Priorities dominate: 4·⌈log₂ 200⌉ = 32 bits ≈ 5 bytes + tag.
@@ -670,7 +629,7 @@ mod tests {
     #[test]
     fn protocol_on_empty_graph() {
         let g = Graph::empty(5);
-        let run = simulate(&g, 1, &MetivierProtocol, 100).unwrap();
+        let run = Simulator::new(&g, 1).run(&MetivierProtocol, 100).unwrap();
         assert!(extract_mis(&run.states).iter().all(|&b| b));
     }
 

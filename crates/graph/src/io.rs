@@ -55,8 +55,9 @@ impl From<std::io::Error> for ReadError {
 ///
 /// # Errors
 ///
-/// [`ReadError::Parse`] on malformed lines, self loops, or ids exceeding
-/// a declared header count; [`ReadError::Io`] on read failures.
+/// [`ReadError::Parse`] on malformed lines, self loops, ids exceeding
+/// a declared header count, or a node count too large to allocate;
+/// [`ReadError::Io`] on read failures.
 pub fn read_edge_list<R: BufRead>(reader: R) -> Result<Graph, ReadError> {
     let mut declared_n: Option<usize> = None;
     let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
@@ -104,14 +105,21 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> Result<Graph, ReadError> {
             }
             n
         }
-        None => {
-            if edges.is_empty() {
-                0
-            } else {
-                max_id + 1
-            }
-        }
+        None if edges.is_empty() => 0,
+        None => max_id
+            .checked_add(1)
+            .ok_or_else(|| parse_err(0, &format!("node id {max_id} is too large")))?,
     };
+    // The CSR build holds three n-word arrays at once. Refuse a node
+    // count the allocator cannot provide, instead of aborting inside
+    // the builder.
+    let words = n.checked_mul(3).and_then(|w| w.checked_add(1));
+    if words.is_none_or(|w| Vec::<usize>::new().try_reserve_exact(w).is_err()) {
+        return Err(parse_err(
+            0,
+            &format!("node count {n} exceeds available memory"),
+        ));
+    }
     let mut b = GraphBuilder::with_capacity(n, edges.len());
     for (u, v) in edges {
         b.add_edge(u, v);
@@ -211,6 +219,14 @@ mod tests {
         assert!(e.to_string().contains("two endpoints"));
         let e = parse_edge_list("p 2 1\n0 5\n").unwrap_err();
         assert!(e.to_string().contains("exceeds"));
+        // Node counts past usize or past any allocation are errors, not
+        // overflow panics or allocation aborts.
+        let e = parse_edge_list("0 18446744073709551615\n").unwrap_err();
+        assert!(e.to_string().contains("too large"), "{e}");
+        for text in ["p 18446744073709551615\n", "0 4000000000\n"] {
+            let e = parse_edge_list(text).unwrap_err();
+            assert!(e.to_string().contains("available memory"), "{text:?}: {e}");
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// `engine` names the capture source; fields a source cannot observe are
 /// zero (`0` digests, `"-"` scan):
 ///
-/// * `"congest"` — the CONGEST simulator (serial or parallel engine):
+/// * `"congest"` — the CONGEST simulator:
 ///   `frontier` is the number of nodes stepped, `messages`/`bits` are
 ///   the round's deltas, `scan` is `"frontier"` or `"full"`. Digests are
 ///   zero (the simulator is protocol-generic).

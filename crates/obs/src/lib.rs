@@ -53,9 +53,8 @@ pub use snapshot::Snapshot;
 
 use std::sync::Mutex;
 
-/// The process-wide default recorder, initially disabled. Mirrors
-/// `arbmis_congest::default_parallelism`: binaries set it once at
-/// startup, library entry points pick it up as their default.
+/// The process-wide default recorder, initially disabled. Binaries set
+/// it once at startup; library entry points pick it up as their default.
 static GLOBAL: Mutex<Option<Recorder>> = Mutex::new(None);
 
 /// Installs `rec` as the process-wide default recorder (picked up by

@@ -14,8 +14,8 @@
 //!   pure functions of `(graph, seed, config)` and are identical run to
 //!   run and at every thread count.
 //! * **Timing class** — span `wall_ns` durations and every metric whose
-//!   name ends in `_ns` (round wall-time, worker busy-time) or starts
-//!   with `worker_` (work-stealing utilization). These are wall-clock
+//!   name ends in `_ns` (round and cell wall-time) or starts with
+//!   `worker_` (per-worker scheduler counters). These are wall-clock
 //!   measurements and vary run to run; [`Recorder::deterministic`]
 //!   disables them for byte-identical sink output.
 //!

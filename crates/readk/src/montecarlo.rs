@@ -1,11 +1,10 @@
 //! Seed-parallel Monte-Carlo estimation with Wilson confidence intervals.
 //!
-//! Thread counts route through [`arbmis_congest::Parallelism`] — the same
-//! policy object the CONGEST round engine uses — so one
-//! `set_default_parallelism` call (or the `experiments --threads` flag)
-//! governs both simulation and Monte-Carlo work. Estimates are
-//! trial-index-counter based and therefore identical at every thread
-//! count.
+//! Thread counts route through [`arbmis_congest::Parallelism`]: the
+//! plain entry points follow the process-wide default
+//! (`set_default_parallelism`), and the `*_with_threads` variants take an
+//! explicit policy. Estimates are trial-index-counter based and therefore
+//! identical at every thread count.
 
 use arbmis_congest::Parallelism;
 use serde::{Deserialize, Serialize};
@@ -74,12 +73,12 @@ pub fn estimate<F>(trials: u64, event: F) -> Estimate
 where
     F: Fn(u64) -> bool + Sync,
 {
-    estimate_with_parallelism(trials, arbmis_congest::default_parallelism(), event)
+    estimate_with_threads(trials, arbmis_congest::default_parallelism(), event)
 }
 
 /// [`estimate`] with an explicit thread-count policy. The result is
 /// identical at every setting; only wall-clock changes.
-pub fn estimate_with_parallelism<F>(trials: u64, parallelism: Parallelism, event: F) -> Estimate
+pub fn estimate_with_threads<F>(trials: u64, parallelism: Parallelism, event: F) -> Estimate
 where
     F: Fn(u64) -> bool + Sync,
 {
@@ -111,16 +110,12 @@ pub fn estimate_mean<F>(trials: u64, stat: F) -> (f64, f64)
 where
     F: Fn(u64) -> f64 + Sync,
 {
-    estimate_mean_with_parallelism(trials, arbmis_congest::default_parallelism(), stat)
+    estimate_mean_with_threads(trials, arbmis_congest::default_parallelism(), stat)
 }
 
 /// [`estimate_mean`] with an explicit thread-count policy. The result is
 /// identical at every setting; only wall-clock changes.
-pub fn estimate_mean_with_parallelism<F>(
-    trials: u64,
-    parallelism: Parallelism,
-    stat: F,
-) -> (f64, f64)
+pub fn estimate_mean_with_threads<F>(trials: u64, parallelism: Parallelism, stat: F) -> (f64, f64)
 where
     F: Fn(u64) -> f64 + Sync,
 {
@@ -244,22 +239,21 @@ mod tests {
     #[test]
     fn estimate_identical_at_every_thread_count() {
         let f = |t: u64| rng::draw(5, 2, t, 0).is_multiple_of(7);
-        let baseline = estimate_with_parallelism(4_096, Parallelism::Serial, f);
+        let baseline = estimate_with_threads(4_096, Parallelism::Serial, f);
         for threads in [1, 2, 4, 8] {
-            let e = estimate_with_parallelism(4_096, Parallelism::Threads(threads), f);
+            let e = estimate_with_threads(4_096, Parallelism::Threads(threads), f);
             assert_eq!(e, baseline, "threads={threads}");
         }
-        let auto = estimate_with_parallelism(4_096, Parallelism::Auto, f);
+        let auto = estimate_with_threads(4_096, Parallelism::Auto, f);
         assert_eq!(auto, baseline);
     }
 
     #[test]
     fn estimate_mean_identical_at_every_thread_count() {
         let f = |t: u64| rng::draw_unit(13, 0, t, 0);
-        let (mean0, sd0) = estimate_mean_with_parallelism(2_048, Parallelism::Serial, f);
+        let (mean0, sd0) = estimate_mean_with_threads(2_048, Parallelism::Serial, f);
         for threads in [2, 4, 8] {
-            let (mean, sd) =
-                estimate_mean_with_parallelism(2_048, Parallelism::Threads(threads), f);
+            let (mean, sd) = estimate_mean_with_threads(2_048, Parallelism::Threads(threads), f);
             assert_eq!(mean.to_bits(), mean0.to_bits(), "threads={threads}");
             assert_eq!(sd.to_bits(), sd0.to_bits(), "threads={threads}");
         }

@@ -2,9 +2,8 @@
 //! (DESIGN.md §11): for every algorithm, workload family, and seed, the
 //! flat shared-memory backend must be **round-identical** to the CONGEST
 //! simulator — the per-round joiner sets, the final MIS, and the total
-//! round count all agree, in both flat scan directions, under both
-//! simulator scheduling modes, and against the parallel round engine at
-//! every thread count.
+//! round count all agree, in every flat scan mode, under both
+//! simulator scheduling modes, and against a one-shot `Simulator::run`.
 //!
 //! The backends share no execution machinery — one passes messages
 //! through budget-checked planes, the other sweeps flat arrays — so any
@@ -19,7 +18,7 @@
 //! `ARBMIS_EQ_FLAT_THREADS` (comma-separated) narrow the flat matrix,
 //! so CI can pin one slice per job.
 
-use arbmis::congest::{Parallelism, Protocol, Simulator};
+use arbmis::congest::{Protocol, Simulator};
 use arbmis::core::protocols::{
     BoundedArbProtocol, GhaffariProtocol, LubyProtocol, MetivierProtocol, MisNodeState,
 };
@@ -28,7 +27,6 @@ use arbmis::flat::{CongestBackend, FlatAlgo, FlatBackend, MisBackend, NodeOrder,
 use arbmis::graph::{gen, Graph};
 use rand::SeedableRng;
 
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 const SEEDS: [u64; 4] = [0, 1, 7, 42];
 const MAX_ROUNDS: u64 = 100_000;
 
@@ -114,22 +112,12 @@ fn assert_lockstep(label: &str, backends: &mut [&mut dyn MisBackend]) -> (u64, V
     (rounds, mis)
 }
 
-/// The parallel round engine's final MIS and round count for `proto`.
-fn parallel_outcome<P>(
-    g: &Graph,
-    seed: u64,
-    proto: &P,
-    max_rounds: u64,
-    threads: usize,
-) -> (Vec<bool>, u64)
+/// A one-shot `Simulator::run`'s final MIS and round count for `proto`.
+fn simulator_outcome<P>(g: &Graph, seed: u64, proto: &P, max_rounds: u64) -> (Vec<bool>, u64)
 where
-    P: Protocol<State = MisNodeState> + Sync,
-    P::Msg: Send + Sync,
+    P: Protocol<State = MisNodeState>,
 {
-    let run = Simulator::new(g, seed)
-        .with_parallelism(Parallelism::Threads(threads))
-        .run_parallel(proto, max_rounds)
-        .unwrap();
+    let run = Simulator::new(g, seed).run(proto, max_rounds).unwrap();
     (
         run.states.iter().map(|s| s.in_mis).collect(),
         run.metrics.rounds,
@@ -138,8 +126,8 @@ where
 
 /// Full matrix for one `(graph, seed, algo)` workload: every flat
 /// configuration (scan × layout × flat threads) vs both simulator
-/// scheduling modes in lockstep, then the parallel engine at every
-/// thread count against the agreed outcome.
+/// scheduling modes in lockstep, then a one-shot simulator run against
+/// the agreed outcome.
 fn assert_workload(label: &str, g: &Graph, seed: u64, algo: FlatAlgo, max_rounds: u64) {
     let mut flats = Vec::new();
     for scan in [ScanMode::Sparse, ScanMode::Dense, ScanMode::Auto] {
@@ -166,26 +154,20 @@ fn assert_workload(label: &str, g: &Graph, seed: u64, algo: FlatAlgo, max_rounds
             "{label}: output is not an MIS"
         );
     }
-    for threads in THREADS {
-        let (par_mis, par_rounds) = match algo {
-            FlatAlgo::Luby => parallel_outcome(g, seed, &LubyProtocol, max_rounds, threads),
-            FlatAlgo::Metivier => parallel_outcome(g, seed, &MetivierProtocol, max_rounds, threads),
-            FlatAlgo::Ghaffari => parallel_outcome(g, seed, &GhaffariProtocol, max_rounds, threads),
-            FlatAlgo::BoundedArb { params, rho_cutoff } => parallel_outcome(
-                g,
-                seed,
-                &BoundedArbProtocol { params, rho_cutoff },
-                max_rounds,
-                threads,
-            ),
-            FlatAlgo::DegreeReduction { .. } => unreachable!("no CONGEST protocol"),
-        };
-        assert_eq!(par_mis, mis, "{label}: parallel MIS at {threads} threads");
-        assert_eq!(
-            par_rounds, rounds,
-            "{label}: parallel rounds at {threads} threads"
-        );
-    }
+    let (sim_mis, sim_rounds) = match algo {
+        FlatAlgo::Luby => simulator_outcome(g, seed, &LubyProtocol, max_rounds),
+        FlatAlgo::Metivier => simulator_outcome(g, seed, &MetivierProtocol, max_rounds),
+        FlatAlgo::Ghaffari => simulator_outcome(g, seed, &GhaffariProtocol, max_rounds),
+        FlatAlgo::BoundedArb { params, rho_cutoff } => simulator_outcome(
+            g,
+            seed,
+            &BoundedArbProtocol { params, rho_cutoff },
+            max_rounds,
+        ),
+        FlatAlgo::DegreeReduction { .. } => unreachable!("no CONGEST protocol"),
+    };
+    assert_eq!(sim_mis, mis, "{label}: simulator MIS");
+    assert_eq!(sim_rounds, rounds, "{label}: simulator rounds");
 }
 
 #[test]

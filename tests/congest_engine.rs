@@ -1,0 +1,209 @@
+//! Differential tests for the serial CONGEST round engine: the sparse
+//! frontier must reproduce the diagnostic full scan bit for bit, an
+//! attached recorder must never perturb a run, degenerate graphs must
+//! agree across engines and backends, and the protocol twins must
+//! reproduce the centralized fast paths.
+
+use arbmis::congest::{Protocol, Simulator};
+use arbmis::core::bounded_arb::{bounded_arb_independent_set, BoundedArbConfig};
+use arbmis::core::forest_decomp::HPartitionProtocol;
+use arbmis::core::protocols::*;
+use arbmis::graph::gen::{GraphFamily, GraphSpec};
+use rand::SeedableRng;
+
+fn graph(fam: GraphFamily, n: usize, seed: u64) -> arbmis::graph::Graph {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    GraphSpec::new(fam, n).generate(&mut rng)
+}
+
+/// The protocol twins reproduce the centralized fast paths bit for bit.
+#[test]
+fn protocol_twins_match_fast_paths() {
+    use arbmis::core::{luby, metivier};
+
+    let g = graph(GraphFamily::GnpAvgDegree { d: 5.0 }, 150, 36);
+    for seed in 0..2 {
+        let sim = Simulator::new(&g, seed);
+        let fast = metivier::run(&g, seed);
+        let run = sim.run(&MetivierProtocol, 50_000).unwrap();
+        let mis: Vec<bool> = run.states.iter().map(|s| s.in_mis).collect();
+        assert_eq!(mis, fast.in_mis, "metivier seed {seed}");
+        assert!(arbmis::core::check_mis(&g, &mis).is_ok());
+
+        let fast = luby::run(&g, seed);
+        let run = sim.run(&LubyProtocol, 50_000).unwrap();
+        let mis: Vec<bool> = run.states.iter().map(|s| s.in_mis).collect();
+        assert_eq!(mis, fast.in_mis, "luby seed {seed}");
+        assert!(arbmis::core::check_mis(&g, &mis).is_ok());
+    }
+}
+
+/// DESIGN.md §8 rule 1, the traced-vs-untraced differential: attaching an
+/// observability recorder (timing, deterministic, or none) must leave
+/// transcript digests, metrics, and states bit-identical.
+#[test]
+fn recorder_never_perturbs_transcripts_or_metrics() {
+    use arbmis::obs::Recorder;
+
+    let g = graph(GraphFamily::GnpAvgDegree { d: 5.0 }, 150, 38);
+    let (baseline, t_baseline) = Simulator::new(&g, 9)
+        .run_traced(&MetivierProtocol, 50_000)
+        .unwrap();
+    let recorders = [
+        Recorder::disabled(),
+        Recorder::new(),
+        Recorder::deterministic(),
+    ];
+    for (i, rec) in recorders.iter().enumerate() {
+        let sim = Simulator::new(&g, 9).with_recorder(rec.clone());
+        let (run, t) = sim.run_traced(&MetivierProtocol, 50_000).unwrap();
+        let label = format!("recorder #{i}");
+        assert_eq!(t.digest(), t_baseline.digest(), "{label}: digest");
+        assert_eq!(t.entries(), t_baseline.entries(), "{label}: entries");
+        assert_eq!(run.metrics, baseline.metrics, "{label}: metrics");
+        assert_eq!(
+            run.states.iter().map(|s| s.in_mis).collect::<Vec<_>>(),
+            baseline.states.iter().map(|s| s.in_mis).collect::<Vec<_>>(),
+            "{label}: states"
+        );
+    }
+}
+
+/// Runs `proto` with the diagnostic full scan (every non-halted node
+/// steps every round), then compares the default sparse frontier against
+/// it. Frontier bookkeeping is a pure scheduling optimization; any
+/// divergence here means a protocol's `is_quiescent` or the engine's wake
+/// rules are unsound (DESIGN.md §10).
+fn assert_frontier_differential<P, K>(
+    g: &arbmis::graph::Graph,
+    seed: u64,
+    proto: &P,
+    max_rounds: u64,
+    label: &str,
+    project: impl Fn(&P::State) -> K,
+) where
+    P: Protocol,
+    K: PartialEq + std::fmt::Debug,
+{
+    let (full, t_full) = Simulator::new(g, seed)
+        .with_full_scan(true)
+        .run_traced(proto, max_rounds)
+        .unwrap_or_else(|e| panic!("{label}: full-scan run failed: {e}"));
+    let (run, t) = Simulator::new(g, seed)
+        .run_traced(proto, max_rounds)
+        .unwrap_or_else(|e| panic!("{label}: frontier run failed: {e}"));
+    assert_eq!(t.digest(), t_full.digest(), "{label}: digest");
+    assert_eq!(t.entries(), t_full.entries(), "{label}: entries");
+    assert_eq!(run.metrics, full.metrics, "{label}: metrics");
+    let out: Vec<K> = run.states.iter().map(&project).collect();
+    let full_out: Vec<K> = full.states.iter().map(&project).collect();
+    assert_eq!(out, full_out, "{label}: states");
+}
+
+#[test]
+fn frontier_matches_full_scan_mis_protocols() {
+    let g = graph(GraphFamily::GnpAvgDegree { d: 5.0 }, 150, 41);
+    for seed in 0..2 {
+        assert_frontier_differential(&g, seed, &MetivierProtocol, 50_000, "metivier", |s| {
+            (s.in_mis, s.active)
+        });
+        assert_frontier_differential(&g, seed, &LubyProtocol, 50_000, "luby", |s| {
+            (s.in_mis, s.active)
+        });
+    }
+}
+
+#[test]
+fn frontier_matches_full_scan_bounded_arb() {
+    let g = graph(GraphFamily::Apollonian, 150, 42);
+    for seed in 0..2 {
+        let cfg = BoundedArbConfig::new(3, seed);
+        let fast = bounded_arb_independent_set(&g, &cfg);
+        let proto = BoundedArbProtocol {
+            params: fast.params,
+            rho_cutoff: true,
+        };
+        assert_frontier_differential(
+            &g,
+            seed,
+            &proto,
+            proto.total_rounds() + 2,
+            "bounded_arb",
+            |s| (s.in_mis, s.bad, s.active),
+        );
+    }
+}
+
+#[test]
+fn frontier_matches_full_scan_h_partition() {
+    // HPartition overrides `is_quiescent` (above-threshold nodes sleep),
+    // so this exercises a protocol-specific quiescence predicate.
+    let g = graph(GraphFamily::Apollonian, 200, 43);
+    let proto = HPartitionProtocol { threshold: 9 };
+    for seed in 0..2 {
+        assert_frontier_differential(&g, seed, &proto, 10_000, "h_partition", |s| s.level);
+    }
+}
+
+#[test]
+fn frontier_matches_full_scan_converge_cast() {
+    // The sharpest frontier case: a converge-cast wave on a path steps
+    // exactly one node per round under the sparse frontier, ~n under the
+    // full scan — yet every observable must agree.
+    use arbmis::congest::algorithms::ConvergeCast;
+    let n = 300;
+    let g = arbmis::graph::gen::path(n);
+    let parent: Vec<Option<usize>> = (0..n).map(|v| (v + 1 < n).then_some(v + 1)).collect();
+    let proto = ConvergeCast::new(parent, vec![1; n]);
+    for seed in 0..2 {
+        assert_frontier_differential(&g, seed, &proto, n as u64 + 5, "converge_cast", |s| {
+            (s.sum, s.done)
+        });
+    }
+}
+
+/// Degenerate graphs n ∈ {0, 1}: the serial engine and both
+/// `MisBackend` implementations must all agree — the empty graph
+/// terminates in 0 rounds, and a single isolated node joins at the first
+/// exit round and halts at the next announce round (4 CONGEST rounds for
+/// Luby and Métivier).
+#[test]
+fn degenerate_graphs_agree_across_engines_and_backends() {
+    use arbmis::flat::{CongestBackend, FlatAlgo, FlatBackend, MisBackend};
+
+    for n in [0usize, 1] {
+        let g = arbmis::graph::Graph::from_edges(n, &[]);
+        let expect_rounds = if n == 0 { 0 } else { 4 };
+        let expect_mis = vec![true; n];
+        for (label, algo) in [("luby", FlatAlgo::Luby), ("metivier", FlatAlgo::Metivier)] {
+            for seed in [0, 9] {
+                let mut flat = FlatBackend::new(&g, seed, algo);
+                let mut congest = CongestBackend::new(&g, seed, algo);
+                for (tag, b) in [
+                    ("flat", &mut flat as &mut dyn MisBackend),
+                    ("congest", &mut congest),
+                ] {
+                    let run = b.run(100).unwrap();
+                    assert_eq!(run.rounds, expect_rounds, "{label}/{tag} rounds at n={n}");
+                    assert_eq!(b.mis(), &expect_mis[..], "{label}/{tag} MIS at n={n}");
+                    assert!(b.joiners().is_empty() || n == 1, "{label}/{tag} joiners");
+                }
+                let sim = Simulator::new(&g, seed);
+                let run = match algo {
+                    FlatAlgo::Luby => sim.run(&LubyProtocol, 100),
+                    _ => sim.run(&MetivierProtocol, 100),
+                }
+                .unwrap();
+                assert_eq!(
+                    run.metrics.rounds, expect_rounds,
+                    "{label}: simulator rounds at n={n}"
+                );
+                assert_eq!(
+                    run.states.iter().map(|s| s.in_mis).collect::<Vec<_>>(),
+                    expect_mis,
+                    "{label}: simulator MIS at n={n}"
+                );
+            }
+        }
+    }
+}
