@@ -1,6 +1,7 @@
 //! Churn workloads for the incremental MIS layer, plus the
-//! repair-vs-recompute measurement harness behind `BENCH_dynamic.json`
-//! and the `arbmis churn` subcommand.
+//! repair-vs-recompute harness behind the `arbmis churn` subcommand.
+//! The benchmark package replays `localized_churn`, `flash_crowd` and
+//! `hub_churn` in its `churn_mix_1m` workload.
 //!
 //! A workload is a deterministic **edit script**: a base graph and a
 //! sequence of update batches, generated from a seed. Four shapes cover
@@ -174,10 +175,6 @@ pub fn hub_churn(n: usize, flaps: usize, fan: usize, seed: u64) -> ChurnScript {
 pub struct ChurnReport {
     /// Workload name.
     pub name: String,
-    /// Base graph size.
-    pub n0: usize,
-    /// Base graph edges.
-    pub m0: usize,
     /// Batches applied.
     pub batches: usize,
     /// Total updates.
@@ -234,8 +231,6 @@ pub fn run_script(script: &ChurnScript, seed: u64, verify_each: bool) -> ChurnRe
     valid &= d.is_valid_mis();
     ChurnReport {
         name: script.name.clone(),
-        n0: script.base.n(),
-        m0: script.base.m(),
         batches: script.batches.len(),
         updates: script.updates(),
         mean_region: region_total as f64 / script.batches.len().max(1) as f64,
@@ -248,8 +243,7 @@ pub fn run_script(script: &ChurnScript, seed: u64, verify_each: bool) -> ChurnRe
     }
 }
 
-/// The standard workload suite at scale `n` (CI smoke passes a small
-/// `n`, the committed artifact a large one).
+/// The standard workload suite at scale `n` (`arbmis churn --n`).
 pub fn standard_suite(n: usize, seed: u64) -> Vec<ChurnScript> {
     vec![
         localized_churn(n, 48, 16, seed),

@@ -24,7 +24,7 @@
 
 use crate::{BackendError, CongestBackend, FlatAlgo, FlatBackend, MisBackend, ScanMode};
 use arbmis_core::ArbParams;
-use arbmis_graph::{Graph, NodeId, NodeOrder};
+use arbmis_graph::{Graph, GraphBuilder, NodeId, NodeOrder};
 use serde::{Deserialize, Serialize};
 
 pub use arbmis_core::backend::{coin_digest, decide_iteration, joiner_digest, CoinFlip};
@@ -316,7 +316,10 @@ impl ReplayArtifact {
     /// # Errors
     ///
     /// A message naming the malformed part (bad JSON, wrong schema tag,
-    /// unknown algorithm, missing `arb` block, out-of-range edge).
+    /// unknown algorithm, missing `arb` block, a node count too large to
+    /// allocate, an out-of-range edge, or an edge list that is not in
+    /// strictly ascending `(min, max)` form: a self loop, a reversed or
+    /// repeated edge).
     pub fn from_json(s: &str) -> Result<Self, String> {
         let art: ReplayArtifact =
             serde_json::from_str(s).map_err(|e| format!("replay artifact: {e}"))?;
@@ -327,13 +330,23 @@ impl ReplayArtifact {
             ));
         }
         art.algo()?;
+        GraphBuilder::check_node_count(art.n).map_err(|e| format!("replay artifact: {e}"))?;
+        let mut prev = None;
         for &(u, v) in &art.edges {
-            if u >= art.n || v >= art.n {
+            if v >= art.n {
                 return Err(format!(
                     "replay artifact: edge ({u}, {v}) out of range for n={}",
                     art.n
                 ));
             }
+            // Canonical form: u < v (no self loops), strictly ascending
+            // (no repeats), as written by `from_case`.
+            if u >= v || prev >= Some((u, v)) {
+                return Err(format!(
+                    "replay artifact: edge ({u}, {v}) is not in ascending (min, max) order"
+                ));
+            }
+            prev = Some((u, v));
         }
         Ok(art)
     }
@@ -566,8 +579,22 @@ mod tests {
         art.algo = "bounded_arb".into(); // no arb block
         assert!(ReplayArtifact::from_json(&art.to_json()).is_err());
         art.algo = "luby".into();
-        art.edges.push((0, 99));
-        assert!(ReplayArtifact::from_json(&art.to_json()).is_err());
+        let edges = art.edges.clone();
+        for bad in [
+            vec![(0, 99)],        // out of range
+            vec![(3, 3)],         // self loop
+            vec![(3, 2)],         // not (min, max)
+            vec![(2, 3)],         // repeats the last edge
+            vec![(0, 2), (0, 1)], // not ascending
+        ] {
+            art.edges = [&edges[..], &bad[..]].concat();
+            let parsed = ReplayArtifact::from_json(&art.to_json());
+            assert!(parsed.is_err(), "{bad:?}");
+        }
+        art.edges.clear();
+        art.n = 1_000_000_000_000_000_000;
+        let err = ReplayArtifact::from_json(&art.to_json()).unwrap_err();
+        assert!(err.contains("exceeds available memory"), "{err}");
     }
 
     #[test]

@@ -35,6 +35,23 @@ impl GraphBuilder {
         }
     }
 
+    /// Checks that the CSR build over `n` nodes can be allocated. The
+    /// build holds three `n`-word arrays at once; readers of untrusted
+    /// input call this to refuse a node count the allocator cannot
+    /// provide, instead of aborting inside [`build`](Self::build).
+    ///
+    /// # Errors
+    ///
+    /// A message naming `n` when `3n + 1` words overflow or cannot be
+    /// reserved.
+    pub fn check_node_count(n: usize) -> Result<(), String> {
+        let words = n.checked_mul(3).and_then(|w| w.checked_add(1));
+        if words.is_none_or(|w| Vec::<usize>::new().try_reserve_exact(w).is_err()) {
+            return Err(format!("node count {n} exceeds available memory"));
+        }
+        Ok(())
+    }
+
     /// Creates a builder pre-sized for roughly `m` edges.
     pub fn with_capacity(n: usize, m: usize) -> Self {
         GraphBuilder {

@@ -110,16 +110,7 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> Result<Graph, ReadError> {
             .checked_add(1)
             .ok_or_else(|| parse_err(0, &format!("node id {max_id} is too large")))?,
     };
-    // The CSR build holds three n-word arrays at once. Refuse a node
-    // count the allocator cannot provide, instead of aborting inside
-    // the builder.
-    let words = n.checked_mul(3).and_then(|w| w.checked_add(1));
-    if words.is_none_or(|w| Vec::<usize>::new().try_reserve_exact(w).is_err()) {
-        return Err(parse_err(
-            0,
-            &format!("node count {n} exceeds available memory"),
-        ));
-    }
+    GraphBuilder::check_node_count(n).map_err(|m| parse_err(0, &m))?;
     let mut b = GraphBuilder::with_capacity(n, edges.len());
     for (u, v) in edges {
         b.add_edge(u, v);

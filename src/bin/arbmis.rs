@@ -223,12 +223,13 @@ fn cmd_churn(flags: &HashMap<String, String>, seed: u64) -> ExitCode {
         }
     };
     println!(
-        "{:<16} {:>8} {:>8} {:>12} {:>11} {:>10} {:>9} {:>8}  valid",
+        "{:<16} {:>8} {:>8} {:>12} {:>11} {:>14} {:>10} {:>9} {:>8}  valid",
         "workload",
         "batches",
         "updates",
         "mean region",
         "max region",
+        "repair rounds",
         "repair ms",
         "full ms",
         "speedup"
@@ -238,12 +239,13 @@ fn cmd_churn(flags: &HashMap<String, String>, seed: u64) -> ExitCode {
         let r = churn::run_script(script, seed, verify);
         all_valid &= r.valid;
         println!(
-            "{:<16} {:>8} {:>8} {:>12.1} {:>11} {:>10.2} {:>9.2} {:>7.1}x  {}",
+            "{:<16} {:>8} {:>8} {:>12.1} {:>11} {:>14} {:>10.2} {:>9.2} {:>7.1}x  {}",
             r.name,
             r.batches,
             r.updates,
             r.mean_region,
             r.max_region,
+            r.repair_rounds,
             r.repair_ns as f64 / 1e6,
             r.full_ns as f64 / 1e6,
             r.speedup,

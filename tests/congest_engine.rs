@@ -162,6 +162,36 @@ fn frontier_matches_full_scan_converge_cast() {
     }
 }
 
+/// The sparse-tail bill, counted rather than timed: the total frontier
+/// (Σ `congest_round_frontier`) of a converge-cast wave up a path is
+/// O(n) under the frontier engine and Θ(n²) under the full scan.
+#[test]
+fn converge_cast_wave_bills_its_frontier_not_n() {
+    use arbmis::congest::algorithms::ConvergeCast;
+    use arbmis::obs::Recorder;
+
+    let n = 2000;
+    let g = arbmis::graph::gen::path(n);
+    let parent: Vec<Option<usize>> = (0..n).map(|v| (v + 1 < n).then_some(v + 1)).collect();
+    let proto = ConvergeCast::new(parent, vec![1; n]);
+    let stepped = |full_scan: bool| {
+        let rec = Recorder::deterministic();
+        Simulator::new(&g, 0)
+            .with_full_scan(full_scan)
+            .with_recorder(rec.clone())
+            .run(&proto, n as u64 + 5)
+            .unwrap();
+        rec.snapshot()
+            .histogram("congest_round_frontier")
+            .expect("frontier histogram")
+            .sum()
+    };
+    let frontier = stepped(false);
+    assert_eq!(frontier, 2000, "frontier engine total");
+    assert!(frontier <= 4 * n as u64);
+    assert!(stepped(true) >= (n * n / 4) as u64, "full scan total");
+}
+
 /// Degenerate graphs n ∈ {0, 1}: the serial engine and both
 /// `MisBackend` implementations must all agree — the empty graph
 /// terminates in 0 rounds, and a single isolated node joins at the first
