@@ -10,9 +10,6 @@
 //! experiments --json out.json # machine-readable results
 //! experiments --threads 4     # cells in flight on the worker pool
 //!                             # (0 = auto, 1 = serial; results identical)
-//! experiments --cache-dir D   # graph/result cache root (default
-//!                             # target/arbmis-cache)
-//! experiments --no-cache      # recompute everything, touch no disk state
 //! experiments --metrics-out m.prom  # Prometheus text exposition of the run
 //! experiments --trace-out t.jsonl   # JSONL span/event log of the run
 //! experiments --perfetto-out t.json # Chrome trace-event (Perfetto) export
@@ -22,8 +19,9 @@
 //!
 //! Experiments are decomposed into cells and fanned onto one shared
 //! work-stealing pool; reports are reduced in deterministic cell order,
-//! so `--threads N`, `--no-cache`, and cache temperature never change a
-//! report byte (DESIGN.md §9) — only the stderr status lines.
+//! so `--threads N` never changes a report byte (DESIGN.md §9), only the
+//! stderr status lines. Every run computes every cell; nothing is read
+//! from or written to disk except the requested outputs.
 //!
 //! `--metrics-out` / `--trace-out` / `--perfetto-out` install a
 //! process-wide recorder (`arbmis_obs::set_global`), and `--flight`
@@ -31,25 +29,24 @@
 //! ever changes an experiment result — the `--json` report is
 //! byte-identical with and without them (CI diffs exactly that).
 
-use arbmis_bench::cache::{set_global_cache, Cache};
 use arbmis_bench::sched::{cell_count, run_scheduled};
 use arbmis_bench::ExperimentReport;
 use arbmis_congest::Parallelism;
 use std::io::Write as _;
-use std::sync::Arc;
 
-/// Default on-disk cache root (relative to the working directory).
-const DEFAULT_CACHE_DIR: &str = "target/arbmis-cache";
+const USAGE: &str = "usage: experiments [--list] [--quick] [--markdown] [--json PATH] \
+                     [--threads N] [--metrics-out PATH] [--trace-out PATH] \
+                     [--perfetto-out PATH] [--flight] [--flight-out PATH] [--exp E1 E2 ...]";
 
+#[derive(Default)]
 struct Args {
+    help: bool,
     quick: bool,
     markdown: bool,
     list: bool,
     json: Option<String>,
     selected: Vec<String>,
     threads: Option<usize>,
-    cache_dir: Option<String>,
-    no_cache: bool,
     metrics_out: Option<String>,
     trace_out: Option<String>,
     perfetto_out: Option<String>,
@@ -57,78 +54,55 @@ struct Args {
     flight_out: Option<String>,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        quick: false,
-        markdown: false,
-        list: false,
-        json: None,
-        selected: Vec::new(),
-        threads: None,
-        cache_dir: None,
-        no_cache: false,
-        metrics_out: None,
-        trace_out: None,
-        perfetto_out: None,
-        flight: false,
-        flight_out: None,
-    };
-    let mut it = std::env::args().skip(1);
+/// Parses the command line (without the program name). Every malformed
+/// flag is an `Err` carrying the message to print.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut args = Args::default();
+    let mut it = argv.into_iter();
     while let Some(a) = it.next() {
+        let mut value = |what: &str| it.next().ok_or_else(|| format!("{a} needs {what}"));
         match a.as_str() {
             "--quick" => args.quick = true,
             "--markdown" => args.markdown = true,
             "--list" => args.list = true,
-            "--json" => {
-                args.json = Some(it.next().expect("--json needs a path"));
-            }
+            "--json" => args.json = Some(value("a path")?),
             "--threads" => {
-                let v = it.next().expect("--threads needs a count");
-                args.threads = Some(v.parse().expect("--threads needs an integer"));
+                let v = value("a count")?;
+                let t = v
+                    .parse()
+                    .map_err(|_| format!("--threads needs a non-negative integer, got {v:?}"))?;
+                args.threads = Some(t);
             }
-            "--cache-dir" => {
-                args.cache_dir = Some(it.next().expect("--cache-dir needs a path"));
-            }
-            "--no-cache" => args.no_cache = true,
-            "--metrics-out" => {
-                args.metrics_out = Some(it.next().expect("--metrics-out needs a path"));
-            }
-            "--trace-out" => {
-                args.trace_out = Some(it.next().expect("--trace-out needs a path"));
-            }
-            "--perfetto-out" => {
-                args.perfetto_out = Some(it.next().expect("--perfetto-out needs a path"));
-            }
+            "--metrics-out" => args.metrics_out = Some(value("a path")?),
+            "--trace-out" => args.trace_out = Some(value("a path")?),
+            "--perfetto-out" => args.perfetto_out = Some(value("a path")?),
             "--flight" => args.flight = true,
-            "--flight-out" => {
-                args.flight_out = Some(it.next().expect("--flight-out needs a path"));
-            }
+            "--flight-out" => args.flight_out = Some(value("a path")?),
             "--exp" => {
                 // Consume ids until the next flag.
             }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: experiments [--list] [--quick] [--markdown] [--json PATH] \
-                     [--threads N] [--cache-dir PATH] [--no-cache] [--metrics-out PATH] \
-                     [--trace-out PATH] [--perfetto-out PATH] [--flight] [--flight-out PATH] \
-                     [--exp E1 E2 ...]"
-                );
-                std::process::exit(0);
-            }
+            "--help" | "-h" => args.help = true,
             id if id.starts_with('E') || id.starts_with('e') => {
                 args.selected.push(id.to_uppercase());
             }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            other => return Err(format!("unknown argument: {other}")),
         }
     }
-    args
+    Ok(args)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("{e}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
+    if args.help {
+        eprintln!("{USAGE}");
+        return;
+    }
     let registry = arbmis_bench::exps::all();
     if args.list {
         for (id, desc, _) in registry {
@@ -158,22 +132,6 @@ fn main() {
         Some(1) => Parallelism::Serial,
         Some(t) => Parallelism::Threads(t),
     };
-    if args.no_cache {
-        set_global_cache(None);
-        eprintln!("[experiments] cache: disabled");
-    } else {
-        let dir = args.cache_dir.as_deref().unwrap_or(DEFAULT_CACHE_DIR);
-        match Cache::open(dir) {
-            Ok(cache) => {
-                eprintln!("[experiments] cache: {dir}");
-                set_global_cache(Some(Arc::new(cache)));
-            }
-            Err(e) => {
-                eprintln!("[experiments] cache disabled ({dir}: {e})");
-                set_global_cache(None);
-            }
-        }
-    }
     let observing =
         args.metrics_out.is_some() || args.trace_out.is_some() || args.perfetto_out.is_some();
     let recorder = if observing {
@@ -221,13 +179,8 @@ fn main() {
     );
     let outcome = run_scheduled(plans, parallelism);
     eprintln!(
-        "[experiments] done in {:.1?}: {} cells on {} worker(s), cell cache {}/{} hits ({:.0}%)",
-        outcome.stats.wall,
-        outcome.stats.cells,
-        outcome.stats.workers,
-        outcome.stats.cell_hits,
-        outcome.stats.cells,
-        outcome.stats.hit_rate() * 100.0
+        "[experiments] done in {:.1?}: {} cells on {} worker(s)",
+        outcome.stats.wall, outcome.stats.cells, outcome.stats.workers
     );
     let reports: Vec<ExperimentReport> = outcome.reports;
     for report in &reports {
@@ -263,5 +216,33 @@ fn main() {
     if let (Some(f), Some(path)) = (&flight, args.flight_out) {
         std::fs::write(&path, f.to_jsonl()).expect("write flight output");
         eprintln!("[experiments] wrote {path}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    fn parse(argv: &[&str]) -> Result<super::Args, String> {
+        parse_args(argv.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn malformed_flags_are_errors_not_panics() {
+        // The last case is a flag this binary no longer has: it must be
+        // rejected, not silently ignored.
+        let retired = concat!("--no", "-cache");
+        for argv in [&["--threads", "x"][..], &["--json"], &[retired]] {
+            assert!(parse(argv).is_err(), "{argv:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn well_formed_flags_parse() {
+        let args = parse(&["--quick", "--threads", "2", "--json", "r.json", "E9", "e1"]).unwrap();
+        assert!(args.quick);
+        assert_eq!(args.threads, Some(2));
+        assert_eq!(args.json.as_deref(), Some("r.json"));
+        assert_eq!(args.selected, ["E9", "E1"]);
     }
 }

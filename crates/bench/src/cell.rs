@@ -7,8 +7,7 @@
 //! order*, never completion order) into the final
 //! [`ExperimentReport`](crate::ExperimentReport). Because every cell is
 //! pure and reduction order is fixed, scheduling cells across any number
-//! of workers — or replaying them from the on-disk cache — cannot change
-//! a single output byte (DESIGN.md §9).
+//! of workers cannot change a single output byte (DESIGN.md §9).
 //!
 //! Cell boundaries follow one rule: **a floating-point accumulation is
 //! never split across cells.** Integer tallies (success counts, failure
@@ -17,22 +16,15 @@
 //! statistics keep the whole seed loop inside one cell.
 
 use crate::ExperimentReport;
-use serde::{Deserialize, Serialize};
 
-/// The serializable output of one cell: table-row fragments plus named
-/// scalars for the reduce step.
-///
-/// Everything is exact under serialization — rows are strings and
-/// scalars store IEEE-754 bit patterns — so a cell output read back from
-/// the cache is indistinguishable from a freshly computed one.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+/// The output of one cell: table-row fragments plus named scalars for
+/// the reduce step.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CellOut {
     /// Row-major table cells this cell contributes, already formatted.
     pub rows: Vec<Vec<String>>,
-    /// Named scalar results, stored as `f64::to_bits` patterns so the
-    /// JSON round trip is bit-exact (and NaN-safe). Kept sorted by name
-    /// so the serialized form is canonical.
-    pub scalars: Vec<(String, u64)>,
+    /// Named scalar results, kept sorted by name.
+    pub scalars: Vec<(String, f64)>,
 }
 
 impl CellOut {
@@ -44,12 +36,12 @@ impl CellOut {
         }
     }
 
-    /// Stores a named scalar (bit-exact under caching), replacing any
-    /// previous value under the same name.
+    /// Stores a named scalar, replacing any previous value under the
+    /// same name.
     pub fn put(&mut self, key: &str, value: f64) {
         match self.scalars.binary_search_by(|(k, _)| k.as_str().cmp(key)) {
-            Ok(i) => self.scalars[i].1 = value.to_bits(),
-            Err(i) => self.scalars.insert(i, (key.to_string(), value.to_bits())),
+            Ok(i) => self.scalars[i].1 = value,
+            Err(i) => self.scalars.insert(i, (key.to_string(), value)),
         }
     }
 
@@ -60,7 +52,7 @@ impl CellOut {
     /// Panics if the key was never stored — a cell/reduce contract bug.
     pub fn get(&self, key: &str) -> f64 {
         match self.scalars.binary_search_by(|(k, _)| k.as_str().cmp(key)) {
-            Ok(i) => f64::from_bits(self.scalars[i].1),
+            Ok(i) => self.scalars[i].1,
             Err(_) => panic!("cell output missing scalar {key:?}"),
         }
     }
@@ -70,20 +62,7 @@ impl CellOut {
         self.scalars
             .binary_search_by(|(k, _)| k.as_str().cmp(key))
             .ok()
-            .map(|i| f64::from_bits(self.scalars[i].1))
-    }
-
-    /// Serializes to the canonical cache payload (compact JSON).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        serde_json::to_string(self)
-            .expect("CellOut serialization cannot fail")
-            .into_bytes()
-    }
-
-    /// Deserializes a cache payload; `None` on any malformed input (the
-    /// cache treats that as a miss).
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        serde_json::from_str(std::str::from_utf8(bytes).ok()?).ok()
+            .map(|i| self.scalars[i].1)
     }
 }
 
@@ -91,23 +70,18 @@ impl CellOut {
 pub struct Cell {
     /// Human-readable label for progress/tracing, e.g. `E9/ba(m=2)`.
     pub label: String,
-    /// Cache-key material. Must uniquely determine the cell's output:
-    /// experiment id, quick flag, config, and seed range all belong in
-    /// here. The cache layer mixes in the code-version salt.
-    pub key: String,
     /// The pure work function.
     pub run: Box<dyn Fn() -> CellOut + Send + Sync>,
 }
 
 impl Cell {
     /// Creates a cell.
-    pub fn new<F>(label: impl Into<String>, key: impl Into<String>, run: F) -> Self
+    pub fn new<F>(label: impl Into<String>, run: F) -> Self
     where
         F: Fn() -> CellOut + Send + Sync + 'static,
     {
         Cell {
             label: label.into(),
-            key: key.into(),
             run: Box::new(run),
         }
     }
@@ -117,7 +91,6 @@ impl std::fmt::Debug for Cell {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cell")
             .field("label", &self.label)
-            .field("key", &self.key)
             .finish_non_exhaustive()
     }
 }
@@ -149,8 +122,8 @@ impl ExperimentPlan {
         }
     }
 
-    /// Runs every cell inline (no pool, no cache) and reduces — the
-    /// legacy single-experiment path used by module unit tests.
+    /// Runs every cell inline, without the worker pool, and reduces: the
+    /// reference path the experiment modules' unit tests use.
     pub fn run_serial(self) -> ExperimentReport {
         let outs = self.cells.iter().map(|c| (c.run)()).collect();
         (self.reduce)(outs)
@@ -172,23 +145,6 @@ mod tests {
     use crate::Table;
 
     #[test]
-    fn cellout_roundtrip_is_bit_exact() {
-        let mut out = CellOut::from_rows(vec![vec!["a".into(), "1.50".into()]]);
-        out.put("mean", 0.1 + 0.2); // a value with no short decimal form
-        out.put("nan", f64::NAN);
-        let back = CellOut::from_bytes(&out.to_bytes()).unwrap();
-        assert_eq!(back, out);
-        assert_eq!(back.get("mean").to_bits(), (0.1f64 + 0.2).to_bits());
-        assert!(back.get("nan").is_nan());
-    }
-
-    #[test]
-    fn malformed_payload_is_a_miss() {
-        assert!(CellOut::from_bytes(b"not json").is_none());
-        assert!(CellOut::from_bytes(b"{\"rows\":3}").is_none());
-    }
-
-    #[test]
     #[should_panic(expected = "missing scalar")]
     fn missing_scalar_panics() {
         CellOut::default().get("absent");
@@ -198,7 +154,7 @@ mod tests {
     fn plan_run_serial_reduces_in_cell_order() {
         let cells = (0..4)
             .map(|i| {
-                Cell::new(format!("c{i}"), format!("k{i}"), move || {
+                Cell::new(format!("c{i}"), move || {
                     CellOut::from_rows(vec![vec![i.to_string()]])
                 })
             })

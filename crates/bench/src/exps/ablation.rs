@@ -1,7 +1,7 @@
 //! E12/E13 — ablations: the ρ_k opt-out device and the Λ iteration
 //! budget.
 
-use crate::cache::cached_graph;
+use super::graph;
 use crate::cell::{Cell, CellOut, ExperimentPlan};
 use crate::exps::seed_chunks;
 use crate::{fmt_p, ExperimentReport, Table};
@@ -17,49 +17,51 @@ const E12_FAMILIES: [(GraphFamily, usize); 3] = [
     (GraphFamily::Apollonian, 3),
 ];
 
-/// E12 as a cell plan: one cell per graph family (each cell is one row).
+/// E12: the ρ_k cutoff. Its analytical role is to cap the Event (2) read
+/// parameter at ρ_k (a parent's priority is read only by its ≤ ρ_k
+/// children when competitive). Measured: the read parameter of the
+/// Event (2) family with and without the cutoff on heavy-tailed graphs,
+/// plus whole-algorithm outcomes with the cutoff disabled.
+///
+/// One cell per graph family (each cell is one row).
 pub fn e12_rho_cutoff_plan(quick: bool) -> ExperimentPlan {
     let n = if quick { 2_000 } else { 20_000 };
     let cells = E12_FAMILIES
         .into_iter()
         .map(|(fam, alpha)| {
             let spec = GraphSpec::new(fam, n);
-            Cell::new(
-                format!("E12/{}", fam.label()),
-                format!("E12;{};gseed=18;alpha={alpha}", spec.stable_key()),
-                move || {
-                    let g = cached_graph(&spec, 0x12);
-                    let o = Orientation::by_degeneracy(&g);
-                    let delta = g.max_degree();
-                    // ρ at a deep scale, where the cutoff actually bites
-                    // (ρ_1 ≈ 4Δ·lnΔ exceeds Δ, so early scales never
-                    // exclude anyone).
-                    let rho = (delta / 8).max(2);
-                    let m: Vec<usize> = (0..n.min(2_000)).collect();
-                    let uncut = EventScenario::new(&g, &o, m.clone(), None);
-                    let cut = EventScenario::new(&g, &o, m, Some(rho));
+            Cell::new(format!("E12/{}", fam.label()), move || {
+                let g = graph(&spec, 0x12);
+                let o = Orientation::by_degeneracy(&g);
+                let delta = g.max_degree();
+                // ρ at a deep scale, where the cutoff actually bites
+                // (ρ_1 ≈ 4Δ·lnΔ exceeds Δ, so early scales never
+                // exclude anyone).
+                let rho = (delta / 8).max(2);
+                let m: Vec<usize> = (0..n.min(2_000)).collect();
+                let uncut = EventScenario::new(&g, &o, m.clone(), None);
+                let cut = EventScenario::new(&g, &o, m, Some(rho));
 
-                    let on = bounded_arb_independent_set(&g, &BoundedArbConfig::new(alpha, 7));
-                    let off = bounded_arb_independent_set(
-                        &g,
-                        &BoundedArbConfig {
-                            rho_cutoff: false,
-                            ..BoundedArbConfig::new(alpha, 7)
-                        },
-                    );
-                    CellOut::from_rows(vec![vec![
-                        fam.label(),
-                        delta.to_string(),
-                        rho.to_string(),
-                        uncut.event2_read_parameter().to_string(),
-                        cut.event2_read_parameter().to_string(),
-                        on.mis_size().to_string(),
-                        off.mis_size().to_string(),
-                        on.rounds.to_string(),
-                        off.rounds.to_string(),
-                    ]])
-                },
-            )
+                let on = bounded_arb_independent_set(&g, &BoundedArbConfig::new(alpha, 7));
+                let off = bounded_arb_independent_set(
+                    &g,
+                    &BoundedArbConfig {
+                        rho_cutoff: false,
+                        ..BoundedArbConfig::new(alpha, 7)
+                    },
+                );
+                CellOut::from_rows(vec![vec![
+                    fam.label(),
+                    delta.to_string(),
+                    rho.to_string(),
+                    uncut.event2_read_parameter().to_string(),
+                    cut.event2_read_parameter().to_string(),
+                    on.mis_size().to_string(),
+                    off.mis_size().to_string(),
+                    on.rounds.to_string(),
+                    off.rounds.to_string(),
+                ]])
+            })
         })
         .collect();
     ExperimentPlan::new("E12", cells, |outs| {
@@ -91,20 +93,13 @@ pub fn e12_rho_cutoff_plan(quick: bool) -> ExperimentPlan {
     })
 }
 
-/// E12: the ρ_k cutoff. Its analytical role is to cap the Event (2) read
-/// parameter at ρ_k (a parent's priority is read only by its ≤ ρ_k
-/// children when competitive). Measured: the read parameter of the
-/// Event (2) family with and without the cutoff on heavy-tailed graphs,
-/// plus whole-algorithm outcomes with the cutoff disabled.
-pub fn e12_rho_cutoff(quick: bool) -> ExperimentReport {
-    e12_rho_cutoff_plan(quick).run_serial()
-}
-
 const E13_SCALES: [f64; 6] = [1e-9, 0.002, 0.01, 0.05, 0.2, 1.0];
 
-/// E13 as a cell plan: one cell per `(λ-scale, seed-range)` — cross-seed
-/// aggregates are integer sums, and Λ itself is a pure function of
-/// `(α, Δ, mode)`, so any chunk can report it.
+/// E13: Λ sweep — how many inner iterations a scale actually needs.
+///
+/// One cell per `(λ-scale, seed-range)` — cross-seed aggregates are
+/// integer sums, and Λ itself is a pure function of `(α, Δ, mode)`, so
+/// any chunk can report it.
 pub fn e13_lambda_sweep_plan(quick: bool) -> ExperimentPlan {
     let n = if quick { 2_000 } else { 20_000 };
     let seeds: u64 = if quick { 3 } else { 10 };
@@ -115,13 +110,8 @@ pub fn e13_lambda_sweep_plan(quick: bool) -> ExperimentPlan {
         for &(lo, hi) in &chunks {
             cells.push(Cell::new(
                 format!("E13/λ×{scale}[{lo}..{hi})"),
-                format!(
-                    "E13;{};gseed=19;scale=f{:016x};seeds={lo}..{hi}",
-                    spec.stable_key(),
-                    scale.to_bits()
-                ),
                 move || {
-                    let g = cached_graph(&spec, 0x13);
+                    let g = graph(&spec, 0x13);
                     let mut mis = 0usize;
                     let mut residual = 0usize;
                     let mut bad = 0usize;
@@ -193,16 +183,11 @@ pub fn e13_lambda_sweep_plan(quick: bool) -> ExperimentPlan {
     })
 }
 
-/// E13: Λ sweep — how many inner iterations a scale actually needs.
-pub fn e13_lambda_sweep(quick: bool) -> ExperimentReport {
-    e13_lambda_sweep_plan(quick).run_serial()
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
     fn e12_quick() {
-        let r = super::e12_rho_cutoff(true);
+        let r = super::e12_rho_cutoff_plan(true).run_serial();
         assert_eq!(r.table.rows.len(), 3);
         for row in &r.table.rows {
             let k_off: usize = row[3].parse().unwrap();
@@ -216,7 +201,7 @@ mod tests {
 
     #[test]
     fn e13_quick() {
-        let r = super::e13_lambda_sweep(true);
+        let r = super::e13_lambda_sweep_plan(true).run_serial();
         assert_eq!(r.table.rows.len(), 6);
         // Rounds must be monotone in Λ.
         let rounds: Vec<f64> = r.table.rows.iter().map(|r| r[6].parse().unwrap()).collect();

@@ -1,7 +1,7 @@
 //! E11 — CONGEST compliance: message sizes and counts under real message
 //! passing.
 
-use crate::cache::cached_graph;
+use super::graph;
 use crate::cell::{Cell, CellOut, ExperimentPlan};
 use crate::{fmt_f, ExperimentReport, Table};
 use arbmis_congest::Simulator;
@@ -31,8 +31,10 @@ fn metrics_row(name: &str, m: arbmis_congest::Metrics, budget: usize) -> Vec<Str
     ]
 }
 
-/// E11 as a cell plan: one cell per protocol, each simulating the full
-/// message-passing run on the shared cached workload graph.
+/// E11: run every protocol on the simulator and account for bandwidth.
+///
+/// One cell per protocol, each simulating the full message-passing run
+/// on the same workload graph.
 pub fn e11_congest_plan(quick: bool) -> ExperimentPlan {
     let n = if quick { 300 } else { 2_000 };
     let seed = 0x11u64;
@@ -40,58 +42,54 @@ pub fn e11_congest_plan(quick: bool) -> ExperimentPlan {
     let cells = PROTOCOLS
         .into_iter()
         .map(|name| {
-            Cell::new(
-                format!("E11/{name}"),
-                format!("E11;proto={name};{};gseed=17", spec.stable_key()),
-                move || {
-                    let g = cached_graph(&spec, seed);
-                    let budget = Simulator::new(&g, seed).budget_bits().unwrap();
-                    let mut out = CellOut::default();
-                    let metrics = match name {
-                        "metivier" => {
-                            Simulator::new(&g, seed)
-                                .run(&MetivierProtocol, 100_000)
-                                .unwrap()
-                                .metrics
-                        }
-                        "luby" => {
-                            Simulator::new(&g, seed)
-                                .run(&LubyProtocol, 100_000)
-                                .unwrap()
-                                .metrics
-                        }
-                        "ghaffari" => {
-                            Simulator::new(&g, seed)
-                                .run(&GhaffariProtocol, 100_000)
-                                .unwrap()
-                                .metrics
-                        }
-                        _ => {
-                            // BoundedArb with a trimmed Λ so the oblivious
-                            // schedule stays cheap to message-simulate; the
-                            // equivalence with the fast path is exact either
-                            // way (protocol tests in arbmis-core assert it).
-                            let cfg = BoundedArbConfig {
-                                mode: ParamMode::Practical { lambda_scale: 0.02 },
-                                ..BoundedArbConfig::new(2, seed)
-                            };
-                            let fast = bounded_arb_independent_set(&g, &cfg);
-                            let proto = BoundedArbProtocol {
-                                params: fast.params,
-                                rho_cutoff: true,
-                            };
-                            let run = Simulator::new(&g, seed)
-                                .run(&proto, proto.total_rounds() + 2)
-                                .unwrap();
-                            let mis: Vec<bool> = run.states.iter().map(|s| s.in_mis).collect();
-                            out.put("equal", (mis == fast.in_mis) as u64 as f64);
-                            run.metrics
-                        }
-                    };
-                    out.rows = vec![metrics_row(name, metrics, budget)];
-                    out
-                },
-            )
+            Cell::new(format!("E11/{name}"), move || {
+                let g = graph(&spec, seed);
+                let budget = Simulator::new(&g, seed).budget_bits().unwrap();
+                let mut out = CellOut::default();
+                let metrics = match name {
+                    "metivier" => {
+                        Simulator::new(&g, seed)
+                            .run(&MetivierProtocol, 100_000)
+                            .unwrap()
+                            .metrics
+                    }
+                    "luby" => {
+                        Simulator::new(&g, seed)
+                            .run(&LubyProtocol, 100_000)
+                            .unwrap()
+                            .metrics
+                    }
+                    "ghaffari" => {
+                        Simulator::new(&g, seed)
+                            .run(&GhaffariProtocol, 100_000)
+                            .unwrap()
+                            .metrics
+                    }
+                    _ => {
+                        // BoundedArb with a trimmed Λ so the oblivious
+                        // schedule stays cheap to message-simulate; the
+                        // equivalence with the fast path is exact either
+                        // way (protocol tests in arbmis-core assert it).
+                        let cfg = BoundedArbConfig {
+                            mode: ParamMode::Practical { lambda_scale: 0.02 },
+                            ..BoundedArbConfig::new(2, seed)
+                        };
+                        let fast = bounded_arb_independent_set(&g, &cfg);
+                        let proto = BoundedArbProtocol {
+                            params: fast.params,
+                            rho_cutoff: true,
+                        };
+                        let run = Simulator::new(&g, seed)
+                            .run(&proto, proto.total_rounds() + 2)
+                            .unwrap();
+                        let mis: Vec<bool> = run.states.iter().map(|s| s.in_mis).collect();
+                        out.put("equal", (mis == fast.in_mis) as u64 as f64);
+                        run.metrics
+                    }
+                };
+                out.rows = vec![metrics_row(name, metrics, budget)];
+                out
+            })
         })
         .collect();
     ExperimentPlan::new("E11", cells, move |outs| {
@@ -127,16 +125,11 @@ pub fn e11_congest_plan(quick: bool) -> ExperimentPlan {
     })
 }
 
-/// E11: run every protocol on the simulator and account for bandwidth.
-pub fn e11_congest(quick: bool) -> ExperimentReport {
-    e11_congest_plan(quick).run_serial()
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
     fn e11_quick_within_budget() {
-        let r = super::e11_congest(true);
+        let r = super::e11_congest_plan(true).run_serial();
         assert_eq!(r.table.rows.len(), 4);
         for row in &r.table.rows {
             assert_eq!(row[7], "✓", "row {row:?}");

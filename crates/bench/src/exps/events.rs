@@ -1,7 +1,7 @@
 //! E3/E4/E5 — the paper's Figure 1 events, measured on
 //! bounded-arboricity graphs.
 
-use crate::cache::cached_graph;
+use super::graph;
 use crate::cell::{Cell, CellOut, ExperimentPlan};
 use crate::{fmt_p, ExperimentReport, Table};
 use arbmis_graph::gen::{GraphFamily, GraphSpec};
@@ -9,7 +9,6 @@ use arbmis_graph::orientation::Orientation;
 use arbmis_graph::Graph;
 use arbmis_readk::events::EventScenario;
 use arbmis_readk::{bounds, estimate};
-use std::sync::Arc;
 
 fn trials(quick: bool) -> u64 {
     if quick {
@@ -19,18 +18,17 @@ fn trials(quick: bool) -> u64 {
     }
 }
 
-fn workload(alpha: usize, n: usize) -> (Arc<Graph>, Orientation) {
+fn workload(alpha: usize, n: usize) -> (Graph, Orientation) {
     let spec = GraphSpec::new(GraphFamily::ForestUnion { alpha }, n);
-    let g = cached_graph(&spec, 1000 + alpha as u64);
+    let g = graph(&spec, 1000 + alpha as u64);
     let o = Orientation::by_degeneracy(&g);
     (g, o)
 }
 
-fn workload_key(alpha: usize, n: usize) -> String {
-    format!("alpha={alpha};n={n};gseed={}", 1000 + alpha)
-}
-
-/// E3 as a cell plan: one cell per `(α, |M|)` configuration.
+/// E3 (Figure 1A): Theorem 3.1 — some node of `M` beats all its children
+/// with probability ≥ 1 − (1 − 1/Δ_M)^{|M|/2α²}.
+///
+/// One cell per `(α, |M|)` configuration.
 pub fn e3_event1_plan(quick: bool) -> ExperimentPlan {
     let trials = trials(quick);
     let n = if quick { 2_000 } else { 8_000 };
@@ -39,7 +37,6 @@ pub fn e3_event1_plan(quick: bool) -> ExperimentPlan {
         for m_size in [20usize, 100, 400] {
             cells.push(Cell::new(
                 format!("E3/α={alpha},|M|={m_size}"),
-                format!("E3;trials={trials};{};m={m_size}", workload_key(alpha, n)),
                 move || {
                     let (g, o) = workload(alpha, n);
                     let m: Vec<usize> = (0..m_size).collect();
@@ -102,13 +99,10 @@ pub fn e3_event1_plan(quick: bool) -> ExperimentPlan {
     })
 }
 
-/// E3 (Figure 1A): Theorem 3.1 — some node of `M` beats all its children
-/// with probability ≥ 1 − (1 − 1/Δ_M)^{|M|/2α²}.
-pub fn e3_event1(quick: bool) -> ExperimentReport {
-    e3_event1_plan(quick).run_serial()
-}
-
-/// E4 as a cell plan: one cell per `(α, |M|)` configuration.
+/// E4 (Figure 1B): Theorem 3.2 — more than |M|/2α nodes of M beat their
+/// parents, failure probability ≤ exp(−2(1/4α²)|M|/ρ).
+///
+/// One cell per `(α, |M|)` configuration.
 pub fn e4_event2_plan(quick: bool) -> ExperimentPlan {
     let trials = trials(quick);
     let n = if quick { 2_000 } else { 8_000 };
@@ -117,7 +111,6 @@ pub fn e4_event2_plan(quick: bool) -> ExperimentPlan {
         for m_size in [100usize, 400, 1600] {
             cells.push(Cell::new(
                 format!("E4/α={alpha},|M|={m_size}"),
-                format!("E4;trials={trials};{};m={m_size}", workload_key(alpha, n)),
                 move || {
                     let (g, o) = workload(alpha, n);
                     let rho =
@@ -180,13 +173,10 @@ pub fn e4_event2_plan(quick: bool) -> ExperimentPlan {
     })
 }
 
-/// E4 (Figure 1B): Theorem 3.2 — more than |M|/2α nodes of M beat their
-/// parents, failure probability ≤ exp(−2(1/4α²)|M|/ρ).
-pub fn e4_event2(quick: bool) -> ExperimentReport {
-    e4_event2_plan(quick).run_serial()
-}
-
-/// E5 as a cell plan: one cell per `(α, |M|)` configuration.
+/// E5 (Figure 1C): Theorem 3.3 — at least |M|/(8α²(32α⁶+1)) nodes of M
+/// are eliminated per iteration, w.p. ≥ 1 − 1/Δ³.
+///
+/// One cell per `(α, |M|)` configuration.
 pub fn e5_event3_plan(quick: bool) -> ExperimentPlan {
     let trials = trials(quick);
     let n = if quick { 2_000 } else { 8_000 };
@@ -195,7 +185,6 @@ pub fn e5_event3_plan(quick: bool) -> ExperimentPlan {
         for m_size in [100usize, 400] {
             cells.push(Cell::new(
                 format!("E5/α={alpha},|M|={m_size}"),
-                format!("E5;trials={trials};{};m={m_size}", workload_key(alpha, n)),
                 move || {
                     let (g, o) = workload(alpha, n);
                     let m: Vec<usize> = (0..m_size).collect();
@@ -253,31 +242,25 @@ pub fn e5_event3_plan(quick: bool) -> ExperimentPlan {
     })
 }
 
-/// E5 (Figure 1C): Theorem 3.3 — at least |M|/(8α²(32α⁶+1)) nodes of M
-/// are eliminated per iteration, w.p. ≥ 1 − 1/Δ³.
-pub fn e5_event3(quick: bool) -> ExperimentReport {
-    e5_event3_plan(quick).run_serial()
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
     fn e3_quick() {
-        let r = super::e3_event1(true);
+        let r = super::e3_event1_plan(true).run_serial();
         assert_eq!(r.table.rows.len(), 12);
         assert!(r.notes.iter().any(|n| n.contains(": 0")));
     }
 
     #[test]
     fn e4_quick() {
-        let r = super::e4_event2(true);
+        let r = super::e4_event2_plan(true).run_serial();
         assert_eq!(r.table.rows.len(), 12);
         assert!(r.notes.iter().any(|n| n.contains(": 0")));
     }
 
     #[test]
     fn e5_quick() {
-        let r = super::e5_event3(true);
+        let r = super::e5_event3_plan(true).run_serial();
         assert_eq!(r.table.rows.len(), 8);
         // Success probability ~1 in every row.
         for row in &r.table.rows {

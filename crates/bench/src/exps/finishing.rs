@@ -1,7 +1,7 @@
 //! E14 — the Lemma 3.8 finishing machinery: Cole–Vishkin log* behaviour
 //! and the per-component pipeline.
 
-use crate::cache::cached_graph;
+use super::graph;
 use crate::cell::{Cell, CellOut, ExperimentPlan};
 use crate::{ExperimentReport, Table};
 use arbmis_core::{cole_vishkin, forest_decomp};
@@ -9,9 +9,13 @@ use arbmis_graph::forest::forests_by_degeneracy;
 use arbmis_graph::gen::{GraphFamily, GraphSpec};
 use arbmis_graph::traversal;
 
-/// E14 as a cell plan: one cell per part-(a) tree size, one per part-(b)
-/// component size, plus the forest-decomposition cross-check cell. Rows
-/// land in a-then-b order because reduction follows cell order.
+/// E14: (a) CV coloring rounds vs forest size — log* growth; (b) the full
+/// bad-component pipeline (decomposition + coloring + sweep) on synthetic
+/// components.
+///
+/// One cell per part-(a) tree size, one per part-(b) component size,
+/// plus the forest-decomposition cross-check cell. Rows land in
+/// a-then-b order because reduction follows cell order.
 pub fn e14_cole_vishkin_plan(quick: bool) -> ExperimentPlan {
     let mut cells = Vec::new();
     // Part (a): CV on random trees of growing size.
@@ -22,27 +26,23 @@ pub fn e14_cole_vishkin_plan(quick: bool) -> ExperimentPlan {
     };
     for &n in sizes {
         let spec = GraphSpec::new(GraphFamily::RandomTree, n);
-        cells.push(Cell::new(
-            format!("E14/a:n={n}"),
-            format!("E14;part=a;{};gseed=20", spec.stable_key()),
-            move || {
-                let g = cached_graph(&spec, 0x14);
-                let forest = forests_by_degeneracy(&g).pop().unwrap();
-                let coloring = cole_vishkin::cv_color_to_three(&forest);
-                let run = cole_vishkin::forest_mis(&forest);
-                let ok = arbmis_core::check_mis(&forest.to_graph(), &run.in_mis).is_ok();
-                CellOut::from_rows(vec![vec![
-                    "a:CV".into(),
-                    "random tree".into(),
-                    n.to_string(),
-                    "-".into(),
-                    coloring.rounds.to_string(),
-                    (run.rounds - coloring.rounds).to_string(),
-                    run.rounds.to_string(),
-                    if ok { "✓".into() } else { "NO".to_string() },
-                ]])
-            },
-        ));
+        cells.push(Cell::new(format!("E14/a:n={n}"), move || {
+            let g = graph(&spec, 0x14);
+            let forest = forests_by_degeneracy(&g).pop().unwrap();
+            let coloring = cole_vishkin::cv_color_to_three(&forest);
+            let run = cole_vishkin::forest_mis(&forest);
+            let ok = arbmis_core::check_mis(&forest.to_graph(), &run.in_mis).is_ok();
+            CellOut::from_rows(vec![vec![
+                "a:CV".into(),
+                "random tree".into(),
+                n.to_string(),
+                "-".into(),
+                coloring.rounds.to_string(),
+                (run.rounds - coloring.rounds).to_string(),
+                run.rounds.to_string(),
+                if ok { "✓".into() } else { "NO".to_string() },
+            ]])
+        }));
     }
     // Part (b): the full Lemma 3.8 pipeline on component-sized graphs of
     // arboricity ≤ 3 (the size regime Lemma 3.7 guarantees for B).
@@ -53,45 +53,36 @@ pub fn e14_cole_vishkin_plan(quick: bool) -> ExperimentPlan {
     };
     for &n in comp_sizes {
         let spec = GraphSpec::new(GraphFamily::Apollonian, n);
-        cells.push(Cell::new(
-            format!("E14/b:n={n}"),
-            format!("E14;part=b;{};gseed=331", spec.stable_key()),
-            move || {
-                let g = cached_graph(&spec, 0x14b);
-                let (forests, decomp_rounds) =
-                    forest_decomp::forest_decomposition(&g, 3, 1.0).unwrap();
-                let coloring = cole_vishkin::cv_color_to_three(&forests[0]);
-                let (mis, sweep_rounds) =
-                    cole_vishkin::colorwise_mis(&g, &coloring.colors, coloring.num_colors, None);
-                let ok = arbmis_core::check_mis(&g, &mis).is_ok();
-                CellOut::from_rows(vec![vec![
-                    "b:pipeline".into(),
-                    "apollonian comp".into(),
-                    n.to_string(),
-                    decomp_rounds.to_string(),
-                    coloring.rounds.to_string(),
-                    sweep_rounds.to_string(),
-                    (decomp_rounds + coloring.rounds + sweep_rounds).to_string(),
-                    if ok { "✓".into() } else { "NO".to_string() },
-                ]])
-            },
-        ));
+        cells.push(Cell::new(format!("E14/b:n={n}"), move || {
+            let g = graph(&spec, 0x14b);
+            let (forests, decomp_rounds) = forest_decomp::forest_decomposition(&g, 3, 1.0).unwrap();
+            let coloring = cole_vishkin::cv_color_to_three(&forests[0]);
+            let (mis, sweep_rounds) =
+                cole_vishkin::colorwise_mis(&g, &coloring.colors, coloring.num_colors, None);
+            let ok = arbmis_core::check_mis(&g, &mis).is_ok();
+            CellOut::from_rows(vec![vec![
+                "b:pipeline".into(),
+                "apollonian comp".into(),
+                n.to_string(),
+                decomp_rounds.to_string(),
+                coloring.rounds.to_string(),
+                sweep_rounds.to_string(),
+                (decomp_rounds + coloring.rounds + sweep_rounds).to_string(),
+                if ok { "✓".into() } else { "NO".to_string() },
+            ]])
+        }));
     }
     // Cross-check: the forests of a decomposition are genuinely forests.
     {
         let spec = GraphSpec::new(GraphFamily::KTree { k: 3 }, 2_000);
-        cells.push(Cell::new(
-            "E14/forest-check",
-            format!("E14;part=check;{};gseed=332", spec.stable_key()),
-            move || {
-                let g = cached_graph(&spec, 0x14c);
-                let (forests, _) = forest_decomp::forest_decomposition(&g, 3, 1.0).unwrap();
-                let all_forests = forests.iter().all(|f| traversal::is_forest(&f.to_graph()));
-                let mut out = CellOut::default();
-                out.put("all_forests", all_forests as u64 as f64);
-                out
-            },
-        ));
+        cells.push(Cell::new("E14/forest-check", move || {
+            let g = graph(&spec, 0x14c);
+            let (forests, _) = forest_decomp::forest_decomposition(&g, 3, 1.0).unwrap();
+            let all_forests = forests.iter().all(|f| traversal::is_forest(&f.to_graph()));
+            let mut out = CellOut::default();
+            out.put("all_forests", all_forests as u64 as f64);
+            out
+        }));
     }
     ExperimentPlan::new("E14", cells, |outs| {
         let mut table = Table::new([
@@ -128,18 +119,11 @@ pub fn e14_cole_vishkin_plan(quick: bool) -> ExperimentPlan {
     })
 }
 
-/// E14: (a) CV coloring rounds vs forest size — log* growth; (b) the full
-/// bad-component pipeline (decomposition + coloring + sweep) on synthetic
-/// components.
-pub fn e14_cole_vishkin(quick: bool) -> ExperimentReport {
-    e14_cole_vishkin_plan(quick).run_serial()
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
     fn e14_quick_all_valid() {
-        let r = super::e14_cole_vishkin(true);
+        let r = super::e14_cole_vishkin_plan(true).run_serial();
         assert_eq!(r.table.rows.len(), 4);
         for row in &r.table.rows {
             assert_eq!(row[7], "✓", "row {row:?}");

@@ -1,7 +1,7 @@
 //! E6 — the Invariant / Theorem 3.6: nodes enter the bad set `B` with
 //! probability ≤ Δ^{-2p}.
 
-use crate::cache::cached_graph;
+use super::graph;
 use crate::cell::{Cell, CellOut, ExperimentPlan};
 use crate::exps::seed_chunks;
 use crate::{fmt_p, ExperimentReport, Table};
@@ -17,10 +17,12 @@ const FAMILIES: [(GraphFamily, usize); 5] = [
     (GraphFamily::BarabasiAlbert { m: 3 }, 3),
 ];
 
-/// E6 as a cell plan: one cell per `(family, seed-range)` — the
-/// cross-seed aggregate is an integer bad-node tally, and the derived
-/// parameters (Θ, Λ) are a pure function of `(graph, α, mode)`, so
-/// seed ranges merge exactly.
+/// E6: run Algorithm 1 over many seeds and families; count Invariant
+/// violations (= bad markings) per scale and overall.
+///
+/// One cell per `(family, seed-range)` — the cross-seed aggregate is an
+/// integer bad-node tally, and the derived parameters (Θ, Λ) are a pure
+/// function of `(graph, α, mode)`, so seed ranges merge exactly.
 pub fn e6_invariant_plan(quick: bool) -> ExperimentPlan {
     let (n, seeds) = if quick { (2_000, 5u64) } else { (20_000, 20) };
     let chunks = seed_chunks(seeds, 5);
@@ -30,9 +32,8 @@ pub fn e6_invariant_plan(quick: bool) -> ExperimentPlan {
         for &(lo, hi) in &chunks {
             cells.push(Cell::new(
                 format!("E6/{}[{lo}..{hi})", fam.label()),
-                format!("E6;{};gseed=230;seeds={lo}..{hi}", spec.stable_key()),
                 move || {
-                    let g = cached_graph(&spec, 0xe6);
+                    let g = graph(&spec, 0xe6);
                     let mut total_bad = 0usize;
                     let mut params = None;
                     for seed in lo..hi {
@@ -105,17 +106,11 @@ pub fn e6_invariant_plan(quick: bool) -> ExperimentPlan {
     })
 }
 
-/// E6: run Algorithm 1 over many seeds and families; count Invariant
-/// violations (= bad markings) per scale and overall.
-pub fn e6_invariant(quick: bool) -> ExperimentReport {
-    e6_invariant_plan(quick).run_serial()
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
     fn e6_quick_runs() {
-        let r = super::e6_invariant(true);
+        let r = super::e6_invariant_plan(true).run_serial();
         assert_eq!(r.table.rows.len(), 5);
         // Bad fractions must respect the Δ⁻² bound with slack.
         for row in &r.table.rows {

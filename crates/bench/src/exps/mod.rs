@@ -4,9 +4,9 @@
 //! ExperimentPlan`: an ordered list of pure cells plus a reduce closure
 //! (see [`crate::cell`]). `quick` shrinks trial counts and sizes so the
 //! whole suite stays test-runnable; the full-size run regenerates the
-//! tables recorded in EXPERIMENTS.md. Each module also keeps a legacy
-//! `fn run(quick) -> ExperimentReport` wrapper (`plan(quick)
-//! .run_serial()`) for unit tests and single-experiment callers.
+//! tables recorded in EXPERIMENTS.md. Unit tests run a plan inline with
+//! [`ExperimentPlan::run_serial`]; the `experiments` binary fans every
+//! plan's cells onto one pool with [`crate::sched::run_scheduled`].
 //!
 //! Cell-decomposition conventions:
 //!
@@ -16,9 +16,8 @@
 //!   [`seed_chunks`], because integer merges are order-invariant;
 //! * floating-point accumulations are never split across cells
 //!   (addition order would leak into the bytes);
-//! * cache keys spell out the *derived* workload numbers (trial counts,
-//!   sizes, seeds), not just the `quick` flag, so changing a constant
-//!   self-invalidates the affected entries.
+//! * every cell generates its own graphs with [`graph`], from a fixed
+//!   seed, so no state is shared between cells.
 
 pub mod ablation;
 pub mod congest_model;
@@ -31,9 +30,18 @@ pub mod shattering;
 pub mod trees;
 
 use crate::cell::ExperimentPlan;
+use arbmis_graph::gen::GraphSpec;
+use arbmis_graph::Graph;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// An experiment entry: id, one-line description, and plan factory.
 pub type Entry = (&'static str, &'static str, fn(bool) -> ExperimentPlan);
+
+/// Generates the workload graph `spec` from `seed`.
+pub(crate) fn graph(spec: &GraphSpec, seed: u64) -> Graph {
+    spec.generate(&mut StdRng::seed_from_u64(seed))
+}
 
 /// Splits `0..total` into `[lo, hi)` seed ranges of at most `chunk`
 /// seeds — the cell granularity for integer-aggregating experiments.
@@ -143,24 +151,11 @@ mod tests {
     }
 
     #[test]
-    fn plan_ids_match_registry_and_keys_are_globally_unique() {
-        let mut keys = std::collections::BTreeSet::new();
+    fn plan_ids_match_registry_and_plans_have_cells() {
         for (id, _, plan_fn) in super::all() {
             let plan = plan_fn(true);
             assert_eq!(plan.id, id);
             assert!(!plan.cells.is_empty(), "{id} has no cells");
-            for cell in &plan.cells {
-                assert!(
-                    cell.key.starts_with(&format!("{id};")),
-                    "{id} cell key {:?} must be namespaced by experiment id",
-                    cell.key
-                );
-                assert!(
-                    keys.insert(cell.key.clone()),
-                    "duplicate cell key {:?}",
-                    cell.key
-                );
-            }
         }
     }
 

@@ -13,8 +13,10 @@ fn trials(quick: bool) -> u64 {
     }
 }
 
-/// E1 as a cell plan: one cell per `(n, span, frac)` configuration, all
-/// trials inside (the Monte-Carlo tally is a single integer count).
+/// E1: Theorem 1.1 — `Pr[∧ Y_j] ≤ p^{n/k}` on sliding-window families.
+///
+/// One cell per `(n, span, frac)` configuration, all trials inside (the
+/// Monte-Carlo tally is a single integer count).
 pub fn e1_conjunction_plan(quick: bool) -> ExperimentPlan {
     let trials = trials(quick);
     // Window span s with stride 1 gives read parameter s; the per-Y
@@ -30,43 +32,36 @@ pub fn e1_conjunction_plan(quick: bool) -> ExperimentPlan {
     let cells = configs
         .into_iter()
         .map(|(n, span, frac)| {
-            Cell::new(
-                format!("E1/n={n},span={span}"),
-                format!(
-                    "E1;trials={trials};n={n};span={span};frac=f{:016x}",
-                    frac.to_bits()
-                ),
-                move || {
-                    let fam = sliding_window_family(n, span, 1, frac);
-                    let p = (1.0 - frac).powi(span as i32);
-                    let k = fam.read_parameter();
-                    let est = estimate(trials, |t| {
-                        let x = fam.sample_base(0xe1, t);
-                        fam.all_ones(&x)
-                    });
-                    let bound = bounds::conjunction_bound(p, n, k);
-                    // The bound is tight at k = 1 (true probability = bound),
-                    // so the statistically sound check is that the 99% *lower*
-                    // CI does not exceed the bound.
-                    let (lo, _) = est.wilson_ci(2.58);
-                    let holds = lo <= bound + 1e-9;
-                    let mut out = CellOut::from_rows(vec![vec![
-                        n.to_string(),
-                        span.to_string(),
-                        k.to_string(),
-                        fmt_p(p),
-                        fmt_p(est.p_hat()),
-                        fmt_p(bound),
-                        if holds {
-                            "✓".into()
-                        } else {
-                            "VIOLATED".to_string()
-                        },
-                    ]]);
-                    out.put("viol", if holds { 0.0 } else { 1.0 });
-                    out
-                },
-            )
+            Cell::new(format!("E1/n={n},span={span}"), move || {
+                let fam = sliding_window_family(n, span, 1, frac);
+                let p = (1.0 - frac).powi(span as i32);
+                let k = fam.read_parameter();
+                let est = estimate(trials, |t| {
+                    let x = fam.sample_base(0xe1, t);
+                    fam.all_ones(&x)
+                });
+                let bound = bounds::conjunction_bound(p, n, k);
+                // The bound is tight at k = 1 (true probability = bound),
+                // so the statistically sound check is that the 99% *lower*
+                // CI does not exceed the bound.
+                let (lo, _) = est.wilson_ci(2.58);
+                let holds = lo <= bound + 1e-9;
+                let mut out = CellOut::from_rows(vec![vec![
+                    n.to_string(),
+                    span.to_string(),
+                    k.to_string(),
+                    fmt_p(p),
+                    fmt_p(est.p_hat()),
+                    fmt_p(bound),
+                    if holds {
+                        "✓".into()
+                    } else {
+                        "VIOLATED".to_string()
+                    },
+                ]]);
+                out.put("viol", if holds { 0.0 } else { 1.0 });
+                out
+            })
         })
         .collect();
     ExperimentPlan::new("E1", cells, move |outs| {
@@ -99,12 +94,10 @@ pub fn e1_conjunction_plan(quick: bool) -> ExperimentPlan {
     })
 }
 
-/// E1: Theorem 1.1 — `Pr[∧ Y_j] ≤ p^{n/k}` on sliding-window families.
-pub fn e1_conjunction(quick: bool) -> ExperimentReport {
-    e1_conjunction_plan(quick).run_serial()
-}
-
-/// E2 as a cell plan: one cell per `(n, span, delta)` configuration.
+/// E2: Theorem 1.2 — read-k lower tails, forms (1)/(2), vs Chernoff and
+/// Azuma comparators.
+///
+/// One cell per `(n, span, delta)` configuration.
 pub fn e2_tail_plan(quick: bool) -> ExperimentPlan {
     let trials = trials(quick);
     let configs = [
@@ -117,39 +110,32 @@ pub fn e2_tail_plan(quick: bool) -> ExperimentPlan {
     let cells = configs
         .into_iter()
         .map(|(n, span, delta)| {
-            Cell::new(
-                format!("E2/n={n},span={span},δ={delta}"),
-                format!(
-                    "E2;trials={trials};n={n};span={span};delta=f{:016x}",
-                    delta.to_bits()
-                ),
-                move || {
-                    let fam = sliding_window_family(n, span, 1, 0.5);
-                    let p = 0.5f64.powi(span as i32);
-                    let exp_y = p * n as f64;
-                    let threshold = ((1.0 - delta) * exp_y).floor() as usize;
-                    let k = fam.read_parameter();
-                    let est = estimate(trials, |t| fam.sample_count(0xe2, t) <= threshold);
-                    let form2 = bounds::tail_form2(delta, exp_y, k);
-                    // Form (1) with ε = δ·p̄ (same threshold expressed additively).
-                    let form1 = bounds::tail_form1(delta * p, n, k);
-                    let chern = bounds::chernoff_lower_tail(delta, exp_y);
-                    let azuma = bounds::azuma_lower_tail(delta * exp_y, fam.m(), k);
-                    let (lo, _) = est.wilson_ci(2.58);
-                    let mut out = CellOut::from_rows(vec![vec![
-                        n.to_string(),
-                        k.to_string(),
-                        format!("{delta}"),
-                        fmt_p(est.p_hat()),
-                        fmt_p(form2),
-                        fmt_p(form1),
-                        fmt_p(chern),
-                        fmt_p(azuma),
-                    ]]);
-                    out.put("viol", if lo > form2 + 1e-9 { 1.0 } else { 0.0 });
-                    out
-                },
-            )
+            Cell::new(format!("E2/n={n},span={span},δ={delta}"), move || {
+                let fam = sliding_window_family(n, span, 1, 0.5);
+                let p = 0.5f64.powi(span as i32);
+                let exp_y = p * n as f64;
+                let threshold = ((1.0 - delta) * exp_y).floor() as usize;
+                let k = fam.read_parameter();
+                let est = estimate(trials, |t| fam.sample_count(0xe2, t) <= threshold);
+                let form2 = bounds::tail_form2(delta, exp_y, k);
+                // Form (1) with ε = δ·p̄ (same threshold expressed additively).
+                let form1 = bounds::tail_form1(delta * p, n, k);
+                let chern = bounds::chernoff_lower_tail(delta, exp_y);
+                let azuma = bounds::azuma_lower_tail(delta * exp_y, fam.m(), k);
+                let (lo, _) = est.wilson_ci(2.58);
+                let mut out = CellOut::from_rows(vec![vec![
+                    n.to_string(),
+                    k.to_string(),
+                    format!("{delta}"),
+                    fmt_p(est.p_hat()),
+                    fmt_p(form2),
+                    fmt_p(form1),
+                    fmt_p(chern),
+                    fmt_p(azuma),
+                ]]);
+                out.put("viol", if lo > form2 + 1e-9 { 1.0 } else { 0.0 });
+                out
+            })
         })
         .collect();
     ExperimentPlan::new("E2", cells, move |outs| {
@@ -183,17 +169,11 @@ pub fn e2_tail_plan(quick: bool) -> ExperimentPlan {
     })
 }
 
-/// E2: Theorem 1.2 — read-k lower tails, forms (1)/(2), vs Chernoff and
-/// Azuma comparators.
-pub fn e2_tail(quick: bool) -> ExperimentReport {
-    e2_tail_plan(quick).run_serial()
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
     fn e1_runs_quick_with_no_violations() {
-        let r = super::e1_conjunction(true);
+        let r = super::e1_conjunction_plan(true).run_serial();
         assert_eq!(r.table.rows.len(), 6);
         assert!(
             r.notes.iter().any(|n| n.contains("violations: 0")),
@@ -204,7 +184,7 @@ mod tests {
 
     #[test]
     fn e2_runs_quick_with_no_violations() {
-        let r = super::e2_tail(true);
+        let r = super::e2_tail_plan(true).run_serial();
         assert_eq!(r.table.rows.len(), 5);
         assert!(
             r.notes.iter().any(|n| n.contains("violations: 0")),

@@ -1,6 +1,6 @@
 //! E8/E9 — round-complexity scaling and the cross-algorithm race.
 
-use crate::cache::cached_graph;
+use super::graph;
 use crate::cell::{Cell, CellOut, ExperimentPlan};
 use crate::exps::seed_chunks;
 use crate::{fmt_f, ExperimentReport, Table};
@@ -20,50 +20,45 @@ fn e8_sweep(quick: bool) -> Vec<(&'static str, usize, usize)> {
     points
 }
 
-/// E8 as a cell plan: one cell per sweep point. The per-point seed loop
-/// accumulates f64 means, so it is never split across cells.
+/// E8: ArbMIS rounds vs n (fixed α) and vs α (fixed n) — Theorem 2.1's
+/// shape `O(α⁹·√(log n)·log log n)`.
+///
+/// One cell per sweep point. The per-point seed loop accumulates f64
+/// means, so it is never split across cells.
 pub fn e8_scaling_plan(quick: bool) -> ExperimentPlan {
     let seeds: u64 = if quick { 2 } else { 5 };
     let cells = e8_sweep(quick)
         .into_iter()
         .map(|(sweep, n, alpha)| {
             let spec = GraphSpec::new(GraphFamily::ForestUnion { alpha }, n);
-            Cell::new(
-                format!("E8/{sweep}:n={n},α={alpha}"),
-                format!(
-                    "E8;sweep={sweep};{};gseed=232;seeds={seeds}",
-                    spec.stable_key()
-                ),
-                move || {
-                    let g = cached_graph(&spec, 0xe8);
-                    let mut rounds = 0.0;
-                    let mut shatter = 0.0;
-                    let mut finish = 0.0;
-                    for seed in 0..seeds {
-                        let out = arb_mis(&g, &ArbMisConfig::new(alpha, seed));
-                        debug_assert!(check_mis(&g, &out.in_mis).is_ok());
-                        rounds += out.rounds as f64;
-                        shatter += out.phases.shattering as f64;
-                        finish +=
-                            (out.phases.vlo + out.phases.vhi + out.phases.bad_components) as f64;
-                    }
-                    let s = seeds as f64;
-                    let (rounds, shatter, finish) = (rounds / s, shatter / s, finish / s);
-                    let logn = (n as f64).log2();
-                    let ref_shape = (logn * logn.log2()).sqrt();
-                    CellOut::from_rows(vec![vec![
-                        sweep.into(),
-                        n.to_string(),
-                        alpha.to_string(),
-                        format!("{:.0}", g.max_degree() as f64),
-                        fmt_f(rounds),
-                        fmt_f(shatter),
-                        fmt_f(finish),
-                        fmt_f(ref_shape),
-                        fmt_f(rounds / (alpha * alpha) as f64),
-                    ]])
-                },
-            )
+            Cell::new(format!("E8/{sweep}:n={n},α={alpha}"), move || {
+                let g = graph(&spec, 0xe8);
+                let mut rounds = 0.0;
+                let mut shatter = 0.0;
+                let mut finish = 0.0;
+                for seed in 0..seeds {
+                    let out = arb_mis(&g, &ArbMisConfig::new(alpha, seed));
+                    debug_assert!(check_mis(&g, &out.in_mis).is_ok());
+                    rounds += out.rounds as f64;
+                    shatter += out.phases.shattering as f64;
+                    finish += (out.phases.vlo + out.phases.vhi + out.phases.bad_components) as f64;
+                }
+                let s = seeds as f64;
+                let (rounds, shatter, finish) = (rounds / s, shatter / s, finish / s);
+                let logn = (n as f64).log2();
+                let ref_shape = (logn * logn.log2()).sqrt();
+                CellOut::from_rows(vec![vec![
+                    sweep.into(),
+                    n.to_string(),
+                    alpha.to_string(),
+                    format!("{:.0}", g.max_degree() as f64),
+                    fmt_f(rounds),
+                    fmt_f(shatter),
+                    fmt_f(finish),
+                    fmt_f(ref_shape),
+                    fmt_f(rounds / (alpha * alpha) as f64),
+                ]])
+            })
         })
         .collect();
     ExperimentPlan::new("E8", cells, |outs| {
@@ -96,12 +91,6 @@ pub fn e8_scaling_plan(quick: bool) -> ExperimentPlan {
     })
 }
 
-/// E8: ArbMIS rounds vs n (fixed α) and vs α (fixed n) — Theorem 2.1's
-/// shape `O(α⁹·√(log n)·log log n)`.
-pub fn e8_scaling(quick: bool) -> ExperimentReport {
-    e8_scaling_plan(quick).run_serial()
-}
-
 const E9_FAMILIES: [(GraphFamily, usize); 7] = [
     (GraphFamily::RandomTree, 1usize),
     (GraphFamily::Caterpillar { legs: 4 }, 1),
@@ -112,8 +101,11 @@ const E9_FAMILIES: [(GraphFamily, usize); 7] = [
     (GraphFamily::GnpAvgDegree { d: 8.0 }, 4),
 ];
 
-/// E9 as a cell plan: one cell per `(family, seed-range)` — the
-/// cross-seed aggregates are u64 round sums; the reduce divides once.
+/// E9: the §1 comparison — Luby vs Métivier vs Ghaffari vs ArbMIS across
+/// families.
+///
+/// One cell per `(family, seed-range)` — the cross-seed aggregates are
+/// u64 round sums; the reduce divides once.
 pub fn e9_race_plan(quick: bool) -> ExperimentPlan {
     let n = if quick { 2_000 } else { 20_000 };
     let seeds: u64 = if quick { 2 } else { 5 };
@@ -124,9 +116,8 @@ pub fn e9_race_plan(quick: bool) -> ExperimentPlan {
         for &(lo, hi) in &chunks {
             cells.push(Cell::new(
                 format!("E9/{}[{lo}..{hi})", fam.label()),
-                format!("E9;{};gseed=233;seeds={lo}..{hi}", spec.stable_key()),
                 move || {
-                    let g = cached_graph(&spec, 0xe9);
+                    let g = graph(&spec, 0xe9);
                     let mut sums = [0u64; 5];
                     for seed in lo..hi {
                         let out = arb_mis(&g, &ArbMisConfig::new(alpha, seed));
@@ -194,23 +185,17 @@ pub fn e9_race_plan(quick: bool) -> ExperimentPlan {
     })
 }
 
-/// E9: the §1 comparison — Luby vs Métivier vs Ghaffari vs ArbMIS across
-/// families.
-pub fn e9_race(quick: bool) -> ExperimentReport {
-    e9_race_plan(quick).run_serial()
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
     fn e8_quick() {
-        let r = super::e8_scaling(true);
+        let r = super::e8_scaling_plan(true).run_serial();
         assert_eq!(r.table.rows.len(), 2 + 5);
     }
 
     #[test]
     fn e9_quick() {
-        let r = super::e9_race(true);
+        let r = super::e9_race_plan(true).run_serial();
         assert_eq!(r.table.rows.len(), 7);
         // Baselines must all be positive round counts.
         for row in &r.table.rows {

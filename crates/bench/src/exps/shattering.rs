@@ -1,7 +1,7 @@
 //! E7/E10 — shattering structure: bad-set components (Lemma 3.7) and
 //! residual active-set components.
 
-use crate::cache::cached_graph;
+use super::graph;
 use crate::cell::{Cell, CellOut, ExperimentPlan};
 use crate::exps::seed_chunks;
 use crate::{ExperimentReport, Table};
@@ -16,8 +16,18 @@ const E7_FAMILIES: [GraphFamily; 4] = [
     GraphFamily::GnpAvgDegree { d: 6.0 },
 ];
 
-/// E7 as a cell plan: one cell per `(family, seed-range)` — all
-/// cross-seed aggregates are integer sums and maxima.
+/// E7: Lemma 3.7 — components of the bad set are small.
+///
+/// Algorithm runs at simulable scales produce an *empty* B (see E6), so
+/// the structural half of the lemma is exercised directly: mark each node
+/// bad independently with the Theorem 3.6 probability Δ^{-2p}, exactly
+/// the distributional premise of the lemma (Theorem 3.6 additionally
+/// shows independence beyond distance 7, which independent marking
+/// satisfies trivially), and measure components of B both in `G` and in
+/// the paper's `G^[7,13]` band graph.
+///
+/// One cell per `(family, seed-range)` — all cross-seed aggregates are
+/// integer sums and maxima.
 pub fn e7_bad_components_plan(quick: bool) -> ExperimentPlan {
     let (n, seeds) = if quick { (3_000, 3u64) } else { (30_000, 10) };
     let chunks = seed_chunks(seeds, 3);
@@ -27,13 +37,8 @@ pub fn e7_bad_components_plan(quick: bool) -> ExperimentPlan {
         for &(lo, hi) in &chunks {
             cells.push(Cell::new(
                 format!("E7/{}[{lo}..{hi})", fam.label()),
-                format!(
-                    "E7;{};gseed=231;seeds={lo}..{hi};quick={}",
-                    spec.stable_key(),
-                    quick as u8
-                ),
                 move || {
-                    let g = cached_graph(&spec, 0xe7);
+                    let g = graph(&spec, 0xe7);
                     let delta = g.max_degree().max(2) as f64;
                     // p = 1: the weakest version of Theorem 3.6.
                     let p_bad = (1.0 / (delta * delta)).min(0.5);
@@ -110,27 +115,17 @@ pub fn e7_bad_components_plan(quick: bool) -> ExperimentPlan {
     })
 }
 
-/// E7: Lemma 3.7 — components of the bad set are small.
-///
-/// Algorithm runs at simulable scales produce an *empty* B (see E6), so
-/// the structural half of the lemma is exercised directly: mark each node
-/// bad independently with the Theorem 3.6 probability Δ^{-2p}, exactly
-/// the distributional premise of the lemma (Theorem 3.6 additionally
-/// shows independence beyond distance 7, which independent marking
-/// satisfies trivially), and measure components of B both in `G` and in
-/// the paper's `G^[7,13]` band graph.
-pub fn e7_bad_components(quick: bool) -> ExperimentReport {
-    e7_bad_components_plan(quick).run_serial()
-}
-
 const E10_FAMILIES: [GraphFamily; 3] = [
     GraphFamily::ForestUnion { alpha: 2 },
     GraphFamily::Apollonian,
     GraphFamily::GnpAvgDegree { d: 10.0 },
 ];
 
-/// E10 as a cell plan: one cell per `(family, iters, seed-range)` — all
-/// cross-seed aggregates are integer sums and maxima.
+/// E10: residual components after truncated Métivier — the shattering
+/// picture itself.
+///
+/// One cell per `(family, iters, seed-range)` — all cross-seed
+/// aggregates are integer sums and maxima.
 pub fn e10_residual_plan(quick: bool) -> ExperimentPlan {
     let (n, seeds) = if quick { (3_000, 3u64) } else { (50_000, 10) };
     let chunks = seed_chunks(seeds, 3);
@@ -141,12 +136,8 @@ pub fn e10_residual_plan(quick: bool) -> ExperimentPlan {
             for &(lo, hi) in &chunks {
                 cells.push(Cell::new(
                     format!("E10/{}×{iters}[{lo}..{hi})", fam.label()),
-                    format!(
-                        "E10;{};gseed=16;iters={iters};seeds={lo}..{hi}",
-                        spec.stable_key()
-                    ),
                     move || {
-                        let g = cached_graph(&spec, 0x10);
+                        let g = graph(&spec, 0x10);
                         let mut sum_active = 0usize;
                         let mut sum_comps = 0usize;
                         let mut sum_max = 0usize;
@@ -214,17 +205,11 @@ pub fn e10_residual_plan(quick: bool) -> ExperimentPlan {
     })
 }
 
-/// E10: residual components after truncated Métivier — the shattering
-/// picture itself.
-pub fn e10_residual(quick: bool) -> ExperimentReport {
-    e10_residual_plan(quick).run_serial()
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
     fn e7_quick() {
-        let r = super::e7_bad_components(true);
+        let r = super::e7_bad_components_plan(true).run_serial();
         assert_eq!(r.table.rows.len(), 4);
         // Observed max component must stay far below the lemma cap.
         for row in &r.table.rows {
@@ -235,7 +220,7 @@ mod tests {
 
     #[test]
     fn e10_quick() {
-        let r = super::e10_residual(true);
+        let r = super::e10_residual_plan(true).run_serial();
         assert_eq!(r.table.rows.len(), 9);
     }
 }

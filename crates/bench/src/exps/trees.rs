@@ -1,7 +1,7 @@
 //! E15/E16 — the tree specialization (the paper's §1 lineage) and
 //! workload characterization.
 
-use crate::cache::cached_graph;
+use super::graph;
 use crate::cell::{Cell, CellOut, ExperimentPlan};
 use crate::{fmt_f, ExperimentReport, Table};
 use arbmis_core::{arb_mis, check_mis, luby, metivier, tree_mis, ArbMisConfig};
@@ -13,8 +13,13 @@ const E15_FAMILIES: [GraphFamily; 2] = [
     GraphFamily::Caterpillar { legs: 5 },
 ];
 
-/// E15 as a cell plan: one cell per `(family, n)` — the seed loop
-/// accumulates f64 means, so it stays whole inside the cell.
+/// E15: on forests, compare the dedicated shatter-then-finish tree
+/// pipeline (Lenzen–Wattenhofer / BEPS style) against the baselines and
+/// against `ArbMIS` run at α = 1 — the specialization relationship §1 of
+/// the paper describes.
+///
+/// One cell per `(family, n)` — the seed loop accumulates f64 means, so
+/// it stays whole inside the cell.
 pub fn e15_tree_specialization_plan(quick: bool) -> ExperimentPlan {
     let seeds: u64 = if quick { 2 } else { 5 };
     let sizes: &[usize] = if quick {
@@ -26,44 +31,40 @@ pub fn e15_tree_specialization_plan(quick: bool) -> ExperimentPlan {
     for fam in E15_FAMILIES {
         for &n in sizes {
             let spec = GraphSpec::new(fam, n);
-            cells.push(Cell::new(
-                format!("E15/{}:n={n}", fam.label()),
-                format!("E15;{};gseed=21;seeds={seeds}", spec.stable_key()),
-                move || {
-                    let g = cached_graph(&spec, 0x15);
-                    let mut sums = [0f64; 6];
-                    for seed in 0..seeds {
-                        let t = tree_mis::tree_mis(&g, seed);
-                        check_mis(&g, &t.in_mis).expect("tree_mis invalid");
-                        let a = arb_mis(&g, &ArbMisConfig::new(1, seed));
-                        check_mis(&g, &a.in_mis).expect("arbmis invalid");
-                        let vals = [
-                            luby::run(&g, seed).rounds as f64,
-                            metivier::run(&g, seed).rounds as f64,
-                            t.rounds as f64,
-                            t.shatter_rounds as f64,
-                            t.finish_rounds as f64,
-                            a.rounds as f64,
-                        ];
-                        for (s, v) in sums.iter_mut().zip(vals) {
-                            *s += v;
-                        }
+            cells.push(Cell::new(format!("E15/{}:n={n}", fam.label()), move || {
+                let g = graph(&spec, 0x15);
+                let mut sums = [0f64; 6];
+                for seed in 0..seeds {
+                    let t = tree_mis::tree_mis(&g, seed);
+                    check_mis(&g, &t.in_mis).expect("tree_mis invalid");
+                    let a = arb_mis(&g, &ArbMisConfig::new(1, seed));
+                    check_mis(&g, &a.in_mis).expect("arbmis invalid");
+                    let vals = [
+                        luby::run(&g, seed).rounds as f64,
+                        metivier::run(&g, seed).rounds as f64,
+                        t.rounds as f64,
+                        t.shatter_rounds as f64,
+                        t.finish_rounds as f64,
+                        a.rounds as f64,
+                    ];
+                    for (s, v) in sums.iter_mut().zip(vals) {
+                        *s += v;
                     }
-                    let k = seeds as f64;
-                    let logn = (g.n() as f64).log2();
-                    CellOut::from_rows(vec![vec![
-                        fam.label(),
-                        g.n().to_string(),
-                        fmt_f(sums[0] / k),
-                        fmt_f(sums[1] / k),
-                        fmt_f(sums[2] / k),
-                        fmt_f(sums[3] / k),
-                        fmt_f(sums[4] / k),
-                        fmt_f(sums[5] / k),
-                        fmt_f((logn * logn.log2()).sqrt()),
-                    ]])
-                },
-            ));
+                }
+                let k = seeds as f64;
+                let logn = (g.n() as f64).log2();
+                CellOut::from_rows(vec![vec![
+                    fam.label(),
+                    g.n().to_string(),
+                    fmt_f(sums[0] / k),
+                    fmt_f(sums[1] / k),
+                    fmt_f(sums[2] / k),
+                    fmt_f(sums[3] / k),
+                    fmt_f(sums[4] / k),
+                    fmt_f(sums[5] / k),
+                    fmt_f((logn * logn.log2()).sqrt()),
+                ]])
+            }));
         }
     }
     ExperimentPlan::new("E15", cells, move |outs| {
@@ -97,14 +98,6 @@ pub fn e15_tree_specialization_plan(quick: bool) -> ExperimentPlan {
     })
 }
 
-/// E15: on forests, compare the dedicated shatter-then-finish tree
-/// pipeline (Lenzen–Wattenhofer / BEPS style) against the baselines and
-/// against `ArbMIS` run at α = 1 — the specialization relationship §1 of
-/// the paper describes.
-pub fn e15_tree_specialization(quick: bool) -> ExperimentReport {
-    e15_tree_specialization_plan(quick).run_serial()
-}
-
 const E16_FAMILIES: [GraphFamily; 13] = [
     GraphFamily::RandomTree,
     GraphFamily::Caterpillar { legs: 4 },
@@ -121,34 +114,33 @@ const E16_FAMILIES: [GraphFamily; 13] = [
     GraphFamily::Grid,
 ];
 
-/// E16 as a cell plan: one cell per family — `GraphStats::compute` is the
-/// expensive part and each family's statistics are independent.
+/// E16: structural characterization of every workload family used across
+/// the suite — so the other tables are interpretable.
+///
+/// One cell per family — `GraphStats::compute` is the expensive part
+/// and each family's statistics are independent.
 pub fn e16_workloads_plan(quick: bool) -> ExperimentPlan {
     let n = if quick { 1_000 } else { 10_000 };
     let cells = E16_FAMILIES
         .into_iter()
         .map(|fam| {
             let spec = GraphSpec::new(fam, n);
-            Cell::new(
-                format!("E16/{}", fam.label()),
-                format!("E16;{};gseed=22", spec.stable_key()),
-                move || {
-                    let g = cached_graph(&spec, 0x16);
-                    let s = GraphStats::compute(&g);
-                    CellOut::from_rows(vec![vec![
-                        fam.label(),
-                        s.n.to_string(),
-                        s.m.to_string(),
-                        s.max_degree.to_string(),
-                        fmt_f(s.avg_degree),
-                        s.degeneracy.to_string(),
-                        format!("[{},{}]", s.arboricity_lower, s.arboricity_upper),
-                        s.components.to_string(),
-                        s.triangles.to_string(),
-                        format!("{:.3}", s.clustering),
-                    ]])
-                },
-            )
+            Cell::new(format!("E16/{}", fam.label()), move || {
+                let g = graph(&spec, 0x16);
+                let s = GraphStats::compute(&g);
+                CellOut::from_rows(vec![vec![
+                    fam.label(),
+                    s.n.to_string(),
+                    s.m.to_string(),
+                    s.max_degree.to_string(),
+                    fmt_f(s.avg_degree),
+                    s.degeneracy.to_string(),
+                    format!("[{},{}]", s.arboricity_lower, s.arboricity_upper),
+                    s.components.to_string(),
+                    s.triangles.to_string(),
+                    format!("{:.3}", s.clustering),
+                ]])
+            })
         })
         .collect();
     ExperimentPlan::new("E16", cells, |outs| {
@@ -180,23 +172,17 @@ pub fn e16_workloads_plan(quick: bool) -> ExperimentPlan {
     })
 }
 
-/// E16: structural characterization of every workload family used across
-/// the suite — so the other tables are interpretable.
-pub fn e16_workloads(quick: bool) -> ExperimentReport {
-    e16_workloads_plan(quick).run_serial()
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
     fn e15_quick() {
-        let r = super::e15_tree_specialization(true);
+        let r = super::e15_tree_specialization_plan(true).run_serial();
         assert_eq!(r.table.rows.len(), 4);
     }
 
     #[test]
     fn e16_quick() {
-        let r = super::e16_workloads(true);
+        let r = super::e16_workloads_plan(true).run_serial();
         assert_eq!(r.table.rows.len(), 13);
         // Bounded families: degeneracy within certificate.
         for row in &r.table.rows {

@@ -9,7 +9,6 @@
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
-pub mod cache;
 pub mod cell;
 pub mod churn;
 pub mod exps;

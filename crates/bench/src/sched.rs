@@ -16,43 +16,25 @@
 //!    (DESIGN.md §7), so this changes wall-clock only, and it keeps
 //!    `--threads N` meaning "N cells in flight", never N² threads.
 //!
-//! Hence `--threads 1` vs `--threads N`, and cold vs warm cache, produce
-//! byte-identical reports.
+//! Hence `--threads 1` and `--threads N` produce byte-identical reports.
 
-use crate::cache::{global_cache, Cache, NS_CELL};
 use crate::cell::{Cell, CellOut, ExperimentPlan, ReduceFn};
 use crate::ExperimentReport;
 use arbmis_congest::{default_parallelism, execute_indexed, set_default_parallelism, Parallelism};
 use arbmis_obs::Recorder;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// What one scheduled run did. Everything here is **timing-class**
-/// information (wall-clock, pool size, cache temperature) — print it to
-/// stderr or feed it to benches, never into report output.
+/// information (wall-clock, pool size): print it to stderr, never into
+/// report output.
 #[derive(Clone, Copy, Debug)]
 pub struct SchedStats {
     /// Total cells scheduled.
     pub cells: usize,
-    /// Cells served from the result cache.
-    pub cell_hits: u64,
-    /// Cells actually executed.
-    pub cell_misses: u64,
     /// Worker threads used.
     pub workers: usize,
     /// End-to-end wall time of the scheduled run.
     pub wall: Duration,
-}
-
-impl SchedStats {
-    /// Cell-cache hits as a fraction of all cells (0.0 when none ran).
-    pub fn hit_rate(&self) -> f64 {
-        if self.cells == 0 {
-            0.0
-        } else {
-            self.cell_hits as f64 / self.cells as f64
-        }
-    }
 }
 
 /// The reports (in request order) plus run statistics.
@@ -71,11 +53,6 @@ pub fn cell_count(plans: &[ExperimentPlan]) -> usize {
 
 /// Runs every cell of every plan on one shared work-stealing pool and
 /// reduces to reports. See the module docs for the determinism contract.
-///
-/// # Panics
-///
-/// Panics if two cells share a cache key — that is a plan-construction
-/// bug that would make "which output belongs to which cell" ambiguous.
 pub fn run_scheduled(plans: Vec<ExperimentPlan>, parallelism: Parallelism) -> SchedOutcome {
     let start = Instant::now();
     // Split reduces (FnOnce, not Sync) from cells (Sync) so the cell
@@ -87,31 +64,19 @@ pub fn run_scheduled(plans: Vec<ExperimentPlan>, parallelism: Parallelism) -> Sc
         groups.push(plan.cells);
     }
     let index: Vec<&Cell> = groups.iter().flatten().collect();
-    {
-        let mut keys: Vec<&str> = index.iter().map(|c| c.key.as_str()).collect();
-        keys.sort_unstable();
-        keys.windows(2).for_each(|w| {
-            assert_ne!(w[0], w[1], "duplicate cell cache key {:?}", w[0]);
-        });
-    }
+    let cells = index.len();
 
-    let workers = parallelism.effective_threads(index.len());
+    let workers = parallelism.effective_threads(cells);
     let rec = arbmis_obs::global();
-    rec.add("sched_cells", index.len() as u64);
-    let cache = global_cache();
-    let hits = AtomicU64::new(0);
-    let misses = AtomicU64::new(0);
+    rec.add("sched_cells", cells as u64);
 
     // Monte-Carlo goes serial while the scheduler owns the pool
     // (restored below); see module docs, rule 3.
     let saved = default_parallelism();
     set_default_parallelism(Parallelism::Serial);
-    let outs: Vec<CellOut> = execute_indexed(index.len(), parallelism, |_w, i| {
-        run_one(index[i], cache.as_deref(), &rec, &hits, &misses)
-    });
+    let outs: Vec<CellOut> = execute_indexed(cells, parallelism, |_w, i| run_one(index[i], &rec));
     set_default_parallelism(saved);
 
-    drop(index);
     let mut outs = outs.into_iter();
     let mut reports = Vec::with_capacity(reduces.len());
     for (n, reduce) in reduces {
@@ -120,48 +85,20 @@ pub fn run_scheduled(plans: Vec<ExperimentPlan>, parallelism: Parallelism) -> Sc
     }
 
     let stats = SchedStats {
-        cells: cell_count_from(&groups),
-        cell_hits: hits.load(Ordering::Relaxed),
-        cell_misses: misses.load(Ordering::Relaxed),
+        cells,
         workers,
         wall: start.elapsed(),
     };
     SchedOutcome { reports, stats }
 }
 
-fn cell_count_from(groups: &[Vec<Cell>]) -> usize {
-    groups.iter().map(|g| g.len()).sum()
-}
-
-/// Serves one cell from the cache or runs it, with timing-class
-/// bookkeeping (`worker_cell_cache_*` counters, `cell_run_ns`
-/// histogram — quarantined names per DESIGN.md §8).
-fn run_one(
-    cell: &Cell,
-    cache: Option<&Cache>,
-    rec: &Recorder,
-    hits: &AtomicU64,
-    misses: &AtomicU64,
-) -> CellOut {
-    if let Some(cache) = cache {
-        if let Some(out) = cache
-            .get(NS_CELL, &cell.key)
-            .and_then(|b| CellOut::from_bytes(&b))
-        {
-            hits.fetch_add(1, Ordering::Relaxed);
-            rec.add_timing("worker_cell_cache_hits", 1);
-            return out;
-        }
-    }
-    misses.fetch_add(1, Ordering::Relaxed);
-    rec.add_timing("worker_cell_cache_misses", 1);
+/// Runs one cell, recording its wall time in the `cell_run_ns`
+/// histogram (a quarantined timing-class name per DESIGN.md §8).
+fn run_one(cell: &Cell, rec: &Recorder) -> CellOut {
     let t = rec.timing().then(Instant::now);
     let out = (cell.run)();
     if let Some(t) = t {
         rec.observe_timing("cell_run_ns", t.elapsed().as_nanos() as u64);
-    }
-    if let Some(cache) = cache {
-        let _ = cache.put(NS_CELL, &cell.key, &out.to_bytes());
     }
     out
 }
@@ -174,11 +111,9 @@ mod tests {
     fn toy_plan(id: &'static str, cells: usize, base: usize) -> ExperimentPlan {
         let cells = (0..cells)
             .map(|i| {
-                Cell::new(
-                    format!("{id}/c{i}"),
-                    format!("test;{id};cell={i}"),
-                    move || CellOut::from_rows(vec![vec![format!("{}", base + i)]]),
-                )
+                Cell::new(format!("{id}/c{i}"), move || {
+                    CellOut::from_rows(vec![vec![format!("{}", base + i)]])
+                })
             })
             .collect();
         ExperimentPlan::new(id, cells, move |outs| {
@@ -228,24 +163,6 @@ mod tests {
         let outcome = run_scheduled(vec![toy_plan("A", 16, 0)], Parallelism::Threads(8));
         let want: Vec<String> = (0..16).map(|i| i.to_string()).collect();
         assert_eq!(column(&outcome.reports[0]), want);
-        assert_eq!(outcome.stats.cell_misses, 16, "no cache installed");
-        assert_eq!(outcome.stats.cell_hits, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate cell cache key")]
-    fn duplicate_keys_rejected() {
-        let cells = vec![
-            Cell::new("a", "same-key", CellOut::default),
-            Cell::new("b", "same-key", CellOut::default),
-        ];
-        let plan = ExperimentPlan::new("X", cells, |_| ExperimentReport {
-            id: "X".into(),
-            title: String::new(),
-            table: Table::new(["c"]),
-            notes: vec![],
-        });
-        run_scheduled(vec![plan], Parallelism::Serial);
     }
 
     #[test]
@@ -253,6 +170,5 @@ mod tests {
         let outcome = run_scheduled(vec![], Parallelism::Auto);
         assert!(outcome.reports.is_empty());
         assert_eq!(outcome.stats.cells, 0);
-        assert_eq!(outcome.stats.hit_rate(), 0.0);
     }
 }

@@ -46,7 +46,7 @@ pub enum FlatAlgo {
 }
 
 impl FlatAlgo {
-    /// Short stable name for logs and cache keys.
+    /// Short stable name for logs and labels.
     pub fn label(&self) -> &'static str {
         match self {
             FlatAlgo::Luby => "luby",

@@ -1,9 +1,9 @@
-//! Stable content digests for cache keys.
+//! Stable content digests.
 //!
-//! The experiment cache (crates/bench) addresses entries by a digest of
-//! their generating parameters. `std::hash` is explicitly *not* stable
-//! across Rust releases, so cache keys that must survive on disk between
-//! toolchain upgrades use this hand-rolled FNV-1a 128 instead: the
+//! `std::hash` is explicitly *not* stable across Rust releases, so
+//! digests that must compare equal across builds and toolchains (the
+//! flight recorder's per-round joiner and coin digests, see
+//! `arbmis_core::backend`) use this hand-rolled FNV-1a 128 instead: the
 //! algorithm is frozen (offset basis and prime from the FNV spec), the
 //! arithmetic is plain `u128` wrapping ops, and the output depends only
 //! on the input bytes.
@@ -76,12 +76,6 @@ pub fn fnv128(bytes: &[u8]) -> u128 {
     h.finish()
 }
 
-/// One-shot 64-bit checksum (the low 64 bits of [`fnv128`]) — used as a
-/// cheap integrity check on cached payloads.
-pub fn checksum64(bytes: &[u8]) -> u64 {
-    fnv128(bytes) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,11 +110,5 @@ mod tests {
         h.write_u64(12345);
         assert_eq!(h.hex().len(), 32);
         assert!(h.hex().chars().all(|c| c.is_ascii_hexdigit()));
-    }
-
-    #[test]
-    fn checksum_tracks_low_bits() {
-        let d = fnv128(b"payload");
-        assert_eq!(checksum64(b"payload"), d as u64);
     }
 }

@@ -93,35 +93,6 @@ impl GraphFamily {
         }
     }
 
-    /// A canonical, forward-stable key string for content-addressed
-    /// caching. Unlike [`GraphFamily::label`] (a display string that may
-    /// evolve), this encoding is frozen: every parameter appears as
-    /// `name=value`, and floats are spelled as their IEEE-754 bit
-    /// patterns so no formatting change can ever alias or split cache
-    /// entries.
-    pub fn stable_key(&self) -> String {
-        fn f(x: f64) -> String {
-            format!("f{:016x}", x.to_bits())
-        }
-        match self {
-            GraphFamily::Path => "path".into(),
-            GraphFamily::Cycle => "cycle".into(),
-            GraphFamily::RandomTree => "randomtree".into(),
-            GraphFamily::Caterpillar { legs } => format!("caterpillar;legs={legs}"),
-            GraphFamily::ForestUnion { alpha } => format!("forestunion;alpha={alpha}"),
-            GraphFamily::KTree { k } => format!("ktree;k={k}"),
-            GraphFamily::Apollonian => "apollonian".into(),
-            GraphFamily::BarabasiAlbert { m } => format!("ba;m={m}"),
-            GraphFamily::GnpAvgDegree { d } => format!("gnp;d={}", f(*d)),
-            GraphFamily::Grid => "grid".into(),
-            GraphFamily::Hypercube => "hypercube".into(),
-            GraphFamily::SeriesParallel => "seriesparallel".into(),
-            GraphFamily::RingOfCliques { k } => format!("cliquering;k={k}"),
-            GraphFamily::Geometric { radius } => format!("geometric;r={}", f(*radius)),
-            GraphFamily::PowerlawCluster { m, p } => format!("plc;m={m};p={}", f(*p)),
-        }
-    }
-
     /// The arboricity bound this family guarantees by construction, if any.
     pub fn arboricity_bound(&self) -> Option<usize> {
         match self {
@@ -163,14 +134,6 @@ impl GraphSpec {
     /// Creates a spec.
     pub fn new(family: GraphFamily, n: usize) -> Self {
         GraphSpec { family, n }
-    }
-
-    /// Canonical cache-key material for this spec: the frozen
-    /// [`GraphFamily::stable_key`] plus the target size. Seed and salt
-    /// are deliberately *not* part of the spec key — callers mix those
-    /// in separately (see `arbmis-bench`'s cache layer).
-    pub fn stable_key(&self) -> String {
-        format!("{};n={}", self.family.stable_key(), self.n)
     }
 
     /// Instantiates the workload with the given RNG.
@@ -268,42 +231,6 @@ mod tests {
                 degeneracy(&g)
             );
         }
-    }
-
-    #[test]
-    fn stable_keys_are_unique_and_pinned() {
-        let specs = [
-            GraphSpec::new(GraphFamily::Path, 64),
-            GraphSpec::new(GraphFamily::Cycle, 64),
-            GraphSpec::new(GraphFamily::RandomTree, 64),
-            GraphSpec::new(GraphFamily::Caterpillar { legs: 3 }, 64),
-            GraphSpec::new(GraphFamily::ForestUnion { alpha: 2 }, 64),
-            GraphSpec::new(GraphFamily::ForestUnion { alpha: 3 }, 64),
-            GraphSpec::new(GraphFamily::ForestUnion { alpha: 3 }, 65),
-            GraphSpec::new(GraphFamily::KTree { k: 2 }, 64),
-            GraphSpec::new(GraphFamily::Apollonian, 64),
-            GraphSpec::new(GraphFamily::BarabasiAlbert { m: 2 }, 64),
-            GraphSpec::new(GraphFamily::GnpAvgDegree { d: 4.0 }, 64),
-            GraphSpec::new(GraphFamily::GnpAvgDegree { d: 4.5 }, 64),
-            GraphSpec::new(GraphFamily::Grid, 64),
-            GraphSpec::new(GraphFamily::Hypercube, 64),
-            GraphSpec::new(GraphFamily::SeriesParallel, 64),
-            GraphSpec::new(GraphFamily::RingOfCliques { k: 4 }, 64),
-            GraphSpec::new(GraphFamily::Geometric { radius: 0.2 }, 64),
-            GraphSpec::new(GraphFamily::PowerlawCluster { m: 2, p: 0.5 }, 64),
-        ];
-        let keys: Vec<String> = specs.iter().map(|s| s.stable_key()).collect();
-        let unique: std::collections::BTreeSet<&String> = keys.iter().collect();
-        assert_eq!(unique.len(), keys.len(), "stable keys must not collide");
-        // The encoding is a frozen on-disk format: pin representative keys.
-        assert_eq!(
-            GraphSpec::new(GraphFamily::GnpAvgDegree { d: 4.0 }, 50_000).stable_key(),
-            "gnp;d=f4010000000000000;n=50000"
-        );
-        assert_eq!(
-            GraphSpec::new(GraphFamily::KTree { k: 3 }, 20_000).stable_key(),
-            "ktree;k=3;n=20000"
-        );
     }
 
     #[test]

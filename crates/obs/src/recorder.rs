@@ -224,7 +224,7 @@ impl Recorder {
 
     /// Adds `delta` to a **timing-class** counter: a no-op unless
     /// wall-clock timing is enabled, so schedule- or environment-
-    /// dependent counts (worker utilization, cache hit/miss tallies)
+    /// dependent counts (worker utilization, per-worker chunk tallies)
     /// never reach a [`Recorder::deterministic`] sink. The name must
     /// satisfy [`is_timing_class`] (debug-asserted) — callers wanting a
     /// deterministic counter use [`Recorder::add`] with a
@@ -418,7 +418,6 @@ mod tests {
             "worker_chunks",
             "worker_busy_ns{worker=\"3\"}",
             "cell_run_ns{exp=\"E9\"}",
-            "worker_cell_cache_hits",
         ] {
             assert!(is_timing_class(name), "{name} should be timing-class");
         }
@@ -430,17 +429,17 @@ mod tests {
     #[test]
     fn timing_gated_writes_respect_timing_flag() {
         let det = Recorder::deterministic();
-        det.add_timing("worker_cell_cache_hits", 4);
+        det.add_timing("worker_chunks", 4);
         det.observe_timing("cell_run_ns", 100);
         let snap = det.snapshot();
-        assert_eq!(snap.counter("worker_cell_cache_hits"), None);
+        assert_eq!(snap.counter("worker_chunks"), None);
         assert!(snap.histogram("cell_run_ns").is_none());
 
         let timed = Recorder::new();
-        timed.add_timing("worker_cell_cache_hits", 4);
+        timed.add_timing("worker_chunks", 4);
         timed.observe_timing("cell_run_ns", 100);
         let snap = timed.snapshot();
-        assert_eq!(snap.counter("worker_cell_cache_hits"), Some(4));
+        assert_eq!(snap.counter("worker_chunks"), Some(4));
         assert_eq!(snap.histogram("cell_run_ns").unwrap().count(), 1);
     }
 

@@ -1,24 +1,10 @@
-//! Integration tests for the experiment cell scheduler and the
-//! content-addressed cache (DESIGN.md §9): report bytes must be
-//! invariant to worker count and cache temperature, and a poisoned
-//! cache entry must be rejected and recomputed, never served.
+//! Integration test for the experiment cell scheduler (DESIGN.md §9):
+//! report bytes must be invariant to the worker count.
 
-use arbmis_bench::cache::{set_global_cache, Cache, NS_CELL};
 use arbmis_bench::cell::ExperimentPlan;
 use arbmis_bench::exps;
 use arbmis_bench::sched::{run_scheduled, SchedOutcome};
 use arbmis_congest::Parallelism;
-use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard};
-
-/// The scheduler and cache speak through process globals
-/// (`set_global_cache`, the default-parallelism policy), so these tests
-/// must not interleave.
-static GLOBAL_STATE: Mutex<()> = Mutex::new(());
-
-fn serialized() -> MutexGuard<'static, ()> {
-    GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn suite() -> Vec<ExperimentPlan> {
     exps::all().into_iter().map(|(_, _, f)| f(true)).collect()
@@ -32,16 +18,8 @@ fn report_bytes(outcome: &SchedOutcome) -> Vec<String> {
         .collect()
 }
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("arbmis-sched-test-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 #[test]
 fn quick_suite_reports_byte_identical_across_thread_counts() {
-    let _guard = serialized();
-    set_global_cache(None);
     let baseline = report_bytes(&run_scheduled(suite(), Parallelism::Threads(1)));
     assert_eq!(baseline.len(), 16);
     for threads in [2usize, 4, 8] {
@@ -52,92 +30,4 @@ fn quick_suite_reports_byte_identical_across_thread_counts() {
             "threads={threads} changed report bytes"
         );
     }
-}
-
-#[test]
-fn quick_suite_cold_vs_warm_cache_identical_with_full_hits() {
-    let _guard = serialized();
-    let dir = scratch_dir("warm");
-
-    set_global_cache(Some(Arc::new(Cache::open(&dir).unwrap())));
-    let cold = run_scheduled(suite(), Parallelism::Auto);
-    assert_eq!(cold.stats.cell_hits, 0, "scratch dir must start cold");
-    assert_eq!(cold.stats.cell_misses as usize, cold.stats.cells);
-
-    // A fresh handle forgets the in-memory memo: the warm run exercises
-    // the on-disk path end to end.
-    set_global_cache(Some(Arc::new(Cache::open(&dir).unwrap())));
-    let warm = run_scheduled(suite(), Parallelism::Auto);
-    set_global_cache(None);
-    let _ = std::fs::remove_dir_all(&dir);
-
-    assert_eq!(
-        warm.stats.cell_hits as usize, warm.stats.cells,
-        "warm run must serve every cell from the cache"
-    );
-    assert_eq!(warm.stats.cell_misses, 0);
-    assert!((warm.stats.hit_rate() - 1.0).abs() < 1e-12);
-    assert_eq!(
-        report_bytes(&warm),
-        report_bytes(&cold),
-        "cache temperature changed report bytes"
-    );
-}
-
-#[test]
-fn poisoned_cache_entry_is_rejected_and_recomputed() {
-    let _guard = serialized();
-    let dir = scratch_dir("poison");
-    let plan = || {
-        exps::all()
-            .into_iter()
-            .filter(|(id, _, _)| *id == "E1")
-            .map(|(_, _, f)| f(true))
-            .collect::<Vec<_>>()
-    };
-    let victim_key = plan()[0].cells[0].key.clone();
-
-    let cache = Arc::new(Cache::open(&dir).unwrap());
-    set_global_cache(Some(Arc::clone(&cache)));
-    let cold = run_scheduled(plan(), Parallelism::Serial);
-    let entry = cache.entry_path(NS_CELL, &victim_key);
-    assert!(entry.exists(), "cell result must have been stored");
-
-    // Corrupt the payload without fixing the checksum header.
-    let mut bytes = std::fs::read(&entry).unwrap();
-    let last = bytes.len() - 1;
-    bytes[last] ^= 0xff;
-    std::fs::write(&entry, &bytes).unwrap();
-
-    // Fresh handle on the poisoned dir: the bad entry must be rejected
-    // (and evicted), its cell recomputed, and the report unchanged.
-    let reopened = Arc::new(Cache::open(&dir).unwrap());
-    set_global_cache(Some(Arc::clone(&reopened)));
-    let rerun = run_scheduled(plan(), Parallelism::Serial);
-    set_global_cache(None);
-
-    assert_eq!(
-        reopened.stats().rejected,
-        1,
-        "checksum must reject the entry"
-    );
-    assert_eq!(
-        rerun.stats.cell_misses, 1,
-        "exactly the poisoned cell re-runs"
-    );
-    assert_eq!(
-        rerun.stats.cell_hits as usize,
-        rerun.stats.cells - 1,
-        "intact entries still serve"
-    );
-    assert_eq!(report_bytes(&rerun), report_bytes(&cold));
-    // The recompute re-publishes a good entry.
-    assert!(entry.exists());
-    let healed = Arc::new(Cache::open(&dir).unwrap());
-    set_global_cache(Some(Arc::clone(&healed)));
-    let final_run = run_scheduled(plan(), Parallelism::Serial);
-    set_global_cache(None);
-    let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(final_run.stats.cell_misses, 0);
-    assert_eq!(report_bytes(&final_run), report_bytes(&cold));
 }
