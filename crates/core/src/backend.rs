@@ -169,8 +169,7 @@ pub trait MisBackend {
     /// True once every node has terminated.
     fn is_done(&self) -> bool;
 
-    /// Current MIS membership mask (word-packed, length `n`, original
-    /// id space regardless of any execution-layout permutation).
+    /// Current MIS membership mask (word-packed, length `n`).
     fn mis(&self) -> &BitMask;
 
     /// CONGEST rounds executed so far.

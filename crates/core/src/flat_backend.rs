@@ -3,7 +3,7 @@
 use crate::backend::{self, BackendError, CoinFlip, FlatAlgo, MisBackend, ScanMode};
 use crate::{bounded_arb, ghaffari, luby, metivier, ArbParams, MisRun};
 use arbmis_congest::{execute_indexed, rng, BitMask, Frontier, Parallelism};
-use arbmis_graph::{Graph, NodeId, NodeOrder, Permutation};
+use arbmis_graph::{Graph, NodeId};
 use arbmis_obs::{FlightRecorder, Recorder, RoundRecord};
 
 /// Shared-memory replay of the CONGEST MIS protocols.
@@ -14,19 +14,9 @@ use arbmis_obs::{FlightRecorder, Recorder, RoundRecord};
 /// sweeps walk 64 nodes per word via `trailing_zeros`. The sweep reads
 /// either the two-level [`Frontier`] (sparse: summary-skipping) or its
 /// flat word array (dense), chosen per round from the active-set
-/// density — both directions visit the active nodes in ascending order,
-/// so the execution is identical either way.
-///
-/// # Layout independence (DESIGN.md §13)
-///
-/// With [`with_order`](FlatBackend::with_order), the engine scans a
-/// *relabeled* copy of the CSR (hubs-first or BFS-clustered) for cache
-/// locality, but every coin draw is keyed by the **original** node id,
-/// every tie-break compares original ids, and joiners are mapped back
-/// to original ids (and re-sorted) before they are reported. The
-/// permutation is an execution detail: joiner sets, round counts, the
-/// final MIS, and all flight-record digests are byte-identical to the
-/// unpermuted run.
+/// density — both directions visit the active nodes in ascending id
+/// order, so the execution is identical either way. Every coin draw is
+/// keyed by node id and every tie-break compares ids (DESIGN.md §13).
 ///
 /// # Deterministic parallelism
 ///
@@ -49,16 +39,12 @@ pub struct FlatBackend<'g> {
     seed: u64,
     algo: FlatAlgo,
     scan: ScanMode,
-    order: NodeOrder,
-    /// Relabeled execution layout; `None` runs directly on `g`.
-    layout: Option<Box<Layout>>,
-    /// Nodes active at round 0, **original** id space; `None` starts
-    /// from every node. Nodes outside it never run.
+    /// Nodes active at round 0; `None` starts from every node. Nodes
+    /// outside it never run.
     region: Option<BitMask>,
     /// Coin key of each node of a rank-keyed run: its rank within the
     /// active set the phase started from
-    /// ([`rank_active`](FlatBackend::rank_active), identity layout only,
-    /// so positions are original ids).
+    /// ([`rank_active`](FlatBackend::rank_active)).
     ranks: Option<Vec<NodeId>>,
     /// Worker threads for the parallel sweep path (1 = serial).
     threads: usize,
@@ -75,31 +61,31 @@ pub struct FlatBackend<'g> {
     /// Deactivated nodes halt at the next announce-type round, as in the
     /// simulator, so this trails `active_count` until then.
     unfinished: usize,
-    /// Active set in layout positions; its inner mask doubles as the
-    /// dense word-sweep and the parallel chunking substrate.
+    /// Active set; its inner mask doubles as the dense word-sweep and
+    /// the parallel chunking substrate.
     active: Frontier,
     active_count: usize,
-    /// MIS membership, **original** id space (write-only in hot loops).
+    /// MIS membership (write-only in hot loops).
     in_mis: BitMask,
-    /// Bad set (BoundedArb exiles), **original** id space.
+    /// Bad set (BoundedArb exiles).
     bad: BitMask,
-    /// `active_deg[p]` = number of active neighbors of position `p` while
+    /// `active_deg[p]` = number of active neighbors of node `p` while
     /// `deg_exact` holds, an upper bound on it otherwise (stored degrees
     /// only ever fall). Kept exact by decrementing all neighbors on each
     /// deactivation while `track_deg` is set.
     active_deg: Vec<u32>,
-    /// Per-iteration priority scratch (Métivier / BoundedArb), layout
-    /// positions. Stale for inactive nodes — reads are gated on active.
+    /// Per-iteration priority scratch (Métivier / BoundedArb). Stale for
+    /// inactive nodes — reads are gated on active.
     prio: Vec<u64>,
     /// Per-iteration mark scratch (Luby, Ghaffari) or competitor set
-    /// (degree reduction), layout positions. Stale for inactive nodes.
+    /// (degree reduction). Stale for inactive nodes.
     marked: BitMask,
     /// Degree reduction's high nodes at iteration boundaries: the active
-    /// positions whose active degree exceeds the target, with that degree
+    /// nodes whose active degree exceeds the target, with that degree
     /// stored exactly. Empty for every other algorithm.
     high: Vec<NodeId>,
-    /// Ghaffari's desire exponents (`p = 2^-e`), layout positions; stale
-    /// for inactive nodes. Empty for every other algorithm.
+    /// Ghaffari's desire exponents (`p = 2^-e`); stale for inactive
+    /// nodes. Empty for every other algorithm.
     exponent: Vec<u32>,
     /// The exponents the decide sweep computes for the next iteration,
     /// swapped into `exponent` once the sweep is done (it reads the
@@ -121,9 +107,9 @@ pub struct FlatBackend<'g> {
     /// Whether `active_deg` is exact for every active node. Reads that
     /// need exact degrees (bad exits, the trace maxima) check it.
     deg_exact: bool,
-    /// Winners of the current iteration, ascending layout positions.
+    /// Winners of the current iteration, ascending.
     wins: Vec<NodeId>,
-    /// Joiners of the last executed round, ascending **original** ids.
+    /// Joiners of the last executed round, ascending.
     joiners: Vec<NodeId>,
     /// Scratch for bad-exit violators (snapshot before exiling).
     removals: Vec<NodeId>,
@@ -131,13 +117,6 @@ pub struct FlatBackend<'g> {
     /// rounds.
     chunk_bufs: Vec<Vec<NodeId>>,
     obs_flushed: bool,
-}
-
-/// A cache-aware execution layout: the permutation and the relabeled
-/// CSR the hot loops actually scan.
-struct Layout {
-    perm: Permutation,
-    pg: Graph,
 }
 
 /// Visits every active node in ascending order, dense (flat word walk)
@@ -154,10 +133,10 @@ fn sweep(dense: bool, frontier: &Frontier, mut f: impl FnMut(NodeId)) {
     }
 }
 
-/// Removes position `v` from the active set: clears the frontier bit and,
+/// Removes node `v` from the active set: clears the frontier bit and,
 /// with `track_deg`, decrements every neighbor's active degree. `v` halts
 /// at the next announce-type round. Free function over the split-off
-/// fields so callers can hold the execution graph across calls.
+/// fields so callers can hold the graph across calls.
 ///
 /// `track_deg = false` skips the decrement loop — over a run it is 2m
 /// random u32 read-modify-writes, the single largest memory cost of the
@@ -165,7 +144,7 @@ fn sweep(dense: bool, frontier: &Frontier, mut f: impl FnMut(NodeId)) {
 /// Métivier never reads `active_deg`; BoundedArb skips the loop in scales
 /// whose opt-out cannot fire.
 fn deactivate_in(
-    eg: &Graph,
+    g: &Graph,
     active: &mut Frontier,
     active_count: &mut usize,
     active_deg: &mut [u32],
@@ -176,37 +155,25 @@ fn deactivate_in(
     active.remove(v);
     *active_count -= 1;
     if track_deg {
-        for &u in eg.neighbors(v) {
+        for &u in g.neighbors(v) {
             active_deg[u] -= 1;
         }
     }
 }
 
-/// Number of active neighbors of position `p` whose active degree
-/// exceeds `threshold` (the Invariant's high-degree count).
+/// Number of active neighbors of node `p` whose active degree exceeds
+/// `threshold` (the Invariant's high-degree count).
 fn high_degree_neighbors(
-    eg: &Graph,
+    g: &Graph,
     active: &BitMask,
     deg: &[u32],
     p: NodeId,
     threshold: f64,
 ) -> usize {
-    eg.neighbors(p)
+    g.neighbors(p)
         .iter()
         .filter(|&&u| active.test(u) && f64::from(deg[u]) > threshold)
         .count()
-}
-
-/// The table that maps a position to the id keying its coins, `None`
-/// when that id is the position itself: a ranked region's ranks, else a
-/// layout's original ids.
-fn coin_keys<'a>(
-    layout: &'a Option<Box<Layout>>,
-    ranks: &'a Option<Vec<NodeId>>,
-) -> Option<&'a [NodeId]> {
-    ranks
-        .as_deref()
-        .or_else(|| layout.as_deref().map(|l| l.perm.to_old()))
 }
 
 /// Shared pointer for disjoint-range parallel writes. Each chunk of the
@@ -243,8 +210,6 @@ impl<'g> FlatBackend<'g> {
             seed,
             algo,
             scan: ScanMode::Auto,
-            order: NodeOrder::Identity,
-            layout: None,
             region: None,
             ranks: None,
             threads: 1,
@@ -284,25 +249,6 @@ impl<'g> FlatBackend<'g> {
         self
     }
 
-    /// Scans in `order`'s layout (default [`NodeOrder::Identity`]).
-    /// Purely an execution detail: joiners, rounds, and the MIS are
-    /// byte-identical across orders (see the type-level docs).
-    #[must_use]
-    pub fn with_order(mut self, order: NodeOrder) -> Self {
-        debug_assert!(self.ranks.is_none(), "ranked regions scan in id order");
-        self.order = order;
-        self.layout = match order {
-            NodeOrder::Identity => None,
-            _ => {
-                let perm = order.permutation(self.g);
-                let pg = self.g.relabel(&perm);
-                Some(Box::new(Layout { perm, pg }))
-            }
-        };
-        self.reset();
-        self
-    }
-
     /// Worker threads for the deterministic parallel sweep (default 1 =
     /// serial; results are bit-identical at every count).
     #[must_use]
@@ -320,9 +266,9 @@ impl<'g> FlatBackend<'g> {
             .with_flight(FlightRecorder::disabled())
     }
 
-    /// Starts from exactly the nodes of `region` (original ids) instead
-    /// of every node. Coins stay keyed by original id and `g.n()`, so a
-    /// region run draws the same coins as the full run would.
+    /// Starts from exactly the nodes of `region` instead of every node.
+    /// Coins stay keyed by node id and `g.n()`, so a region run draws
+    /// the same coins as the full run would.
     pub(crate) fn with_region(mut self, region: &[bool]) -> Self {
         self.region = Some(BitMask::from_bools(region));
         self.reset();
@@ -331,13 +277,12 @@ impl<'g> FlatBackend<'g> {
 
     /// Hands the engine to the next phase of a multi-phase run (ArbMIS):
     /// `algo` under `seed`, from round 0, on the current active set. The
-    /// MIS and the bad set carry over. Coins are keyed by original id and
+    /// MIS and the bad set carry over. Coins are keyed by node id and
     /// `g.n()` until [`rank_active`](Self::rank_active) rekeys them.
     /// Stored degrees carry over too: exact, or upper bounds once any
-    /// phase removed nodes without tracking. Identity layout only; a
-    /// switched engine must not be rewound with [`MisBackend::init`].
+    /// phase removed nodes without tracking. A switched engine must not
+    /// be rewound with [`MisBackend::init`].
     pub(crate) fn switch_algo(&mut self, algo: FlatAlgo, seed: u64) {
-        debug_assert!(self.layout.is_none());
         debug_assert!(
             !matches!(algo, FlatAlgo::Ghaffari),
             "Ghaffari's exponents are sized at construction"
@@ -351,14 +296,13 @@ impl<'g> FlatBackend<'g> {
 
     /// Keys every coin by the node's rank within the current active set
     /// and draws `priority_bits` of its size: the ids and `n` of the
-    /// subgraph the active set induces. Ranks ascend with original ids,
-    /// so tie-breaks on original ids order nodes as the subgraph's ids
-    /// would, and the phase decides exactly what the same engine decides
-    /// on the extracted subgraph. A full active set keeps the identity
-    /// keys, which are its ranks. For unobserved drivers only: flight
-    /// coin digests and injected coin flips stay keyed by original id.
+    /// subgraph the active set induces. Ranks ascend with node ids, so
+    /// tie-breaks on node ids order nodes as the subgraph's ids would,
+    /// and the phase decides exactly what the same engine decides on the
+    /// extracted subgraph. A full active set keeps the identity keys,
+    /// which are its ranks. For unobserved drivers only: flight coin
+    /// digests and injected coin flips stay keyed by node id.
     pub(crate) fn rank_active(&mut self) {
-        debug_assert!(self.layout.is_none());
         if self.active_count < self.g.n() {
             let mut ranks = vec![0; self.g.n()];
             for (rank, p) in self.active.iter().enumerate() {
@@ -397,22 +341,13 @@ impl<'g> FlatBackend<'g> {
         self
     }
 
-    /// The node order this backend scans in.
-    pub fn order(&self) -> NodeOrder {
-        self.order
-    }
-
-    /// Whether **original** node `v` is still active (nonempty at
-    /// termination only for BoundedArb, whose output is not maximal).
+    /// Whether node `v` is still active (nonempty at termination only
+    /// for BoundedArb, whose output is not maximal).
     pub fn is_active(&self, v: NodeId) -> bool {
-        let pos = match &self.layout {
-            Some(l) => l.perm.new_of(v),
-            None => v,
-        };
-        self.active.contains(pos)
+        self.active.contains(v)
     }
 
-    /// Bad-set mask (BoundedArb's exiled nodes), original id space.
+    /// Bad-set mask (BoundedArb's exiled nodes).
     pub fn bad(&self) -> &BitMask {
         &self.bad
     }
@@ -422,12 +357,9 @@ impl<'g> FlatBackend<'g> {
         self.active_count
     }
 
-    /// The active set as a mask over **original** ids.
+    /// The active set as a mask.
     pub(crate) fn active_mask(&self) -> Vec<bool> {
-        match self.layout {
-            None => self.active.mask().to_bools(),
-            Some(_) => (0..self.g.n()).map(|v| self.is_active(v)).collect(),
-        }
+        self.active.mask().to_bools()
     }
 
     /// Largest active degree over active nodes, 0 when none is active.
@@ -448,10 +380,11 @@ impl<'g> FlatBackend<'g> {
     /// [`max_active_degree`](Self::max_active_degree).
     pub(crate) fn max_high_degree_neighbors(&self, threshold: f64) -> usize {
         self.debug_assert_degrees_exact();
-        let eg = self.layout.as_deref().map_or(self.g, |l| &l.pg);
         self.active
             .iter()
-            .map(|p| high_degree_neighbors(eg, self.active.mask(), &self.active_deg, p, threshold))
+            .map(|p| {
+                high_degree_neighbors(self.g, self.active.mask(), &self.active_deg, p, threshold)
+            })
             .max()
             .unwrap_or(0)
     }
@@ -464,19 +397,15 @@ impl<'g> FlatBackend<'g> {
         if self.deg_exact {
             return self.max_active_degree();
         }
+        let g = self.g;
         let Self {
-            g,
-            layout,
-            active,
-            active_deg,
-            ..
+            active, active_deg, ..
         } = self;
-        let eg = layout.as_deref().map_or(*g, |l| &l.pg);
         let mask = active.mask();
         let mut best = 0;
         for p in active.iter() {
             if active_deg[p] > best {
-                active_deg[p] = eg.neighbors(p).iter().filter(|&&u| mask.test(u)).count() as u32;
+                active_deg[p] = g.neighbors(p).iter().filter(|&&u| mask.test(u)).count() as u32;
                 best = best.max(active_deg[p]);
             }
         }
@@ -484,13 +413,12 @@ impl<'g> FlatBackend<'g> {
     }
 
     /// Removes the active nodes whose active degree exceeds `threshold`
-    /// from the active set and returns them, ascending (identity layout,
-    /// so positions are original ids). Reads exact degrees unless the
-    /// threshold is infinite. Neighbors' stored degrees are not
-    /// decremented, so they stay upper bounds if the nodes come back
-    /// through [`activate_undominated`](Self::activate_undominated).
+    /// from the active set and returns them, ascending. Reads exact
+    /// degrees unless the threshold is infinite. Neighbors' stored
+    /// degrees are not decremented, so they stay upper bounds if the
+    /// nodes come back through
+    /// [`activate_undominated`](Self::activate_undominated).
     pub(crate) fn take_active_above(&mut self, threshold: f64) -> Vec<NodeId> {
-        debug_assert!(self.layout.is_none());
         if threshold.is_infinite() {
             return Vec::new();
         }
@@ -508,10 +436,9 @@ impl<'g> FlatBackend<'g> {
         taken
     }
 
-    /// Returns to the active set each node of `nodes` (original ids,
-    /// inactive) that is not in the MIS and has no MIS neighbor.
+    /// Returns to the active set each node of `nodes` (all inactive)
+    /// that is not in the MIS and has no MIS neighbor.
     pub(crate) fn activate_undominated(&mut self, nodes: &[NodeId]) {
-        debug_assert!(self.layout.is_none());
         for &v in nodes {
             debug_assert!(!self.active.contains(v));
             if !self.in_mis.test(v) && self.g.neighbors(v).iter().all(|&u| !self.in_mis.test(u)) {
@@ -567,7 +494,7 @@ impl<'g> FlatBackend<'g> {
         }
     }
 
-    /// Word-aligned chunk ranges over the layout's word array, as
+    /// Word-aligned chunk ranges over the active set's word array, as
     /// `(word_lo, word_hi)` ranges. Word alignment makes per-chunk bit
     /// writes race-free; the chunk geometry never affects results (each
     /// chunk's output is ascending and chunks concatenate in order).
@@ -594,8 +521,7 @@ impl<'g> FlatBackend<'g> {
             Some(region) => {
                 self.active.clear();
                 for v in region.iter() {
-                    self.active
-                        .insert(self.layout.as_ref().map_or(v, |l| l.perm.new_of(v)));
+                    self.active.insert(v);
                 }
             }
         }
@@ -611,9 +537,8 @@ impl<'g> FlatBackend<'g> {
         // Ghaffari never read degrees.
         self.deg_exact = false;
         if !matches!(self.algo, FlatAlgo::Metivier | FlatAlgo::Ghaffari) {
-            let eg = self.layout.as_deref().map_or(self.g, |l| &l.pg);
             for (p, d) in self.active_deg.iter_mut().enumerate() {
-                *d = eg.degree(p) as u32;
+                *d = self.g.degree(p) as u32;
             }
             self.deg_exact = self.region.is_none();
         }
@@ -653,23 +578,21 @@ impl<'g> FlatBackend<'g> {
     /// unless stored degrees are exact: O(Σ deg(high)). Stored degrees
     /// never rise, so a node dropped here never becomes high again.
     fn refresh_high(&mut self, target: f64) {
+        let g = self.g;
         let Self {
-            g,
-            layout,
             active,
             active_deg,
             high,
             deg_exact,
             ..
         } = self;
-        let eg = layout.as_deref().map_or(*g, |l| &l.pg);
         let mask = active.mask();
         high.retain(|&p| {
             if !mask.test(p) {
                 return false;
             }
             if !*deg_exact {
-                active_deg[p] = eg.neighbors(p).iter().filter(|&&u| mask.test(u)).count() as u32;
+                active_deg[p] = g.neighbors(p).iter().filter(|&&u| mask.test(u)).count() as u32;
             }
             f64::from(active_deg[p]) > target
         });
@@ -677,17 +600,13 @@ impl<'g> FlatBackend<'g> {
 
     /// Recounts the exact active degree of every active node.
     fn recount_degrees(&mut self) {
+        let g = self.g;
         let Self {
-            g,
-            layout,
-            active,
-            active_deg,
-            ..
+            active, active_deg, ..
         } = self;
-        let eg = layout.as_deref().map_or(*g, |l| &l.pg);
         let mask = active.mask();
         for p in mask.iter() {
-            active_deg[p] = eg.neighbors(p).iter().filter(|&&u| mask.test(u)).count() as u32;
+            active_deg[p] = g.neighbors(p).iter().filter(|&&u| mask.test(u)).count() as u32;
         }
         self.deg_exact = true;
     }
@@ -713,7 +632,7 @@ impl<'g> FlatBackend<'g> {
     }
 
     /// Phase 1 of a priority decide: draw every active node's priority,
-    /// keyed by **original** id. `competitive` gates the ρ_k opt-out
+    /// keyed by node id (or rank). `competitive` gates the ρ_k opt-out
     /// (BoundedArb); pass `None` for an unconditional draw.
     fn fill_prio(&mut self, tag: u64, iter: u64, rho: Option<f64>) {
         let seed = self.seed;
@@ -726,14 +645,13 @@ impl<'g> FlatBackend<'g> {
             Vec::new()
         };
         let Self {
-            layout,
             ranks,
             active,
             active_deg,
             prio,
             ..
         } = self;
-        let keys = coin_keys(layout, ranks);
+        let keys = ranks.as_deref();
         let deg = &active_deg[..];
         let draw = |p: NodeId| {
             let key = keys.map_or(p, |t| t[p]);
@@ -762,17 +680,13 @@ impl<'g> FlatBackend<'g> {
         }
     }
 
-    /// Layout position and XOR mask of the injected coin flip aimed at
-    /// iteration `iter`, if its (original-id) node is active.
+    /// Node and XOR mask of the injected coin flip aimed at iteration
+    /// `iter`, if its node is active.
     fn active_flip(&self, iter: u64) -> Option<(NodeId, u64)> {
         let f = self
             .coin_flip
             .filter(|f| f.iteration == iter && f.node < self.g.n())?;
-        let pos = self
-            .layout
-            .as_ref()
-            .map_or(f.node, |l| l.perm.new_of(f.node));
-        self.active.contains(pos).then_some((pos, f.xor))
+        self.active.contains(f.node).then_some((f.node, f.xor))
     }
 
     /// Applies an injected priority coin flip after phase 1.
@@ -782,7 +696,7 @@ impl<'g> FlatBackend<'g> {
         }
     }
 
-    /// Toggles the mark bit of position `pos`.
+    /// Toggles the mark bit of node `pos`.
     fn toggle_mark(&mut self, pos: NodeId) {
         if self.marked.test(pos) {
             self.marked.clear(pos);
@@ -791,8 +705,8 @@ impl<'g> FlatBackend<'g> {
         }
     }
 
-    /// Phase 2 of a priority decide: winners are `(priority, original
-    /// id)`-maximal among active neighbors; priority 0 (the ρ_k
+    /// Phase 2 of a priority decide: winners are `(priority, id)`-maximal
+    /// among active neighbors; priority 0 (the ρ_k
     /// opt-out) never wins. Métivier priorities are never 0 (the low
     /// bit is forced), so the same scan serves both protocols.
     ///
@@ -810,19 +724,13 @@ impl<'g> FlatBackend<'g> {
         if self.threads > 1 {
             let bounds = self.word_chunk_ranges();
             self.ensure_chunk_bufs(bounds.len());
+            let g = self.g;
             let Self {
-                g,
-                layout,
                 active,
                 prio,
                 chunk_bufs,
                 ..
             } = self;
-            let (eg, to_old) = match layout.as_deref() {
-                Some(l) => (&l.pg, Some(l.perm.to_old())),
-                None => (*g, None),
-            };
-            let old = |p: NodeId| to_old.map_or(p, |t| t[p]);
             let mask = active.mask();
             let prio = &prio[..];
             let bufs = ShardPtr(chunk_bufs.as_mut_ptr());
@@ -836,11 +744,10 @@ impl<'g> FlatBackend<'g> {
                     if pv == 0 {
                         continue;
                     }
-                    let key = (pv, old(p));
-                    if eg
-                        .neighbors(p)
+                    let key = (pv, p);
+                    if g.neighbors(p)
                         .iter()
-                        .all(|&u| !mask.test(u) || key > (prio[u], old(u)))
+                        .all(|&u| !mask.test(u) || key > (prio[u], u))
                     {
                         buf.push(p);
                     }
@@ -851,30 +758,20 @@ impl<'g> FlatBackend<'g> {
             }
         } else {
             let dense = self.scan.is_dense(self.active_count, self.g.n());
+            let g = self.g;
             let Self {
-                g,
-                layout,
-                active,
-                prio,
-                wins,
-                ..
+                active, prio, wins, ..
             } = self;
-            let (eg, to_old) = match layout.as_deref() {
-                Some(l) => (&l.pg, Some(l.perm.to_old())),
-                None => (*g, None),
-            };
-            let old = |p: NodeId| to_old.map_or(p, |t| t[p]);
             let prio = &prio[..];
             sweep(dense, active, |p| {
                 let pv = prio[p];
                 if pv == 0 {
                     return;
                 }
-                let key = (pv, old(p));
-                if eg
-                    .neighbors(p)
+                let key = (pv, p);
+                if g.neighbors(p)
                     .iter()
-                    .all(|&u| !active.contains(u) || key > (prio[u], old(u)))
+                    .all(|&u| !active.contains(u) || key > (prio[u], u))
                 {
                     wins.push(p);
                 }
@@ -882,8 +779,7 @@ impl<'g> FlatBackend<'g> {
         }
     }
 
-    /// Métivier decide: `(priority, original id)`-maximal among active
-    /// neighbors.
+    /// Métivier decide: `(priority, id)`-maximal among active neighbors.
     fn decide_metivier(&mut self, iter: u64) {
         self.fill_prio(metivier::TAG_PRIORITY, iter, None);
         self.apply_prio_flip(iter);
@@ -901,17 +797,16 @@ impl<'g> FlatBackend<'g> {
 
     /// Degree-reduction decide, serial at every thread count: the high
     /// nodes and their active neighbors compete, each drawing Métivier's
-    /// priority, and a competitor wins when its `(priority, original id)`
-    /// beats every competing neighbor's. Non-competitors neither draw nor
+    /// priority, and a competitor wins when its `(priority, id)` beats
+    /// every competing neighbor's. Non-competitors neither draw nor
     /// block. Work is O(Σ deg(high)) plus the competitors' win checks and
     /// two word walks of the competitor mask.
     fn decide_degree_reduction(&mut self, iter: u64) {
         let seed = self.seed;
         let shift = self.prio_shift;
         {
+            let g = self.g;
             let Self {
-                g,
-                layout,
                 ranks,
                 active,
                 prio,
@@ -919,12 +814,11 @@ impl<'g> FlatBackend<'g> {
                 high,
                 ..
             } = self;
-            let eg = layout.as_deref().map_or(*g, |l| &l.pg);
-            let keys = coin_keys(layout, ranks);
+            let keys = ranks.as_deref();
             marked.clear_all();
             for &h in high.iter() {
                 marked.set(h);
-                for &u in eg.neighbors(h) {
+                for &u in g.neighbors(h) {
                     if active.contains(u) {
                         marked.set(u);
                     }
@@ -936,36 +830,26 @@ impl<'g> FlatBackend<'g> {
             }
         }
         self.apply_prio_flip(iter);
+        let g = self.g;
         let Self {
-            g,
-            layout,
-            prio,
-            marked,
-            wins,
-            ..
+            prio, marked, wins, ..
         } = self;
-        let (eg, to_old) = match layout.as_deref() {
-            Some(l) => (&l.pg, Some(l.perm.to_old())),
-            None => (*g, None),
-        };
-        let old = |p: NodeId| to_old.map_or(p, |t| t[p]);
         wins.clear();
         for p in marked.iter() {
-            let key = (prio[p], old(p));
-            if eg
-                .neighbors(p)
+            let key = (prio[p], p);
+            if g.neighbors(p)
                 .iter()
-                .all(|&u| !marked.test(u) || key > (prio[u], old(u)))
+                .all(|&u| !marked.test(u) || key > (prio[u], u))
             {
                 wins.push(p);
             }
         }
     }
 
-    /// Luby decide: marked with `P = 1/2d`, `(degree, original id)`-
-    /// maximal among marked active neighbors; degree-0 nodes join
-    /// outright. Same short-circuit / chunked structure as the priority
-    /// scan, with the mark bit standing in for a nonzero priority.
+    /// Luby decide: marked with `P = 1/2d`, `(degree, id)`-maximal among
+    /// marked active neighbors; degree-0 nodes join outright. Same
+    /// short-circuit / chunked structure as the priority scan, with the
+    /// mark bit standing in for a nonzero priority.
     fn decide_luby(&mut self, iter: u64) {
         let n = self.g.n();
         let seed = self.seed;
@@ -976,17 +860,16 @@ impl<'g> FlatBackend<'g> {
         } else {
             Vec::new()
         };
-        // Phase 1: mark flips, keyed by original id.
+        // Phase 1: mark flips, keyed by node id (or rank).
         {
             let Self {
-                layout,
                 ranks,
                 active,
                 active_deg,
                 marked,
                 ..
             } = self;
-            let keys = coin_keys(layout, ranks);
+            let keys = ranks.as_deref();
             let deg = &active_deg[..];
             let mark = |p: NodeId| {
                 let d = deg[p] as usize;
@@ -1032,20 +915,14 @@ impl<'g> FlatBackend<'g> {
         self.wins.clear();
         if threads > 1 {
             self.ensure_chunk_bufs(bounds.len());
+            let g = self.g;
             let Self {
-                g,
-                layout,
                 active,
                 active_deg,
                 marked,
                 chunk_bufs,
                 ..
             } = self;
-            let (eg, to_old) = match layout.as_deref() {
-                Some(l) => (&l.pg, Some(l.perm.to_old())),
-                None => (*g, None),
-            };
-            let old = |p: NodeId| to_old.map_or(p, |t| t[p]);
             let mask = active.mask();
             let (deg, marked) = (&active_deg[..], &*marked);
             let bufs = ShardPtr(chunk_bufs.as_mut_ptr());
@@ -1059,9 +936,9 @@ impl<'g> FlatBackend<'g> {
                     let win = if d == 0 {
                         true
                     } else if marked.test(p) {
-                        let key = (u64::from(d), old(p));
-                        eg.neighbors(p).iter().all(|&u| {
-                            !mask.test(u) || !marked.test(u) || (u64::from(deg[u]), old(u)) < key
+                        let key = (u64::from(d), p);
+                        g.neighbors(p).iter().all(|&u| {
+                            !mask.test(u) || !marked.test(u) || (u64::from(deg[u]), u) < key
                         })
                     } else {
                         false
@@ -1075,29 +952,23 @@ impl<'g> FlatBackend<'g> {
                 self.wins.extend_from_slice(&self.chunk_bufs[c]);
             }
         } else {
+            let g = self.g;
             let Self {
-                g,
-                layout,
                 active,
                 active_deg,
                 marked,
                 wins,
                 ..
             } = self;
-            let (eg, to_old) = match layout.as_deref() {
-                Some(l) => (&l.pg, Some(l.perm.to_old())),
-                None => (*g, None),
-            };
-            let old = |p: NodeId| to_old.map_or(p, |t| t[p]);
             let (deg, marked) = (&active_deg[..], &*marked);
             sweep(dense, active, |p| {
                 let d = deg[p];
                 let win = if d == 0 {
                     true
                 } else if marked.test(p) {
-                    let key = (u64::from(d), old(p));
-                    eg.neighbors(p).iter().all(|&u| {
-                        !active.contains(u) || !marked.test(u) || (u64::from(deg[u]), old(u)) < key
+                    let key = (u64::from(d), p);
+                    g.neighbors(p).iter().all(|&u| {
+                        !active.contains(u) || !marked.test(u) || (u64::from(deg[u]), u) < key
                     })
                 } else {
                     false
@@ -1114,22 +985,21 @@ impl<'g> FlatBackend<'g> {
     /// every other coin. The second records the winners (marked, no
     /// marked active neighbor) and computes each active node's next
     /// exponent from its pre-removal active neighborhood. The effective
-    /// degree is summed in the original graph's adjacency order, so a
-    /// layout adds the same `2^-e` terms in the same order as the
-    /// identity run and every comparison with 2 comes out the same.
+    /// degree is summed in ascending neighbor id, the order of the
+    /// simulator's inbox, so the floating-point sum and every comparison
+    /// with 2 come out as the CONGEST protocol's do.
     fn decide_ghaffari(&mut self, iter: u64) {
         let seed = self.seed;
         let dense = self.scan.is_dense(self.active_count, self.g.n());
         {
             let Self {
-                layout,
                 ranks,
                 active,
                 marked,
                 exponent,
                 ..
             } = self;
-            let keys = coin_keys(layout, ranks);
+            let keys = ranks.as_deref();
             sweep(dense, active, |p| {
                 let key = keys.map_or(p, |t| t[p]);
                 if ghaffari::is_marked(seed, key, iter, exponent[p]) {
@@ -1144,9 +1014,8 @@ impl<'g> FlatBackend<'g> {
                 self.toggle_mark(pos);
             }
         }
+        let g = self.g;
         let Self {
-            g,
-            layout,
             active,
             marked,
             exponent,
@@ -1154,15 +1023,12 @@ impl<'g> FlatBackend<'g> {
             wins,
             ..
         } = self;
-        let perm = layout.as_deref().map(|l| &l.perm);
         let (exponent, marked) = (&exponent[..], &*marked);
         wins.clear();
         sweep(dense, active, |p| {
-            let old = perm.map_or(p, |pm| pm.old_of(p));
             let mut d = 0.0;
             let mut blocked = false;
-            for &v in g.neighbors(old) {
-                let u = perm.map_or(v, |pm| pm.new_of(v));
+            for &u in g.neighbors(p) {
                 if active.contains(u) {
                     d += ghaffari::desire(exponent[u]);
                     blocked |= marked.test(u);
@@ -1177,46 +1043,34 @@ impl<'g> FlatBackend<'g> {
     }
 
     /// Exit round: winners join the MIS; winners and their dominated
-    /// active neighbors leave the active set. Joiners are reported in
-    /// **original** ids, re-sorted when a layout reordered the wins.
+    /// active neighbors leave the active set. The winners, already
+    /// ascending, are the round's joiners.
     fn exit_step(&mut self) {
-        let wins = std::mem::take(&mut self.wins);
-        {
-            let Self {
-                g,
-                layout,
-                active,
-                active_count,
-                active_deg,
-                in_mis,
-                track_deg,
-                ..
-            } = self;
-            let track_deg = *track_deg;
-            let (eg, to_old) = match layout.as_deref() {
-                Some(l) => (&l.pg, Some(l.perm.to_old())),
-                None => (*g, None),
-            };
-            for &w in &wins {
-                in_mis.set(to_old.map_or(w, |t| t[w]));
-                deactivate_in(eg, active, active_count, active_deg, track_deg, w);
-                for &u in eg.neighbors(w) {
-                    if active.contains(u) {
-                        deactivate_in(eg, active, active_count, active_deg, track_deg, u);
-                    }
-                }
-            }
-            self.deg_exact &= track_deg || wins.is_empty();
-            self.joiners.clear();
-            match to_old {
-                None => self.joiners.extend_from_slice(&wins),
-                Some(t) => {
-                    self.joiners.extend(wins.iter().map(|&w| t[w]));
-                    self.joiners.sort_unstable();
+        let g = self.g;
+        let Self {
+            active,
+            active_count,
+            active_deg,
+            in_mis,
+            track_deg,
+            deg_exact,
+            wins,
+            joiners,
+            ..
+        } = self;
+        let track_deg = *track_deg;
+        for &w in wins.iter() {
+            in_mis.set(w);
+            deactivate_in(g, active, active_count, active_deg, track_deg, w);
+            for &u in g.neighbors(w) {
+                if active.contains(u) {
+                    deactivate_in(g, active, active_count, active_deg, track_deg, u);
                 }
             }
         }
-        self.wins = wins;
+        *deg_exact &= track_deg || wins.is_empty();
+        joiners.clear();
+        joiners.extend_from_slice(wins);
     }
 
     /// Scale-end bad exits: a node with too many high-degree active
@@ -1228,31 +1082,25 @@ impl<'g> FlatBackend<'g> {
         if !self.deg_exact {
             self.recount_degrees();
         }
-        let n = self.g.n();
-        let dense = self.scan.is_dense(self.active_count, n);
+        let g = self.g;
+        let dense = self.scan.is_dense(self.active_count, g.n());
         let hd = params.high_degree_threshold(scale);
         let bad_thr = params.bad_threshold(scale);
         let threads = self.threads;
         self.removals.clear();
-        let violates = |eg: &Graph, mask: &BitMask, deg: &[u32], p: NodeId| {
-            high_degree_neighbors(eg, mask, deg, p, hd) as f64 > bad_thr
+        let violates = |mask: &BitMask, deg: &[u32], p: NodeId| {
+            high_degree_neighbors(g, mask, deg, p, hd) as f64 > bad_thr
         };
         if threads > 1 {
             let bounds = self.word_chunk_ranges();
             self.ensure_chunk_bufs(bounds.len());
             {
                 let Self {
-                    g,
-                    layout,
                     active,
                     active_deg,
                     chunk_bufs,
                     ..
                 } = self;
-                let eg = match layout.as_deref() {
-                    Some(l) => &l.pg,
-                    None => *g,
-                };
                 let mask = active.mask();
                 let deg = &active_deg[..];
                 let bufs = ShardPtr(chunk_bufs.as_mut_ptr());
@@ -1262,7 +1110,7 @@ impl<'g> FlatBackend<'g> {
                     buf.clear();
                     let (wlo, whi) = bounds[c];
                     for p in mask.iter_words(wlo, whi) {
-                        if violates(eg, mask, deg, p) {
+                        if violates(mask, deg, p) {
                             buf.push(p);
                         }
                     }
@@ -1273,47 +1121,32 @@ impl<'g> FlatBackend<'g> {
             }
         } else {
             let Self {
-                g,
-                layout,
                 active,
                 active_deg,
                 removals,
                 ..
             } = self;
-            let eg = match layout.as_deref() {
-                Some(l) => &l.pg,
-                None => *g,
-            };
             let deg = &active_deg[..];
             sweep(dense, active, |p| {
-                if violates(eg, active.mask(), deg, p) {
+                if violates(active.mask(), deg, p) {
                     removals.push(p);
                 }
             });
         }
-        let removals = std::mem::take(&mut self.removals);
-        {
-            let Self {
-                g,
-                layout,
-                active,
-                active_count,
-                active_deg,
-                bad,
-                ..
-            } = self;
-            let (eg, to_old) = match layout.as_deref() {
-                Some(l) => (&l.pg, Some(l.perm.to_old())),
-                None => (*g, None),
-            };
-            for &p in &removals {
-                bad.set(to_old.map_or(p, |t| t[p]));
-                // Always decrement: the trace and the headroom gauge read
-                // exact degrees after the scale end.
-                deactivate_in(eg, active, active_count, active_deg, true, p);
-            }
+        let Self {
+            active,
+            active_count,
+            active_deg,
+            bad,
+            removals,
+            ..
+        } = self;
+        for &p in removals.iter() {
+            bad.set(p);
+            // Always decrement: the trace and the headroom gauge read
+            // exact degrees after the scale end.
+            deactivate_in(g, active, active_count, active_deg, true, p);
         }
-        self.removals = removals;
     }
 
     /// Schedule end: every remaining node (deactivated or residual
@@ -1408,8 +1241,7 @@ impl<'g> FlatBackend<'g> {
         }
         self.last_dense = Some(dense);
         // Coin digest of the round about to execute (needs the active
-        // set *entering* the round, in original id space). Pure RNG
-        // replay — observation only.
+        // set *entering* the round). Pure RNG replay — observation only.
         let coin_digest = if self.flight.enabled() {
             backend::coin_digest(
                 &self.algo,

@@ -18,10 +18,10 @@
 //! announce/decide/exit timeline as Luby. The decide round marks every
 //! active node, records the winners, and computes every active node's
 //! next exponent from its pre-removal active neighborhood. The
-//! effective degree is summed in the original graph's adjacency order,
-//! so every execution layout reproduces the same floating-point sums
-//! (DESIGN.md §13). A run still active after its generous iteration cap
-//! panics.
+//! effective degree is summed in ascending neighbor id, the order of the
+//! simulator's inbox, so both engines compute the same floating-point
+//! sums (DESIGN.md §13). A run still active after its generous iteration
+//! cap panics.
 
 use crate::backend::{FlatAlgo, MisBackend};
 use crate::result::MisRun;

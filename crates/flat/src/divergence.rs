@@ -24,7 +24,7 @@
 
 use crate::{BackendError, CongestBackend, FlatAlgo, FlatBackend, MisBackend, ScanMode};
 use arbmis_core::ArbParams;
-use arbmis_graph::{Graph, GraphBuilder, NodeId, NodeOrder};
+use arbmis_graph::{Graph, GraphBuilder, NodeId};
 use serde::{Deserialize, Serialize};
 
 pub use arbmis_core::backend::{coin_digest, decide_iteration, joiner_digest, CoinFlip};
@@ -154,12 +154,6 @@ pub struct BackendSpec {
     pub scan: String,
     /// Injected perturbation (flat only).
     pub coin_flip: Option<CoinFlip>,
-    /// Flat execution layout (`"identity"` / `"degree"` / `"bfs"`),
-    /// layout-invisible by the DESIGN.md §13 contract but carried so a
-    /// replay exercises the exact engine configuration that diverged.
-    /// Absent in pre-layout artifacts (defaults to identity).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub order: Option<String>,
 }
 
 impl BackendSpec {
@@ -169,7 +163,6 @@ impl BackendSpec {
             kind: "flat".into(),
             scan: "auto".into(),
             coin_flip: None,
-            order: None,
         }
     }
 
@@ -179,7 +172,6 @@ impl BackendSpec {
             kind: "congest".into(),
             scan: "frontier".into(),
             coin_flip: None,
-            order: None,
         }
     }
 
@@ -190,18 +182,8 @@ impl BackendSpec {
         self
     }
 
-    /// Sets the flat execution layout (builder style).
-    #[must_use]
-    pub fn with_order(mut self, order: NodeOrder) -> Self {
-        self.order = Some(order.label().into());
-        self
-    }
-
     fn describe(&self) -> String {
         let mut s = format!("{} scan={}", self.kind, self.scan);
-        if let Some(o) = &self.order {
-            s.push_str(&format!(" order={o}"));
-        }
         if let Some(f) = self.coin_flip {
             s.push_str(&format!(
                 " coin_flip=node {} iter {} xor {:#x}",
@@ -395,10 +377,6 @@ impl ReplayArtifact {
                     other => return Err(format!("replay artifact: unknown flat scan {other:?}")),
                 };
                 let mut b = FlatBackend::new(g, self.seed, algo).with_scan(scan);
-                if let Some(o) = &spec.order {
-                    let order = NodeOrder::parse(o).map_err(|e| format!("replay artifact: {e}"))?;
-                    b = b.with_order(order);
-                }
                 if let Some(f) = spec.coin_flip {
                     b = b.with_coin_flip(f);
                 }

@@ -48,7 +48,6 @@ pub mod graph;
 pub mod io;
 pub mod orientation;
 pub mod overlay;
-pub mod perm;
 pub mod powerband;
 pub mod props;
 pub mod stats;
@@ -58,5 +57,4 @@ pub mod traversal;
 pub use builder::GraphBuilder;
 pub use graph::{Graph, NodeId};
 pub use overlay::OverlayGraph;
-pub use perm::{NodeOrder, Permutation};
 pub use subgraph::{InducedSubgraph, ScratchSubgraph, SubgraphScratch};

@@ -15,7 +15,7 @@
 //! ```
 
 use arbmis::core::{arb_mis, check_mis, greedy, tree_mis, ArbMisConfig};
-use arbmis::flat::{CongestBackend, FlatAlgo, FlatBackend, MisBackend, NodeOrder, ReplayArtifact};
+use arbmis::flat::{CongestBackend, FlatAlgo, FlatBackend, MisBackend, ReplayArtifact};
 use arbmis::graph::gen::{GraphFamily, GraphSpec};
 use arbmis::graph::stats::GraphStats;
 use arbmis::graph::{arboricity, io, Graph};
@@ -28,7 +28,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:
   arbmis run    (--input FILE | --family NAME --n N) --algo ALGO [--alpha A] [--seed S] [--obs]
-                [--backend flat|congest] [--order identity|degree|bfs] [--flat-threads N]
+                [--backend flat|congest] [--flat-threads N]
                 [--flight] [--flight-out FILE] [--trace-out FILE] [--perfetto-out FILE]
   arbmis stats  (--input FILE | --family NAME --n N) [--seed S]
   arbmis gen    --family NAME --n N --output FILE [--seed S]
@@ -56,10 +56,9 @@ shared-memory engine (default) or the CONGEST message-passing
 simulator. Both produce the same MIS in the same number of executed
 rounds, counting the final all-halt round (DESIGN.md §11).
 
---order relabels the flat backend's internal node layout (cache
-locality); --flat-threads N runs its sweeps on N worker threads. Both
-are execution details: the transcript — joiners, rounds, the MIS — is
-byte-identical for every order and thread count (DESIGN.md §13).
+--flat-threads N runs the flat backend's sweeps on N worker threads.
+It is an execution detail: the transcript — joiners, rounds, the MIS —
+is byte-identical for every thread count (DESIGN.md §13).
 
 replay re-runs a divergence artifact (see DESIGN.md §8) and reports the
 first divergent round; obs report renders a saved trace; obs serve
@@ -97,19 +96,41 @@ fn family_by_name(name: &str) -> Option<GraphFamily> {
 /// Boolean flags take no value; everything else is `--key value`.
 const BOOLEAN_FLAGS: &[&str] = &["obs", "flight", "verify"];
 
-fn parse_flags(args: &[String]) -> Option<HashMap<String, String>> {
+/// The flags each subcommand's usage line lists, space-separated;
+/// `None` for an unknown subcommand.
+fn known_flags(cmd: &str) -> Option<&'static str> {
+    Some(match cmd {
+        "run" => "input family n algo alpha seed obs backend flat-threads flight flight-out trace-out perfetto-out",
+        "stats" => "input family n seed",
+        "gen" => "family n output seed",
+        "replay" => "input",
+        "churn" => "workload n seed batches batch-size verify obs flight flight-out",
+        "obs report" => "input",
+        "obs serve" => "addr input",
+        _ => return None,
+    })
+}
+
+/// Parses `args` as `cmd`'s flags. An unknown subcommand or flag, or a
+/// malformed argument list, prints the usage text and yields exit code 2.
+fn parse_flags(cmd: &str, args: &[String]) -> Result<HashMap<String, String>, ExitCode> {
+    let known = known_flags(cmd).ok_or_else(usage)?;
     let mut map = HashMap::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let key = a.strip_prefix("--")?;
-        if BOOLEAN_FLAGS.contains(&key) {
-            map.insert(key.to_string(), "true".to_string());
-            continue;
+        let key = a.strip_prefix("--").ok_or_else(usage)?;
+        if !known.split(' ').any(|k| k == key) {
+            eprintln!("unknown flag --{key} for {cmd}");
+            return Err(usage());
         }
-        let value = it.next()?;
-        map.insert(key.to_string(), value.clone());
+        let value = if BOOLEAN_FLAGS.contains(&key) {
+            "true".to_string()
+        } else {
+            it.next().ok_or_else(usage)?.clone()
+        };
+        map.insert(key.to_string(), value);
     }
-    Some(map)
+    Ok(map)
 }
 
 fn load_graph(flags: &HashMap<String, String>) -> Result<Graph, String> {
@@ -266,8 +287,13 @@ fn cmd_obs(rest: &[String]) -> ExitCode {
         eprintln!("obs needs a subcommand: report or serve");
         return usage();
     };
-    let Some(flags) = parse_flags(rest) else {
+    if !matches!(sub.as_str(), "report" | "serve") {
+        eprintln!("unknown obs subcommand {sub:?} (expected report or serve)");
         return usage();
+    }
+    let flags = match parse_flags(&format!("obs {sub}"), rest) {
+        Ok(flags) => flags,
+        Err(code) => return code,
     };
     match sub.as_str() {
         "report" => {
@@ -329,10 +355,7 @@ fn cmd_obs(rest: &[String]) -> ExitCode {
                 }
             }
         }
-        other => {
-            eprintln!("unknown obs subcommand {other:?} (expected report or serve)");
-            usage()
-        }
+        _ => unreachable!("checked above"),
     }
 }
 
@@ -344,8 +367,9 @@ fn main() -> ExitCode {
     if cmd == "obs" {
         return cmd_obs(rest);
     }
-    let Some(flags) = parse_flags(rest) else {
-        return usage();
+    let flags = match parse_flags(cmd, rest) {
+        Ok(flags) => flags,
+        Err(code) => return code,
     };
     let seed: u64 = flags.get("seed").and_then(|s| s.parse().ok()).unwrap_or(1);
 
@@ -433,16 +457,6 @@ fn main() -> ExitCode {
                 eprintln!("--backend {backend} only supports --algo luby, metivier or ghaffari");
                 return ExitCode::FAILURE;
             }
-            let order = match flags.get("order") {
-                None => NodeOrder::Identity,
-                Some(s) => match NodeOrder::parse(s) {
-                    Ok(o) => o,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                },
-            };
             let flat_threads: usize = match flags.get("flat-threads") {
                 None => 1,
                 Some(s) => match s.parse() {
@@ -453,11 +467,9 @@ fn main() -> ExitCode {
                     }
                 },
             };
-            if (flags.contains_key("order") || flags.contains_key("flat-threads"))
-                && (backend != "flat" || !engine_algo)
-            {
+            if flags.contains_key("flat-threads") && (backend != "flat" || !engine_algo) {
                 eprintln!(
-                    "--order / --flat-threads need --algo luby, metivier or ghaffari on --backend flat"
+                    "--flat-threads needs --algo luby, metivier or ghaffari on --backend flat"
                 );
                 return ExitCode::FAILURE;
             }
@@ -476,9 +488,8 @@ fn main() -> ExitCode {
                     let rec = arbmis::obs::global();
                     let span = rec.span(&format!("backend/{algo}"));
                     let result = if backend == "flat" {
-                        let mut b = FlatBackend::new(&g, seed, flat_algo)
-                            .with_order(order)
-                            .with_threads(flat_threads);
+                        let mut b =
+                            FlatBackend::new(&g, seed, flat_algo).with_threads(flat_threads);
                         b.run(max_rounds).map(|r| (b.mis().to_bools(), r.rounds))
                     } else {
                         let mut b = CongestBackend::new(&g, seed, flat_algo);
@@ -579,6 +590,6 @@ fn main() -> ExitCode {
             println!("wrote {g} to {out}");
             ExitCode::SUCCESS
         }
-        _ => usage(),
+        _ => unreachable!("parse_flags rejects unknown subcommands"),
     }
 }

@@ -207,37 +207,31 @@ fn frontier_bookkeeping_steady_state_allocates_nothing() {
 /// nothing at all: `reset()` rewinds in place — word fills on the
 /// bit-packed masks, no per-node loops — and the round sweeps only
 /// reuse buffers (DESIGN.md §11, §13). Runs are deterministic, so
-/// repeat executions replay the exact same buffer demands. The degree
-/// layout exercises the permuted path too: joiner re-sorting and the
-/// pos↔original id mapping must also be alloc-free once warm. Ghaffari's
+/// repeat executions replay the exact same buffer demands. Ghaffari's
 /// exponent buffers are sized at construction and swapped, never
 /// regrown.
 fn flat_backend_steady_state_allocates_nothing() {
-    use arbmis::flat::{FlatAlgo, FlatBackend, MisBackend, NodeOrder, ScanMode};
+    use arbmis::flat::{FlatAlgo, FlatBackend, MisBackend, ScanMode};
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
     let g = arbmis::graph::gen::gnp(400, 0.02, &mut rng);
 
     for algo in [FlatAlgo::Luby, FlatAlgo::Metivier, FlatAlgo::Ghaffari] {
-        for order in [NodeOrder::Identity, NodeOrder::Degree] {
-            for scan in [ScanMode::Sparse, ScanMode::Dense, ScanMode::Auto] {
-                let mut b = FlatBackend::new(&g, 3, algo)
-                    .with_scan(scan)
-                    .with_order(order);
-                let warm = b.run(10_000).unwrap();
-                assert!(warm.rounds > 0);
-                let reruns = allocs_during(|| {
-                    for _ in 0..8 {
-                        let rerun = b.run(10_000).unwrap();
-                        assert_eq!(rerun.rounds, warm.rounds);
-                    }
-                });
-                assert_eq!(
-                    reruns, 0,
-                    "flat backend ({algo:?}, {order:?}, {scan:?}) allocated \
-                     {reruns} times across 8 warm re-runs"
-                );
-            }
+        for scan in [ScanMode::Sparse, ScanMode::Dense, ScanMode::Auto] {
+            let mut b = FlatBackend::new(&g, 3, algo).with_scan(scan);
+            let warm = b.run(10_000).unwrap();
+            assert!(warm.rounds > 0);
+            let reruns = allocs_during(|| {
+                for _ in 0..8 {
+                    let rerun = b.run(10_000).unwrap();
+                    assert_eq!(rerun.rounds, warm.rounds);
+                }
+            });
+            assert_eq!(
+                reruns, 0,
+                "flat backend ({algo:?}, {scan:?}) allocated {reruns} times \
+                 across 8 warm re-runs"
+            );
         }
     }
 }

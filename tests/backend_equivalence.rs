@@ -11,37 +11,22 @@
 //! shows up here as a first-divergence round index.
 //!
 //! The flat engine side of the matrix is itself a cross product:
-//! `{sparse, dense, auto}` scans × `{identity, degree, bfs}` execution
-//! layouts × flat worker threads `{1, 2, 4}` — the layout-independence
-//! and deterministic-parallelism contracts (DESIGN.md §13) ride on the
-//! same lockstep assertions. `ARBMIS_EQ_ORDERS` and
-//! `ARBMIS_EQ_FLAT_THREADS` (comma-separated) narrow the flat matrix,
-//! so CI can pin one slice per job.
+//! `{sparse, dense, auto}` scans × flat worker threads `{1, 2, 4}` — the
+//! deterministic-parallelism contract (DESIGN.md §13) rides on the same
+//! lockstep assertions. `ARBMIS_EQ_FLAT_THREADS` (comma-separated)
+//! narrows the flat matrix, so CI can pin one slice per job.
 
 use arbmis::congest::{Protocol, Simulator};
 use arbmis::core::protocols::{
     BoundedArbProtocol, GhaffariProtocol, LubyProtocol, MetivierProtocol, MisNodeState,
 };
 use arbmis::core::{ArbParams, ParamMode};
-use arbmis::flat::{CongestBackend, FlatAlgo, FlatBackend, MisBackend, NodeOrder, ScanMode};
+use arbmis::flat::{CongestBackend, FlatAlgo, FlatBackend, MisBackend, ScanMode};
 use arbmis::graph::{gen, Graph};
 use rand::SeedableRng;
 
 const SEEDS: [u64; 4] = [0, 1, 7, 42];
 const MAX_ROUNDS: u64 = 100_000;
-
-/// Flat execution layouts under test (`ARBMIS_EQ_ORDERS` narrows).
-fn orders_under_test() -> Vec<NodeOrder> {
-    match std::env::var("ARBMIS_EQ_ORDERS") {
-        Ok(s) => s
-            .split(',')
-            .map(str::trim)
-            .filter(|t| !t.is_empty())
-            .map(|t| NodeOrder::parse(t).expect("ARBMIS_EQ_ORDERS"))
-            .collect(),
-        Err(_) => vec![NodeOrder::Identity, NodeOrder::Degree, NodeOrder::Bfs],
-    }
-}
 
 /// Flat worker-thread counts under test (`ARBMIS_EQ_FLAT_THREADS`
 /// narrows).
@@ -125,21 +110,18 @@ where
 }
 
 /// Full matrix for one `(graph, seed, algo)` workload: every flat
-/// configuration (scan × layout × flat threads) vs both simulator
+/// configuration (scan × flat threads) vs both simulator
 /// scheduling modes in lockstep, then a one-shot simulator run against
 /// the agreed outcome.
 fn assert_workload(label: &str, g: &Graph, seed: u64, algo: FlatAlgo, max_rounds: u64) {
     let mut flats = Vec::new();
     for scan in [ScanMode::Sparse, ScanMode::Dense, ScanMode::Auto] {
-        for &order in &orders_under_test() {
-            for &threads in &flat_threads_under_test() {
-                flats.push(
-                    FlatBackend::new(g, seed, algo)
-                        .with_scan(scan)
-                        .with_order(order)
-                        .with_threads(threads),
-                );
-            }
+        for &threads in &flat_threads_under_test() {
+            flats.push(
+                FlatBackend::new(g, seed, algo)
+                    .with_scan(scan)
+                    .with_threads(threads),
+            );
         }
     }
     let mut congest = CongestBackend::new(g, seed, algo);

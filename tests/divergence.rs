@@ -91,26 +91,36 @@ fn replay_artifact_reproduces_byte_for_byte_through_the_cli() {
     assert_eq!(report.divergence.as_ref(), Some(&d));
     let expected_stdout = parsed.render(&report);
 
-    // The CLI consumes the artifact file and prints the identical bytes.
+    // The same case as written when the flat spec still carried a node
+    // order (`"order": "degree"`). Every order ran the identical
+    // transcript, so the ignored key changes neither the artifact nor
+    // its replay.
+    let legacy = include_str!("data/replay_flat_order_degree.json");
+    assert_eq!(ReplayArtifact::from_json(legacy).unwrap(), artifact);
+
+    // The CLI consumes either artifact file and prints the identical
+    // bytes.
     let dir = std::env::temp_dir().join(format!("arbmis-replay-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("artifact.json");
-    std::fs::write(&path, &json).unwrap();
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_arbmis"))
-        .args(["replay", "--input", path.to_str().unwrap()])
-        .output()
-        .expect("spawn arbmis replay");
-    assert!(
-        out.status.success(),
-        "replay exit status: {:?}\nstderr: {}",
-        out.status,
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert_eq!(
-        String::from_utf8_lossy(&out.stdout),
-        expected_stdout,
-        "CLI replay output must be byte-identical to the library render"
-    );
+    for (name, text) in [("artifact.json", json.as_str()), ("legacy.json", legacy)] {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_arbmis"))
+            .args(["replay", "--input", path.to_str().unwrap()])
+            .output()
+            .expect("spawn arbmis replay");
+        assert!(
+            out.status.success(),
+            "{name}: replay exit status: {:?}\nstderr: {}",
+            out.status,
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            expected_stdout,
+            "{name}: CLI replay output must be byte-identical to the library render"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

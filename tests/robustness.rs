@@ -168,3 +168,32 @@ fn understated_alpha_with_a_bad_component_still_certifies() {
     let understated = rec.snapshot().counter("arbmis_alpha_understated");
     assert!(understated.is_some_and(|c| c >= 1), "{understated:?}");
 }
+
+/// The CLI rejects a flag its subcommand's usage line does not list,
+/// such as `--order`, with exit code 2 instead of running without it;
+/// a well-formed run still succeeds.
+#[test]
+fn cli_rejects_unknown_flags() {
+    let run = |extra: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_arbmis"))
+            .args(["run", "--family", "tree", "--n", "1000", "--algo", "luby"])
+            .args(extra)
+            .output()
+            .expect("spawn arbmis run")
+    };
+    for (flag, value) in [("--bogus", "1"), ("--order", "degree")] {
+        let out = run(&[flag, value]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag {flag} for run")),
+            "{flag}: {stderr}"
+        );
+    }
+    let out = run(&["--flat-threads", "2"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
