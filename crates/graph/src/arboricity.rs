@@ -12,18 +12,19 @@
 //!   acyclic orientation with out-degree ≤ d splits the edges into d
 //!   forests (see [`crate::forest`]).
 
+use crate::cores::coreness;
 use crate::graph::Graph;
 use crate::orientation::degeneracy_ordering;
 
 /// The degeneracy of `g`: the smallest `d` such that every subgraph has a
-/// node of degree ≤ `d`. `O(n + m)`.
+/// node of degree ≤ `d`, read as the maximum [`coreness`]. `O(n + m)`.
 ///
 /// ```
 /// let g = arbmis_graph::gen::cycle(8);
 /// assert_eq!(arbmis_graph::arboricity::degeneracy(&g), 2);
 /// ```
 pub fn degeneracy(g: &Graph) -> usize {
-    degeneracy_ordering(g).degeneracy
+    coreness(g).into_iter().max().unwrap_or(0) as usize
 }
 
 /// Certified lower and upper bounds on the arboricity.

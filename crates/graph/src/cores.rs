@@ -6,9 +6,12 @@
 //! suffixes of the smallest-last ordering are exactly the cores — the
 //! experiment harness uses core profiles to characterize workloads, and
 //! the arboricity lower bound maximizes Nash–Williams density over cores.
+//!
+//! [`coreness`] is the one peeling routine behind both
+//! [`core_decomposition`] and [`crate::arboricity::degeneracy`]: a single
+//! Batagelj–Zaveršnik pass over flat `u32` arrays.
 
 use crate::graph::{Graph, NodeId};
-use crate::orientation::degeneracy_ordering;
 
 /// The core decomposition of a graph.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -45,8 +48,71 @@ impl CoreDecomposition {
     }
 }
 
-/// Computes coreness for every node in `O(n + m)` via the bucketed
-/// peeling order (Batagelj–Zaveršnik / Matula–Beck).
+/// Coreness of every node, by one Batagelj–Zaveršnik peel in `O(n + m)`.
+///
+/// `vert` lists the nodes sorted by current degree, `bin[d]` is where the
+/// block of degree-`d` nodes starts in it, and `pos[v]` is `v`'s index.
+/// Visiting `vert` in order removes a minimum-degree node at each step.
+/// Each not-yet-removed neighbour `u` of larger degree is swapped to the
+/// front of its block, and the block start moves past it: `u`'s degree
+/// drops by one and `vert` stays sorted. A node's degree when it is
+/// visited is its coreness.
+///
+/// # Panics
+///
+/// Panics if `g` has more than `u32::MAX` nodes.
+///
+/// ```
+/// use arbmis_graph::{cores, gen};
+/// assert_eq!(cores::coreness(&gen::cycle(6)), vec![2; 6]);
+/// ```
+pub fn coreness(g: &Graph) -> Vec<u32> {
+    let n = g.n();
+    assert!(u32::try_from(n).is_ok(), "{n} nodes exceed the u32 peel");
+    let mut deg: Vec<u32> = g.nodes().map(|v| g.degree(v) as u32).collect();
+    let max_deg = deg.iter().copied().max().unwrap_or(0) as usize;
+    let mut bin = vec![0u32; max_deg + 1];
+    for &d in &deg {
+        bin[d as usize] += 1;
+    }
+    let mut start = 0;
+    for b in &mut bin {
+        let count = *b;
+        *b = start;
+        start += count;
+    }
+    let mut pos = vec![0u32; n];
+    let mut vert = vec![0u32; n];
+    for (v, &d) in deg.iter().enumerate() {
+        let slot = &mut bin[d as usize];
+        pos[v] = *slot;
+        vert[*slot as usize] = v as u32;
+        *slot += 1;
+    }
+    // Placing the nodes advanced every block start to the next block's.
+    bin.copy_within(..max_deg, 1);
+    bin[0] = 0;
+    for i in 0..n {
+        let v = vert[i] as usize;
+        let dv = deg[v];
+        for &u in g.neighbors(v) {
+            let du = deg[u];
+            if du > dv {
+                let (pu, pw) = (pos[u], bin[du as usize]);
+                let w = vert[pw as usize];
+                vert[pu as usize] = w;
+                pos[w as usize] = pu;
+                vert[pw as usize] = u as u32;
+                pos[u] = pw;
+                bin[du as usize] += 1;
+                deg[u] = du - 1;
+            }
+        }
+    }
+    deg
+}
+
+/// The core decomposition of `g`, from one [`coreness`] peel.
 ///
 /// ```
 /// use arbmis_graph::{cores, gen};
@@ -55,28 +121,10 @@ impl CoreDecomposition {
 /// assert!(cd.coreness.iter().all(|&c| c == 4));
 /// ```
 pub fn core_decomposition(g: &Graph) -> CoreDecomposition {
-    let ord = degeneracy_ordering(g);
-    let n = g.n();
-    // Peel in smallest-last order; coreness of v = max over the prefix of
-    // the remaining-degree at deletion time (the running maximum is
-    // monotone along the order).
-    let mut removed = vec![false; n];
-    let mut degree: Vec<usize> = (0..n).map(|v| g.degree(v)).collect();
-    let mut coreness = vec![0usize; n];
-    let mut current = 0usize;
-    for &v in &ord.order {
-        current = current.max(degree[v]);
-        coreness[v] = current;
-        removed[v] = true;
-        for &u in g.neighbors(v) {
-            if !removed[u] {
-                degree[u] -= 1;
-            }
-        }
-    }
+    let cores: Vec<usize> = coreness(g).into_iter().map(|c| c as usize).collect();
     CoreDecomposition {
-        coreness,
-        degeneracy: ord.degeneracy,
+        degeneracy: cores.iter().copied().max().unwrap_or(0),
+        coreness: cores,
     }
 }
 
@@ -120,6 +168,9 @@ mod tests {
             cd.coreness.iter().copied().max().unwrap_or(0),
             cd.degeneracy
         );
+        // The smallest-last ordering peels separately and must agree.
+        let ord = crate::orientation::degeneracy_ordering(&g);
+        assert_eq!(cd.degeneracy, ord.degeneracy);
     }
 
     #[test]

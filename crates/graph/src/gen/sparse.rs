@@ -58,28 +58,30 @@ pub fn random_ktree<R: Rng + ?Sized>(n: usize, k: usize, rng: &mut R) -> Graph {
             b.add_edge(u, v);
         }
     }
-    // Track the k-cliques available for attachment.
-    let mut cliques: Vec<Vec<NodeId>> = Vec::with_capacity(1 + (n - k) * k);
-    // All k-subsets of the seed clique.
-    let seed: Vec<NodeId> = (0..=k).collect();
+    // The k-cliques available for attachment, stored flat with stride k,
+    // each with its members ascending: the k + 1 faces of the seed clique,
+    // then k per attached node, 1 + (n − k)·k cliques in all.
+    let mut cliques: Vec<NodeId> = Vec::with_capacity(k * (1 + (n - k) * k));
     for omit in 0..=k {
-        let mut c = seed.clone();
-        c.remove(omit);
-        cliques.push(c);
+        cliques.extend((0..=k).filter(|&u| u != omit));
     }
+    let mut base = vec![0 as NodeId; k];
     for v in (k + 1)..n {
-        let base = cliques[rng.gen_range(0..cliques.len())].clone();
+        let c = rng.gen_range(0..cliques.len() / k);
+        base.copy_from_slice(&cliques[c * k..(c + 1) * k]);
         for &u in &base {
             b.add_edge(v, u);
         }
-        // New k-cliques: for each u in base, (base \ {u}) ∪ {v}.
-        for omit in 0..base.len() {
-            let mut c = base.clone();
-            c[omit] = v;
-            c.sort_unstable();
-            cliques.push(c);
+        // New k-cliques: for each u in base, (base \ {u}) ∪ {v}. Every
+        // member of base is below v, so appending v keeps them ascending.
+        for omit in 0..k {
+            cliques.extend_from_slice(&base[..omit]);
+            cliques.extend_from_slice(&base[omit + 1..]);
+            cliques.push(v);
         }
     }
+    // Free the clique buffer before the CSR build allocates its arrays.
+    drop(cliques);
     b.build()
 }
 

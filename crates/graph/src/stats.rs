@@ -4,7 +4,7 @@
 //! tables are interpretable without re-deriving graph properties.
 
 use crate::graph::{Graph, NodeId};
-use crate::{arboricity, cores, traversal};
+use crate::{arboricity, traversal};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -55,7 +55,8 @@ impl GraphStats {
             m: g.m(),
             max_degree: g.max_degree(),
             avg_degree: g.avg_degree(),
-            degeneracy: cores::core_decomposition(g).degeneracy,
+            // The upper bound is the degeneracy itself (see `arboricity`).
+            degeneracy: bounds.upper,
             arboricity_lower: bounds.lower,
             arboricity_upper: bounds.upper,
             components: comps.count(),

@@ -6,7 +6,7 @@ use arbmis::congest::{Inbox, NodeInfo, Outgoing, Protocol, Simulator, SimulatorE
 use arbmis::core::protocols::MisMsg;
 use arbmis::core::{arb_mis, check_mis, ghaffari, greedy, luby, metivier, ArbMisConfig};
 use arbmis::graph::orientation::{degeneracy_ordering, Orientation};
-use arbmis::graph::{arboricity, forest, gen, props, traversal, Graph};
+use arbmis::graph::{arboricity, cores, forest, gen, props, traversal, Graph};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -20,6 +20,18 @@ fn arb_graph(max_n: usize, max_m: usize) -> impl Strategy<Value = Graph> {
             }
             b.build()
         })
+    })
+}
+
+/// Strategy: a node count in `0..40` and raw pairs over it, self loops
+/// included (callers filter them; at `n = 0` every pair is out of range).
+fn edge_list() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
+    (0usize..40).prop_flat_map(|n| {
+        let ids = 0..n.max(1);
+        (
+            Just(n),
+            proptest::collection::vec((ids.clone(), ids), 0..120),
+        )
     })
 }
 
@@ -84,6 +96,69 @@ proptest! {
         }
         // Degeneracy is at least half the max density bound.
         prop_assert!(ord.degeneracy >= arboricity::density_lower_bound(&g).saturating_sub(1) / 2);
+    }
+
+    #[test]
+    fn counting_build_matches_sorted_reference(input in edge_list()) {
+        let (n, pairs) = input;
+        // Every third edge again, and every other one reversed, so the
+        // list holds duplicates and both orientations of an edge.
+        let mut edges: Vec<(usize, usize)> =
+            pairs.into_iter().filter(|&(u, v)| u < n && v < n && u != v).collect();
+        let repeats: Vec<_> = edges.iter().step_by(3).copied().collect();
+        let reversed: Vec<_> = edges.iter().step_by(2).map(|&(u, v)| (v, u)).collect();
+        edges.extend(repeats);
+        edges.extend(reversed);
+        let g = Graph::from_edges(n, &edges);
+        // Reference: both directions of every pair, sorted, deduplicated.
+        let mut arcs: Vec<(usize, usize)> =
+            edges.iter().flat_map(|&(u, v)| [(u, v), (v, u)]).collect();
+        arcs.sort_unstable();
+        arcs.dedup();
+        let mut offsets = vec![0usize; n + 1];
+        for &(u, _) in &arcs {
+            offsets[u + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let adj: Vec<usize> = arcs.iter().map(|&(_, v)| v).collect();
+        prop_assert_eq!(g.as_csr(), (&offsets[..], &adj[..]));
+    }
+
+    #[test]
+    fn coreness_satisfies_the_core_definition(g in arb_graph(60, 250)) {
+        let core = cores::coreness(&g);
+        let max = core.iter().copied().max().unwrap_or(0);
+        for k in 1..=max + 1 {
+            // Reference k-core: delete nodes of degree < k until none is left.
+            let mut alive = vec![true; g.n()];
+            let mut changed = true;
+            while changed {
+                changed = false;
+                for v in g.nodes() {
+                    let inside = g.neighbors(v).iter().filter(|&&u| alive[u]).count();
+                    if alive[v] && inside < k as usize {
+                        alive[v] = false;
+                        changed = true;
+                    }
+                }
+            }
+            for v in g.nodes() {
+                let member = core[v] >= k;
+                prop_assert!(member == alive[v], "node {} for k = {}", v, k);
+                if member {
+                    let inside = g.neighbors(v).iter().filter(|&&u| core[u] >= k).count();
+                    prop_assert!(inside >= k as usize);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn degeneracy_is_the_ordering_degeneracy(g in arb_graph(60, 250)) {
+        prop_assert_eq!(arboricity::degeneracy(&g), degeneracy_ordering(&g).degeneracy);
+        prop_assert_eq!(cores::core_decomposition(&g).degeneracy, degeneracy_ordering(&g).degeneracy);
     }
 
     #[test]
