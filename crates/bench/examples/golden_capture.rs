@@ -7,8 +7,9 @@
 //!   `tests/driver_golden.rs`: one fingerprint per graph and entry point
 //!   (`luby::run`, `metivier::{run, run_region, run_partial}`,
 //!   `bounded_arb_independent_set_with` with and without the ρ_k cutoff,
-//!   the engine itself under an understated Δ, `arb_mis_with`, and
-//!   `ghaffari::run`) over masks, round and iteration counts, the full
+//!   the engine itself under an understated Δ, `arb_mis_with`,
+//!   `ghaffari::run`, and `luby::run` beside the engine's own Luby at 2
+//!   threads on 10⁵-node graphs) over masks, round and iteration counts, the full
 //!   `ScaleTrace`, the `ArbMIS` phase rounds and bad-component sizes, and
 //!   the deterministic recorder output.
 //!
@@ -203,6 +204,19 @@ fn fp_shatter(g: &Graph, cfg: &BoundedArbConfig) -> u64 {
     fp_recorder(fp_shatter_outcome(&out), &rec)
 }
 
+/// Steps `engine` to completion, folding every round's joiners.
+fn fp_joiners(engine: &mut FlatBackend) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    while !engine.is_done() {
+        engine.step_round().unwrap();
+        h = fnv(h, engine.joiners().len() as u64);
+        for &j in engine.joiners() {
+            h = fnv(h, j as u64);
+        }
+    }
+    h
+}
+
 /// Algorithm 1 on the engine with Δ understated as 4, so `ρ_1 ≈ 11`:
 /// active nodes above it opt out at the scale start and compete again
 /// once their degree falls. With the graph's true Δ no active degree
@@ -214,14 +228,7 @@ fn fp_flat_arb_understated(g: &Graph, alpha: usize, mode: ParamMode, seed: u64) 
         rho_cutoff: true,
     };
     let mut engine = FlatBackend::new(g, seed, algo);
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    while !engine.is_done() {
-        engine.step_round().unwrap();
-        h = fnv(h, engine.joiners().len() as u64);
-        for &j in engine.joiners() {
-            h = fnv(h, j as u64);
-        }
-    }
+    let mut h = fp_joiners(&mut engine);
     let active: Vec<bool> = (0..g.n()).map(|v| engine.is_active(v)).collect();
     h = fp_mask(h, &engine.mis().to_bools());
     h = fp_mask(h, &engine.bad().to_bools());
@@ -300,6 +307,29 @@ fn ghaffari_graphs() -> Vec<(&'static str, Graph)> {
         ("hub_k128", Graph::from_edges(129, &hub)),
     ]);
     graphs
+}
+
+/// `(name, graph)` for the large-n Luby rows. At 10⁵ nodes each of the
+/// 2-thread sweep's chunks spans about 200 mask words, and the sweep
+/// switches from dense to sparse as the active set thins out.
+fn luby_large_graphs() -> Vec<(&'static str, Graph)> {
+    let rng = rand::rngs::StdRng::seed_from_u64;
+    vec![
+        (
+            "gnp4_100k",
+            gen::gnp_with_expected_degree(100_000, 4.0, &mut rng(13)),
+        ),
+        ("tree100k", gen::random_tree_prufer(100_000, &mut rng(14))),
+        ("ktree3_100k", gen::random_ktree(100_000, 3, &mut rng(12))),
+    ]
+}
+
+/// Flat Luby at 2 threads, stepped to completion: every round's
+/// joiners, the MIS mask and the executed round count.
+fn fp_flat_luby_2t(g: &Graph, seed: u64) -> u64 {
+    let mut engine = FlatBackend::new(g, seed, FlatAlgo::Luby).with_threads(2);
+    let h = fp_mask(fp_joiners(&mut engine), &engine.mis().to_bools());
+    fnv(h, engine.round())
 }
 
 fn fp_arb_mis(g: &Graph, cfg: &ArbMisConfig) -> u64 {
@@ -382,6 +412,16 @@ fn driver_fingerprints() -> Vec<(String, u64)> {
             fnv(h, fp_arb_mis(&g, &ArbMisConfig::new(alpha, s)))
         });
         rows.push((format!("{name}/arb_mis"), h));
+    }
+    for (name, g) in luby_large_graphs() {
+        let h = SEEDS.iter().fold(0xcbf2_9ce4_8422_2325, |h, &s| {
+            fnv(h, fp_run(&luby::run(&g, s)))
+        });
+        rows.push((format!("{name}/luby"), h));
+        let h = SEEDS.iter().fold(0xcbf2_9ce4_8422_2325, |h, &s| {
+            fnv(h, fp_flat_luby_2t(&g, s))
+        });
+        rows.push((format!("{name}/flat_luby_2t"), h));
     }
     rows
 }

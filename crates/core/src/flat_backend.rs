@@ -71,8 +71,10 @@ pub struct FlatBackend<'g> {
     bad: BitMask,
     /// `active_deg[p]` = number of active neighbors of node `p` while
     /// `deg_exact` holds, an upper bound on it otherwise (stored degrees
-    /// only ever fall). Kept exact by decrementing all neighbors on each
-    /// deactivation while `track_deg` is set.
+    /// only ever fall). Luby pulls it: its mark sweep recounts every
+    /// active node's entry from the active mask. BoundedArb pushes it:
+    /// while `track_deg` is set, each deactivation decrements all
+    /// neighbors.
     active_deg: Vec<u32>,
     /// Per-iteration priority scratch (Métivier / BoundedArb). Stale for
     /// inactive nodes — reads are gated on active.
@@ -96,13 +98,14 @@ pub struct FlatBackend<'g> {
     /// fill sweep would otherwise pay per active node per iteration.
     prio_shift: u32,
     /// Whether deactivations currently decrement `active_deg` (see
-    /// [`deactivate_in`]). Luby reads every active degree in every
-    /// iteration and always tracks; Métivier reads none and never
-    /// tracks. BoundedArb tracks only in scales whose ρ_k opt-out can
-    /// fire, and recounts exactly before each scale's bad exits
-    /// ([`start_arb_scale`](FlatBackend::start_arb_scale)). Degree
-    /// reduction never tracks: it recounts its high nodes from their
-    /// adjacency after each exit ([`refresh_high`](FlatBackend::refresh_high)).
+    /// [`deactivate_in`]). Only BoundedArb tracks, and only in scales
+    /// whose ρ_k opt-out can fire; it recounts exactly before each
+    /// scale's bad exits
+    /// ([`start_arb_scale`](FlatBackend::start_arb_scale)). Luby recounts
+    /// in its mark sweep ([`decide_luby`](FlatBackend::decide_luby)),
+    /// Métivier and Ghaffari read no degrees, and degree reduction
+    /// recounts its high nodes from their adjacency after each exit
+    /// ([`refresh_high`](FlatBackend::refresh_high)).
     track_deg: bool,
     /// Whether `active_deg` is exact for every active node. Reads that
     /// need exact degrees (bad exits, the trace maxima) check it.
@@ -139,10 +142,10 @@ fn sweep(dense: bool, frontier: &Frontier, mut f: impl FnMut(NodeId)) {
 /// fields so callers can hold the graph across calls.
 ///
 /// `track_deg = false` skips the decrement loop — over a run it is 2m
-/// random u32 read-modify-writes, the single largest memory cost of the
-/// exit path at large n — and leaves the stored degrees as upper bounds.
-/// Métivier never reads `active_deg`; BoundedArb skips the loop in scales
-/// whose opt-out cannot fire.
+/// random u32 read-modify-writes plus a CSR row fetch per removed node,
+/// the single largest memory cost of the exit path at large n — and
+/// leaves the stored degrees as upper bounds. Only BoundedArb sets it,
+/// and only in scales whose opt-out can fire.
 fn deactivate_in(
     g: &Graph,
     active: &mut Frontier,
@@ -159,6 +162,11 @@ fn deactivate_in(
             active_deg[u] -= 1;
         }
     }
+}
+
+/// Number of active neighbors of node `p`: its exact active degree.
+fn active_degree(g: &Graph, active: &BitMask, p: NodeId) -> u32 {
+    g.neighbors(p).iter().filter(|&&u| active.test(u)).count() as u32
 }
 
 /// Number of active neighbors of node `p` whose active degree exceeds
@@ -363,8 +371,8 @@ impl<'g> FlatBackend<'g> {
     }
 
     /// Largest active degree over active nodes, 0 when none is active.
-    /// Reads exact degrees only: at round 0 of Luby or BoundedArb, during
-    /// Luby, or after a BoundedArb scale end.
+    /// Reads exact degrees only: at round 0 of Luby or BoundedArb, or
+    /// after a BoundedArb scale end.
     pub(crate) fn max_active_degree(&self) -> usize {
         self.debug_assert_degrees_exact();
         self.active
@@ -405,7 +413,7 @@ impl<'g> FlatBackend<'g> {
         let mut best = 0;
         for p in active.iter() {
             if active_deg[p] > best {
-                active_deg[p] = g.neighbors(p).iter().filter(|&&u| mask.test(u)).count() as u32;
+                active_deg[p] = active_degree(g, mask, p);
                 best = best.max(active_deg[p]);
             }
         }
@@ -550,9 +558,9 @@ impl<'g> FlatBackend<'g> {
 
     /// Round 0 of the current algorithm on the current active set: the
     /// per-phase state [`reset`](Self::reset) and
-    /// [`switch_algo`](Self::switch_algo) share. Luby reads every degree
-    /// from its first iteration and makes them exact; BoundedArb decides
-    /// per scale whether to; degree reduction collects its high nodes.
+    /// [`switch_algo`](Self::switch_algo) share. No algorithm tracks
+    /// degrees at round 0 (BoundedArb decides per scale whether to);
+    /// degree reduction collects its high nodes.
     fn begin_phase(&mut self) {
         self.round = 0;
         self.obs_flushed = false;
@@ -560,10 +568,7 @@ impl<'g> FlatBackend<'g> {
         self.unfinished = self.active_count;
         self.wins.clear();
         self.joiners.clear();
-        self.track_deg = matches!(self.algo, FlatAlgo::Luby);
-        if self.track_deg && !self.deg_exact {
-            self.recount_degrees();
-        }
+        self.track_deg = false;
         self.high.clear();
         if let FlatAlgo::DegreeReduction { target } = self.algo {
             let deg = &self.active_deg;
@@ -592,7 +597,7 @@ impl<'g> FlatBackend<'g> {
                 return false;
             }
             if !*deg_exact {
-                active_deg[p] = g.neighbors(p).iter().filter(|&&u| mask.test(u)).count() as u32;
+                active_deg[p] = active_degree(g, mask, p);
             }
             f64::from(active_deg[p]) > target
         });
@@ -606,7 +611,7 @@ impl<'g> FlatBackend<'g> {
         } = self;
         let mask = active.mask();
         for p in mask.iter() {
-            active_deg[p] = g.neighbors(p).iter().filter(|&&u| mask.test(u)).count() as u32;
+            active_deg[p] = active_degree(g, mask, p);
         }
         self.deg_exact = true;
     }
@@ -850,6 +855,20 @@ impl<'g> FlatBackend<'g> {
     /// marked active neighbors; degree-0 nodes join outright. Same
     /// short-circuit / chunked structure as the priority scan, with the
     /// mark bit standing in for a nonzero priority.
+    ///
+    /// Degrees are pulled, not pushed: unless they are already exact (a
+    /// full start before any exit, where `reset` stored `g.degree`), the
+    /// mark sweep counts each active node's active neighbors from the
+    /// active mask and stores the count before drawing the mark, so the
+    /// count runs on every worker. Phase 2, the coin-flip hook and the
+    /// degree-0 rule then read this iteration's exact degrees, and the
+    /// exit does no decrements. Per iteration the count reads each active
+    /// node's CSR row in ascending order and tests its neighbors in the
+    /// `n/8`-byte active mask. The active set shrinks geometrically in
+    /// expectation (Luby removes a constant fraction of the active edges
+    /// per iteration), so over a run this is a small multiple of m
+    /// reads, against the push's 2m random decrements into the `4n`-byte
+    /// degree array plus a random row fetch per removed node.
     fn decide_luby(&mut self, iter: u64) {
         let n = self.g.n();
         let seed = self.seed;
@@ -860,8 +879,11 @@ impl<'g> FlatBackend<'g> {
         } else {
             Vec::new()
         };
-        // Phase 1: mark flips, keyed by node id (or rank).
+        // Phase 1: active degrees, then mark flips keyed by node id (or
+        // rank).
+        let count = !self.deg_exact;
         {
+            let g = self.g;
             let Self {
                 ranks,
                 active,
@@ -870,25 +892,34 @@ impl<'g> FlatBackend<'g> {
                 ..
             } = self;
             let keys = ranks.as_deref();
-            let deg = &active_deg[..];
-            let mark = |p: NodeId| {
-                let d = deg[p] as usize;
+            let mask = active.mask();
+            let degree = |p: NodeId, stored: u32| {
+                if count {
+                    active_degree(g, mask, p)
+                } else {
+                    stored
+                }
+            };
+            let mark = |p: NodeId, d: u32| {
                 let key = keys.map_or(p, |t| t[p]);
-                d > 0 && luby::is_marked(seed, key, iter, d)
+                d > 0 && luby::is_marked(seed, key, iter, d as usize)
             };
             if threads > 1 {
-                let mask = active.mask();
+                let degs = ShardPtr(active_deg.as_mut_ptr());
                 let ptr = ShardPtr(marked.words_mut().as_mut_ptr());
                 execute_indexed(bounds.len(), Parallelism::Threads(threads), |_w, c| {
                     let (wlo, whi) = bounds[c];
                     for p in mask.iter_words(wlo, whi) {
                         let bit = 1u64 << (p & 63);
-                        // SAFETY: word `p >> 6` lies in chunk `c`'s
-                        // word range, and chunk ranges are disjoint, so
-                        // this read-modify-write is unshared.
+                        // SAFETY: `p` and word `p >> 6` lie in chunk
+                        // `c`'s word range, and chunk ranges are
+                        // disjoint, so these read-modify-writes are
+                        // unshared.
                         unsafe {
+                            let d = degs.at(p);
+                            *d = degree(p, *d);
                             let w = ptr.at(p >> 6);
-                            if mark(p) {
+                            if mark(p, *d) {
                                 *w |= bit;
                             } else {
                                 *w &= !bit;
@@ -898,7 +929,9 @@ impl<'g> FlatBackend<'g> {
                 });
             } else {
                 sweep(dense, active, |p| {
-                    if mark(p) {
+                    let d = degree(p, active_deg[p]);
+                    active_deg[p] = d;
+                    if mark(p, d) {
                         marked.set(p);
                     } else {
                         marked.clear(p);
@@ -906,6 +939,7 @@ impl<'g> FlatBackend<'g> {
                 });
             }
         }
+        self.deg_exact = true;
         if let Some((pos, xor)) = self.active_flip(iter) {
             if xor != 0 && self.active_deg[pos] > 0 {
                 self.toggle_mark(pos);

@@ -25,7 +25,11 @@
 //! The last two `arb_mis` rows (dense G(n,p) at α = 1, where degree
 //! reduction iterates two or three times, and a 10⁵-node 3-tree) were
 //! captured from the pipeline that ran degree reduction in its own loop
-//! and gave every later phase a fresh engine. The recorder fold leaves
+//! and gave every later phase a fresh engine. The six large-n Luby rows
+//! (`luby::run` and the engine at 2 threads on 10⁵-node G(n, d̄ = 4), a
+//! Prüfer tree and a 3-tree) were captured from the engine that kept
+//! Luby's active degrees exact by decrementing every neighbor of each
+//! removed node. The recorder fold leaves
 //! out the `arbmis_degree_reduction_*` gauges, which are newer than every
 //! row.
 //!
@@ -45,7 +49,7 @@ use rand::SeedableRng;
 
 /// `(graph/driver, fingerprint)`, captured as described in the module
 /// docs.
-const GOLDEN: [(&str, u64); 103] = [
+const GOLDEN: [(&str, u64); 109] = [
     ("empty0/luby", 0x4e3583d08ce6ac2c),
     ("empty0/metivier", 0x4e3583d08ce6ac2c),
     ("empty0/metivier_region", 0x4e3583d08ce6ac2c),
@@ -149,6 +153,12 @@ const GOLDEN: [(&str, u64); 103] = [
     ("hub_k128/ghaffari", 0xed853ce6d9c8ccaa),
     ("gnp300_dense/arb_mis", 0x6a0b0d5702029d8b),
     ("ktree3_100k/arb_mis", 0x661968ce8ae170cc),
+    ("gnp4_100k/luby", 0x152b4117d5170dbb),
+    ("gnp4_100k/flat_luby_2t", 0x662010112620286e),
+    ("tree100k/luby", 0x05e8b527b93e195a),
+    ("tree100k/flat_luby_2t", 0x8f117b924ad8448a),
+    ("ktree3_100k/luby", 0x860f5fa36081503c),
+    ("ktree3_100k/flat_luby_2t", 0x4b0be0e7b628e443),
 ];
 
 fn fnv(mut h: u64, x: u64) -> u64 {
@@ -284,6 +294,19 @@ fn fp_shatter(g: &Graph, cfg: &BoundedArbConfig) -> u64 {
     fp_recorder(fp_shatter_outcome(&out), &rec)
 }
 
+/// Steps `engine` to completion, folding every round's joiners.
+fn fp_joiners(engine: &mut FlatBackend) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    while !engine.is_done() {
+        engine.step_round().unwrap();
+        h = fnv(h, engine.joiners().len() as u64);
+        for &j in engine.joiners() {
+            h = fnv(h, j as u64);
+        }
+    }
+    h
+}
+
 /// Algorithm 1 on the engine with Δ understated as 4, so `ρ_1 ≈ 11`:
 /// active nodes above it opt out at the scale start and compete again
 /// once their degree falls. With the graph's true Δ no active degree
@@ -295,14 +318,7 @@ fn fp_flat_arb_understated(g: &Graph, alpha: usize, mode: ParamMode, seed: u64) 
         rho_cutoff: true,
     };
     let mut engine = FlatBackend::new(g, seed, algo);
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    while !engine.is_done() {
-        engine.step_round().unwrap();
-        h = fnv(h, engine.joiners().len() as u64);
-        for &j in engine.joiners() {
-            h = fnv(h, j as u64);
-        }
-    }
+    let mut h = fp_joiners(&mut engine);
     let active: Vec<bool> = (0..g.n()).map(|v| engine.is_active(v)).collect();
     h = fp_mask(h, &engine.mis().to_bools());
     h = fp_mask(h, &engine.bad().to_bools());
@@ -381,6 +397,29 @@ fn ghaffari_graphs() -> Vec<(&'static str, Graph)> {
         ("hub_k128", Graph::from_edges(129, &hub)),
     ]);
     graphs
+}
+
+/// `(name, graph)` for the large-n Luby rows. At 10⁵ nodes each of the
+/// 2-thread sweep's chunks spans about 200 mask words, and the sweep
+/// switches from dense to sparse as the active set thins out.
+fn luby_large_graphs() -> Vec<(&'static str, Graph)> {
+    let rng = rand::rngs::StdRng::seed_from_u64;
+    vec![
+        (
+            "gnp4_100k",
+            gen::gnp_with_expected_degree(100_000, 4.0, &mut rng(13)),
+        ),
+        ("tree100k", gen::random_tree_prufer(100_000, &mut rng(14))),
+        ("ktree3_100k", gen::random_ktree(100_000, 3, &mut rng(12))),
+    ]
+}
+
+/// Flat Luby at 2 threads, stepped to completion: every round's
+/// joiners, the MIS mask and the executed round count.
+fn fp_flat_luby_2t(g: &Graph, seed: u64) -> u64 {
+    let mut engine = FlatBackend::new(g, seed, FlatAlgo::Luby).with_threads(2);
+    let h = fp_mask(fp_joiners(&mut engine), &engine.mis().to_bools());
+    fnv(h, engine.round())
 }
 
 fn fp_arb_mis(g: &Graph, cfg: &ArbMisConfig) -> u64 {
@@ -463,6 +502,16 @@ fn driver_fingerprints() -> Vec<(String, u64)> {
             fnv(h, fp_arb_mis(&g, &ArbMisConfig::new(alpha, s)))
         });
         rows.push((format!("{name}/arb_mis"), h));
+    }
+    for (name, g) in luby_large_graphs() {
+        let h = SEEDS.iter().fold(0xcbf2_9ce4_8422_2325, |h, &s| {
+            fnv(h, fp_run(&luby::run(&g, s)))
+        });
+        rows.push((format!("{name}/luby"), h));
+        let h = SEEDS.iter().fold(0xcbf2_9ce4_8422_2325, |h, &s| {
+            fnv(h, fp_flat_luby_2t(&g, s))
+        });
+        rows.push((format!("{name}/flat_luby_2t"), h));
     }
     rows
 }

@@ -439,6 +439,68 @@ fn ghaffari_engine_matches_reference_where_exponents_exceed_10() {
     assert!(highest > 10, "exponents peaked at {highest}");
 }
 
+/// Luby's Algorithm B written out plainly over `Vec<bool>` flags,
+/// independently of the engine, recounting every active degree from
+/// scratch each iteration: `(MIS, iterations)`.
+fn reference_luby(g: &Graph, seed: u64) -> (Vec<bool>, u64) {
+    let n = g.n();
+    let mut active = vec![true; n];
+    let mut in_mis = vec![false; n];
+    let mut iter = 0;
+    while active.contains(&true) {
+        let live = |v: usize| g.neighbors(v).iter().copied().filter(|&u| active[u]);
+        let deg: Vec<usize> = (0..n).map(|v| live(v).count()).collect();
+        let marked: Vec<bool> = (0..n)
+            .map(|v| active[v] && deg[v] > 0 && luby::is_marked(seed, v, iter, deg[v]))
+            .collect();
+        let winners: Vec<usize> = (0..n)
+            .filter(|&v| {
+                active[v]
+                    && (deg[v] == 0
+                        || marked[v] && live(v).all(|u| !marked[u] || (deg[u], u) < (deg[v], v)))
+            })
+            .collect();
+        for w in winners {
+            in_mis[w] = true;
+            active[w] = false;
+            for &u in g.neighbors(w) {
+                active[u] = false;
+            }
+        }
+        iter += 1;
+    }
+    (in_mis, iter)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// DESIGN.md §13 for Luby: the engine's degree count, hence the MIS
+    /// and the round count, matches the reference under every scan mode
+    /// and worker-thread count, on graphs with hubs.
+    #[test]
+    fn luby_engine_matches_reference(g in ghaffari_graph(), seed in 0u64..1000) {
+        use arbmis::flat::{FlatAlgo, FlatBackend, MisBackend, ScanMode};
+        let (mis, iterations) = reference_luby(&g, seed);
+        let driver = luby::run(&g, seed);
+        prop_assert_eq!(&driver.in_mis, &mis);
+        prop_assert_eq!(driver.iterations, iterations);
+        for scan in [ScanMode::Sparse, ScanMode::Dense, ScanMode::Auto] {
+            for threads in [1, 2] {
+                let mut b = FlatBackend::new(&g, seed, FlatAlgo::Luby)
+                    .with_scan(scan)
+                    .with_threads(threads);
+                let run = b.run(100_000).unwrap();
+                prop_assert!(b.mis() == &mis[..], "{scan:?} × {threads}: MIS");
+                prop_assert!(
+                    run.rounds == 3 * iterations + 1,
+                    "{scan:?} × {threads}: rounds"
+                );
+            }
+        }
+    }
+}
+
 // ------------------------------------------------- bit-packed substrate
 
 /// Strategy: a size plus an operation tape over `0..n` for the
