@@ -64,7 +64,6 @@
 //! assert!(run.states.iter().all(|s| s.best == 4));
 //! ```
 
-pub mod algorithms;
 pub mod bitmask;
 pub mod frontier;
 pub mod message;

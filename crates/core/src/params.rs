@@ -155,6 +155,12 @@ mod tests {
         let p = ArbParams::new(2, 100, ParamMode::Faithful { p: 1 });
         assert_eq!(p.theta, 0);
         assert_eq!(p.total_iterations(), 0);
+        // Just below the crossover, Δ/denominator < 2: α = 1 crosses at
+        // Δ ≈ 9.75·10⁶, α = 2 at Δ ≈ 2.18·10¹⁰.
+        for (alpha, delta) in [(1, 9_000_000), (2, 20_000_000_000)] {
+            let p = ArbParams::new(alpha, delta, ParamMode::Faithful { p: 1 });
+            assert_eq!(p.theta, 0, "alpha {alpha}, delta {delta}");
+        }
     }
 
     #[test]
@@ -162,6 +168,9 @@ mod tests {
         // α = 1: denominator = 1176·16·ln²Δ; Δ = 2^40 clears it.
         let p = ArbParams::new(1, 1 << 40, ParamMode::Faithful { p: 1 });
         assert!(p.theta >= 1, "theta {}", p.theta);
+        // Just past the α = 1 crossover.
+        let p = ArbParams::new(1, 10_000_000, ParamMode::Faithful { p: 1 });
+        assert_eq!(p.theta, 1);
     }
 
     #[test]

@@ -183,7 +183,7 @@ impl Histogram {
     /// used by the trace-report parser. Returns `None` if the series is
     /// not a valid prefix of the bucket grid (wrong upper bounds, a
     /// decreasing cumulative count, or a final count disagreeing with
-    /// `count`).
+    /// `count`), or if a non-empty histogram has `min > max`.
     pub fn from_cumulative(
         count: u64,
         sum: u64,
@@ -200,7 +200,7 @@ impl Histogram {
             counts.push(acc - prev);
             prev = acc;
         }
-        if prev != count {
+        if prev != count || (count > 0 && min > max) {
             return None;
         }
         Some(Histogram {
@@ -502,6 +502,8 @@ mod tests {
         assert!(Histogram::from_cumulative(2, 0, 0, 0, &[(0, 2), (1, 1)]).is_none());
         // Final cumulative disagrees with count.
         assert!(Histogram::from_cumulative(3, 0, 0, 0, &[(0, 2)]).is_none());
+        // Non-empty with min > max (percentile would clamp an empty range).
+        assert!(Histogram::from_cumulative(1, 5, 9, 1, &[(0, 0), (1, 1)]).is_none());
     }
 
     #[test]

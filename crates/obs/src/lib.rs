@@ -41,7 +41,6 @@ pub mod flight;
 pub mod hist;
 pub mod recorder;
 pub mod report;
-pub mod serve;
 pub mod snapshot;
 
 pub use flight::{

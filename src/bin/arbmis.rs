@@ -36,7 +36,6 @@ fn usage() -> ExitCode {
   arbmis churn  [--workload NAME] [--n N] [--seed S] [--batches B] [--batch-size K]
                 [--verify] [--obs] [--flight] [--flight-out FILE]
   arbmis obs report --input TRACE.jsonl
-  arbmis obs serve  [--addr HOST:PORT] [--input TRACE.jsonl]
 
 algorithms: greedy luby metivier ghaffari treemis arbmis
 families:   tree caterpillar4 forests2 forests3 ktree2 ktree3 apollonian
@@ -61,8 +60,7 @@ It is an execution detail: the transcript — joiners, rounds, the MIS —
 is byte-identical for every thread count (DESIGN.md §13).
 
 replay re-runs a divergence artifact (see DESIGN.md §8) and reports the
-first divergent round; obs report renders a saved trace; obs serve
-exposes /metrics, /trace.json, and /flight.jsonl over HTTP.
+first divergent round; obs report renders a saved trace.
 
 churn plays an edit script (workloads: localized uniform flash hub all;
 default all) through the incremental maintenance layer and reports
@@ -106,7 +104,6 @@ fn known_flags(cmd: &str) -> Option<&'static str> {
         "replay" => "input",
         "churn" => "workload n seed batches batch-size verify obs flight flight-out",
         "obs report" => "input",
-        "obs serve" => "addr input",
         _ => return None,
     })
 }
@@ -133,6 +130,18 @@ fn parse_flags(cmd: &str, args: &[String]) -> Result<HashMap<String, String>, Ex
     Ok(map)
 }
 
+/// Parses the numeric flag `--key`, if present; an unparsable value is
+/// an error ("bad --key"), never a silent default.
+fn flag_num<T: std::str::FromStr>(
+    flags: &HashMap<String, String>,
+    key: &str,
+) -> Result<Option<T>, String> {
+    flags
+        .get(key)
+        .map(|s| s.parse().map_err(|_| format!("bad --{key}")))
+        .transpose()
+}
+
 fn load_graph(flags: &HashMap<String, String>) -> Result<Graph, String> {
     if let Some(path) = flags.get("input") {
         return io::read_file(path).map_err(|e| format!("reading {path}: {e}"));
@@ -141,16 +150,8 @@ fn load_graph(flags: &HashMap<String, String>) -> Result<Graph, String> {
         .get("family")
         .ok_or("need --input FILE or --family NAME")?;
     let fam = family_by_name(family).ok_or_else(|| format!("unknown family {family:?}"))?;
-    let n: usize = flags
-        .get("n")
-        .ok_or("need --n with --family")?
-        .parse()
-        .map_err(|_| "bad --n".to_string())?;
-    let seed: u64 = flags
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| "bad --seed".to_string()))
-        .transpose()?
-        .unwrap_or(1);
+    let n: usize = flag_num(flags, "n")?.ok_or("need --n with --family")?;
+    let seed: u64 = flag_num(flags, "seed")?.unwrap_or(1);
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     Ok(GraphSpec::new(fam, n).generate(&mut rng))
 }
@@ -214,17 +215,29 @@ fn cmd_replay(flags: &HashMap<String, String>) -> ExitCode {
 /// maintenance layer, comparing locality-bounded repair against a full
 /// re-solve after every batch.
 fn cmd_churn(flags: &HashMap<String, String>, seed: u64) -> ExitCode {
-    let n: usize = flags.get("n").and_then(|s| s.parse().ok()).unwrap_or(2_000);
-    let batches: usize = flags
-        .get("batches")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(48);
-    let batch_size: usize = flags
-        .get("batch-size")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(16);
+    let workload = flags.get("workload").map_or("all", String::as_str);
+    // The smallest graph each workload's generator accepts: localized
+    // churn edits 16-id windows, and a hub flap needs a fan of 2 spokes
+    // besides the hub.
+    let min_n = match workload {
+        "localized" | "all" => 32,
+        "uniform" | "flash" => 2,
+        "hub" => 4,
+        other => {
+            eprintln!(
+                "unknown workload {other:?} (expected localized, uniform, flash, hub, or all)"
+            );
+            return usage();
+        }
+    };
+    let (n, batches, batch_size) = match churn_sizes(flags, workload, min_n) {
+        Ok(sizes) => sizes,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let verify = flags.contains_key("verify");
-    let workload = flags.get("workload").map(String::as_str).unwrap_or("all");
     let scripts = match workload {
         "all" => churn::standard_suite(n, seed),
         "localized" => vec![churn::localized_churn(n, batches, batch_size, seed)],
@@ -235,13 +248,7 @@ fn cmd_churn(flags: &HashMap<String, String>, seed: u64) -> ExitCode {
             batch_size.max(1) / 4 + 1,
             seed,
         )],
-        "hub" => vec![churn::hub_churn(n, batches, (n / 4).clamp(2, 64), seed)],
-        other => {
-            eprintln!(
-                "unknown workload {other:?} (expected localized, uniform, flash, hub, or all)"
-            );
-            return usage();
-        }
+        _ => vec![churn::hub_churn(n, batches, (n / 4).clamp(2, 64), seed)],
     };
     println!(
         "{:<16} {:>8} {:>8} {:>12} {:>11} {:>14} {:>10} {:>9} {:>8}  valid",
@@ -281,81 +288,56 @@ fn cmd_churn(flags: &HashMap<String, String>, seed: u64) -> ExitCode {
     }
 }
 
-/// `arbmis obs report|serve`: trace tooling over saved or live data.
+/// `(n, batches, batch_size)` for `arbmis churn`. `--workload all` runs
+/// the fixed standard suite, so it takes no script shape.
+fn churn_sizes(
+    flags: &HashMap<String, String>,
+    workload: &str,
+    min_n: usize,
+) -> Result<(usize, usize, usize), String> {
+    let n = flag_num(flags, "n")?.unwrap_or(2_000);
+    if n < min_n {
+        return Err(format!("--workload {workload} needs --n >= {min_n}"));
+    }
+    if workload == "all" && (flags.contains_key("batches") || flags.contains_key("batch-size")) {
+        return Err("--batches and --batch-size need a single --workload, not all".into());
+    }
+    let batches = flag_num(flags, "batches")?.unwrap_or(48);
+    let batch_size = flag_num(flags, "batch-size")?.unwrap_or(16);
+    Ok((n, batches, batch_size))
+}
+
+/// `arbmis obs report --input TRACE.jsonl`: render a saved trace.
 fn cmd_obs(rest: &[String]) -> ExitCode {
     let Some((sub, rest)) = rest.split_first() else {
-        eprintln!("obs needs a subcommand: report or serve");
+        eprintln!("obs needs a subcommand: report");
         return usage();
     };
-    if !matches!(sub.as_str(), "report" | "serve") {
-        eprintln!("unknown obs subcommand {sub:?} (expected report or serve)");
+    if sub != "report" {
+        eprintln!("unknown obs subcommand {sub:?} (expected report)");
         return usage();
     }
-    let flags = match parse_flags(&format!("obs {sub}"), rest) {
+    let flags = match parse_flags("obs report", rest) {
         Ok(flags) => flags,
         Err(code) => return code,
     };
-    match sub.as_str() {
-        "report" => {
-            let Some(path) = flags.get("input") else {
-                eprintln!("obs report needs --input TRACE.jsonl");
-                return usage();
-            };
-            let text = match read_file_or_die(path) {
-                Ok(t) => t,
-                Err(code) => return code,
-            };
-            match arbmis::obs::report::parse_jsonl(&text) {
-                Ok(snap) => {
-                    print!("{}", arbmis::obs::report::render(&snap));
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: {path}: {e}");
-                    ExitCode::FAILURE
-                }
-            }
+    let Some(path) = flags.get("input") else {
+        eprintln!("obs report needs --input TRACE.jsonl");
+        return usage();
+    };
+    let text = match read_file_or_die(path) {
+        Ok(t) => t,
+        Err(code) => return code,
+    };
+    match arbmis::obs::report::parse_jsonl(&text) {
+        Ok(snap) => {
+            print!("{}", arbmis::obs::report::render(&snap));
+            ExitCode::SUCCESS
         }
-        "serve" => {
-            let addr = flags
-                .get("addr")
-                .map_or("127.0.0.1:9184", String::as_str)
-                .to_string();
-            let server = if let Some(path) = flags.get("input") {
-                let text = match read_file_or_die(path) {
-                    Ok(t) => t,
-                    Err(code) => return code,
-                };
-                match arbmis::obs::report::parse_jsonl(&text) {
-                    Ok(snap) => arbmis::obs::serve::Server::bind(
-                        addr.as_str(),
-                        Box::new(move || snap.clone()),
-                    ),
-                    Err(e) => {
-                        eprintln!("error: {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            } else {
-                arbmis::obs::serve::Server::bind_recorder(addr.as_str(), arbmis::obs::global())
-            };
-            match server {
-                Ok(server) => {
-                    let bound = server
-                        .local_addr()
-                        .map_or_else(|_| addr.clone(), |a| a.to_string());
-                    eprintln!(
-                        "serving /metrics /trace.json /flight.jsonl /healthz on http://{bound}"
-                    );
-                    server.serve_forever()
-                }
-                Err(e) => {
-                    eprintln!("error: binding {addr}: {e}");
-                    ExitCode::FAILURE
-                }
-            }
+        Err(e) => {
+            eprintln!("error: {path}: {e}");
+            ExitCode::FAILURE
         }
-        _ => unreachable!("checked above"),
     }
 }
 
@@ -371,7 +353,13 @@ fn main() -> ExitCode {
         Ok(flags) => flags,
         Err(code) => return code,
     };
-    let seed: u64 = flags.get("seed").and_then(|s| s.parse().ok()).unwrap_or(1);
+    let seed: u64 = match flag_num(&flags, "seed") {
+        Ok(seed) => seed.unwrap_or(1),
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     match cmd.as_str() {
         "replay" => cmd_replay(&flags),

@@ -4,12 +4,91 @@
 //! agree across engines and backends, and the protocol twins must
 //! reproduce the centralized fast paths.
 
-use arbmis::congest::{Protocol, Simulator};
+use arbmis::congest::{Inbox, NodeInfo, Outgoing, Protocol, Simulator};
 use arbmis::core::bounded_arb::{bounded_arb_independent_set, BoundedArbConfig};
 use arbmis::core::forest_decomp::HPartitionProtocol;
 use arbmis::core::protocols::*;
 use arbmis::graph::gen::{GraphFamily, GraphSpec};
 use rand::SeedableRng;
+
+/// Sums node values up a rooted tree (converge-cast): each node waits for
+/// all children, then sends its subtree sum to its parent. The root ends
+/// with the global sum in `O(depth)` rounds. Tree edges must exist in the
+/// graph. The only sparse-wave protocol: it pins frontier billing below.
+struct ConvergeCast {
+    parent: Vec<Option<usize>>,
+    children_count: Vec<usize>,
+    values: Vec<u64>,
+}
+
+impl ConvergeCast {
+    fn new(parent: Vec<Option<usize>>, values: Vec<u64>) -> Self {
+        assert_eq!(parent.len(), values.len());
+        let mut children_count = vec![0usize; parent.len()];
+        for p in parent.iter().flatten() {
+            children_count[*p] += 1;
+        }
+        ConvergeCast {
+            parent,
+            children_count,
+            values,
+        }
+    }
+}
+
+/// State of [`ConvergeCast`]: the subtree sum so far, the children
+/// still to report, and whether the node has reported to its parent.
+#[derive(Clone, Debug)]
+struct CastState {
+    sum: u64,
+    pending: usize,
+    done: bool,
+}
+
+impl Protocol for ConvergeCast {
+    type State = CastState;
+    type Msg = u64;
+
+    fn init(&self, node: &NodeInfo) -> CastState {
+        CastState {
+            sum: self.values[node.id],
+            pending: self.children_count[node.id],
+            done: false,
+        }
+    }
+
+    fn round(&self, st: &mut CastState, node: &NodeInfo, inbox: &Inbox<u64>) -> Outgoing<u64> {
+        if st.done {
+            return Outgoing::Halt;
+        }
+        for (_, &s) in inbox {
+            st.sum += s;
+            st.pending -= 1;
+        }
+        if st.pending == 0 {
+            st.done = true;
+            match self.parent[node.id] {
+                Some(p) => Outgoing::Unicast(vec![(p, st.sum)]),
+                None => Outgoing::Silent,
+            }
+        } else {
+            Outgoing::Silent
+        }
+    }
+
+    fn is_done(&self, st: &CastState) -> bool {
+        st.done
+    }
+
+    /// A node still waiting for children (`pending > 0`) is inert on an
+    /// empty inbox at every round — only a child's report changes it — and
+    /// a `done` node's next activation is `Halt` with `is_done` already
+    /// true (unobservable if skipped). So the engines only step the wave
+    /// front: per-round cost is O(1) on a path, not O(n).
+    fn is_quiescent(&self, st: &CastState) -> bool {
+        st.done || st.pending > 0
+    }
+}
 
 fn graph(fam: GraphFamily, n: usize, seed: u64) -> arbmis::graph::Graph {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -150,7 +229,6 @@ fn frontier_matches_full_scan_converge_cast() {
     // The sharpest frontier case: a converge-cast wave on a path steps
     // exactly one node per round under the sparse frontier, ~n under the
     // full scan — yet every observable must agree.
-    use arbmis::congest::algorithms::ConvergeCast;
     let n = 300;
     let g = arbmis::graph::gen::path(n);
     let parent: Vec<Option<usize>> = (0..n).map(|v| (v + 1 < n).then_some(v + 1)).collect();
@@ -167,7 +245,6 @@ fn frontier_matches_full_scan_converge_cast() {
 /// O(n) under the frontier engine and Θ(n²) under the full scan.
 #[test]
 fn converge_cast_wave_bills_its_frontier_not_n() {
-    use arbmis::congest::algorithms::ConvergeCast;
     use arbmis::obs::Recorder;
 
     let n = 2000;
@@ -190,6 +267,21 @@ fn converge_cast_wave_bills_its_frontier_not_n() {
     assert_eq!(frontier, 2000, "frontier engine total");
     assert!(frontier <= 4 * n as u64);
     assert!(stepped(true) >= (n * n / 4) as u64, "full scan total");
+}
+
+#[test]
+fn converge_cast_sums_tree() {
+    let g = arbmis::graph::gen::binary_tree(15);
+    // Parent pointers of the complete binary tree.
+    let parent: Vec<Option<usize>> = (0..15)
+        .map(|v| if v == 0 { None } else { Some((v - 1) / 2) })
+        .collect();
+    let values: Vec<u64> = (0..15).map(|v| v as u64 + 1).collect();
+    let cast = ConvergeCast::new(parent, values);
+    let run = Simulator::new(&g, 1).run(&cast, 50).unwrap();
+    assert_eq!(run.states[0].sum, (1..=15).sum::<u64>());
+    // Leaf-to-root latency = depth.
+    assert!(run.metrics.rounds <= 6);
 }
 
 /// Degenerate graphs n ∈ {0, 1}: the serial engine and both

@@ -184,7 +184,9 @@ impl Protocol for OrderProbe {
         let sorted = senders.windows(2).all(|w| w[0] < w[1]);
         let complete = senders == node.neighbors;
         let payloads_match = inbox.iter().all(|(s, &m)| m == s as u64);
-        st.ok = sorted && complete && payloads_match;
+        // `first()` is the smallest-id sender.
+        let first_is_min = inbox.first().map(|(s, _)| s) == node.neighbors.first().copied();
+        st.ok = sorted && complete && payloads_match && first_is_min;
         st.done = true;
         Outgoing::Halt
     }

@@ -1,12 +1,15 @@
-//! Robustness: adversarial topologies, extreme parameters, and
-//! failure-injection paths.
+//! Robustness: adversarial topologies, extreme parameters,
+//! failure-injection paths, and hostile CLI and trace input.
 
 use arbmis::core::bounded_arb::{bounded_arb_independent_set, BoundedArbConfig};
 use arbmis::core::params::{ArbParams, ParamMode};
 use arbmis::core::{arb_mis, check_mis, forest_decomp, ArbMisConfig};
 use arbmis::graph::gen::{self, GraphFamily, GraphSpec};
 use arbmis::graph::{Graph, GraphBuilder};
+use proptest::prelude::*;
 use rand::SeedableRng;
+use std::process::Output;
+use std::sync::OnceLock;
 
 #[test]
 fn arbmis_on_new_generator_families() {
@@ -175,11 +178,8 @@ fn understated_alpha_with_a_bad_component_still_certifies() {
 #[test]
 fn cli_rejects_unknown_flags() {
     let run = |extra: &[&str]| {
-        std::process::Command::new(env!("CARGO_BIN_EXE_arbmis"))
-            .args(["run", "--family", "tree", "--n", "1000", "--algo", "luby"])
-            .args(extra)
-            .output()
-            .expect("spawn arbmis run")
+        let base = ["run", "--family", "tree", "--n", "1000", "--algo", "luby"];
+        arbmis_cli(&[&base[..], extra].concat())
     };
     for (flag, value) in [("--bogus", "1"), ("--order", "degree")] {
         let out = run(&[flag, value]);
@@ -196,4 +196,169 @@ fn cli_rejects_unknown_flags() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+}
+
+fn arbmis_cli(args: &[&str]) -> Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_arbmis"))
+        .args(args)
+        .output()
+        .expect("spawn arbmis")
+}
+
+/// `obs report` is the only `obs` subcommand.
+#[test]
+fn cli_rejects_unknown_obs_subcommands() {
+    let out = arbmis_cli(&["obs", "serve", "--addr", "127.0.0.1:0"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown obs subcommand"), "{stderr}");
+}
+
+/// A histogram record with `min > max` is an inconsistent trace: `obs
+/// report` rejects it with exit code 1 instead of panicking in the
+/// percentile clamp.
+#[test]
+fn obs_report_rejects_a_histogram_with_min_above_max() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("min_above_max.jsonl");
+    std::fs::write(
+        &path,
+        "{\"type\":\"meta\",\"format\":\"arbmis-obs\",\"version\":1}\n\
+         {\"type\":\"histogram\",\"name\":\"h\",\"count\":1,\"sum\":5,\"min\":9,\"max\":1,\
+         \"cumulative_buckets\":[[0,0],[1,1]]}\n",
+    )
+    .unwrap();
+    let out = arbmis_cli(&["obs", "report", "--input", path.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("line 2: inconsistent histogram buckets"),
+        "{stderr}"
+    );
+}
+
+/// `arbmis churn` checks each workload's size precondition and its
+/// numeric flags up front: bad input exits 1 with an `error:` line, never
+/// a panic (101) or a silent default.
+#[test]
+fn churn_rejects_bad_arguments() {
+    for (args, message) in [
+        (&["--n", "10"][..], "--workload all needs --n >= 32"),
+        (&["--workload", "localized", "--n", "31"], "needs --n >= 32"),
+        (
+            &["--workload", "hub", "--n", "3"],
+            "--workload hub needs --n >= 4",
+        ),
+        (&["--workload", "uniform", "--n", "1"], "needs --n >= 2"),
+        (&["--workload", "flash", "--n", "1"], "needs --n >= 2"),
+        (&["--n", "abc"], "bad --n"),
+        (&["--workload", "hub", "--batches", "x"], "bad --batches"),
+        (
+            &["--workload", "uniform", "--batch-size", "-1"],
+            "bad --batch-size",
+        ),
+        (&["--seed", "s"], "bad --seed"),
+        (&["--batches", "2"], "need a single --workload"),
+        (
+            &["--workload", "all", "--batch-size", "2"],
+            "need a single --workload",
+        ),
+    ] {
+        let out = arbmis_cli(&[&["churn"][..], args].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
+    // The smallest accepted sizes run and certify.
+    for args in [
+        &["--workload", "hub", "--n", "4"][..],
+        &["--workload", "localized", "--n", "32"],
+        &["--workload", "uniform", "--n", "2"],
+        &["--workload", "flash", "--n", "2"],
+    ] {
+        let out = arbmis_cli(&[&["churn", "--batches", "2", "--verify"][..], args].concat());
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
+
+/// A real trace export: an ArbMIS run and a CONGEST Métivier run on one
+/// recorder, so it holds every record type the report parser reads
+/// (spans, points, counters, gauges, histograms).
+fn real_trace() -> &'static str {
+    static TRACE: OnceLock<String> = OnceLock::new();
+    TRACE.get_or_init(|| {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let g = GraphSpec::new(GraphFamily::KTree { k: 2 }, 400).generate(&mut rng);
+        let rec = arbmis::obs::Recorder::deterministic();
+        arbmis::core::arb_mis::arb_mis_with(&g, &ArbMisConfig::new(2, 1), &rec);
+        arbmis::congest::Simulator::new(&g, 1)
+            .with_recorder(rec.clone())
+            .run(&arbmis::core::protocols::MetivierProtocol, 10_000)
+            .unwrap();
+        rec.snapshot().to_jsonl()
+    })
+}
+
+/// Replacements for a numeric field: small and large values, `u64::MAX`,
+/// overflow, and tokens that are not `u64`s.
+const NUMBERS: [&str; 10] = [
+    "0",
+    "1",
+    "7",
+    "4096",
+    "18446744073709551615",
+    "18446744073709551616",
+    "-1",
+    "1e3",
+    "0.5",
+    "",
+];
+
+/// Replaces the `k`-th (mod count) numeric value in `text`: a run of
+/// ASCII digits right after a `:`, `[` or `,`.
+fn replace_number(text: &str, k: usize, with: &str) -> String {
+    let b = text.as_bytes();
+    let starts: Vec<usize> = (1..b.len())
+        .filter(|&i| b[i].is_ascii_digit() && matches!(b[i - 1], b':' | b'[' | b','))
+        .collect();
+    let start = starts[k % starts.len()];
+    let end = start + b[start..].iter().take_while(|c| c.is_ascii_digit()).count();
+    format!("{}{with}{}", &text[..start], &text[end..])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The `parse_jsonl` hostile-input surface: a real export with
+    /// numeric fields changed, then truncated, then with bytes flipped,
+    /// either parses or is rejected with an error — and whatever parses
+    /// renders. Neither step may panic.
+    #[test]
+    fn trace_report_never_panics_on_mutated_exports(
+        numbers in proptest::collection::vec((0usize..1 << 20, 0usize..NUMBERS.len()), 0..8),
+        cut in 0usize..30_000,
+        flips in proptest::collection::vec((0usize..1 << 20, 1u8..=255), 0..4),
+    ) {
+        let mut text = real_trace().to_string();
+        for (k, which) in numbers {
+            text = replace_number(&text, k, NUMBERS[which]);
+        }
+        let mut bytes = text.into_bytes();
+        if cut < 10_000 {
+            bytes.truncate(bytes.len() * cut / 10_000);
+        }
+        let len = bytes.len();
+        if len > 0 {
+            for (pos, mask) in flips {
+                bytes[pos % len] ^= mask;
+            }
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        if let Ok(snap) = arbmis::obs::report::parse_jsonl(&text) {
+            let _ = arbmis::obs::report::render(&snap);
+        }
+    }
 }
