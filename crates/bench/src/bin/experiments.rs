@@ -10,7 +10,6 @@
 //! experiments --json out.json # machine-readable results
 //! experiments --threads 4     # cells in flight on the worker pool
 //!                             # (0 = auto, 1 = serial; results identical)
-//! experiments --metrics-out m.prom  # Prometheus text exposition of the run
 //! experiments --trace-out t.jsonl   # JSONL span/event log of the run
 //! experiments --perfetto-out t.json # Chrome trace-event (Perfetto) export
 //! experiments --flight        # bounded per-round flight recorder, dumped
@@ -23,11 +22,11 @@
 //! stderr status lines. Every run computes every cell; nothing is read
 //! from or written to disk except the requested outputs.
 //!
-//! `--metrics-out` / `--trace-out` / `--perfetto-out` install a
-//! process-wide recorder (`arbmis_obs::set_global`), and `--flight`
-//! installs the process-wide flight ring; per DESIGN.md §8 none of this
-//! ever changes an experiment result — the `--json` report is
-//! byte-identical with and without them (CI diffs exactly that).
+//! `--trace-out` / `--perfetto-out` install a process-wide recorder
+//! (`arbmis_obs::set_global`), and `--flight` installs the process-wide
+//! flight ring; per DESIGN.md §8 none of this ever changes an experiment
+//! result — the `--json` report is byte-identical with and without them
+//! (CI diffs exactly that).
 
 use arbmis_bench::sched::{cell_count, run_scheduled};
 use arbmis_bench::ExperimentReport;
@@ -35,8 +34,8 @@ use arbmis_congest::Parallelism;
 use std::io::Write as _;
 
 const USAGE: &str = "usage: experiments [--list] [--quick] [--markdown] [--json PATH] \
-                     [--threads N] [--metrics-out PATH] [--trace-out PATH] \
-                     [--perfetto-out PATH] [--flight] [--flight-out PATH] [--exp E1 E2 ...]";
+                     [--threads N] [--trace-out PATH] [--perfetto-out PATH] \
+                     [--flight] [--flight-out PATH] [--exp E1 E2 ...]";
 
 #[derive(Default)]
 struct Args {
@@ -47,7 +46,6 @@ struct Args {
     json: Option<String>,
     selected: Vec<String>,
     threads: Option<usize>,
-    metrics_out: Option<String>,
     trace_out: Option<String>,
     perfetto_out: Option<String>,
     flight: bool,
@@ -73,7 +71,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
                     .map_err(|_| format!("--threads needs a non-negative integer, got {v:?}"))?;
                 args.threads = Some(t);
             }
-            "--metrics-out" => args.metrics_out = Some(value("a path")?),
             "--trace-out" => args.trace_out = Some(value("a path")?),
             "--perfetto-out" => args.perfetto_out = Some(value("a path")?),
             "--flight" => args.flight = true,
@@ -132,9 +129,7 @@ fn main() {
         Some(1) => Parallelism::Serial,
         Some(t) => Parallelism::Threads(t),
     };
-    let observing =
-        args.metrics_out.is_some() || args.trace_out.is_some() || args.perfetto_out.is_some();
-    let recorder = if observing {
+    let recorder = if args.trace_out.is_some() || args.perfetto_out.is_some() {
         // One process-wide recorder feeds the simulator, the ArbMIS
         // pipeline, the Monte-Carlo driver, and the cell scheduler for
         // the whole run.
@@ -200,10 +195,6 @@ fn main() {
 
     if let Some(rec) = recorder {
         let snap = rec.snapshot();
-        if let Some(path) = args.metrics_out {
-            std::fs::write(&path, snap.to_prometheus()).expect("write metrics output");
-            eprintln!("[experiments] wrote {path}");
-        }
         if let Some(path) = args.trace_out {
             std::fs::write(&path, snap.to_jsonl()).expect("write trace output");
             eprintln!("[experiments] wrote {path}");
@@ -229,10 +220,15 @@ mod tests {
 
     #[test]
     fn malformed_flags_are_errors_not_panics() {
-        // The last case is a flag this binary no longer has: it must be
-        // rejected, not silently ignored.
+        // The last two cases are flags this binary no longer has: they
+        // must be rejected, not silently ignored.
         let retired = concat!("--no", "-cache");
-        for argv in [&["--threads", "x"][..], &["--json"], &[retired]] {
+        for argv in [
+            &["--threads", "x"][..],
+            &["--json"],
+            &[retired],
+            &["--metrics-out", "x"],
+        ] {
             assert!(parse(argv).is_err(), "{argv:?} must be rejected");
         }
     }

@@ -49,7 +49,8 @@ impl TreeMisOutcome {
     }
 }
 
-/// The shattering budget `⌈√(log₂ n · log₂ log₂ n)⌉`.
+/// The shattering budget `⌈√(log₂ n · log₂ log₂ n)⌉`, also the number of
+/// ArbMIS degree-reduction iterations.
 pub fn shatter_budget(n: usize) -> u64 {
     if n < 4 {
         return 1;

@@ -3,9 +3,9 @@
 //! Bucket boundaries are powers of two, fixed by construction (never
 //! data-dependent): bucket 0 holds the value `0` exactly, and bucket
 //! `i ≥ 1` holds values in `[2^{i-1}, 2^i - 1]`. The upper bound of
-//! bucket `i` is therefore `2^i - 1` (`0, 1, 3, 7, 15, …`), which is the
-//! `le` label used in the Prometheus exposition. The pinned-boundary
-//! unit tests below are the normative definition.
+//! bucket `i` is therefore `2^i - 1` (`0, 1, 3, 7, 15, …`), the bound
+//! each `cumulative_buckets` pair of the JSONL export starts with. The
+//! pinned-boundary unit tests below are the normative definition.
 
 use serde::{Deserialize, Serialize};
 
@@ -164,8 +164,8 @@ impl Histogram {
     }
 
     /// `(upper_bound, cumulative_count)` pairs for every stored bucket —
-    /// the Prometheus `le` series (the `+Inf` bucket is implied by
-    /// [`count`](Self::count)).
+    /// the JSONL `cumulative_buckets` series (observations above the last
+    /// bound are implied by [`count`](Self::count)).
     pub fn cumulative(&self) -> Vec<(u64, u64)> {
         let mut acc = 0;
         self.counts

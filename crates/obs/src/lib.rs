@@ -3,9 +3,10 @@
 //!
 //! A [`Recorder`] collects phase **spans** (nested, named), **counters**,
 //! **gauges**, **histograms** ([`Histogram`]: log₂-bucketed), and
-//! **point events**; a [`Snapshot`] renders them as a JSONL event log or
-//! a Prometheus text exposition. The disabled recorder is a null
-//! pointer check per call, so instrumentation stays in release builds.
+//! **point events**; a [`Snapshot`] renders them as a JSONL event log
+//! (read back by [`report::parse_jsonl`]) or a Chrome trace-event
+//! timeline. The disabled recorder is a null pointer check per call, so
+//! instrumentation stays in release builds.
 //!
 //! Two rules make the layer safe to leave attached everywhere
 //! (DESIGN.md §8):
@@ -34,7 +35,10 @@
 //! }
 //! let snap = rec.snapshot();
 //! assert!(snap.has_span("run"));
-//! assert!(snap.to_prometheus().contains("# TYPE messages counter"));
+//! assert_eq!(snap.counter("messages"), Some(10));
+//! assert!(snap
+//!     .to_jsonl()
+//!     .contains(r#"{"type":"counter","name":"messages","value":10}"#));
 //! ```
 
 pub mod flight;

@@ -65,7 +65,7 @@ pub enum Event {
 /// contract: wall-clock or schedule/environment-dependent data, which
 /// must be quarantined to names ending in `_ns` or starting with
 /// `worker_` so [`Recorder::deterministic`] sink output stays
-/// byte-identical. Prometheus-style label suffixes are stripped first,
+/// byte-identical. A `{label="value"}` suffix is stripped first,
 /// so `worker_busy_ns{worker="3"}` and `cell_run_ns{exp="E9"}` both
 /// classify by their base name.
 pub fn is_timing_class(name: &str) -> bool {

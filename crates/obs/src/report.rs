@@ -175,8 +175,15 @@ fn u64_field(line: &str, key: &str) -> Option<u64> {
     raw_field(line, key)?.parse().ok()
 }
 
+/// Parses a number, or one of the quoted `"inf"`, `"-inf"` and `"NaN"`
+/// strings the exporter writes for non-finite gauges.
 fn f64_field(line: &str, key: &str) -> Option<f64> {
-    raw_field(line, key)?.parse().ok()
+    let raw = raw_field(line, key)?;
+    let raw = raw
+        .strip_prefix('"')
+        .and_then(|r| r.strip_suffix('"'))
+        .unwrap_or(raw);
+    raw.parse().ok()
 }
 
 /// Extracts `"cumulative_buckets":[[le,c],…]` as `(le, c)` pairs.
@@ -252,6 +259,36 @@ mod tests {
         let snap = r.snapshot();
         let parsed = parse_jsonl(&snap.to_jsonl()).unwrap();
         assert_eq!(parsed, snap);
+    }
+
+    /// Label blocks holding `"`, `\` and a newline, and non-finite gauge
+    /// values, survive an export and read back.
+    #[test]
+    fn escaped_labels_and_non_finite_gauges_roundtrip() {
+        let r = Recorder::deterministic();
+        r.add("c{msg=\"two\nlines\"}", 3);
+        r.gauge("g{path=\"C:\\temp\\x\"}", 1.0);
+        r.gauge("g{q=\"say \"hi\" now\"}", f64::INFINITY);
+        r.gauge("neg_inf", f64::NEG_INFINITY);
+        r.observe("h{src=\"x\\y\",note=\"a\nb\"}", 2);
+        let snap = r.snapshot();
+        let jsonl = snap.to_jsonl();
+        // A raw newline in a name would split its record across lines.
+        assert_eq!(jsonl.lines().count(), 6, "{jsonl}");
+        let parsed = parse_jsonl(&jsonl).unwrap();
+        assert_eq!(parsed, snap);
+        assert_eq!(parsed.to_jsonl(), jsonl);
+        assert_eq!(
+            parsed.gauge_value("g{q=\"say \"hi\" now\"}"),
+            Some(f64::INFINITY)
+        );
+        assert_eq!(parsed.gauge_value("neg_inf"), Some(f64::NEG_INFINITY));
+
+        let r = Recorder::deterministic();
+        r.gauge("nan", f64::NAN);
+        let parsed = parse_jsonl(&r.snapshot().to_jsonl()).unwrap();
+        assert!(parsed.gauge_value("nan").unwrap().is_nan());
+        assert!(render(&parsed).contains("nan = NaN"));
     }
 
     #[test]

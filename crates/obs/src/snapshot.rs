@@ -1,6 +1,7 @@
 //! A consistent copy of a [`crate::Recorder`]'s state, and the two
-//! machine-readable sinks rendered from it: a JSONL event log and a
-//! Prometheus text exposition.
+//! renderings of it: a JSONL event log, the one machine-readable export
+//! (read back by [`crate::report::parse_jsonl`]), and a Chrome
+//! trace-event timeline.
 //!
 //! Both renderings are fully deterministic given the snapshot: events
 //! appear in recorded order, metrics in lexicographic name order
@@ -139,54 +140,6 @@ impl Snapshot {
         out
     }
 
-    /// Renders the snapshot in the Prometheus text exposition format
-    /// (version 0.0.4): counters, gauges, then histograms with
-    /// cumulative `le` buckets, `_sum`, and `_count` series. Metric
-    /// names are sanitized to `[a-zA-Z0-9_:]`; a `{label="value"}`
-    /// suffix in a recorded name is preserved as-is.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        let mut last_typed: Option<String> = None;
-        let mut type_line = |out: &mut String, base: &str, kind: &str| {
-            if last_typed.as_deref() != Some(base) {
-                let _ = writeln!(out, "# TYPE {base} {kind}");
-                last_typed = Some(base.to_string());
-            }
-        };
-        for (name, v) in &self.counters {
-            let (base, labels) = split_labels(name);
-            let base = sanitize(&base);
-            let labels = escape_label_block(&labels);
-            type_line(&mut out, &base, "counter");
-            let _ = writeln!(out, "{base}{labels} {v}");
-        }
-        for (name, v) in &self.gauges {
-            let (base, labels) = split_labels(name);
-            let base = sanitize(&base);
-            let labels = escape_label_block(&labels);
-            type_line(&mut out, &base, "gauge");
-            let _ = writeln!(out, "{base}{labels} {}", fmt_f64(*v));
-        }
-        for (name, h) in &self.histograms {
-            let (base, labels) = split_labels(name);
-            let base = sanitize(&base);
-            let labels = escape_label_block(&labels);
-            type_line(&mut out, &base, "histogram");
-            for (le, c) in h.cumulative() {
-                let _ = writeln!(out, "{base}_bucket{} {c}", merge_labels(&labels, le));
-            }
-            let _ = writeln!(
-                out,
-                "{base}_bucket{} {}",
-                merge_labels_inf(&labels),
-                h.count()
-            );
-            let _ = writeln!(out, "{base}_sum{labels} {}", h.sum());
-            let _ = writeln!(out, "{base}_count{labels} {}", h.count());
-        }
-        out
-    }
-
     /// Renders the event log in the Chrome trace-event JSON format
     /// (loadable in Perfetto / `chrome://tracing`): every span becomes a
     /// `B`/`E` duration pair, every point event an `i` instant, all on
@@ -272,14 +225,15 @@ impl Snapshot {
     }
 }
 
-/// Formats an `f64` the way both sinks need it: integral values without
-/// a trailing `.0` would reparse as integers, which is fine for JSON,
-/// but keep Rust's shortest-roundtrip default for full fidelity.
+/// Formats a gauge value for JSONL: Rust's shortest round-trip form, so
+/// the report parser reads back the exact `f64`.
 fn fmt_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {
-        // JSON has no Inf/NaN; Prometheus renders them as strings too.
+        // JSON has no number token for ±inf or NaN, so these are written
+        // as the strings "inf", "-inf" and "NaN", which the report parser
+        // accepts.
         format!("\"{v}\"")
     }
 }
@@ -299,115 +253,6 @@ fn escape(s: &str) -> String {
         }
     }
     out
-}
-
-/// Splits a recorded name into `(base, label_block)` where the label
-/// block (possibly empty) includes its braces.
-fn split_labels(name: &str) -> (String, String) {
-    match name.split_once('{') {
-        Some((base, rest)) => (base.to_string(), format!("{{{rest}")),
-        None => (name.to_string(), String::new()),
-    }
-}
-
-/// Sanitizes a base metric name for Prometheus.
-fn sanitize(base: &str) -> String {
-    base.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
-}
-
-/// Escapes label *values* inside a `{k="v",…}` block per the Prometheus
-/// text exposition format 0.0.4: backslash → `\\`, double-quote → `\"`,
-/// line feed → `\n`. Recorded label values are raw (instrumentation
-/// sites write whatever string they have), so escaping happens once
-/// here, at render time.
-///
-/// The only ambiguity in the raw encoding is a `"` inside a value; it is
-/// resolved by the closing heuristic: a `"` terminates a value only when
-/// followed by `,` (next pair) or by `}` at the very end of the block.
-/// A malformed block (no `=`, unterminated value, …) is returned
-/// unchanged — fail open, matching `sanitize`'s best-effort spirit.
-fn escape_label_block(labels: &str) -> String {
-    if labels.is_empty() {
-        return String::new();
-    }
-    let Some(inner) = labels.strip_prefix('{').and_then(|s| s.strip_suffix('}')) else {
-        return labels.to_string();
-    };
-    let chars: Vec<char> = inner.chars().collect();
-    let mut out = String::with_capacity(labels.len() + 8);
-    out.push('{');
-    let mut i = 0;
-    while i < chars.len() {
-        // Key up to '='.
-        let key_start = i;
-        while i < chars.len() && chars[i] != '=' {
-            i += 1;
-        }
-        if i == key_start || i >= chars.len() {
-            return labels.to_string();
-        }
-        out.extend(&chars[key_start..i]);
-        out.push('=');
-        i += 1;
-        // Opening quote.
-        if i >= chars.len() || chars[i] != '"' {
-            return labels.to_string();
-        }
-        out.push('"');
-        i += 1;
-        // Value: a '"' closes it only before ',' or at block end.
-        let mut closed = false;
-        while i < chars.len() {
-            let c = chars[i];
-            if c == '"' && (i + 1 == chars.len() || chars[i + 1] == ',') {
-                closed = true;
-                out.push('"');
-                i += 1;
-                break;
-            }
-            match c {
-                '\\' => out.push_str("\\\\"),
-                '"' => out.push_str("\\\""),
-                '\n' => out.push_str("\\n"),
-                c => out.push(c),
-            }
-            i += 1;
-        }
-        if !closed {
-            return labels.to_string();
-        }
-        if i < chars.len() {
-            // Must be the ',' separating the next pair.
-            out.push(',');
-            i += 1;
-        }
-    }
-    out.push('}');
-    out
-}
-
-/// Adds `le="n"` to a (possibly empty) label block.
-fn merge_labels(labels: &str, le: u64) -> String {
-    match labels.strip_suffix('}') {
-        Some(head) => format!("{head},le=\"{le}\"}}"),
-        None => format!("{{le=\"{le}\"}}"),
-    }
-}
-
-/// Adds `le="+Inf"` to a (possibly empty) label block.
-fn merge_labels_inf(labels: &str) -> String {
-    match labels.strip_suffix('}') {
-        Some(head) => format!("{head},le=\"+Inf\"}}"),
-        None => "{le=\"+Inf\"}".to_string(),
-    }
 }
 
 #[cfg(test)]
@@ -469,104 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_format_pinned() {
-        let s = sample();
-        let prom = s.to_prometheus();
-        let expected = "\
-# TYPE congest_messages counter
-congest_messages 12
-# TYPE headroom gauge
-headroom 1.5
-# TYPE round_bits histogram
-round_bits_bucket{proto=\"luby\",le=\"0\"} 1
-round_bits_bucket{proto=\"luby\",le=\"1\"} 1
-round_bits_bucket{proto=\"luby\",le=\"3\"} 1
-round_bits_bucket{proto=\"luby\",le=\"7\"} 2
-round_bits_bucket{proto=\"luby\",le=\"+Inf\"} 2
-round_bits_sum{proto=\"luby\"} 5
-round_bits_count{proto=\"luby\"} 2
-";
-        assert_eq!(prom, expected);
-    }
-
-    #[test]
-    fn sanitize_dots_and_dashes() {
-        assert_eq!(sanitize("a.b-c:d_e"), "a_b_c:d_e");
-    }
-
-    /// Exposition-format 0.0.4 label-value escaping, pinned: `\` → `\\`,
-    /// `"` → `\"`, newline → `\n`.
-    #[test]
-    fn label_values_escaped_per_exposition_format() {
-        assert_eq!(
-            escape_label_block("{path=\"C:\\temp\\x\"}"),
-            "{path=\"C:\\\\temp\\\\x\"}"
-        );
-        assert_eq!(
-            escape_label_block("{note=\"line1\nline2\"}"),
-            "{note=\"line1\\nline2\"}"
-        );
-        assert_eq!(
-            escape_label_block("{q=\"say \"hi\" now\"}"),
-            "{q=\"say \\\"hi\\\" now\"}"
-        );
-        // Multiple pairs: only values are touched, keys and separators
-        // pass through.
-        assert_eq!(
-            escape_label_block("{a=\"x\\y\",b=\"plain\"}"),
-            "{a=\"x\\\\y\",b=\"plain\"}"
-        );
-        // Clean blocks are unchanged.
-        assert_eq!(
-            escape_label_block("{worker=\"3\",exp=\"E9\"}"),
-            "{worker=\"3\",exp=\"E9\"}"
-        );
-        assert_eq!(escape_label_block(""), "");
-    }
-
-    #[test]
-    fn malformed_label_blocks_fail_open() {
-        for raw in [
-            "{novalue}",
-            "{k=unquoted}",
-            "{k=\"unterminated}",
-            "{=\"v\"}",
-            "not-a-block",
-        ] {
-            assert_eq!(escape_label_block(raw), raw, "{raw}");
-        }
-    }
-
-    #[test]
-    fn prometheus_rendering_escapes_label_values() {
-        let r = Recorder::new();
-        r.gauge("g{path=\"a\\b\"}", 1.0);
-        r.add("c{msg=\"two\nlines\"}", 3);
-        let prom = r.snapshot().to_prometheus();
-        assert!(prom.contains("g{path=\"a\\\\b\"} 1"), "{prom}");
-        assert!(prom.contains("c{msg=\"two\\nlines\"} 3"), "{prom}");
-        // The rendered exposition has no raw newline inside a line.
-        for line in prom.lines() {
-            assert!(!line.is_empty());
-        }
-        assert_eq!(prom.lines().count(), 4); // 2 TYPE lines + 2 samples
-    }
-
-    #[test]
-    fn histogram_label_values_escaped_in_all_series() {
-        let r = Recorder::new();
-        r.observe("h{src=\"x\\y\"}", 2);
-        let prom = r.snapshot().to_prometheus();
-        assert!(prom.contains("h_bucket{src=\"x\\\\y\",le=\"1\"}"), "{prom}");
-        assert!(
-            prom.contains("h_bucket{src=\"x\\\\y\",le=\"+Inf\"} 1"),
-            "{prom}"
-        );
-        assert!(prom.contains("h_sum{src=\"x\\\\y\"} 2"), "{prom}");
-        assert!(prom.contains("h_count{src=\"x\\\\y\"} 1"), "{prom}");
-    }
-
-    #[test]
     fn chrome_trace_shape_pinned() {
         let s = sample();
         let trace = s.to_chrome_trace();
@@ -623,8 +370,8 @@ round_bits_count{proto=\"luby\"} 2
             r.snapshot()
         };
         let (a, b) = (make(), make());
+        assert_eq!(a, b);
         assert_eq!(a.to_jsonl(), b.to_jsonl());
-        assert_eq!(a.to_prometheus(), b.to_prometheus());
     }
 
     #[test]

@@ -421,10 +421,13 @@ fn main() -> ExitCode {
                 }
             };
             let algo = flags.get("algo").map(String::as_str).unwrap_or("arbmis");
-            let alpha: usize = flags
-                .get("alpha")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| arboricity::degeneracy(&g).max(1));
+            let alpha: usize = match flag_num(&flags, "alpha") {
+                Ok(alpha) => alpha.unwrap_or_else(|| arboricity::degeneracy(&g).max(1)),
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    return ExitCode::FAILURE;
+                }
+            };
             if alpha == 0 {
                 eprintln!("error: --alpha must be >= 1");
                 return ExitCode::FAILURE;

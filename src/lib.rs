@@ -48,7 +48,8 @@
 pub use arbmis_graph as graph;
 
 /// Deterministic observability: recorders, spans, histograms, and the
-/// JSONL/Prometheus sinks (re-export of `arbmis-obs`; see DESIGN.md §8).
+/// JSONL and Chrome-trace exports (re-export of `arbmis-obs`; see
+/// DESIGN.md §8).
 pub use arbmis_obs as obs;
 
 /// Synchronous CONGEST-model simulator (re-export of `arbmis-congest`).

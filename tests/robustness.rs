@@ -173,22 +173,24 @@ fn understated_alpha_with_a_bad_component_still_certifies() {
 }
 
 /// The CLI rejects a flag its subcommand's usage line does not list,
-/// such as `--order`, with exit code 2 instead of running without it;
-/// a well-formed run still succeeds.
+/// such as `--order`, with exit code 2 instead of running without it,
+/// and an unparsable value of a known flag, such as `--alpha abc`, with
+/// exit code 1; a well-formed run still succeeds.
 #[test]
 fn cli_rejects_unknown_flags() {
     let run = |extra: &[&str]| {
         let base = ["run", "--family", "tree", "--n", "1000", "--algo", "luby"];
         arbmis_cli(&[&base[..], extra].concat())
     };
-    for (flag, value) in [("--bogus", "1"), ("--order", "degree")] {
+    for (flag, value, code, message) in [
+        ("--bogus", "1", 2, "unknown flag --bogus for run"),
+        ("--order", "degree", 2, "unknown flag --order for run"),
+        ("--alpha", "abc", 1, "bad --alpha"),
+    ] {
         let out = run(&[flag, value]);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
-        assert!(
-            stderr.contains(&format!("unknown flag {flag} for run")),
-            "{flag}: {stderr}"
-        );
+        assert_eq!(out.status.code(), Some(code), "{flag}: {stderr}");
+        assert!(stderr.contains(message), "{flag}: {stderr}");
     }
     let out = run(&["--flat-threads", "2"]);
     assert!(
