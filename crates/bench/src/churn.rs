@@ -23,7 +23,7 @@
 //! comparable across machines.
 
 use arbmis_dynamic::{DynamicMis, Update};
-use arbmis_flat::{solve_mis, FlatAlgo};
+use arbmis_flat::solve_mis;
 use arbmis_graph::{gen, Graph, NodeId};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::time::Instant;
@@ -223,8 +223,7 @@ pub fn run_script(script: &ChurnScript, seed: u64, verify_each: bool) -> ChurnRe
         // have to do to answer the same query).
         let t1 = Instant::now();
         let g = d.graph().to_graph();
-        let full = solve_mis(&g, seed, FlatAlgo::Metivier, u64::MAX)
-            .expect("full re-solve cannot hit the round limit");
+        let full = solve_mis(&g, seed, u64::MAX).expect("full re-solve cannot hit the round limit");
         full_ns += t1.elapsed().as_nanos() as u64;
         std::hint::black_box(&full.in_mis);
     }

@@ -5,9 +5,9 @@
 //! so membership updates are O(1), iteration is ascending and
 //! proportional to the set bits (plus `n/4096` summary words), and
 //! clearing only touches dirty words. The engines double-buffer two of
-//! these per round — see DESIGN.md §10. The flat engine additionally
-//! reads the inner mask directly ([`Frontier::mask`]) for dense
-//! word-level sweeps and word-aligned parallel chunking.
+//! these per round — see DESIGN.md §10. The flat engine walks it in
+//! word-aligned chunks ([`Frontier::iter_words`]), so every chunk of a
+//! parallel sweep skips empty words the way the serial walk does.
 
 use crate::bitmask::BitMask;
 use arbmis_graph::NodeId;
@@ -55,7 +55,7 @@ impl Frontier {
         self.mask.test(v)
     }
 
-    /// The packed membership mask (for dense word-level sweeps).
+    /// The packed membership mask (for neighbor probes).
     #[inline]
     pub fn mask(&self) -> &BitMask {
         &self.mask
@@ -72,21 +72,6 @@ impl Frontier {
         }
         if nwords == 0 {
             self.summary.fill(0);
-        }
-    }
-
-    /// Calls `f` with each word index that currently holds set bits, in
-    /// ascending order. This is the summary-walk [`clear`](Self::clear)
-    /// uses; scratch masks that shadow a frontier (the flat engine's
-    /// defeat mask) reuse it to reset only the words a sweep can touch.
-    pub fn for_each_dirty_word(&self, mut f: impl FnMut(usize)) {
-        for (s, &sw) in self.summary.iter().enumerate() {
-            let mut sbits = sw;
-            while sbits != 0 {
-                let w = (s << 6) + sbits.trailing_zeros() as usize;
-                sbits &= sbits - 1;
-                f(w);
-            }
         }
     }
 
@@ -107,12 +92,24 @@ impl Frontier {
     /// Iterates members in ascending order. The set must not be mutated
     /// while the iterator is live (enforced by the borrow).
     pub fn iter(&self) -> FrontierIter<'_> {
+        self.iter_words(0, self.mask.words().len())
+    }
+
+    /// Iterates the members in the word range `wlo..whi` (nodes
+    /// `64·wlo..64·whi`) in ascending order, skipping empty words through
+    /// the summary as [`iter`](Self::iter) does.
+    pub fn iter_words(&self, wlo: usize, whi: usize) -> FrontierIter<'_> {
+        let sidx = wlo >> 6;
         FrontierIter {
             frontier: self,
-            sidx: 0,
-            sbits: self.summary.first().copied().unwrap_or(0),
+            sidx,
+            sbits: self
+                .summary
+                .get(sidx)
+                .map_or(0, |&s| s & (!0u64 << (wlo & 63))),
             widx: 0,
             wbits: 0,
+            whi,
         }
     }
 }
@@ -128,6 +125,8 @@ pub struct FrontierIter<'a> {
     widx: usize,
     /// Unconsumed bits of `words[widx]`.
     wbits: u64,
+    /// End of the word range (exclusive).
+    whi: usize,
 }
 
 impl Iterator for FrontierIter<'_> {
@@ -143,12 +142,15 @@ impl Iterator for FrontierIter<'_> {
             }
             if self.sbits != 0 {
                 self.widx = (self.sidx << 6) + self.sbits.trailing_zeros() as usize;
+                if self.widx >= self.whi {
+                    return None;
+                }
                 self.sbits &= self.sbits - 1;
                 self.wbits = self.frontier.mask.words()[self.widx];
                 continue;
             }
             self.sidx += 1;
-            if self.sidx >= self.frontier.summary.len() {
+            if self.sidx >= self.frontier.summary.len() || self.sidx << 6 >= self.whi {
                 return None;
             }
             self.sbits = self.frontier.summary[self.sidx];
@@ -234,6 +236,28 @@ mod tests {
             bulk.clear();
             assert_eq!(bulk.iter().count(), 0);
         }
+    }
+
+    #[test]
+    fn word_ranges_concatenate_to_the_whole_walk() {
+        let n = 64 * 64 * 3 + 17;
+        let mut f = Frontier::new(n);
+        for v in (0..n).step_by(37) {
+            f.insert(v);
+        }
+        let words = n.div_ceil(64);
+        for chunks in [1, 2, 3, 8, 64, words] {
+            let mut joined = Vec::new();
+            for c in 0..chunks {
+                let (lo, hi) = (c * words / chunks, (c + 1) * words / chunks);
+                let part: Vec<usize> = f.iter_words(lo, hi).collect();
+                assert!(part.iter().all(|&v| (64 * lo..64 * hi).contains(&v)));
+                joined.extend(part);
+            }
+            assert_eq!(joined, f.iter().collect::<Vec<_>>(), "chunks={chunks}");
+        }
+        assert_eq!(f.iter_words(words, words + 5).count(), 0);
+        assert_eq!(Frontier::new(0).iter_words(0, 0).count(), 0);
     }
 
     #[test]

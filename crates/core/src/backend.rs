@@ -1,5 +1,5 @@
 //! The engine contract shared by every MIS execution: the
-//! [`MisBackend`] trait, the algorithm and scan selectors, and the coin
+//! [`MisBackend`] trait, the algorithm selector, and the coin
 //! and joiner digests that make flight records comparable across
 //! engines.
 //!
@@ -57,38 +57,6 @@ impl FlatAlgo {
         }
     }
 }
-
-/// How [`crate::FlatBackend`] walks the active set each sub-round.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ScanMode {
-    /// Sparse (frontier iteration) while the active set is small, dense
-    /// (linear scan over all nodes) once it crosses [`DENSE_FRACTION`].
-    #[default]
-    Auto,
-    /// Always iterate the frontier bitset.
-    Sparse,
-    /// Always scan `0..n` and filter on the `active` flag.
-    Dense,
-}
-
-impl ScanMode {
-    /// The one shared density decision: whether a sweep over
-    /// `active_count` of `n` nodes should walk the flat word array
-    /// (dense) rather than the summary-skipping frontier (sparse).
-    /// Every per-round derivation in the engine routes through here so
-    /// the flight-record label and the sweeps can never disagree.
-    #[inline]
-    pub fn is_dense(self, active_count: usize, n: usize) -> bool {
-        match self {
-            ScanMode::Sparse => false,
-            ScanMode::Dense => true,
-            ScanMode::Auto => active_count.saturating_mul(DENSE_FRACTION) >= n,
-        }
-    }
-}
-
-/// `Auto` sweeps go dense when `active_count ≥ n / DENSE_FRACTION`.
-pub const DENSE_FRACTION: usize = 8;
 
 /// Why a backend run failed.
 #[derive(Debug)]

@@ -1,34 +1,36 @@
 //! The flat engine: MIS rounds as frontier sweeps over CSR adjacency.
 
-use crate::backend::{self, BackendError, CoinFlip, FlatAlgo, MisBackend, ScanMode};
+use crate::backend::{self, BackendError, CoinFlip, FlatAlgo, MisBackend};
 use crate::{bounded_arb, ghaffari, luby, metivier, ArbParams, MisRun};
 use arbmis_congest::{execute_indexed, rng, BitMask, Frontier, Parallelism};
 use arbmis_graph::{Graph, NodeId};
 use arbmis_obs::{FlightRecorder, Recorder, RoundRecord};
+use std::ops::{Index, IndexMut};
+use std::sync::Mutex;
 
 /// Shared-memory replay of the CONGEST MIS protocols.
 ///
 /// No message objects: a round is one or two sweeps over the active set,
 /// reading neighbor flags straight out of word-packed [`BitMask`]es —
-/// a neighbor probe costs 1 bit of an `n/8`-byte array, and dense
-/// sweeps walk 64 nodes per word via `trailing_zeros`. The sweep reads
-/// either the two-level [`Frontier`] (sparse: summary-skipping) or its
-/// flat word array (dense), chosen per round from the active-set
-/// density — both directions visit the active nodes in ascending id
-/// order, so the execution is identical either way. Every coin draw is
-/// keyed by node id and every tie-break compares ids (DESIGN.md §13).
+/// a neighbor probe costs 1 bit of an `n/8`-byte array. Every sweep
+/// walks the two-level [`Frontier`] in ascending id order, skipping
+/// empty words through its summary, so a sweep costs O(|frontier|)
+/// rather than O(n) (DESIGN.md §10). Every coin draw is keyed by node id
+/// and every tie-break compares ids (DESIGN.md §13).
 ///
 /// # Deterministic parallelism
 ///
-/// With [`with_threads`](FlatBackend::with_threads)` > 1`, decide and
-/// bad-exit sweeps fan out over word-aligned chunks on the
-/// [`execute_indexed`] work-stealing pool. Each chunk collects its
-/// winners in ascending order into a private buffer; buffers are
-/// concatenated in chunk index order (= ascending node order), so the
-/// result is bit-identical to the serial sweep at every thread count
-/// (DESIGN.md §7). Only the
-/// single-threaded path is steady-state alloc-free. Ghaffari's decide
-/// sweeps stay serial at every thread count.
+/// Each sweep is written once, as a per-node body run by one chunked
+/// walk of the frontier. At one thread a single chunk covers every word
+/// and runs inline; with [`with_threads`](FlatBackend::with_threads)` > 1`
+/// the same body runs per word-aligned chunk on the [`execute_indexed`]
+/// work-stealing pool. A chunk writes only its own nodes' entries and
+/// collects its winners in ascending order into a private buffer;
+/// buffers are concatenated in chunk order (= ascending node order), so
+/// the result is bit-identical at every thread count (DESIGN.md §7).
+/// Only the single-threaded path is steady-state alloc-free. Ghaffari's
+/// and degree reduction's decide sweeps stay serial at every thread
+/// count.
 ///
 /// Randomness is the counter-pure [`rng`] keyed by
 /// `(seed, node, iteration, tag)`, the same draws the CONGEST protocols
@@ -38,7 +40,6 @@ pub struct FlatBackend<'g> {
     g: &'g Graph,
     seed: u64,
     algo: FlatAlgo,
-    scan: ScanMode,
     /// Nodes active at round 0; `None` starts from every node. Nodes
     /// outside it never run.
     region: Option<BitMask>,
@@ -46,23 +47,20 @@ pub struct FlatBackend<'g> {
     /// active set the phase started from
     /// ([`rank_active`](FlatBackend::rank_active)).
     ranks: Option<Vec<NodeId>>,
-    /// Worker threads for the parallel sweep path (1 = serial).
+    /// Worker threads for the chunked sweeps (1 = one inline chunk).
     threads: usize,
     recorder: Recorder,
     flight: FlightRecorder,
     /// Injected single-coin perturbation (divergence drills); `None` in
     /// normal operation.
     coin_flip: Option<CoinFlip>,
-    /// Effective sweep density of the previous round, for the
-    /// `flat_scan_mode_flips` counter. Observation-only.
-    last_dense: Option<bool>,
     round: u64,
     /// Nodes that have not yet halted (the simulator's `pending`).
     /// Deactivated nodes halt at the next announce-type round, as in the
     /// simulator, so this trails `active_count` until then.
     unfinished: usize,
-    /// Active set; its inner mask doubles as the dense word-sweep and
-    /// the parallel chunking substrate.
+    /// Active set, walked by every sweep; its inner mask answers the
+    /// neighbor probes.
     active: Frontier,
     active_count: usize,
     /// MIS membership (write-only in hot loops).
@@ -116,24 +114,10 @@ pub struct FlatBackend<'g> {
     joiners: Vec<NodeId>,
     /// Scratch for bad-exit violators (snapshot before exiling).
     removals: Vec<NodeId>,
-    /// Per-chunk winner buffers for the parallel sweep, reused across
+    /// Per-chunk winner buffers of the collecting sweeps, reused across
     /// rounds.
     chunk_bufs: Vec<Vec<NodeId>>,
     obs_flushed: bool,
-}
-
-/// Visits every active node in ascending order, dense (flat word walk)
-/// or sparse (summary-skipping frontier walk).
-fn sweep(dense: bool, frontier: &Frontier, mut f: impl FnMut(NodeId)) {
-    if dense {
-        for v in frontier.mask().iter() {
-            f(v);
-        }
-    } else {
-        for v in frontier.iter() {
-            f(v);
-        }
-    }
 }
 
 /// Removes node `v` from the active set: clears the frontier bit and,
@@ -184,23 +168,133 @@ fn high_degree_neighbors(
         .count()
 }
 
-/// Shared pointer for disjoint-range parallel writes. Each chunk of the
-/// parallel sweep writes only indices inside its own word-aligned
-/// node range (or only its own per-chunk buffer slot), so no two
-/// workers ever touch the same element or the same backing word.
-struct ShardPtr<T>(*mut T);
-unsafe impl<T: Send> Send for ShardPtr<T> {}
-unsafe impl<T: Send> Sync for ShardPtr<T> {}
+/// Number of word-aligned chunks a sweep splits the active set into:
+/// one at one thread, otherwise four per thread (at most one per word)
+/// so the work-stealing pool can even out uneven chunks.
+fn chunk_count(words: usize, threads: usize) -> usize {
+    if threads <= 1 {
+        1
+    } else {
+        (threads * 4).min(words.max(1))
+    }
+}
 
-impl<T> ShardPtr<T> {
-    /// Pointer to element `i`.
-    ///
-    /// # Safety
-    ///
-    /// `i` must be in bounds, and no other thread may access element
-    /// `i` (or, for sub-word bit writes, its backing word) concurrently.
-    unsafe fn at(&self, i: usize) -> *mut T {
-        self.0.add(i)
+/// The one walk every threaded active-set sweep runs. The word array
+/// splits into [`chunk_count`] disjoint, ascending word ranges;
+/// `shard(wlo, whi)` builds each chunk's private state, in chunk order,
+/// and `body(state, p)` runs on every active node `p` of the chunk in
+/// ascending order, skipping empty words through the frontier's summary
+/// (O(|frontier|) per sweep at every thread count). One chunk runs
+/// inline; several run on the [`execute_indexed`] pool. Bodies read
+/// shared state and write only their chunk's, so results never depend
+/// on the thread count.
+fn walk<S: Send>(
+    active: &Frontier,
+    threads: usize,
+    mut shard: impl FnMut(usize, usize) -> S,
+    body: impl Fn(&mut S, NodeId) + Sync,
+) {
+    let words = active.mask().words().len();
+    let chunks = chunk_count(words, threads);
+    let range = |c: usize| (c * words / chunks, (c + 1) * words / chunks);
+    if chunks == 1 {
+        let mut state = shard(0, words);
+        for p in active.iter() {
+            body(&mut state, p);
+        }
+        return;
+    }
+    let states: Vec<Mutex<Option<S>>> = (0..chunks)
+        .map(|c| {
+            let (wlo, whi) = range(c);
+            Mutex::new(Some(shard(wlo, whi)))
+        })
+        .collect();
+    execute_indexed(chunks, Parallelism::Threads(threads), |_w, c| {
+        let (wlo, whi) = range(c);
+        // Moved out of the mutex so the walk holds it in a local.
+        let mut state = states[c]
+            .lock()
+            .expect("only chunk c's one run locks its state")
+            .take()
+            .expect("each chunk runs once");
+        for p in active.iter_words(wlo, whi) {
+            body(&mut state, p);
+        }
+    });
+}
+
+/// [`walk`] that keeps the active nodes `keep` accepts: each chunk
+/// collects its own, ascending, into its buffer of `bufs`, and `out`
+/// gets the buffers' concatenation in chunk order — the ascending list.
+fn collect(
+    active: &Frontier,
+    threads: usize,
+    bufs: &mut Vec<Vec<NodeId>>,
+    out: &mut Vec<NodeId>,
+    keep: impl Fn(NodeId) -> bool + Sync,
+) {
+    let chunks = chunk_count(active.mask().words().len(), threads);
+    if bufs.len() < chunks {
+        bufs.resize_with(chunks, Vec::new);
+    }
+    let mut free = bufs.iter_mut();
+    walk(
+        active,
+        threads,
+        |_, _| {
+            let buf = free.next().expect("a buffer per chunk");
+            buf.clear();
+            buf
+        },
+        |buf, p| {
+            if keep(p) {
+                buf.push(p);
+            }
+        },
+    );
+    out.clear();
+    for buf in &bufs[..chunks] {
+        out.extend_from_slice(buf);
+    }
+}
+
+/// One chunk's entries of an array indexed by node id (or, for a mask's
+/// words, by word id), indexed by that id.
+struct Shard<'a, T> {
+    lo: usize,
+    entries: &'a mut [T],
+}
+
+impl<T> Index<usize> for Shard<'_, T> {
+    type Output = T;
+    fn index(&self, i: usize) -> &T {
+        &self.entries[i - self.lo]
+    }
+}
+
+impl<T> IndexMut<usize> for Shard<'_, T> {
+    fn index_mut(&mut self, i: usize) -> &mut T {
+        &mut self.entries[i - self.lo]
+    }
+}
+
+/// A [`walk`] `shard` that hands out `entries` chunk by chunk: the chunk
+/// of words `wlo..whi` owns entries `per_word·wlo..per_word·whi`
+/// (clamped to the array) — 64 per word for a node-indexed array, 1 for
+/// a mask's words.
+fn shards<'a, T>(
+    mut entries: &'a mut [T],
+    per_word: usize,
+) -> impl FnMut(usize, usize) -> Shard<'a, T> {
+    let mut lo = 0;
+    move |_wlo, whi| {
+        let hi = (per_word * whi).min(lo + entries.len());
+        let (head, tail) = std::mem::take(&mut entries).split_at_mut(hi - lo);
+        entries = tail;
+        let shard = Shard { lo, entries: head };
+        lo = hi;
+        shard
     }
 }
 
@@ -217,14 +311,12 @@ impl<'g> FlatBackend<'g> {
             g,
             seed,
             algo,
-            scan: ScanMode::Auto,
             region: None,
             ranks: None,
             threads: 1,
             recorder: arbmis_obs::global(),
             flight: arbmis_obs::global_flight(),
             coin_flip: None,
-            last_dense: None,
             round: 0,
             unfinished: 0,
             active: Frontier::new(n),
@@ -250,15 +342,8 @@ impl<'g> FlatBackend<'g> {
         b
     }
 
-    /// Overrides the sweep direction (default [`ScanMode::Auto`]).
-    #[must_use]
-    pub fn with_scan(mut self, scan: ScanMode) -> Self {
-        self.scan = scan;
-        self
-    }
-
-    /// Worker threads for the deterministic parallel sweep (default 1 =
-    /// serial; results are bit-identical at every count).
+    /// Worker threads for the chunked sweeps (default 1 = inline;
+    /// results are bit-identical at every count).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -502,25 +587,6 @@ impl<'g> FlatBackend<'g> {
         }
     }
 
-    /// Word-aligned chunk ranges over the active set's word array, as
-    /// `(word_lo, word_hi)` ranges. Word alignment makes per-chunk bit
-    /// writes race-free; the chunk geometry never affects results (each
-    /// chunk's output is ascending and chunks concatenate in order).
-    fn word_chunk_ranges(&self) -> Vec<(usize, usize)> {
-        let words = self.g.n().div_ceil(64);
-        let chunks = (self.threads * 4).clamp(1, words.max(1));
-        (0..chunks)
-            .map(|i| (i * words / chunks, (i + 1) * words / chunks))
-            .collect()
-    }
-
-    /// Grows the per-chunk winner buffers to `len` slots.
-    fn ensure_chunk_bufs(&mut self, len: usize) {
-        if self.chunk_bufs.len() < len {
-            self.chunk_bufs.resize_with(len, Vec::new);
-        }
-    }
-
     /// Alloc-free rewind to round 0.
     fn reset(&mut self) {
         let n = self.g.n();
@@ -564,7 +630,6 @@ impl<'g> FlatBackend<'g> {
     fn begin_phase(&mut self) {
         self.round = 0;
         self.obs_flushed = false;
-        self.last_dense = None;
         self.unfinished = self.active_count;
         self.wins.clear();
         self.joiners.clear();
@@ -610,7 +675,7 @@ impl<'g> FlatBackend<'g> {
             active, active_deg, ..
         } = self;
         let mask = active.mask();
-        for p in mask.iter() {
+        for p in active.iter() {
             active_deg[p] = active_degree(g, mask, p);
         }
         self.deg_exact = true;
@@ -637,52 +702,31 @@ impl<'g> FlatBackend<'g> {
     }
 
     /// Phase 1 of a priority decide: draw every active node's priority,
-    /// keyed by node id (or rank). `competitive` gates the ρ_k opt-out
+    /// keyed by node id (or rank). `rho` gates the ρ_k opt-out
     /// (BoundedArb); pass `None` for an unconditional draw.
     fn fill_prio(&mut self, tag: u64, iter: u64, rho: Option<f64>) {
-        let seed = self.seed;
-        let shift = self.prio_shift;
-        let dense = self.scan.is_dense(self.active_count, self.g.n());
-        let threads = self.threads;
-        let bounds = if threads > 1 {
-            self.word_chunk_ranges()
-        } else {
-            Vec::new()
-        };
+        let (seed, shift) = (self.seed, self.prio_shift);
         let Self {
             ranks,
             active,
             active_deg,
             prio,
+            threads,
             ..
         } = self;
         let keys = ranks.as_deref();
         let deg = &active_deg[..];
-        let draw = |p: NodeId| {
+        walk(active, *threads, shards(prio, 64), |prio, p| {
             let key = keys.map_or(p, |t| t[p]);
             let competitive = rho.is_none_or(|r| f64::from(deg[p]) <= r);
-            if competitive {
+            prio[p] = if competitive {
                 // `draw_priority` with the `priority_bits(n)` shift
                 // hoisted out of the per-node loop (identical value).
                 (rng::draw(seed, key, iter, tag) >> shift) | 1
             } else {
                 0
-            }
-        };
-        if threads > 1 {
-            let mask = active.mask();
-            let ptr = ShardPtr(prio.as_mut_ptr());
-            execute_indexed(bounds.len(), Parallelism::Threads(threads), |_w, c| {
-                let (wlo, whi) = bounds[c];
-                for p in mask.iter_words(wlo, whi) {
-                    // SAFETY: `p` lies in chunk `c`'s word range, and
-                    // chunk ranges are disjoint.
-                    unsafe { *ptr.at(p) = draw(p) };
-                }
-            });
-        } else {
-            sweep(dense, active, |p| prio[p] = draw(p));
-        }
+            };
+        });
     }
 
     /// Node and XOR mask of the injected coin flip aimed at iteration
@@ -715,73 +759,30 @@ impl<'g> FlatBackend<'g> {
     /// opt-out) never wins. Métivier priorities are never 0 (the low
     /// bit is forced), so the same scan serves both protocols.
     ///
-    /// Both paths are short-circuiting `all` scans: with i.i.d.
+    /// Each check is a short-circuiting `all` scan: with i.i.d.
     /// priorities, a node expects to find a beating neighbor within a
     /// couple of probes, so per-node work is far below `deg(p)` — this
     /// beats any full-per-edge scheme despite reading each edge from
-    /// both sides. The parallel path splits the active words into
-    /// disjoint chunks that each decide their own nodes (read-only
-    /// shared state, no cross-chunk writes), so concatenating the
-    /// per-chunk buffers in chunk order yields the serial winner list
-    /// bit for bit.
+    /// both sides. State is read-only, so every chunk decides its own
+    /// nodes independently.
     fn prio_win_scan(&mut self) {
-        self.wins.clear();
-        if self.threads > 1 {
-            let bounds = self.word_chunk_ranges();
-            self.ensure_chunk_bufs(bounds.len());
-            let g = self.g;
-            let Self {
-                active,
-                prio,
-                chunk_bufs,
-                ..
-            } = self;
-            let mask = active.mask();
-            let prio = &prio[..];
-            let bufs = ShardPtr(chunk_bufs.as_mut_ptr());
-            execute_indexed(bounds.len(), Parallelism::Threads(self.threads), |_w, c| {
-                // SAFETY: chunk `c` exclusively owns `chunk_bufs[c]`.
-                let buf = unsafe { &mut *bufs.at(c) };
-                buf.clear();
-                let (wlo, whi) = bounds[c];
-                for p in mask.iter_words(wlo, whi) {
-                    let pv = prio[p];
-                    if pv == 0 {
-                        continue;
-                    }
-                    let key = (pv, p);
-                    if g.neighbors(p)
-                        .iter()
-                        .all(|&u| !mask.test(u) || key > (prio[u], u))
-                    {
-                        buf.push(p);
-                    }
-                }
-            });
-            for c in 0..bounds.len() {
-                self.wins.extend_from_slice(&self.chunk_bufs[c]);
-            }
-        } else {
-            let dense = self.scan.is_dense(self.active_count, self.g.n());
-            let g = self.g;
-            let Self {
-                active, prio, wins, ..
-            } = self;
-            let prio = &prio[..];
-            sweep(dense, active, |p| {
-                let pv = prio[p];
-                if pv == 0 {
-                    return;
-                }
-                let key = (pv, p);
-                if g.neighbors(p)
+        let g = self.g;
+        let Self {
+            active,
+            prio,
+            threads,
+            chunk_bufs,
+            wins,
+            ..
+        } = self;
+        let (mask, prio) = (active.mask(), &prio[..]);
+        collect(active, *threads, chunk_bufs, wins, |p| {
+            let key = (prio[p], p);
+            key.0 != 0
+                && g.neighbors(p)
                     .iter()
-                    .all(|&u| !active.contains(u) || key > (prio[u], u))
-                {
-                    wins.push(p);
-                }
-            });
-        }
+                    .all(|&u| !mask.test(u) || key > (prio[u], u))
+        });
     }
 
     /// Métivier decide: `(priority, id)`-maximal among active neighbors.
@@ -853,8 +854,8 @@ impl<'g> FlatBackend<'g> {
 
     /// Luby decide: marked with `P = 1/2d`, `(degree, id)`-maximal among
     /// marked active neighbors; degree-0 nodes join outright. Same
-    /// short-circuit / chunked structure as the priority scan, with the
-    /// mark bit standing in for a nonzero priority.
+    /// short-circuit scan as the priority decide, with the mark bit
+    /// standing in for a nonzero priority.
     ///
     /// Degrees are pulled, not pushed: unless they are already exact (a
     /// full start before any exit, where `reset` stored `g.degree`), the
@@ -870,74 +871,37 @@ impl<'g> FlatBackend<'g> {
     /// reads, against the push's 2m random decrements into the `4n`-byte
     /// degree array plus a random row fetch per removed node.
     fn decide_luby(&mut self, iter: u64) {
-        let n = self.g.n();
+        let g = self.g;
         let seed = self.seed;
-        let dense = self.scan.is_dense(self.active_count, n);
-        let threads = self.threads;
-        let bounds = if threads > 1 {
-            self.word_chunk_ranges()
-        } else {
-            Vec::new()
-        };
         // Phase 1: active degrees, then mark flips keyed by node id (or
         // rank).
         let count = !self.deg_exact;
         {
-            let g = self.g;
             let Self {
                 ranks,
                 active,
                 active_deg,
                 marked,
+                threads,
                 ..
             } = self;
-            let keys = ranks.as_deref();
-            let mask = active.mask();
-            let degree = |p: NodeId, stored: u32| {
+            let (keys, mask) = (ranks.as_deref(), active.mask());
+            let mut degs = shards(active_deg, 64);
+            let mut marks = shards(marked.words_mut(), 1);
+            let shard = |wlo, whi| (degs(wlo, whi), marks(wlo, whi));
+            walk(active, *threads, shard, |(deg, marks), p| {
                 if count {
-                    active_degree(g, mask, p)
-                } else {
-                    stored
+                    deg[p] = active_degree(g, mask, p);
                 }
-            };
-            let mark = |p: NodeId, d: u32| {
+                let d = deg[p];
                 let key = keys.map_or(p, |t| t[p]);
-                d > 0 && luby::is_marked(seed, key, iter, d as usize)
-            };
-            if threads > 1 {
-                let degs = ShardPtr(active_deg.as_mut_ptr());
-                let ptr = ShardPtr(marked.words_mut().as_mut_ptr());
-                execute_indexed(bounds.len(), Parallelism::Threads(threads), |_w, c| {
-                    let (wlo, whi) = bounds[c];
-                    for p in mask.iter_words(wlo, whi) {
-                        let bit = 1u64 << (p & 63);
-                        // SAFETY: `p` and word `p >> 6` lie in chunk
-                        // `c`'s word range, and chunk ranges are
-                        // disjoint, so these read-modify-writes are
-                        // unshared.
-                        unsafe {
-                            let d = degs.at(p);
-                            *d = degree(p, *d);
-                            let w = ptr.at(p >> 6);
-                            if mark(p, *d) {
-                                *w |= bit;
-                            } else {
-                                *w &= !bit;
-                            }
-                        }
-                    }
-                });
-            } else {
-                sweep(dense, active, |p| {
-                    let d = degree(p, active_deg[p]);
-                    active_deg[p] = d;
-                    if mark(p, d) {
-                        marked.set(p);
-                    } else {
-                        marked.clear(p);
-                    }
-                });
-            }
+                let bit = 1u64 << (p & 63);
+                if d > 0 && luby::is_marked(seed, key, iter, d as usize) {
+                    marks[p >> 6] |= bit;
+                } else {
+                    marks[p >> 6] &= !bit;
+                }
+            });
         }
         self.deg_exact = true;
         if let Some((pos, xor)) = self.active_flip(iter) {
@@ -946,72 +910,24 @@ impl<'g> FlatBackend<'g> {
             }
         }
         // Phase 2: competition among marked nodes.
-        self.wins.clear();
-        if threads > 1 {
-            self.ensure_chunk_bufs(bounds.len());
-            let g = self.g;
-            let Self {
-                active,
-                active_deg,
-                marked,
-                chunk_bufs,
-                ..
-            } = self;
-            let mask = active.mask();
-            let (deg, marked) = (&active_deg[..], &*marked);
-            let bufs = ShardPtr(chunk_bufs.as_mut_ptr());
-            execute_indexed(bounds.len(), Parallelism::Threads(threads), |_w, c| {
-                // SAFETY: chunk `c` exclusively owns `chunk_bufs[c]`.
-                let buf = unsafe { &mut *bufs.at(c) };
-                buf.clear();
-                let (wlo, whi) = bounds[c];
-                for p in mask.iter_words(wlo, whi) {
-                    let d = deg[p];
-                    let win = if d == 0 {
-                        true
-                    } else if marked.test(p) {
-                        let key = (u64::from(d), p);
-                        g.neighbors(p).iter().all(|&u| {
-                            !mask.test(u) || !marked.test(u) || (u64::from(deg[u]), u) < key
-                        })
-                    } else {
-                        false
-                    };
-                    if win {
-                        buf.push(p);
-                    }
-                }
-            });
-            for c in 0..bounds.len() {
-                self.wins.extend_from_slice(&self.chunk_bufs[c]);
-            }
-        } else {
-            let g = self.g;
-            let Self {
-                active,
-                active_deg,
-                marked,
-                wins,
-                ..
-            } = self;
-            let (deg, marked) = (&active_deg[..], &*marked);
-            sweep(dense, active, |p| {
-                let d = deg[p];
-                let win = if d == 0 {
-                    true
-                } else if marked.test(p) {
-                    let key = (u64::from(d), p);
-                    g.neighbors(p).iter().all(|&u| {
-                        !active.contains(u) || !marked.test(u) || (u64::from(deg[u]), u) < key
-                    })
-                } else {
-                    false
-                };
-                if win {
-                    wins.push(p);
-                }
-            });
-        }
+        let Self {
+            active,
+            active_deg,
+            marked,
+            threads,
+            chunk_bufs,
+            wins,
+            ..
+        } = self;
+        let (mask, deg, marked) = (active.mask(), &active_deg[..], &*marked);
+        collect(active, *threads, chunk_bufs, wins, |p| {
+            let key = (u64::from(deg[p]), p);
+            key.0 == 0
+                || (marked.test(p)
+                    && g.neighbors(p)
+                        .iter()
+                        .all(|&u| !mask.test(u) || !marked.test(u) || (u64::from(deg[u]), u) < key))
+        });
     }
 
     /// Ghaffari decide, serial at every thread count. The first sweep
@@ -1024,7 +940,6 @@ impl<'g> FlatBackend<'g> {
     /// with 2 come out as the CONGEST protocol's do.
     fn decide_ghaffari(&mut self, iter: u64) {
         let seed = self.seed;
-        let dense = self.scan.is_dense(self.active_count, self.g.n());
         {
             let Self {
                 ranks,
@@ -1034,14 +949,14 @@ impl<'g> FlatBackend<'g> {
                 ..
             } = self;
             let keys = ranks.as_deref();
-            sweep(dense, active, |p| {
+            for p in active.iter() {
                 let key = keys.map_or(p, |t| t[p]);
                 if ghaffari::is_marked(seed, key, iter, exponent[p]) {
                     marked.set(p);
                 } else {
                     marked.clear(p);
                 }
-            });
+            }
         }
         if let Some((pos, xor)) = self.active_flip(iter) {
             if xor != 0 {
@@ -1059,7 +974,7 @@ impl<'g> FlatBackend<'g> {
         } = self;
         let (exponent, marked) = (&exponent[..], &*marked);
         wins.clear();
-        sweep(dense, active, |p| {
+        for p in active.iter() {
             let mut d = 0.0;
             let mut blocked = false;
             for &u in g.neighbors(p) {
@@ -1072,7 +987,7 @@ impl<'g> FlatBackend<'g> {
                 wins.push(p);
             }
             next_exponent[p] = ghaffari::next_exponent(exponent[p], d);
-        });
+        }
         std::mem::swap(&mut self.exponent, &mut self.next_exponent);
     }
 
@@ -1117,64 +1032,22 @@ impl<'g> FlatBackend<'g> {
             self.recount_degrees();
         }
         let g = self.g;
-        let dense = self.scan.is_dense(self.active_count, g.n());
         let hd = params.high_degree_threshold(scale);
         let bad_thr = params.bad_threshold(scale);
-        let threads = self.threads;
-        self.removals.clear();
-        let violates = |mask: &BitMask, deg: &[u32], p: NodeId| {
-            high_degree_neighbors(g, mask, deg, p, hd) as f64 > bad_thr
-        };
-        if threads > 1 {
-            let bounds = self.word_chunk_ranges();
-            self.ensure_chunk_bufs(bounds.len());
-            {
-                let Self {
-                    active,
-                    active_deg,
-                    chunk_bufs,
-                    ..
-                } = self;
-                let mask = active.mask();
-                let deg = &active_deg[..];
-                let bufs = ShardPtr(chunk_bufs.as_mut_ptr());
-                execute_indexed(bounds.len(), Parallelism::Threads(threads), |_w, c| {
-                    // SAFETY: chunk `c` exclusively owns `chunk_bufs[c]`.
-                    let buf = unsafe { &mut *bufs.at(c) };
-                    buf.clear();
-                    let (wlo, whi) = bounds[c];
-                    for p in mask.iter_words(wlo, whi) {
-                        if violates(mask, deg, p) {
-                            buf.push(p);
-                        }
-                    }
-                });
-            }
-            for c in 0..bounds.len() {
-                self.removals.extend_from_slice(&self.chunk_bufs[c]);
-            }
-        } else {
-            let Self {
-                active,
-                active_deg,
-                removals,
-                ..
-            } = self;
-            let deg = &active_deg[..];
-            sweep(dense, active, |p| {
-                if violates(active.mask(), deg, p) {
-                    removals.push(p);
-                }
-            });
-        }
         let Self {
             active,
             active_count,
             active_deg,
             bad,
+            threads,
+            chunk_bufs,
             removals,
             ..
         } = self;
+        let (mask, deg) = (active.mask(), &active_deg[..]);
+        collect(active, *threads, chunk_bufs, removals, |p| {
+            high_degree_neighbors(g, mask, deg, p, hd) as f64 > bad_thr
+        });
         for &p in removals.iter() {
             bad.set(p);
             // Always decrement: the trace and the headroom gauge read
@@ -1259,21 +1132,10 @@ impl<'g> FlatBackend<'g> {
     fn advance(&mut self) {
         debug_assert!(!self.is_done(), "step_round called after completion");
         let entering = self.active_count;
-        // The single density decision for this round (ScanMode::is_dense
-        // is the one shared derivation — the flight-row label and every
-        // sweep agree by construction). Sweeps never change the active
-        // set mid-round (only exit/bad-exit steps shrink it, and they
-        // run after their sweeps), so the density chosen at round entry
-        // is the one every sweep in the round uses.
-        let dense = self.scan.is_dense(entering, self.g.n());
         if self.recorder.enabled() {
             self.recorder
                 .observe("flat_round_frontier", entering as u64);
-            if self.last_dense.is_some_and(|prev| prev != dense) {
-                self.recorder.add("flat_scan_mode_flips", 1);
-            }
         }
-        self.last_dense = Some(dense);
         // Coin digest of the round about to execute (needs the active
         // set *entering* the round). Pure RNG replay — observation only.
         let coin_digest = if self.flight.enabled() {
@@ -1307,7 +1169,7 @@ impl<'g> FlatBackend<'g> {
                 coin_digest,
                 messages: 0,
                 bits: 0,
-                scan: if dense { "dense" } else { "sparse" },
+                scan: "frontier",
                 span_seq: self.recorder.seq(),
             });
         }

@@ -61,7 +61,7 @@ pub mod tree_mis;
 pub mod verify;
 
 pub use arb_mis::{arb_mis, ArbMisConfig, ArbMisOutcome, PhaseRounds};
-pub use backend::{BackendError, BackendRun, CoinFlip, FlatAlgo, MisBackend, ScanMode};
+pub use backend::{BackendError, BackendRun, CoinFlip, FlatAlgo, MisBackend};
 pub use bounded_arb::{bounded_arb_independent_set, BoundedArbConfig, ShatterOutcome};
 pub use flat_backend::FlatBackend;
 pub use params::{ArbParams, ParamMode};

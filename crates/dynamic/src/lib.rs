@@ -37,7 +37,7 @@
 //! count (DESIGN.md §12).
 
 use arbmis_congest::rng;
-use arbmis_flat::{solve_mis, FlatAlgo};
+use arbmis_flat::solve_mis;
 use arbmis_graph::{Graph, NodeId, OverlayGraph, SubgraphScratch};
 use arbmis_obs::{FlightRecorder, Recorder, RoundRecord};
 
@@ -118,7 +118,6 @@ pub struct DynamicMis {
     overlay: OverlayGraph,
     in_mis: Vec<bool>,
     seed: u64,
-    algo: FlatAlgo,
     epoch: u64,
     scratch: SubgraphScratch,
     /// Reusable dirty-candidate buffer.
@@ -131,28 +130,13 @@ impl DynamicMis {
     /// Takes ownership of `g`, computes the initial MIS (epoch 0) with
     /// Métivier on the flat engine, and is ready for updates.
     pub fn new(g: Graph, seed: u64) -> Self {
-        Self::with_algo(g, seed, FlatAlgo::Metivier)
-    }
-
-    /// Like [`new`](Self::new) with an explicit repair algorithm.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `algo` is [`FlatAlgo::BoundedArb`] (not maximal — a
-    /// repair must fully dominate its region).
-    pub fn with_algo(g: Graph, seed: u64, algo: FlatAlgo) -> Self {
-        assert!(
-            !matches!(algo, FlatAlgo::BoundedArb { .. }),
-            "DynamicMis needs a maximal repair algorithm (Luby/Metivier)"
-        );
         let initial_seed = rng::draw(seed, 0, 0, TAG_REPAIR);
-        let solved = solve_mis(&g, initial_seed, algo, REPAIR_ROUND_LIMIT)
+        let solved = solve_mis(&g, initial_seed, REPAIR_ROUND_LIMIT)
             .expect("flat engine cannot fail within the repair round limit");
         DynamicMis {
             overlay: OverlayGraph::new(g),
             in_mis: solved.in_mis,
             seed,
-            algo,
             epoch: 0,
             scratch: SubgraphScratch::new(),
             seeds: Vec::new(),
@@ -253,7 +237,7 @@ impl DynamicMis {
             let sub = self
                 .scratch
                 .induce_by(self.overlay.n(), &region, |v| self.overlay.neighbors(v));
-            let solved = solve_mis(sub.graph(), repair_seed, self.algo, REPAIR_ROUND_LIMIT)
+            let solved = solve_mis(sub.graph(), repair_seed, REPAIR_ROUND_LIMIT)
                 .expect("flat engine cannot fail within the repair round limit");
             let added: Vec<NodeId> = solved
                 .in_mis
@@ -392,14 +376,9 @@ mod tests {
         assert!(d.is_valid_mis());
         assert_eq!(
             d.mis(),
-            &solve_mis(
-                &g,
-                rng::draw(7, 0, 0, TAG_REPAIR),
-                FlatAlgo::Metivier,
-                1 << 20
-            )
-            .unwrap()
-            .in_mis[..]
+            &solve_mis(&g, rng::draw(7, 0, 0, TAG_REPAIR), 1 << 20)
+                .unwrap()
+                .in_mis[..]
         );
     }
 
@@ -528,19 +507,5 @@ mod tests {
         let rows = flight.to_jsonl();
         assert_eq!(rows.matches("\"engine\":\"dynamic\"").count(), 2, "{rows}");
         assert!(rows.contains("\"scan\":\"repair\""), "{rows}");
-    }
-
-    #[test]
-    #[should_panic]
-    fn bounded_arb_is_rejected() {
-        let params = arbmis_core::ArbParams::new(2, 3, arbmis_core::ParamMode::default());
-        let _ = DynamicMis::with_algo(
-            gen::path(4),
-            1,
-            FlatAlgo::BoundedArb {
-                params,
-                rho_cutoff: true,
-            },
-        );
     }
 }

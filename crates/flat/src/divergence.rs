@@ -22,7 +22,7 @@
 //! coin_digest)` columns are **cross-backend stable**, so diffing two
 //! flight logs localizes a divergence even post-mortem.
 
-use crate::{BackendError, CongestBackend, FlatAlgo, FlatBackend, MisBackend, ScanMode};
+use crate::{BackendError, CongestBackend, FlatAlgo, FlatBackend, MisBackend};
 use arbmis_core::ArbParams;
 use arbmis_graph::{Graph, GraphBuilder, NodeId};
 use serde::{Deserialize, Serialize};
@@ -149,15 +149,16 @@ pub struct ArbSpec {
 pub struct BackendSpec {
     /// `"flat"` or `"congest"`.
     pub kind: String,
-    /// Flat: `"auto"` / `"sparse"` / `"dense"`. Congest: `"frontier"` /
-    /// `"full"` (the simulator's scheduling mode).
+    /// Flat: `"auto"`, or `"sparse"` / `"dense"` from older artifacts;
+    /// all three replay the engine's one frontier walk. Congest:
+    /// `"frontier"` / `"full"` (the simulator's scheduling mode).
     pub scan: String,
     /// Injected perturbation (flat only).
     pub coin_flip: Option<CoinFlip>,
 }
 
 impl BackendSpec {
-    /// An unperturbed flat backend with auto scan.
+    /// An unperturbed flat backend.
     pub fn flat() -> Self {
         BackendSpec {
             kind: "flat".into(),
@@ -370,13 +371,15 @@ impl ReplayArtifact {
         let algo = self.algo()?;
         match spec.kind.as_str() {
             "flat" => {
-                let scan = match spec.scan.as_str() {
-                    "auto" => ScanMode::Auto,
-                    "sparse" => ScanMode::Sparse,
-                    "dense" => ScanMode::Dense,
-                    other => return Err(format!("replay artifact: unknown flat scan {other:?}")),
-                };
-                let mut b = FlatBackend::new(g, self.seed, algo).with_scan(scan);
+                // The engine walks its frontier one way; the three labels
+                // earlier engines wrote all replay it.
+                if !matches!(spec.scan.as_str(), "auto" | "sparse" | "dense") {
+                    return Err(format!(
+                        "replay artifact: unknown flat scan {:?}",
+                        spec.scan
+                    ));
+                }
+                let mut b = FlatBackend::new(g, self.seed, algo);
                 if let Some(f) = spec.coin_flip {
                     b = b.with_coin_flip(f);
                 }
@@ -573,6 +576,30 @@ mod tests {
         art.n = 1_000_000_000_000_000_000;
         let err = ReplayArtifact::from_json(&art.to_json()).unwrap_err();
         assert!(err.contains("exceeds available memory"), "{err}");
+    }
+
+    #[test]
+    fn every_flat_scan_label_replays_one_walk() {
+        let g = gen::cycle(40);
+        let mut art = ReplayArtifact::from_case(
+            &g,
+            2,
+            FlatAlgo::Metivier,
+            BackendSpec::flat(),
+            BackendSpec::congest(),
+            10_000,
+            None,
+        );
+        for label in ["auto", "sparse", "dense"] {
+            art.a.scan = label.into();
+            let report = art.replay().unwrap();
+            assert_eq!(report.divergence, None, "{label}");
+        }
+        for label in ["frontier", "diagonal", ""] {
+            art.a.scan = label.into();
+            let err = art.replay().unwrap_err();
+            assert!(err.contains("unknown flat scan"), "{label}: {err}");
+        }
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! * [`region`] — [`solve_mis`], the one-call flat MIS of a (sub)graph
 //!   used by `arbmis-dynamic`.
 //!
-//! The engine contract ([`MisBackend`], [`FlatAlgo`], [`ScanMode`],
-//! [`BackendError`], [`BackendRun`]) is re-exported from
+//! The engine contract ([`MisBackend`], [`FlatAlgo`], [`BackendError`],
+//! [`BackendRun`]) is re-exported from
 //! `arbmis_core::backend`, so `arbmis_flat::{FlatBackend, FlatAlgo,
 //! MisBackend, solve_mis}` is the one import path for callers.
 //!
@@ -49,9 +49,7 @@ pub use divergence::{localize, CoinFlip, Divergence, DivergenceKind, ReplayArtif
 pub use region::{solve_mis, RegionMis};
 
 pub use arbmis_congest::BitMask;
-pub use arbmis_core::backend::{
-    BackendError, BackendRun, FlatAlgo, MisBackend, ScanMode, DENSE_FRACTION,
-};
+pub use arbmis_core::backend::{BackendError, BackendRun, FlatAlgo, MisBackend};
 pub use arbmis_core::FlatBackend;
 
 #[cfg(test)]
@@ -141,17 +139,6 @@ mod tests {
                     "residual active set diverges at {v}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn scan_modes_agree() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let g = gen::gnp(150, 0.04, &mut rng);
-        for algo in [FlatAlgo::Luby, FlatAlgo::Metivier, FlatAlgo::Ghaffari] {
-            let mut sparse = FlatBackend::new(&g, 9, algo).with_scan(ScanMode::Sparse);
-            let mut dense = FlatBackend::new(&g, 9, algo).with_scan(ScanMode::Dense);
-            assert_lockstep(&format!("{}/scan", algo.label()), &mut sparse, &mut dense);
         }
     }
 

@@ -19,35 +19,17 @@ pub struct RegionMis {
     pub rounds: u64,
 }
 
-/// Computes an MIS of `g` with the flat frontier engine under the
-/// counter-pure `(seed, node, iteration)` coin stream — the same
-/// execution [`FlatBackend`] would produce round by round, packaged for
-/// callers that only want the final set.
+/// Computes an MIS of `g` with the flat frontier engine's Métivier
+/// under the counter-pure `(seed, node, iteration)` coin stream — the
+/// same execution [`FlatBackend`] would produce round by round, packaged
+/// for callers that only want the final set.
 ///
 /// # Errors
 ///
 /// Returns [`BackendError::RoundLimitExceeded`] if the run is still
 /// pending after `max_rounds`.
-///
-/// # Panics
-///
-/// Panics if `algo` is [`FlatAlgo::BoundedArb`] or
-/// [`FlatAlgo::DegreeReduction`]: their output is a partial independent
-/// set, never the maximal set a region repair must produce.
-pub fn solve_mis(
-    g: &Graph,
-    seed: u64,
-    algo: FlatAlgo,
-    max_rounds: u64,
-) -> Result<RegionMis, BackendError> {
-    assert!(
-        !matches!(
-            algo,
-            FlatAlgo::BoundedArb { .. } | FlatAlgo::DegreeReduction { .. }
-        ),
-        "solve_mis needs a maximal algorithm (Luby/Metivier/Ghaffari), not a partial phase"
-    );
-    let mut b = FlatBackend::new(g, seed, algo);
+pub fn solve_mis(g: &Graph, seed: u64, max_rounds: u64) -> Result<RegionMis, BackendError> {
+    let mut b = FlatBackend::new(g, seed, FlatAlgo::Metivier);
     let run = b.run(max_rounds)?;
     Ok(RegionMis {
         in_mis: b.mis().to_bools(),
@@ -71,18 +53,16 @@ mod tests {
             gen::path(9),
             gen::gnp(200, 0.05, &mut rng),
         ] {
-            for algo in [FlatAlgo::Luby, FlatAlgo::Metivier, FlatAlgo::Ghaffari] {
-                let r = solve_mis(&g, 7, algo, 100_000).unwrap();
-                assert!(is_valid_mis(&g, &r.in_mis));
-                assert_eq!(r.in_mis.len(), g.n());
-            }
+            let r = solve_mis(&g, 7, 100_000).unwrap();
+            assert!(is_valid_mis(&g, &r.in_mis));
+            assert_eq!(r.in_mis.len(), g.n());
         }
     }
 
     #[test]
     fn matches_backend_run_exactly() {
         let g = gen::cycle(17);
-        let r = solve_mis(&g, 5, FlatAlgo::Metivier, 100_000).unwrap();
+        let r = solve_mis(&g, 5, 100_000).unwrap();
         let mut b = FlatBackend::new(&g, 5, FlatAlgo::Metivier);
         let run = b.run(100_000).unwrap();
         assert_eq!(*b.mis(), r.in_mis);
@@ -93,24 +73,8 @@ mod tests {
     fn round_limit_propagates() {
         let g = gen::path(6);
         assert!(matches!(
-            solve_mis(&g, 1, FlatAlgo::Luby, 1),
+            solve_mis(&g, 1, 1),
             Err(BackendError::RoundLimitExceeded { limit: 1 })
         ));
-    }
-
-    #[test]
-    #[should_panic]
-    fn bounded_arb_rejected() {
-        let g = gen::path(4);
-        let params = arbmis_core::ArbParams::new(2, 3, arbmis_core::ParamMode::default());
-        let _ = solve_mis(
-            &g,
-            1,
-            FlatAlgo::BoundedArb {
-                params,
-                rho_cutoff: true,
-            },
-            10,
-        );
     }
 }

@@ -80,23 +80,6 @@ pub fn grid(rows: usize, cols: usize) -> Graph {
     b.build()
 }
 
-/// `rows × cols` toroidal grid (wrap-around). 4-regular when both sides ≥ 3.
-pub fn torus(rows: usize, cols: usize) -> Graph {
-    let n = rows * cols;
-    let id = |r: usize, c: usize| (r % rows) * cols + (c % cols);
-    let mut b = GraphBuilder::with_capacity(n, 2 * n);
-    if rows == 0 || cols == 0 {
-        return b.build();
-    }
-    for r in 0..rows {
-        for c in 0..cols {
-            b.try_add_edge(id(r, c), id(r, c + 1));
-            b.try_add_edge(id(r, c), id(r + 1, c));
-        }
-    }
-    b.build()
-}
-
 /// `d`-dimensional hypercube `Q_d` on `2^d` nodes.
 pub fn hypercube(d: u32) -> Graph {
     let n = 1usize << d;
@@ -211,17 +194,6 @@ mod tests {
         assert_eq!(g.m(), 4 * 4 + 5 * 3); // (cols-1)*rows + (rows-1)*cols
         assert!(traversal::is_connected(&g));
         assert!(check_well_formed(&g).is_ok());
-    }
-
-    #[test]
-    fn torus_structure() {
-        let g = torus(4, 5);
-        assert_eq!(g.n(), 20);
-        assert!((0..20).all(|v| g.degree(v) == 4));
-        // 2-row torus collapses wrap edges into simple edges
-        let g2 = torus(2, 4);
-        assert!(check_well_formed(&g2).is_ok());
-        assert_eq!(torus(0, 3).n(), 0);
     }
 
     #[test]

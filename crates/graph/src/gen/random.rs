@@ -1,6 +1,5 @@
-//! Random graph models without an arboricity guarantee: Erdős–Rényi,
-//! random bipartite, and configuration-model regular graphs. These serve as
-//! dense/irregular baselines in the comparison experiments.
+//! Erdős–Rényi random graphs, which carry no arboricity guarantee. They
+//! serve as dense/irregular baselines in the comparison experiments.
 
 use crate::graph::Graph;
 use crate::GraphBuilder;
@@ -56,64 +55,6 @@ pub fn gnp_with_expected_degree<R: Rng + ?Sized>(n: usize, d: f64, rng: &mut R) 
     gnp(n, p, rng)
 }
 
-/// Random bipartite graph: sides of size `a` and `b`, each cross pair an
-/// edge independently with probability `p`.
-pub fn random_bipartite<R: Rng + ?Sized>(a: usize, b_size: usize, p: f64, rng: &mut R) -> Graph {
-    assert!((0.0..=1.0).contains(&p), "p={p} out of [0,1]");
-    let mut b = GraphBuilder::new(a + b_size);
-    for u in 0..a {
-        for v in 0..b_size {
-            if rng.gen_bool(p) {
-                b.add_edge(u, a + v);
-            }
-        }
-    }
-    b.build()
-}
-
-/// Random `d`-regular graph via the configuration model with rejection of
-/// loops and multi-edges. Retries the whole pairing until simple, so it is
-/// practical for `d ≪ √n`.
-///
-/// # Panics
-///
-/// Panics if `n * d` is odd or `d >= n`, which make a simple `d`-regular
-/// graph impossible.
-pub fn random_regular<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Graph {
-    assert!(
-        (n * d).is_multiple_of(2),
-        "n*d must be even for a d-regular graph"
-    );
-    assert!(d < n, "d must be < n");
-    if d == 0 || n == 0 {
-        return Graph::empty(n);
-    }
-    // Stubs: node v owns stubs v*d..(v+1)*d.
-    let mut stubs: Vec<usize> = (0..n * d).collect();
-    'retry: for _attempt in 0..1000 {
-        // Fisher-Yates shuffle, then pair consecutive stubs.
-        for i in (1..stubs.len()).rev() {
-            let j = rng.gen_range(0..=i);
-            stubs.swap(i, j);
-        }
-        let mut b = GraphBuilder::with_capacity(n, n * d / 2);
-        let mut seen = std::collections::HashSet::with_capacity(n * d / 2);
-        for pair in stubs.chunks_exact(2) {
-            let (u, v) = (pair[0] / d, pair[1] / d);
-            if u == v {
-                continue 'retry;
-            }
-            let key = if u < v { (u, v) } else { (v, u) };
-            if !seen.insert(key) {
-                continue 'retry;
-            }
-            b.add_edge(u, v);
-        }
-        return b.build();
-    }
-    panic!("random_regular: failed to produce a simple graph after 1000 attempts (n={n}, d={d})");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,35 +100,6 @@ mod tests {
         let avg = g.avg_degree();
         assert!((avg - 6.0).abs() < 1.5, "avg degree {avg} far from 6");
         assert_eq!(gnp_with_expected_degree(1, 4.0, &mut rng(2)).n(), 1);
-    }
-
-    #[test]
-    fn bipartite_has_no_intra_side_edges() {
-        let g = random_bipartite(20, 30, 0.3, &mut rng(3));
-        for (u, v) in g.edges() {
-            assert!(u < 20 && v >= 20, "intra-side edge ({u},{v})");
-        }
-    }
-
-    #[test]
-    fn regular_is_regular() {
-        for &(n, d) in &[(10, 3), (20, 4), (30, 5), (8, 0)] {
-            let g = random_regular(n, d, &mut rng(n as u64));
-            assert!((0..n).all(|v| g.degree(v) == d), "not {d}-regular");
-            assert!(check_well_formed(&g).is_ok());
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn regular_rejects_odd_total() {
-        let _ = random_regular(5, 3, &mut rng(0));
-    }
-
-    #[test]
-    #[should_panic]
-    fn regular_rejects_d_ge_n() {
-        let _ = random_regular(4, 4, &mut rng(0));
     }
 
     #[test]

@@ -153,25 +153,6 @@ pub fn barabasi_albert<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Grap
     b.build()
 }
 
-/// A "planar-ish" sparse graph: an Apollonian network with a random
-/// fraction `thin` of edges removed. Stays 3-degenerate (edge removal never
-/// increases degeneracy) but has more varied component structure.
-///
-/// # Panics
-///
-/// Panics if `n < 3` or `thin` is not in `[0, 1]`.
-pub fn random_planarish<R: Rng + ?Sized>(n: usize, thin: f64, rng: &mut R) -> Graph {
-    assert!((0.0..=1.0).contains(&thin), "thin={thin} out of [0,1]");
-    let full = apollonian(n, rng);
-    let mut b = GraphBuilder::with_capacity(n, full.m());
-    for (u, v) in full.edges() {
-        if !rng.gen_bool(thin) {
-            b.add_edge(u, v);
-        }
-    }
-    b.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,14 +227,5 @@ mod tests {
         let (n, m) = (100, 2);
         let g = barabasi_albert(n, m, &mut rng(5));
         assert_eq!(g.m(), m + (n - m - 1) * m);
-    }
-
-    #[test]
-    fn planarish_thinner_than_full() {
-        let g = random_planarish(200, 0.4, &mut rng(6));
-        assert!(g.m() < 3 * 200 - 6);
-        assert!(arboricity::degeneracy(&g) <= 3);
-        let full = random_planarish(200, 0.0, &mut rng(6));
-        assert_eq!(full.m(), 3 * 200 - 6);
     }
 }

@@ -52,17 +52,6 @@ fn decode_prufer(n: usize, seq: &[NodeId]) -> Graph {
     b.build()
 }
 
-/// Random attachment tree: node `i` attaches to a uniformly random earlier
-/// node. Produces shallower, broader trees than the Prüfer model.
-pub fn random_tree_attachment<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Graph {
-    let mut b = GraphBuilder::with_capacity(n, n.saturating_sub(1));
-    for i in 1..n {
-        let parent = rng.gen_range(0..i);
-        b.add_edge(i, parent);
-    }
-    b.build()
-}
-
 /// Random spanning forest on `n` nodes with roughly `edge_fraction` of the
 /// `n - 1` tree edges kept (each kept independently). `edge_fraction` is
 /// clamped to `[0, 1]`.
@@ -116,14 +105,6 @@ mod tests {
         assert_eq!(g.degree(4), 2);
         assert!(traversal::is_forest(&g));
         assert!(traversal::is_connected(&g));
-    }
-
-    #[test]
-    fn attachment_is_tree() {
-        let g = random_tree_attachment(200, &mut rng(3));
-        assert_eq!(g.m(), 199);
-        assert!(traversal::is_connected(&g));
-        assert!(traversal::is_forest(&g));
     }
 
     #[test]

@@ -33,9 +33,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 ///   the round's deltas, `scan` is `"frontier"` or `"full"`. Digests are
 ///   zero (the simulator is protocol-generic).
 /// * `"flat"` — the flat backend's capture:
-///   `frontier` is the active-set size entering the round, `scan` is the
-///   effective sweep density (`"sparse"`/`"dense"`), and the joiner/coin
-///   digests are filled.
+///   `frontier` is the active-set size entering the round, `scan` is
+///   `"frontier"` (its one sweep), and the joiner/coin digests are
+///   filled.
 /// * `"congest-backend"` — the `CongestBackend` adapter's backend-level
 ///   capture, with the same digest definitions as `"flat"` (the
 ///   cross-backend comparable columns).
@@ -58,8 +58,8 @@ pub struct RoundRecord {
     pub messages: u64,
     /// Total bits sent this round (simulator capture only).
     pub bits: u64,
-    /// Scan mode label: `"frontier"`, `"full"`, `"sparse"`, `"dense"`,
-    /// or `"-"` when not applicable.
+    /// Scan mode label: `"frontier"`, `"full"`, `"repair"` (dynamic
+    /// repairs), or `"-"` when not applicable.
     pub scan: &'static str,
     /// The metric recorder's event sequence number at record time — ties
     /// the round to the enclosing phase span in the event log (0 when no

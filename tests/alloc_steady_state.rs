@@ -209,30 +209,52 @@ fn frontier_bookkeeping_steady_state_allocates_nothing() {
 /// reuse buffers (DESIGN.md §11, §13). Runs are deterministic, so
 /// repeat executions replay the exact same buffer demands. Ghaffari's
 /// exponent buffers are sized at construction and swapped, never
-/// regrown.
+/// regrown. BoundedArb runs on a 3-tree, with and without the ρ_k
+/// cutoff, so its bad-exit sweep is covered too.
 fn flat_backend_steady_state_allocates_nothing() {
-    use arbmis::flat::{FlatAlgo, FlatBackend, MisBackend, ScanMode};
+    use arbmis::core::{ArbParams, ParamMode};
+    use arbmis::flat::{FlatAlgo, FlatBackend, MisBackend};
+    use arbmis::graph::{gen, Graph};
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-    let g = arbmis::graph::gen::gnp(400, 0.02, &mut rng);
+    let gnp = gen::gnp(400, 0.02, &mut rng);
+    let ktree = gen::random_ktree(400, 3, &mut rng);
+    let delta = ktree.degree_histogram().len().saturating_sub(1);
+    let params = ArbParams::new(3, delta, ParamMode::default());
 
-    for algo in [FlatAlgo::Luby, FlatAlgo::Metivier, FlatAlgo::Ghaffari] {
-        for scan in [ScanMode::Sparse, ScanMode::Dense, ScanMode::Auto] {
-            let mut b = FlatBackend::new(&g, 3, algo).with_scan(scan);
-            let warm = b.run(10_000).unwrap();
-            assert!(warm.rounds > 0);
-            let reruns = allocs_during(|| {
-                for _ in 0..8 {
-                    let rerun = b.run(10_000).unwrap();
-                    assert_eq!(rerun.rounds, warm.rounds);
-                }
-            });
-            assert_eq!(
-                reruns, 0,
-                "flat backend ({algo:?}, {scan:?}) allocated {reruns} times \
-                 across 8 warm re-runs"
-            );
-        }
+    let cases: [(&Graph, FlatAlgo); 5] = [
+        (&gnp, FlatAlgo::Luby),
+        (&gnp, FlatAlgo::Metivier),
+        (&gnp, FlatAlgo::Ghaffari),
+        (
+            &ktree,
+            FlatAlgo::BoundedArb {
+                params,
+                rho_cutoff: true,
+            },
+        ),
+        (
+            &ktree,
+            FlatAlgo::BoundedArb {
+                params,
+                rho_cutoff: false,
+            },
+        ),
+    ];
+    for (g, algo) in cases {
+        let mut b = FlatBackend::new(g, 3, algo);
+        let warm = b.run(100_000).unwrap();
+        assert!(warm.rounds > 0);
+        let reruns = allocs_during(|| {
+            for _ in 0..8 {
+                let rerun = b.run(100_000).unwrap();
+                assert_eq!(rerun.rounds, warm.rounds);
+            }
+        });
+        assert_eq!(
+            reruns, 0,
+            "flat backend ({algo:?}) allocated {reruns} times across 8 warm re-runs"
+        );
     }
 }
 

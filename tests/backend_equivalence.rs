@@ -2,7 +2,7 @@
 //! (DESIGN.md §11): for every algorithm, workload family, and seed, the
 //! flat shared-memory backend must be **round-identical** to the CONGEST
 //! simulator — the per-round joiner sets, the final MIS, and the total
-//! round count all agree, in every flat scan mode, under both
+//! round count all agree, at every flat worker-thread count, under both
 //! simulator scheduling modes, and against a one-shot `Simulator::run`.
 //!
 //! The backends share no execution machinery — one passes messages
@@ -10,37 +10,24 @@
 //! drift in protocol semantics, RNG derivation, or round accounting
 //! shows up here as a first-divergence round index.
 //!
-//! The flat engine side of the matrix is itself a cross product:
-//! `{sparse, dense, auto}` scans × flat worker threads `{1, 2, 4}` — the
-//! deterministic-parallelism contract (DESIGN.md §13) rides on the same
-//! lockstep assertions. `ARBMIS_EQ_FLAT_THREADS` (comma-separated)
-//! narrows the flat matrix, so CI can pin one slice per job.
+//! The flat engine side of the matrix runs worker threads `{1, 2, 4}`:
+//! the deterministic-parallelism contract (DESIGN.md §13) rides on the
+//! same lockstep assertions.
 
 use arbmis::congest::{Protocol, Simulator};
 use arbmis::core::protocols::{
     BoundedArbProtocol, GhaffariProtocol, LubyProtocol, MetivierProtocol, MisNodeState,
 };
 use arbmis::core::{ArbParams, ParamMode};
-use arbmis::flat::{CongestBackend, FlatAlgo, FlatBackend, MisBackend, ScanMode};
+use arbmis::flat::{CongestBackend, FlatAlgo, FlatBackend, MisBackend};
 use arbmis::graph::{gen, Graph};
 use rand::SeedableRng;
 
 const SEEDS: [u64; 4] = [0, 1, 7, 42];
 const MAX_ROUNDS: u64 = 100_000;
 
-/// Flat worker-thread counts under test (`ARBMIS_EQ_FLAT_THREADS`
-/// narrows).
-fn flat_threads_under_test() -> Vec<usize> {
-    match std::env::var("ARBMIS_EQ_FLAT_THREADS") {
-        Ok(s) => s
-            .split(',')
-            .map(str::trim)
-            .filter(|t| !t.is_empty())
-            .map(|t| t.parse().expect("ARBMIS_EQ_FLAT_THREADS"))
-            .collect(),
-        Err(_) => vec![1, 2, 4],
-    }
-}
+/// Flat worker-thread counts under test.
+const FLAT_THREADS: [usize; 3] = [1, 2, 4];
 
 /// The four workload families of the contract: dense-ish random, bounded
 /// arboricity, spatial, and preferential attachment.
@@ -109,21 +96,14 @@ where
     )
 }
 
-/// Full matrix for one `(graph, seed, algo)` workload: every flat
-/// configuration (scan × flat threads) vs both simulator
-/// scheduling modes in lockstep, then a one-shot simulator run against
-/// the agreed outcome.
+/// Full matrix for one `(graph, seed, algo)` workload: the flat engine
+/// at every thread count vs both simulator scheduling modes in
+/// lockstep, then a one-shot simulator run against the agreed outcome.
 fn assert_workload(label: &str, g: &Graph, seed: u64, algo: FlatAlgo, max_rounds: u64) {
-    let mut flats = Vec::new();
-    for scan in [ScanMode::Sparse, ScanMode::Dense, ScanMode::Auto] {
-        for &threads in &flat_threads_under_test() {
-            flats.push(
-                FlatBackend::new(g, seed, algo)
-                    .with_scan(scan)
-                    .with_threads(threads),
-            );
-        }
-    }
+    let mut flats: Vec<_> = FLAT_THREADS
+        .iter()
+        .map(|&threads| FlatBackend::new(g, seed, algo).with_threads(threads))
+        .collect();
     let mut congest = CongestBackend::new(g, seed, algo);
     let mut congest_full = CongestBackend::new(g, seed, algo).with_full_scan(true);
     let mut backends: Vec<&mut dyn MisBackend> = vec![&mut congest];

@@ -2,9 +2,8 @@
 //!
 //! `luby::run`, `metivier::{run, run_region, run_partial}`,
 //! `ghaffari::run` and `bounded_arb_independent_set_with` are thin
-//! drivers over the flat engine (`arbmis_core::FlatBackend`). The table below was captured via
-//! `cargo run -p arbmis-bench --example golden_capture -- drivers`; the
-//! drivers must reproduce every fingerprint bit for bit. A fingerprint
+//! drivers over the flat engine (`arbmis_core::FlatBackend`), and they
+//! must reproduce every fingerprint of the table below bit for bit. A fingerprint
 //! folds, over seeds {1, 7, 42}, the MIS mask, the iteration and round
 //! counts, the residual active and bad masks, the parameter schedule, the
 //! full per-scale `ScaleTrace`, and the deterministic recorder output
@@ -33,8 +32,9 @@
 //! out the `arbmis_degree_reduction_*` gauges, which are newer than every
 //! row.
 //!
-//! The fingerprint code below is mirrored verbatim from the capture
-//! example.
+//! On a mismatch the test prints the full table it computed in the
+//! `GOLDEN` literal's format. To recapture, run the test on a known-good
+//! commit and paste the table it prints.
 
 use arbmis::core::arb_mis::{arb_mis_with, ArbMisConfig};
 use arbmis::core::bounded_arb::{
@@ -519,15 +519,31 @@ fn driver_fingerprints() -> Vec<(String, u64)> {
 #[test]
 fn drivers_reproduce_the_golden_fingerprints() {
     let got = driver_fingerprints();
-    assert_eq!(got.len(), GOLDEN.len(), "workload table changed");
-    let mut mismatches = Vec::new();
-    for ((name, h), &(gname, gh)) in got.iter().zip(GOLDEN.iter()) {
-        assert_eq!(name, gname, "workload order changed");
-        if *h != gh {
-            mismatches.push(format!("{name}: got {h:#018x}, golden {gh:#018x}"));
-        }
+    let pinned = got.len() == GOLDEN.len()
+        && got
+            .iter()
+            .zip(GOLDEN.iter())
+            .all(|((name, h), &(gname, gh))| name == gname && *h == gh);
+    if pinned {
+        return;
     }
-    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+    for (name, h) in &got {
+        println!("    (\"{name}\", {h:#018x}),");
+    }
+    let mismatches: Vec<String> = got
+        .iter()
+        .zip(GOLDEN.iter())
+        .filter(|((name, h), &(gname, gh))| name != gname || *h != gh)
+        .map(|((name, h), &(gname, gh))| {
+            format!("{name}: got {h:#018x}, golden {gname}: {gh:#018x}")
+        })
+        .collect();
+    panic!(
+        "{} rows computed, {} golden; differing rows (computed table printed above):\n{}",
+        got.len(),
+        GOLDEN.len(),
+        mismatches.join("\n")
+    );
 }
 
 #[test]

@@ -1,10 +1,11 @@
 //! Broadcast-heavy stress differentials for the zero-clone message plane.
 //!
 //! The golden table below was captured from the pre-refactor engine (the
-//! per-edge-clone, sort-every-round implementation) via
-//! `cargo run -p arbmis-bench --example golden_capture`. The refactored
+//! per-edge-clone, sort-every-round implementation). The refactored
 //! plane must reproduce every fingerprint bit-for-bit — transcript digest,
-//! metrics, and final node states.
+//! metrics, and final node states. On a mismatch a check prints the full
+//! table it computed in the `GOLDEN` literal's format; to recapture, run
+//! the tests on a known-good commit and paste the table they print.
 //!
 //! A separate regression test ([`inbox_delivery_is_sorted_by_sender`])
 //! checks the invariant that replaced the deleted per-round sorts: inboxes
@@ -32,10 +33,14 @@ fn state_fingerprint(states: &[MisNodeState]) -> u64 {
     h
 }
 
+/// One workload's fingerprint: `(name, transcript_digest, rounds,
+/// messages, bits, max_message_bits, state_fingerprint)`.
+type Row = (&'static str, u64, u64, u64, u64, u64, u64);
+
 /// Golden fingerprints captured from the pre-refactor engine:
 /// `(name, transcript_digest, rounds, messages, bits, max_message_bits,
 /// state_fingerprint)`.
-const GOLDEN: [(&str, u64, u64, u64, u64, u64, u64); 4] = [
+const GOLDEN: [Row; 4] = [
     (
         "gnp300_dense_metivier",
         0xeeedd2d6ea974fc4,
@@ -90,11 +95,8 @@ fn workload(name: &str) -> (Graph, u64, u8) {
     }
 }
 
-fn check_golden(name: &str) {
-    let &(_, digest, rounds, messages, bits, max_message_bits, state_fp) = GOLDEN
-        .iter()
-        .find(|g| g.0 == name)
-        .expect("unknown workload");
+/// The fingerprint row `name`'s workload computes.
+fn computed(name: &'static str) -> Row {
     let (g, seed, which) = workload(name);
     let sim = Simulator::new(&g, seed);
     let (run, t) = match which {
@@ -103,19 +105,33 @@ fn check_golden(name: &str) {
         _ => sim.run_traced(&GhaffariProtocol, 100_000),
     }
     .unwrap_or_else(|e| panic!("{name}: run failed: {e}"));
-    assert_eq!(t.digest(), digest, "{name}: transcript digest");
-    assert_eq!(run.metrics.rounds, rounds, "{name}: rounds");
-    assert_eq!(run.metrics.messages, messages, "{name}: messages");
-    assert_eq!(run.metrics.bits, bits, "{name}: bits");
-    assert_eq!(
-        run.metrics.max_message_bits, max_message_bits,
-        "{name}: max_message_bits"
-    );
-    assert_eq!(
+    (
+        name,
+        t.digest(),
+        run.metrics.rounds,
+        run.metrics.messages,
+        run.metrics.bits,
+        run.metrics.max_message_bits,
         state_fingerprint(&run.states),
-        state_fp,
-        "{name}: state fingerprint"
-    );
+    )
+}
+
+fn check_golden(name: &str) {
+    let golden = *GOLDEN
+        .iter()
+        .find(|g| g.0 == name)
+        .expect("unknown workload");
+    let got = computed(golden.0);
+    if got == golden {
+        return;
+    }
+    for &(name, ..) in &GOLDEN {
+        let (name, digest, rounds, messages, bits, max_bits, state_fp) = computed(name);
+        println!("    (\n        \"{name}\",\n        {digest:#018x},\n        {rounds},");
+        println!("        {messages},\n        {bits},\n        {max_bits},");
+        println!("        {state_fp:#018x},\n    ),");
+    }
+    panic!("{name}: computed {got:x?}, golden {golden:x?} (computed table printed above)");
 }
 
 #[test]

@@ -280,17 +280,17 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// DESIGN.md §11 property 1: whatever the backend and scan mode, the
-    /// output is a maximal independent set.
+    /// DESIGN.md §11 property 1: whatever the backend and flat thread
+    /// count, the output is a maximal independent set.
     #[test]
     fn every_backend_output_is_a_valid_mis(g in arbitrary_graph(), seed in 0u64..1000) {
         use arbmis::core::is_valid_mis;
-        use arbmis::flat::{CongestBackend, FlatAlgo, FlatBackend, MisBackend, ScanMode};
+        use arbmis::flat::{CongestBackend, FlatAlgo, FlatBackend, MisBackend};
         for algo in [FlatAlgo::Luby, FlatAlgo::Metivier, FlatAlgo::Ghaffari] {
-            for scan in [ScanMode::Auto, ScanMode::Sparse, ScanMode::Dense] {
-                let mut b = FlatBackend::new(&g, seed, algo).with_scan(scan);
+            for threads in [1, 2] {
+                let mut b = FlatBackend::new(&g, seed, algo).with_threads(threads);
                 b.run(100_000).unwrap();
-                prop_assert!(is_valid_mis(&g, &b.mis().to_bools()), "flat {algo:?} {scan:?}");
+                prop_assert!(is_valid_mis(&g, &b.mis().to_bools()), "flat {algo:?} × {threads}");
             }
             let mut b = CongestBackend::new(&g, seed, algo);
             b.run(100_000).unwrap();
@@ -391,22 +391,25 @@ fn reference_ghaffari(g: &Graph, seed: u64) -> (Vec<bool>, u64, u32) {
     (in_mis, iter, max_exponent)
 }
 
-/// Runs `FlatAlgo::Ghaffari` under both fixed scan modes and checks
+/// Runs `FlatAlgo::Ghaffari` at one and two worker threads and checks
 /// each against `ghaffari::run` and the reference: the same MIS, and
 /// `3 × iterations` schedule rounds plus the closing halt round.
 /// Returns the reference's largest exponent.
-fn check_ghaffari_scans(g: &Graph, seed: u64) -> Result<u32, TestCaseError> {
-    use arbmis::flat::{FlatAlgo, FlatBackend, MisBackend, ScanMode};
+fn check_ghaffari(g: &Graph, seed: u64) -> Result<u32, TestCaseError> {
+    use arbmis::flat::{FlatAlgo, FlatBackend, MisBackend};
     let (mis, iterations, max_exponent) = reference_ghaffari(g, seed);
     let driver = ghaffari::run(g, seed);
     prop_assert_eq!(&driver.in_mis, &mis);
     prop_assert_eq!(driver.iterations, iterations);
     prop_assert_eq!(driver.rounds, 3 * iterations);
-    for scan in [ScanMode::Sparse, ScanMode::Dense] {
-        let mut b = FlatBackend::new(g, seed, FlatAlgo::Ghaffari).with_scan(scan);
+    for threads in [1, 2] {
+        let mut b = FlatBackend::new(g, seed, FlatAlgo::Ghaffari).with_threads(threads);
         let run = b.run(100_000).unwrap();
-        prop_assert!(b.mis() == &mis[..], "{scan:?}: MIS");
-        prop_assert!(run.rounds == 3 * iterations + 1, "{scan:?}: rounds");
+        prop_assert!(b.mis() == &mis[..], "{threads} threads: MIS");
+        prop_assert!(
+            run.rounds == 3 * iterations + 1,
+            "{threads} threads: rounds"
+        );
     }
     Ok(max_exponent)
 }
@@ -415,13 +418,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// DESIGN.md §13 for Ghaffari: the desire sums, hence the MIS and
-    /// the round count, do not depend on the scan mode.
+    /// the round count, match the reference at every thread count.
     #[test]
-    fn ghaffari_engine_is_scan_independent(
+    fn ghaffari_engine_matches_reference(
         g in ghaffari_graph(),
         seed in 0u64..1000,
     ) {
-        check_ghaffari_scans(&g, seed)?;
+        check_ghaffari(&g, seed)?;
     }
 }
 
@@ -434,7 +437,7 @@ fn ghaffari_engine_matches_reference_where_exponents_exceed_10() {
     let g = gen::gnp(200, 0.3, &mut rand::rngs::StdRng::seed_from_u64(11));
     let mut highest = 0;
     for seed in [7, 42] {
-        highest = highest.max(check_ghaffari_scans(&g, seed).unwrap());
+        highest = highest.max(check_ghaffari(&g, seed).unwrap());
     }
     assert!(highest > 10, "exponents peaked at {highest}");
 }
@@ -476,27 +479,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// DESIGN.md §13 for Luby: the engine's degree count, hence the MIS
-    /// and the round count, matches the reference under every scan mode
-    /// and worker-thread count, on graphs with hubs.
+    /// and the round count, matches the reference at every worker-thread
+    /// count, on graphs with hubs.
     #[test]
     fn luby_engine_matches_reference(g in ghaffari_graph(), seed in 0u64..1000) {
-        use arbmis::flat::{FlatAlgo, FlatBackend, MisBackend, ScanMode};
+        use arbmis::flat::{FlatAlgo, FlatBackend, MisBackend};
         let (mis, iterations) = reference_luby(&g, seed);
         let driver = luby::run(&g, seed);
         prop_assert_eq!(&driver.in_mis, &mis);
         prop_assert_eq!(driver.iterations, iterations);
-        for scan in [ScanMode::Sparse, ScanMode::Dense, ScanMode::Auto] {
-            for threads in [1, 2] {
-                let mut b = FlatBackend::new(&g, seed, FlatAlgo::Luby)
-                    .with_scan(scan)
-                    .with_threads(threads);
-                let run = b.run(100_000).unwrap();
-                prop_assert!(b.mis() == &mis[..], "{scan:?} × {threads}: MIS");
-                prop_assert!(
-                    run.rounds == 3 * iterations + 1,
-                    "{scan:?} × {threads}: rounds"
-                );
-            }
+        for threads in [1, 2] {
+            let mut b = FlatBackend::new(&g, seed, FlatAlgo::Luby).with_threads(threads);
+            let run = b.run(100_000).unwrap();
+            prop_assert!(b.mis() == &mis[..], "{threads} threads: MIS");
+            prop_assert!(run.rounds == 3 * iterations + 1, "{threads} threads: rounds");
         }
     }
 }
