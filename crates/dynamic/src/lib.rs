@@ -14,9 +14,12 @@
 //! 2. resolves independence violations by deterministic eviction (a new
 //!    MIS–MIS edge keeps its lower-id endpoint),
 //! 3. computes the **dirty region** — the set of alive nodes left with
-//!    no MIS neighbor, found by a bounded scan of the batch's touched
-//!    neighborhoods (evicted nodes, their neighbors, former neighbors of
-//!    removed MIS nodes, endpoints of removed MIS edges, new nodes) —
+//!    no MIS neighbor — among the batch's candidates (evicted nodes,
+//!    their neighbors, former neighbors of removed MIS nodes, endpoints
+//!    of removed MIS edges, new nodes). Each node carries a count of its
+//!    MIS neighbors, kept exact by every membership and MIS-incident
+//!    edge change, so a candidate's test is one lookup, not a scan of
+//!    its neighborhood —
 //! 4. extracts it with the shared [`arbmis_graph::SubgraphScratch`] and
 //!    re-solves *only that region* on the flat frontier engine
 //!    ([`arbmis_flat::solve_mis`]), lifting the joiners back.
@@ -117,10 +120,14 @@ impl Repair {
 pub struct DynamicMis {
     overlay: OverlayGraph,
     in_mis: Vec<bool>,
+    /// `mis_nbrs[v]` — how many MIS members are adjacent to `v` (exact
+    /// for alive nodes, 0 for dead ones).
+    mis_nbrs: Vec<u32>,
     seed: u64,
     epoch: u64,
     scratch: SubgraphScratch,
-    /// Reusable dirty-candidate buffer.
+    /// Reusable dirty-candidate buffer; filtered down to the dirty
+    /// region at the end of each batch.
     seeds: Vec<NodeId>,
     recorder: Recorder,
     flight: FlightRecorder,
@@ -133,9 +140,16 @@ impl DynamicMis {
         let initial_seed = rng::draw(seed, 0, 0, TAG_REPAIR);
         let solved = solve_mis(&g, initial_seed, REPAIR_ROUND_LIMIT)
             .expect("flat engine cannot fail within the repair round limit");
+        let mut mis_nbrs = vec![0u32; g.n()];
+        for v in (0..g.n()).filter(|&v| solved.in_mis[v]) {
+            for &u in g.neighbors(v) {
+                mis_nbrs[u] += 1;
+            }
+        }
         DynamicMis {
             overlay: OverlayGraph::new(g),
             in_mis: solved.in_mis,
+            mis_nbrs,
             seed,
             epoch: 0,
             scratch: SubgraphScratch::new(),
@@ -187,16 +201,17 @@ impl DynamicMis {
     }
 
     /// Full validity audit against the *current* (mutated) graph:
-    /// members are alive and pairwise non-adjacent, and every alive
-    /// non-member has a member neighbor. `O(n + m)` — the differential
-    /// oracle, not a per-batch cost.
+    /// members are alive and pairwise non-adjacent, every alive
+    /// non-member has a member neighbor, and every alive node's stored
+    /// MIS-neighbor count equals a recount. `O(n + m)` — the
+    /// differential oracle, not a per-batch cost.
     pub fn is_valid_mis(&self) -> bool {
         (0..self.overlay.n()).all(|v| {
-            if self.in_mis[v] {
-                self.overlay.is_alive(v) && !self.overlay.neighbors(v).any(|u| self.in_mis[u])
-            } else {
-                !self.overlay.is_alive(v) || self.overlay.neighbors(v).any(|u| self.in_mis[u])
+            if !self.overlay.is_alive(v) {
+                return !self.in_mis[v];
             }
+            let count = self.recount(v);
+            count == self.mis_nbrs[v] as usize && (count == 0) == self.in_mis[v]
         })
     }
 
@@ -215,28 +230,24 @@ impl DynamicMis {
         for up in batch {
             self.apply_one(up, &mut evicted);
         }
-        self.seeds.sort_unstable();
-        self.seeds.dedup();
         // The dirty region: candidates that ended the batch alive,
         // outside the MIS, and with no MIS neighbor. Nodes beyond the
         // candidate set kept their dominator, so this IS the full
         // uncovered set.
-        let mut region: Vec<NodeId> = Vec::new();
-        for &v in &self.seeds {
-            if self.overlay.is_alive(v)
-                && !self.in_mis[v]
-                && !self.overlay.neighbors(v).any(|u| self.in_mis[u])
-            {
-                region.push(v);
-            }
-        }
+        let (overlay, in_mis, mis_nbrs) = (&self.overlay, &self.in_mis, &self.mis_nbrs);
+        self.seeds
+            .retain(|&v| overlay.is_alive(v) && !in_mis[v] && mis_nbrs[v] == 0);
+        self.seeds.sort_unstable();
+        self.seeds.dedup();
+        let region = &self.seeds;
+        let region_nodes = region.len();
         let repair_seed = rng::draw(self.seed, 0, self.epoch, TAG_REPAIR);
         let (added, region_edges, repair_rounds) = if region.is_empty() {
             (Vec::new(), 0, 0)
         } else {
             let sub = self
                 .scratch
-                .induce_by(self.overlay.n(), &region, |v| self.overlay.neighbors(v));
+                .induce_by(self.overlay.n(), region, |v| self.overlay.neighbors(v));
             let solved = solve_mis(sub.graph(), repair_seed, REPAIR_ROUND_LIMIT)
                 .expect("flat engine cannot fail within the repair round limit");
             let added: Vec<NodeId> = solved
@@ -246,11 +257,11 @@ impl DynamicMis {
                 .filter(|&(_, &b)| b)
                 .map(|(i, _)| sub.to_parent(i))
                 .collect();
-            for &v in &added {
-                self.in_mis[v] = true;
-            }
             (added, sub.graph().m(), solved.rounds)
         };
+        for &v in &added {
+            self.join(v);
+        }
         evicted.sort_unstable();
         evicted.dedup();
         // Deterministic compaction schedule: fold the overlay back into
@@ -265,7 +276,7 @@ impl DynamicMis {
             updates: batch.len(),
             evicted,
             added,
-            region_nodes: region.len(),
+            region_nodes,
             region_edges,
             repair_rounds,
             repair_seed,
@@ -275,53 +286,82 @@ impl DynamicMis {
         repair
     }
 
-    /// Applies one update, collecting dirty candidates and evictions.
+    /// Applies one update, collecting dirty candidates and evictions
+    /// and keeping every MIS-neighbor count exact.
     fn apply_one(&mut self, up: &Update, evicted: &mut Vec<NodeId>) {
-        match up {
+        match *up {
             Update::InsertEdge(u, v) => {
-                if self.overlay.insert_edge(*u, *v) && self.in_mis[*u] && self.in_mis[*v] {
-                    // Deterministic tie-break: the lower id stays.
-                    let out = (*u).max(*v);
-                    self.in_mis[out] = false;
-                    evicted.push(out);
-                    // Collect the dominated neighborhood NOW, not after
-                    // the batch: a later update in the same batch may
-                    // disconnect (or delete) these nodes, and they would
-                    // be unreachable from `out` by then while still
-                    // having lost their dominator.
-                    self.seeds.push(out);
-                    self.seeds.extend(self.overlay.neighbors(out));
+                if self.overlay.insert_edge(u, v) {
+                    self.mis_nbrs[u] += u32::from(self.in_mis[v]);
+                    self.mis_nbrs[v] += u32::from(self.in_mis[u]);
+                    if self.in_mis[u] && self.in_mis[v] {
+                        // Deterministic tie-break: the lower id stays.
+                        let out = u.max(v);
+                        self.seeds.push(out);
+                        self.evict(out, evicted);
+                    }
                 }
             }
             Update::RemoveEdge(u, v) => {
-                if self.overlay.remove_edge(*u, *v) {
+                if self.overlay.remove_edge(u, v) {
                     debug_assert!(
-                        !(self.in_mis[*u] && self.in_mis[*v]),
+                        !(self.in_mis[u] && self.in_mis[v]),
                         "independence invariant broken before removal of ({u},{v})"
                     );
-                    if self.in_mis[*u] {
-                        self.seeds.push(*v);
+                    if self.in_mis[u] {
+                        self.mis_nbrs[v] -= 1;
+                        self.seeds.push(v);
                     }
-                    if self.in_mis[*v] {
-                        self.seeds.push(*u);
+                    if self.in_mis[v] {
+                        self.mis_nbrs[u] -= 1;
+                        self.seeds.push(u);
                     }
                 }
             }
-            Update::InsertNode(nbrs) => {
+            Update::InsertNode(ref nbrs) => {
                 let v = self.overlay.insert_node(nbrs);
                 self.in_mis.push(false);
+                let count = u32::try_from(self.recount(v)).expect("MIS-neighbor count fits u32");
+                self.mis_nbrs.push(count);
                 self.seeds.push(v);
             }
             Update::RemoveNode(v) => {
-                if self.in_mis[*v] {
-                    self.in_mis[*v] = false;
-                    evicted.push(*v);
-                    // Collect the dominated neighborhood at eviction
-                    // time, before the structure loses it.
-                    self.seeds.extend(self.overlay.neighbors(*v));
+                if self.in_mis[v] {
+                    self.evict(v, evicted);
                 }
-                self.overlay.remove_node(*v);
+                self.overlay.remove_node(v);
+                self.mis_nbrs[v] = 0;
             }
+        }
+    }
+
+    /// Takes `v` out of the MIS. One pass over its neighborhood drops
+    /// each neighbor's count and collects it as a candidate NOW, not
+    /// after the batch: a later update in the same batch may disconnect
+    /// (or delete) these nodes, and they would be unreachable from `v`
+    /// by then while still having lost their dominator.
+    fn evict(&mut self, v: NodeId, evicted: &mut Vec<NodeId>) {
+        self.in_mis[v] = false;
+        evicted.push(v);
+        for u in self.overlay.neighbors(v) {
+            self.mis_nbrs[u] -= 1;
+            self.seeds.push(u);
+        }
+    }
+
+    /// MIS neighbors of `v`, counted from its adjacency.
+    fn recount(&self, v: NodeId) -> usize {
+        self.overlay
+            .neighbors(v)
+            .filter(|&u| self.in_mis[u])
+            .count()
+    }
+
+    /// Adds repair joiner `v` to the MIS, raising its neighbors' counts.
+    fn join(&mut self, v: NodeId) {
+        self.in_mis[v] = true;
+        for u in self.overlay.neighbors(v) {
+            self.mis_nbrs[u] += 1;
         }
     }
 
@@ -380,6 +420,25 @@ mod tests {
                 .unwrap()
                 .in_mis[..]
         );
+    }
+
+    #[test]
+    fn audit_catches_a_drifted_count() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let g = gen::gnp(80, 0.06, &mut rng);
+        let mut d = DynamicMis::new(g, 5);
+        d.apply(&[Update::InsertNode(vec![0, 1, 2]), Update::RemoveNode(3)]);
+        assert!(d.is_valid_mis());
+        let v = (0..d.graph().n())
+            .find(|&v| d.graph().is_alive(v) && !d.is_in_mis(v))
+            .unwrap();
+        d.mis_nbrs[v] += 1;
+        assert!(
+            !d.is_valid_mis(),
+            "a stored count above its recount must fail"
+        );
+        d.mis_nbrs[v] -= 1;
+        assert!(d.is_valid_mis());
     }
 
     #[test]

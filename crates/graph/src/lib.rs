@@ -22,8 +22,8 @@
 //!   Lemma 3.7 (shattering) analysis.
 //! * [`subgraph`] — induced subgraphs, one-off or through a reusable
 //!   scratch.
-//! * [`overlay`] — a mutable adjacency overlay over the CSR (delta lists
-//!   + deterministic compaction) for edge/node churn streams.
+//! * [`overlay`] — a mutable adjacency overlay over the CSR (arena-backed
+//!   delta runs + deterministic compaction) for edge/node churn streams.
 //!
 //! # Example
 //!

@@ -2,10 +2,20 @@
 //!
 //! The static pipeline consumes CSR graphs, but a live service sees the
 //! graph as a *stream* of edge/node inserts and deletes. [`OverlayGraph`]
-//! keeps an immutable CSR base plus per-node sorted delta lists (`added`
+//! keeps an immutable CSR base plus per-node sorted delta runs (`added`
 //! neighbors not in the base, `removed` base neighbors) and an `alive`
-//! mask for node churn, so every update is `O(log deg)` and adjacency
-//! queries see the mutated graph without ever rebuilding the CSR.
+//! mask for node churn, so adjacency queries see the mutated graph
+//! without ever rebuilding the CSR.
+//!
+//! Every delta run lives in one arena: a node's record `(start, len,
+//! cap)` addresses a sorted run of `len` ids inside `cap` reserved
+//! slots. An insert into a full run relocates it to the arena's end
+//! with doubled capacity (or grows it in place when it already ends the
+//! arena), and [`compact`](OverlayGraph::compact) clears the arena. A
+//! node's first delta therefore allocates nothing of its own: the arena
+//! grows geometrically, so `k` first touches cost `O(log k)`
+//! allocations. An edge insert looks the base edge up once, in the first
+//! endpoint's CSR row, and the symmetric base answers for both halves.
 //!
 //! Node ids are **stable**: inserting a node appends id `n`, removing a
 //! node marks it dead (its slot is never reused), and
@@ -22,7 +32,7 @@
 use crate::graph::{Graph, NodeId};
 use crate::GraphBuilder;
 
-/// A CSR base graph plus sorted delta lists and an alive mask.
+/// A CSR base graph plus sorted delta runs and an alive mask.
 ///
 /// # Example
 ///
@@ -43,12 +53,15 @@ use crate::GraphBuilder;
 pub struct OverlayGraph {
     /// Immutable CSR snapshot; adjacency truth is `base − removed + added`.
     base: Graph,
-    /// Per-node sorted neighbor ids present in the overlay but not the
-    /// base. For nodes `>= base.n()` this is the entire adjacency.
-    added: Vec<Vec<NodeId>>,
-    /// Per-node sorted base-neighbor ids deleted by the overlay. Only
-    /// ever references edges present in `base`.
-    removed: Vec<Vec<NodeId>>,
+    /// Backing store of every delta run (`added` and `removed` alike).
+    arena: Vec<NodeId>,
+    /// Per-node run of sorted neighbor ids present in the overlay but
+    /// not the base. For nodes `>= base.n()` this is the entire
+    /// adjacency.
+    added: Vec<Run>,
+    /// Per-node run of sorted base-neighbor ids deleted by the overlay.
+    /// Only ever references edges present in `base`.
+    removed: Vec<Run>,
     /// `alive[v]` — dead nodes have no incident edges and reject updates.
     alive: Vec<bool>,
     /// Incrementally-maintained degree (live edges only).
@@ -57,9 +70,72 @@ pub struct OverlayGraph {
     m: usize,
     /// Live node count (`alive.iter().filter(|a| **a).count()`).
     alive_count: usize,
-    /// Directed delta-entry count (`Σ added[v].len() + removed[v].len()`)
-    /// — the compaction trigger's input.
+    /// Directed delta-entry count (`Σ added[v].len + removed[v].len`) —
+    /// the compaction trigger's input.
     delta_entries: usize,
+}
+
+/// One node's sorted delta run: `len` ids at `arena[start..]`, inside
+/// `cap` reserved slots.
+#[derive(Clone, Copy, Debug, Default)]
+struct Run {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+impl Run {
+    #[inline]
+    fn ids(self, arena: &[NodeId]) -> &[NodeId] {
+        &arena[self.start as usize..][..self.len as usize]
+    }
+
+    /// Inserts `v` in sorted position; `false` if already present.
+    fn insert(&mut self, arena: &mut Vec<NodeId>, v: NodeId) -> bool {
+        let Err(i) = self.ids(arena).binary_search(&v) else {
+            return false;
+        };
+        if self.len == self.cap {
+            self.grow(arena);
+        }
+        let s = self.start as usize;
+        let len = self.len as usize;
+        arena.copy_within(s + i..s + len, s + i + 1);
+        arena[s + i] = v;
+        self.len += 1;
+        true
+    }
+
+    /// Removes `v`; `false` if absent. The run keeps its capacity.
+    fn remove(&mut self, arena: &mut [NodeId], v: NodeId) -> bool {
+        let Ok(i) = self.ids(arena).binary_search(&v) else {
+            return false;
+        };
+        let s = self.start as usize;
+        arena.copy_within(s + i + 1..s + self.len as usize, s + i);
+        self.len -= 1;
+        true
+    }
+
+    /// Doubles the capacity: in place when the run ends the arena, else
+    /// by relocating it to the end. The abandoned slots are reclaimed
+    /// by the next compaction.
+    fn grow(&mut self, arena: &mut Vec<NodeId>) {
+        let (s, len, cap) = (self.start as usize, self.len as usize, self.cap as usize);
+        let in_place = s + cap == arena.len();
+        let start = if in_place { s } else { arena.len() };
+        let new_cap = (2 * cap).max(2);
+        assert!(
+            u32::try_from(start + new_cap).is_ok(),
+            "overlay arena exceeds u32 slots"
+        );
+        arena.resize(start + new_cap, 0);
+        if !in_place {
+            arena.copy_within(s..s + len, start);
+        }
+        self.start = start as u32;
+        self.cap = new_cap as u32;
+    }
 }
 
 impl OverlayGraph {
@@ -70,8 +146,9 @@ impl OverlayGraph {
             deg: (0..n).map(|v| base.degree(v)).collect(),
             m: base.m(),
             alive_count: n,
-            added: vec![Vec::new(); n],
-            removed: vec![Vec::new(); n],
+            arena: Vec::new(),
+            added: vec![Run::default(); n],
+            removed: vec![Run::default(); n],
             alive: vec![true; n],
             delta_entries: 0,
             base,
@@ -127,13 +204,10 @@ impl OverlayGraph {
 
     /// Whether the live edge `{u, v}` exists.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        if self.added[u].binary_search(&v).is_ok() {
+        if self.added[u].ids(&self.arena).binary_search(&v).is_ok() {
             return true;
         }
-        u < self.base.n()
-            && v < self.base.n()
-            && self.base.has_edge(u, v)
-            && self.removed[u].binary_search(&v).is_err()
+        self.in_base(u, v) && self.removed[u].ids(&self.arena).binary_search(&v).is_err()
     }
 
     /// Iterates the live neighbors of `v` in ascending order
@@ -146,8 +220,8 @@ impl OverlayGraph {
         };
         OverlayNeighbors {
             base,
-            removed: &self.removed[v],
-            added: &self.added[v],
+            removed: self.removed[v].ids(&self.arena),
+            added: self.added[v].ids(&self.arena),
             bi: 0,
             ai: 0,
         }
@@ -165,11 +239,13 @@ impl OverlayGraph {
             self.alive[u] && self.alive[v],
             "edge ({u},{v}) touches a dead node"
         );
-        if self.has_edge(u, v) {
+        // One base lookup: the base is symmetric, so it answers for
+        // both halves. A base edge is absent only if `removed` holds it
+        // (undelete it); any other edge only if `added` lacks it.
+        let in_base = self.in_base(u, v);
+        if !self.edit_pair(u, v, in_base, !in_base) {
             return false;
         }
-        self.half_insert(u, v);
-        self.half_insert(v, u);
         self.deg[u] += 1;
         self.deg[v] += 1;
         self.m += 1;
@@ -187,11 +263,14 @@ impl OverlayGraph {
             self.alive[u] && self.alive[v],
             "edge ({u},{v}) touches a dead node"
         );
-        if u == v || !self.has_edge(u, v) {
+        // An overlay-only edge leaves `added`; else a present base edge
+        // enters `removed`.
+        let removed = u != v
+            && (self.edit_pair(u, v, false, false)
+                || (self.in_base(u, v) && self.edit_pair(u, v, true, true)));
+        if !removed {
             return false;
         }
-        self.half_remove(u, v);
-        self.half_remove(v, u);
         self.deg[u] -= 1;
         self.deg[v] -= 1;
         self.m -= 1;
@@ -206,8 +285,8 @@ impl OverlayGraph {
     /// Panics if a listed neighbor is out of range or dead.
     pub fn insert_node(&mut self, neighbors: &[NodeId]) -> NodeId {
         let v = self.n();
-        self.added.push(Vec::new());
-        self.removed.push(Vec::new());
+        self.added.push(Run::default());
+        self.removed.push(Run::default());
         self.alive.push(true);
         self.deg.push(0);
         self.alive_count += 1;
@@ -235,23 +314,13 @@ impl OverlayGraph {
     }
 
     /// Folds the deltas into a fresh CSR base (node ids unchanged, dead
-    /// nodes isolated) and clears the overlay. Deterministic: the new
-    /// base depends only on the live edge set.
+    /// nodes isolated) and clears the overlay and its arena.
+    /// Deterministic: the new base depends only on the live edge set.
     pub fn compact(&mut self) {
-        let n = self.n();
-        let mut b = GraphBuilder::with_capacity(n, self.m);
-        for v in 0..n {
-            for u in self.neighbors(v) {
-                if u > v {
-                    b.add_edge(v, u);
-                }
-            }
-        }
-        self.base = b.build();
-        for v in 0..n {
-            self.added[v].clear();
-            self.removed[v].clear();
-        }
+        self.base = self.to_graph();
+        self.arena.clear();
+        self.added.fill(Run::default());
+        self.removed.fill(Run::default());
         self.delta_entries = 0;
         debug_assert_eq!(self.base.m(), self.m);
     }
@@ -276,37 +345,41 @@ impl OverlayGraph {
         &self.alive
     }
 
-    /// One directed insertion half: undelete from `removed` if the base
-    /// has the edge, else record in `added`.
-    fn half_insert(&mut self, u: NodeId, v: NodeId) {
-        if u < self.base.n() && v < self.base.n() && self.base.has_edge(u, v) {
-            let i = self.removed[u]
-                .binary_search(&v)
-                .expect("absent base edge must be in removed");
-            self.removed[u].remove(i);
-            self.delta_entries -= 1;
-        } else {
-            let i = self.added[u]
-                .binary_search(&v)
-                .expect_err("edge absence checked by caller");
-            self.added[u].insert(i, v);
-            self.delta_entries += 1;
-        }
+    /// Whether the CSR base holds `{u, v}` (a search of `u`'s row).
+    #[inline]
+    fn in_base(&self, u: NodeId, v: NodeId) -> bool {
+        u < self.base.n() && v < self.base.n() && self.base.has_edge(u, v)
     }
 
-    /// One directed removal half: drop from `added` if overlay-only, else
-    /// record the base edge in `removed`.
-    fn half_remove(&mut self, u: NodeId, v: NodeId) {
-        if let Ok(i) = self.added[u].binary_search(&v) {
-            self.added[u].remove(i);
-            self.delta_entries -= 1;
+    /// Inserts (`insert`) or removes both directed halves of `{u, v}`
+    /// in `removed` (`in_removed`) or `added`, keeping the delta count.
+    /// Returns `false`, changing nothing, if `u`'s run already agreed;
+    /// `v`'s run always mirrors it.
+    fn edit_pair(&mut self, u: NodeId, v: NodeId, in_removed: bool, insert: bool) -> bool {
+        let runs = if in_removed {
+            &mut self.removed
         } else {
-            let i = self.removed[u]
-                .binary_search(&v)
-                .expect_err("present base edge cannot already be removed");
-            self.removed[u].insert(i, v);
-            self.delta_entries += 1;
+            &mut self.added
+        };
+        let arena = &mut self.arena;
+        let mut edit = |run: &mut Run, w: NodeId| {
+            if insert {
+                run.insert(arena, w)
+            } else {
+                run.remove(arena, w)
+            }
+        };
+        if !edit(&mut runs[u], v) {
+            return false;
         }
+        let mirrored = edit(&mut runs[v], u);
+        assert!(mirrored, "delta runs of ({u},{v}) out of sync");
+        if insert {
+            self.delta_entries += 2;
+        } else {
+            self.delta_entries -= 2;
+        }
+        true
     }
 }
 
@@ -415,6 +488,46 @@ mod tests {
         assert!(g.insert_edge(1, 2));
     }
 
+    /// A naively-maintained edge set plus the edge set of the overlay's
+    /// current base, which together predict adjacency and delta count.
+    struct Model {
+        edges: BTreeSet<(usize, usize)>,
+        base: BTreeSet<(usize, usize)>,
+    }
+
+    impl Model {
+        fn new(base: &Graph) -> Self {
+            let edges: BTreeSet<(usize, usize)> = base.edges().collect();
+            Model {
+                base: edges.clone(),
+                edges,
+            }
+        }
+
+        fn compact(&mut self, g: &mut OverlayGraph) {
+            g.compact();
+            self.base = self.edges.clone();
+        }
+
+        /// Asserts the overlay's adjacency, degrees, edge count and delta
+        /// entries against the model.
+        fn check(&self, g: &OverlayGraph, step: usize) {
+            assert_eq!(g.m(), self.edges.len(), "step {step}");
+            let delta = 2 * self.edges.symmetric_difference(&self.base).count();
+            assert_eq!(g.delta_entries(), delta, "step {step} delta entries");
+            for v in 0..g.n() {
+                let got: Vec<usize> = g.neighbors(v).collect();
+                let want: Vec<usize> = self
+                    .edges
+                    .iter()
+                    .filter_map(|&(a, b)| (a == v).then_some(b).or((b == v).then_some(a)))
+                    .collect();
+                assert_eq!(got, want, "step {step} node {v}");
+                assert_eq!(g.degree(v), want.len(), "step {step} node {v} degree");
+            }
+        }
+    }
+
     /// Randomized differential: overlay adjacency must always equal a
     /// naively-maintained edge set.
     #[test]
@@ -422,7 +535,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(42);
         let base = gen::gnp(30, 0.1, &mut rng);
         let mut g = OverlayGraph::new(base.clone());
-        let mut naive: BTreeSet<(usize, usize)> = base.edges().collect();
+        let mut model = Model::new(&base);
         let mut alive: Vec<bool> = vec![true; 30];
         for step in 0..600 {
             let op = rng.gen_range(0u32..100);
@@ -431,42 +544,83 @@ mod tests {
                 let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
                 if u != v && alive[u] && alive[v] {
                     let key = (u.min(v), u.max(v));
-                    assert_eq!(g.insert_edge(u, v), naive.insert(key), "step {step}");
+                    assert_eq!(g.insert_edge(u, v), model.edges.insert(key), "step {step}");
                 }
             } else if op < 80 {
                 let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
                 if u != v && alive[u] && alive[v] {
                     let key = (u.min(v), u.max(v));
-                    assert_eq!(g.remove_edge(u, v), naive.remove(&key), "step {step}");
+                    assert_eq!(g.remove_edge(u, v), model.edges.remove(&key), "step {step}");
                 }
             } else if op < 90 {
                 let nbrs: Vec<usize> = (0..n).filter(|&u| alive[u] && rng.gen_bool(0.1)).collect();
                 let v = g.insert_node(&nbrs);
                 alive.push(true);
                 for &u in &nbrs {
-                    naive.insert((u, v));
+                    model.edges.insert((u, v));
                 }
             } else if op < 95 {
                 let v = rng.gen_range(0..n);
                 if alive[v] {
                     g.remove_node(v);
                     alive[v] = false;
-                    naive.retain(|&(a, b)| a != v && b != v);
+                    model.edges.retain(|&(a, b)| a != v && b != v);
                 }
             } else {
-                g.compact();
+                model.compact(&mut g);
             }
-            assert_eq!(g.m(), naive.len(), "step {step}");
-            for v in 0..g.n() {
-                let got: Vec<usize> = g.neighbors(v).collect();
-                let want: Vec<usize> = naive
-                    .iter()
-                    .filter_map(|&(a, b)| (a == v).then_some(b).or((b == v).then_some(a)))
-                    .collect();
-                assert_eq!(got, want, "step {step} node {v}");
-                assert_eq!(g.degree(v), want.len(), "step {step} node {v} degree");
-            }
+            model.check(&g, step);
         }
+    }
+
+    /// Arena runs: a hub's `added` run fills and relocates several times
+    /// while its spokes' first touches land behind it, empties when the
+    /// fan is torn down, regrows on the next attach, and survives
+    /// compactions between flaps. The base edges the hub loses fill its
+    /// `removed` run the same way.
+    #[test]
+    fn arena_runs_relocate_empty_and_regrow() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let base = gen::gnp(40, 0.1, &mut rng);
+        let mut g = OverlayGraph::new(base.clone());
+        let mut model = Model::new(&base);
+        let mut step = 0;
+        let mut starts = BTreeSet::new();
+        let mut emptied = 0;
+        for flap in 0..6 {
+            let mut spokes: Vec<usize> = (1..40).filter(|_| rng.gen_bool(0.7)).collect();
+            for &s in &spokes {
+                assert_eq!(g.insert_edge(0, s), model.edges.insert((0, s)));
+                starts.insert(g.added[0].start);
+                model.check(&g, step);
+                step += 1;
+            }
+            if flap % 2 == 1 {
+                model.compact(&mut g);
+                model.check(&g, step);
+            }
+            // Tear the fan down in a shuffled order, with unrelated
+            // churn interleaved so other runs move behind the hub's.
+            for i in (1..spokes.len()).rev() {
+                spokes.swap(i, rng.gen_range(0..=i));
+            }
+            for &s in &spokes {
+                assert_eq!(g.remove_edge(s, 0), model.edges.remove(&(0, s)));
+                let (u, v) = (rng.gen_range(1..40usize), rng.gen_range(1..40usize));
+                if u != v {
+                    let key = (u.min(v), u.max(v));
+                    assert_eq!(g.insert_edge(u, v), model.edges.insert(key));
+                }
+                model.check(&g, step);
+                step += 1;
+            }
+            emptied += usize::from(g.added[0].len == 0 && g.added[0].cap > 0);
+        }
+        assert!(starts.len() >= 3, "hub run relocated only {starts:?}");
+        assert!(
+            emptied >= 2,
+            "hub run emptied with capacity {emptied} times"
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Pins the zero-allocation steady state of the serial engine's message
-//! plane and frontier bookkeeping, and the component-proportional
-//! allocation bound of `SubgraphScratch`.
+//! plane and frontier bookkeeping, the component-proportional
+//! allocation bound of `SubgraphScratch`, and the arena-backed deltas of
+//! `OverlayGraph`.
 //!
 //! Strategy for the engine tests: run the same constant-traffic protocol
 //! for R rounds and for 8R rounds under a counting global allocator. Both
@@ -151,6 +152,7 @@ fn alloc_discipline() {
     frontier_bookkeeping_steady_state_allocates_nothing();
     subgraph_scratch_extraction_is_component_proportional();
     flat_backend_steady_state_allocates_nothing();
+    overlay_first_touches_share_one_arena();
 }
 
 fn serial_engine_steady_state_allocates_nothing() {
@@ -313,5 +315,28 @@ fn subgraph_scratch_extraction_is_component_proportional() {
         legacy >= g_big.n() as u64,
         "expected from_nodes to allocate O(n) = {} bytes, measured {legacy}",
         g_big.n()
+    );
+}
+
+/// `OverlayGraph` keeps every node's delta run in one arena, so a node's
+/// first delta allocates nothing of its own: inserting and then removing
+/// 10,000 edges between distinct fresh base nodes (20,000 first touches)
+/// costs only the arena's geometric growth.
+fn overlay_first_touches_share_one_arena() {
+    use arbmis::graph::{Graph, OverlayGraph};
+    let edges = 10_000;
+    let mut g = OverlayGraph::new(Graph::empty(2 * edges));
+    let allocs = allocs_during(|| {
+        for i in 0..edges {
+            assert!(g.insert_edge(2 * i, 2 * i + 1));
+        }
+        for i in 0..edges {
+            assert!(g.remove_edge(2 * i + 1, 2 * i));
+        }
+    });
+    assert_eq!((g.m(), g.delta_entries()), (0, 0));
+    assert!(
+        allocs <= 64,
+        "overlay allocated {allocs} times for {edges} edges between fresh nodes"
     );
 }
