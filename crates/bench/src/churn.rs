@@ -55,9 +55,18 @@ fn base_graph(n: usize, seed: u64) -> Graph {
 /// 16-id window around it — churn a repair layer should answer in time
 /// proportional to the window, not the graph.
 pub fn localized_churn(n: usize, batches: usize, batch_size: usize, seed: u64) -> ChurnScript {
+    ChurnScript {
+        name: "localized_churn".into(),
+        base: base_graph(n, seed),
+        batches: localized_batches(n, batches, batch_size, seed),
+    }
+}
+
+/// [`localized_churn`]'s update batches.
+fn localized_batches(n: usize, batches: usize, batch_size: usize, seed: u64) -> Vec<Vec<Update>> {
     assert!(n >= 32, "window churn needs at least 32 nodes");
     let mut rng = StdRng::seed_from_u64(seed ^ 0x6c6f_6361);
-    let script = (0..batches)
+    (0..batches)
         .map(|_| {
             let center = rng.gen_range(0..n as u64) as usize;
             (0..batch_size)
@@ -75,20 +84,24 @@ pub fn localized_churn(n: usize, batches: usize, batch_size: usize, seed: u64) -
                 })
                 .collect()
         })
-        .collect();
-    ChurnScript {
-        name: "localized_churn".into(),
-        base: base_graph(n, seed),
-        batches: script,
-    }
+        .collect()
 }
 
 /// Inserts and removals with uniformly random endpoints — no locality
 /// for the repair layer to exploit beyond batch size itself.
 pub fn uniform_mix(n: usize, batches: usize, batch_size: usize, seed: u64) -> ChurnScript {
+    ChurnScript {
+        name: "uniform_mix".into(),
+        base: base_graph(n, seed),
+        batches: uniform_batches(n, batches, batch_size, seed),
+    }
+}
+
+/// [`uniform_mix`]'s update batches.
+fn uniform_batches(n: usize, batches: usize, batch_size: usize, seed: u64) -> Vec<Vec<Update>> {
     assert!(n >= 2);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x756e_6966);
-    let script = (0..batches)
+    (0..batches)
         .map(|_| {
             (0..batch_size)
                 .map(|_| {
@@ -105,23 +118,32 @@ pub fn uniform_mix(n: usize, batches: usize, batch_size: usize, seed: u64) -> Ch
                 })
                 .collect()
         })
-        .collect();
-    ChurnScript {
-        name: "uniform_mix".into(),
-        base: base_graph(n, seed),
-        batches: script,
-    }
+        .collect()
 }
 
 /// Waves of node arrivals (each wired to a few random hosts alive at
 /// script-generation time) with occasional departures of earlier
 /// arrivals — the membership-churn regime of a service.
 pub fn flash_crowd(n: usize, batches: usize, arrivals_per_batch: usize, seed: u64) -> ChurnScript {
+    ChurnScript {
+        name: "flash_crowd".into(),
+        base: base_graph(n, seed),
+        batches: flash_crowd_batches(n, batches, arrivals_per_batch, seed),
+    }
+}
+
+/// [`flash_crowd`]'s update batches.
+fn flash_crowd_batches(
+    n: usize,
+    batches: usize,
+    arrivals_per_batch: usize,
+    seed: u64,
+) -> Vec<Vec<Update>> {
     assert!(n >= 2);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x666c_6173);
     let mut next_id = n;
     let mut arrivals: Vec<NodeId> = Vec::new();
-    let script = (0..batches)
+    (0..batches)
         .map(|_| {
             let mut batch = Vec::new();
             for _ in 0..arrivals_per_batch {
@@ -139,12 +161,7 @@ pub fn flash_crowd(n: usize, batches: usize, arrivals_per_batch: usize, seed: u6
             }
             batch
         })
-        .collect();
-    ChurnScript {
-        name: "flash_crowd".into(),
-        base: base_graph(n, seed),
-        batches: script,
-    }
+        .collect()
 }
 
 /// Adversarial hub flapping: batches alternately attach the hub (node 0)
@@ -152,6 +169,15 @@ pub fn flash_crowd(n: usize, batches: usize, arrivals_per_batch: usize, seed: u6
 /// the hub's whole neighborhood — the worst single-node damage an update
 /// can cause, and the stress case for dirty-region sizing.
 pub fn hub_churn(n: usize, flaps: usize, fan: usize, seed: u64) -> ChurnScript {
+    ChurnScript {
+        name: "hub_churn".into(),
+        base: base_graph(n, seed),
+        batches: hub_batches(n, flaps, fan, seed),
+    }
+}
+
+/// [`hub_churn`]'s update batches.
+fn hub_batches(n: usize, flaps: usize, fan: usize, seed: u64) -> Vec<Vec<Update>> {
     assert!(n > fan + 1, "fan must leave spokes to pick from");
     let mut rng = StdRng::seed_from_u64(seed ^ 0x6875_6273);
     let mut script = Vec::new();
@@ -162,11 +188,7 @@ pub fn hub_churn(n: usize, flaps: usize, fan: usize, seed: u64) -> ChurnScript {
         script.push(spokes.iter().map(|&s| Update::InsertEdge(0, s)).collect());
         script.push(spokes.iter().map(|&s| Update::RemoveEdge(0, s)).collect());
     }
-    ChurnScript {
-        name: "hub_churn".into(),
-        base: base_graph(n, seed),
-        batches: script,
-    }
+    script
 }
 
 /// What one script measured. Structural columns are deterministic;
@@ -242,13 +264,20 @@ pub fn run_script(script: &ChurnScript, seed: u64, verify_each: bool) -> ChurnRe
     }
 }
 
-/// The standard workload suite at scale `n` (`arbmis churn --n`).
+/// The standard workload suite at scale `n` (`arbmis churn --n`): the
+/// four scripts at the sizes below, sharing one generated base graph.
 pub fn standard_suite(n: usize, seed: u64) -> Vec<ChurnScript> {
+    let base = base_graph(n, seed);
+    let script = |name: &str, batches| ChurnScript {
+        name: name.into(),
+        base: base.clone(),
+        batches,
+    };
     vec![
-        localized_churn(n, 48, 16, seed),
-        uniform_mix(n, 48, 16, seed),
-        flash_crowd(n, 48, 4, seed),
-        hub_churn(n, 12, 64.min(n / 4), seed),
+        script("localized_churn", localized_batches(n, 48, 16, seed)),
+        script("uniform_mix", uniform_batches(n, 48, 16, seed)),
+        script("flash_crowd", flash_crowd_batches(n, 48, 4, seed)),
+        script("hub_churn", hub_batches(n, 12, 64.min(n / 4), seed)),
     ]
 }
 
@@ -299,5 +328,23 @@ mod tests {
         assert!(report.valid);
         // Detaching the whole fan uncovers many spokes at once.
         assert!(report.max_region >= 4, "hub damage should not be tiny");
+    }
+
+    #[test]
+    fn standard_suite_matches_the_public_constructors() {
+        let (n, seed) = (300, 4);
+        let each = [
+            localized_churn(n, 48, 16, seed),
+            uniform_mix(n, 48, 16, seed),
+            flash_crowd(n, 48, 4, seed),
+            hub_churn(n, 12, 64.min(n / 4), seed),
+        ];
+        let suite = standard_suite(n, seed);
+        assert_eq!(suite.len(), each.len());
+        for (s, e) in suite.iter().zip(&each) {
+            assert_eq!(s.name, e.name);
+            assert!(s.base == e.base, "{} base differs", s.name);
+            assert_eq!(s.batches, e.batches, "{} batches differ", s.name);
+        }
     }
 }

@@ -16,7 +16,10 @@ use std::sync::Mutex;
 /// walks the two-level [`Frontier`] in ascending id order, skipping
 /// empty words through its summary, so a sweep costs O(|frontier|)
 /// rather than O(n) (DESIGN.md §10). Every coin draw is keyed by node id
-/// and every tie-break compares ids (DESIGN.md §13).
+/// (or by rank, through a [`RankIndex`]) and every tie-break compares
+/// ids (DESIGN.md §13). Priorities are never stored: the win scans draw
+/// each one where they compare it, for the node deciding and for each
+/// active neighbor they probe ([`PrioritySweep`]).
 ///
 /// # Deterministic parallelism
 ///
@@ -43,10 +46,11 @@ pub struct FlatBackend<'g> {
     /// Nodes active at round 0; `None` starts from every node. Nodes
     /// outside it never run.
     region: Option<BitMask>,
-    /// Coin key of each node of a rank-keyed run: its rank within the
+    /// Coin keys of a rank-keyed phase: each node's rank within the
     /// active set the phase started from
-    /// ([`rank_active`](FlatBackend::rank_active)).
-    ranks: Option<Vec<NodeId>>,
+    /// ([`rank_active`](FlatBackend::rank_active)). `None` keys coins by
+    /// node id.
+    ranks: Option<RankIndex>,
     /// Worker threads for the chunked sweeps (1 = one inline chunk).
     threads: usize,
     recorder: Recorder,
@@ -74,9 +78,6 @@ pub struct FlatBackend<'g> {
     /// while `track_deg` is set, each deactivation decrements all
     /// neighbors.
     active_deg: Vec<u32>,
-    /// Per-iteration priority scratch (Métivier / BoundedArb). Stale for
-    /// inactive nodes — reads are gated on active.
-    prio: Vec<u64>,
     /// Per-iteration mark scratch (Luby, Ghaffari) or competitor set
     /// (degree reduction). Stale for inactive nodes.
     marked: BitMask,
@@ -93,7 +94,7 @@ pub struct FlatBackend<'g> {
     next_exponent: Vec<u32>,
     /// `64 - priority_bits(n)`, hoisted: [`rng::draw_priority`]
     /// recomputes a floating-point `⌈log₂ n⌉` on every draw, which the
-    /// fill sweep would otherwise pay per active node per iteration.
+    /// win scans would otherwise pay per probe.
     prio_shift: u32,
     /// Whether deactivations currently decrement `active_deg` (see
     /// [`deactivate_in`]). Only BoundedArb tracks, and only in scales
@@ -298,6 +299,156 @@ fn shards<'a, T>(
     }
 }
 
+/// The rank of each node within a fixed node set, in O(n/64) space: a
+/// copy of the set's mask words plus, per word, the number of members
+/// in the words before it. A rank is that count plus one masked
+/// popcount. At 10⁶ nodes the index takes about 190 KB, against the
+/// 8 MB of a per-node rank table, so its lookups stay in cache.
+struct RankIndex {
+    words: Vec<u64>,
+    base: Vec<u32>,
+}
+
+impl RankIndex {
+    /// The index of the members of `mask`.
+    fn new(mask: &BitMask) -> Self {
+        let words = mask.words().to_vec();
+        let mut count = 0u32;
+        let base = words
+            .iter()
+            .map(|w| {
+                let before = count;
+                count += w.count_ones();
+                before
+            })
+            .collect();
+        RankIndex { words, base }
+    }
+
+    /// Number of members below `v`: `v`'s rank when `v` is a member.
+    #[inline]
+    fn rank(&self, v: NodeId) -> NodeId {
+        let below = self.words[v >> 6] & ((1u64 << (v & 63)) - 1);
+        self.base[v >> 6] as NodeId + below.count_ones() as NodeId
+    }
+}
+
+/// A sweep that compares priorities. Its priority function `prio` maps a
+/// node id to the node's priority in the current decide round; nothing
+/// stores priorities, so the sweep calls it for the node deciding and
+/// for each competing neighbor it probes. Each call of `run` gets one
+/// case of the round's coins — id or rank keys, with or without the ρ_k
+/// opt-out, with or without an injected flip — built by
+/// [`Coins::sweep`] outside the per-node loop, so a probe never branches
+/// on the case.
+trait PrioritySweep {
+    fn run(self, prio: &(impl Fn(NodeId) -> u64 + Sync));
+}
+
+/// One decide round's coins, split off the engine's fields.
+struct Coins<'a> {
+    seed: u64,
+    iter: u64,
+    tag: u64,
+    /// `64 - priority_bits` of the keyed node count.
+    shift: u32,
+    ranks: Option<&'a RankIndex>,
+    /// Stored active degrees and ρ_k, when the opt-out can fire.
+    opt_out: Option<(&'a [u32], f64)>,
+    /// Node and XOR mask of an injected flip, keyed by node id whatever
+    /// the coin keys are.
+    flip: Option<(NodeId, u64)>,
+}
+
+impl Coins<'_> {
+    /// Runs `sweep` with this round's priority function.
+    fn sweep(self, sweep: impl PrioritySweep) {
+        match self.ranks {
+            None => self.draw(|v| v, sweep),
+            Some(ranks) => self.draw(move |v| ranks.rank(v), sweep),
+        }
+    }
+
+    /// Métivier's priority of the node keyed `key(v)`: `draw_priority`
+    /// with the `priority_bits` shift hoisted (identical value), never 0.
+    /// The ρ_k opt-out zeroes it above the cutoff.
+    fn draw(&self, key: impl Fn(NodeId) -> NodeId + Sync, sweep: impl PrioritySweep) {
+        let (seed, iter, tag, shift) = (self.seed, self.iter, self.tag, self.shift);
+        let draw = move |v| (rng::draw(seed, key(v), iter, tag) >> shift) | 1;
+        match self.opt_out {
+            None => self.flip(draw, sweep),
+            Some((deg, rho)) => self.flip(
+                move |v| if f64::from(deg[v]) > rho { 0 } else { draw(v) },
+                sweep,
+            ),
+        }
+    }
+
+    /// Applies the injected flip, if any: the flipped node's priority
+    /// XOR the mask, kept nonzero.
+    fn flip(&self, prio: impl Fn(NodeId) -> u64 + Sync, sweep: impl PrioritySweep) {
+        match self.flip {
+            None => sweep.run(&prio),
+            Some((node, xor)) => sweep.run(&move |v| {
+                let p = prio(v);
+                if v == node {
+                    (p ^ xor) | 1
+                } else {
+                    p
+                }
+            }),
+        }
+    }
+}
+
+/// Métivier's and BoundedArb's win scan over the active set: winners
+/// are `(priority, id)`-maximal among active neighbors, and priority 0
+/// (the ρ_k opt-out) never wins.
+struct WinScan<'a> {
+    g: &'a Graph,
+    active: &'a Frontier,
+    threads: usize,
+    bufs: &'a mut Vec<Vec<NodeId>>,
+    wins: &'a mut Vec<NodeId>,
+}
+
+impl PrioritySweep for WinScan<'_> {
+    fn run(self, prio: &(impl Fn(NodeId) -> u64 + Sync)) {
+        let (g, mask) = (self.g, self.active.mask());
+        collect(self.active, self.threads, self.bufs, self.wins, |p| {
+            let key = (prio(p), p);
+            key.0 != 0
+                && g.neighbors(p)
+                    .iter()
+                    .all(|&u| !mask.test(u) || key > (prio(u), u))
+        });
+    }
+}
+
+/// Degree reduction's serial win scan over its competitors: a competitor
+/// wins when its `(priority, id)` beats every competing neighbor's.
+struct CompetitorScan<'a> {
+    g: &'a Graph,
+    competitors: &'a BitMask,
+    wins: &'a mut Vec<NodeId>,
+}
+
+impl PrioritySweep for CompetitorScan<'_> {
+    fn run(self, prio: &(impl Fn(NodeId) -> u64 + Sync)) {
+        let (g, competitors) = (self.g, self.competitors);
+        self.wins.clear();
+        for p in competitors.iter() {
+            let key = (prio(p), p);
+            if g.neighbors(p)
+                .iter()
+                .all(|&u| !competitors.test(u) || key > (prio(u), u))
+            {
+                self.wins.push(p);
+            }
+        }
+    }
+}
+
 impl<'g> FlatBackend<'g> {
     /// A flat backend for `algo` on `g` under `seed`, ready at round 0.
     pub fn new(g: &'g Graph, seed: u64, algo: FlatAlgo) -> Self {
@@ -324,7 +475,6 @@ impl<'g> FlatBackend<'g> {
             in_mis: BitMask::new(n),
             bad: BitMask::new(n),
             active_deg: vec![0; n],
-            prio: vec![0; n],
             marked: BitMask::new(n),
             high: Vec::new(),
             exponent: vec![0; exponent_len],
@@ -393,17 +543,22 @@ impl<'g> FlatBackend<'g> {
     /// tie-breaks on node ids order nodes as the subgraph's ids would,
     /// and the phase decides exactly what the same engine decides on the
     /// extracted subgraph. A full active set keeps the identity keys,
-    /// which are its ranks. For unobserved drivers only: flight coin
-    /// digests and injected coin flips stay keyed by node id.
+    /// which are its ranks. Otherwise the ranks come from a
+    /// [`RankIndex`] of the current active set, which the active set only
+    /// shrinks away from until the next phase. For unobserved drivers
+    /// only: flight coin digests and injected coin flips stay keyed by
+    /// node id.
     pub(crate) fn rank_active(&mut self) {
         if self.active_count < self.g.n() {
-            let mut ranks = vec![0; self.g.n()];
-            for (rank, p) in self.active.iter().enumerate() {
-                ranks[p] = rank;
-            }
-            self.ranks = Some(ranks);
+            self.ranks = Some(RankIndex::new(self.active.mask()));
         }
         self.prio_shift = 64 - rng::priority_bits(self.active_count);
+    }
+
+    /// The coin key of node `v`: its id, or its rank in a rank-keyed
+    /// phase.
+    fn key(&self, v: NodeId) -> NodeId {
+        self.ranks.as_ref().map_or(v, |r| r.rank(v))
     }
 
     /// Routes observability through `recorder` instead of the global one.
@@ -617,9 +772,7 @@ impl<'g> FlatBackend<'g> {
             self.deg_exact = self.region.is_none();
         }
         self.begin_phase();
-        // `prio` is intentionally left stale: every decide round writes
-        // the priority of each active node before any read. `active_deg`
-        // is likewise stale when the protocol never reads it.
+        // `active_deg` is left stale when the protocol never reads it.
     }
 
     /// Round 0 of the current algorithm on the current active set: the
@@ -701,34 +854,6 @@ impl<'g> FlatBackend<'g> {
         self.unfinished = self.active_count;
     }
 
-    /// Phase 1 of a priority decide: draw every active node's priority,
-    /// keyed by node id (or rank). `rho` gates the ρ_k opt-out
-    /// (BoundedArb); pass `None` for an unconditional draw.
-    fn fill_prio(&mut self, tag: u64, iter: u64, rho: Option<f64>) {
-        let (seed, shift) = (self.seed, self.prio_shift);
-        let Self {
-            ranks,
-            active,
-            active_deg,
-            prio,
-            threads,
-            ..
-        } = self;
-        let keys = ranks.as_deref();
-        let deg = &active_deg[..];
-        walk(active, *threads, shards(prio, 64), |prio, p| {
-            let key = keys.map_or(p, |t| t[p]);
-            let competitive = rho.is_none_or(|r| f64::from(deg[p]) <= r);
-            prio[p] = if competitive {
-                // `draw_priority` with the `priority_bits(n)` shift
-                // hoisted out of the per-node loop (identical value).
-                (rng::draw(seed, key, iter, tag) >> shift) | 1
-            } else {
-                0
-            };
-        });
-    }
-
     /// Node and XOR mask of the injected coin flip aimed at iteration
     /// `iter`, if its node is active.
     fn active_flip(&self, iter: u64) -> Option<(NodeId, u64)> {
@@ -736,13 +861,6 @@ impl<'g> FlatBackend<'g> {
             .coin_flip
             .filter(|f| f.iteration == iter && f.node < self.g.n())?;
         self.active.contains(f.node).then_some((f.node, f.xor))
-    }
-
-    /// Applies an injected priority coin flip after phase 1.
-    fn apply_prio_flip(&mut self, iter: u64) {
-        if let Some((pos, xor)) = self.active_flip(iter) {
-            self.prio[pos] = (self.prio[pos] ^ xor) | 1;
-        }
     }
 
     /// Toggles the mark bit of node `pos`.
@@ -754,51 +872,63 @@ impl<'g> FlatBackend<'g> {
         }
     }
 
-    /// Phase 2 of a priority decide: winners are `(priority, id)`-maximal
-    /// among active neighbors; priority 0 (the ρ_k
-    /// opt-out) never wins. Métivier priorities are never 0 (the low
-    /// bit is forced), so the same scan serves both protocols.
+    /// The coins of a priority decide at iteration `iter` under `tag`,
+    /// keyed by node id (or rank). `rho` is ρ_k while BoundedArb's
+    /// opt-out can fire; `None` draws unconditionally.
+    fn coins(&self, tag: u64, iter: u64, rho: Option<f64>) -> Coins<'_> {
+        Coins {
+            seed: self.seed,
+            iter,
+            tag,
+            shift: self.prio_shift,
+            ranks: self.ranks.as_ref(),
+            opt_out: rho.map(|r| (&self.active_deg[..], r)),
+            flip: self.active_flip(iter),
+        }
+    }
+
+    /// A priority decide over the active set: Métivier's, or
+    /// BoundedArb's with `rho`. Winners are `(priority, id)`-maximal
+    /// among active neighbors; priority 0 (the ρ_k opt-out) never wins.
+    /// Métivier priorities are never 0 (the low bit is forced), so the
+    /// same scan serves both protocols.
     ///
     /// Each check is a short-circuiting `all` scan: with i.i.d.
     /// priorities, a node expects to find a beating neighbor within a
     /// couple of probes, so per-node work is far below `deg(p)` — this
     /// beats any full-per-edge scheme despite reading each edge from
-    /// both sides. State is read-only, so every chunk decides its own
-    /// nodes independently.
-    fn prio_win_scan(&mut self) {
-        let g = self.g;
-        let Self {
-            active,
-            prio,
-            threads,
-            chunk_bufs,
-            wins,
-            ..
-        } = self;
-        let (mask, prio) = (active.mask(), &prio[..]);
-        collect(active, *threads, chunk_bufs, wins, |p| {
-            let key = (prio[p], p);
-            key.0 != 0
-                && g.neighbors(p)
-                    .iter()
-                    .all(|&u| !mask.test(u) || key > (prio[u], u))
+    /// both sides. A probe draws the neighbor's priority on the spot:
+    /// at 10⁶ nodes and beyond, one hash is cheaper than a random read
+    /// of a stored priority array, and no fill sweep runs first. State
+    /// is read-only, so every chunk decides its own nodes independently.
+    fn prio_decide(&mut self, tag: u64, iter: u64, rho: Option<f64>) {
+        let mut wins = std::mem::take(&mut self.wins);
+        let mut bufs = std::mem::take(&mut self.chunk_bufs);
+        self.coins(tag, iter, rho).sweep(WinScan {
+            g: self.g,
+            active: &self.active,
+            threads: self.threads,
+            bufs: &mut bufs,
+            wins: &mut wins,
         });
+        self.wins = wins;
+        self.chunk_bufs = bufs;
     }
 
     /// Métivier decide: `(priority, id)`-maximal among active neighbors.
     fn decide_metivier(&mut self, iter: u64) {
-        self.fill_prio(metivier::TAG_PRIORITY, iter, None);
-        self.apply_prio_flip(iter);
-        self.prio_win_scan();
+        self.prio_decide(metivier::TAG_PRIORITY, iter, None);
     }
 
     /// BoundedArb decide: Métivier with priority 0 (opt-out) above the
-    /// ρ_k cutoff; priority-0 nodes never win.
-    fn decide_arb(&mut self, params: &ArbParams, rho_cutoff: bool, scale: u32, iter: u64) {
-        let rho = rho_cutoff.then(|| params.rho(scale));
-        self.fill_prio(bounded_arb::TAG_PRIORITY, iter, rho);
-        self.apply_prio_flip(iter);
-        self.prio_win_scan();
+    /// ρ_k cutoff; priority-0 nodes never win. The opt-out is evaluated
+    /// only while degrees are tracked: otherwise no stored degree
+    /// exceeded ρ_k at the scale start
+    /// ([`start_arb_scale`](FlatBackend::start_arb_scale)), and stored
+    /// degrees never rise, so no node opts out.
+    fn decide_arb(&mut self, params: &ArbParams, scale: u32, iter: u64) {
+        let rho = self.track_deg.then(|| params.rho(scale));
+        self.prio_decide(bounded_arb::TAG_PRIORITY, iter, rho);
     }
 
     /// Degree-reduction decide, serial at every thread count: the high
@@ -808,48 +938,30 @@ impl<'g> FlatBackend<'g> {
     /// block. Work is O(Σ deg(high)) plus the competitors' win checks and
     /// two word walks of the competitor mask.
     fn decide_degree_reduction(&mut self, iter: u64) {
-        let seed = self.seed;
-        let shift = self.prio_shift;
-        {
-            let g = self.g;
-            let Self {
-                ranks,
-                active,
-                prio,
-                marked,
-                high,
-                ..
-            } = self;
-            let keys = ranks.as_deref();
-            marked.clear_all();
-            for &h in high.iter() {
-                marked.set(h);
-                for &u in g.neighbors(h) {
-                    if active.contains(u) {
-                        marked.set(u);
-                    }
-                }
-            }
-            for p in marked.iter() {
-                let key = keys.map_or(p, |t| t[p]);
-                prio[p] = (rng::draw(seed, key, iter, metivier::TAG_PRIORITY) >> shift) | 1;
-            }
-        }
-        self.apply_prio_flip(iter);
         let g = self.g;
         let Self {
-            prio, marked, wins, ..
+            active,
+            marked,
+            high,
+            ..
         } = self;
-        wins.clear();
-        for p in marked.iter() {
-            let key = (prio[p], p);
-            if g.neighbors(p)
-                .iter()
-                .all(|&u| !marked.test(u) || key > (prio[u], u))
-            {
-                wins.push(p);
+        marked.clear_all();
+        for &h in high.iter() {
+            marked.set(h);
+            for &u in g.neighbors(h) {
+                if active.contains(u) {
+                    marked.set(u);
+                }
             }
         }
+        let mut wins = std::mem::take(&mut self.wins);
+        self.coins(metivier::TAG_PRIORITY, iter, None)
+            .sweep(CompetitorScan {
+                g,
+                competitors: &self.marked,
+                wins: &mut wins,
+            });
+        self.wins = wins;
     }
 
     /// Luby decide: marked with `P = 1/2d`, `(degree, id)`-maximal among
@@ -885,7 +997,7 @@ impl<'g> FlatBackend<'g> {
                 threads,
                 ..
             } = self;
-            let (keys, mask) = (ranks.as_deref(), active.mask());
+            let (ranks, mask) = (ranks.as_ref(), active.mask());
             let mut degs = shards(active_deg, 64);
             let mut marks = shards(marked.words_mut(), 1);
             let shard = |wlo, whi| (degs(wlo, whi), marks(wlo, whi));
@@ -894,7 +1006,7 @@ impl<'g> FlatBackend<'g> {
                     deg[p] = active_degree(g, mask, p);
                 }
                 let d = deg[p];
-                let key = keys.map_or(p, |t| t[p]);
+                let key = ranks.map_or(p, |r| r.rank(p));
                 let bit = 1u64 << (p & 63);
                 if d > 0 && luby::is_marked(seed, key, iter, d as usize) {
                     marks[p >> 6] |= bit;
@@ -940,22 +1052,11 @@ impl<'g> FlatBackend<'g> {
     /// with 2 come out as the CONGEST protocol's do.
     fn decide_ghaffari(&mut self, iter: u64) {
         let seed = self.seed;
-        {
-            let Self {
-                ranks,
-                active,
-                marked,
-                exponent,
-                ..
-            } = self;
-            let keys = ranks.as_deref();
-            for p in active.iter() {
-                let key = keys.map_or(p, |t| t[p]);
-                if ghaffari::is_marked(seed, key, iter, exponent[p]) {
-                    marked.set(p);
-                } else {
-                    marked.clear(p);
-                }
+        for p in self.active.iter() {
+            if ghaffari::is_marked(seed, self.key(p), iter, self.exponent[p]) {
+                self.marked.set(p);
+            } else {
+                self.marked.clear(p);
             }
         }
         if let Some((pos, xor)) = self.active_flip(iter) {
@@ -1116,7 +1217,7 @@ impl<'g> FlatBackend<'g> {
                 }
                 1 => {
                     let iter = u64::from(scale - 1) * params.lambda + within / 3;
-                    self.decide_arb(&params, rho_cutoff, scale, iter);
+                    self.decide_arb(&params, scale, iter);
                 }
                 _ => self.exit_step(),
             }
@@ -1207,5 +1308,44 @@ impl MisBackend for FlatBackend<'_> {
 
     fn round(&self) -> u64 {
         self.round
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Rank by definition: the members of `set` below `v`.
+    fn naive_rank(set: &[bool], v: NodeId) -> NodeId {
+        set[..v].iter().filter(|&&b| b).count()
+    }
+
+    fn index_ranks(set: &[bool]) -> Vec<NodeId> {
+        let index = RankIndex::new(&BitMask::from_bools(set));
+        (0..set.len()).map(|v| index.rank(v)).collect()
+    }
+
+    fn naive_ranks(set: &[bool]) -> Vec<NodeId> {
+        (0..set.len()).map(|v| naive_rank(set, v)).collect()
+    }
+
+    #[test]
+    fn rank_index_matches_naive_rank_at_word_edges() {
+        for n in [0, 1, 63, 64, 65, 127, 128, 200] {
+            let ends: Vec<bool> = (0..n).map(|v| matches!(v & 63, 0 | 63)).collect();
+            let inner: Vec<bool> = ends.iter().map(|&b| !b).collect();
+            for set in [vec![false; n], vec![true; n], ends, inner] {
+                assert_eq!(index_ranks(&set), naive_ranks(&set), "{set:?}");
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn rank_index_matches_naive_rank(bits in proptest::collection::vec(0u8..2, 0..300)) {
+            let set: Vec<bool> = bits.iter().map(|&b| b == 1).collect();
+            prop_assert_eq!(index_ranks(&set), naive_ranks(&set));
+        }
     }
 }

@@ -73,6 +73,9 @@ pub struct OverlayGraph {
     /// Directed delta-entry count (`Σ added[v].len + removed[v].len`) —
     /// the compaction trigger's input.
     delta_entries: usize,
+    /// Reused buffer for the neighbors [`remove_node`](Self::remove_node)
+    /// detaches.
+    scratch: Vec<NodeId>,
 }
 
 /// One node's sorted delta run: `len` ids at `arena[start..]`, inside
@@ -151,6 +154,7 @@ impl OverlayGraph {
             removed: vec![Run::default(); n],
             alive: vec![true; n],
             delta_entries: 0,
+            scratch: Vec::new(),
             base,
         }
     }
@@ -305,10 +309,13 @@ impl OverlayGraph {
     /// Panics if `v` is out of range or already dead.
     pub fn remove_node(&mut self, v: NodeId) {
         assert!(self.alive[v], "node {v} is already dead");
-        let nbrs: Vec<NodeId> = self.neighbors(v).collect();
-        for u in nbrs {
+        let mut nbrs = std::mem::take(&mut self.scratch);
+        nbrs.clear();
+        nbrs.extend(self.neighbors(v));
+        for &u in &nbrs {
             self.remove_edge(v, u);
         }
+        self.scratch = nbrs;
         self.alive[v] = false;
         self.alive_count -= 1;
     }

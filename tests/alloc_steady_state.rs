@@ -1,7 +1,7 @@
 //! Pins the zero-allocation steady state of the serial engine's message
 //! plane and frontier bookkeeping, the component-proportional
-//! allocation bound of `SubgraphScratch`, and the arena-backed deltas of
-//! `OverlayGraph`.
+//! allocation bound of `SubgraphScratch`, and the arena-backed deltas and
+//! node churn of `OverlayGraph`.
 //!
 //! Strategy for the engine tests: run the same constant-traffic protocol
 //! for R rounds and for 8R rounds under a counting global allocator. Both
@@ -153,6 +153,7 @@ fn alloc_discipline() {
     subgraph_scratch_extraction_is_component_proportional();
     flat_backend_steady_state_allocates_nothing();
     overlay_first_touches_share_one_arena();
+    overlay_node_churn_reuses_its_scratch();
 }
 
 fn serial_engine_steady_state_allocates_nothing() {
@@ -338,5 +339,33 @@ fn overlay_first_touches_share_one_arena() {
     assert!(
         allocs <= 64,
         "overlay allocated {allocs} times for {edges} edges between fresh nodes"
+    );
+}
+
+/// Warm node churn on an `OverlayGraph`: each step inserts a node wired
+/// to three base hosts and removes the previous arrival. `remove_node`
+/// detaches neighbors through a reused scratch buffer, so 10,000 steps
+/// cost only the geometric growth of the per-node tables and the arena,
+/// not an allocation per removal.
+fn overlay_node_churn_reuses_its_scratch() {
+    use arbmis::graph::{gen, OverlayGraph};
+    let n = 1024;
+    let mut g = OverlayGraph::new(gen::path(n));
+    let mut prev = None;
+    let mut churn = |g: &mut OverlayGraph, steps: usize| {
+        for i in 0..steps {
+            let v = g.insert_node(&[i % n, (7 * i + 3) % n, (31 * i + 5) % n]);
+            if let Some(p) = prev.replace(v) {
+                g.remove_node(p);
+            }
+        }
+    };
+    churn(&mut g, 256);
+    let steps = 10_000;
+    let allocs = allocs_during(|| churn(&mut g, steps));
+    assert_eq!(g.alive_count(), n + 1);
+    assert!(
+        allocs <= 64,
+        "overlay allocated {allocs} times over {steps} node insert/remove steps"
     );
 }
