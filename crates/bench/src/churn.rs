@@ -17,10 +17,11 @@
 //! [`run_script`] plays a script through [`DynamicMis`] (timing only the
 //! `apply` calls) and, for every batch, also times the static
 //! alternative: materialize the current graph and re-solve it from
-//! scratch on the flat engine. The ratio of those totals is the
-//! locality win. Timings are wall-clock and 1-core; the *structural*
-//! columns (region sizes, rounds, update counts) are deterministic and
-//! comparable across machines.
+//! scratch on the flat engine. The ratio of the two per-batch medians
+//! is the locality win; a median, unlike a total, is not decided by a
+//! first batch's one-time array growth. Timings are wall-clock and
+//! 1-core; the *structural* columns (region sizes, rounds, update
+//! counts) are deterministic and comparable across machines.
 
 use arbmis_dynamic::{DynamicMis, Update};
 use arbmis_flat::solve_mis;
@@ -207,11 +208,11 @@ pub struct ChurnReport {
     pub max_region: usize,
     /// Total flat-engine rounds across all repairs.
     pub repair_rounds: u64,
-    /// Total ns in `DynamicMis::apply`.
-    pub repair_ns: u64,
-    /// Total ns to rebuild + fully re-solve after each batch.
-    pub full_ns: u64,
-    /// `full_ns / repair_ns`.
+    /// Median ns of one batch's `DynamicMis::apply`.
+    pub repair_p50_ns: u64,
+    /// Median ns to rebuild + fully re-solve after one batch.
+    pub full_p50_ns: u64,
+    /// `full_p50_ns / repair_p50_ns`.
     pub speedup: f64,
     /// Whether every per-batch validity audit passed (always audited on
     /// the final state; per-batch when `verify_each`).
@@ -224,8 +225,8 @@ pub struct ChurnReport {
 /// batch (the audit is untimed either way).
 pub fn run_script(script: &ChurnScript, seed: u64, verify_each: bool) -> ChurnReport {
     let mut d = DynamicMis::new(script.base.clone(), seed);
-    let mut repair_ns = 0u64;
-    let mut full_ns = 0u64;
+    let mut repair_ns = Vec::with_capacity(script.batches.len());
+    let mut full_ns = Vec::with_capacity(script.batches.len());
     let mut region_total = 0usize;
     let mut max_region = 0usize;
     let mut repair_rounds = 0u64;
@@ -233,7 +234,7 @@ pub fn run_script(script: &ChurnScript, seed: u64, verify_each: bool) -> ChurnRe
     for batch in &script.batches {
         let t0 = Instant::now();
         let r = d.apply(batch);
-        repair_ns += t0.elapsed().as_nanos() as u64;
+        repair_ns.push(t0.elapsed().as_nanos() as u64);
         region_total += r.region_nodes;
         max_region = max_region.max(r.region_nodes);
         repair_rounds += r.repair_rounds;
@@ -246,10 +247,11 @@ pub fn run_script(script: &ChurnScript, seed: u64, verify_each: bool) -> ChurnRe
         let t1 = Instant::now();
         let g = d.graph().to_graph();
         let full = solve_mis(&g, seed, u64::MAX).expect("full re-solve cannot hit the round limit");
-        full_ns += t1.elapsed().as_nanos() as u64;
+        full_ns.push(t1.elapsed().as_nanos() as u64);
         std::hint::black_box(&full.in_mis);
     }
     valid &= d.is_valid_mis();
+    let (repair_p50_ns, full_p50_ns) = (median(&mut repair_ns), median(&mut full_ns));
     ChurnReport {
         name: script.name.clone(),
         batches: script.batches.len(),
@@ -257,11 +259,20 @@ pub fn run_script(script: &ChurnScript, seed: u64, verify_each: bool) -> ChurnRe
         mean_region: region_total as f64 / script.batches.len().max(1) as f64,
         max_region,
         repair_rounds,
-        repair_ns,
-        full_ns,
-        speedup: full_ns as f64 / repair_ns.max(1) as f64,
+        repair_p50_ns,
+        full_p50_ns,
+        speedup: full_p50_ns as f64 / repair_p50_ns.max(1) as f64,
         valid,
     }
+}
+
+/// The middle value (the upper one of an even count; 0 when empty).
+fn median(xs: &mut [u64]) -> u64 {
+    if xs.is_empty() {
+        return 0;
+    }
+    let mid = xs.len() / 2;
+    *xs.select_nth_unstable(mid).1
 }
 
 /// The standard workload suite at scale `n` (`arbmis churn --n`): the
@@ -293,6 +304,15 @@ mod tests {
             assert_eq!(report.batches, script.batches.len());
             assert!(report.updates > 0);
         }
+    }
+
+    #[test]
+    fn median_is_the_middle_batch() {
+        assert_eq!(median(&mut []), 0);
+        assert_eq!(median(&mut [7]), 7);
+        // One slow first batch does not move it.
+        assert_eq!(median(&mut [900, 5, 6, 4, 5]), 5);
+        assert_eq!(median(&mut [3, 1, 4, 2]), 3);
     }
 
     #[test]

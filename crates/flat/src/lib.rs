@@ -28,8 +28,9 @@
 //! ([`arbmis_congest::rng`]), keyed by `(seed, node, iteration, tag)`, so
 //! for a fixed graph and seed they are **round-identical**: the joiner
 //! set at every round index, the final MIS, and the total round count all
-//! agree bit-for-bit. `tests/backend_equivalence.rs` enforces this as a
-//! differential oracle.
+//! agree bit-for-bit. `tests/backend_equivalence.rs` enforces this
+//! through [`localize`], the one lockstep comparison in the workspace,
+//! at every flat worker-thread count.
 //!
 //! # Round timeline
 //!
@@ -55,120 +56,10 @@ pub use arbmis_core::FlatBackend;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arbmis_core::{ArbParams, ParamMode};
-    use arbmis_graph::{gen, Graph};
+    use arbmis_graph::gen;
     use rand::{rngs::StdRng, SeedableRng};
 
     const MAX_ROUNDS: u64 = 100_000;
-
-    fn graphs() -> Vec<(&'static str, Graph)> {
-        let mut rng = StdRng::seed_from_u64(7);
-        vec![
-            ("empty", Graph::empty(0)),
-            ("isolated", Graph::empty(1)),
-            ("path", gen::path(17)),
-            ("complete", gen::complete(9)),
-            ("gnp", gen::gnp(120, 0.05, &mut rng)),
-            ("ktree", gen::random_ktree(90, 3, &mut rng)),
-        ]
-    }
-
-    /// Steps `a` and `b` in lockstep, asserting identical joiners each
-    /// round, then identical final MIS and round counts.
-    fn assert_lockstep(label: &str, a: &mut dyn MisBackend, b: &mut dyn MisBackend) {
-        a.init();
-        b.init();
-        while !a.is_done() || !b.is_done() {
-            assert_eq!(
-                a.is_done(),
-                b.is_done(),
-                "{label}: done flags diverge at round {}",
-                a.round()
-            );
-            assert!(a.round() < MAX_ROUNDS, "{label}: round limit");
-            a.step_round().unwrap();
-            b.step_round().unwrap();
-            assert_eq!(
-                a.joiners(),
-                b.joiners(),
-                "{label}: joiners diverge at round {}",
-                a.round() - 1
-            );
-        }
-        assert_eq!(a.round(), b.round(), "{label}: round counts diverge");
-        assert_eq!(a.mis(), b.mis(), "{label}: final MIS diverges");
-    }
-
-    #[test]
-    fn flat_matches_congest_luby_metivier_and_ghaffari() {
-        for (name, g) in &graphs() {
-            for algo in [FlatAlgo::Luby, FlatAlgo::Metivier, FlatAlgo::Ghaffari] {
-                for seed in [1, 42] {
-                    let mut flat = FlatBackend::new(g, seed, algo);
-                    let mut congest = CongestBackend::new(g, seed, algo);
-                    let label = format!("{name}/{}/seed{seed}", algo.label());
-                    assert_lockstep(&label, &mut flat, &mut congest);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn flat_matches_congest_bounded_arb() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let g = gen::random_ktree(80, 3, &mut rng);
-        let delta = g.degree_histogram().len().saturating_sub(1);
-        let params = ArbParams::new(3, delta, ParamMode::default());
-        for rho_cutoff in [true, false] {
-            let algo = FlatAlgo::BoundedArb { params, rho_cutoff };
-            let mut flat = FlatBackend::new(&g, 5, algo);
-            let mut congest = CongestBackend::new(&g, 5, algo);
-            assert_lockstep(
-                &format!("ktree/arb/rho={rho_cutoff}"),
-                &mut flat,
-                &mut congest,
-            );
-            // BoundedArb is not maximal: also compare the shattering
-            // outputs (bad and residual active sets) against the
-            // protocol states.
-            for (v, s) in congest.states().iter().enumerate() {
-                assert_eq!(flat.bad().test(v), s.bad, "bad set diverges at {v}");
-                assert_eq!(
-                    flat.is_active(v),
-                    s.active,
-                    "residual active set diverges at {v}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn threads_are_transcript_invisible() {
-        let mut rng = StdRng::seed_from_u64(29);
-        let g = gen::gnp(160, 0.04, &mut rng);
-        let delta = g.degree_histogram().len().saturating_sub(1);
-        let params = ArbParams::new(3, delta, ParamMode::default());
-        for algo in [
-            FlatAlgo::Luby,
-            FlatAlgo::Metivier,
-            FlatAlgo::Ghaffari,
-            FlatAlgo::BoundedArb {
-                params,
-                rho_cutoff: true,
-            },
-            FlatAlgo::DegreeReduction { target: 6.0 },
-        ] {
-            let mut base = FlatBackend::new(&g, 9, algo);
-            for threads in [2, 4] {
-                let mut par = FlatBackend::new(&g, 9, algo).with_threads(threads);
-                assert_lockstep(
-                    &format!("{}/threads={threads}", algo.label()),
-                    &mut base,
-                    &mut par,
-                );
-            }
-        }
-    }
 
     #[test]
     fn degree_reduction_stops_once_no_node_is_high() {

@@ -59,9 +59,11 @@ impl From<std::io::Error> for ReadError {
 /// a declared header count, or a node count too large to allocate;
 /// [`ReadError::Io`] on read failures.
 pub fn read_edge_list<R: BufRead>(reader: R) -> Result<Graph, ReadError> {
-    let mut declared_n: Option<usize> = None;
+    // The declared count and the largest endpoint, each with the line
+    // that set it, so whole-file checks can name the offending line.
+    let mut declared_n: Option<(usize, usize)> = None;
     let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-    let mut max_id = 0usize;
+    let (mut max_id, mut max_line) = (0usize, 0usize);
     for (idx, line) in reader.lines().enumerate() {
         let line = line?;
         let lineno = idx + 1;
@@ -77,7 +79,7 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> Result<Graph, ReadError> {
                 .ok_or_else(|| parse_err(lineno, "header missing node count"))?
                 .parse()
                 .map_err(|_| parse_err(lineno, "bad node count"))?;
-            declared_n = Some(n);
+            declared_n = Some((n, lineno));
             continue;
         }
         let u: usize = first
@@ -92,25 +94,30 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> Result<Graph, ReadError> {
         if u == v {
             return Err(parse_err(lineno, &format!("self loop on node {u}")));
         }
-        max_id = max_id.max(u).max(v);
+        if u.max(v) > max_id {
+            (max_id, max_line) = (u.max(v), lineno);
+        }
         edges.push((u, v));
     }
-    let n = match declared_n {
-        Some(n) => {
+    let (n, line) = match declared_n {
+        Some((n, header_line)) => {
             if !edges.is_empty() && max_id >= n {
                 return Err(parse_err(
-                    0,
+                    max_line,
                     &format!("edge endpoint {max_id} exceeds declared node count {n}"),
                 ));
             }
-            n
+            (n, header_line)
         }
-        None if edges.is_empty() => 0,
-        None => max_id
-            .checked_add(1)
-            .ok_or_else(|| parse_err(0, &format!("node id {max_id} is too large")))?,
+        None if edges.is_empty() => (0, 0),
+        None => (
+            max_id
+                .checked_add(1)
+                .ok_or_else(|| parse_err(max_line, &format!("node id {max_id} is too large")))?,
+            max_line,
+        ),
     };
-    GraphBuilder::check_node_count(n).map_err(|m| parse_err(0, &m))?;
+    GraphBuilder::check_node_count(n).map_err(|m| parse_err(line, &m))?;
     let mut b = GraphBuilder::with_capacity(n, edges.len());
     for (u, v) in edges {
         b.add_edge(u, v);
@@ -216,6 +223,31 @@ mod tests {
         assert!(e.to_string().contains("too large"), "{e}");
         for text in ["p 18446744073709551615\n", "0 4000000000\n"] {
             let e = parse_edge_list(text).unwrap_err();
+            assert!(e.to_string().contains("available memory"), "{text:?}: {e}");
+        }
+    }
+
+    /// Whole-file checks name the line that set the offending count.
+    #[test]
+    fn whole_file_errors_name_the_offending_line() {
+        let e = parse_edge_list("p 4 2\n0 1\n# note\n2 9\n1 3\n").unwrap_err();
+        assert!(matches!(e, ReadError::Parse { line: 4, .. }), "{e}");
+        assert!(
+            e.to_string().contains("exceeds declared node count 4"),
+            "{e}"
+        );
+        let e = parse_edge_list("0 1\n\n0 18446744073709551615\n1 2\n").unwrap_err();
+        assert!(matches!(e, ReadError::Parse { line: 3, .. }), "{e}");
+        assert!(e.to_string().contains("too large"), "{e}");
+        for (text, line) in [
+            ("0 1\n0 4000000000\n5 6\n", 2),
+            ("0 1\np 18446744073709551615\n", 2),
+        ] {
+            let e = parse_edge_list(text).unwrap_err();
+            assert!(
+                matches!(e, ReadError::Parse { line: l, .. } if l == line),
+                "{text:?}: {e}"
+            );
             assert!(e.to_string().contains("available memory"), "{text:?}: {e}");
         }
     }

@@ -251,15 +251,15 @@ fn cmd_churn(flags: &HashMap<String, String>, seed: u64) -> ExitCode {
         _ => vec![churn::hub_churn(n, batches, (n / 4).clamp(2, 64), seed)],
     };
     println!(
-        "{:<16} {:>8} {:>8} {:>12} {:>11} {:>14} {:>10} {:>9} {:>8}  valid",
+        "{:<16} {:>8} {:>8} {:>12} {:>11} {:>14} {:>15} {:>13} {:>8}  valid",
         "workload",
         "batches",
         "updates",
         "mean region",
         "max region",
         "repair rounds",
-        "repair ms",
-        "full ms",
+        "repair p50 µs",
+        "full p50 µs",
         "speedup"
     );
     let mut all_valid = true;
@@ -267,15 +267,15 @@ fn cmd_churn(flags: &HashMap<String, String>, seed: u64) -> ExitCode {
         let r = churn::run_script(script, seed, verify);
         all_valid &= r.valid;
         println!(
-            "{:<16} {:>8} {:>8} {:>12.1} {:>11} {:>14} {:>10.2} {:>9.2} {:>7.1}x  {}",
+            "{:<16} {:>8} {:>8} {:>12.1} {:>11} {:>14} {:>15.1} {:>13.1} {:>7.1}x  {}",
             r.name,
             r.batches,
             r.updates,
             r.mean_region,
             r.max_region,
             r.repair_rounds,
-            r.repair_ns as f64 / 1e6,
-            r.full_ns as f64 / 1e6,
+            r.repair_p50_ns as f64 / 1e3,
+            r.full_p50_ns as f64 / 1e3,
             r.speedup,
             if r.valid { "✓" } else { "INVALID" },
         );

@@ -1,8 +1,8 @@
 //! Differential tests for the serial CONGEST round engine: the sparse
-//! frontier must reproduce the diagnostic full scan bit for bit, an
-//! attached recorder must never perturb a run, degenerate graphs must
-//! agree across engines and backends, and the protocol twins must
-//! reproduce the centralized fast paths.
+//! frontier must reproduce the diagnostic full scan bit for bit, and an
+//! attached recorder must never perturb a run. That the protocols match
+//! the flat engine and the centralized drivers is checked in
+//! `tests/backend_equivalence.rs`.
 
 use arbmis::congest::{Inbox, NodeInfo, Outgoing, Protocol, Simulator};
 use arbmis::core::bounded_arb::{bounded_arb_independent_set, BoundedArbConfig};
@@ -93,28 +93,6 @@ impl Protocol for ConvergeCast {
 fn graph(fam: GraphFamily, n: usize, seed: u64) -> arbmis::graph::Graph {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     GraphSpec::new(fam, n).generate(&mut rng)
-}
-
-/// The protocol twins reproduce the centralized fast paths bit for bit.
-#[test]
-fn protocol_twins_match_fast_paths() {
-    use arbmis::core::{luby, metivier};
-
-    let g = graph(GraphFamily::GnpAvgDegree { d: 5.0 }, 150, 36);
-    for seed in 0..2 {
-        let sim = Simulator::new(&g, seed);
-        let fast = metivier::run(&g, seed);
-        let run = sim.run(&MetivierProtocol, 50_000).unwrap();
-        let mis: Vec<bool> = run.states.iter().map(|s| s.in_mis).collect();
-        assert_eq!(mis, fast.in_mis, "metivier seed {seed}");
-        assert!(arbmis::core::check_mis(&g, &mis).is_ok());
-
-        let fast = luby::run(&g, seed);
-        let run = sim.run(&LubyProtocol, 50_000).unwrap();
-        let mis: Vec<bool> = run.states.iter().map(|s| s.in_mis).collect();
-        assert_eq!(mis, fast.in_mis, "luby seed {seed}");
-        assert!(arbmis::core::check_mis(&g, &mis).is_ok());
-    }
 }
 
 /// DESIGN.md §8 rule 1, the traced-vs-untraced differential: attaching an
@@ -282,50 +260,4 @@ fn converge_cast_sums_tree() {
     assert_eq!(run.states[0].sum, (1..=15).sum::<u64>());
     // Leaf-to-root latency = depth.
     assert!(run.metrics.rounds <= 6);
-}
-
-/// Degenerate graphs n ∈ {0, 1}: the serial engine and both
-/// `MisBackend` implementations must all agree — the empty graph
-/// terminates in 0 rounds, and a single isolated node joins at the first
-/// exit round and halts at the next announce round (4 CONGEST rounds for
-/// Luby and Métivier).
-#[test]
-fn degenerate_graphs_agree_across_engines_and_backends() {
-    use arbmis::flat::{CongestBackend, FlatAlgo, FlatBackend, MisBackend};
-
-    for n in [0usize, 1] {
-        let g = arbmis::graph::Graph::from_edges(n, &[]);
-        let expect_rounds = if n == 0 { 0 } else { 4 };
-        let expect_mis = vec![true; n];
-        for (label, algo) in [("luby", FlatAlgo::Luby), ("metivier", FlatAlgo::Metivier)] {
-            for seed in [0, 9] {
-                let mut flat = FlatBackend::new(&g, seed, algo);
-                let mut congest = CongestBackend::new(&g, seed, algo);
-                for (tag, b) in [
-                    ("flat", &mut flat as &mut dyn MisBackend),
-                    ("congest", &mut congest),
-                ] {
-                    let run = b.run(100).unwrap();
-                    assert_eq!(run.rounds, expect_rounds, "{label}/{tag} rounds at n={n}");
-                    assert_eq!(b.mis(), &expect_mis[..], "{label}/{tag} MIS at n={n}");
-                    assert!(b.joiners().is_empty() || n == 1, "{label}/{tag} joiners");
-                }
-                let sim = Simulator::new(&g, seed);
-                let run = match algo {
-                    FlatAlgo::Luby => sim.run(&LubyProtocol, 100),
-                    _ => sim.run(&MetivierProtocol, 100),
-                }
-                .unwrap();
-                assert_eq!(
-                    run.metrics.rounds, expect_rounds,
-                    "{label}: simulator rounds at n={n}"
-                );
-                assert_eq!(
-                    run.states.iter().map(|s| s.in_mis).collect::<Vec<_>>(),
-                    expect_mis,
-                    "{label}: simulator MIS at n={n}"
-                );
-            }
-        }
-    }
 }

@@ -1,9 +1,9 @@
 //! End-to-end tests for the flight recorder and divergence tooling:
 //!
 //! * an injected coin flip in a `FlatBackend` fork is localized to the
-//!   exact first divergent round and node, and the emitted replay
-//!   artifact reproduces the report byte-for-byte through the `arbmis
-//!   replay` subcommand;
+//!   exact first divergent round and node, identically at flat thread
+//!   counts {1, 2, 4}, and the emitted replay artifact reproduces the
+//!   report byte-for-byte through the `arbmis replay` subcommand;
 //! * flight capture obeys the §8 observation rule — transcripts,
 //!   metrics, and states are bit-identical with the recorder on or off,
 //!   and the recorded flight bytes are identical across runs and across
@@ -124,13 +124,21 @@ fn replay_artifact_reproduces_byte_for_byte_through_the_cli() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An injected flip is keyed by node id, not by the chunk that draws
+/// it: on a graph of several mask words, the flat engine localizes to
+/// the same divergence against the pristine CONGEST run at every worker
+/// thread count.
 #[test]
-fn backends_without_perturbation_do_not_diverge() {
-    let g = graph(GraphFamily::KTree { k: 3 }, 90, 5);
-    for algo in [FlatAlgo::Luby, FlatAlgo::Metivier] {
-        let mut a = FlatBackend::new(&g, 11, algo);
-        let mut b = CongestBackend::new(&g, 11, algo);
-        assert_eq!(localize(&mut a, &mut b, MAX_ROUNDS).unwrap(), None);
+fn injected_flip_localizes_identically_at_every_thread_count() {
+    let g = graph(GraphFamily::GnpAvgDegree { d: 4.0 }, 300, 19);
+    let (flip, d) = find_single_node_flip(&g, 7).expect("some flip isolates a single node");
+    for threads in [1, 2, 4] {
+        let mut a = FlatBackend::new(&g, 7, FlatAlgo::Metivier)
+            .with_threads(threads)
+            .with_coin_flip(flip);
+        let mut b = CongestBackend::new(&g, 7, FlatAlgo::Metivier);
+        let found = localize(&mut a, &mut b, MAX_ROUNDS).unwrap();
+        assert_eq!(found.as_ref(), Some(&d), "{threads} threads");
     }
 }
 
@@ -167,15 +175,14 @@ fn flight_capture_is_observation_only_across_thread_counts() {
     assert_eq!(capture(), bytes, "flight bytes must be reproducible");
 
     let mut plain = FlatBackend::new(&g, seed, FlatAlgo::Metivier);
-    let plain_run = plain.run(MAX_ROUNDS).unwrap();
     let mut flat_bytes = None;
     for threads in [1, 2, 4] {
         let flight = FlightRecorder::bounded(1 << 16);
         let mut flat = FlatBackend::new(&g, seed, FlatAlgo::Metivier)
             .with_threads(threads)
             .with_flight(flight.clone());
-        let run = flat.run(MAX_ROUNDS).unwrap();
-        assert_eq!(run.rounds, plain_run.rounds, "{threads} threads: rounds");
+        let divergence = localize(&mut plain, &mut flat, MAX_ROUNDS).unwrap();
+        assert_eq!(divergence, None, "{threads} threads: capture diverged");
         assert_eq!(flat.mis(), plain.mis(), "{threads} threads: MIS");
         let bytes = flight.to_jsonl();
         assert!(bytes.lines().count() > 1, "{threads} threads: captured");
@@ -202,10 +209,9 @@ fn flight_digest_columns_agree_across_backends() {
     ] {
         let fa = FlightRecorder::bounded(1 << 16);
         let mut a = FlatBackend::new(&g, 9, algo).with_flight(fa.clone());
-        a.run(MAX_ROUNDS).unwrap();
         let fb = FlightRecorder::bounded(1 << 16);
         let mut b = CongestBackend::new(&g, 9, algo).with_flight(fb.clone());
-        b.run(MAX_ROUNDS).unwrap();
+        assert_eq!(localize(&mut a, &mut b, MAX_ROUNDS).unwrap(), None);
 
         let cols = |f: &FlightRecorder, engine: &str| -> Vec<(u64, u64, u64, u64)> {
             f.records()
@@ -231,8 +237,10 @@ fn flight_digest_columns_agree_across_backends() {
 }
 
 /// A perturbed flat run's flight log pinpoints *where* the coins
-/// diverged: the coin digest differs from the pristine reference at
-/// exactly the flipped decide round.
+/// diverged, even when no joiner does: the flip below changes no fate,
+/// so [`localize`] replays both runs to the end in agreement, yet the
+/// coin digest differs from the pristine reference at exactly the
+/// flipped decide round.
 #[test]
 fn flight_coin_digests_pinpoint_the_perturbed_round() {
     let g = graph(GraphFamily::GnpAvgDegree { d: 4.0 }, 100, 29);
@@ -245,18 +253,9 @@ fn flight_coin_digests_pinpoint_the_perturbed_round() {
     let mut a = FlatBackend::new(&g, 5, FlatAlgo::Metivier)
         .with_flight(fa.clone())
         .with_coin_flip(flip);
-    // Run the perturbed backend only up to the perturbed iteration's
-    // decide round so the two executions are still aligned.
-    a.init();
-    for _ in 0..5 {
-        a.step_round().unwrap();
-    }
     let fb = FlightRecorder::bounded(1 << 16);
     let mut b = CongestBackend::new(&g, 5, FlatAlgo::Metivier).with_flight(fb.clone());
-    b.init();
-    for _ in 0..5 {
-        b.step_round().unwrap();
-    }
+    assert_eq!(localize(&mut a, &mut b, MAX_ROUNDS).unwrap(), None);
     let coins = |f: &FlightRecorder, engine: &str| -> Vec<(u64, u64)> {
         f.records()
             .iter()

@@ -1,25 +1,26 @@
-//! Cross-crate equivalence: every CONGEST protocol must reproduce its
-//! fast path bit-for-bit, on workloads from every family.
+//! Centralized driver ≡ CONGEST protocol on final MIS masks, for Luby,
+//! Métivier and Ghaffari on the paper's four families at their own graph
+//! seeds. The per-round lockstep claims, BoundedArb and the round-count
+//! window live in `tests/backend_equivalence.rs`.
 
 use arbmis::congest::Simulator;
-use arbmis::core::bounded_arb::{bounded_arb_independent_set, BoundedArbConfig};
 use arbmis::core::protocols::*;
 use arbmis::core::{ghaffari, luby, metivier};
 use arbmis::graph::gen::{GraphFamily, GraphSpec};
 use rand::SeedableRng;
 
-fn workloads(_n: usize) -> Vec<(GraphFamily, usize)> {
-    vec![
-        (GraphFamily::RandomTree, 1),
-        (GraphFamily::ForestUnion { alpha: 2 }, 2),
-        (GraphFamily::Apollonian, 3),
-        (GraphFamily::GnpAvgDegree { d: 5.0 }, 4),
+fn families() -> [GraphFamily; 4] {
+    [
+        GraphFamily::RandomTree,
+        GraphFamily::ForestUnion { alpha: 2 },
+        GraphFamily::Apollonian,
+        GraphFamily::GnpAvgDegree { d: 5.0 },
     ]
 }
 
 #[test]
 fn metivier_equivalence_across_families() {
-    for (fam, _) in workloads(150) {
+    for fam in families() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(21);
         let g = GraphSpec::new(fam, 150).generate(&mut rng);
         for seed in 0..3 {
@@ -35,7 +36,7 @@ fn metivier_equivalence_across_families() {
 
 #[test]
 fn luby_equivalence_across_families() {
-    for (fam, _) in workloads(150) {
+    for fam in families() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(22);
         let g = GraphSpec::new(fam, 150).generate(&mut rng);
         for seed in 0..3 {
@@ -49,7 +50,7 @@ fn luby_equivalence_across_families() {
 
 #[test]
 fn ghaffari_equivalence_across_families() {
-    for (fam, _) in workloads(120) {
+    for fam in families() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(23);
         let g = GraphSpec::new(fam, 120).generate(&mut rng);
         for seed in 0..3 {
@@ -61,57 +62,4 @@ fn ghaffari_equivalence_across_families() {
             assert_eq!(mis, fast.in_mis, "{fam} seed {seed}");
         }
     }
-}
-
-#[test]
-fn bounded_arb_equivalence_across_families() {
-    for (fam, alpha) in workloads(150) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(24);
-        let g = GraphSpec::new(fam, 150).generate(&mut rng);
-        for seed in 0..2 {
-            let cfg = BoundedArbConfig::new(alpha, seed);
-            let fast = bounded_arb_independent_set(&g, &cfg);
-            let proto = BoundedArbProtocol {
-                params: fast.params,
-                rho_cutoff: true,
-            };
-            let run = Simulator::new(&g, seed)
-                .run(&proto, proto.total_rounds() + 2)
-                .unwrap();
-            assert_eq!(
-                run.states.iter().map(|s| s.in_mis).collect::<Vec<_>>(),
-                fast.in_mis,
-                "{fam} seed {seed}: I"
-            );
-            assert_eq!(
-                run.states.iter().map(|s| s.bad).collect::<Vec<_>>(),
-                fast.bad,
-                "{fam} seed {seed}: B"
-            );
-            assert_eq!(
-                run.states.iter().map(|s| s.active).collect::<Vec<_>>(),
-                fast.active,
-                "{fam} seed {seed}: VIB"
-            );
-        }
-    }
-}
-
-#[test]
-fn protocol_round_counts_track_fast_path() {
-    // The protocol spends 3 rounds per iteration plus (up to) one halting
-    // lap; round metrics should be within a small constant of 3×iters.
-    let mut rng = rand::rngs::StdRng::seed_from_u64(25);
-    let g = GraphSpec::new(GraphFamily::ForestUnion { alpha: 2 }, 200).generate(&mut rng);
-    let fast = metivier::run(&g, 9);
-    let run = Simulator::new(&g, 9)
-        .run(&MetivierProtocol, 50_000)
-        .unwrap();
-    let lower = fast.iterations * 3;
-    assert!(
-        (lower..=lower + 4).contains(&run.metrics.rounds),
-        "protocol rounds {} vs fast iterations {}",
-        run.metrics.rounds,
-        fast.iterations
-    );
 }

@@ -305,28 +305,12 @@ proptest! {
         g in arbitrary_graph(),
         seed in 0u64..1000,
     ) {
-        use arbmis::flat::{CongestBackend, FlatAlgo, FlatBackend, MisBackend};
+        use arbmis::flat::{localize, CongestBackend, FlatAlgo, FlatBackend, MisBackend};
         for algo in [FlatAlgo::Luby, FlatAlgo::Metivier, FlatAlgo::Ghaffari] {
             let mut flat = FlatBackend::new(&g, seed, algo);
             let mut congest = CongestBackend::new(&g, seed, algo);
-            flat.init();
-            congest.init();
-            while !flat.is_done() || !congest.is_done() {
-                prop_assert!(
-                    flat.is_done() == congest.is_done(),
-                    "done flags diverge at round {}",
-                    flat.round()
-                );
-                prop_assert!(flat.round() < 100_000);
-                flat.step_round().unwrap();
-                congest.step_round().unwrap();
-                prop_assert!(
-                    flat.joiners() == congest.joiners(),
-                    "{:?} joiners diverge at round {}",
-                    algo,
-                    flat.round() - 1
-                );
-            }
+            let divergence = localize(&mut flat, &mut congest, 100_000).unwrap();
+            prop_assert!(divergence.is_none(), "{:?}: {:?}", algo, divergence);
             prop_assert_eq!(flat.round(), congest.round());
             prop_assert_eq!(flat.mis(), congest.mis());
         }
