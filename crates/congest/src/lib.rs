@@ -17,7 +17,7 @@
 //!   single-threaded: threads would change wall-clock only, never a
 //!   round count.
 //! * [`message::Message`] — wire encoding with per-message bit accounting,
-//!   checked against the CONGEST budget `B = bandwidth_factor · ⌈log₂ n⌉`.
+//!   checked against the CONGEST budget `B = bandwidth_factor · ⌈log₂ max(n, 4)⌉`.
 //! * [`rng`] — counter-based per-node randomness, so a protocol execution
 //!   and a centralized "fast path" re-implementation of the same algorithm
 //!   can draw *identical* random bits and be compared transcript-for-

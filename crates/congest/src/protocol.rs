@@ -2,7 +2,7 @@
 //! machine.
 
 use crate::message::Message;
-use arbmis_graph::NodeId;
+use arbmis_graph::{Neighbors, NodeId};
 
 /// Immutable per-node context handed to every callback.
 ///
@@ -17,7 +17,7 @@ pub struct NodeInfo<'a> {
     /// Total number of nodes in the network.
     pub n: usize,
     /// Sorted neighbor ids.
-    pub neighbors: &'a [NodeId],
+    pub neighbors: Neighbors<'a>,
     /// Current round (0-based; `round` 0 is the first invocation after
     /// `init`).
     pub round: u64,
@@ -72,8 +72,9 @@ pub(crate) const NO_BROADCAST: u32 = u32::MAX;
 /// part is discovered by scanning.
 #[derive(Debug)]
 pub struct Inbox<'a, M> {
-    /// The receiver's sorted neighbor ids (broadcast part domain).
-    nbrs: &'a [NodeId],
+    /// The receiver's sorted neighbor ids (broadcast part domain), as the
+    /// graph stores them.
+    nbrs: &'a [u32],
     /// Per-sender broadcast slot table ([`NO_BROADCAST`] = none). Indexed
     /// by the ids in `nbrs`; empty when there is no broadcast part.
     bidx: &'a [u32],
@@ -113,7 +114,7 @@ impl<'a, M> Inbox<'a, M> {
     /// slots must be in bounds for `barena`, and `entries` must be sorted
     /// by sender.
     pub(crate) fn from_plane(
-        nbrs: &'a [NodeId],
+        nbrs: &'a [u32],
         bidx: &'a [u32],
         barena: &'a [M],
         entries: &'a [(NodeId, u32)],
@@ -152,7 +153,7 @@ impl<'a, M> Inbox<'a, M> {
     fn broadcast_count(&self) -> usize {
         self.nbrs
             .iter()
-            .filter(|&&u| self.bidx[u] != NO_BROADCAST)
+            .filter(|&&u| self.bidx[u as usize] != NO_BROADCAST)
             .count()
     }
 
@@ -200,7 +201,7 @@ impl<'a, M> IntoIterator for &Inbox<'a, M> {
 /// broadcast part and the explicit entry list.
 #[derive(Clone, Debug)]
 pub struct InboxIter<'a, M> {
-    nbrs: std::slice::Iter<'a, NodeId>,
+    nbrs: std::slice::Iter<'a, u32>,
     bidx: &'a [u32],
     barena: &'a [M],
     entries: &'a [(NodeId, u32)],
@@ -215,9 +216,9 @@ impl<'a, M> Iterator for InboxIter<'a, M> {
     fn next(&mut self) -> Option<(NodeId, &'a M)> {
         if self.pending.is_none() {
             for &u in self.nbrs.by_ref() {
-                let idx = self.bidx[u];
+                let idx = self.bidx[u as usize];
                 if idx != NO_BROADCAST {
-                    self.pending = Some((u, idx));
+                    self.pending = Some((u as NodeId, idx));
                     break;
                 }
             }
@@ -417,11 +418,11 @@ mod tests {
 
     #[test]
     fn node_info_accessors() {
-        let nbrs = [1usize, 2, 3];
+        let g = arbmis_graph::gen::star(4);
         let info = NodeInfo {
             id: 0,
             n: 4,
-            neighbors: &nbrs,
+            neighbors: g.neighbors(0),
             round: 5,
             seed: 9,
         };
@@ -453,7 +454,7 @@ mod tests {
     fn inbox_merges_broadcast_and_explicit_parts() {
         // Receiver has neighbors {1, 3, 4, 6}; 3 and 6 broadcast, 1 and 4
         // unicast. The merged view must interleave in sender order.
-        let nbrs = [1usize, 3, 4, 6];
+        let nbrs = [1u32, 3, 4, 6];
         let mut bidx = vec![NO_BROADCAST; 8];
         let barena = vec![30u64, 60];
         bidx[3] = 0;

@@ -75,11 +75,19 @@ pub struct SimulatorRun<S> {
     pub metrics: Metrics,
 }
 
+/// `⌈log₂ max(n, 4)⌉`, the unit of the bandwidth budget: at least 2, and
+/// `⌈log₂ n⌉` for every `n ≥ 3`.
+fn log_n_bits(n: usize) -> usize {
+    ((n.max(4) - 1).ilog2() + 1) as usize
+}
+
 /// Drives a [`Protocol`] over a [`Graph`] in synchronous rounds.
 ///
-/// The CONGEST bandwidth budget defaults to `16 · ⌈log₂ n⌉` bits per
-/// message (a generous but honest `O(log n)`; our encodings are byte
-/// granular, so a handful of log-sized fields fit). Use
+/// The CONGEST bandwidth budget defaults to `16 · ⌈log₂ max(n, 4)⌉` bits
+/// per message (a generous but honest `O(log n)`; our encodings are byte
+/// granular, so a handful of log-sized fields fit). The floor of 4 keeps
+/// two-node graphs, whose protocols send the same 24-bit messages as on
+/// three or four nodes, within budget. Use
 /// [`with_bandwidth_factor`](Simulator::with_bandwidth_factor) or
 /// [`without_budget`](Simulator::without_budget) to adjust.
 #[derive(Clone, Debug)]
@@ -95,11 +103,10 @@ pub struct Simulator<'g> {
 impl<'g> Simulator<'g> {
     /// Creates a simulator over `graph` with master randomness `seed`.
     pub fn new(graph: &'g Graph, seed: u64) -> Self {
-        let logn = (graph.n().max(2) as f64).log2().ceil() as usize;
         Simulator {
             graph,
             seed,
-            budget_bits: Some(16 * logn.max(1)),
+            budget_bits: Some(16 * log_n_bits(graph.n())),
             recorder: arbmis_obs::global(),
             flight: arbmis_obs::global_flight(),
             full_scan: false,
@@ -144,10 +151,10 @@ impl<'g> Simulator<'g> {
         &self.flight
     }
 
-    /// Overrides the per-message budget to `factor · ⌈log₂ n⌉` bits.
+    /// Overrides the per-message budget to `factor · ⌈log₂ max(n, 4)⌉`
+    /// bits.
     pub fn with_bandwidth_factor(mut self, factor: usize) -> Self {
-        let logn = (self.graph.n().max(2) as f64).log2().ceil() as usize;
-        self.budget_bits = Some(factor * logn.max(1));
+        self.budget_bits = Some(factor * log_n_bits(self.graph.n()));
         self
     }
 
@@ -406,7 +413,7 @@ impl<P: Protocol> Stepper<'_, P> {
                 round,
                 seed,
             };
-            let inbox = cur.inbox(v, nbrs);
+            let inbox = cur.inbox(v, nbrs.as_slice());
             let out = protocol.round(&mut states[v], &info, &inbox);
             let was_pending = !done[v];
             match out {
@@ -423,13 +430,13 @@ impl<P: Protocol> Stepper<'_, P> {
                         // check for the whole neighborhood, reporting
                         // the first neighbor (= the edge the per-edge
                         // loop would have failed on).
-                        check_bits(budget, v, nbrs[0], bits)?;
+                        check_bits(budget, v, nbrs.as_slice()[0] as NodeId, bits)?;
                         metrics.record_broadcast(bits, nbrs.len());
                         if obs {
                             msg_bits_hist.observe_n(bits as u64, nbrs.len() as u64);
                         }
                         if let Some(t) = transcript.as_deref_mut() {
-                            for &u in nbrs {
+                            for u in nbrs {
                                 t.record(round, v, u, bits);
                             }
                         }
@@ -439,7 +446,7 @@ impl<P: Protocol> Stepper<'_, P> {
                         // delivery work at all. The wake loop below is
                         // the only per-edge cost, within the
                         // "messages delivered" budget.
-                        for &u in nbrs {
+                        for u in nbrs {
                             if !halted[u] {
                                 next_frontier.insert(u);
                             }
@@ -605,7 +612,7 @@ impl<M> Plane<M> {
 
     /// The receiver-side [`Inbox`] view for node `v` with neighbor list
     /// `nbrs`.
-    fn inbox<'a>(&'a self, v: NodeId, nbrs: &'a [NodeId]) -> Inbox<'a, M> {
+    fn inbox<'a>(&'a self, v: NodeId, nbrs: &'a [u32]) -> Inbox<'a, M> {
         Inbox::from_plane(
             nbrs,
             &self.bidx,
@@ -780,6 +787,31 @@ mod tests {
             *buf = &buf[1024..];
             Ok(BigMsg)
         }
+    }
+
+    #[test]
+    fn budget_unit_is_ceil_log2_of_n_floored_at_4() {
+        for (n, bits) in [
+            (0, 2),
+            (1, 2),
+            (2, 2),
+            (3, 2),
+            (4, 2),
+            (5, 3),
+            (8, 3),
+            (9, 4),
+        ] {
+            assert_eq!(log_n_bits(n), bits, "n = {n}");
+        }
+        for n in (3..5000).chain([(1 << 32) - 1, 1 << 32, (1 << 32) + 1]) {
+            assert_eq!(log_n_bits(n), (n as f64).log2().ceil() as usize, "n = {n}");
+        }
+        let g = gen::path(2);
+        assert_eq!(Simulator::new(&g, 0).budget_bits(), Some(32));
+        assert_eq!(
+            Simulator::new(&g, 0).with_bandwidth_factor(3).budget_bits(),
+            Some(6)
+        );
     }
 
     #[test]

@@ -329,7 +329,7 @@ fn finish_bad_component(
     let region: Vec<bool> = (0..cg.n())
         .map(|i| {
             let v = sub.to_parent(i);
-            !in_mis[v] && g.neighbors(v).iter().all(|&u| !in_mis[u])
+            !in_mis[v] && g.neighbors(v).iter().all(|u| !in_mis[u])
         })
         .collect();
     let decomposition = {

@@ -296,7 +296,7 @@ mod tests {
             // A node in none of the sets must be a neighbor of I.
             if count == 0 {
                 assert!(
-                    g.neighbors(v).iter().any(|&u| out.in_mis[u]),
+                    g.neighbors(v).iter().any(|u| out.in_mis[u]),
                     "node {v} vanished without an MIS neighbor"
                 );
             }
@@ -321,7 +321,7 @@ mod tests {
         for v in g.nodes() {
             if out.active[v] {
                 assert!(!out.in_mis[v]);
-                assert!(g.neighbors(v).iter().all(|&u| !out.in_mis[u]));
+                assert!(g.neighbors(v).iter().all(|u| !out.in_mis[u]));
             }
         }
     }

@@ -204,10 +204,10 @@ fn sweep_classes(
             for &v in &candidates {
                 // Id tie-break against candidates adjacent in g (possible
                 // for same-class nodes via non-forest edges).
-                let wins = g.neighbors(v).iter().all(|&u| !candidate_set[u] || u < v);
+                let wins = g.neighbors(v).iter().all(|u| !candidate_set[u] || u < v);
                 if wins {
                     in_mis[v] = true;
-                    for &u in g.neighbors(v) {
+                    for u in g.neighbors(v) {
                         dominated[u] = true;
                     }
                 }

@@ -143,7 +143,7 @@ fn deactivate_in(
     active.remove(v);
     *active_count -= 1;
     if track_deg {
-        for &u in g.neighbors(v) {
+        for u in g.neighbors(v) {
             active_deg[u] -= 1;
         }
     }
@@ -151,7 +151,7 @@ fn deactivate_in(
 
 /// Number of active neighbors of node `p`: its exact active degree.
 fn active_degree(g: &Graph, active: &BitMask, p: NodeId) -> u32 {
-    g.neighbors(p).iter().filter(|&&u| active.test(u)).count() as u32
+    g.neighbors(p).iter().filter(|&u| active.test(u)).count() as u32
 }
 
 /// Number of active neighbors of node `p` whose active degree exceeds
@@ -165,7 +165,7 @@ fn high_degree_neighbors(
 ) -> usize {
     g.neighbors(p)
         .iter()
-        .filter(|&&u| active.test(u) && f64::from(deg[u]) > threshold)
+        .filter(|&u| active.test(u) && f64::from(deg[u]) > threshold)
         .count()
 }
 
@@ -420,7 +420,7 @@ impl PrioritySweep for WinScan<'_> {
             key.0 != 0
                 && g.neighbors(p)
                     .iter()
-                    .all(|&u| !mask.test(u) || key > (prio(u), u))
+                    .all(|u| !mask.test(u) || key > (prio(u), u))
         });
     }
 }
@@ -441,7 +441,7 @@ impl PrioritySweep for CompetitorScan<'_> {
             let key = (prio(p), p);
             if g.neighbors(p)
                 .iter()
-                .all(|&u| !competitors.test(u) || key > (prio(u), u))
+                .all(|u| !competitors.test(u) || key > (prio(u), u))
             {
                 self.wins.push(p);
             }
@@ -689,7 +689,7 @@ impl<'g> FlatBackend<'g> {
     pub(crate) fn activate_undominated(&mut self, nodes: &[NodeId]) {
         for &v in nodes {
             debug_assert!(!self.active.contains(v));
-            if !self.in_mis.test(v) && self.g.neighbors(v).iter().all(|&u| !self.in_mis.test(u)) {
+            if !self.in_mis.test(v) && self.g.neighbors(v).iter().all(|u| !self.in_mis.test(u)) {
                 self.active.insert(v);
                 self.active_count += 1;
             }
@@ -948,7 +948,7 @@ impl<'g> FlatBackend<'g> {
         marked.clear_all();
         for &h in high.iter() {
             marked.set(h);
-            for &u in g.neighbors(h) {
+            for u in g.neighbors(h) {
                 if active.contains(u) {
                     marked.set(u);
                 }
@@ -1038,7 +1038,7 @@ impl<'g> FlatBackend<'g> {
                 || (marked.test(p)
                     && g.neighbors(p)
                         .iter()
-                        .all(|&u| !mask.test(u) || !marked.test(u) || (u64::from(deg[u]), u) < key))
+                        .all(|u| !mask.test(u) || !marked.test(u) || (u64::from(deg[u]), u) < key))
         });
     }
 
@@ -1078,7 +1078,7 @@ impl<'g> FlatBackend<'g> {
         for p in active.iter() {
             let mut d = 0.0;
             let mut blocked = false;
-            for &u in g.neighbors(p) {
+            for u in g.neighbors(p) {
                 if active.contains(u) {
                     d += ghaffari::desire(exponent[u]);
                     blocked |= marked.test(u);
@@ -1112,7 +1112,7 @@ impl<'g> FlatBackend<'g> {
         for &w in wins.iter() {
             in_mis.set(w);
             deactivate_in(g, active, active_count, active_deg, track_deg, w);
-            for &u in g.neighbors(w) {
+            for u in g.neighbors(w) {
                 if active.contains(u) {
                     deactivate_in(g, active, active_count, active_deg, track_deg, u);
                 }

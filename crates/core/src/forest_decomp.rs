@@ -88,7 +88,7 @@ pub fn h_partition(g: &Graph, alpha: usize, eps: f64) -> Result<HPartition, Arbo
         }
         remaining -= peel.len();
         for &v in &peel {
-            for &u in g.neighbors(v) {
+            for u in g.neighbors(v) {
                 if !peeled[u] {
                     degree[u] -= 1;
                     if degree[u] == threshold {

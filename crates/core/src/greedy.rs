@@ -19,7 +19,7 @@ pub fn greedy_mis_in_order<I: IntoIterator<Item = NodeId>>(g: &Graph, order: I) 
     for v in order {
         if !blocked[v] && !in_set[v] {
             in_set[v] = true;
-            for &u in g.neighbors(v) {
+            for u in g.neighbors(v) {
                 blocked[u] = true;
             }
         }
@@ -36,7 +36,7 @@ pub fn greedy_mis_of_region(g: &Graph, region: &[bool]) -> Vec<bool> {
     for v in g.nodes().filter(|&v| region[v]) {
         if !blocked[v] {
             in_set[v] = true;
-            for &u in g.neighbors(v) {
+            for u in g.neighbors(v) {
                 blocked[u] = true;
             }
         }

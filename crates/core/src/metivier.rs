@@ -146,7 +146,7 @@ mod tests {
         for v in g.nodes() {
             if p.active[v] {
                 assert!(!p.in_mis[v]);
-                assert!(g.neighbors(v).iter().all(|&u| !p.in_mis[u]));
+                assert!(g.neighbors(v).iter().all(|u| !p.in_mis[u]));
             }
         }
         // Completing from scratch with same seed extends the prefix.

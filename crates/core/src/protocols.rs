@@ -150,7 +150,7 @@ impl MisNodeState {
             active: true,
             in_mis: false,
             done: false,
-            active_nbrs: node.neighbors.to_vec(),
+            active_nbrs: node.neighbors.iter().collect(),
             wins: false,
             exponent: 1,
             pending_exponent: 1,

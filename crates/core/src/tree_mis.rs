@@ -125,10 +125,10 @@ fn finish_component(
         let d = dist[v];
         debug_assert_ne!(d, usize::MAX, "component must be connected");
         depth = depth.max(d);
-        let parent = *cg
+        let parent = cg
             .neighbors(v)
             .iter()
-            .find(|&&u| dist[u] + 1 == d)
+            .find(|&u| dist[u] + 1 == d)
             .expect("BFS parent exists");
         forest.set_parent(v, parent);
     }
@@ -139,7 +139,7 @@ fn finish_component(
     let region: Vec<bool> = (0..cg.n())
         .map(|i| {
             let v = sub.to_parent(i);
-            !in_mis[v] && g.neighbors(v).iter().all(|&u| !in_mis[u])
+            !in_mis[v] && g.neighbors(v).iter().all(|u| !in_mis[u])
         })
         .collect();
     let (local, sweep_rounds) =

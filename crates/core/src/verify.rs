@@ -54,7 +54,7 @@ pub fn is_independent(g: &Graph, in_set: &[bool]) -> bool {
 pub fn is_maximal(g: &Graph, in_set: &[bool]) -> bool {
     in_set.len() == g.n()
         && g.nodes()
-            .all(|v| in_set[v] || g.neighbors(v).iter().any(|&u| in_set[u]))
+            .all(|v| in_set[v] || g.neighbors(v).iter().any(|u| in_set[u]))
 }
 
 /// Full MIS check with a descriptive error.
@@ -76,7 +76,7 @@ pub fn check_mis(g: &Graph, in_set: &[bool]) -> Result<(), MisError> {
         }
     }
     for v in g.nodes() {
-        if !in_set[v] && !g.neighbors(v).iter().any(|&u| in_set[u]) {
+        if !in_set[v] && !g.neighbors(v).iter().any(|u| in_set[u]) {
             return Err(MisError::NotMaximal { v });
         }
     }
@@ -110,7 +110,7 @@ pub fn is_mis_of_region(g: &Graph, in_set: &[bool], region: &[bool]) -> bool {
     // Every region node must be dominated within the region.
     g.nodes()
         .filter(|&v| region[v])
-        .all(|v| in_set[v] || g.neighbors(v).iter().any(|&u| region[u] && in_set[u]))
+        .all(|v| in_set[v] || g.neighbors(v).iter().any(|u| region[u] && in_set[u]))
 }
 
 #[cfg(test)]

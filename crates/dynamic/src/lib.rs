@@ -142,7 +142,7 @@ impl DynamicMis {
             .expect("flat engine cannot fail within the repair round limit");
         let mut mis_nbrs = vec![0u32; g.n()];
         for v in (0..g.n()).filter(|&v| solved.in_mis[v]) {
-            for &u in g.neighbors(v) {
+            for u in g.neighbors(v) {
                 mis_nbrs[u] += 1;
             }
         }

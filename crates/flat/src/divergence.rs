@@ -259,7 +259,7 @@ impl ReplayArtifact {
     ) -> Self {
         let mut edges = Vec::new();
         for v in 0..g.n() {
-            for &u in g.neighbors(v) {
+            for u in g.neighbors(v) {
                 if v < u {
                     edges.push((v, u));
                 }
@@ -299,10 +299,10 @@ impl ReplayArtifact {
     /// # Errors
     ///
     /// A message naming the malformed part (bad JSON, wrong schema tag,
-    /// unknown algorithm, missing `arb` block, a node count too large to
-    /// allocate, an out-of-range edge, or an edge list that is not in
-    /// strictly ascending `(min, max)` form: a self loop, a reversed or
-    /// repeated edge).
+    /// unknown algorithm, missing `arb` block, a node count over 2³² or
+    /// too large to allocate, an out-of-range edge, or an edge list that
+    /// is not in strictly ascending `(min, max)` form: a self loop, a
+    /// reversed or repeated edge).
     pub fn from_json(s: &str) -> Result<Self, String> {
         let art: ReplayArtifact =
             serde_json::from_str(s).map_err(|e| format!("replay artifact: {e}"))?;
@@ -575,7 +575,7 @@ mod tests {
         art.edges.clear();
         art.n = 1_000_000_000_000_000_000;
         let err = ReplayArtifact::from_json(&art.to_json()).unwrap_err();
-        assert!(err.contains("exceeds available memory"), "{err}");
+        assert!(err.contains("must fit 32 bits"), "{err}");
     }
 
     #[test]

@@ -72,12 +72,9 @@ mod tests {
         assert!(arbmis_core::is_independent(&g, &mis));
         assert!(mis.iter().any(|&joined| joined));
         for v in (0..g.n()).filter(|&v| b.is_active(v)) {
-            let degree = g.neighbors(v).iter().filter(|&&u| b.is_active(u)).count();
+            let degree = g.neighbors(v).iter().filter(|&u| b.is_active(u)).count();
             assert!(degree as f64 <= target, "node {v} still above the target");
-            assert!(
-                g.neighbors(v).iter().all(|&u| !mis[u]),
-                "node {v} dominated"
-            );
+            assert!(g.neighbors(v).iter().all(|u| !mis[u]), "node {v} dominated");
         }
     }
 

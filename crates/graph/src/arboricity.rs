@@ -68,7 +68,7 @@ pub fn arboricity_bounds(g: &Graph) -> ArboricityBounds {
     let mut edges = 0usize;
     for i in (0..n).rev() {
         let v = ord.order[i];
-        edges += g.neighbors(v).iter().filter(|&&u| in_suffix[u]).count();
+        edges += g.neighbors(v).iter().filter(|&u| in_suffix[u]).count();
         in_suffix[v] = true;
         nodes += 1;
         if nodes >= 2 {

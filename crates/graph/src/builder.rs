@@ -1,6 +1,6 @@
 //! Incremental construction of [`Graph`] values.
 
-use crate::graph::{Graph, NodeId};
+use crate::graph::{Graph, NodeId, MAX_NODES};
 
 /// Builder for [`Graph`].
 ///
@@ -23,30 +23,37 @@ use crate::graph::{Graph, NodeId};
 #[derive(Clone, Debug, Default)]
 pub struct GraphBuilder {
     n: usize,
-    edges: Vec<(NodeId, NodeId)>,
+    /// Recorded edges, smaller endpoint first, 8 bytes each.
+    edges: Vec<(u32, u32)>,
 }
 
 impl GraphBuilder {
     /// Creates a builder for a graph on `n` nodes (ids `0..n`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds [`MAX_NODES`] (2³²): node ids must fit 32
+    /// bits. Readers of untrusted input call
+    /// [`check_node_count`](Self::check_node_count) first.
     pub fn new(n: usize) -> Self {
-        GraphBuilder {
-            n,
-            edges: Vec::new(),
-        }
+        Self::with_capacity(n, 0)
     }
 
-    /// Checks that the CSR build over `n` nodes can be allocated. The
-    /// build holds the `n + 1`-word `offsets` array beside `adj`, and the
-    /// graph's users allocate further per-node arrays; the check reserves
-    /// `3n + 1` words to leave room for them. Readers of untrusted input
-    /// call this to refuse a node count the allocator cannot provide,
-    /// instead of aborting inside [`build`](Self::build).
+    /// Checks that a graph on `n` nodes can be built: every node id must
+    /// fit 32 bits (`n ≤ 2³²`), and the CSR build over `n` nodes must be
+    /// allocatable. The build holds the `n + 1`-word `offsets` array
+    /// beside `adj`, and the graph's users allocate further per-node
+    /// arrays; the check reserves `3n + 1` words to leave room for them.
+    /// Readers of untrusted input call this to refuse a node count
+    /// instead of panicking in [`new`](Self::new) or aborting inside
+    /// [`build`](Self::build).
     ///
     /// # Errors
     ///
-    /// A message naming `n` when `3n + 1` words overflow or cannot be
-    /// reserved.
+    /// A message naming `n` when it exceeds 2³², checked before any
+    /// allocation, or when `3n + 1` words overflow or cannot be reserved.
     pub fn check_node_count(n: usize) -> Result<(), String> {
+        check_width(n)?;
         let words = n.checked_mul(3).and_then(|w| w.checked_add(1));
         if words.is_none_or(|w| Vec::<usize>::new().try_reserve_exact(w).is_err()) {
             return Err(format!("node count {n} exceeds available memory"));
@@ -55,7 +62,14 @@ impl GraphBuilder {
     }
 
     /// Creates a builder pre-sized for roughly `m` edges.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds [`MAX_NODES`] (2³²), as [`new`](Self::new).
     pub fn with_capacity(n: usize, m: usize) -> Self {
+        if let Err(e) = check_width(n) {
+            panic!("{e}");
+        }
         GraphBuilder {
             n,
             edges: Vec::with_capacity(m),
@@ -84,7 +98,7 @@ impl GraphBuilder {
             "edge ({u},{v}) out of range for n={}",
             self.n
         );
-        self.edges.push(if u < v { (u, v) } else { (v, u) });
+        self.push(u, v);
         self
     }
 
@@ -96,8 +110,15 @@ impl GraphBuilder {
         if u == v || u >= self.n || v >= self.n {
             return false;
         }
-        self.edges.push(if u < v { (u, v) } else { (v, u) });
+        self.push(u, v);
         true
+    }
+
+    /// Records an edge whose endpoints are checked to be below `n`, so
+    /// both fit 32 bits.
+    fn push(&mut self, u: NodeId, v: NodeId) {
+        let (a, b) = (u.min(v) as u32, u.max(v) as u32);
+        self.edges.push((a, b));
     }
 
     /// Adds all edges from an iterator. Panics under the same conditions as
@@ -120,8 +141,8 @@ impl GraphBuilder {
         // then holds the end of v's slice.
         let mut offsets = vec![0usize; n + 1];
         for &(u, v) in &self.edges {
-            offsets[u] += 1;
-            offsets[v] += 1;
+            offsets[u as usize] += 1;
+            offsets[v as usize] += 1;
         }
         let mut end = 0;
         for o in &mut offsets[..n] {
@@ -130,12 +151,13 @@ impl GraphBuilder {
         }
         offsets[n] = end;
         // Fill each slice from its end, so offsets[v] ends at its start.
-        let mut adj = vec![0 as NodeId; end];
+        let mut adj = vec![0u32; end];
         for &(u, v) in &self.edges {
-            offsets[u] -= 1;
-            adj[offsets[u]] = v;
-            offsets[v] -= 1;
-            adj[offsets[v]] = u;
+            let (ui, vi) = (u as usize, v as usize);
+            offsets[ui] -= 1;
+            adj[offsets[ui]] = v;
+            offsets[vi] -= 1;
+            adj[offsets[vi]] = u;
         }
         // Sort each slice and drop repeats, moving it down to `write`;
         // `write` never passes the slice's start, so nothing unread is
@@ -158,6 +180,16 @@ impl GraphBuilder {
         adj.truncate(write);
         Graph::from_csr_unchecked(offsets, adj)
     }
+}
+
+/// Refuses a node count whose ids do not all fit 32 bits.
+fn check_width(n: usize) -> Result<(), String> {
+    if n as u64 > MAX_NODES {
+        return Err(format!(
+            "node count {n} exceeds 2^32: node ids must fit 32 bits"
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -206,6 +238,26 @@ mod tests {
         let g2 = b.build();
         assert_eq!(g1.m(), 1);
         assert_eq!(g2.m(), 2);
+    }
+
+    #[test]
+    fn node_ids_must_fit_32_bits() {
+        // The largest id, 2³² − 1 (n = 2³²), passes the width check; the
+        // memory check after it may still refuse n on a small host.
+        if let Err(err) = GraphBuilder::check_node_count(1 << 32) {
+            assert!(err.contains("available memory"), "{err}");
+        }
+        assert_eq!(GraphBuilder::check_node_count(1 << 20), Ok(()));
+        let err = GraphBuilder::check_node_count((1 << 32) + 1).unwrap_err();
+        assert!(err.contains("32 bits"), "{err}");
+        let err = GraphBuilder::check_node_count(usize::MAX).unwrap_err();
+        assert!(err.contains("32 bits"), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "32 bits")]
+    fn builder_refuses_more_than_2_pow_32_nodes() {
+        let _ = GraphBuilder::new((1 << 32) + 1);
     }
 
     #[test]

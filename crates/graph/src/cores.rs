@@ -95,7 +95,7 @@ pub fn coreness(g: &Graph) -> Vec<u32> {
     for i in 0..n {
         let v = vert[i] as usize;
         let dv = deg[v];
-        for &u in g.neighbors(v) {
+        for u in g.neighbors(v) {
             let du = deg[u];
             if du > dv {
                 let (pu, pw) = (pos[u], bin[du as usize]);
@@ -183,7 +183,7 @@ mod tests {
             let mask = cd.core_mask(k);
             for v in 0..g.n() {
                 if mask[v] {
-                    let inside = g.neighbors(v).iter().filter(|&&u| mask[u]).count();
+                    let inside = g.neighbors(v).iter().filter(|&u| mask[u]).count();
                     assert!(inside >= k, "node {v} has only {inside} in {k}-core");
                 }
             }

@@ -60,24 +60,26 @@ pub fn random_ktree<R: Rng + ?Sized>(n: usize, k: usize, rng: &mut R) -> Graph {
     }
     // The k-cliques available for attachment, stored flat with stride k,
     // each with its members ascending: the k + 1 faces of the seed clique,
-    // then k per attached node, 1 + (n − k)·k cliques in all.
-    let mut cliques: Vec<NodeId> = Vec::with_capacity(k * (1 + (n - k) * k));
+    // then k per attached node, 1 + (n − k)·k cliques in all. Members are
+    // stored in 32 bits, as the graph's adjacency (the builder caps n at
+    // 2³²).
+    let mut cliques: Vec<u32> = Vec::with_capacity(k * (1 + (n - k) * k));
     for omit in 0..=k {
-        cliques.extend((0..=k).filter(|&u| u != omit));
+        cliques.extend((0..=k as u32).filter(|&u| u as usize != omit));
     }
-    let mut base = vec![0 as NodeId; k];
+    let mut base = vec![0u32; k];
     for v in (k + 1)..n {
         let c = rng.gen_range(0..cliques.len() / k);
         base.copy_from_slice(&cliques[c * k..(c + 1) * k]);
         for &u in &base {
-            b.add_edge(v, u);
+            b.add_edge(v, u as NodeId);
         }
         // New k-cliques: for each u in base, (base \ {u}) ∪ {v}. Every
         // member of base is below v, so appending v keeps them ascending.
         for omit in 0..k {
             cliques.extend_from_slice(&base[..omit]);
             cliques.extend_from_slice(&base[omit + 1..]);
-            cliques.push(v);
+            cliques.push(v as u32);
         }
     }
     // Free the clique buffer before the CSR build allocates its arrays.

@@ -3,8 +3,11 @@
 //! [`Graph`] is the single graph type every algorithm in the workspace
 //! consumes. It stores, for each node, a sorted slice of neighbor ids, so
 //! adjacency queries are `O(log deg)` and neighbor iteration is a cache
-//! friendly slice scan. Graphs are *simple*: no self loops, no parallel
-//! edges. Construction goes through [`crate::GraphBuilder`] or the
+//! friendly slice scan. Each stored neighbor takes 4 bytes, so node ids
+//! must fit 32 bits (`n ≤ 2³²`); [`NodeId`] and the offsets stay `usize`,
+//! and [`Graph::neighbors`] hands out a [`Neighbors`] view that widens
+//! the entries. Graphs are *simple*: no self loops, no parallel edges.
+//! Construction goes through [`crate::GraphBuilder`] or the
 //! convenience constructors here, all of which normalize (sort + dedup) the
 //! adjacency lists.
 
@@ -13,6 +16,10 @@ use std::fmt;
 
 /// Index of a node in a [`Graph`]. Nodes are always `0..n`.
 pub type NodeId = usize;
+
+/// Largest node count a [`Graph`] holds: every node id must fit the
+/// 32-bit adjacency entries.
+pub const MAX_NODES: u64 = 1 << 32;
 
 /// A simple undirected graph in CSR form.
 ///
@@ -33,8 +40,8 @@ pub type NodeId = usize;
 pub struct Graph {
     /// `offsets[v]..offsets[v + 1]` indexes `adj` for node `v`'s neighbors.
     offsets: Vec<usize>,
-    /// Concatenated, per-node-sorted neighbor lists.
-    adj: Vec<NodeId>,
+    /// Concatenated, per-node-sorted neighbor lists, 32 bits per entry.
+    adj: Vec<u32>,
 }
 
 impl Graph {
@@ -81,7 +88,7 @@ impl Graph {
     /// `offsets[n] == adj.len()`, each per-node slice of `adj` is strictly
     /// sorted, contains no self reference, and adjacency is symmetric.
     /// Debug builds verify all of this.
-    pub(crate) fn from_csr_unchecked(offsets: Vec<usize>, adj: Vec<NodeId>) -> Self {
+    pub(crate) fn from_csr_unchecked(offsets: Vec<usize>, adj: Vec<u32>) -> Self {
         let g = Graph { offsets, adj };
         debug_assert!(crate::props::check_well_formed(&g).is_ok());
         g
@@ -123,20 +130,20 @@ impl Graph {
         self.offsets[v + 1] - self.offsets[v]
     }
 
-    /// The sorted slice of neighbors of `v`.
+    /// The sorted neighbors of `v`, as a view yielding [`NodeId`]s.
     ///
     /// # Panics
     ///
     /// Panics if `v >= self.n()`.
     #[inline]
-    pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
-        &self.adj[self.offsets[v]..self.offsets[v + 1]]
+    pub fn neighbors(&self, v: NodeId) -> Neighbors<'_> {
+        Neighbors(&self.adj[self.offsets[v]..self.offsets[v + 1]])
     }
 
     /// Whether the undirected edge `{u, v}` is present. `O(log deg(u))`.
     #[inline]
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.neighbors(u).binary_search(&v).is_ok()
+        self.neighbors(u).contains(v)
     }
 
     /// Maximum degree Δ of the graph (0 for an empty graph).
@@ -204,7 +211,7 @@ impl Graph {
     }
 
     /// Raw CSR parts `(offsets, adj)`, e.g. for serialization or FFI.
-    pub fn as_csr(&self) -> (&[usize], &[NodeId]) {
+    pub fn as_csr(&self) -> (&[usize], &[u32]) {
         (&self.offsets, &self.adj)
     }
 }
@@ -225,6 +232,130 @@ impl fmt::Display for Graph {
     }
 }
 
+/// The sorted neighbors of one node, borrowed from a [`Graph`]'s 32-bit
+/// adjacency. `Copy`, like the slice it wraps; iterating it yields
+/// [`NodeId`]s in ascending order. Created by [`Graph::neighbors`].
+///
+/// ```
+/// use arbmis_graph::Graph;
+///
+/// let g = Graph::from_edges(4, &[(0, 1), (1, 2), (1, 3)]);
+/// let nbrs = g.neighbors(1);
+/// assert_eq!(nbrs, [0, 2, 3]);
+/// assert_eq!(nbrs.iter().sum::<usize>(), 5);
+/// assert!(nbrs.contains(3) && !nbrs.contains(1));
+/// ```
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+pub struct Neighbors<'a>(&'a [u32]);
+
+impl<'a> Neighbors<'a> {
+    /// Iterates the neighbor ids in ascending order.
+    #[inline]
+    pub fn iter(self) -> NeighborIter<'a> {
+        NeighborIter(self.0.iter())
+    }
+
+    /// Number of neighbors (the node's degree).
+    #[inline]
+    pub fn len(self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the node has no neighbors.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The `i`-th smallest neighbor, if the node has that many.
+    #[inline]
+    pub fn get(self, i: usize) -> Option<NodeId> {
+        self.0.get(i).map(|&u| u as NodeId)
+    }
+
+    /// Binary search for `v`, as [`slice::binary_search`]: `Ok(i)` if
+    /// `v` is the `i`-th neighbor, else `Err` with its insertion point.
+    /// An id that does not fit 32 bits is never a neighbor and sorts
+    /// after all of them.
+    #[inline]
+    pub fn binary_search(self, v: NodeId) -> Result<usize, usize> {
+        match u32::try_from(v) {
+            Ok(v) => self.0.binary_search(&v),
+            Err(_) => Err(self.0.len()),
+        }
+    }
+
+    /// Whether `v` is a neighbor. `O(log deg)`.
+    #[inline]
+    pub fn contains(self, v: NodeId) -> bool {
+        self.binary_search(v).is_ok()
+    }
+
+    /// The raw 32-bit entries.
+    #[inline]
+    pub fn as_slice(self) -> &'a [u32] {
+        self.0
+    }
+}
+
+impl<'a> IntoIterator for Neighbors<'a> {
+    type Item = NodeId;
+    type IntoIter = NeighborIter<'a>;
+    #[inline]
+    fn into_iter(self) -> NeighborIter<'a> {
+        self.iter()
+    }
+}
+
+impl fmt::Debug for Neighbors<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl PartialEq<[NodeId]> for Neighbors<'_> {
+    fn eq(&self, other: &[NodeId]) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter().copied())
+    }
+}
+
+impl<const N: usize> PartialEq<[NodeId; N]> for Neighbors<'_> {
+    fn eq(&self, other: &[NodeId; N]) -> bool {
+        *self == other[..]
+    }
+}
+
+impl<const N: usize> PartialEq<&[NodeId; N]> for Neighbors<'_> {
+    fn eq(&self, other: &&[NodeId; N]) -> bool {
+        *self == other[..]
+    }
+}
+
+impl PartialEq<Vec<NodeId>> for Neighbors<'_> {
+    fn eq(&self, other: &Vec<NodeId>) -> bool {
+        *self == other[..]
+    }
+}
+
+/// Iterator over a [`Neighbors`] view, yielding [`NodeId`]s in ascending
+/// order.
+#[derive(Clone, Debug)]
+pub struct NeighborIter<'a>(std::slice::Iter<'a, u32>);
+
+impl Iterator for NeighborIter<'_> {
+    type Item = NodeId;
+
+    #[inline]
+    fn next(&mut self) -> Option<NodeId> {
+        self.0.next().map(|&u| u as NodeId)
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
 /// Iterator over the undirected edges of a [`Graph`], yielding each edge
 /// once as `(u, v)` with `u < v`. Created by [`Graph::edges`].
 #[derive(Clone, Debug)]
@@ -240,9 +371,9 @@ impl Iterator for Edges<'_> {
     fn next(&mut self) -> Option<(NodeId, NodeId)> {
         let g = self.graph;
         while self.u < g.n() {
-            let nbrs = g.neighbors(self.u);
+            let nbrs = g.neighbors(self.u).as_slice();
             while self.i < nbrs.len() {
-                let v = nbrs[self.i];
+                let v = nbrs[self.i] as NodeId;
                 self.i += 1;
                 if self.u < v {
                     return Some((self.u, v));
@@ -277,7 +408,7 @@ mod tests {
         let g = triangle_plus_pendant();
         assert_eq!(g.neighbors(2), &[0, 1, 3]);
         for u in g.nodes() {
-            for &v in g.neighbors(u) {
+            for v in g.neighbors(u) {
                 assert!(g.has_edge(v, u), "asymmetric edge ({u},{v})");
             }
         }
@@ -353,6 +484,63 @@ mod tests {
         assert_eq!(g.count_degree_above(1), 3);
         assert_eq!(g.count_degree_above(2), 1);
         assert_eq!(g.count_degree_above(3), 0);
+    }
+
+    #[test]
+    fn neighbors_view_over_empty_row() {
+        let g = Graph::from_edges(3, &[(0, 1)]);
+        let row = g.neighbors(2);
+        assert!(row.is_empty());
+        assert_eq!(row.len(), 0);
+        assert_eq!(row.iter().next(), None);
+        assert_eq!(row.get(0), None);
+        assert_eq!(row.binary_search(0), Err(0));
+        assert_eq!(row, [0usize; 0]);
+        assert_eq!(format!("{row:?}"), "[]");
+    }
+
+    #[test]
+    fn neighbors_view_iterates_ascending() {
+        let g = Graph::from_edges(6, &[(3, 5), (3, 0), (3, 4), (1, 3)]);
+        let row = g.neighbors(3);
+        assert_eq!(row.iter().collect::<Vec<_>>(), vec![0, 1, 4, 5]);
+        assert_eq!(row.into_iter().collect::<Vec<_>>(), vec![0, 1, 4, 5]);
+        assert_eq!(row.len(), 4);
+        assert_eq!(
+            (row.get(0), row.get(3), row.get(4)),
+            (Some(0), Some(5), None)
+        );
+        assert_eq!(row.as_slice(), &[0u32, 1, 4, 5]);
+        assert_eq!(row.binary_search(4), Ok(2));
+        assert_eq!(row.binary_search(2), Err(2));
+        assert!(row.contains(5) && !row.contains(3));
+        assert_eq!(format!("{row:?}"), "[0, 1, 4, 5]");
+    }
+
+    #[test]
+    fn neighbors_view_refuses_ids_beyond_32_bits() {
+        let g = triangle_plus_pendant();
+        let row = g.neighbors(2);
+        // 2³² + 1 truncates to 1, a neighbor; the view must not.
+        let wide = (1usize << 32) + 1;
+        assert_eq!(row.binary_search(1usize << 32), Err(3));
+        assert_eq!(row.binary_search(wide), Err(3));
+        assert!(!row.contains(wide));
+        assert!(!g.has_edge(2, wide));
+    }
+
+    #[test]
+    fn neighbors_view_equals_node_id_slices() {
+        let g = triangle_plus_pendant();
+        let row = g.neighbors(2);
+        let ids: Vec<NodeId> = vec![0, 1, 3];
+        assert_eq!(row, ids);
+        assert_eq!(row, ids[..]);
+        assert_eq!(row, [0, 1, 3]);
+        assert_ne!(row, [0, 1]);
+        assert_ne!(row, [0, 1, 2]);
+        assert_eq!(row, g.neighbors(2));
+        assert_ne!(row, g.neighbors(1));
     }
 
     #[test]

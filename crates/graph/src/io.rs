@@ -56,7 +56,8 @@ impl From<std::io::Error> for ReadError {
 /// # Errors
 ///
 /// [`ReadError::Parse`] on malformed lines, self loops, ids exceeding
-/// a declared header count, or a node count too large to allocate;
+/// a declared header count, or a node count over 2³² (node ids must fit
+/// 32 bits) or too large to allocate;
 /// [`ReadError::Io`] on read failures.
 pub fn read_edge_list<R: BufRead>(reader: R) -> Result<Graph, ReadError> {
     // The declared count and the largest endpoint, each with the line
@@ -217,14 +218,20 @@ mod tests {
         assert!(e.to_string().contains("two endpoints"));
         let e = parse_edge_list("p 2 1\n0 5\n").unwrap_err();
         assert!(e.to_string().contains("exceeds"));
-        // Node counts past usize or past any allocation are errors, not
-        // overflow panics or allocation aborts.
+        // Node counts past usize, past 32-bit ids or past any allocation
+        // are errors, not overflow panics or allocation aborts.
         let e = parse_edge_list("0 18446744073709551615\n").unwrap_err();
         assert!(e.to_string().contains("too large"), "{e}");
-        for text in ["p 18446744073709551615\n", "0 4000000000\n"] {
+        for text in [
+            "p 18446744073709551615\n",
+            "0 4294967296\n",
+            "p 4294967297\n",
+        ] {
             let e = parse_edge_list(text).unwrap_err();
-            assert!(e.to_string().contains("available memory"), "{text:?}: {e}");
+            assert!(e.to_string().contains("must fit 32 bits"), "{text:?}: {e}");
         }
+        let e = parse_edge_list("0 4000000000\n").unwrap_err();
+        assert!(e.to_string().contains("available memory"), "{e}");
     }
 
     /// Whole-file checks name the line that set the offending count.
@@ -239,16 +246,16 @@ mod tests {
         let e = parse_edge_list("0 1\n\n0 18446744073709551615\n1 2\n").unwrap_err();
         assert!(matches!(e, ReadError::Parse { line: 3, .. }), "{e}");
         assert!(e.to_string().contains("too large"), "{e}");
-        for (text, line) in [
-            ("0 1\n0 4000000000\n5 6\n", 2),
-            ("0 1\np 18446744073709551615\n", 2),
+        for (text, line, message) in [
+            ("0 1\n0 4000000000\n5 6\n", 2, "available memory"),
+            ("0 1\np 18446744073709551615\n", 2, "must fit 32 bits"),
         ] {
             let e = parse_edge_list(text).unwrap_err();
             assert!(
                 matches!(e, ReadError::Parse { line: l, .. } if l == line),
                 "{text:?}: {e}"
             );
-            assert!(e.to_string().contains("available memory"), "{text:?}: {e}");
+            assert!(e.to_string().contains(message), "{text:?}: {e}");
         }
     }
 

@@ -55,6 +55,6 @@ pub mod subgraph;
 pub mod traversal;
 
 pub use builder::GraphBuilder;
-pub use graph::{Graph, NodeId};
+pub use graph::{Graph, NeighborIter, Neighbors, NodeId, MAX_NODES};
 pub use overlay::OverlayGraph;
 pub use subgraph::{InducedSubgraph, ScratchSubgraph, SubgraphScratch};

@@ -68,7 +68,7 @@ pub fn degeneracy_ordering(g: &Graph) -> DegeneracyOrdering {
         degeneracy = degeneracy.max(degree[v]);
         position[v] = order.len();
         order.push(v);
-        for &u in g.neighbors(v) {
+        for u in g.neighbors(v) {
             if !removed[u] {
                 degree[u] -= 1;
                 buckets[degree[u]].push(u);

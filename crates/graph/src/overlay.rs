@@ -29,7 +29,7 @@
 //! sequence (no clocks, no allocator addresses), so two replicas applying
 //! the same updates hold byte-identical structures at every step.
 
-use crate::graph::{Graph, NodeId};
+use crate::graph::{Graph, Neighbors, NodeId};
 use crate::GraphBuilder;
 
 /// A CSR base graph plus sorted delta runs and an alive mask.
@@ -220,7 +220,7 @@ impl OverlayGraph {
         let base = if v < self.base.n() {
             self.base.neighbors(v)
         } else {
-            &[]
+            Neighbors::default()
         };
         OverlayNeighbors {
             base,
@@ -394,7 +394,7 @@ impl OverlayGraph {
 /// by [`OverlayGraph::neighbors`].
 #[derive(Clone, Debug)]
 pub struct OverlayNeighbors<'a> {
-    base: &'a [NodeId],
+    base: Neighbors<'a>,
     removed: &'a [NodeId],
     added: &'a [NodeId],
     bi: usize,
@@ -406,7 +406,7 @@ impl Iterator for OverlayNeighbors<'_> {
 
     fn next(&mut self) -> Option<NodeId> {
         loop {
-            let b = self.base.get(self.bi).copied();
+            let b = self.base.get(self.bi);
             let a = self.added.get(self.ai).copied();
             match (b, a) {
                 (Some(bv), av) if av.is_none_or(|av| bv < av) => {

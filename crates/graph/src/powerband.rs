@@ -41,7 +41,7 @@ pub fn power_band(g: &Graph, lo: usize, hi: usize) -> Graph {
             if dist[u] == hi {
                 continue;
             }
-            for &v in g.neighbors(u) {
+            for v in g.neighbors(u) {
                 if dist[v] == usize::MAX {
                     dist[v] = dist[u] + 1;
                     touched.push(v);
@@ -84,7 +84,7 @@ pub fn power_band_of_subset(g: &Graph, lo: usize, hi: usize, included: &[bool]) 
             if dist[u] == hi {
                 continue;
             }
-            for &v in g.neighbors(u) {
+            for v in g.neighbors(u) {
                 if dist[v] == usize::MAX {
                     dist[v] = dist[u] + 1;
                     touched.push(v);

@@ -73,12 +73,10 @@ pub fn check_well_formed(g: &Graph) -> Result<(), WellFormedError> {
     let n = g.n();
     for u in 0..n {
         let nbrs = g.neighbors(u);
-        for w in nbrs.windows(2) {
-            if w[0] >= w[1] {
-                return Err(WellFormedError::UnsortedAdjacency { node: u });
-            }
+        if nbrs.as_slice().windows(2).any(|w| w[0] >= w[1]) {
+            return Err(WellFormedError::UnsortedAdjacency { node: u });
         }
-        for &v in nbrs {
+        for v in nbrs {
             if v >= n {
                 return Err(WellFormedError::NeighborOutOfRange {
                     node: u,

@@ -33,7 +33,7 @@ impl InducedSubgraph {
         }
         let mut b = GraphBuilder::new(to_parent.len());
         for (i, &v) in to_parent.iter().enumerate() {
-            for &u in g.neighbors(v) {
+            for u in g.neighbors(v) {
                 if included[u] && u > v {
                     b.add_edge(i, from_parent[u]);
                 }
@@ -144,7 +144,7 @@ impl SubgraphScratch {
     /// insertion order matches [`InducedSubgraph::new`] exactly, so the
     /// built graphs are equal.
     fn finish(&mut self, g: &Graph) -> Graph {
-        self.finish_by(|v| g.neighbors(v).iter().copied())
+        self.finish_by(|v| g.neighbors(v).iter())
     }
 
     /// Generic [`finish`](Self::finish): the parent adjacency is a
@@ -317,7 +317,7 @@ mod tests {
         let mut b = SubgraphScratch::new();
         let nodes: Vec<usize> = (10..50).collect();
         let want = a.induce(&g, &nodes);
-        let got = b.induce_by(g.n(), &nodes, |v| g.neighbors(v).iter().copied());
+        let got = b.induce_by(g.n(), &nodes, |v| g.neighbors(v).iter());
         assert_eq!(got.graph(), want.graph());
         for i in 0..want.n() {
             assert_eq!(got.to_parent(i), want.to_parent(i));

@@ -66,7 +66,7 @@ pub fn connected_components(g: &Graph) -> Components {
         labels[start] = count;
         queue.push_back(start);
         while let Some(u) = queue.pop_front() {
-            for &v in g.neighbors(u) {
+            for v in g.neighbors(u) {
                 if labels[v] == usize::MAX {
                     labels[v] = count;
                     queue.push_back(v);
@@ -94,7 +94,7 @@ pub fn components_of_subset(g: &Graph, included: &[bool]) -> Components {
         labels[start] = count;
         queue.push_back(start);
         while let Some(u) = queue.pop_front() {
-            for &v in g.neighbors(u) {
+            for v in g.neighbors(u) {
                 if included[v] && labels[v] == usize::MAX {
                     labels[v] = count;
                     queue.push_back(v);
@@ -136,7 +136,7 @@ pub fn bfs_distances(g: &Graph, source: NodeId) -> Vec<usize> {
     dist[source] = 0;
     queue.push_back(source);
     while let Some(u) = queue.pop_front() {
-        for &v in g.neighbors(u) {
+        for v in g.neighbors(u) {
             if dist[v] == usize::MAX {
                 dist[v] = dist[u] + 1;
                 queue.push_back(v);
@@ -159,7 +159,7 @@ pub fn ball(g: &Graph, source: NodeId, radius: usize) -> Vec<(NodeId, usize)> {
         if du == radius {
             continue;
         }
-        for &v in g.neighbors(u) {
+        for v in g.neighbors(u) {
             if let std::collections::hash_map::Entry::Vacant(e) = dist.entry(v) {
                 e.insert(du + 1);
                 out.push((v, du + 1));

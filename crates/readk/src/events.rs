@@ -178,16 +178,13 @@ impl<'a> EventScenario<'a> {
         let g = self.graph;
         let joins: Vec<bool> = (0..g.n())
             .map(|v| {
-                priorities[v] > 0
-                    && g.neighbors(v)
-                        .iter()
-                        .all(|&u| priorities[v] > priorities[u])
+                priorities[v] > 0 && g.neighbors(v).iter().all(|u| priorities[v] > priorities[u])
             })
             .collect();
         self.m_set
             .iter()
             .copied()
-            .filter(|&w| joins[w] || g.neighbors(w).iter().any(|&u| joins[u]))
+            .filter(|&w| joins[w] || g.neighbors(w).iter().any(|u| joins[u]))
             .collect()
     }
 

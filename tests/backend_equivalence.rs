@@ -281,9 +281,18 @@ fn bounded_arb_no_rho_cutoff_equivalent() {
 /// terminates in 0 rounds, and a single isolated node joins. Under Luby
 /// and Métivier it joins at the first exit round and halts at the next
 /// announce round (4 CONGEST rounds); under Ghaffari it joins once its
-/// desire-level coin marks it.
+/// desire-level coin marks it. On one edge exactly one endpoint joins,
+/// and the protocols' 24-bit messages fit the two-node budget.
 #[test]
 fn degenerate_graphs_agree_across_engines_and_backends() {
+    let edge = Graph::from_edges(2, &[(0, 1)]);
+    for algo in [FlatAlgo::Luby, FlatAlgo::Metivier, FlatAlgo::Ghaffari] {
+        for seed in SEEDS {
+            let label = format!("{}/one-edge/seed{seed}", algo.label());
+            let (_, mis) = assert_workload(&label, &edge, seed, algo);
+            assert_eq!(mis.iter().filter(|&&m| m).count(), 1, "{label}: MIS");
+        }
+    }
     for n in [0, 1] {
         let g = Graph::empty(n);
         for algo in [FlatAlgo::Luby, FlatAlgo::Metivier, FlatAlgo::Ghaffari] {

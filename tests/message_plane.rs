@@ -188,20 +188,15 @@ impl Protocol for OrderProbe {
             return if node.id.is_multiple_of(2) {
                 Outgoing::Broadcast(node.id as u64)
             } else {
-                Outgoing::Unicast(
-                    node.neighbors
-                        .iter()
-                        .map(|&u| (u, node.id as u64))
-                        .collect(),
-                )
+                Outgoing::Unicast(node.neighbors.iter().map(|u| (u, node.id as u64)).collect())
             };
         }
         let senders: Vec<NodeId> = inbox.iter().map(|(s, _)| s).collect();
         let sorted = senders.windows(2).all(|w| w[0] < w[1]);
-        let complete = senders == node.neighbors;
+        let complete = node.neighbors == senders;
         let payloads_match = inbox.iter().all(|(s, &m)| m == s as u64);
         // `first()` is the smallest-id sender.
-        let first_is_min = inbox.first().map(|(s, _)| s) == node.neighbors.first().copied();
+        let first_is_min = inbox.first().map(|(s, _)| s) == node.neighbors.get(0);
         st.ok = sorted && complete && payloads_match && first_is_min;
         st.done = true;
         Outgoing::Halt

@@ -91,7 +91,7 @@ proptest! {
         let ord = degeneracy_ordering(&g);
         // Every node has ≤ degeneracy later-ordered neighbors.
         for (i, &v) in ord.order.iter().enumerate() {
-            let later = g.neighbors(v).iter().filter(|&&u| ord.position[u] > i).count();
+            let later = g.neighbors(v).iter().filter(|&u| ord.position[u] > i).count();
             prop_assert!(later <= ord.degeneracy);
         }
         // Degeneracy is at least half the max density bound.
@@ -122,7 +122,7 @@ proptest! {
         for v in 0..n {
             offsets[v + 1] += offsets[v];
         }
-        let adj: Vec<usize> = arcs.iter().map(|&(_, v)| v).collect();
+        let adj: Vec<u32> = arcs.iter().map(|&(_, v)| v as u32).collect();
         prop_assert_eq!(g.as_csr(), (&offsets[..], &adj[..]));
     }
 
@@ -137,7 +137,7 @@ proptest! {
             while changed {
                 changed = false;
                 for v in g.nodes() {
-                    let inside = g.neighbors(v).iter().filter(|&&u| alive[u]).count();
+                    let inside = g.neighbors(v).iter().filter(|&u| alive[u]).count();
                     if alive[v] && inside < k as usize {
                         alive[v] = false;
                         changed = true;
@@ -148,7 +148,7 @@ proptest! {
                 let member = core[v] >= k;
                 prop_assert!(member == alive[v], "node {} for k = {}", v, k);
                 if member {
-                    let inside = g.neighbors(v).iter().filter(|&&u| core[u] >= k).count();
+                    let inside = g.neighbors(v).iter().filter(|&u| core[u] >= k).count();
                     prop_assert!(inside >= k as usize);
                 }
             }
@@ -349,7 +349,7 @@ fn reference_ghaffari(g: &Graph, seed: u64) -> (Vec<bool>, u64, u32) {
         let marked: Vec<bool> = (0..n)
             .map(|v| active[v] && ghaffari::is_marked(seed, v, iter, exponent[v]))
             .collect();
-        let live = |v: usize| g.neighbors(v).iter().copied().filter(|&u| active[u]);
+        let live = |v: usize| g.neighbors(v).iter().filter(|&u| active[u]);
         let winners: Vec<usize> = (0..n)
             .filter(|&v| marked[v] && live(v).all(|u| !marked[u]))
             .collect();
@@ -366,7 +366,7 @@ fn reference_ghaffari(g: &Graph, seed: u64) -> (Vec<bool>, u64, u32) {
         for w in winners {
             in_mis[w] = true;
             active[w] = false;
-            for &u in g.neighbors(w) {
+            for u in g.neighbors(w) {
                 active[u] = false;
             }
         }
@@ -435,7 +435,7 @@ fn reference_luby(g: &Graph, seed: u64) -> (Vec<bool>, u64) {
     let mut in_mis = vec![false; n];
     let mut iter = 0;
     while active.contains(&true) {
-        let live = |v: usize| g.neighbors(v).iter().copied().filter(|&u| active[u]);
+        let live = |v: usize| g.neighbors(v).iter().filter(|&u| active[u]);
         let deg: Vec<usize> = (0..n).map(|v| live(v).count()).collect();
         let marked: Vec<bool> = (0..n)
             .map(|v| active[v] && deg[v] > 0 && luby::is_marked(seed, v, iter, deg[v]))
@@ -450,7 +450,7 @@ fn reference_luby(g: &Graph, seed: u64) -> (Vec<bool>, u64) {
         for w in winners {
             in_mis[w] = true;
             active[w] = false;
-            for &u in g.neighbors(w) {
+            for u in g.neighbors(w) {
                 active[u] = false;
             }
         }
@@ -673,8 +673,8 @@ proptest! {
         let g = gen::path(n);
         let sim = Simulator::new(&g, seed);
         let budget = sim.budget_bits().unwrap();
-        let logn = ((n.max(2) as f64).log2().ceil() as usize).max(1);
-        // Budget is 16·⌈log₂ n⌉ bits.
+        let logn = (n.max(4) as f64).log2().ceil() as usize;
+        // Budget is 16·⌈log₂ max(n, 4)⌉ bits.
         prop_assert_eq!(budget, 16 * logn);
 
         // Exactly at the budget: accepted.
