@@ -5,7 +5,7 @@
 //! experiment is an [`ExperimentPlan`] — an ordered list of cells plus a
 //! `reduce` closure that folds the per-cell outputs (in *cell index
 //! order*, never completion order) into the final
-//! [`ExperimentReport`](crate::ExperimentReport). Because every cell is
+//! [`ExperimentReport`]. Because every cell is
 //! pure and reduction order is fixed, scheduling cells across any number
 //! of workers cannot change a single output byte (DESIGN.md §9).
 //!

@@ -80,7 +80,7 @@ pub fn e11_congest_plan(quick: bool) -> ExperimentPlan {
                             rho_cutoff: true,
                         };
                         let run = Simulator::new(&g, seed)
-                            .run(&proto, proto.total_rounds() + 2)
+                            .run(&proto, fast.rounds + 2)
                             .unwrap();
                         let mis: Vec<bool> = run.states.iter().map(|s| s.in_mis).collect();
                         out.put("equal", (mis == fast.in_mis) as u64 as f64);

@@ -13,10 +13,10 @@
 //! * one cell per table-row config, with the whole seed/trial loop
 //!   inside, **unless** every cross-seed aggregate is an integer (sums,
 //!   maxima) — those experiments chunk seeds across cells via
-//!   [`seed_chunks`], because integer merges are order-invariant;
+//!   `seed_chunks`, because integer merges are order-invariant;
 //! * floating-point accumulations are never split across cells
 //!   (addition order would leak into the bytes);
-//! * every cell generates its own graphs with [`graph`], from a fixed
+//! * every cell generates its own graphs with `graph`, from a fixed
 //!   seed, so no state is shared between cells.
 
 pub mod ablation;

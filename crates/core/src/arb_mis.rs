@@ -40,7 +40,7 @@
 //! Every phase only lets nodes not yet dominated by the growing `I` join,
 //! so the union is an MIS of the whole graph — asserted in debug builds.
 
-use crate::backend::{FlatAlgo, MisBackend};
+use crate::backend::{schedule_rounds, FlatAlgo, MisBackend};
 use crate::bounded_arb::{shatter_active, BoundedArbConfig, ShatterOutcome};
 use crate::params::ParamMode;
 use crate::tree_mis::shatter_budget;
@@ -194,7 +194,7 @@ pub fn arb_mis_with(g: &Graph, cfg: &ArbMisConfig, rec: &Recorder) -> ArbMisOutc
     let mut reduced = None;
     if cfg.degree_reduction && g.max_degree() as f64 > target {
         let iterations = engine.run_iterations(shatter_budget(n));
-        phases.degree_reduction = iterations * metivier::ROUNDS_PER_ITERATION;
+        phases.degree_reduction = schedule_rounds(iterations, 0);
         reduced = Some(engine.mis().clone());
     }
     rec.point("rounds", phases.degree_reduction);
@@ -300,7 +300,7 @@ pub fn arb_mis_with(g: &Graph, cfg: &ArbMisConfig, rec: &Recorder) -> ArbMisOutc
 fn finish_region(engine: &mut FlatBackend<'_>, seed: u64, rec: &Recorder, name: &str) -> u64 {
     let _s = rec.span(name);
     engine.switch_algo(FlatAlgo::Metivier, seed);
-    let rounds = engine.run_iterations(u64::MAX) * metivier::ROUNDS_PER_ITERATION;
+    let rounds = schedule_rounds(engine.run_iterations(u64::MAX), 0);
     rec.point("rounds", rounds);
     rounds
 }
@@ -469,7 +469,7 @@ mod tests {
                 let max_degree = snap.gauge_value("arbmis_degree_reduction_max_degree");
                 assert_eq!(target, Some(degree_reduction_target(*alpha, g.n())));
                 assert_eq!(max_degree, Some(out.shatter.params.delta as f64));
-                let iterations = out.phases.degree_reduction / metivier::ROUNDS_PER_ITERATION;
+                let iterations = out.phases.degree_reduction / crate::backend::ROUNDS_PER_ITERATION;
                 if iterations < shatter_budget(g.n()) {
                     stopped_early += usize::from(iterations > 0);
                     assert!(

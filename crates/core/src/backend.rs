@@ -207,32 +207,103 @@ pub fn joiner_digest(joiners: &[NodeId]) -> u64 {
     fold(h.finish())
 }
 
+/// CONGEST rounds per iteration of every algorithm here: announce,
+/// decide, exit.
+pub const ROUNDS_PER_ITERATION: u64 = 3;
+
+/// CONGEST rounds of a BoundedArb scale end (Algorithm 1 step 2(b)):
+/// degree exchange, then bad exits.
+const ROUNDS_PER_SCALE_END: u64 = 2;
+
+/// Schedule rounds of `iterations` iterations and `scale_ends` BoundedArb
+/// scale ends. A whole BoundedArb run is `Θ·Λ` iterations and `Θ` scale
+/// ends; the other algorithms have no scale ends.
+pub fn schedule_rounds(iterations: u64, scale_ends: u32) -> u64 {
+    iterations * ROUNDS_PER_ITERATION + u64::from(scale_ends) * ROUNDS_PER_SCALE_END
+}
+
+/// What one CONGEST round does on an algorithm's oblivious schedule.
+/// [`slot`] is the one decoder of round numbers: the flat engine, the
+/// CONGEST protocols and the coin digests all read the timeline from it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Slot {
+    /// First round of iteration `iter`: nodes that left in the previous
+    /// round halt, and the active ones announce their coins.
+    Announce {
+        /// The iteration, counted across scales.
+        iter: u64,
+        /// The 1-based BoundedArb scale; 0 for the unscaled algorithms.
+        scale: u32,
+        /// Whether this round opens a BoundedArb scale.
+        scale_start: bool,
+    },
+    /// Second round: each active node decides from its neighbors'
+    /// announcements whether it joins.
+    Decide {
+        /// The iteration whose coins decide.
+        iter: u64,
+        /// As in [`Slot::Announce`].
+        scale: u32,
+    },
+    /// Third round: winners join the MIS, and they and their neighbors
+    /// leave.
+    Exit,
+    /// First round of a BoundedArb scale end: nodes that left halt, and
+    /// the active ones announce their active degrees.
+    DegreeExchange,
+    /// Second round of a scale end: active nodes with too many
+    /// high-degree active neighbors exit to the bad set.
+    BadExit {
+        /// The scale that ends.
+        scale: u32,
+    },
+    /// Past BoundedArb's last scale: every node halts.
+    End,
+}
+
+/// The slot of `round` in `algo`'s schedule.
+///
+/// Luby, Métivier, Ghaffari and degree reduction repeat
+/// announce/decide/exit until every node halts. BoundedArb runs Θ scales
+/// of Λ such iterations, each followed by a degree exchange and a bad
+/// exit, and then ends.
+pub fn slot(algo: &FlatAlgo, round: u64) -> Slot {
+    let (scale, first_iter, within) = match algo {
+        FlatAlgo::BoundedArb { params, .. } => {
+            let per_scale = schedule_rounds(params.lambda, 1);
+            let done = round / per_scale;
+            if done >= u64::from(params.theta) {
+                return Slot::End;
+            }
+            let (scale, within) = (done as u32 + 1, round % per_scale);
+            let body = schedule_rounds(params.lambda, 0);
+            if within == body {
+                return Slot::DegreeExchange;
+            } else if within > body {
+                return Slot::BadExit { scale };
+            }
+            (scale, done * params.lambda, within)
+        }
+        _ => (0, 0, round),
+    };
+    let iter = first_iter + within / ROUNDS_PER_ITERATION;
+    match within % ROUNDS_PER_ITERATION {
+        0 => Slot::Announce {
+            iter,
+            scale,
+            scale_start: scale > 0 && within == 0,
+        },
+        1 => Slot::Decide { iter, scale },
+        _ => Slot::Exit,
+    }
+}
+
 /// The protocol iteration whose coins are consumed at `round`, or `None`
 /// when `round` is not a decide round for `algo`.
-///
-/// Luby, Métivier, Ghaffari and degree reduction decide at rounds
-/// `r ≡ 1 (mod 3)` with `iter = r / 3`; BoundedArb follows its oblivious
-/// `Θ × (3Λ + 2)` schedule (decides only inside the first `3Λ` rounds of
-/// each scale).
 pub fn decide_iteration(algo: &FlatAlgo, round: u64) -> Option<u64> {
-    match algo {
-        FlatAlgo::Luby
-        | FlatAlgo::Metivier
-        | FlatAlgo::Ghaffari
-        | FlatAlgo::DegreeReduction { .. } => (round % 3 == 1).then_some(round / 3),
-        FlatAlgo::BoundedArb { params, .. } => {
-            let rps = 3 * params.lambda + bounded_arb::ROUNDS_PER_SCALE_END;
-            let total = u64::from(params.theta) * rps;
-            if round >= total {
-                return None;
-            }
-            let within = round % rps;
-            if within < 3 * params.lambda && within % 3 == 1 {
-                Some((round / rps) * params.lambda + within / 3)
-            } else {
-                None
-            }
-        }
+    match slot(algo, round) {
+        Slot::Decide { iter, .. } => Some(iter),
+        _ => None,
     }
 }
 
@@ -294,28 +365,82 @@ pub fn coin_digest(
 mod tests {
     use super::*;
 
+    fn arb(theta: u32, lambda: u64) -> FlatAlgo {
+        FlatAlgo::BoundedArb {
+            params: ArbParams {
+                theta,
+                lambda,
+                ..ArbParams::new(2, 1000, Default::default())
+            },
+            rho_cutoff: true,
+        }
+    }
+
+    fn announce(iter: u64, scale: u32, scale_start: bool) -> Slot {
+        Slot::Announce {
+            iter,
+            scale,
+            scale_start,
+        }
+    }
+
+    fn decide(iter: u64, scale: u32) -> Slot {
+        Slot::Decide { iter, scale }
+    }
+
+    /// Asserts the slots of rounds `0..want.len()`, and that
+    /// `decide_iteration` reads its iterations off them.
+    fn assert_slots(algo: &FlatAlgo, want: &[Slot]) {
+        for (round, &want) in (0u64..).zip(want) {
+            assert_eq!(slot(algo, round), want, "{} round {round}", algo.label());
+            let iter = match want {
+                Slot::Decide { iter, .. } => Some(iter),
+                _ => None,
+            };
+            assert_eq!(decide_iteration(algo, round), iter);
+        }
+    }
+
+    /// One row per iteration or scale end.
+    #[rustfmt::skip]
     #[test]
     fn decide_iteration_schedules() {
-        assert_eq!(decide_iteration(&FlatAlgo::Luby, 0), None);
-        assert_eq!(decide_iteration(&FlatAlgo::Luby, 1), Some(0));
-        assert_eq!(decide_iteration(&FlatAlgo::Metivier, 7), Some(2));
-        assert_eq!(decide_iteration(&FlatAlgo::Ghaffari, 5), None);
-        assert_eq!(decide_iteration(&FlatAlgo::Ghaffari, 4), Some(1));
-        let reduce = FlatAlgo::DegreeReduction { target: 8.0 };
-        assert_eq!(decide_iteration(&reduce, 4), Some(1));
-        let params = ArbParams::new(3, 100_000, Default::default());
-        assert!(params.theta >= 2, "need a multi-scale schedule");
-        let algo = FlatAlgo::BoundedArb {
-            params,
-            rho_cutoff: true,
-        };
-        let rps = 3 * params.lambda + bounded_arb::ROUNDS_PER_SCALE_END;
-        // First decide of scale 2 is one round past the scale boundary.
-        assert_eq!(decide_iteration(&algo, rps + 1), Some(params.lambda));
-        // Scale-end rounds never decide.
-        assert_eq!(decide_iteration(&algo, 3 * params.lambda), None);
-        let total = u64::from(params.theta) * rps;
-        assert_eq!(decide_iteration(&algo, total + 1), None);
+        use Slot::{BadExit, DegreeExchange, End, Exit};
+        let three_round = [
+            announce(0, 0, false), decide(0, 0), Exit,
+            announce(1, 0, false), decide(1, 0), Exit,
+            announce(2, 0, false), decide(2, 0),
+        ];
+        for algo in [
+            FlatAlgo::Luby,
+            FlatAlgo::Metivier,
+            FlatAlgo::Ghaffari,
+            FlatAlgo::DegreeReduction { target: 8.0 },
+        ] {
+            assert_slots(&algo, &three_round);
+        }
+        // Θ = 2 scales of Λ = 2 iterations, each followed by a scale end.
+        assert_slots(&arb(2, 2), &[
+            announce(0, 1, true), decide(0, 1), Exit,
+            announce(1, 1, false), decide(1, 1), Exit,
+            DegreeExchange, BadExit { scale: 1 },
+            announce(2, 2, true), decide(2, 2), Exit,
+            announce(3, 2, false), decide(3, 2), Exit,
+            DegreeExchange, BadExit { scale: 2 },
+            End,
+        ]);
+        assert_eq!(schedule_rounds(4, 2), 16, "the rounds before End");
+        assert_eq!(slot(&arb(2, 2), u64::MAX), End);
+        // Θ = 0: the schedule is empty.
+        assert_slots(&arb(0, 2), &[End, End]);
+        // Λ = 0: each scale is its scale end alone.
+        assert_slots(&arb(2, 0), &[
+            DegreeExchange, BadExit { scale: 1 },
+            DegreeExchange, BadExit { scale: 2 },
+            End,
+        ]);
+        assert_eq!(schedule_rounds(0, 2), 4);
+        assert_eq!(schedule_rounds(5, 0), 15);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! needs an edge orientation or forest decomposition — those exist only in
 //! the analysis.
 
-use crate::backend::{FlatAlgo, MisBackend};
+use crate::backend::{schedule_rounds, FlatAlgo, MisBackend};
 use crate::params::{ArbParams, ParamMode};
 use crate::trace::ScaleTrace;
 use crate::FlatBackend;
@@ -26,12 +26,6 @@ use serde::{Deserialize, Serialize};
 
 /// Randomness tag for priority draws (shared with the CONGEST protocol).
 pub const TAG_PRIORITY: u64 = 0x4241_5249; // "BARI"
-
-/// CONGEST rounds per inner iteration (priorities, join bits, exit bits).
-pub const ROUNDS_PER_ITERATION: u64 = 3;
-
-/// CONGEST rounds per scale for step 2(b) (degree exchange, bad exits).
-pub const ROUNDS_PER_SCALE_END: u64 = 2;
 
 /// Configuration of one `BoundedArbIndependentSet` run.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -210,7 +204,7 @@ pub(crate) fn shatter_active(
         for _ in 0..params.lambda {
             let before = engine.active_count();
             let joiners = if before > 0 {
-                engine.advance_rounds(ROUNDS_PER_ITERATION);
+                engine.advance_rounds(schedule_rounds(1, 0));
                 engine.joiners().len()
             } else {
                 0
@@ -228,7 +222,7 @@ pub(crate) fn shatter_active(
         // Step 2(b): degree exchange, then Invariant violators exit to B.
         let before = engine.active_count();
         if before > 0 {
-            engine.advance_rounds(ROUNDS_PER_SCALE_END);
+            engine.advance_rounds(schedule_rounds(0, 1));
         }
         let bad_marked = before - engine.active_count();
 
@@ -258,8 +252,8 @@ pub(crate) fn shatter_active(
         });
     }
 
-    let iterations = u64::from(params.theta) * params.lambda;
-    let rounds = iterations * ROUNDS_PER_ITERATION + u64::from(params.theta) * ROUNDS_PER_SCALE_END;
+    let iterations = params.total_iterations();
+    let rounds = schedule_rounds(iterations, params.theta);
     if obs {
         rec.add("arbmis_shatter_iterations", iterations);
         rec.add("arbmis_shatter_scales", u64::from(params.theta));
@@ -442,8 +436,7 @@ mod tests {
         let out = bounded_arb_independent_set(&g, &BoundedArbConfig::new(2, 1));
         assert_eq!(
             out.rounds,
-            out.iterations * ROUNDS_PER_ITERATION
-                + u64::from(out.params.theta) * ROUNDS_PER_SCALE_END
+            out.iterations * 3 + u64::from(out.params.theta) * 2
         );
     }
 

@@ -1,6 +1,6 @@
 //! The flat engine: MIS rounds as frontier sweeps over CSR adjacency.
 
-use crate::backend::{self, BackendError, CoinFlip, FlatAlgo, MisBackend};
+use crate::backend::{self, BackendError, CoinFlip, FlatAlgo, MisBackend, Slot};
 use crate::{bounded_arb, ghaffari, luby, metivier, ArbParams, MisRun};
 use arbmis_congest::{execute_indexed, rng, BitMask, Frontier, Parallelism};
 use arbmis_graph::{Graph, NodeId};
@@ -16,10 +16,11 @@ use std::sync::Mutex;
 /// walks the two-level [`Frontier`] in ascending id order, skipping
 /// empty words through its summary, so a sweep costs O(|frontier|)
 /// rather than O(n) (DESIGN.md §10). Every coin draw is keyed by node id
-/// (or by rank, through a [`RankIndex`]) and every tie-break compares
-/// ids (DESIGN.md §13). Priorities are never stored: the win scans draw
-/// each one where they compare it, for the node deciding and for each
-/// active neighbor they probe ([`PrioritySweep`]).
+/// (or, in a rank-keyed BoundedArb phase, by the node's rank within the
+/// active set) and every tie-break compares ids (DESIGN.md §13).
+/// Priorities are never stored: the win scans draw each one where they
+/// compare it, for the node deciding and for each active neighbor they
+/// probe.
 ///
 /// # Deterministic parallelism
 ///
@@ -547,18 +548,16 @@ impl<'g> FlatBackend<'g> {
     /// [`RankIndex`] of the current active set, which the active set only
     /// shrinks away from until the next phase. For unobserved drivers
     /// only: flight coin digests and injected coin flips stay keyed by
-    /// node id.
+    /// node id. Only BoundedArb's priority draws read rank keys.
     pub(crate) fn rank_active(&mut self) {
+        debug_assert!(
+            matches!(self.algo, FlatAlgo::BoundedArb { .. }),
+            "only BoundedArb draws rank-keyed coins"
+        );
         if self.active_count < self.g.n() {
             self.ranks = Some(RankIndex::new(self.active.mask()));
         }
         self.prio_shift = 64 - rng::priority_bits(self.active_count);
-    }
-
-    /// The coin key of node `v`: its id, or its rank in a rank-keyed
-    /// phase.
-    fn key(&self, v: NodeId) -> NodeId {
-        self.ranks.as_ref().map_or(v, |r| r.rank(v))
     }
 
     /// Routes observability through `recorder` instead of the global one.
@@ -719,20 +718,24 @@ impl<'g> FlatBackend<'g> {
     /// closing all-halt round of a full run is never executed: it decides
     /// nothing.
     pub(crate) fn run_iterations(&mut self, max: u64) -> u64 {
-        debug_assert!(self.round.is_multiple_of(3));
+        debug_assert!(matches!(
+            backend::slot(&self.algo, self.round),
+            Slot::Announce { .. }
+        ));
         let mut iterations = 0;
         while iterations < max && self.has_competitors() {
-            self.advance_rounds(3);
+            self.advance_rounds(backend::schedule_rounds(1, 0));
             iterations += 1;
         }
         iterations
     }
 
     /// Runs whole iterations until nothing is active and reports them in
-    /// schedule rounds: 3 per iteration, no closing halt round.
+    /// schedule rounds, without the closing halt round.
     pub(crate) fn into_mis_run(mut self) -> MisRun {
         let iterations = self.run_iterations(u64::MAX);
-        MisRun::new(self.in_mis.to_bools(), iterations, 3 * iterations)
+        let rounds = backend::schedule_rounds(iterations, 0);
+        MisRun::new(self.in_mis.to_bools(), iterations, rounds)
     }
 
     /// Executes `rounds` rounds.
@@ -849,9 +852,15 @@ impl<'g> FlatBackend<'g> {
     }
 
     /// Announce-type round: nodes deactivated since the previous one
-    /// halt here (the simulator's `process_exits`-then-`Halt`).
-    fn promote_finished(&mut self) {
-        self.unfinished = self.active_count;
+    /// halt here (the simulator's `process_exits`-then-`Halt`), and every
+    /// node halts once no iteration could decide anything (for degree
+    /// reduction, once no node is high).
+    fn halt_inactive(&mut self) {
+        self.unfinished = if self.has_competitors() {
+            self.active_count
+        } else {
+            0
+        };
     }
 
     /// Node and XOR mask of the injected coin flip aimed at iteration
@@ -915,22 +924,6 @@ impl<'g> FlatBackend<'g> {
         self.chunk_bufs = bufs;
     }
 
-    /// Métivier decide: `(priority, id)`-maximal among active neighbors.
-    fn decide_metivier(&mut self, iter: u64) {
-        self.prio_decide(metivier::TAG_PRIORITY, iter, None);
-    }
-
-    /// BoundedArb decide: Métivier with priority 0 (opt-out) above the
-    /// ρ_k cutoff; priority-0 nodes never win. The opt-out is evaluated
-    /// only while degrees are tracked: otherwise no stored degree
-    /// exceeded ρ_k at the scale start
-    /// ([`start_arb_scale`](FlatBackend::start_arb_scale)), and stored
-    /// degrees never rise, so no node opts out.
-    fn decide_arb(&mut self, params: &ArbParams, scale: u32, iter: u64) {
-        let rho = self.track_deg.then(|| params.rho(scale));
-        self.prio_decide(bounded_arb::TAG_PRIORITY, iter, rho);
-    }
-
     /// Degree-reduction decide, serial at every thread count: the high
     /// nodes and their active neighbors compete, each drawing Métivier's
     /// priority, and a competitor wins when its `(priority, id)` beats
@@ -985,19 +978,17 @@ impl<'g> FlatBackend<'g> {
     fn decide_luby(&mut self, iter: u64) {
         let g = self.g;
         let seed = self.seed;
-        // Phase 1: active degrees, then mark flips keyed by node id (or
-        // rank).
+        // Phase 1: active degrees, then mark flips.
         let count = !self.deg_exact;
         {
             let Self {
-                ranks,
                 active,
                 active_deg,
                 marked,
                 threads,
                 ..
             } = self;
-            let (ranks, mask) = (ranks.as_ref(), active.mask());
+            let mask = active.mask();
             let mut degs = shards(active_deg, 64);
             let mut marks = shards(marked.words_mut(), 1);
             let shard = |wlo, whi| (degs(wlo, whi), marks(wlo, whi));
@@ -1006,9 +997,8 @@ impl<'g> FlatBackend<'g> {
                     deg[p] = active_degree(g, mask, p);
                 }
                 let d = deg[p];
-                let key = ranks.map_or(p, |r| r.rank(p));
                 let bit = 1u64 << (p & 63);
-                if d > 0 && luby::is_marked(seed, key, iter, d as usize) {
+                if d > 0 && luby::is_marked(seed, p, iter, d as usize) {
                     marks[p >> 6] |= bit;
                 } else {
                     marks[p >> 6] &= !bit;
@@ -1043,17 +1033,17 @@ impl<'g> FlatBackend<'g> {
     }
 
     /// Ghaffari decide, serial at every thread count. The first sweep
-    /// draws each active node's mark at its desire exponent, keyed like
-    /// every other coin. The second records the winners (marked, no
-    /// marked active neighbor) and computes each active node's next
-    /// exponent from its pre-removal active neighborhood. The effective
-    /// degree is summed in ascending neighbor id, the order of the
-    /// simulator's inbox, so the floating-point sum and every comparison
-    /// with 2 come out as the CONGEST protocol's do.
+    /// draws each active node's mark at its desire exponent. The second
+    /// records the winners (marked, no marked active neighbor) and
+    /// computes each active node's next exponent from its pre-removal
+    /// active neighborhood. The effective degree is summed in ascending
+    /// neighbor id, the order of the simulator's inbox, so the
+    /// floating-point sum and every comparison with 2 come out as the
+    /// CONGEST protocol's do.
     fn decide_ghaffari(&mut self, iter: u64) {
         let seed = self.seed;
         for p in self.active.iter() {
-            if ghaffari::is_marked(seed, self.key(p), iter, self.exponent[p]) {
+            if ghaffari::is_marked(seed, p, iter, self.exponent[p]) {
                 self.marked.set(p);
             } else {
                 self.marked.clear(p);
@@ -1157,77 +1147,6 @@ impl<'g> FlatBackend<'g> {
         }
     }
 
-    /// Schedule end: every remaining node (deactivated or residual
-    /// active) halts in this single round.
-    fn finish_all(&mut self) {
-        self.unfinished = 0;
-    }
-
-    /// One Luby/Métivier/Ghaffari/degree-reduction round on the
-    /// 3-sub-round iteration timeline. The exit round reads no desire
-    /// exponents, so Ghaffari's next ones are already in place when it
-    /// runs. Degree reduction halts every node at the announce round once
-    /// no node is high.
-    fn step_fast3(&mut self) {
-        match self.round % 3 {
-            0 => {
-                if self.has_competitors() {
-                    self.promote_finished();
-                } else {
-                    self.finish_all();
-                }
-            }
-            1 => {
-                let iter = self.round / 3;
-                match self.algo {
-                    FlatAlgo::Luby => self.decide_luby(iter),
-                    FlatAlgo::Ghaffari => self.decide_ghaffari(iter),
-                    FlatAlgo::DegreeReduction { .. } => self.decide_degree_reduction(iter),
-                    _ => self.decide_metivier(iter),
-                }
-            }
-            _ => {
-                self.exit_step();
-                if let FlatAlgo::DegreeReduction { target } = self.algo {
-                    self.refresh_high(target);
-                }
-            }
-        }
-    }
-
-    /// One BoundedArb round on the oblivious `Θ × (3Λ + 2)` schedule.
-    fn step_arb(&mut self, params: ArbParams, rho_cutoff: bool) {
-        let rps = 3 * params.lambda + bounded_arb::ROUNDS_PER_SCALE_END;
-        let total = u64::from(params.theta) * rps;
-        let r = self.round;
-        if r >= total {
-            self.finish_all();
-            return;
-        }
-        let scale = (r / rps) as u32 + 1;
-        let within = r % rps;
-        let lam3 = 3 * params.lambda;
-        if within < lam3 {
-            match within % 3 {
-                0 => {
-                    if within == 0 {
-                        self.start_arb_scale(rho_cutoff.then(|| params.rho(scale)));
-                    }
-                    self.promote_finished();
-                }
-                1 => {
-                    let iter = u64::from(scale - 1) * params.lambda + within / 3;
-                    self.decide_arb(&params, scale, iter);
-                }
-                _ => self.exit_step(),
-            }
-        } else if within == lam3 {
-            self.promote_finished();
-        } else {
-            self.bad_exits(&params, scale);
-        }
-    }
-
     /// Executes one CONGEST round (the infallible body of
     /// [`MisBackend::step_round`]).
     fn advance(&mut self) {
@@ -1252,12 +1171,48 @@ impl<'g> FlatBackend<'g> {
             0
         };
         self.joiners.clear();
-        match self.algo {
-            FlatAlgo::Luby
-            | FlatAlgo::Metivier
-            | FlatAlgo::Ghaffari
-            | FlatAlgo::DegreeReduction { .. } => self.step_fast3(),
-            FlatAlgo::BoundedArb { params, rho_cutoff } => self.step_arb(params, rho_cutoff),
+        // The exit round reads no desire exponents, so Ghaffari's decide
+        // leaves the next ones in place for it.
+        match (backend::slot(&self.algo, self.round), self.algo) {
+            (
+                Slot::Announce {
+                    scale,
+                    scale_start: true,
+                    ..
+                },
+                FlatAlgo::BoundedArb { params, rho_cutoff },
+            ) => {
+                self.start_arb_scale(rho_cutoff.then(|| params.rho(scale)));
+                self.halt_inactive();
+            }
+            (Slot::Announce { .. } | Slot::DegreeExchange, _) => self.halt_inactive(),
+            (Slot::Decide { iter, .. }, FlatAlgo::Luby) => self.decide_luby(iter),
+            (Slot::Decide { iter, .. }, FlatAlgo::Metivier) => {
+                self.prio_decide(metivier::TAG_PRIORITY, iter, None)
+            }
+            (Slot::Decide { iter, .. }, FlatAlgo::Ghaffari) => self.decide_ghaffari(iter),
+            (Slot::Decide { iter, .. }, FlatAlgo::DegreeReduction { .. }) => {
+                self.decide_degree_reduction(iter)
+            }
+            (Slot::Decide { iter, scale }, FlatAlgo::BoundedArb { params, .. }) => {
+                // Métivier with priority 0 (the opt-out) above ρ_k. The
+                // opt-out is evaluated only while degrees are tracked:
+                // otherwise no stored degree exceeded ρ_k at the scale
+                // start, and stored degrees never rise.
+                let rho = self.track_deg.then(|| params.rho(scale));
+                self.prio_decide(bounded_arb::TAG_PRIORITY, iter, rho)
+            }
+            (Slot::Exit, algo) => {
+                self.exit_step();
+                if let FlatAlgo::DegreeReduction { target } = algo {
+                    self.refresh_high(target);
+                }
+            }
+            (Slot::BadExit { scale }, FlatAlgo::BoundedArb { params, .. }) => {
+                self.bad_exits(&params, scale)
+            }
+            (Slot::BadExit { .. }, _) => unreachable!("only BoundedArb has scale ends"),
+            (Slot::End, _) => self.unfinished = 0,
         }
         self.round += 1;
         if self.flight.enabled() {

@@ -23,7 +23,7 @@
 //! sums (DESIGN.md §13). A run still active after its generous iteration
 //! cap panics.
 
-use crate::backend::{FlatAlgo, MisBackend};
+use crate::backend::{self, FlatAlgo, MisBackend};
 use crate::result::MisRun;
 use crate::FlatBackend;
 use arbmis_congest::rng;
@@ -31,10 +31,6 @@ use arbmis_graph::{Graph, NodeId};
 
 /// Randomness tag for marking coins.
 pub const TAG_MARK: u64 = 0x4748_4146; // "GHAF"
-
-/// CONGEST rounds per iteration: exchange (exponent, mark), join bits,
-/// exit bits.
-pub const ROUNDS_PER_ITERATION: u64 = 3;
 
 /// Hard iteration cap: Ghaffari's algorithm terminates whp long before
 /// this; exceeding it indicates a bug and panics.
@@ -94,11 +90,8 @@ pub fn run(g: &Graph, seed: u64) -> MisRun {
         engine.active_count() == 0,
         "ghaffari exceeded iteration cap {cap}"
     );
-    MisRun::new(
-        engine.mis().to_bools(),
-        iterations,
-        iterations * ROUNDS_PER_ITERATION,
-    )
+    let rounds = backend::schedule_rounds(iterations, 0);
+    MisRun::new(engine.mis().to_bools(), iterations, rounds)
 }
 
 #[cfg(test)]

@@ -15,10 +15,6 @@ use arbmis_graph::{Graph, NodeId};
 /// Randomness tag for marking coins.
 pub const TAG_MARK: u64 = 0x4c55_4259; // "LUBY"
 
-/// CONGEST rounds per iteration: exchange degrees+marks, join bits, exit
-/// bits.
-pub const ROUNDS_PER_ITERATION: u64 = 3;
-
 /// Whether `v` marks itself in `iter` given active degree `d`.
 #[inline]
 pub fn is_marked(seed: u64, v: NodeId, iter: u64, d: usize) -> bool {

@@ -20,10 +20,6 @@ use arbmis_graph::{Graph, NodeId};
 /// both executions draw identical priorities).
 pub const TAG_PRIORITY: u64 = 0x4d45_5449; // "METI"
 
-/// CONGEST rounds per iteration: send priority, send join bit, send exit
-/// bit.
-pub const ROUNDS_PER_ITERATION: u64 = 3;
-
 /// A stopped-early execution: the state after a fixed number of
 /// iterations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -132,7 +128,10 @@ mod tests {
             "expected O(log n) iterations, got {}",
             run.iterations
         );
-        assert_eq!(run.rounds, run.iterations * ROUNDS_PER_ITERATION);
+        assert_eq!(
+            run.rounds,
+            crate::backend::schedule_rounds(run.iterations, 0)
+        );
     }
 
     #[test]

@@ -17,10 +17,12 @@
 //!    notice and leave.
 //!
 //! `BoundedArbIndependentSet` adds two per-scale rounds for step 2(b)
-//! (degree exchange + bad exits), at schedule positions derived from the
-//! round number — the algorithm is oblivious, so every node tracks the
+//! (degree exchange + bad exits). Every node reads its round's slot off
+//! the round number with [`backend::slot`], the decoder the flat engine
+//! uses too — the algorithm is oblivious, so every node tracks the
 //! scale/iteration structure without coordination.
 
+use crate::backend::{self, FlatAlgo, Slot};
 use crate::params::ArbParams;
 use crate::{bounded_arb, ghaffari, luby, metivier};
 use arbmis_congest::prelude::*;
@@ -137,9 +139,8 @@ pub struct MisNodeState {
     pub active_nbrs: Vec<NodeId>,
     /// Whether this node decided to join in the current iteration.
     wins: bool,
-    /// Scratch for Ghaffari's deferred exponent update.
+    /// Ghaffari's desire exponent (`p = 2^-e`).
     exponent: u32,
-    pending_exponent: u32,
     /// Scratch for Algorithm 1: marked bad at scale end.
     pub bad: bool,
 }
@@ -153,12 +154,18 @@ impl MisNodeState {
             active_nbrs: node.neighbors.iter().collect(),
             wins: false,
             exponent: 1,
-            pending_exponent: 1,
             bad: false,
         }
     }
 
-    fn process_exits(&mut self, inbox: &Inbox<MisMsg>) {
+    /// The start of an announce-type round: drops the neighbors whose
+    /// exit notices arrived, then halts if this node left, or else
+    /// broadcasts `announce`'s message.
+    fn announce(
+        &mut self,
+        inbox: &Inbox<MisMsg>,
+        announce: impl FnOnce(&mut Self) -> MisMsg,
+    ) -> Outgoing<MisMsg> {
         for (s, m) in inbox {
             if matches!(m, MisMsg::Exit(true)) {
                 if let Ok(pos) = self.active_nbrs.binary_search(&s) {
@@ -166,208 +173,226 @@ impl MisNodeState {
                 }
             }
         }
+        if self.active {
+            Outgoing::Broadcast(announce(self))
+        } else {
+            self.halt()
+        }
+    }
+
+    fn halt(&mut self) -> Outgoing<MisMsg> {
+        self.done = true;
+        Outgoing::Halt
+    }
+
+    /// Leaves the computation if `exits`, and tells the neighbors.
+    fn exit(&mut self, exits: bool) -> Outgoing<MisMsg> {
+        self.active &= !exits;
+        Outgoing::Broadcast(MisMsg::Exit(exits))
     }
 }
 
-/// Shared decide/exit handling. Returns the outgoing message for the
-/// phase.
-fn decide_phase(state: &mut MisNodeState, wins: bool) -> Outgoing<MisMsg> {
-    state.wins = wins;
-    Outgoing::Broadcast(MisMsg::Join(wins))
+/// One round of a MIS protocol for `algo`, at the slot of `node.round`
+/// on its schedule. Announce and degree-exchange rounds first drop the
+/// neighbors that exited and halt a node that left; a decide round
+/// broadcasts join bits; an exit round removes the winners and the nodes
+/// they dominate; a bad-exit round exiles the nodes with too many
+/// high-degree neighbors (Algorithm 1 step 2(b)).
+fn mis_round(
+    algo: &FlatAlgo,
+    state: &mut MisNodeState,
+    node: &NodeInfo,
+    inbox: &Inbox<MisMsg>,
+) -> Outgoing<MisMsg> {
+    match backend::slot(algo, node.round) {
+        Slot::Announce { iter, scale, .. } => {
+            state.announce(inbox, |state| announcement(algo, state, node, iter, scale))
+        }
+        Slot::Decide { iter, scale } => {
+            let own = announcement(algo, state, node, iter, scale);
+            state.wins = wins(state, own, node.id, inbox);
+            Outgoing::Broadcast(MisMsg::Join(state.wins))
+        }
+        Slot::Exit => {
+            let dominated = inbox.iter().any(|(_, m)| matches!(m, MisMsg::Join(true)));
+            state.in_mis |= state.wins;
+            state.exit(state.wins || dominated)
+        }
+        Slot::DegreeExchange => {
+            state.announce(
+                inbox,
+                |state| MisMsg::Degree(state.active_nbrs.len() as u64),
+            )
+        }
+        Slot::BadExit { scale } => {
+            let FlatAlgo::BoundedArb { params, .. } = algo else {
+                unreachable!("only BoundedArb has scale ends")
+            };
+            let hd = params.high_degree_threshold(scale);
+            let high_count = inbox
+                .iter()
+                .filter(|(_, m)| matches!(m, MisMsg::Degree(d) if *d as f64 > hd))
+                .count();
+            let bad = high_count as f64 > params.bad_threshold(scale);
+            state.bad |= bad;
+            state.exit(bad)
+        }
+        Slot::End => state.halt(),
+    }
 }
 
-fn exit_phase(state: &mut MisNodeState, inbox: &Inbox<MisMsg>) -> Outgoing<MisMsg> {
-    let dominated = inbox.iter().any(|(_, m)| matches!(m, MisMsg::Join(true)));
-    if state.wins {
-        state.in_mis = true;
-    }
-    if state.wins || dominated {
-        state.active = false;
-        Outgoing::Broadcast(MisMsg::Exit(true))
-    } else {
-        Outgoing::Broadcast(MisMsg::Exit(false))
+/// What an active node announces in iteration `iter` of `scale`: its
+/// Métivier priority; its Luby degree and mark; its Ghaffari desire
+/// exponent and mark; or its BoundedArb priority, 0 when the ρ_k opt-out
+/// takes it out of the competition.
+fn announcement(
+    algo: &FlatAlgo,
+    state: &MisNodeState,
+    node: &NodeInfo,
+    iter: u64,
+    scale: u32,
+) -> MisMsg {
+    let (seed, id) = (node.seed, node.id);
+    let d = state.active_nbrs.len();
+    match *algo {
+        FlatAlgo::Metivier => MisMsg::Priority(metivier::priority(seed, id, iter, node.n).0),
+        FlatAlgo::Luby => MisMsg::LubyMark {
+            degree: d as u64,
+            marked: d > 0 && luby::is_marked(seed, id, iter, d),
+        },
+        FlatAlgo::Ghaffari => MisMsg::GhaffariMark {
+            exponent: state.exponent,
+            marked: ghaffari::is_marked(seed, id, iter, state.exponent),
+        },
+        FlatAlgo::BoundedArb { params, rho_cutoff } => {
+            MisMsg::Priority(if !rho_cutoff || d as f64 <= params.rho(scale) {
+                rng::draw_priority(seed, id, iter, bounded_arb::TAG_PRIORITY, node.n)
+            } else {
+                0
+            })
+        }
+        FlatAlgo::DegreeReduction { .. } => {
+            unreachable!("degree reduction has no CONGEST protocol")
+        }
     }
 }
 
-// ---------------------------------------------------------------- Métivier
+/// Whether node `id`, having announced `own`, wins against its active
+/// neighbors' announcements in `inbox`. A priority wins when it is
+/// nonzero and `(priority, id)`-maximal. A Luby mark wins when the node
+/// has no active neighbor, or when it is marked and `(degree,
+/// id)`-maximal among the marked. A Ghaffari mark wins when no neighbor
+/// is marked; the node also moves to its next desire exponent, from the
+/// announced ones (the exit round reads no exponent).
+fn wins(state: &mut MisNodeState, own: MisMsg, id: NodeId, inbox: &Inbox<MisMsg>) -> bool {
+    match own {
+        MisMsg::Priority(p) => {
+            p > 0
+                && inbox.iter().all(|(s, m)| match m {
+                    MisMsg::Priority(q) => (p, id) > (*q, s),
+                    _ => true,
+                })
+        }
+        MisMsg::LubyMark { degree, marked } => {
+            let key = (degree, id);
+            degree == 0
+                || (marked
+                    && inbox.iter().all(|(s, m)| match *m {
+                        MisMsg::LubyMark { degree, marked } => !marked || (degree, s) < key,
+                        _ => true,
+                    }))
+        }
+        MisMsg::GhaffariMark { exponent, marked } => {
+            let mut d = 0.0;
+            let mut blocked = false;
+            for (_, m) in inbox {
+                if let MisMsg::GhaffariMark {
+                    exponent: e,
+                    marked: nbr_marked,
+                } = *m
+                {
+                    d += ghaffari::desire(e);
+                    blocked |= nbr_marked;
+                }
+            }
+            state.exponent = ghaffari::next_exponent(exponent, d);
+            marked && !blocked
+        }
+        _ => unreachable!("announcements are priorities or marks"),
+    }
+}
+
+/// Implements [`Protocol`] for MIS protocols: every node keeps a
+/// [`MisNodeState`] and runs [`mis_round`] for the protocol's `algo()`.
+macro_rules! mis_protocol {
+    ($($protocol:ty),*) => {$(
+        impl Protocol for $protocol {
+            type State = MisNodeState;
+            type Msg = MisMsg;
+
+            fn init(&self, node: &NodeInfo) -> MisNodeState {
+                MisNodeState::new(node)
+            }
+
+            fn round(
+                &self,
+                state: &mut MisNodeState,
+                node: &NodeInfo,
+                inbox: &Inbox<MisMsg>,
+            ) -> Outgoing<MisMsg> {
+                mis_round(&self.algo(), state, node, inbox)
+            }
+
+            fn is_done(&self, state: &MisNodeState) -> bool {
+                state.done
+            }
+        }
+    )*};
+}
+
+mis_protocol!(
+    MetivierProtocol,
+    LubyProtocol,
+    GhaffariProtocol,
+    BoundedArbProtocol
+);
 
 /// CONGEST twin of [`crate::metivier::run`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MetivierProtocol;
 
-impl Protocol for MetivierProtocol {
-    type State = MisNodeState;
-    type Msg = MisMsg;
-
-    fn init(&self, node: &NodeInfo) -> MisNodeState {
-        MisNodeState::new(node)
-    }
-
-    fn round(
-        &self,
-        state: &mut MisNodeState,
-        node: &NodeInfo,
-        inbox: &Inbox<MisMsg>,
-    ) -> Outgoing<MisMsg> {
-        let iter = node.round / 3;
-        match node.round % 3 {
-            0 => {
-                state.process_exits(inbox);
-                if !state.active {
-                    state.done = true;
-                    return Outgoing::Halt;
-                }
-                let (p, _) = metivier::priority(node.seed, node.id, iter, node.n);
-                Outgoing::Broadcast(MisMsg::Priority(p))
-            }
-            1 => {
-                let pv = metivier::priority(node.seed, node.id, iter, node.n);
-                let wins = inbox.iter().all(|(s, m)| match m {
-                    MisMsg::Priority(p) => pv > (*p, s),
-                    _ => true,
-                });
-                decide_phase(state, wins)
-            }
-            _ => exit_phase(state, inbox),
-        }
-    }
-
-    fn is_done(&self, state: &MisNodeState) -> bool {
-        state.done
+impl MetivierProtocol {
+    fn algo(&self) -> FlatAlgo {
+        FlatAlgo::Metivier
     }
 }
-
-// ------------------------------------------------------------------- Luby
 
 /// CONGEST twin of [`crate::luby::run`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LubyProtocol;
 
-impl Protocol for LubyProtocol {
-    type State = MisNodeState;
-    type Msg = MisMsg;
-
-    fn init(&self, node: &NodeInfo) -> MisNodeState {
-        MisNodeState::new(node)
-    }
-
-    fn round(
-        &self,
-        state: &mut MisNodeState,
-        node: &NodeInfo,
-        inbox: &Inbox<MisMsg>,
-    ) -> Outgoing<MisMsg> {
-        let iter = node.round / 3;
-        match node.round % 3 {
-            0 => {
-                state.process_exits(inbox);
-                if !state.active {
-                    state.done = true;
-                    return Outgoing::Halt;
-                }
-                let d = state.active_nbrs.len();
-                let marked = d > 0 && luby::is_marked(node.seed, node.id, iter, d);
-                Outgoing::Broadcast(MisMsg::LubyMark {
-                    degree: d as u64,
-                    marked,
-                })
-            }
-            1 => {
-                let d = state.active_nbrs.len();
-                let wins = if d == 0 {
-                    true
-                } else if luby::is_marked(node.seed, node.id, iter, d) {
-                    let key = (d as u64, node.id);
-                    inbox.iter().all(|(s, m)| match m {
-                        MisMsg::LubyMark { degree, marked } => !*marked || (*degree, s) < key,
-                        _ => true,
-                    })
-                } else {
-                    false
-                };
-                decide_phase(state, wins)
-            }
-            _ => exit_phase(state, inbox),
-        }
-    }
-
-    fn is_done(&self, state: &MisNodeState) -> bool {
-        state.done
+impl LubyProtocol {
+    fn algo(&self) -> FlatAlgo {
+        FlatAlgo::Luby
     }
 }
-
-// --------------------------------------------------------------- Ghaffari
 
 /// CONGEST twin of [`crate::ghaffari::run`]. Only the desire *exponent*
 /// crosses the wire — `O(log log Δ)` bits.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GhaffariProtocol;
 
-impl Protocol for GhaffariProtocol {
-    type State = MisNodeState;
-    type Msg = MisMsg;
-
-    fn init(&self, node: &NodeInfo) -> MisNodeState {
-        MisNodeState::new(node)
-    }
-
-    fn round(
-        &self,
-        state: &mut MisNodeState,
-        node: &NodeInfo,
-        inbox: &Inbox<MisMsg>,
-    ) -> Outgoing<MisMsg> {
-        let iter = node.round / 3;
-        match node.round % 3 {
-            0 => {
-                state.process_exits(inbox);
-                if !state.active {
-                    state.done = true;
-                    return Outgoing::Halt;
-                }
-                let marked = ghaffari::is_marked(node.seed, node.id, iter, state.exponent);
-                Outgoing::Broadcast(MisMsg::GhaffariMark {
-                    exponent: state.exponent,
-                    marked,
-                })
-            }
-            1 => {
-                let marked = ghaffari::is_marked(node.seed, node.id, iter, state.exponent);
-                let any_marked_nbr = inbox
-                    .iter()
-                    .any(|(_, m)| matches!(m, MisMsg::GhaffariMark { marked: true, .. }));
-                let wins = marked && !any_marked_nbr;
-                // Effective degree from announced exponents (pre-removal
-                // neighborhood, matching the fast path).
-                let d: f64 = inbox
-                    .iter()
-                    .filter_map(|(_, m)| match m {
-                        MisMsg::GhaffariMark { exponent, .. } => Some(ghaffari::desire(*exponent)),
-                        _ => None,
-                    })
-                    .sum();
-                state.pending_exponent = ghaffari::next_exponent(state.exponent, d);
-                decide_phase(state, wins)
-            }
-            _ => {
-                state.exponent = state.pending_exponent;
-                exit_phase(state, inbox)
-            }
-        }
-    }
-
-    fn is_done(&self, state: &MisNodeState) -> bool {
-        state.done
+impl GhaffariProtocol {
+    fn algo(&self) -> FlatAlgo {
+        FlatAlgo::Ghaffari
     }
 }
 
-// ----------------------------------------------------- BoundedArbIndepSet
-
 /// CONGEST twin of [`crate::bounded_arb::bounded_arb_independent_set`].
 ///
-/// The schedule is oblivious: every node derives `(scale, iteration,
-/// sub-round)` from the global round number; after the last scale all
-/// nodes stop simultaneously, leaving the residual `VIB` in their states.
+/// The schedule is oblivious: every node reads its slot off the global
+/// round number ([`backend::slot`]); after the last scale all nodes stop
+/// simultaneously, leaving the residual `VIB` in their states.
 #[derive(Clone, Copy, Debug)]
 pub struct BoundedArbProtocol {
     /// The instantiated parameter schedule (must be built from the *same*
@@ -378,117 +403,10 @@ pub struct BoundedArbProtocol {
 }
 
 impl BoundedArbProtocol {
-    /// Rounds per scale: 3 per iteration plus the two step-2(b) rounds.
-    pub fn rounds_per_scale(&self) -> u64 {
-        3 * self.params.lambda + 2
-    }
-
-    /// Total protocol rounds.
-    pub fn total_rounds(&self) -> u64 {
-        u64::from(self.params.theta) * self.rounds_per_scale()
-    }
-}
-
-impl Protocol for BoundedArbProtocol {
-    type State = MisNodeState;
-    type Msg = MisMsg;
-
-    fn init(&self, node: &NodeInfo) -> MisNodeState {
-        MisNodeState::new(node)
-    }
-
-    fn round(
-        &self,
-        state: &mut MisNodeState,
-        node: &NodeInfo,
-        inbox: &Inbox<MisMsg>,
-    ) -> Outgoing<MisMsg> {
-        if node.round >= self.total_rounds() {
-            state.done = true;
-            return Outgoing::Halt;
-        }
-        let rps = self.rounds_per_scale();
-        let scale = (node.round / rps) as u32 + 1;
-        let within = node.round % rps;
-        let iter_body = within < 3 * self.params.lambda;
-
-        if iter_body {
-            let global_iter = u64::from(scale - 1) * self.params.lambda + within / 3;
-            match within % 3 {
-                0 => {
-                    state.process_exits(inbox);
-                    if !state.active {
-                        state.done = true;
-                        return Outgoing::Halt;
-                    }
-                    let p = self.my_priority(state, node, scale, global_iter);
-                    Outgoing::Broadcast(MisMsg::Priority(p))
-                }
-                1 => {
-                    let p = self.my_priority(state, node, scale, global_iter);
-                    let wins = p > 0
-                        && inbox.iter().all(|(s, m)| match m {
-                            MisMsg::Priority(q) => (p, node.id) > (*q, s),
-                            _ => true,
-                        });
-                    decide_phase(state, wins)
-                }
-                _ => exit_phase(state, inbox),
-            }
-        } else {
-            match within - 3 * self.params.lambda {
-                0 => {
-                    state.process_exits(inbox);
-                    if !state.active {
-                        state.done = true;
-                        return Outgoing::Halt;
-                    }
-                    Outgoing::Broadcast(MisMsg::Degree(state.active_nbrs.len() as u64))
-                }
-                _ => {
-                    let hd = self.params.high_degree_threshold(scale);
-                    let bad_thr = self.params.bad_threshold(scale);
-                    let high_count = inbox
-                        .iter()
-                        .filter(|(_, m)| matches!(m, MisMsg::Degree(d) if *d as f64 > hd))
-                        .count();
-                    if high_count as f64 > bad_thr {
-                        state.bad = true;
-                        state.active = false;
-                        Outgoing::Broadcast(MisMsg::Exit(true))
-                    } else {
-                        Outgoing::Broadcast(MisMsg::Exit(false))
-                    }
-                }
-            }
-        }
-    }
-
-    fn is_done(&self, state: &MisNodeState) -> bool {
-        state.done
-    }
-}
-
-impl BoundedArbProtocol {
-    fn my_priority(
-        &self,
-        state: &MisNodeState,
-        node: &NodeInfo,
-        scale: u32,
-        global_iter: u64,
-    ) -> u64 {
-        let competitive =
-            !self.rho_cutoff || (state.active_nbrs.len() as f64) <= self.params.rho(scale);
-        if competitive {
-            rng::draw_priority(
-                node.seed,
-                node.id,
-                global_iter,
-                bounded_arb::TAG_PRIORITY,
-                node.n,
-            )
-        } else {
-            0
+    fn algo(&self) -> FlatAlgo {
+        FlatAlgo::BoundedArb {
+            params: self.params,
+            rho_cutoff: self.rho_cutoff,
         }
     }
 }
@@ -575,7 +493,7 @@ mod tests {
                 rho_cutoff: true,
             };
             let run = Simulator::new(&g, seed)
-                .run(&proto, proto.total_rounds() + 2)
+                .run(&proto, fast.rounds + 2)
                 .unwrap();
             let mis: Vec<bool> = run.states.iter().map(|s| s.in_mis).collect();
             let bad: Vec<bool> = run.states.iter().map(|s| s.bad).collect();
@@ -600,9 +518,7 @@ mod tests {
             params: fast.params,
             rho_cutoff: false,
         };
-        let run = Simulator::new(&g, 31)
-            .run(&proto, proto.total_rounds() + 2)
-            .unwrap();
+        let run = Simulator::new(&g, 31).run(&proto, fast.rounds + 2).unwrap();
         assert_eq!(
             run.states.iter().map(|s| s.in_mis).collect::<Vec<_>>(),
             fast.in_mis

@@ -22,6 +22,7 @@
 //! arboricity α > 1; on actual forests the two coincide up to parameter
 //! schedules, which [`tree_mis`] demonstrates at α = 1.
 
+use crate::backend::schedule_rounds;
 use crate::{cole_vishkin, metivier};
 use arbmis_graph::forest::RootedForest;
 use arbmis_graph::{traversal, Graph, NodeId};
@@ -82,7 +83,7 @@ pub fn tree_mis(g: &Graph, seed: u64) -> TreeMisOutcome {
     let budget = shatter_budget(g.n());
     let partial = metivier::run_partial(g, seed, budget);
     let mut in_mis = partial.in_mis;
-    let shatter_rounds = partial.iterations * metivier::ROUNDS_PER_ITERATION;
+    let shatter_rounds = schedule_rounds(partial.iterations, 0);
 
     // Finish residual components deterministically. One extraction
     // scratch serves all components: O(|C| + m(C)) each, not O(n).

@@ -34,12 +34,12 @@
 //!
 //! # Round timeline
 //!
-//! A backend round is exactly one CONGEST round. Luby, Métivier and
-//! Ghaffari spend three rounds per iteration (announce, decide, exit); joiners are
-//! reported at rounds `r ≡ 2 (mod 3)`. BoundedArb follows the oblivious
-//! schedule of [`arbmis_core::protocols::BoundedArbProtocol`]:
-//! `3Λ + 2` rounds per scale (Λ iterations, then a degree exchange and a
-//! bad-exit round), `Θ` scales total.
+//! A backend round is exactly one CONGEST round, and both backends read
+//! what it does from one decoder, [`arbmis_core::backend::slot`]. Luby,
+//! Métivier and Ghaffari spend three rounds per iteration (announce,
+//! decide, exit); joiners are reported only at exit rounds. BoundedArb
+//! runs `Θ` scales of `3Λ + 2` rounds (Λ iterations, then a degree
+//! exchange and a bad-exit round) and then ends.
 
 mod congest_backend;
 pub mod divergence;
@@ -56,6 +56,8 @@ pub use arbmis_core::FlatBackend;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arbmis_core::backend::{slot, Slot};
+    use arbmis_core::ArbParams;
     use arbmis_graph::gen;
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -102,16 +104,37 @@ mod tests {
 
     #[test]
     fn joiners_only_on_exit_rounds() {
-        let g = gen::cycle(12);
-        let mut b = FlatBackend::new(&g, 4, FlatAlgo::Luby);
-        b.init();
-        while !b.is_done() {
-            let r = b.round();
-            b.step_round().unwrap();
-            if r % 3 != 2 {
-                assert!(b.joiners().is_empty(), "joiners at non-exit round {r}");
+        let mut rng = StdRng::seed_from_u64(5);
+        let cycle = gen::cycle(12);
+        let tree = gen::random_ktree(200, 2, &mut rng);
+        // One iteration per scale leaves nodes active at every scale end.
+        let params = ArbParams {
+            lambda: 1,
+            ..ArbParams::new(2, tree.max_degree(), Default::default())
+        };
+        assert!(params.theta >= 2, "need several scale ends");
+        let arb = FlatAlgo::BoundedArb {
+            params,
+            rho_cutoff: true,
+        };
+        for (g, algo) in [(&cycle, FlatAlgo::Luby), (&tree, arb)] {
+            let mut b = FlatBackend::new(g, 4, algo);
+            b.init();
+            let mut stepped = Vec::new();
+            while !b.is_done() {
+                let slot = slot(&algo, b.round());
+                b.step_round().unwrap();
+                stepped.push(slot);
+                if slot != Slot::Exit {
+                    let label = algo.label();
+                    assert!(b.joiners().is_empty(), "{label}: joiners at {slot:?}");
+                }
+                assert!(b.joiners().windows(2).all(|w| w[0] < w[1]));
             }
-            assert!(b.joiners().windows(2).all(|w| w[0] < w[1]));
+            if algo == arb {
+                assert!(stepped.contains(&Slot::DegreeExchange));
+                assert!(stepped.contains(&Slot::BadExit { scale: 2 }));
+            }
         }
     }
 }

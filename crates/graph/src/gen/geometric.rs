@@ -18,85 +18,44 @@ pub fn random_geometric<R: Rng + ?Sized>(n: usize, radius: f64, rng: &mut R) -> 
     let pts: Vec<(f64, f64)> = (0..n)
         .map(|_| (rng.gen::<f64>(), rng.gen::<f64>()))
         .collect();
-    let cell = radius.max(1e-9);
-    let cells_per_side = (1.0 / cell).ceil().max(1.0) as i64;
-    let key = |x: f64, y: f64| -> (i64, i64) {
-        (
-            ((x / cell) as i64).min(cells_per_side - 1),
-            ((y / cell) as i64).min(cells_per_side - 1),
-        )
-    };
-    // Dense Vec-indexed grid: a counting-sort CSR over cells_per_side²
-    // cells keeps the hot 3×3 scan hash-free, with per-cell buckets in
-    // ascending node order — exactly the insertion order the previous
-    // HashMap grid produced, so the edge output is unchanged. Pathological
-    // radii where the cell count dwarfs the point count fall back to a
-    // HashMap of only the occupied cells.
-    let cps = cells_per_side as usize;
+    // Cells at least `radius` wide put every pair within the radius in
+    // neighboring cells; at least 1/√n wide keeps the grid to about n
+    // cells, however small the radius.
+    let cell = radius.max(1.0 / (n.max(1) as f64).sqrt());
+    let cps = (1.0 / cell).ceil().max(1.0) as usize;
+    let coord = |t: f64| ((t / cell) as usize).min(cps - 1);
+    // A counting-sort CSR over the cells keeps the hot 3×3 scan
+    // hash-free, with per-cell buckets in ascending node order.
+    let cidx: Vec<usize> = pts
+        .iter()
+        .map(|&(x, y)| coord(x) * cps + coord(y))
+        .collect();
+    let mut start = vec![0usize; cps * cps + 1];
+    for &c in &cidx {
+        start[c + 1] += 1;
+    }
+    for i in 0..cps * cps {
+        start[i + 1] += start[i];
+    }
+    let mut bucket = vec![0 as NodeId; n];
+    let mut cursor = start.clone();
+    for (v, &c) in cidx.iter().enumerate() {
+        bucket[cursor[c]] = v;
+        cursor[c] += 1;
+    }
     let r2 = radius * radius;
     let mut b = GraphBuilder::new(n);
-    if cps.checked_mul(cps).is_some_and(|c| c <= 4 * n + 1024) {
-        let ncells = cps * cps;
-        let cidx: Vec<usize> = pts
-            .iter()
-            .map(|&(x, y)| {
-                let (cx, cy) = key(x, y);
-                cx as usize * cps + cy as usize
-            })
-            .collect();
-        let mut start = vec![0usize; ncells + 1];
-        for &c in &cidx {
-            start[c + 1] += 1;
-        }
-        for i in 0..ncells {
-            start[i + 1] += start[i];
-        }
-        let mut bucket = vec![0 as NodeId; n];
-        let mut cursor = start.clone();
-        for (v, &c) in cidx.iter().enumerate() {
-            bucket[cursor[c]] = v;
-            cursor[c] += 1;
-        }
-        for (v, &(x, y)) in pts.iter().enumerate() {
-            let (cx, cy) = key(x, y);
-            for dx in -1..=1i64 {
-                for dy in -1..=1i64 {
-                    let (nx, ny) = (cx + dx, cy + dy);
-                    if nx < 0 || ny < 0 || nx >= cells_per_side || ny >= cells_per_side {
-                        continue;
-                    }
-                    let c = nx as usize * cps + ny as usize;
-                    for &u in &bucket[start[c]..start[c + 1]] {
-                        if u > v {
-                            let (ux, uy) = pts[u];
-                            let (ddx, ddy) = (ux - x, uy - y);
-                            if ddx * ddx + ddy * ddy <= r2 {
-                                b.add_edge(v, u);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    } else {
-        let mut grid: std::collections::HashMap<(i64, i64), Vec<NodeId>> =
-            std::collections::HashMap::new();
-        for (v, &(x, y)) in pts.iter().enumerate() {
-            grid.entry(key(x, y)).or_default().push(v);
-        }
-        for (v, &(x, y)) in pts.iter().enumerate() {
-            let (cx, cy) = key(x, y);
-            for dx in -1..=1 {
-                for dy in -1..=1 {
-                    if let Some(bucket) = grid.get(&(cx + dx, cy + dy)) {
-                        for &u in bucket {
-                            if u > v {
-                                let (ux, uy) = pts[u];
-                                let (ddx, ddy) = (ux - x, uy - y);
-                                if ddx * ddx + ddy * ddy <= r2 {
-                                    b.add_edge(v, u);
-                                }
-                            }
+    for (v, &(x, y)) in pts.iter().enumerate() {
+        let (cx, cy) = (cidx[v] / cps, cidx[v] % cps);
+        for nx in cx.saturating_sub(1)..(cx + 2).min(cps) {
+            for ny in cy.saturating_sub(1)..(cy + 2).min(cps) {
+                let c = nx * cps + ny;
+                for &u in &bucket[start[c]..start[c + 1]] {
+                    if u > v {
+                        let (ux, uy) = pts[u];
+                        let (ddx, ddy) = (ux - x, uy - y);
+                        if ddx * ddx + ddy * ddy <= r2 {
+                            b.add_edge(v, u);
                         }
                     }
                 }
@@ -259,8 +218,8 @@ mod tests {
 
     #[test]
     fn geometric_tiny_radius_takes_sparse_fallback() {
-        // radius 1e-6 → 10¹² cells ≫ 4n: the HashMap fallback must agree
-        // with brute force just like the dense path.
+        // Radius 1e-6 would mean 10¹² radius-wide cells; the grid clamps
+        // its cells to 1/√n and must still agree with brute force.
         let mut r = rng(7);
         let g = random_geometric(80, 1e-6, &mut r);
         assert!(check_well_formed(&g).is_ok());

@@ -19,6 +19,7 @@
 //! shows up here as a first-divergence round index.
 
 use arbmis::congest::{Protocol, Simulator};
+use arbmis::core::backend::schedule_rounds;
 use arbmis::core::bounded_arb::{bounded_arb_independent_set, BoundedArbConfig};
 use arbmis::core::protocols::{
     BoundedArbProtocol, GhaffariProtocol, LubyProtocol, MetivierProtocol, MisNodeState,
@@ -106,8 +107,8 @@ where
 /// agreed outcome. Returns the agreed `(rounds, mis)`.
 fn assert_workload(label: &str, g: &Graph, seed: u64, algo: FlatAlgo) -> (u64, Vec<bool>) {
     let max_rounds = match algo {
-        FlatAlgo::BoundedArb { params, rho_cutoff } => {
-            BoundedArbProtocol { params, rho_cutoff }.total_rounds() + 2
+        FlatAlgo::BoundedArb { params, .. } => {
+            schedule_rounds(params.total_iterations(), params.theta) + 2
         }
         _ => MAX_ROUNDS,
     };

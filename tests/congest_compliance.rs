@@ -55,9 +55,7 @@ fn bounded_arb_protocol_within_budget() {
         params: fast.params,
         rho_cutoff: true,
     };
-    let run = Simulator::new(&g, 2)
-        .run(&proto, proto.total_rounds() + 2)
-        .unwrap();
+    let run = Simulator::new(&g, 2).run(&proto, fast.rounds + 2).unwrap();
     assert!(run.metrics.within_budget());
     // Degree announcements are the largest payloads; still O(log n).
     assert!(run.metrics.max_message_bits <= Simulator::new(&g, 2).budget_bits().unwrap() as u64);

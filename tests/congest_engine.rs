@@ -180,14 +180,9 @@ fn frontier_matches_full_scan_bounded_arb() {
             params: fast.params,
             rho_cutoff: true,
         };
-        assert_frontier_differential(
-            &g,
-            seed,
-            &proto,
-            proto.total_rounds() + 2,
-            "bounded_arb",
-            |s| (s.in_mis, s.bad, s.active),
-        );
+        assert_frontier_differential(&g, seed, &proto, fast.rounds + 2, "bounded_arb", |s| {
+            (s.in_mis, s.bad, s.active)
+        });
     }
 }
 

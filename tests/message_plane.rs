@@ -3,7 +3,10 @@
 //! The golden table below was captured from the pre-refactor engine (the
 //! per-edge-clone, sort-every-round implementation). The refactored
 //! plane must reproduce every fingerprint bit-for-bit — transcript digest,
-//! metrics, and final node states. On a mismatch a check prints the full
+//! metrics, and final node states. The BoundedArb row came later, from
+//! the protocol as it was before the flat engine and the protocols
+//! shared one round decoder: it pins the scale-end rounds, whose order
+//! the flat engine's outcome (and so every driver golden) cannot see. On a mismatch a check prints the full
 //! table it computed in the `GOLDEN` literal's format; to recapture, run
 //! the tests on a known-good commit and paste the table they print.
 //!
@@ -13,7 +16,10 @@
 //! neighbor, for both broadcast and unicast traffic.
 
 use arbmis::congest::{Inbox, NodeInfo, Outgoing, Protocol, Simulator};
-use arbmis::core::protocols::{GhaffariProtocol, LubyProtocol, MetivierProtocol, MisNodeState};
+use arbmis::core::protocols::{
+    BoundedArbProtocol, GhaffariProtocol, LubyProtocol, MetivierProtocol, MisNodeState,
+};
+use arbmis::core::{ArbParams, ParamMode};
 use arbmis::graph::{gen, Graph, NodeId};
 use rand::SeedableRng;
 
@@ -40,7 +46,7 @@ type Row = (&'static str, u64, u64, u64, u64, u64, u64);
 /// Golden fingerprints captured from the pre-refactor engine:
 /// `(name, transcript_digest, rounds, messages, bits, max_message_bits,
 /// state_fingerprint)`.
-const GOLDEN: [Row; 4] = [
+const GOLDEN: [Row; 5] = [
     (
         "gnp300_dense_metivier",
         0xeeedd2d6ea974fc4,
@@ -77,6 +83,15 @@ const GOLDEN: [Row; 4] = [
         24,
         0xa37543e6e117d4df,
     ),
+    (
+        "geo1500_bounded_arb",
+        0x2820abf7f6871788,
+        11,
+        90980,
+        2716928,
+        64,
+        0x8f6b61a1dfd16580,
+    ),
 ];
 
 fn workload(name: &str) -> (Graph, u64, u8) {
@@ -91,6 +106,10 @@ fn workload(name: &str) -> (Graph, u64, u8) {
         }
         "star400_metivier" => (gen::star(400), 9, 0),
         "star257_ghaffari" => (gen::star(257), 10, 2),
+        "geo1500_bounded_arb" => {
+            let mut r = rand::rngs::StdRng::seed_from_u64(13);
+            (gen::random_geometric(1500, 0.06, &mut r), 11, 3)
+        }
         _ => unreachable!(),
     }
 }
@@ -102,7 +121,18 @@ fn computed(name: &'static str) -> Row {
     let (run, t) = match which {
         0 => sim.run_traced(&MetivierProtocol, 100_000),
         1 => sim.run_traced(&LubyProtocol, 100_000),
-        _ => sim.run_traced(&GhaffariProtocol, 100_000),
+        2 => sim.run_traced(&GhaffariProtocol, 100_000),
+        _ => {
+            // One iteration per scale leaves nodes active at each scale
+            // end, and α = 1 understates the graph's arboricity, so scale
+            // ends exile some of them to the bad set.
+            let mode = ParamMode::Practical { lambda_scale: 1e-9 };
+            let proto = BoundedArbProtocol {
+                params: ArbParams::new(1, g.max_degree(), mode),
+                rho_cutoff: true,
+            };
+            sim.run_traced(&proto, 100_000)
+        }
     }
     .unwrap_or_else(|e| panic!("{name}: run failed: {e}"));
     (
@@ -152,6 +182,11 @@ fn golden_star400_metivier() {
 #[test]
 fn golden_star257_ghaffari() {
     check_golden("star257_ghaffari");
+}
+
+#[test]
+fn golden_geo1500_bounded_arb() {
+    check_golden("geo1500_bounded_arb");
 }
 
 // --------------------------------------------------------------- ordering
