@@ -17,7 +17,7 @@
 use arbmis_graph::NodeId;
 
 /// A fixed-capacity packed bitset over `0..n`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BitMask {
     n: usize,
     /// Bit `v % 64` of `words[v / 64]` ⇔ `v` is set.

@@ -42,11 +42,20 @@ impl Frontier {
     /// Removes `v` (idempotent).
     #[inline]
     pub fn remove(&mut self, v: NodeId) {
-        self.mask.clear(v);
-        let w = v >> 6;
-        if self.mask.words()[w] == 0 {
-            self.summary[w >> 6] &= !(1u64 << (w & 63));
-        }
+        self.take(v);
+    }
+
+    /// Removes `v` and returns whether it was in the set: one
+    /// test-and-clear of its word, with no branch on the bit.
+    #[inline]
+    pub fn take(&mut self, v: NodeId) -> bool {
+        let (w, bit) = (v >> 6, 1u64 << (v & 63));
+        let word = &mut self.mask.words_mut()[w];
+        let was = *word & bit;
+        *word &= !bit;
+        let emptied = u64::from(*word == 0);
+        self.summary[w >> 6] &= !(emptied << (w & 63));
+        was != 0
     }
 
     /// Whether `v` is in the set.
@@ -175,6 +184,24 @@ mod tests {
         assert!(!f.contains(65));
         let got: Vec<usize> = f.iter().collect();
         assert_eq!(got, vec![0, 1, 63, 64, 200, 299]);
+    }
+
+    #[test]
+    fn take_reports_membership_and_keeps_the_summary() {
+        let mut f = Frontier::new(300);
+        for v in [0, 63, 64, 200] {
+            f.insert(v);
+        }
+        assert!(f.take(63));
+        assert!(!f.take(63));
+        assert!(!f.take(65));
+        assert!(f.take(0));
+        // Word 0 is now empty: the walk must skip it, not stop at it.
+        assert_eq!(f.iter().collect::<Vec<_>>(), vec![64, 200]);
+        assert!(f.take(64) && f.take(200));
+        assert_eq!(f.iter().count(), 0);
+        f.insert(65);
+        assert_eq!(f.iter().collect::<Vec<_>>(), vec![65]);
     }
 
     #[test]

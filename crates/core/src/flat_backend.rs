@@ -20,7 +20,9 @@ use std::sync::Mutex;
 /// active set) and every tie-break compares ids (DESIGN.md §13).
 /// Priorities are never stored: the win scans draw each one where they
 /// compare it, for the node deciding and for each active neighbor they
-/// probe.
+/// probe. A node that a lower-id neighbor already beat earlier in the
+/// same walk carries a loser mark and is skipped without a draw
+/// (DESIGN.md §10).
 ///
 /// # Deterministic parallelism
 ///
@@ -82,6 +84,13 @@ pub struct FlatBackend<'g> {
     /// Per-iteration mark scratch (Luby, Ghaffari) or competitor set
     /// (degree reduction). Stale for inactive nodes.
     marked: BitMask,
+    /// Loser marks of the priority win scans (DESIGN.md §10, §13): a
+    /// set bit says a lower-id active neighbor with a larger key was
+    /// found earlier in the same sweep, so the node cannot win and the
+    /// walk skips it, clearing the bit. A chunk marks only nodes in its
+    /// own words and visits them all, so the mask is all-zero between
+    /// sweeps.
+    losers: BitMask,
     /// Degree reduction's high nodes at iteration boundaries: the active
     /// nodes whose active degree exceeds the target, with that degree
     /// stored exactly. Empty for every other algorithm.
@@ -122,10 +131,11 @@ pub struct FlatBackend<'g> {
     obs_flushed: bool,
 }
 
-/// Removes node `v` from the active set: clears the frontier bit and,
-/// with `track_deg`, decrements every neighbor's active degree. `v` halts
-/// at the next announce-type round. Free function over the split-off
-/// fields so callers can hold the graph across calls.
+/// Removes node `v` from the active set if it is active and returns
+/// whether it was: clears the frontier bit and, with `track_deg`,
+/// decrements every neighbor's active degree once. `v` halts at the next
+/// announce-type round. Free function over the split-off fields so
+/// callers can hold the graph across calls.
 ///
 /// `track_deg = false` skips the decrement loop — over a run it is 2m
 /// random u32 read-modify-writes plus a CSR row fetch per removed node,
@@ -139,15 +149,15 @@ fn deactivate_in(
     active_deg: &mut [u32],
     track_deg: bool,
     v: NodeId,
-) {
-    debug_assert!(active.contains(v));
-    active.remove(v);
-    *active_count -= 1;
-    if track_deg {
+) -> bool {
+    let removed = active.take(v);
+    *active_count -= usize::from(removed);
+    if track_deg && removed {
         for u in g.neighbors(v) {
             active_deg[u] -= 1;
         }
     }
+    removed
 }
 
 /// Number of active neighbors of node `p`: its exact active degree.
@@ -229,12 +239,14 @@ fn walk<S: Send>(
 /// [`walk`] that keeps the active nodes `keep` accepts: each chunk
 /// collects its own, ascending, into its buffer of `bufs`, and `out`
 /// gets the buffers' concatenation in chunk order — the ascending list.
-fn collect(
+/// `shard` builds each chunk's private state for `keep`, as in [`walk`].
+fn collect<S: Send>(
     active: &Frontier,
     threads: usize,
     bufs: &mut Vec<Vec<NodeId>>,
     out: &mut Vec<NodeId>,
-    keep: impl Fn(NodeId) -> bool + Sync,
+    mut shard: impl FnMut(usize, usize) -> S,
+    keep: impl Fn(&mut S, NodeId) -> bool + Sync,
 ) {
     let chunks = chunk_count(active.mask().words().len(), threads);
     if bufs.len() < chunks {
@@ -244,13 +256,13 @@ fn collect(
     walk(
         active,
         threads,
-        |_, _| {
+        |wlo, whi| {
             let buf = free.next().expect("a buffer per chunk");
             buf.clear();
-            buf
+            (buf, shard(wlo, whi))
         },
-        |buf, p| {
-            if keep(p) {
+        |(buf, state), p| {
+            if keep(state, p) {
                 buf.push(p);
             }
         },
@@ -278,6 +290,34 @@ impl<T> Index<usize> for Shard<'_, T> {
 impl<T> IndexMut<usize> for Shard<'_, T> {
     fn index_mut(&mut self, i: usize) -> &mut T {
         &mut self.entries[i - self.lo]
+    }
+}
+
+/// A chunk's words of the loser mask (see [`FlatBackend`]'s `losers`).
+impl Shard<'_, u64> {
+    /// Clears node `v`'s loser bit and returns whether it was set: a
+    /// lower-id neighbor already beat `v` in this sweep.
+    #[inline]
+    fn take_loser(&mut self, v: NodeId) -> bool {
+        let (word, bit) = (&mut self[v >> 6], 1u64 << (v & 63));
+        let was = *word & bit;
+        *word &= !bit;
+        was != 0
+    }
+
+    /// Whether the deciding node's `key` beats neighbor key `theirs`.
+    /// A beaten neighbor above the deciding node gets its loser bit,
+    /// when its word is this chunk's, so the walk skips it later.
+    #[inline]
+    fn beats(&mut self, key: (u64, NodeId), theirs: (u64, NodeId)) -> bool {
+        let beats = key > theirs;
+        if beats && theirs.1 > key.1 {
+            let v = theirs.1;
+            if let Some(word) = self.entries.get_mut((v >> 6) - self.lo) {
+                *word |= 1u64 << (v & 63);
+            }
+        }
+        beats
     }
 }
 
@@ -404,11 +444,13 @@ impl Coins<'_> {
 
 /// Métivier's and BoundedArb's win scan over the active set: winners
 /// are `(priority, id)`-maximal among active neighbors, and priority 0
-/// (the ρ_k opt-out) never wins.
+/// (the ρ_k opt-out) never wins. A node whose loser bit is set is
+/// skipped, and a probed neighbor it beats gets one.
 struct WinScan<'a> {
     g: &'a Graph,
     active: &'a Frontier,
     threads: usize,
+    losers: &'a mut BitMask,
     bufs: &'a mut Vec<Vec<NodeId>>,
     wins: &'a mut Vec<NodeId>,
 }
@@ -416,33 +458,53 @@ struct WinScan<'a> {
 impl PrioritySweep for WinScan<'_> {
     fn run(self, prio: &(impl Fn(NodeId) -> u64 + Sync)) {
         let (g, mask) = (self.g, self.active.mask());
-        collect(self.active, self.threads, self.bufs, self.wins, |p| {
-            let key = (prio(p), p);
-            key.0 != 0
-                && g.neighbors(p)
-                    .iter()
-                    .all(|u| !mask.test(u) || key > (prio(u), u))
-        });
+        let losers = shards(self.losers.words_mut(), 1);
+        collect(
+            self.active,
+            self.threads,
+            self.bufs,
+            self.wins,
+            losers,
+            |losers, p| {
+                if losers.take_loser(p) {
+                    return false;
+                }
+                let key = (prio(p), p);
+                key.0 != 0
+                    && g.neighbors(p)
+                        .iter()
+                        .all(|u| !mask.test(u) || losers.beats(key, (prio(u), u)))
+            },
+        );
     }
 }
 
 /// Degree reduction's serial win scan over its competitors: a competitor
 /// wins when its `(priority, id)` beats every competing neighbor's.
+/// Loser bits work as in [`WinScan`], over the whole mask.
 struct CompetitorScan<'a> {
     g: &'a Graph,
     competitors: &'a BitMask,
+    losers: &'a mut BitMask,
     wins: &'a mut Vec<NodeId>,
 }
 
 impl PrioritySweep for CompetitorScan<'_> {
     fn run(self, prio: &(impl Fn(NodeId) -> u64 + Sync)) {
         let (g, competitors) = (self.g, self.competitors);
+        let mut losers = Shard {
+            lo: 0,
+            entries: self.losers.words_mut(),
+        };
         self.wins.clear();
         for p in competitors.iter() {
+            if losers.take_loser(p) {
+                continue;
+            }
             let key = (prio(p), p);
             if g.neighbors(p)
                 .iter()
-                .all(|u| !competitors.test(u) || key > (prio(u), u))
+                .all(|u| !competitors.test(u) || losers.beats(key, (prio(u), u)))
             {
                 self.wins.push(p);
             }
@@ -477,6 +539,7 @@ impl<'g> FlatBackend<'g> {
             bad: BitMask::new(n),
             active_deg: vec![0; n],
             marked: BitMask::new(n),
+            losers: BitMask::new(n),
             high: Vec::new(),
             exponent: vec![0; exponent_len],
             next_exponent: vec![0; exponent_len],
@@ -905,23 +968,44 @@ impl<'g> FlatBackend<'g> {
     /// Each check is a short-circuiting `all` scan: with i.i.d.
     /// priorities, a node expects to find a beating neighbor within a
     /// couple of probes, so per-node work is far below `deg(p)` — this
-    /// beats any full-per-edge scheme despite reading each edge from
-    /// both sides. A probe draws the neighbor's priority on the spot:
-    /// at 10⁶ nodes and beyond, one hash is cheaper than a random read
-    /// of a stored priority array, and no fill sweep runs first. State
-    /// is read-only, so every chunk decides its own nodes independently.
+    /// beats any full-per-edge scheme. A probe draws the neighbor's
+    /// priority on the spot: at 10⁶ nodes and beyond, one hash is
+    /// cheaper than a random read of a stored priority array, and no
+    /// fill sweep runs first.
+    ///
+    /// An edge is not always read from both sides. When `p` beats a
+    /// probed higher-id neighbor `u`, `u` gets a loser bit, and the walk
+    /// reaching `u` clears it and moves on: no draw for `u`, no probes.
+    /// The set of winners is unchanged, since `u` cannot be a local
+    /// maximum. Marks stay chunk-local (a chunk writes only its own
+    /// words of `losers`, through [`shards`]), so every chunk still
+    /// decides its own nodes from read-only shared state, and the
+    /// winners are the same at every thread count.
     fn prio_decide(&mut self, tag: u64, iter: u64, rho: Option<f64>) {
         let mut wins = std::mem::take(&mut self.wins);
         let mut bufs = std::mem::take(&mut self.chunk_bufs);
+        let mut losers = std::mem::take(&mut self.losers);
         self.coins(tag, iter, rho).sweep(WinScan {
             g: self.g,
             active: &self.active,
             threads: self.threads,
+            losers: &mut losers,
             bufs: &mut bufs,
             wins: &mut wins,
         });
+        self.losers = losers;
         self.wins = wins;
         self.chunk_bufs = bufs;
+        self.debug_assert_no_losers();
+    }
+
+    /// The loser mask is all-zero between sweeps: every scan visits each
+    /// node it marked and clears its bit.
+    fn debug_assert_no_losers(&self) {
+        debug_assert!(
+            self.losers.words().iter().all(|&w| w == 0),
+            "a win scan left loser marks behind"
+        );
     }
 
     /// Degree-reduction decide, serial at every thread count: the high
@@ -929,7 +1013,10 @@ impl<'g> FlatBackend<'g> {
     /// priority, and a competitor wins when its `(priority, id)` beats
     /// every competing neighbor's. Non-competitors neither draw nor
     /// block. Work is O(Σ deg(high)) plus the competitors' win checks and
-    /// two word walks of the competitor mask.
+    /// two word walks of the competitor mask. The scan skips competitors
+    /// a lower-id competitor already beat, as the priority decide does;
+    /// its loser bits live in `losers`, never in `marked`, which holds
+    /// the competitor set it walks.
     fn decide_degree_reduction(&mut self, iter: u64) {
         let g = self.g;
         let Self {
@@ -948,13 +1035,17 @@ impl<'g> FlatBackend<'g> {
             }
         }
         let mut wins = std::mem::take(&mut self.wins);
+        let mut losers = std::mem::take(&mut self.losers);
         self.coins(metivier::TAG_PRIORITY, iter, None)
             .sweep(CompetitorScan {
                 g,
                 competitors: &self.marked,
+                losers: &mut losers,
                 wins: &mut wins,
             });
+        self.losers = losers;
         self.wins = wins;
+        self.debug_assert_no_losers();
     }
 
     /// Luby decide: marked with `P = 1/2d`, `(degree, id)`-maximal among
@@ -1022,14 +1113,21 @@ impl<'g> FlatBackend<'g> {
             ..
         } = self;
         let (mask, deg, marked) = (active.mask(), &active_deg[..], &*marked);
-        collect(active, *threads, chunk_bufs, wins, |p| {
-            let key = (u64::from(deg[p]), p);
-            key.0 == 0
-                || (marked.test(p)
-                    && g.neighbors(p)
-                        .iter()
-                        .all(|u| !mask.test(u) || !marked.test(u) || (u64::from(deg[u]), u) < key))
-        });
+        collect(
+            active,
+            *threads,
+            chunk_bufs,
+            wins,
+            |_, _| (),
+            |(), p| {
+                let key = (u64::from(deg[p]), p);
+                key.0 == 0
+                    || (marked.test(p)
+                        && g.neighbors(p).iter().all(|u| {
+                            !mask.test(u) || !marked.test(u) || (u64::from(deg[u]), u) < key
+                        }))
+            },
+        );
     }
 
     /// Ghaffari decide, serial at every thread count. The first sweep
@@ -1085,6 +1183,13 @@ impl<'g> FlatBackend<'g> {
     /// Exit round: winners join the MIS; winners and their dominated
     /// active neighbors leave the active set. The winners, already
     /// ascending, are the round's joiners.
+    ///
+    /// # Panics
+    ///
+    /// If a winner is not active, in every build: the exit is applying
+    /// winners that some earlier exit already removed, so the round
+    /// timeline slipped. Going on would leave `active_count` wrong and
+    /// the drivers looping.
     fn exit_step(&mut self) {
         let g = self.g;
         let Self {
@@ -1101,11 +1206,12 @@ impl<'g> FlatBackend<'g> {
         let track_deg = *track_deg;
         for &w in wins.iter() {
             in_mis.set(w);
-            deactivate_in(g, active, active_count, active_deg, track_deg, w);
+            assert!(
+                deactivate_in(g, active, active_count, active_deg, track_deg, w),
+                "exit of winner node {w}, which is not active: the round timeline slipped"
+            );
             for u in g.neighbors(w) {
-                if active.contains(u) {
-                    deactivate_in(g, active, active_count, active_deg, track_deg, u);
-                }
+                deactivate_in(g, active, active_count, active_deg, track_deg, u);
             }
         }
         *deg_exact &= track_deg || wins.is_empty();
@@ -1136,14 +1242,20 @@ impl<'g> FlatBackend<'g> {
             ..
         } = self;
         let (mask, deg) = (active.mask(), &active_deg[..]);
-        collect(active, *threads, chunk_bufs, removals, |p| {
-            high_degree_neighbors(g, mask, deg, p, hd) as f64 > bad_thr
-        });
+        collect(
+            active,
+            *threads,
+            chunk_bufs,
+            removals,
+            |_, _| (),
+            |(), p| high_degree_neighbors(g, mask, deg, p, hd) as f64 > bad_thr,
+        );
         for &p in removals.iter() {
             bad.set(p);
             // Always decrement: the trace and the headroom gauge read
             // exact degrees after the scale end.
-            deactivate_in(g, active, active_count, active_deg, true, p);
+            let removed = deactivate_in(g, active, active_count, active_deg, true, p);
+            debug_assert!(removed, "bad-exit violators are active");
         }
     }
 
@@ -1294,6 +1406,27 @@ mod tests {
                 assert_eq!(index_ranks(&set), naive_ranks(&set), "{set:?}");
             }
         }
+    }
+
+    /// An exit that applies winners a previous exit already removed (a
+    /// slipped round timeline) panics in every build, naming the node,
+    /// instead of corrupting the active count.
+    #[test]
+    fn a_repeated_exit_panics_naming_the_winner() {
+        let g = arbmis_graph::gen::path(9);
+        let mut b = FlatBackend::unobserved(&g, 5, FlatAlgo::Metivier);
+        b.advance_rounds(2); // announce, decide
+        let first = *b.wins.first().expect("a path has a local maximum");
+        b.exit_step();
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.exit_step()))
+            .expect_err("the second exit must panic");
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        assert!(
+            msg.contains(&format!("winner node {first},")),
+            "message names another node: {msg}"
+        );
     }
 
     proptest! {

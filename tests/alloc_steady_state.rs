@@ -213,7 +213,9 @@ fn frontier_bookkeeping_steady_state_allocates_nothing() {
 /// repeat executions replay the exact same buffer demands. Ghaffari's
 /// exponent buffers are sized at construction and swapped, never
 /// regrown. BoundedArb runs on a 3-tree, with and without the ρ_k
-/// cutoff, so its bad-exit sweep is covered too.
+/// cutoff, so its bad-exit sweep is covered too, and so does degree
+/// reduction, whose competitor scan shares the loser mask with the
+/// priority win scans.
 fn flat_backend_steady_state_allocates_nothing() {
     use arbmis::core::{ArbParams, ParamMode};
     use arbmis::flat::{FlatAlgo, FlatBackend, MisBackend};
@@ -225,7 +227,7 @@ fn flat_backend_steady_state_allocates_nothing() {
     let delta = ktree.degree_histogram().len().saturating_sub(1);
     let params = ArbParams::new(3, delta, ParamMode::default());
 
-    let cases: [(&Graph, FlatAlgo); 5] = [
+    let cases: [(&Graph, FlatAlgo); 6] = [
         (&gnp, FlatAlgo::Luby),
         (&gnp, FlatAlgo::Metivier),
         (&gnp, FlatAlgo::Ghaffari),
@@ -241,6 +243,12 @@ fn flat_backend_steady_state_allocates_nothing() {
             FlatAlgo::BoundedArb {
                 params,
                 rho_cutoff: false,
+            },
+        ),
+        (
+            &ktree,
+            FlatAlgo::DegreeReduction {
+                target: (delta / 2) as f64,
             },
         ),
     ];

@@ -571,6 +571,63 @@ fn roundtrips<M: Message + PartialEq>(m: &M) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// A byte-level mutation of a valid encoding: bit flips at positions
+/// taken modulo the length, one splice of arbitrary bytes over a range
+/// (an insertion when the range is empty), and appended bytes.
+type Mutation = (Vec<(usize, u8)>, (usize, usize, Vec<u8>), Vec<u8>);
+
+fn mutation() -> impl Strategy<Value = Mutation> {
+    (
+        proptest::collection::vec((0usize..1 << 16, 0u8..8), 0..4),
+        (
+            0usize..1 << 16,
+            0usize..4,
+            proptest::collection::vec(0u8..=255, 0..6),
+        ),
+        proptest::collection::vec(0u8..=255, 0..3),
+    )
+}
+
+fn mutate(mut bytes: Vec<u8>, (flips, (at, cut, with), tail): &Mutation) -> Vec<u8> {
+    let at = at % (bytes.len() + 1);
+    let end = (at + cut).min(bytes.len());
+    bytes.splice(at..end, with.iter().copied());
+    let len = bytes.len();
+    if len > 0 {
+        for &(pos, bit) in flips {
+            bytes[pos % len] ^= 1 << bit;
+        }
+    }
+    bytes.extend_from_slice(tail);
+    bytes
+}
+
+fn encoding<M: Message>(m: &M) -> Vec<u8> {
+    let mut buf = Vec::new();
+    m.encode(&mut buf);
+    buf
+}
+
+/// Decodes `bytes` as every message type. Each call may return `Ok` or
+/// `Err`; a panic fails the test, and whatever decodes must round-trip
+/// through its own encoding.
+fn decode_as_every_type(bytes: &[u8]) -> Result<(), TestCaseError> {
+    fn one<M: Message + PartialEq>(bytes: &[u8]) -> Result<(), TestCaseError> {
+        match M::decode_all(bytes) {
+            Ok(m) => roundtrips(&m),
+            Err(_) => Ok(()),
+        }
+    }
+    one::<u64>(bytes)?;
+    one::<u32>(bytes)?;
+    one::<bool>(bytes)?;
+    one::<()>(bytes)?;
+    one::<(u64, u32)>(bytes)?;
+    one::<Option<u64>>(bytes)?;
+    one::<(bool, Option<(u64, u32)>)>(bytes)?;
+    one::<MisMsg>(bytes)
+}
+
 /// A message whose declared size is an arbitrary *bit* count — lets the
 /// budget-boundary property probe `16·⌈log₂ n⌉` exactly, not just at
 /// whole-byte granularity.
@@ -661,6 +718,37 @@ proptest! {
         // another variant's (self-delimiting wire format).
         for cut in 0..buf.len() {
             prop_assert!(MisMsg::decode_all(&buf[..cut]).is_err(), "prefix of {cut} bytes");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The `decode_all` hostile-input surface: a valid encoding of every
+    /// message type, mutated, then decoded as every message type.
+    #[test]
+    fn mutated_encodings_decode_or_err(
+        m in arb_mis_msg(),
+        x in 0u64..u64::MAX,
+        y in 0u32..u32::MAX,
+        f in 0u8..2,
+        mutation in mutation(),
+    ) {
+        let flag = f == 1;
+        let encodings = [
+            encoding(&m),
+            encoding(&x),
+            encoding(&y),
+            encoding(&flag),
+            encoding(&()),
+            encoding(&(x, y)),
+            encoding(&Some(x)),
+            encoding(&Option::<u64>::None),
+            encoding(&(flag, Some((x, y)))),
+        ];
+        for bytes in encodings {
+            decode_as_every_type(&mutate(bytes, &mutation))?;
         }
     }
 }
