@@ -7,7 +7,10 @@
 //! clearing only touches dirty words. The engines double-buffer two of
 //! these per round — see DESIGN.md §10. The flat engine walks it in
 //! word-aligned chunks ([`Frontier::iter_words`]), so every chunk of a
-//! parallel sweep skips empty words the way the serial walk does.
+//! parallel sweep skips empty words the way the serial walk does. A walk
+//! can also keep only the members another mask holds
+//! ([`Frontier::iter_words_and`]): each membership word is ANDed with the
+//! mask's word before its bits are visited.
 
 use crate::bitmask::BitMask;
 use arbmis_graph::NodeId;
@@ -108,9 +111,23 @@ impl Frontier {
     /// `64·wlo..64·whi`) in ascending order, skipping empty words through
     /// the summary as [`iter`](Self::iter) does.
     pub fn iter_words(&self, wlo: usize, whi: usize) -> FrontierIter<'_> {
+        self.iter_words_and(wlo, whi, Every)
+    }
+
+    /// [`iter_words`](Self::iter_words) restricted by `filter`: the
+    /// members in `wlo..whi` whose bit `filter` keeps, ascending. A
+    /// [`BitMask`] filter over the same `0..n` yields the members it also
+    /// holds, at one extra word load per nonempty membership word.
+    pub fn iter_words_and<F: WordFilter>(
+        &self,
+        wlo: usize,
+        whi: usize,
+        filter: F,
+    ) -> FrontierIter<'_, F> {
         let sidx = wlo >> 6;
         FrontierIter {
             frontier: self,
+            filter,
             sidx,
             sbits: self
                 .summary
@@ -123,9 +140,37 @@ impl Frontier {
     }
 }
 
-/// Ascending iterator over a [`Frontier`].
-pub struct FrontierIter<'a> {
+/// Which members of a [`Frontier`] a walk visits, decided a word at a
+/// time: the walk visits the bits of `filter(w, word)` instead of the
+/// membership word `word` of word index `w`.
+pub trait WordFilter: Copy {
+    /// The bits of membership word `w` to visit; a subset of `bits`.
+    fn filter(self, w: usize, bits: u64) -> u64;
+}
+
+/// The filter that keeps every member: the plain walk.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Every;
+
+impl WordFilter for Every {
+    #[inline(always)]
+    fn filter(self, _w: usize, bits: u64) -> u64 {
+        bits
+    }
+}
+
+/// Keeps the members that the mask also holds.
+impl WordFilter for &BitMask {
+    #[inline(always)]
+    fn filter(self, w: usize, bits: u64) -> u64 {
+        bits & self.words()[w]
+    }
+}
+
+/// Ascending iterator over a [`Frontier`], restricted by a [`WordFilter`].
+pub struct FrontierIter<'a, F = Every> {
     frontier: &'a Frontier,
+    filter: F,
     /// Current summary word index.
     sidx: usize,
     /// Unconsumed bits of `summary[sidx]`.
@@ -138,7 +183,7 @@ pub struct FrontierIter<'a> {
     whi: usize,
 }
 
-impl Iterator for FrontierIter<'_> {
+impl<F: WordFilter> Iterator for FrontierIter<'_, F> {
     type Item = NodeId;
 
     #[inline]
@@ -155,7 +200,9 @@ impl Iterator for FrontierIter<'_> {
                     return None;
                 }
                 self.sbits &= self.sbits - 1;
-                self.wbits = self.frontier.mask.words()[self.widx];
+                self.wbits = self
+                    .filter
+                    .filter(self.widx, self.frontier.mask.words()[self.widx]);
                 continue;
             }
             self.sidx += 1;
@@ -285,6 +332,39 @@ mod tests {
         }
         assert_eq!(f.iter_words(words, words + 5).count(), 0);
         assert_eq!(Frontier::new(0).iter_words(0, 0).count(), 0);
+    }
+
+    /// A mask-filtered walk visits exactly the members the mask also
+    /// holds, chunk by chunk, including words the filter empties and
+    /// filter bits outside the frontier.
+    #[test]
+    fn filtered_word_ranges_visit_the_intersection() {
+        let n = 64 * 64 * 2 + 40;
+        let mut f = Frontier::new(n);
+        let mut filter = BitMask::new(n);
+        for v in (0..n).step_by(3) {
+            f.insert(v);
+        }
+        for v in (0..n).step_by(5).filter(|v| v % 640 < 300) {
+            filter.set(v);
+        }
+        let expect: Vec<usize> = f.iter().filter(|&v| filter.test(v)).collect();
+        assert!(!expect.is_empty());
+        let words = n.div_ceil(64);
+        for chunks in [1, 2, 3, 8, words] {
+            let mut joined = Vec::new();
+            for c in 0..chunks {
+                let (lo, hi) = (c * words / chunks, (c + 1) * words / chunks);
+                joined.extend(f.iter_words_and(lo, hi, &filter));
+            }
+            assert_eq!(joined, expect, "chunks={chunks}");
+        }
+        assert_eq!(f.iter_words_and(0, words, Every).count(), f.iter().count());
+        assert_eq!(
+            f.iter_words_and(0, words, &BitMask::new(n)).count(),
+            0,
+            "an empty filter keeps nothing"
+        );
     }
 
     #[test]

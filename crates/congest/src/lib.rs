@@ -75,7 +75,7 @@ pub mod simulator;
 pub mod transcript;
 
 pub use bitmask::BitMask;
-pub use frontier::Frontier;
+pub use frontier::{Every, Frontier, WordFilter};
 pub use message::{DecodeError, Message};
 pub use metrics::Metrics;
 pub use parallel::{default_parallelism, execute_indexed, set_default_parallelism, Parallelism};

@@ -300,7 +300,7 @@ pub fn arb_mis_with(g: &Graph, cfg: &ArbMisConfig, rec: &Recorder) -> ArbMisOutc
 fn finish_region(engine: &mut FlatBackend<'_>, seed: u64, rec: &Recorder, name: &str) -> u64 {
     let _s = rec.span(name);
     engine.switch_algo(FlatAlgo::Metivier, seed);
-    let rounds = schedule_rounds(engine.run_iterations(u64::MAX), 0);
+    let rounds = schedule_rounds(engine.run_to_completion(), 0);
     rec.point("rounds", rounds);
     rounds
 }

@@ -2,7 +2,7 @@
 
 use crate::backend::{self, BackendError, CoinFlip, FlatAlgo, MisBackend, Slot};
 use crate::{bounded_arb, ghaffari, luby, metivier, ArbParams, MisRun};
-use arbmis_congest::{execute_indexed, rng, BitMask, Frontier, Parallelism};
+use arbmis_congest::{execute_indexed, rng, BitMask, Every, Frontier, Parallelism, WordFilter};
 use arbmis_graph::{Graph, NodeId};
 use arbmis_obs::{FlightRecorder, Recorder, RoundRecord};
 use std::ops::{Index, IndexMut};
@@ -22,7 +22,11 @@ use std::sync::Mutex;
 /// compare it, for the node deciding and for each active neighbor they
 /// probe. A node that a lower-id neighbor already beat earlier in the
 /// same walk carries a loser mark and is skipped without a draw
-/// (DESIGN.md §10).
+/// (DESIGN.md §10). The coin sweeps branch on no coin: Luby's mark sweep
+/// writes each mark bit from its draw, and its win sweep walks only the
+/// words of `active & marked`; Ghaffari keeps one coin word per node
+/// (exponent and mark) that its pull reads without an activity test
+/// (DESIGN.md §13).
 ///
 /// # Deterministic parallelism
 ///
@@ -81,8 +85,9 @@ pub struct FlatBackend<'g> {
     /// while `track_deg` is set, each deactivation decrements all
     /// neighbors.
     active_deg: Vec<u32>,
-    /// Per-iteration mark scratch (Luby, Ghaffari) or competitor set
-    /// (degree reduction). Stale for inactive nodes.
+    /// Luby's marks of the current iteration, which its win sweep walks
+    /// (ANDed with the active set), or degree reduction's competitor set.
+    /// Stale for inactive nodes.
     marked: BitMask,
     /// Loser marks of the priority win scans (DESIGN.md §10, §13): a
     /// set bit says a lower-id active neighbor with a larger key was
@@ -98,10 +103,12 @@ pub struct FlatBackend<'g> {
     /// Ghaffari's desire exponents (`p = 2^-e`); stale for inactive
     /// nodes. Empty for every other algorithm.
     exponent: Vec<u32>,
-    /// The exponents the decide sweep computes for the next iteration,
-    /// swapped into `exponent` once the sweep is done (it reads the
-    /// current ones). Empty for every other algorithm.
-    next_exponent: Vec<u32>,
+    /// Ghaffari's coin words, the only per-node state its pull reads
+    /// from neighbors: an active node's exponent as of the mark sweep
+    /// with its mark in [`ghaffari::MARK`], [`ghaffari::INACTIVE`] for
+    /// every other node. The pull then updates `exponent` in place.
+    /// Empty for every other algorithm.
+    coins: Vec<u32>,
     /// `64 - priority_bits(n)`, hoisted: [`rng::draw_priority`]
     /// recomputes a floating-point `⌈log₂ n⌉` on every draw, which the
     /// win scans would otherwise pay per probe.
@@ -180,6 +187,14 @@ fn high_degree_neighbors(
         .count()
 }
 
+/// The iteration cap of a run to completion. Every algorithm here ends
+/// whp long before it, so a run still going past it is an engine fault,
+/// not bad luck.
+fn iteration_cap(n: usize) -> u64 {
+    let logn = (n.max(2) as f64).log2();
+    2000 + (60.0 * logn * logn) as u64
+}
+
 /// Number of word-aligned chunks a sweep splits the active set into:
 /// one at one thread, otherwise four per thread (at most one per word)
 /// so the work-stealing pool can even out uneven chunks.
@@ -194,14 +209,16 @@ fn chunk_count(words: usize, threads: usize) -> usize {
 /// The one walk every threaded active-set sweep runs. The word array
 /// splits into [`chunk_count`] disjoint, ascending word ranges;
 /// `shard(wlo, whi)` builds each chunk's private state, in chunk order,
-/// and `body(state, p)` runs on every active node `p` of the chunk in
+/// and `body(state, p)` runs on every active node `p` of the chunk that
+/// `filter` keeps ([`Every`] active node, or those a mask also holds), in
 /// ascending order, skipping empty words through the frontier's summary
 /// (O(|frontier|) per sweep at every thread count). One chunk runs
 /// inline; several run on the [`execute_indexed`] pool. Bodies read
 /// shared state and write only their chunk's, so results never depend
 /// on the thread count.
-fn walk<S: Send>(
+fn walk<S: Send, F: WordFilter + Sync>(
     active: &Frontier,
+    filter: F,
     threads: usize,
     mut shard: impl FnMut(usize, usize) -> S,
     body: impl Fn(&mut S, NodeId) + Sync,
@@ -211,7 +228,7 @@ fn walk<S: Send>(
     let range = |c: usize| (c * words / chunks, (c + 1) * words / chunks);
     if chunks == 1 {
         let mut state = shard(0, words);
-        for p in active.iter() {
+        for p in active.iter_words_and(0, words, filter) {
             body(&mut state, p);
         }
         return;
@@ -230,18 +247,19 @@ fn walk<S: Send>(
             .expect("only chunk c's one run locks its state")
             .take()
             .expect("each chunk runs once");
-        for p in active.iter_words(wlo, whi) {
+        for p in active.iter_words_and(wlo, whi, filter) {
             body(&mut state, p);
         }
     });
 }
 
-/// [`walk`] that keeps the active nodes `keep` accepts: each chunk
+/// [`walk`] that keeps the visited nodes `keep` accepts: each chunk
 /// collects its own, ascending, into its buffer of `bufs`, and `out`
 /// gets the buffers' concatenation in chunk order — the ascending list.
-/// `shard` builds each chunk's private state for `keep`, as in [`walk`].
-fn collect<S: Send>(
+/// `filter` and `shard` work as in [`walk`].
+fn collect<S: Send, F: WordFilter + Sync>(
     active: &Frontier,
+    filter: F,
     threads: usize,
     bufs: &mut Vec<Vec<NodeId>>,
     out: &mut Vec<NodeId>,
@@ -255,6 +273,7 @@ fn collect<S: Send>(
     let mut free = bufs.iter_mut();
     walk(
         active,
+        filter,
         threads,
         |wlo, whi| {
             let buf = free.next().expect("a buffer per chunk");
@@ -461,6 +480,7 @@ impl PrioritySweep for WinScan<'_> {
         let losers = shards(self.losers.words_mut(), 1);
         collect(
             self.active,
+            Every,
             self.threads,
             self.bufs,
             self.wins,
@@ -516,7 +536,7 @@ impl<'g> FlatBackend<'g> {
     /// A flat backend for `algo` on `g` under `seed`, ready at round 0.
     pub fn new(g: &'g Graph, seed: u64, algo: FlatAlgo) -> Self {
         let n = g.n();
-        let exponent_len = if matches!(algo, FlatAlgo::Ghaffari) {
+        let ghaffari_len = if matches!(algo, FlatAlgo::Ghaffari) {
             n
         } else {
             0
@@ -541,8 +561,8 @@ impl<'g> FlatBackend<'g> {
             marked: BitMask::new(n),
             losers: BitMask::new(n),
             high: Vec::new(),
-            exponent: vec![0; exponent_len],
-            next_exponent: vec![0; exponent_len],
+            exponent: vec![0; ghaffari_len],
+            coins: vec![0; ghaffari_len],
             prio_shift: 64 - rng::priority_bits(n),
             track_deg: false,
             deg_exact: false,
@@ -793,10 +813,31 @@ impl<'g> FlatBackend<'g> {
         iterations
     }
 
-    /// Runs whole iterations until nothing is active and reports them in
-    /// schedule rounds, without the closing halt round.
+    /// Runs whole iterations until no node competes, at most
+    /// [`iteration_cap`] of them, and returns how many ran.
+    ///
+    /// # Panics
+    ///
+    /// If nodes still compete after the cap, in every build: the engine
+    /// stopped making progress, and going on would hang the driver.
+    pub(crate) fn run_to_completion(&mut self) -> u64 {
+        let cap = iteration_cap(self.g.n());
+        let iterations = self.run_iterations(cap);
+        assert!(
+            !self.has_competitors(),
+            "{:?} still has active nodes after its cap of {cap} iterations \
+             (active count {}): the engine stopped making progress",
+            self.algo,
+            self.active_count
+        );
+        iterations
+    }
+
+    /// Runs to completion ([`run_to_completion`](Self::run_to_completion))
+    /// and reports the iterations in schedule rounds, without the closing
+    /// halt round.
     pub(crate) fn into_mis_run(mut self) -> MisRun {
-        let iterations = self.run_iterations(u64::MAX);
+        let iterations = self.run_to_completion();
         let rounds = backend::schedule_rounds(iterations, 0);
         MisRun::new(self.in_mis.to_bools(), iterations, rounds)
     }
@@ -825,8 +866,10 @@ impl<'g> FlatBackend<'g> {
         self.bad.clear_all();
         self.marked.clear_all();
         self.removals.clear();
-        // Every desire starts at 1/2.
+        // Every desire starts at 1/2; each mark sweep writes the active
+        // nodes' coin words.
         self.exponent.fill(1);
+        self.coins.fill(ghaffari::INACTIVE);
         // Algorithms that read degrees start from the full-graph degrees:
         // exact on a full start, upper bounds on a region. Métivier and
         // Ghaffari never read degrees.
@@ -935,7 +978,7 @@ impl<'g> FlatBackend<'g> {
         self.active.contains(f.node).then_some((f.node, f.xor))
     }
 
-    /// Toggles the mark bit of node `pos`.
+    /// Toggles Luby's mark bit of node `pos`.
     fn toggle_mark(&mut self, pos: NodeId) {
         if self.marked.test(pos) {
             self.marked.clear(pos);
@@ -1053,6 +1096,12 @@ impl<'g> FlatBackend<'g> {
     /// short-circuit scan as the priority decide, with the mark bit
     /// standing in for a nonzero priority.
     ///
+    /// The mark sweep writes every mark bit from its draw, without a
+    /// branch on the coin, and marks every degree-0 node (`1/(2·0)` is
+    /// `+∞`). The win sweep then walks only the words of
+    /// `active & marked`, so it never visits an unmarked node, and still
+    /// reaches every degree-0 node: with no active neighbor it wins.
+    ///
     /// Degrees are pulled, not pushed: unless they are already exact (a
     /// full start before any exit, where `reset` stored `g.degree`), the
     /// mark sweep counts each active node's active neighbors from the
@@ -1083,17 +1132,14 @@ impl<'g> FlatBackend<'g> {
             let mut degs = shards(active_deg, 64);
             let mut marks = shards(marked.words_mut(), 1);
             let shard = |wlo, whi| (degs(wlo, whi), marks(wlo, whi));
-            walk(active, *threads, shard, |(deg, marks), p| {
+            walk(active, Every, *threads, shard, |(deg, marks), p| {
                 if count {
                     deg[p] = active_degree(g, mask, p);
                 }
-                let d = deg[p];
-                let bit = 1u64 << (p & 63);
-                if d > 0 && luby::is_marked(seed, p, iter, d as usize) {
-                    marks[p >> 6] |= bit;
-                } else {
-                    marks[p >> 6] &= !bit;
-                }
+                // Degree 0 always marks, so the win sweep reaches it.
+                let marked = luby::is_marked(seed, p, iter, deg[p] as usize);
+                let (word, bit) = (&mut marks[p >> 6], p & 63);
+                *word = (*word & !(1 << bit)) | (u64::from(marked) << bit);
             });
         }
         self.deg_exact = true;
@@ -1102,7 +1148,7 @@ impl<'g> FlatBackend<'g> {
                 self.toggle_mark(pos);
             }
         }
-        // Phase 2: competition among marked nodes.
+        // Phase 2: competition among marked nodes, the only ones walked.
         let Self {
             active,
             active_deg,
@@ -1115,69 +1161,88 @@ impl<'g> FlatBackend<'g> {
         let (mask, deg, marked) = (active.mask(), &active_deg[..], &*marked);
         collect(
             active,
+            marked,
             *threads,
             chunk_bufs,
             wins,
             |_, _| (),
             |(), p| {
                 let key = (u64::from(deg[p]), p);
-                key.0 == 0
-                    || (marked.test(p)
-                        && g.neighbors(p).iter().all(|u| {
-                            !mask.test(u) || !marked.test(u) || (u64::from(deg[u]), u) < key
-                        }))
+                g.neighbors(p)
+                    .iter()
+                    .all(|u| !mask.test(u) || !marked.test(u) || (u64::from(deg[u]), u) < key)
             },
         );
     }
 
-    /// Ghaffari decide, serial at every thread count. The first sweep
-    /// draws each active node's mark at its desire exponent. The second
-    /// records the winners (marked, no marked active neighbor) and
-    /// computes each active node's next exponent from its pre-removal
-    /// active neighborhood. The effective degree is summed in ascending
-    /// neighbor id, the order of the simulator's inbox, so the
-    /// floating-point sum and every comparison with 2 come out as the
-    /// CONGEST protocol's do.
+    /// Ghaffari decide, serial at every thread count. The mark sweep
+    /// draws each active node's mark at its desire exponent and writes
+    /// both into the node's coin word, without a branch on the mark; an
+    /// injected flip toggles the mark bit. The pull records the winners
+    /// (marked, no marked neighbor) and computes each active node's next
+    /// exponent from its pre-removal active neighborhood, in place: it
+    /// reads neighbors only through their coin words. Per neighbor it
+    /// adds the word's desire and ORs in its mark, with no activity
+    /// test, since an inactive node's word has no mark and desire +0.0
+    /// (adding it leaves the sum's bits unchanged). The effective degree
+    /// is summed in ascending neighbor id, the order of the simulator's
+    /// inbox, so the floating-point sum and every comparison with 2 come
+    /// out as the CONGEST protocol's do.
     fn decide_ghaffari(&mut self, iter: u64) {
         let seed = self.seed;
-        for p in self.active.iter() {
-            if ghaffari::is_marked(seed, p, iter, self.exponent[p]) {
-                self.marked.set(p);
-            } else {
-                self.marked.clear(p);
-            }
+        let Self {
+            active,
+            exponent,
+            coins,
+            ..
+        } = self;
+        for p in active.iter() {
+            let marked = ghaffari::is_marked(seed, p, iter, exponent[p]);
+            coins[p] = exponent[p] | (u32::from(marked) << 31);
         }
         if let Some((pos, xor)) = self.active_flip(iter) {
             if xor != 0 {
-                self.toggle_mark(pos);
+                self.coins[pos] ^= ghaffari::MARK;
             }
         }
         let g = self.g;
         let Self {
             active,
-            marked,
             exponent,
-            next_exponent,
+            coins,
             wins,
             ..
         } = self;
-        let (exponent, marked) = (&exponent[..], &*marked);
         wins.clear();
         for p in active.iter() {
             let mut d = 0.0;
-            let mut blocked = false;
+            let mut marks = 0;
             for u in g.neighbors(p) {
-                if active.contains(u) {
-                    d += ghaffari::desire(exponent[u]);
-                    blocked |= marked.test(u);
-                }
+                let coin = coins[u];
+                d += ghaffari::coin_desire(coin);
+                marks |= coin;
             }
-            if marked.test(p) && !blocked {
+            if coins[p] & !marks & ghaffari::MARK != 0 {
                 wins.push(p);
             }
-            next_exponent[p] = ghaffari::next_exponent(exponent[p], d);
+            exponent[p] = ghaffari::next_exponent(exponent[p], d);
         }
-        std::mem::swap(&mut self.exponent, &mut self.next_exponent);
+    }
+
+    /// The rest of Ghaffari's exit: every node the exit removed, a winner
+    /// or a winner's neighbor, gets the inactive coin word. A neighbor
+    /// that was inactive already has it. Kept out of line: inlined into
+    /// [`advance`](Self::advance), it slowed degree reduction's rounds on
+    /// a 10⁶-node 3-tree from 8.0 to 8.5 ms (traced benchmark passes).
+    #[inline(never)]
+    fn retire_coins(&mut self) {
+        let g = self.g;
+        for &w in &self.wins {
+            self.coins[w] = ghaffari::INACTIVE;
+            for u in g.neighbors(w) {
+                self.coins[u] = ghaffari::INACTIVE;
+            }
+        }
     }
 
     /// Exit round: winners join the MIS; winners and their dominated
@@ -1244,6 +1309,7 @@ impl<'g> FlatBackend<'g> {
         let (mask, deg) = (active.mask(), &active_deg[..]);
         collect(
             active,
+            Every,
             *threads,
             chunk_bufs,
             removals,
@@ -1283,8 +1349,6 @@ impl<'g> FlatBackend<'g> {
             0
         };
         self.joiners.clear();
-        // The exit round reads no desire exponents, so Ghaffari's decide
-        // leaves the next ones in place for it.
         match (backend::slot(&self.algo, self.round), self.algo) {
             (
                 Slot::Announce {
@@ -1316,8 +1380,10 @@ impl<'g> FlatBackend<'g> {
             }
             (Slot::Exit, algo) => {
                 self.exit_step();
-                if let FlatAlgo::DegreeReduction { target } = algo {
-                    self.refresh_high(target);
+                match algo {
+                    FlatAlgo::DegreeReduction { target } => self.refresh_high(target),
+                    FlatAlgo::Ghaffari => self.retire_coins(),
+                    _ => {}
                 }
             }
             (Slot::BadExit { scale }, FlatAlgo::BoundedArb { params, .. }) => {

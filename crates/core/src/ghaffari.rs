@@ -20,10 +20,17 @@
 //! next exponent from its pre-removal active neighborhood. The
 //! effective degree is summed in ascending neighbor id, the order of the
 //! simulator's inbox, so both engines compute the same floating-point
-//! sums (DESIGN.md §13). A run still active after its generous iteration
-//! cap panics.
+//! sums (DESIGN.md §13).
+//!
+//! The engine keeps one *coin word* per node: an active node's holds
+//! its exponent with this iteration's mark in bit 31 ([`MARK`]); every
+//! other node's is [`INACTIVE`], no mark and an exponent whose desire is
+//! 0. The pull reads one word per neighbor, adds its desire by table
+//! ([`coin_desire`]) and ORs in its mark, with no activity test: an
+//! inactive neighbor adds +0.0, which leaves every partial sum
+//! bit-identical to the sum over active neighbors alone.
 
-use crate::backend::{self, FlatAlgo, MisBackend};
+use crate::backend::FlatAlgo;
 use crate::result::MisRun;
 use crate::FlatBackend;
 use arbmis_congest::rng;
@@ -32,23 +39,42 @@ use arbmis_graph::{Graph, NodeId};
 /// Randomness tag for marking coins.
 pub const TAG_MARK: u64 = 0x4748_4146; // "GHAF"
 
-/// Hard iteration cap: Ghaffari's algorithm terminates whp long before
-/// this; exceeding it indicates a bug and panics.
-fn iteration_cap(n: usize) -> u64 {
-    let logn = (n.max(2) as f64).log2();
-    2000 + (60.0 * logn * logn) as u64
-}
+/// The mark bit of a coin word.
+pub(crate) const MARK: u32 = 1 << 31;
+
+/// The coin word of an inactive node: no mark, and exponent 1075, the
+/// smallest whose desire is 0. The desire table ends there.
+pub(crate) const INACTIVE: u32 = 1075;
 
 /// The desire level `2^-e`, exactly: the bits of `0.5f64.powi(e)`, built
 /// from the exponent field (subnormal below `2^-1022`, 0 below
 /// `2^-1074`) instead of by repeated multiplication.
 #[inline]
-pub fn desire(e: u32) -> f64 {
+pub const fn desire(e: u32) -> f64 {
     match e {
-        0..=1022 => f64::from_bits(u64::from(1023 - e) << 52),
+        0..=1022 => f64::from_bits(((1023 - e) as u64) << 52),
         1023..=1074 => f64::from_bits(1 << (1074 - e)),
         _ => 0.0,
     }
+}
+
+/// [`desire`] of every exponent up to [`INACTIVE`]'s; every larger
+/// exponent's desire is 0 too.
+static DESIRES: [f64; INACTIVE as usize + 1] = {
+    let mut table = [0.0; INACTIVE as usize + 1];
+    let mut e = 0;
+    while e <= INACTIVE {
+        table[e as usize] = desire(e);
+        e += 1;
+    }
+    table
+};
+
+/// The desire of a coin word's exponent, `desire(coin & !MARK)` bit for
+/// bit, read from a table without a branch on the exponent.
+#[inline]
+pub(crate) fn coin_desire(coin: u32) -> f64 {
+    DESIRES[(coin & !MARK).min(INACTIVE) as usize]
 }
 
 /// Whether `v` marks itself in `iter` at desire exponent `e` (`p = 2^-e`).
@@ -73,7 +99,7 @@ pub fn next_exponent(e: u32, d: f64) -> u32 {
 ///
 /// # Panics
 ///
-/// Panics if the (generous) internal iteration cap is exceeded, which
+/// If nodes are still active after the engine's iteration cap, which
 /// would indicate an implementation bug rather than bad luck.
 ///
 /// ```
@@ -83,15 +109,7 @@ pub fn next_exponent(e: u32, d: f64) -> u32 {
 /// assert!(arbmis_core::check_mis(&g, &run.in_mis).is_ok());
 /// ```
 pub fn run(g: &Graph, seed: u64) -> MisRun {
-    let cap = iteration_cap(g.n());
-    let mut engine = FlatBackend::unobserved(g, seed, FlatAlgo::Ghaffari);
-    let iterations = engine.run_iterations(cap);
-    assert!(
-        engine.active_count() == 0,
-        "ghaffari exceeded iteration cap {cap}"
-    );
-    let rounds = backend::schedule_rounds(iterations, 0);
-    MisRun::new(engine.mis().to_bools(), iterations, rounds)
+    FlatBackend::unobserved(g, seed, FlatAlgo::Ghaffari).into_mis_run()
 }
 
 #[cfg(test)]
@@ -162,6 +180,21 @@ mod tests {
                 "e = {e}"
             );
         }
+    }
+
+    /// The table the engine's pull reads agrees with [`desire`] for
+    /// every exponent a run can reach, with or without the mark bit, and
+    /// gives the inactive word desire +0.0.
+    #[test]
+    fn coin_desire_matches_desire_bit_for_bit() {
+        for e in 0..=2200u32 {
+            let bits = desire(e).to_bits();
+            assert_eq!(coin_desire(e).to_bits(), bits, "e = {e}");
+            assert_eq!(coin_desire(e | MARK).to_bits(), bits, "marked, e = {e}");
+        }
+        assert_eq!(coin_desire(INACTIVE).to_bits(), 0.0f64.to_bits());
+        assert_eq!(coin_desire(INACTIVE).to_bits(), desire(INACTIVE).to_bits());
+        assert_eq!(coin_desire(u32::MAX).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -15,10 +15,12 @@ use arbmis_graph::{Graph, NodeId};
 /// Randomness tag for marking coins.
 pub const TAG_MARK: u64 = 0x4c55_4259; // "LUBY"
 
-/// Whether `v` marks itself in `iter` given active degree `d`.
+/// Whether `v` marks itself in `iter` given active degree `d`. Degree 0
+/// always marks: `1/(2·0)` is `+∞`, above every draw. The flat engine
+/// relies on that to reach the degree-0 nodes through its walk of the
+/// marked nodes; the rule itself lets them join whatever their mark.
 #[inline]
 pub fn is_marked(seed: u64, v: NodeId, iter: u64, d: usize) -> bool {
-    debug_assert!(d > 0);
     rng::draw_unit(seed, v, iter, TAG_MARK) < 1.0 / (2.0 * d as f64)
 }
 

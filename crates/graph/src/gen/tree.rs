@@ -27,29 +27,47 @@ pub fn random_tree_prufer<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Graph {
 
 /// Decodes a Prüfer sequence of length `n - 2` into its tree.
 fn decode_prufer(n: usize, seq: &[NodeId]) -> Graph {
+    let mut b = GraphBuilder::with_capacity(n, n - 1);
+    prufer_edges(n, seq, |leaf, x| {
+        b.add_edge(leaf, x);
+    });
+    b.build()
+}
+
+/// Emits the tree edges of a Prüfer sequence of length `n - 2`, in
+/// decoding order: each step joins the smallest current leaf to the
+/// next sequence entry, and the last edge joins the two nodes left.
+///
+/// O(n) by a pointer scan instead of a heap of leaves: `ptr` only moves
+/// up, and a node that becomes a leaf below it is the smallest leaf at
+/// once, so it is used at the next step.
+fn prufer_edges(n: usize, seq: &[NodeId], mut emit: impl FnMut(NodeId, NodeId)) {
     debug_assert_eq!(seq.len(), n - 2);
-    let mut remaining_degree = vec![1usize; n];
+    let mut remaining_degree = vec![1u32; n];
     for &x in seq {
         remaining_degree[x] += 1;
     }
-    // Min-heap of current leaves.
-    let mut leaves: std::collections::BinaryHeap<std::cmp::Reverse<NodeId>> = (0..n)
-        .filter(|&v| remaining_degree[v] == 1)
-        .map(std::cmp::Reverse)
-        .collect();
-    let mut b = GraphBuilder::with_capacity(n, n - 1);
+    let mut ptr = remaining_degree
+        .iter()
+        .position(|&d| d == 1)
+        .expect("a tree has a leaf");
+    let mut leaf = ptr;
     for &x in seq {
-        let std::cmp::Reverse(leaf) = leaves.pop().expect("prufer decode: no leaf available");
-        b.add_edge(leaf, x);
+        emit(leaf, x);
         remaining_degree[x] -= 1;
-        if remaining_degree[x] == 1 {
-            leaves.push(std::cmp::Reverse(x));
+        if remaining_degree[x] == 1 && x < ptr {
+            leaf = x;
+        } else {
+            ptr += 1;
+            while remaining_degree[ptr] != 1 {
+                ptr += 1;
+            }
+            leaf = ptr;
         }
     }
-    let std::cmp::Reverse(u) = leaves.pop().unwrap();
-    let std::cmp::Reverse(v) = leaves.pop().unwrap();
-    b.add_edge(u, v);
-    b.build()
+    // The last two nodes are the smallest leaf and node n - 1, which
+    // always survives: some leaf below it is smaller at every step.
+    emit(leaf, n - 1);
 }
 
 /// Random spanning forest on `n` nodes with roughly `edge_fraction` of the
@@ -105,6 +123,71 @@ mod tests {
         assert_eq!(g.degree(4), 2);
         assert!(traversal::is_forest(&g));
         assert!(traversal::is_connected(&g));
+    }
+
+    /// The decoder this one replaced: a min-heap of the current leaves.
+    fn heap_prufer_edges(n: usize, seq: &[NodeId]) -> Vec<(NodeId, NodeId)> {
+        use std::cmp::Reverse;
+        let mut remaining_degree = vec![1usize; n];
+        for &x in seq {
+            remaining_degree[x] += 1;
+        }
+        let mut leaves: std::collections::BinaryHeap<Reverse<NodeId>> = (0..n)
+            .filter(|&v| remaining_degree[v] == 1)
+            .map(Reverse)
+            .collect();
+        let mut edges = Vec::with_capacity(n - 1);
+        for &x in seq {
+            let Reverse(leaf) = leaves.pop().expect("prufer decode: no leaf available");
+            edges.push((leaf, x));
+            remaining_degree[x] -= 1;
+            if remaining_degree[x] == 1 {
+                leaves.push(Reverse(x));
+            }
+        }
+        let Reverse(u) = leaves.pop().unwrap();
+        let Reverse(v) = leaves.pop().unwrap();
+        edges.push((u, v));
+        edges
+    }
+
+    fn linear_prufer_edges(n: usize, seq: &[NodeId]) -> Vec<(NodeId, NodeId)> {
+        let mut edges = Vec::with_capacity(n - 1);
+        prufer_edges(n, seq, |u, v| edges.push((u, v)));
+        edges
+    }
+
+    #[test]
+    fn linear_decoder_matches_heap_decoder_on_every_short_sequence() {
+        for n in 3..=7 {
+            let mut seq = vec![0; n - 2];
+            loop {
+                assert_eq!(
+                    linear_prufer_edges(n, &seq),
+                    heap_prufer_edges(n, &seq),
+                    "n = {n}, {seq:?}"
+                );
+                // Next sequence in lexicographic order, base n.
+                let Some(i) = seq.iter().rposition(|&x| x + 1 < n) else {
+                    break;
+                };
+                seq[i] += 1;
+                seq[i + 1..].fill(0);
+            }
+        }
+    }
+
+    #[test]
+    fn linear_decoder_matches_heap_decoder_on_random_sequences() {
+        let n = 10_000;
+        let mut r = rng(5);
+        for _ in 0..20 {
+            let seq: Vec<NodeId> = (0..n - 2).map(|_| r.gen_range(0..n)).collect();
+            assert_eq!(linear_prufer_edges(n, &seq), heap_prufer_edges(n, &seq));
+        }
+        // Few distinct entries: long runs of leaves below the pointer.
+        let seq: Vec<NodeId> = (0..n - 2).map(|_| r.gen_range(0..8usize)).collect();
+        assert_eq!(linear_prufer_edges(n, &seq), heap_prufer_edges(n, &seq));
     }
 
     #[test]

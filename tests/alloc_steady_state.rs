@@ -211,11 +211,12 @@ fn frontier_bookkeeping_steady_state_allocates_nothing() {
 /// bit-packed masks, no per-node loops — and the round sweeps only
 /// reuse buffers (DESIGN.md §11, §13). Runs are deterministic, so
 /// repeat executions replay the exact same buffer demands. Ghaffari's
-/// exponent buffers are sized at construction and swapped, never
-/// regrown. BoundedArb runs on a 3-tree, with and without the ρ_k
-/// cutoff, so its bad-exit sweep is covered too, and so does degree
-/// reduction, whose competitor scan shares the loser mask with the
-/// priority win scans.
+/// exponents and coin words are sized at construction and rewritten in
+/// place, never regrown. BoundedArb runs on a 3-tree, with and without
+/// the ρ_k cutoff, so its bad-exit sweep is covered too, and so does
+/// degree reduction, whose competitor scan shares the loser mask with
+/// the priority win scans. Luby and Ghaffari also run on a Prüfer tree,
+/// whose exits leave degree-0 nodes for Luby's marked-node walk.
 fn flat_backend_steady_state_allocates_nothing() {
     use arbmis::core::{ArbParams, ParamMode};
     use arbmis::flat::{FlatAlgo, FlatBackend, MisBackend};
@@ -224,13 +225,16 @@ fn flat_backend_steady_state_allocates_nothing() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
     let gnp = gen::gnp(400, 0.02, &mut rng);
     let ktree = gen::random_ktree(400, 3, &mut rng);
+    let tree = gen::random_tree_prufer(400, &mut rng);
     let delta = ktree.degree_histogram().len().saturating_sub(1);
     let params = ArbParams::new(3, delta, ParamMode::default());
 
-    let cases: [(&Graph, FlatAlgo); 6] = [
+    let cases: [(&Graph, FlatAlgo); 8] = [
         (&gnp, FlatAlgo::Luby),
         (&gnp, FlatAlgo::Metivier),
         (&gnp, FlatAlgo::Ghaffari),
+        (&tree, FlatAlgo::Luby),
+        (&tree, FlatAlgo::Ghaffari),
         (
             &ktree,
             FlatAlgo::BoundedArb {

@@ -3,7 +3,8 @@
 //! * an injected coin flip in a `FlatBackend` fork is localized to the
 //!   exact first divergent round and node, identically at flat thread
 //!   counts {1, 2, 4}, and the emitted replay artifact reproduces the
-//!   report byte-for-byte through the `arbmis replay` subcommand;
+//!   report byte-for-byte through the `arbmis replay` subcommand; a
+//!   flipped Luby or Ghaffari mark localizes the same way;
 //! * flight capture obeys the §8 observation rule — transcripts,
 //!   metrics, and states are bit-identical with the recorder on or off,
 //!   and the recorded flight bytes are identical across runs and across
@@ -27,22 +28,24 @@ fn graph(fam: GraphFamily, n: usize, seed: u64) -> arbmis::graph::Graph {
     GraphSpec::new(fam, n).generate(&mut rng)
 }
 
-/// Searches for a coin flip whose entire first-round effect is one
-/// node: flipping `v`'s iteration-0 coin changes `v`'s fate and nobody
-/// else's at the first divergent round.
+/// Searches for a coin flip of `algo` at `iteration` whose entire
+/// first-round effect is one node: flipping `v`'s coin changes `v`'s
+/// fate and nobody else's at the first divergent round.
 fn find_single_node_flip(
     g: &arbmis::graph::Graph,
     seed: u64,
+    algo: FlatAlgo,
+    iteration: u64,
 ) -> Option<(CoinFlip, arbmis::flat::Divergence)> {
     for node in 0..g.n() {
         for xor in [u64::MAX >> 1, 0xdead_beef_0000_0001, 2] {
             let flip = CoinFlip {
                 node,
-                iteration: 0,
+                iteration,
                 xor,
             };
-            let mut a = FlatBackend::new(g, seed, FlatAlgo::Metivier).with_coin_flip(flip);
-            let mut b = CongestBackend::new(g, seed, FlatAlgo::Metivier);
+            let mut a = FlatBackend::new(g, seed, algo).with_coin_flip(flip);
+            let mut b = CongestBackend::new(g, seed, algo);
             let Ok(Some(d)) = localize(&mut a, &mut b, MAX_ROUNDS) else {
                 continue;
             };
@@ -57,7 +60,8 @@ fn find_single_node_flip(
 #[test]
 fn injected_flip_localizes_to_exact_round_and_node() {
     let g = graph(GraphFamily::GnpAvgDegree { d: 4.0 }, 120, 19);
-    let (flip, d) = find_single_node_flip(&g, 7).expect("some flip isolates a single node");
+    let (flip, d) = find_single_node_flip(&g, 7, FlatAlgo::Metivier, 0)
+        .expect("some flip isolates a single node");
     // The flip perturbs iteration 0, whose joiners land at round 2 — the
     // first possible divergence point.
     assert_eq!(d.round, 2, "first divergent round");
@@ -68,7 +72,8 @@ fn injected_flip_localizes_to_exact_round_and_node() {
 #[test]
 fn replay_artifact_reproduces_byte_for_byte_through_the_cli() {
     let g = graph(GraphFamily::GnpAvgDegree { d: 4.0 }, 120, 19);
-    let (flip, d) = find_single_node_flip(&g, 7).expect("some flip isolates a single node");
+    let (flip, d) = find_single_node_flip(&g, 7, FlatAlgo::Metivier, 0)
+        .expect("some flip isolates a single node");
     let artifact = ReplayArtifact::from_case(
         &g,
         7,
@@ -131,7 +136,8 @@ fn replay_artifact_reproduces_byte_for_byte_through_the_cli() {
 #[test]
 fn injected_flip_localizes_identically_at_every_thread_count() {
     let g = graph(GraphFamily::GnpAvgDegree { d: 4.0 }, 300, 19);
-    let (flip, d) = find_single_node_flip(&g, 7).expect("some flip isolates a single node");
+    let (flip, d) = find_single_node_flip(&g, 7, FlatAlgo::Metivier, 0)
+        .expect("some flip isolates a single node");
     for threads in [1, 2, 4] {
         let mut a = FlatBackend::new(&g, 7, FlatAlgo::Metivier)
             .with_threads(threads)
@@ -139,6 +145,54 @@ fn injected_flip_localizes_identically_at_every_thread_count() {
         let mut b = CongestBackend::new(&g, 7, FlatAlgo::Metivier);
         let found = localize(&mut a, &mut b, MAX_ROUNDS).unwrap();
         assert_eq!(found.as_ref(), Some(&d), "{threads} threads");
+    }
+}
+
+/// The flip hooks of Luby's and Ghaffari's mark sweeps, whose marks the
+/// flat engine keeps in a walked mask (Luby) and in per-node coin words
+/// (Ghaffari): a flipped mark at iteration 2 localizes to its node at
+/// that iteration's exit round, identically at flat threads {1, 2}. On a
+/// tree the first exits leave degree-0 nodes, which join through Luby's
+/// walk of the marked nodes.
+#[test]
+fn flipped_luby_and_ghaffari_marks_localize_to_their_node() {
+    let g = graph(GraphFamily::RandomTree, 300, 31);
+    let (seed, iteration) = (7, 2);
+    for algo in [FlatAlgo::Luby, FlatAlgo::Ghaffari] {
+        let mut pristine = FlatBackend::new(&g, seed, algo);
+        for _ in 0..3 * iteration {
+            pristine.step_round().unwrap();
+        }
+        let isolated = (0..g.n())
+            .filter(|&v| pristine.is_active(v))
+            .filter(|&v| g.neighbors(v).iter().all(|u| !pristine.is_active(u)))
+            .count();
+        assert!(
+            isolated > 0,
+            "{algo:?}: no degree-0 node at iteration {iteration}"
+        );
+
+        let (flip, d) = find_single_node_flip(&g, seed, algo, iteration)
+            .unwrap_or_else(|| panic!("{algo:?}: some flip isolates a single node"));
+        assert_eq!(
+            d.round,
+            3 * iteration + 2,
+            "{algo:?}: first divergent round"
+        );
+        assert_eq!(d.kind, DivergenceKind::Joiners, "{algo:?}");
+        assert_eq!(
+            d.nodes,
+            vec![flip.node],
+            "{algo:?}: minimal divergent node set"
+        );
+        for threads in [1, 2] {
+            let mut a = FlatBackend::new(&g, seed, algo)
+                .with_threads(threads)
+                .with_coin_flip(flip);
+            let mut b = CongestBackend::new(&g, seed, algo);
+            let found = localize(&mut a, &mut b, MAX_ROUNDS).unwrap();
+            assert_eq!(found.as_ref(), Some(&d), "{algo:?} at {threads} threads");
+        }
     }
 }
 
@@ -202,6 +256,7 @@ fn flight_digest_columns_agree_across_backends() {
     for algo in [
         FlatAlgo::Luby,
         FlatAlgo::Metivier,
+        FlatAlgo::Ghaffari,
         FlatAlgo::BoundedArb {
             params,
             rho_cutoff: true,

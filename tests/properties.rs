@@ -459,6 +459,41 @@ fn reference_luby(g: &Graph, seed: u64) -> (Vec<bool>, u64) {
     (in_mis, iter)
 }
 
+/// Runs `FlatAlgo::Luby` at one and two worker threads and checks each
+/// against `luby::run` and the reference: the same MIS, and
+/// `3 × iterations` schedule rounds plus the closing halt round.
+fn check_luby(g: &Graph, seed: u64) -> Result<(), TestCaseError> {
+    use arbmis::flat::{FlatAlgo, FlatBackend, MisBackend};
+    let (mis, iterations) = reference_luby(g, seed);
+    let driver = luby::run(g, seed);
+    prop_assert_eq!(&driver.in_mis, &mis);
+    prop_assert_eq!(driver.iterations, iterations);
+    for threads in [1, 2] {
+        let mut b = FlatBackend::new(g, seed, FlatAlgo::Luby).with_threads(threads);
+        let run = b.run(100_000).unwrap();
+        prop_assert!(b.mis() == &mis[..], "{threads} threads: MIS");
+        prop_assert!(
+            run.rounds == 3 * iterations + 1,
+            "{threads} threads: rounds"
+        );
+    }
+    Ok(())
+}
+
+/// Strategy: a Prüfer tree on 3–300 nodes followed by 1–8 isolated
+/// nodes. Degree-0 nodes are there from the start, and the exits leave
+/// many more: the nodes that Luby's win sweep reaches only through their
+/// marks, and whose neighbors' coin words Ghaffari's pull reads as
+/// inactive.
+fn tree_with_isolated_nodes() -> impl Strategy<Value = Graph> {
+    (3usize..=300, 1usize..=8, 0u64..u64::MAX).prop_map(|(n, isolated, seed)| {
+        use rand::SeedableRng;
+        let tree = gen::random_tree_prufer(n, &mut rand::rngs::StdRng::seed_from_u64(seed));
+        let edges: Vec<(usize, usize)> = tree.edges().collect();
+        Graph::from_edges(n + isolated, &edges)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -467,17 +502,18 @@ proptest! {
     /// count, on graphs with hubs.
     #[test]
     fn luby_engine_matches_reference(g in ghaffari_graph(), seed in 0u64..1000) {
-        use arbmis::flat::{FlatAlgo, FlatBackend, MisBackend};
-        let (mis, iterations) = reference_luby(&g, seed);
-        let driver = luby::run(&g, seed);
-        prop_assert_eq!(&driver.in_mis, &mis);
-        prop_assert_eq!(driver.iterations, iterations);
-        for threads in [1, 2] {
-            let mut b = FlatBackend::new(&g, seed, FlatAlgo::Luby).with_threads(threads);
-            let run = b.run(100_000).unwrap();
-            prop_assert!(b.mis() == &mis[..], "{threads} threads: MIS");
-            prop_assert!(run.rounds == 3 * iterations + 1, "{threads} threads: rounds");
-        }
+        check_luby(&g, seed)?;
+    }
+
+    /// Luby and Ghaffari match their references on trees with isolated
+    /// nodes, at every worker-thread count.
+    #[test]
+    fn luby_and_ghaffari_match_reference_on_trees_with_isolated_nodes(
+        g in tree_with_isolated_nodes(),
+        seed in 0u64..1000,
+    ) {
+        check_luby(&g, seed)?;
+        check_ghaffari(&g, seed)?;
     }
 }
 
