@@ -212,6 +212,45 @@ impl<F: WordFilter> Iterator for FrontierIter<'_, F> {
             self.sbits = self.frontier.summary[self.sidx];
         }
     }
+
+    /// [`next`](Self::next)'s walk as one loop over local cursors, so
+    /// internal iteration (`for_each`, and every adapter built on
+    /// `fold`) keeps them in registers instead of reloading them around
+    /// each call of a large body.
+    #[inline]
+    fn fold<B, G: FnMut(B, NodeId) -> B>(self, init: B, mut f: G) -> B {
+        let FrontierIter {
+            frontier,
+            filter,
+            mut sidx,
+            mut sbits,
+            mut widx,
+            mut wbits,
+            whi,
+        } = self;
+        let (words, summary) = (frontier.mask.words(), &frontier.summary[..]);
+        let mut acc = init;
+        loop {
+            while wbits != 0 {
+                acc = f(acc, (widx << 6) + wbits.trailing_zeros() as usize);
+                wbits &= wbits - 1;
+            }
+            if sbits != 0 {
+                widx = (sidx << 6) + sbits.trailing_zeros() as usize;
+                if widx >= whi {
+                    return acc;
+                }
+                sbits &= sbits - 1;
+                wbits = filter.filter(widx, words[widx]);
+                continue;
+            }
+            sidx += 1;
+            if sidx >= summary.len() || sidx << 6 >= whi {
+                return acc;
+            }
+            sbits = summary[sidx];
+        }
+    }
 }
 
 #[cfg(test)]
@@ -365,6 +404,33 @@ mod tests {
             0,
             "an empty filter keeps nothing"
         );
+    }
+
+    /// `fold` (behind `for_each`) visits exactly what `next` does, from a
+    /// fresh iterator and from one that `next` already advanced.
+    #[test]
+    fn fold_visits_what_next_visits() {
+        let n = 64 * 64 * 2 + 40;
+        let mut f = Frontier::new(n);
+        for v in (0..n).step_by(7).chain(64 * 64..64 * 64 + 70) {
+            f.insert(v);
+        }
+        let words = n.div_ceil(64);
+        for (lo, hi) in [(0, words), (1, 70), (63, 65), (64, 66), (words - 1, words)] {
+            let mut by_next = Vec::new();
+            for v in f.iter_words(lo, hi) {
+                by_next.push(v);
+            }
+            for skip in [0, 1, 9, 10, 80] {
+                let mut it = f.iter_words(lo, hi);
+                let head: Vec<usize> = (0..skip).map_while(|_| it.next()).collect();
+                let all = it.fold(head, |mut all, v| {
+                    all.push(v);
+                    all
+                });
+                assert_eq!(all, by_next, "words {lo}..{hi}, skip {skip}");
+            }
+        }
     }
 
     #[test]

@@ -81,20 +81,6 @@ impl Transcript {
         }
     }
 
-    /// Total messages sent by `v`.
-    pub fn sent_by(&self, v: NodeId) -> usize {
-        self.entries.iter().filter(|e| e.from == v).count()
-    }
-
-    /// Rounds in which no message was sent (within the active span).
-    pub fn quiet_rounds(&self) -> Vec<u64> {
-        self.round_profile()
-            .iter()
-            .enumerate()
-            .filter_map(|(r, &c)| (c == 0).then_some(r as u64))
-            .collect()
-    }
-
     /// An order-sensitive 64-bit digest of the whole trace. Two
     /// executions of the same protocol/graph/seed must produce the same
     /// digest; use as a golden value in regression tests.
@@ -134,8 +120,6 @@ mod tests {
         assert_eq!(t.messages_in_round(0), 2);
         assert_eq!(t.messages_in_round(1), 0);
         assert_eq!(t.round_profile(), vec![2, 0, 1]);
-        assert_eq!(t.sent_by(0), 2);
-        assert_eq!(t.quiet_rounds(), vec![1]);
     }
 
     #[test]
@@ -154,6 +138,5 @@ mod tests {
         let t = Transcript::new();
         assert!(t.is_empty());
         assert!(t.round_profile().is_empty());
-        assert!(t.quiet_rounds().is_empty());
     }
 }

@@ -18,15 +18,18 @@ use std::sync::Mutex;
 /// rather than O(n) (DESIGN.md §10). Every coin draw is keyed by node id
 /// (or, in a rank-keyed BoundedArb phase, by the node's rank within the
 /// active set) and every tie-break compares ids (DESIGN.md §13).
-/// Priorities are never stored: the win scans draw each one where they
-/// compare it, for the node deciding and for each active neighbor they
-/// probe. A node that a lower-id neighbor already beat earlier in the
-/// same walk carries a loser mark and is skipped without a draw
-/// (DESIGN.md §10). The coin sweeps branch on no coin: Luby's mark sweep
-/// writes each mark bit from its draw, and its win sweep walks only the
-/// words of `active & marked`; Ghaffari keeps one coin word per node
-/// (exponent and mark) that its pull reads without an activity test
-/// (DESIGN.md §13).
+/// Métivier, BoundedArb, degree reduction and Luby decide through one
+/// win scan: a node joins when its `(key, id)` beats the key of every
+/// competing neighbor, and each algorithm supplies only the deciding
+/// set, the competing test and the key (DESIGN.md §10). Priorities are
+/// never stored: the scan draws each one where it compares it, for the
+/// node deciding and for each competing neighbor it probes. A node that
+/// a lower-id neighbor already beat earlier in the same walk carries a
+/// loser mark and is skipped without a draw. The coin sweeps branch on
+/// no coin: Luby's mark sweep writes each mark bit from its draw, and
+/// its win scan walks only the words of `active & marked`; Ghaffari
+/// keeps one coin word per node (exponent and mark) that its pull reads
+/// without an activity test (DESIGN.md §13).
 ///
 /// # Deterministic parallelism
 ///
@@ -39,8 +42,7 @@ use std::sync::Mutex;
 /// buffers are concatenated in chunk order (= ascending node order), so
 /// the result is bit-identical at every thread count (DESIGN.md §7).
 /// Only the single-threaded path is steady-state alloc-free. Ghaffari's
-/// and degree reduction's decide sweeps stay serial at every thread
-/// count.
+/// decide sweep stays serial at every thread count.
 ///
 /// Randomness is the counter-pure [`rng`] keyed by
 /// `(seed, node, iteration, tag)`, the same draws the CONGEST protocols
@@ -85,15 +87,16 @@ pub struct FlatBackend<'g> {
     /// while `track_deg` is set, each deactivation decrements all
     /// neighbors.
     active_deg: Vec<u32>,
-    /// Luby's marks of the current iteration, which its win sweep walks
-    /// (ANDed with the active set), or degree reduction's competitor set.
-    /// Stale for inactive nodes.
+    /// The deciding set of the win scans that do not walk every active
+    /// node (ANDed with the active set by the walk): Luby's marks of the
+    /// current iteration, or degree reduction's competitors. Stale for
+    /// inactive nodes.
     marked: BitMask,
-    /// Loser marks of the priority win scans (DESIGN.md §10, §13): a
-    /// set bit says a lower-id active neighbor with a larger key was
-    /// found earlier in the same sweep, so the node cannot win and the
-    /// walk skips it, clearing the bit. A chunk marks only nodes in its
-    /// own words and visits them all, so the mask is all-zero between
+    /// Loser marks of the [`WinScan`] (DESIGN.md §10, §13): a set bit
+    /// says a lower-id competing neighbor with a larger key was found
+    /// earlier in the same sweep, so the node cannot win and the walk
+    /// skips it, clearing the bit. A chunk marks only nodes in its own
+    /// words that its walk visits, so the mask is all-zero between
     /// sweeps.
     losers: BitMask,
     /// Degree reduction's high nodes at iteration boundaries: the active
@@ -111,7 +114,7 @@ pub struct FlatBackend<'g> {
     coins: Vec<u32>,
     /// `64 - priority_bits(n)`, hoisted: [`rng::draw_priority`]
     /// recomputes a floating-point `⌈log₂ n⌉` on every draw, which the
-    /// win scans would otherwise pay per probe.
+    /// win scan would otherwise pay per probe.
     prio_shift: u32,
     /// Whether deactivations currently decrement `active_deg` (see
     /// [`deactivate_in`]). Only BoundedArb tracks, and only in scales
@@ -216,6 +219,10 @@ fn chunk_count(words: usize, threads: usize) -> usize {
 /// inline; several run on the [`execute_indexed`] pool. Bodies read
 /// shared state and write only their chunk's, so results never depend
 /// on the thread count.
+///
+/// A chunk walks by `for_each` (the frontier iterator's `fold`), which
+/// keeps the cursors in registers around the body; a `for` loop over
+/// `next` did not (DESIGN.md §13).
 fn walk<S: Send, F: WordFilter + Sync>(
     active: &Frontier,
     filter: F,
@@ -228,9 +235,9 @@ fn walk<S: Send, F: WordFilter + Sync>(
     let range = |c: usize| (c * words / chunks, (c + 1) * words / chunks);
     if chunks == 1 {
         let mut state = shard(0, words);
-        for p in active.iter_words_and(0, words, filter) {
-            body(&mut state, p);
-        }
+        active
+            .iter_words_and(0, words, filter)
+            .for_each(|p| body(&mut state, p));
         return;
     }
     let states: Vec<Mutex<Option<S>>> = (0..chunks)
@@ -247,9 +254,9 @@ fn walk<S: Send, F: WordFilter + Sync>(
             .expect("only chunk c's one run locks its state")
             .take()
             .expect("each chunk runs once");
-        for p in active.iter_words_and(wlo, whi, filter) {
-            body(&mut state, p);
-        }
+        active
+            .iter_words_and(wlo, whi, filter)
+            .for_each(|p| body(&mut state, p));
     });
 }
 
@@ -393,19 +400,14 @@ impl RankIndex {
     }
 }
 
-/// A sweep that compares priorities. Its priority function `prio` maps a
-/// node id to the node's priority in the current decide round; nothing
-/// stores priorities, so the sweep calls it for the node deciding and
-/// for each competing neighbor it probes. Each call of `run` gets one
-/// case of the round's coins — id or rank keys, with or without the ρ_k
-/// opt-out, with or without an injected flip — built by
-/// [`Coins::sweep`] outside the per-node loop, so a probe never branches
-/// on the case.
-trait PrioritySweep {
-    fn run(self, prio: &(impl Fn(NodeId) -> u64 + Sync));
-}
-
-/// One decide round's coins, split off the engine's fields.
+/// One decide round's coins, split off the engine's fields. Nothing
+/// stores priorities: [`sweep`](Coins::sweep) hands a win scan the
+/// round's priority function, which maps a node id to the node's
+/// priority, and the scan calls it for the node deciding and for each
+/// competing neighbor it probes. Each scan gets one case of the coins —
+/// id or rank keys, with or without the ρ_k opt-out, with or without an
+/// injected flip — chosen outside the per-node loop, so a probe never
+/// branches on the case.
 struct Coins<'a> {
     seed: u64,
     iter: u64,
@@ -421,35 +423,43 @@ struct Coins<'a> {
 }
 
 impl Coins<'_> {
-    /// Runs `sweep` with this round's priority function.
-    fn sweep(self, sweep: impl PrioritySweep) {
+    /// Runs `scan` keyed by this round's priorities.
+    fn sweep<F: WordFilter + Sync, C: Fn(NodeId) -> bool + Sync>(self, scan: WinScan<'_, F, C>) {
         match self.ranks {
-            None => self.draw(|v| v, sweep),
-            Some(ranks) => self.draw(move |v| ranks.rank(v), sweep),
+            None => self.draw(|v| v, scan),
+            Some(ranks) => self.draw(move |v| ranks.rank(v), scan),
         }
     }
 
     /// Métivier's priority of the node keyed `key(v)`: `draw_priority`
     /// with the `priority_bits` shift hoisted (identical value), never 0.
     /// The ρ_k opt-out zeroes it above the cutoff.
-    fn draw(&self, key: impl Fn(NodeId) -> NodeId + Sync, sweep: impl PrioritySweep) {
+    fn draw<F: WordFilter + Sync, C: Fn(NodeId) -> bool + Sync>(
+        &self,
+        key: impl Fn(NodeId) -> NodeId + Sync,
+        scan: WinScan<'_, F, C>,
+    ) {
         let (seed, iter, tag, shift) = (self.seed, self.iter, self.tag, self.shift);
         let draw = move |v| (rng::draw(seed, key(v), iter, tag) >> shift) | 1;
         match self.opt_out {
-            None => self.flip(draw, sweep),
+            None => self.flip(draw, scan),
             Some((deg, rho)) => self.flip(
                 move |v| if f64::from(deg[v]) > rho { 0 } else { draw(v) },
-                sweep,
+                scan,
             ),
         }
     }
 
     /// Applies the injected flip, if any: the flipped node's priority
     /// XOR the mask, kept nonzero.
-    fn flip(&self, prio: impl Fn(NodeId) -> u64 + Sync, sweep: impl PrioritySweep) {
+    fn flip<F: WordFilter + Sync, C: Fn(NodeId) -> bool + Sync>(
+        &self,
+        prio: impl Fn(NodeId) -> u64 + Sync,
+        scan: WinScan<'_, F, C>,
+    ) {
         match self.flip {
-            None => sweep.run(&prio),
-            Some((node, xor)) => sweep.run(&move |v| {
+            None => scan.run(&prio),
+            Some((node, xor)) => scan.run(&move |v| {
                 let p = prio(v);
                 if v == node {
                     (p ^ xor) | 1
@@ -461,74 +471,75 @@ impl Coins<'_> {
     }
 }
 
-/// Métivier's and BoundedArb's win scan over the active set: winners
-/// are `(priority, id)`-maximal among active neighbors, and priority 0
-/// (the ρ_k opt-out) never wins. A node whose loser bit is set is
-/// skipped, and a probed neighbor it beats gets one.
-struct WinScan<'a> {
+/// The one win scan: the only code that compares `(key, id)` pairs and
+/// sets or clears loser bits (DESIGN.md §10, §13). Every active node that
+/// `filter` keeps decides, and wins when its `(key, id)` beats the key of
+/// every probed neighbor that `competes` accepts; key 0 (the ρ_k opt-out)
+/// never wins. A node whose loser bit is set is skipped, and a competing
+/// neighbor it beats gets one.
+///
+/// Every node that `competes` accepts must be one the walk visits: an
+/// active node that `filter` keeps. Then a chunk visits each node it
+/// marks and clears its bit, so the loser mask is all-zero again after
+/// the scan ([`FlatBackend::win_scan`] asserts it in debug builds).
+struct WinScan<'a, F, C> {
     g: &'a Graph,
     active: &'a Frontier,
     threads: usize,
+    /// Which active nodes decide: the walk's filter.
+    filter: F,
+    /// Which probed neighbors compete.
+    competes: C,
+    lent: Lent<'a>,
+}
+
+/// The engine's scratch that [`FlatBackend::win_scan`] lends one scan:
+/// the loser mask, the chunk buffers, and the winner list the winners
+/// land in, ascending.
+struct Lent<'a> {
     losers: &'a mut BitMask,
     bufs: &'a mut Vec<Vec<NodeId>>,
     wins: &'a mut Vec<NodeId>,
 }
 
-impl PrioritySweep for WinScan<'_> {
-    fn run(self, prio: &(impl Fn(NodeId) -> u64 + Sync)) {
-        let (g, mask) = (self.g, self.active.mask());
-        let losers = shards(self.losers.words_mut(), 1);
+impl<'a> Lent<'a> {
+    /// A win scan of `b`'s active set over `filter` and `competes`.
+    fn scan<F, C>(self, b: &'a FlatBackend<'_>, filter: F, competes: C) -> WinScan<'a, F, C> {
+        WinScan {
+            g: b.g,
+            active: &b.active,
+            threads: b.threads,
+            filter,
+            competes,
+            lent: self,
+        }
+    }
+}
+
+impl<F: WordFilter + Sync, C: Fn(NodeId) -> bool + Sync> WinScan<'_, F, C> {
+    /// Decides every node the walk visits under `key`, which maps a node
+    /// id to its key in this round.
+    fn run(self, key: &(impl Fn(NodeId) -> u64 + Sync)) {
+        let (g, competes, lent) = (self.g, &self.competes, self.lent);
+        let losers = shards(lent.losers.words_mut(), 1);
         collect(
             self.active,
-            Every,
+            self.filter,
             self.threads,
-            self.bufs,
-            self.wins,
+            lent.bufs,
+            lent.wins,
             losers,
             |losers, p| {
                 if losers.take_loser(p) {
                     return false;
                 }
-                let key = (prio(p), p);
-                key.0 != 0
+                let mine = (key(p), p);
+                mine.0 != 0
                     && g.neighbors(p)
                         .iter()
-                        .all(|u| !mask.test(u) || losers.beats(key, (prio(u), u)))
+                        .all(|u| !competes(u) || losers.beats(mine, (key(u), u)))
             },
         );
-    }
-}
-
-/// Degree reduction's serial win scan over its competitors: a competitor
-/// wins when its `(priority, id)` beats every competing neighbor's.
-/// Loser bits work as in [`WinScan`], over the whole mask.
-struct CompetitorScan<'a> {
-    g: &'a Graph,
-    competitors: &'a BitMask,
-    losers: &'a mut BitMask,
-    wins: &'a mut Vec<NodeId>,
-}
-
-impl PrioritySweep for CompetitorScan<'_> {
-    fn run(self, prio: &(impl Fn(NodeId) -> u64 + Sync)) {
-        let (g, competitors) = (self.g, self.competitors);
-        let mut losers = Shard {
-            lo: 0,
-            entries: self.losers.words_mut(),
-        };
-        self.wins.clear();
-        for p in competitors.iter() {
-            if losers.take_loser(p) {
-                continue;
-            }
-            let key = (prio(p), p);
-            if g.neighbors(p)
-                .iter()
-                .all(|u| !competitors.test(u) || losers.beats(key, (prio(u), u)))
-            {
-                self.wins.push(p);
-            }
-        }
     }
 }
 
@@ -1002,11 +1013,36 @@ impl<'g> FlatBackend<'g> {
         }
     }
 
+    /// Runs one [`WinScan`], which `scan` builds from the engine and the
+    /// scratch it is lent: the loser mask, the chunk buffers, and `wins`,
+    /// which receives the winners. Every scan leaves the loser mask
+    /// all-zero (debug builds check it), since each node a chunk marks is
+    /// one its walk visits.
+    fn win_scan(&mut self, scan: impl FnOnce(&Self, Lent<'_>)) {
+        let mut losers = std::mem::take(&mut self.losers);
+        let mut bufs = std::mem::take(&mut self.chunk_bufs);
+        let mut wins = std::mem::take(&mut self.wins);
+        let lent = Lent {
+            losers: &mut losers,
+            bufs: &mut bufs,
+            wins: &mut wins,
+        };
+        scan(self, lent);
+        debug_assert!(
+            losers.words().iter().all(|&w| w == 0),
+            "a win scan left loser marks behind"
+        );
+        self.losers = losers;
+        self.chunk_bufs = bufs;
+        self.wins = wins;
+    }
+
     /// A priority decide over the active set: Métivier's, or
-    /// BoundedArb's with `rho`. Winners are `(priority, id)`-maximal
-    /// among active neighbors; priority 0 (the ρ_k opt-out) never wins.
-    /// Métivier priorities are never 0 (the low bit is forced), so the
-    /// same scan serves both protocols.
+    /// BoundedArb's with `rho`. The [`WinScan`] walks [`Every`] active
+    /// node and every active neighbor competes, each keyed by its
+    /// priority. Priority 0 (the ρ_k opt-out) never wins; Métivier
+    /// priorities are never 0 (the low bit is forced), so the same scan
+    /// serves both protocols.
     ///
     /// Each check is a short-circuiting `all` scan: with i.i.d.
     /// priorities, a node expects to find a beating neighbor within a
@@ -1025,41 +1061,23 @@ impl<'g> FlatBackend<'g> {
     /// decides its own nodes from read-only shared state, and the
     /// winners are the same at every thread count.
     fn prio_decide(&mut self, tag: u64, iter: u64, rho: Option<f64>) {
-        let mut wins = std::mem::take(&mut self.wins);
-        let mut bufs = std::mem::take(&mut self.chunk_bufs);
-        let mut losers = std::mem::take(&mut self.losers);
-        self.coins(tag, iter, rho).sweep(WinScan {
-            g: self.g,
-            active: &self.active,
-            threads: self.threads,
-            losers: &mut losers,
-            bufs: &mut bufs,
-            wins: &mut wins,
+        self.win_scan(|b, lent| {
+            let mask = b.active.mask();
+            b.coins(tag, iter, rho)
+                .sweep(lent.scan(b, Every, |u| mask.test(u)));
         });
-        self.losers = losers;
-        self.wins = wins;
-        self.chunk_bufs = bufs;
-        self.debug_assert_no_losers();
     }
 
-    /// The loser mask is all-zero between sweeps: every scan visits each
-    /// node it marked and clears its bit.
-    fn debug_assert_no_losers(&self) {
-        debug_assert!(
-            self.losers.words().iter().all(|&w| w == 0),
-            "a win scan left loser marks behind"
-        );
-    }
-
-    /// Degree-reduction decide, serial at every thread count: the high
-    /// nodes and their active neighbors compete, each drawing Métivier's
-    /// priority, and a competitor wins when its `(priority, id)` beats
-    /// every competing neighbor's. Non-competitors neither draw nor
-    /// block. Work is O(Σ deg(high)) plus the competitors' win checks and
-    /// two word walks of the competitor mask. The scan skips competitors
-    /// a lower-id competitor already beat, as the priority decide does;
-    /// its loser bits live in `losers`, never in `marked`, which holds
-    /// the competitor set it walks.
+    /// Degree-reduction decide: the high nodes and their active
+    /// neighbors compete, each drawing Métivier's priority, and a
+    /// competitor wins when its `(priority, id)` beats every competing
+    /// neighbor's. Non-competitors neither draw nor block. The
+    /// competitors are marked in `marked`, a subset of the active set,
+    /// and the [`WinScan`] walks only their words (`&marked`) and counts
+    /// only them as competing neighbors, so it runs chunked on the
+    /// thread pool like the priority decide and skips competitors a
+    /// lower-id competitor already beat. Work is O(Σ deg(high)) to mark
+    /// plus the competitors' win checks.
     fn decide_degree_reduction(&mut self, iter: u64) {
         let g = self.g;
         let Self {
@@ -1077,30 +1095,26 @@ impl<'g> FlatBackend<'g> {
                 }
             }
         }
-        let mut wins = std::mem::take(&mut self.wins);
-        let mut losers = std::mem::take(&mut self.losers);
-        self.coins(metivier::TAG_PRIORITY, iter, None)
-            .sweep(CompetitorScan {
-                g,
-                competitors: &self.marked,
-                losers: &mut losers,
-                wins: &mut wins,
-            });
-        self.losers = losers;
-        self.wins = wins;
-        self.debug_assert_no_losers();
+        self.win_scan(|b, lent| {
+            let marked = &b.marked;
+            b.coins(metivier::TAG_PRIORITY, iter, None)
+                .sweep(lent.scan(b, marked, |u| marked.test(u)));
+        });
     }
 
     /// Luby decide: marked with `P = 1/2d`, `(degree, id)`-maximal among
-    /// marked active neighbors; degree-0 nodes join outright. Same
-    /// short-circuit scan as the priority decide, with the mark bit
-    /// standing in for a nonzero priority.
+    /// marked active neighbors; degree-0 nodes join outright.
     ///
     /// The mark sweep writes every mark bit from its draw, without a
     /// branch on the coin, and marks every degree-0 node (`1/(2·0)` is
-    /// `+∞`). The win sweep then walks only the words of
-    /// `active & marked`, so it never visits an unmarked node, and still
-    /// reaches every degree-0 node: with no active neighbor it wins.
+    /// `+∞`). The [`WinScan`] then walks only the words of
+    /// `active & marked` (`&marked`), so it never visits an unmarked
+    /// node, and counts a neighbor as competing when it is active and
+    /// marked, keyed by `active_deg + 1`. The key is never 0, so a
+    /// degree-0 node, which the walk reaches and no neighbor blocks,
+    /// wins; and it orders nodes as `(degree, id)` does. Like the
+    /// priority decide, the scan skips a node that a lower-id marked
+    /// neighbor already beat: it cannot be a local maximum.
     ///
     /// Degrees are pulled, not pushed: unless they are already exact (a
     /// full start before any exit, where `reset` stored `g.degree`), the
@@ -1136,7 +1150,7 @@ impl<'g> FlatBackend<'g> {
                 if count {
                     deg[p] = active_degree(g, mask, p);
                 }
-                // Degree 0 always marks, so the win sweep reaches it.
+                // Degree 0 always marks, so the win scan reaches it.
                 let marked = luby::is_marked(seed, p, iter, deg[p] as usize);
                 let (word, bit) = (&mut marks[p >> 6], p & 63);
                 *word = (*word & !(1 << bit)) | (u64::from(marked) << bit);
@@ -1149,30 +1163,11 @@ impl<'g> FlatBackend<'g> {
             }
         }
         // Phase 2: competition among marked nodes, the only ones walked.
-        let Self {
-            active,
-            active_deg,
-            marked,
-            threads,
-            chunk_bufs,
-            wins,
-            ..
-        } = self;
-        let (mask, deg, marked) = (active.mask(), &active_deg[..], &*marked);
-        collect(
-            active,
-            marked,
-            *threads,
-            chunk_bufs,
-            wins,
-            |_, _| (),
-            |(), p| {
-                let key = (u64::from(deg[p]), p);
-                g.neighbors(p)
-                    .iter()
-                    .all(|u| !mask.test(u) || !marked.test(u) || (u64::from(deg[u]), u) < key)
-            },
-        );
+        self.win_scan(|b, lent| {
+            let (mask, marked, deg) = (b.active.mask(), &b.marked, &b.active_deg[..]);
+            lent.scan(b, marked, |u| mask.test(u) && marked.test(u))
+                .run(&|v| u64::from(deg[v]) + 1);
+        });
     }
 
     /// Ghaffari decide, serial at every thread count. The mark sweep

@@ -23,10 +23,10 @@
 //! sums (DESIGN.md §13).
 //!
 //! The engine keeps one *coin word* per node: an active node's holds
-//! its exponent with this iteration's mark in bit 31 ([`MARK`]); every
-//! other node's is [`INACTIVE`], no mark and an exponent whose desire is
+//! its exponent with this iteration's mark in bit 31 (`MARK`); every
+//! other node's is `INACTIVE`, no mark and an exponent whose desire is
 //! 0. The pull reads one word per neighbor, adds its desire by table
-//! ([`coin_desire`]) and ORs in its mark, with no activity test: an
+//! (`coin_desire`) and ORs in its mark, with no activity test: an
 //! inactive neighbor adds +0.0, which leaves every partial sum
 //! bit-identical to the sum over active neighbors alone.
 

@@ -27,27 +27,10 @@ pub fn greedy_mis_in_order<I: IntoIterator<Item = NodeId>>(g: &Graph, order: I) 
     in_set
 }
 
-/// Greedy MIS restricted to a region: only region nodes may join, and
-/// maximality is guaranteed only within the region.
-pub fn greedy_mis_of_region(g: &Graph, region: &[bool]) -> Vec<bool> {
-    assert_eq!(region.len(), g.n());
-    let mut in_set = vec![false; g.n()];
-    let mut blocked = vec![false; g.n()];
-    for v in g.nodes().filter(|&v| region[v]) {
-        if !blocked[v] {
-            in_set[v] = true;
-            for u in g.neighbors(v) {
-                blocked[u] = true;
-            }
-        }
-    }
-    in_set
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::{check_mis, is_mis_of_region};
+    use crate::verify::check_mis;
     use arbmis_graph::gen;
     use rand::SeedableRng;
 
@@ -74,15 +57,6 @@ mod tests {
         let set = greedy_mis_in_order(&g, [1usize, 0, 2]);
         assert_eq!(set, vec![false, true, false]);
         assert!(check_mis(&g, &set).is_ok());
-    }
-
-    #[test]
-    fn region_greedy() {
-        let g = gen::path(6);
-        let region = vec![false, true, true, true, false, false];
-        let set = greedy_mis_of_region(&g, &region);
-        assert!(is_mis_of_region(&g, &set, &region));
-        assert!(set.iter().enumerate().all(|(v, &b)| !b || region[v]));
     }
 
     #[test]

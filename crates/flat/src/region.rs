@@ -5,10 +5,13 @@
 //! fresh MIS of exactly that region. [`solve_mis`] is that entry point:
 //! it runs [`FlatBackend`] to completion and hands back the membership
 //! mask plus the round count, with no message plane, no protocol setup,
-//! and no obs coupling beyond what the backend itself records.
+//! and no observability: a repair writes neither the process-wide
+//! recorder nor the flight ring, so the dynamic layer's one `"dynamic"`
+//! record per batch is all a churn run leaves there.
 
 use crate::{BackendError, FlatAlgo, FlatBackend, MisBackend};
 use arbmis_graph::Graph;
+use arbmis_obs::{FlightRecorder, Recorder};
 
 /// Result of a [`solve_mis`] call.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -29,7 +32,9 @@ pub struct RegionMis {
 /// Returns [`BackendError::RoundLimitExceeded`] if the run is still
 /// pending after `max_rounds`.
 pub fn solve_mis(g: &Graph, seed: u64, max_rounds: u64) -> Result<RegionMis, BackendError> {
-    let mut b = FlatBackend::new(g, seed, FlatAlgo::Metivier);
+    let mut b = FlatBackend::new(g, seed, FlatAlgo::Metivier)
+        .with_recorder(Recorder::disabled())
+        .with_flight(FlightRecorder::disabled());
     let run = b.run(max_rounds)?;
     Ok(RegionMis {
         in_mis: b.mis().to_bools(),

@@ -81,11 +81,6 @@ impl GraphBuilder {
         self.n
     }
 
-    /// Number of edge insertions so far (duplicates counted).
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Records the undirected edge `{u, v}`.
     ///
     /// # Panics
@@ -119,15 +114,6 @@ impl GraphBuilder {
     fn push(&mut self, u: NodeId, v: NodeId) {
         let (a, b) = (u.min(v) as u32, u.max(v) as u32);
         self.edges.push((a, b));
-    }
-
-    /// Adds all edges from an iterator. Panics under the same conditions as
-    /// [`add_edge`](Self::add_edge).
-    pub fn extend_edges<I: IntoIterator<Item = (NodeId, NodeId)>>(&mut self, iter: I) -> &mut Self {
-        for (u, v) in iter {
-            self.add_edge(u, v);
-        }
-        self
     }
 
     /// Finalizes into a normalized [`Graph`] by a counting sort: a degree
@@ -209,7 +195,6 @@ mod tests {
         let mut b = GraphBuilder::new(3);
         b.add_edge(0, 1);
         b.add_edge(1, 0);
-        assert_eq!(b.pending_edges(), 2);
         assert_eq!(b.build().m(), 1);
     }
 
@@ -220,13 +205,6 @@ mod tests {
         assert!(!b.try_add_edge(0, 3));
         assert!(b.try_add_edge(0, 2));
         assert_eq!(b.build().m(), 1);
-    }
-
-    #[test]
-    fn extend_edges_works() {
-        let mut b = GraphBuilder::new(4);
-        b.extend_edges([(0, 1), (1, 2), (2, 3)]);
-        assert_eq!(b.build().m(), 3);
     }
 
     #[test]

@@ -112,42 +112,6 @@ impl RootedForest {
         }
         b.build()
     }
-
-    /// Depth of each node (root depth 0). `None` entries never occur for
-    /// acyclic forests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parent structure contains a cycle.
-    pub fn depths(&self) -> Vec<usize> {
-        let n = self.n();
-        let mut depth = vec![usize::MAX; n];
-        for start in 0..n {
-            if depth[start] != usize::MAX {
-                continue;
-            }
-            // Walk up to a node with known depth or a root.
-            let mut path = vec![start];
-            let mut v = start;
-            while let Some(p) = self.parent[v] {
-                if depth[p] != usize::MAX {
-                    break;
-                }
-                assert!(!path.contains(&p), "cycle through node {p}");
-                path.push(p);
-                v = p;
-            }
-            let d = match self.parent[v] {
-                Some(p) => depth[p] + 1,
-                None => 0,
-            };
-            // `path` runs child -> ancestor; assign depths top-down.
-            for (extra, &u) in path.iter().rev().enumerate() {
-                depth[u] = d + extra;
-            }
-        }
-        depth
-    }
 }
 
 /// Decomposes `g` into `≤ degeneracy(g)` rooted forests via the degeneracy
@@ -263,16 +227,6 @@ mod tests {
     fn self_parent_rejected() {
         let mut f = RootedForest::new(2);
         f.set_parent(1, 1);
-    }
-
-    #[test]
-    fn depths_computed_top_down() {
-        let mut f = RootedForest::new(5);
-        // 0 <- 1 <- 2 <- 3, plus isolated 4.
-        f.set_parent(1, 0);
-        f.set_parent(2, 1);
-        f.set_parent(3, 2);
-        assert_eq!(f.depths(), vec![0, 1, 2, 3, 0]);
     }
 
     #[test]

@@ -61,26 +61,6 @@ impl Graph {
         builder.build()
     }
 
-    /// Builds a graph directly from per-node adjacency lists.
-    ///
-    /// The lists are normalized (sorted, deduplicated) and symmetrized: if
-    /// `u` lists `v`, then `v` will list `u` in the result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a listed neighbor id is out of range or equals its owner
-    /// (self loop).
-    pub fn from_adjacency(lists: Vec<Vec<NodeId>>) -> Self {
-        let n = lists.len();
-        let mut builder = crate::GraphBuilder::new(n);
-        for (u, nbrs) in lists.into_iter().enumerate() {
-            for v in nbrs {
-                builder.add_edge(u, v);
-            }
-        }
-        builder.build()
-    }
-
     /// Constructs a graph from already-normalized CSR arrays.
     ///
     /// This is the fast path used by [`crate::GraphBuilder`]. The caller
@@ -149,11 +129,6 @@ impl Graph {
     /// Maximum degree Δ of the graph (0 for an empty graph).
     pub fn max_degree(&self) -> usize {
         (0..self.n()).map(|v| self.degree(v)).max().unwrap_or(0)
-    }
-
-    /// Minimum degree of the graph (0 for an empty graph).
-    pub fn min_degree(&self) -> usize {
-        (0..self.n()).map(|v| self.degree(v)).min().unwrap_or(0)
     }
 
     /// Average degree `2m / n` (0.0 for an empty graph).
@@ -400,7 +375,6 @@ mod tests {
         assert_eq!(g.n(), 4);
         assert_eq!(g.m(), 4);
         assert_eq!(g.max_degree(), 3);
-        assert_eq!(g.min_degree(), 1);
     }
 
     #[test]
@@ -460,15 +434,6 @@ mod tests {
         assert_eq!(hist.iter().sum::<usize>(), g.n());
         assert_eq!(hist[3], 1); // node 2
         assert_eq!(hist[1], 1); // node 3
-    }
-
-    #[test]
-    fn from_adjacency_symmetrizes() {
-        // Only one direction listed; builder must symmetrize.
-        let g = Graph::from_adjacency(vec![vec![1, 2], vec![], vec![]]);
-        assert!(g.has_edge(1, 0));
-        assert!(g.has_edge(2, 0));
-        assert_eq!(g.m(), 2);
     }
 
     #[test]

@@ -212,19 +212,6 @@ impl Orientation {
         (0..self.n()).map(|v| self.out_degree(v)).max().unwrap_or(0)
     }
 
-    /// Grandparents of `v`: parents of parents, deduplicated. At most
-    /// `max_out_degree²` nodes.
-    pub fn grandparents(&self, v: NodeId) -> Vec<NodeId> {
-        let mut gp: Vec<NodeId> = self
-            .parents(v)
-            .iter()
-            .flat_map(|&p| self.parents(p).iter().copied())
-            .collect();
-        gp.sort_unstable();
-        gp.dedup();
-        gp
-    }
-
     /// Verifies the orientation covers exactly the edges of `g`, once each.
     pub fn covers(&self, g: &Graph) -> bool {
         if self.n() != g.n() {
@@ -340,16 +327,6 @@ mod tests {
         let g = gen::random_tree_prufer(200, &mut rng(4));
         let o = Orientation::by_degeneracy(&g);
         assert_eq!(o.max_out_degree(), 1);
-    }
-
-    #[test]
-    fn grandparents_bound() {
-        let g = gen::random_ktree(150, 3, &mut rng(5));
-        let o = Orientation::by_degeneracy(&g);
-        let d = o.max_out_degree();
-        for v in 0..g.n() {
-            assert!(o.grandparents(v).len() <= d * d);
-        }
     }
 
     #[test]

@@ -347,11 +347,6 @@ impl OverlayGraph {
         b.build()
     }
 
-    /// Snapshot of the alive mask.
-    pub fn alive_mask(&self) -> &[bool] {
-        &self.alive
-    }
-
     /// Whether the CSR base holds `{u, v}` (a search of `u`'s row).
     #[inline]
     fn in_base(&self, u: NodeId, v: NodeId) -> bool {

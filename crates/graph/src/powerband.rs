@@ -103,11 +103,6 @@ pub fn power_band_of_subset(g: &Graph, lo: usize, hi: usize, included: &[bool]) 
     b.build()
 }
 
-/// The plain `b`-th power `G^b = G^[1,b]`.
-pub fn power(g: &Graph, b: usize) -> Graph {
-    power_band(g, 1, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,22 +119,6 @@ mod tests {
                 assert_eq!(band.has_edge(u, v), (3..=5).contains(&d), "pair ({u},{v})");
             }
         }
-    }
-
-    #[test]
-    fn power_one_is_original() {
-        let g = gen::cycle(8);
-        assert_eq!(power(&g, 1), g);
-    }
-
-    #[test]
-    fn power_two_of_cycle() {
-        let g = gen::cycle(8);
-        let g2 = power(&g, 2);
-        assert!(g2.has_edge(0, 2));
-        assert!(g2.has_edge(0, 1));
-        assert!(!g2.has_edge(0, 3));
-        assert_eq!(g2.degree(0), 4);
     }
 
     #[test]

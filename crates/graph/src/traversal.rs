@@ -146,60 +146,6 @@ pub fn bfs_distances(g: &Graph, source: NodeId) -> Vec<usize> {
     dist
 }
 
-/// All nodes within distance `radius` of `source` (including `source`),
-/// with their distances. BFS truncated at depth `radius`.
-pub fn ball(g: &Graph, source: NodeId, radius: usize) -> Vec<(NodeId, usize)> {
-    let mut dist = std::collections::HashMap::new();
-    let mut queue = VecDeque::new();
-    dist.insert(source, 0usize);
-    queue.push_back(source);
-    let mut out = vec![(source, 0)];
-    while let Some(u) = queue.pop_front() {
-        let du = dist[&u];
-        if du == radius {
-            continue;
-        }
-        for v in g.neighbors(u) {
-            if let std::collections::hash_map::Entry::Vacant(e) = dist.entry(v) {
-                e.insert(du + 1);
-                out.push((v, du + 1));
-                queue.push_back(v);
-            }
-        }
-    }
-    out
-}
-
-/// Eccentricity of `source`: max finite BFS distance. Returns `None` when
-/// some node is unreachable.
-pub fn eccentricity(g: &Graph, source: NodeId) -> Option<usize> {
-    let dist = bfs_distances(g, source);
-    if dist.contains(&usize::MAX) {
-        None
-    } else {
-        dist.into_iter().max()
-    }
-}
-
-/// Two-sweep diameter lower bound: BFS from `start`, then BFS from the
-/// farthest node found. Exact on trees; a lower bound in general.
-pub fn diameter_lower_bound(g: &Graph, start: NodeId) -> usize {
-    if g.n() == 0 {
-        return 0;
-    }
-    let d1 = bfs_distances(g, start);
-    let far = (0..g.n())
-        .filter(|&v| d1[v] != usize::MAX)
-        .max_by_key(|&v| d1[v])
-        .unwrap_or(start);
-    let d2 = bfs_distances(g, far);
-    (0..g.n())
-        .filter(|&v| d2[v] != usize::MAX)
-        .map(|v| d2[v])
-        .max()
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,29 +213,5 @@ mod tests {
         let g = Graph::from_edges(3, &[(0, 1)]);
         let d = bfs_distances(&g, 0);
         assert_eq!(d[2], usize::MAX);
-        assert_eq!(eccentricity(&g, 0), None);
-    }
-
-    #[test]
-    fn ball_radius_limits() {
-        let g = gen::path(7);
-        let b = ball(&g, 3, 2);
-        let mut nodes: Vec<_> = b.iter().map(|&(v, _)| v).collect();
-        nodes.sort_unstable();
-        assert_eq!(nodes, vec![1, 2, 3, 4, 5]);
-        assert!(b.iter().all(|&(_, d)| d <= 2));
-    }
-
-    #[test]
-    fn diameter_of_path_exact() {
-        let g = gen::path(9);
-        assert_eq!(diameter_lower_bound(&g, 4), 8);
-        assert_eq!(eccentricity(&g, 0), Some(8));
-    }
-
-    #[test]
-    fn diameter_of_cycle() {
-        let g = gen::cycle(10);
-        assert_eq!(diameter_lower_bound(&g, 0), 5);
     }
 }

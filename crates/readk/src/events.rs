@@ -32,7 +32,6 @@ pub struct EventScenario<'a> {
     graph: &'a Graph,
     orientation: &'a Orientation,
     m_set: Vec<NodeId>,
-    in_m: Vec<bool>,
     rho: Option<usize>,
 }
 
@@ -60,7 +59,6 @@ impl<'a> EventScenario<'a> {
             graph,
             orientation,
             m_set,
-            in_m,
             rho,
         }
     }
@@ -221,11 +219,6 @@ impl<'a> EventScenario<'a> {
             .map(|&v| self.graph.degree(v))
             .max()
             .unwrap_or(0)
-    }
-
-    /// The membership mask of `M`.
-    pub fn m_mask(&self) -> &[bool] {
-        &self.in_m
     }
 }
 

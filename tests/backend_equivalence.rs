@@ -310,19 +310,33 @@ fn degenerate_graphs_agree_across_engines_and_backends() {
 }
 
 /// Degree reduction has no CONGEST protocol, so its thread invariance
-/// is the flat engine at one thread against itself at more.
+/// is the flat engine at one thread against itself at more. The hub
+/// graph spans 63 mask words, so at 2 and 4 threads (8 and 16 chunks)
+/// a hub's competitor set crosses chunk boundaries.
 #[test]
 fn degree_reduction_is_thread_invisible() {
-    let g = gen::gnp(160, 0.04, &mut StdRng::seed_from_u64(29));
-    let algo = FlatAlgo::DegreeReduction { target: 6.0 };
-    for threads in [2, 4] {
-        let mut one = FlatBackend::new(&g, 9, algo);
-        let mut many = FlatBackend::new(&g, 9, algo).with_threads(threads);
-        assert_agree(
-            &format!("degree-reduction/flat×{threads}"),
-            &mut one,
-            &mut many,
-            MAX_ROUNDS,
-        );
+    for (label, g, target) in [
+        (
+            "gnp",
+            gen::gnp(160, 0.04, &mut StdRng::seed_from_u64(29)),
+            6.0,
+        ),
+        (
+            "ba",
+            gen::barabasi_albert(4_000, 2, &mut StdRng::seed_from_u64(31)),
+            8.0,
+        ),
+    ] {
+        let algo = FlatAlgo::DegreeReduction { target };
+        for threads in [2, 4] {
+            let mut one = FlatBackend::new(&g, 9, algo);
+            let mut many = FlatBackend::new(&g, 9, algo).with_threads(threads);
+            assert_agree(
+                &format!("degree-reduction/{label}/flat×{threads}"),
+                &mut one,
+                &mut many,
+                MAX_ROUNDS,
+            );
+        }
     }
 }

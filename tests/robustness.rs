@@ -286,6 +286,40 @@ fn churn_rejects_bad_arguments() {
     }
 }
 
+/// A churn run's flight ring holds one `"dynamic"` record per batch and
+/// nothing else: neither the repairs' flat Métivier runs nor the
+/// harness's full re-solve baseline write per-round `"flat"` records.
+#[test]
+fn churn_flight_holds_one_dynamic_record_per_batch() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("churn_flight.jsonl");
+    let out = arbmis_cli(&[
+        "churn",
+        "--n",
+        "2000",
+        "--seed",
+        "9",
+        "--workload",
+        "localized",
+        "--flight-out",
+        path.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let flight = std::fs::read_to_string(&path).unwrap();
+    let rows: Vec<&str> = flight
+        .lines()
+        .filter(|l| l.contains("\"type\":\"round\""))
+        .collect();
+    assert_eq!(rows.len(), 48, "{flight}");
+    assert!(
+        rows.iter().all(|r| r.contains("\"engine\":\"dynamic\"")),
+        "{flight}"
+    );
+}
+
 /// A real trace export: an ArbMIS run and a CONGEST Métivier run on one
 /// recorder, so it holds every record type the report parser reads
 /// (spans, points, counters, gauges, histograms).
