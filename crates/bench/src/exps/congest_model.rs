@@ -6,13 +6,10 @@ use crate::cell::{Cell, CellOut, ExperimentPlan};
 use crate::{fmt_f, ExperimentReport, Table};
 use arbmis_congest::Simulator;
 use arbmis_core::bounded_arb::{bounded_arb_independent_set, BoundedArbConfig};
-use arbmis_core::params::ParamMode;
-use arbmis_core::protocols::{
-    BoundedArbProtocol, GhaffariProtocol, LubyProtocol, MetivierProtocol,
-};
+use arbmis_core::params::{ArbParams, ParamMode};
+use arbmis_core::protocols::MisProtocol;
+use arbmis_core::FlatAlgo;
 use arbmis_graph::gen::{GraphFamily, GraphSpec};
-
-const PROTOCOLS: [&str; 4] = ["metivier", "luby", "ghaffari", "bounded-arb (alg 1)"];
 
 fn metrics_row(name: &str, m: arbmis_congest::Metrics, budget: usize) -> Vec<String> {
     vec![
@@ -34,64 +31,46 @@ fn metrics_row(name: &str, m: arbmis_congest::Metrics, budget: usize) -> Vec<Str
 /// E11: run every protocol on the simulator and account for bandwidth.
 ///
 /// One cell per protocol, each simulating the full message-passing run
-/// on the same workload graph.
+/// on the same workload graph. BoundedArb runs with a trimmed Λ so the
+/// oblivious schedule stays cheap to message-simulate; its cell also
+/// checks the protocol against the fast path, which is exact either way
+/// (protocol tests in arbmis-core assert it).
 pub fn e11_congest_plan(quick: bool) -> ExperimentPlan {
     let n = if quick { 300 } else { 2_000 };
     let seed = 0x11u64;
     let spec = GraphSpec::new(GraphFamily::ForestUnion { alpha: 2 }, n);
-    let cells = PROTOCOLS
-        .into_iter()
-        .map(|name| {
-            Cell::new(format!("E11/{name}"), move || {
-                let g = graph(&spec, seed);
-                let budget = Simulator::new(&g, seed).budget_bits().unwrap();
-                let mut out = CellOut::default();
-                let metrics = match name {
-                    "metivier" => {
-                        Simulator::new(&g, seed)
-                            .run(&MetivierProtocol, 100_000)
-                            .unwrap()
-                            .metrics
-                    }
-                    "luby" => {
-                        Simulator::new(&g, seed)
-                            .run(&LubyProtocol, 100_000)
-                            .unwrap()
-                            .metrics
-                    }
-                    "ghaffari" => {
-                        Simulator::new(&g, seed)
-                            .run(&GhaffariProtocol, 100_000)
-                            .unwrap()
-                            .metrics
-                    }
-                    _ => {
-                        // BoundedArb with a trimmed Λ so the oblivious
-                        // schedule stays cheap to message-simulate; the
-                        // equivalence with the fast path is exact either
-                        // way (protocol tests in arbmis-core assert it).
-                        let cfg = BoundedArbConfig {
-                            mode: ParamMode::Practical { lambda_scale: 0.02 },
-                            ..BoundedArbConfig::new(2, seed)
-                        };
-                        let fast = bounded_arb_independent_set(&g, &cfg);
-                        let proto = BoundedArbProtocol {
-                            params: fast.params,
-                            rho_cutoff: true,
-                        };
-                        let run = Simulator::new(&g, seed)
-                            .run(&proto, fast.rounds + 2)
-                            .unwrap();
-                        let mis: Vec<bool> = run.states.iter().map(|s| s.in_mis).collect();
-                        out.put("equal", (mis == fast.in_mis) as u64 as f64);
-                        run.metrics
-                    }
-                };
-                out.rows = vec![metrics_row(name, metrics, budget)];
-                out
-            })
+    let cfg = BoundedArbConfig {
+        mode: ParamMode::Practical { lambda_scale: 0.02 },
+        ..BoundedArbConfig::new(2, seed)
+    };
+    let bounded_arb = FlatAlgo::BoundedArb {
+        params: ArbParams::new(cfg.alpha, graph(&spec, seed).max_degree(), cfg.mode),
+        rho_cutoff: cfg.rho_cutoff,
+    };
+    let cells = [
+        ("metivier", FlatAlgo::Metivier),
+        ("luby", FlatAlgo::Luby),
+        ("ghaffari", FlatAlgo::Ghaffari),
+        ("bounded-arb (alg 1)", bounded_arb),
+    ]
+    .into_iter()
+    .map(|(name, algo)| {
+        Cell::new(format!("E11/{name}"), move || {
+            let g = graph(&spec, seed);
+            let sim = Simulator::new(&g, seed);
+            let run = sim.run(&MisProtocol(algo), 100_000).unwrap();
+            let mut out = CellOut::default();
+            if let FlatAlgo::BoundedArb { params, .. } = algo {
+                let fast = bounded_arb_independent_set(&g, &cfg);
+                let mis: Vec<bool> = run.states.iter().map(|s| s.in_mis).collect();
+                let equal = fast.params == params && mis == fast.in_mis;
+                out.put("equal", equal as u64 as f64);
+            }
+            out.rows = vec![metrics_row(name, run.metrics, sim.budget_bits().unwrap())];
+            out
         })
-        .collect();
+    })
+    .collect();
     ExperimentPlan::new("E11", cells, move |outs| {
         let mut table = Table::new([
             "protocol",

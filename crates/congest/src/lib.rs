@@ -17,7 +17,7 @@
 //!   single-threaded: threads would change wall-clock only, never a
 //!   round count.
 //! * [`message::Message`] — wire encoding with per-message bit accounting,
-//!   checked against the CONGEST budget `B = bandwidth_factor · ⌈log₂ max(n, 4)⌉`.
+//!   checked against the CONGEST budget `B = 16 · ⌈log₂ max(n, 4)⌉`.
 //! * [`rng`] — counter-based per-node randomness, so a protocol execution
 //!   and a centralized "fast path" re-implementation of the same algorithm
 //!   can draw *identical* random bits and be compared transcript-for-
@@ -88,6 +88,6 @@ pub mod prelude {
     pub use crate::metrics::Metrics;
     pub use crate::parallel::Parallelism;
     pub use crate::protocol::{Inbox, NodeInfo, Outgoing, Protocol};
-    pub use crate::rng::{self, NodeRng};
+    pub use crate::rng;
     pub use crate::simulator::{Simulator, SimulatorError, SimulatorRun};
 }

@@ -9,9 +9,6 @@
 //! The mixer is SplitMix64, whose output is equidistributed enough for
 //! simulation purposes and is cheap.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 /// SplitMix64 finalizer: a 64-bit mixing permutation.
 #[inline]
 pub fn splitmix64(mut z: u64) -> u64 {
@@ -64,40 +61,6 @@ pub fn draw_priority(seed: u64, node: usize, round: u64, tag: u64, n: usize) -> 
     (draw(seed, node, round, tag) >> (64 - priority_bits(n))) | 1
 }
 
-/// A per-node streaming RNG for protocols that prefer stateful draws.
-/// Seeded from `(seed, node)`, so distinct nodes get independent streams.
-pub type NodeRng = StdRng;
-
-/// Creates the stream RNG for `node` under `seed`.
-///
-/// Note for parallel execution: a stream RNG carried *across* rounds in
-/// node state is still deterministic (its seed depends only on
-/// `(seed, node)` and it only ever advances inside that node's own
-/// `round` calls), but [`node_round_rng`] is preferred for new protocols
-/// because its derivation is auditable per round.
-pub fn node_rng(seed: u64, node: usize) -> NodeRng {
-    StdRng::seed_from_u64(splitmix64(
-        seed ^ (node as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-    ))
-}
-
-/// Tag value reserved for seeding [`node_round_rng`] streams. Protocol
-/// code must not pass this tag to [`draw`] directly, or its draws would
-/// collide with the stream seed.
-pub const STREAM_TAG: u64 = u64::MAX;
-
-/// Creates a stream RNG for `node` in `round` under `seed` — a pure
-/// function of the `(seed, node, round)` counters, with no state carried
-/// between rounds.
-///
-/// Because the stream is re-derived from counters each round, a node's
-/// random choices are independent of *when* its activation runs, so a
-/// protocol execution and a centralized re-implementation draw
-/// bit-identical randomness.
-pub fn node_round_rng(seed: u64, node: usize, round: u64) -> NodeRng {
-    StdRng::seed_from_u64(draw(seed, node, round, STREAM_TAG))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,16 +100,6 @@ mod tests {
     }
 
     #[test]
-    fn node_rng_streams_differ() {
-        use rand::RngCore;
-        let a = node_rng(5, 0).next_u64();
-        let b = node_rng(5, 1).next_u64();
-        assert_ne!(a, b);
-        // Same node, same seed: identical stream.
-        assert_eq!(a, node_rng(5, 0).next_u64());
-    }
-
-    #[test]
     fn priority_bits_scale() {
         assert_eq!(priority_bits(2), 4);
         assert_eq!(priority_bits(1024), 40);
@@ -173,28 +126,7 @@ mod tests {
         assert_eq!(draw(0, 0, 0, 0), 0x2382_75bc_38fc_be91);
         assert_eq!(draw(1, 2, 3, 4), 0x430a_ac1f_3b21_3935);
         assert_eq!(draw(0xDEAD_BEEF, 42, 7, 1), 0x25f0_712a_167c_cfd3);
-        // node_round_rng seeds purely from draw(seed, node, round, STREAM_TAG).
-        assert_eq!(draw(9, 5, 11, STREAM_TAG), 0xf1df_55ed_5128_c7d8);
-        use rand::RngCore;
-        assert_eq!(
-            node_round_rng(9, 5, 11).next_u64(),
-            StdRng::seed_from_u64(0xf1df_55ed_5128_c7d8).next_u64()
-        );
-    }
-
-    #[test]
-    fn node_round_rng_is_a_pure_counter_function() {
-        use rand::RngCore;
-        // Same counters: identical stream.
-        let mut r1 = node_round_rng(3, 7, 2);
-        let mut r2 = node_round_rng(3, 7, 2);
-        let a: Vec<u64> = (0..4).map(|_| r1.next_u64()).collect();
-        let b: Vec<u64> = (0..4).map(|_| r2.next_u64()).collect();
-        assert_eq!(a, b);
-        // Any changed counter gives a different stream.
-        assert_ne!(a[0], node_round_rng(4, 7, 2).next_u64());
-        assert_ne!(a[0], node_round_rng(3, 8, 2).next_u64());
-        assert_ne!(a[0], node_round_rng(3, 7, 3).next_u64());
+        assert_eq!(draw(9, 5, 11, u64::MAX), 0xf1df_55ed_5128_c7d8);
     }
 
     #[test]

@@ -87,9 +87,7 @@ fn log_n_bits(n: usize) -> usize {
 /// per message (a generous but honest `O(log n)`; our encodings are byte
 /// granular, so a handful of log-sized fields fit). The floor of 4 keeps
 /// two-node graphs, whose protocols send the same 24-bit messages as on
-/// three or four nodes, within budget. Use
-/// [`with_bandwidth_factor`](Simulator::with_bandwidth_factor) or
-/// [`without_budget`](Simulator::without_budget) to adjust.
+/// three or four nodes, within budget.
 #[derive(Clone, Debug)]
 pub struct Simulator<'g> {
     graph: &'g Graph,
@@ -111,6 +109,11 @@ impl<'g> Simulator<'g> {
             flight: arbmis_obs::global_flight(),
             full_scan: false,
         }
+    }
+
+    /// The master randomness seed.
+    pub fn seed(&self) -> u64 {
+        self.seed
     }
 
     /// Diagnostic knob: disables quiescence-based frontier shrinking, so
@@ -149,19 +152,6 @@ impl<'g> Simulator<'g> {
     /// The attached flight recorder.
     pub fn flight(&self) -> &FlightRecorder {
         &self.flight
-    }
-
-    /// Overrides the per-message budget to `factor · ⌈log₂ max(n, 4)⌉`
-    /// bits.
-    pub fn with_bandwidth_factor(mut self, factor: usize) -> Self {
-        self.budget_bits = Some(factor * log_n_bits(self.graph.n()));
-        self
-    }
-
-    /// Disables bandwidth enforcement (LOCAL-model behaviour).
-    pub fn without_budget(mut self) -> Self {
-        self.budget_bits = None;
-        self
     }
 
     /// The enforced per-message budget in bits, if any.
@@ -808,10 +798,6 @@ mod tests {
         }
         let g = gen::path(2);
         assert_eq!(Simulator::new(&g, 0).budget_bits(), Some(32));
-        assert_eq!(
-            Simulator::new(&g, 0).with_bandwidth_factor(3).budget_bits(),
-            Some(6)
-        );
     }
 
     #[test]
@@ -819,12 +805,6 @@ mod tests {
         let g = gen::path(4);
         let err = Simulator::new(&g, 1).run(&Oversize, 3).unwrap_err();
         assert!(matches!(err, SimulatorError::BandwidthExceeded { .. }));
-        // Without budget it instead hits the round limit.
-        let err2 = Simulator::new(&g, 1)
-            .without_budget()
-            .run(&Oversize, 3)
-            .unwrap_err();
-        assert!(matches!(err2, SimulatorError::RoundLimitExceeded { .. }));
     }
 
     /// Unicast to a non-neighbor must be rejected.

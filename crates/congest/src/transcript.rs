@@ -61,11 +61,6 @@ impl Transcript {
         self.entries.is_empty()
     }
 
-    /// Messages sent in a given round.
-    pub fn messages_in_round(&self, round: u64) -> usize {
-        self.entries.iter().filter(|e| e.round == round).count()
-    }
-
     /// Per-round message counts up to the last active round.
     pub fn round_profile(&self) -> Vec<usize> {
         let last = self.entries.iter().map(|e| e.round).max();
@@ -117,8 +112,6 @@ mod tests {
         let t = sample();
         assert_eq!(t.len(), 3);
         assert!(!t.is_empty());
-        assert_eq!(t.messages_in_round(0), 2);
-        assert_eq!(t.messages_in_round(1), 0);
         assert_eq!(t.round_profile(), vec![2, 0, 1]);
     }
 

@@ -1191,10 +1191,10 @@ impl<'g> FlatBackend<'g> {
             coins,
             ..
         } = self;
-        for p in active.iter() {
+        active.iter().for_each(|p| {
             let marked = ghaffari::is_marked(seed, p, iter, exponent[p]);
             coins[p] = exponent[p] | (u32::from(marked) << 31);
-        }
+        });
         if let Some((pos, xor)) = self.active_flip(iter) {
             if xor != 0 {
                 self.coins[pos] ^= ghaffari::MARK;
@@ -1209,7 +1209,7 @@ impl<'g> FlatBackend<'g> {
             ..
         } = self;
         wins.clear();
-        for p in active.iter() {
+        active.iter().for_each(|p| {
             let mut d = 0.0;
             let mut marks = 0;
             for u in g.neighbors(p) {
@@ -1221,7 +1221,7 @@ impl<'g> FlatBackend<'g> {
                 wins.push(p);
             }
             exponent[p] = ghaffari::next_exponent(exponent[p], d);
-        }
+        });
     }
 
     /// The rest of Ghaffari's exit: every node the exit removed, a winner

@@ -35,9 +35,10 @@
 //!    variants), [`ghaffari::run`] and
 //!    [`bounded_arb::bounded_arb_independent_set`] are short drivers over it that report *schedule* rounds (3 per
 //!    iteration, 2 per scale end); and
-//! 2. a **CONGEST protocol** ([`protocols`]) — runs on
-//!    [`arbmis_congest::Simulator`] with real message passing and
-//!    per-message bit accounting.
+//! 2. the **CONGEST protocol** [`protocols::MisProtocol`]`(algo)` — one
+//!    protocol that takes the algorithm as a [`FlatAlgo`] value, as the
+//!    flat engine does; it runs on [`arbmis_congest::Simulator`] with
+//!    real message passing and per-message bit accounting.
 //!
 //! [`backend::MisBackend`] is the round-steppable surface both share
 //! (the simulator adapter lives in `arbmis-flat`); tests assert the two

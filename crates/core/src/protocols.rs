@@ -1,13 +1,14 @@
-//! CONGEST protocol implementations of the randomized MIS algorithms.
+//! The CONGEST protocol of the randomized MIS algorithms.
 //!
-//! Each protocol is the message-passing twin of a fast-path function in
-//! this crate, drawing randomness from the *same counter-based generator*
-//! ([`arbmis_congest::rng`]) indexed by the same iteration numbers — so a
-//! protocol execution and its fast path produce **bit-identical**
-//! independent sets under the same seed. Tests in this module and the
-//! workspace integration suite assert exactly that.
+//! [`MisProtocol`]`(algo)` is the message-passing twin of the flat
+//! engine's run of `algo` (Luby, Métivier, Ghaffari or Algorithm 1's
+//! BoundedArb), drawing randomness from the *same counter-based
+//! generator* ([`arbmis_congest::rng`]) indexed by the same iteration
+//! numbers — so a protocol execution and its fast path produce
+//! **bit-identical** independent sets under the same seed. Tests in this
+//! module and the workspace integration suite assert exactly that.
 //!
-//! All protocols share a three-sub-round iteration skeleton:
+//! Every algorithm shares a three-sub-round iteration skeleton:
 //!
 //! 1. **announce** — process exit notices from the previous iteration,
 //!    then broadcast this iteration's competition payload (priority /
@@ -16,14 +17,15 @@
 //! 3. **exit** — nodes that joined or were dominated broadcast an exit
 //!    notice and leave.
 //!
-//! `BoundedArbIndependentSet` adds two per-scale rounds for step 2(b)
-//! (degree exchange + bad exits). Every node reads its round's slot off
-//! the round number with [`backend::slot`], the decoder the flat engine
-//! uses too — the algorithm is oblivious, so every node tracks the
-//! scale/iteration structure without coordination.
+//! Only what a node announces (`announcement`) and how it decides
+//! (`wins`) depend on the algorithm. `BoundedArbIndependentSet` adds two
+//! per-scale rounds for step 2(b) (degree exchange + bad exits). Every
+//! node reads its round's slot off the round number with
+//! [`backend::slot`], the decoder the flat engine uses too — the
+//! algorithm is oblivious, so every node tracks the scale/iteration
+//! structure without coordination.
 
 use crate::backend::{self, FlatAlgo, Slot};
-use crate::params::ArbParams;
 use crate::{bounded_arb, ghaffari, luby, metivier};
 use arbmis_congest::prelude::*;
 use arbmis_graph::NodeId;
@@ -322,92 +324,42 @@ fn wins(state: &mut MisNodeState, own: MisMsg, id: NodeId, inbox: &Inbox<MisMsg>
     }
 }
 
-/// Implements [`Protocol`] for MIS protocols: every node keeps a
-/// [`MisNodeState`] and runs [`mis_round`] for the protocol's `algo()`.
-macro_rules! mis_protocol {
-    ($($protocol:ty),*) => {$(
-        impl Protocol for $protocol {
-            type State = MisNodeState;
-            type Msg = MisMsg;
-
-            fn init(&self, node: &NodeInfo) -> MisNodeState {
-                MisNodeState::new(node)
-            }
-
-            fn round(
-                &self,
-                state: &mut MisNodeState,
-                node: &NodeInfo,
-                inbox: &Inbox<MisMsg>,
-            ) -> Outgoing<MisMsg> {
-                mis_round(&self.algo(), state, node, inbox)
-            }
-
-            fn is_done(&self, state: &MisNodeState) -> bool {
-                state.done
-            }
-        }
-    )*};
-}
-
-mis_protocol!(
-    MetivierProtocol,
-    LubyProtocol,
-    GhaffariProtocol,
-    BoundedArbProtocol
-);
-
-/// CONGEST twin of [`crate::metivier::run`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MetivierProtocol;
-
-impl MetivierProtocol {
-    fn algo(&self) -> FlatAlgo {
-        FlatAlgo::Metivier
-    }
-}
-
-/// CONGEST twin of [`crate::luby::run`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LubyProtocol;
-
-impl LubyProtocol {
-    fn algo(&self) -> FlatAlgo {
-        FlatAlgo::Luby
-    }
-}
-
-/// CONGEST twin of [`crate::ghaffari::run`]. Only the desire *exponent*
-/// crosses the wire — `O(log log Δ)` bits.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct GhaffariProtocol;
-
-impl GhaffariProtocol {
-    fn algo(&self) -> FlatAlgo {
-        FlatAlgo::Ghaffari
-    }
-}
-
-/// CONGEST twin of [`crate::bounded_arb::bounded_arb_independent_set`].
+/// The CONGEST twin of the flat engine's run of the algorithm it holds
+/// ([`crate::luby::run`], [`crate::metivier::run`],
+/// [`crate::ghaffari::run`] or
+/// [`crate::bounded_arb::bounded_arb_independent_set`]): every node
+/// keeps a [`MisNodeState`] and runs `mis_round` for that algorithm.
+/// Ghaffari's desire levels cross the wire as exponents — `O(log log Δ)`
+/// bits.
 ///
-/// The schedule is oblivious: every node reads its slot off the global
-/// round number ([`backend::slot`]); after the last scale all nodes stop
-/// simultaneously, leaving the residual `VIB` in their states.
+/// A BoundedArb schedule is oblivious: every node reads its slot off the
+/// global round number ([`backend::slot`]); after the last scale all
+/// nodes stop simultaneously, leaving the residual `VIB` in their
+/// states. Its parameters must be built from the *same* graph the
+/// protocol runs on. [`FlatAlgo::DegreeReduction`] has no protocol: its
+/// first announce round panics.
 #[derive(Clone, Copy, Debug)]
-pub struct BoundedArbProtocol {
-    /// The instantiated parameter schedule (must be built from the *same*
-    /// graph the protocol runs on).
-    pub params: ArbParams,
-    /// Whether the ρ_k opt-out is active (ablation switch).
-    pub rho_cutoff: bool,
-}
+pub struct MisProtocol(pub FlatAlgo);
 
-impl BoundedArbProtocol {
-    fn algo(&self) -> FlatAlgo {
-        FlatAlgo::BoundedArb {
-            params: self.params,
-            rho_cutoff: self.rho_cutoff,
-        }
+impl Protocol for MisProtocol {
+    type State = MisNodeState;
+    type Msg = MisMsg;
+
+    fn init(&self, node: &NodeInfo) -> MisNodeState {
+        MisNodeState::new(node)
+    }
+
+    fn round(
+        &self,
+        state: &mut MisNodeState,
+        node: &NodeInfo,
+        inbox: &Inbox<MisMsg>,
+    ) -> Outgoing<MisMsg> {
+        mis_round(&self.0, state, node, inbox)
+    }
+
+    fn is_done(&self, state: &MisNodeState) -> bool {
+        state.done
     }
 }
 
@@ -438,7 +390,7 @@ mod tests {
         ] {
             let fast = metivier::run(&g, seed);
             let run = Simulator::new(&g, seed)
-                .run(&MetivierProtocol, 10_000)
+                .run(&MisProtocol(FlatAlgo::Metivier), 10_000)
                 .unwrap();
             assert_eq!(extract_mis(&run.states), fast.in_mis, "graph {g}");
             assert!(run.metrics.within_budget(), "budget on {g}");
@@ -455,7 +407,9 @@ mod tests {
             (9, gen::barabasi_albert(100, 2, &mut r)),
         ] {
             let fast = luby::run(&g, seed);
-            let run = Simulator::new(&g, seed).run(&LubyProtocol, 10_000).unwrap();
+            let run = Simulator::new(&g, seed)
+                .run(&MisProtocol(FlatAlgo::Luby), 10_000)
+                .unwrap();
             assert_eq!(extract_mis(&run.states), fast.in_mis, "graph {g}");
             assert!(run.metrics.within_budget());
         }
@@ -471,7 +425,7 @@ mod tests {
         ] {
             let fast = ghaffari::run(&g, seed);
             let run = Simulator::new(&g, seed)
-                .run(&GhaffariProtocol, 20_000)
+                .run(&MisProtocol(FlatAlgo::Ghaffari), 20_000)
                 .unwrap();
             assert_eq!(extract_mis(&run.states), fast.in_mis, "graph {g}");
             assert!(run.metrics.within_budget());
@@ -488,10 +442,10 @@ mod tests {
         ] {
             let cfg = BoundedArbConfig::new(alpha, seed);
             let fast = bounded_arb_independent_set(&g, &cfg);
-            let proto = BoundedArbProtocol {
+            let proto = MisProtocol(FlatAlgo::BoundedArb {
                 params: fast.params,
                 rho_cutoff: true,
-            };
+            });
             let run = Simulator::new(&g, seed)
                 .run(&proto, fast.rounds + 2)
                 .unwrap();
@@ -514,10 +468,10 @@ mod tests {
             ..BoundedArbConfig::new(2, 31)
         };
         let fast = bounded_arb_independent_set(&g, &cfg);
-        let proto = BoundedArbProtocol {
+        let proto = MisProtocol(FlatAlgo::BoundedArb {
             params: fast.params,
             rho_cutoff: false,
-        };
+        });
         let run = Simulator::new(&g, 31).run(&proto, fast.rounds + 2).unwrap();
         assert_eq!(
             run.states.iter().map(|s| s.in_mis).collect::<Vec<_>>(),
@@ -534,7 +488,7 @@ mod tests {
         let mut r = rng(5);
         let g = gen::gnp(200, 0.05, &mut r);
         let run = Simulator::new(&g, 31)
-            .run(&MetivierProtocol, 10_000)
+            .run(&MisProtocol(FlatAlgo::Metivier), 10_000)
             .unwrap();
         let budget = Simulator::new(&g, 31).budget_bits().unwrap() as u64;
         assert!(run.metrics.max_message_bits <= budget);
@@ -545,7 +499,9 @@ mod tests {
     #[test]
     fn protocol_on_empty_graph() {
         let g = Graph::empty(5);
-        let run = Simulator::new(&g, 1).run(&MetivierProtocol, 100).unwrap();
+        let run = Simulator::new(&g, 1)
+            .run(&MisProtocol(FlatAlgo::Metivier), 100)
+            .unwrap();
         assert!(extract_mis(&run.states).iter().all(|&b| b));
     }
 

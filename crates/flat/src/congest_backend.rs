@@ -2,31 +2,9 @@
 
 use crate::{divergence, BackendError, FlatAlgo, MisBackend};
 use arbmis_congest::{BitMask, Simulator, Stepper};
-use arbmis_core::protocols::{
-    BoundedArbProtocol, GhaffariProtocol, LubyProtocol, MetivierProtocol, MisNodeState,
-};
+use arbmis_core::protocols::{MisNodeState, MisProtocol};
 use arbmis_graph::{Graph, NodeId};
 use arbmis_obs::{FlightRecorder, RoundRecord};
-
-/// All four MIS protocols share `MisNodeState`, so the adapter only
-/// needs to dispatch the stepper calls.
-enum Inner<'g> {
-    Luby(Stepper<'g, LubyProtocol>),
-    Metivier(Stepper<'g, MetivierProtocol>),
-    Ghaffari(Stepper<'g, GhaffariProtocol>),
-    BoundedArb(Stepper<'g, BoundedArbProtocol>),
-}
-
-macro_rules! dispatch {
-    ($inner:expr, $st:ident => $body:expr) => {
-        match $inner {
-            Inner::Luby($st) => $body,
-            Inner::Metivier($st) => $body,
-            Inner::Ghaffari($st) => $body,
-            Inner::BoundedArb($st) => $body,
-        }
-    };
-}
 
 /// [`MisBackend`] over the real message-passing simulator.
 ///
@@ -42,37 +20,11 @@ macro_rules! dispatch {
 /// are directly comparable to a [`crate::FlatBackend`]'s `"flat"`
 /// records.
 pub struct CongestBackend<'g> {
-    g: &'g Graph,
-    seed: u64,
+    sim: Simulator<'g>,
     algo: FlatAlgo,
-    full_scan: bool,
-    flight: FlightRecorder,
-    inner: Inner<'g>,
+    stepper: Stepper<'g, MisProtocol>,
     mis: BitMask,
     joiners: Vec<NodeId>,
-}
-
-fn build<'g>(
-    g: &'g Graph,
-    seed: u64,
-    algo: FlatAlgo,
-    full_scan: bool,
-    flight: &FlightRecorder,
-) -> Inner<'g> {
-    let sim = Simulator::new(g, seed)
-        .with_full_scan(full_scan)
-        .with_flight(flight.clone());
-    match algo {
-        FlatAlgo::Luby => Inner::Luby(sim.stepper(LubyProtocol)),
-        FlatAlgo::Metivier => Inner::Metivier(sim.stepper(MetivierProtocol)),
-        FlatAlgo::Ghaffari => Inner::Ghaffari(sim.stepper(GhaffariProtocol)),
-        FlatAlgo::BoundedArb { params, rho_cutoff } => {
-            Inner::BoundedArb(sim.stepper(BoundedArbProtocol { params, rho_cutoff }))
-        }
-        FlatAlgo::DegreeReduction { .. } => {
-            panic!("degree reduction has no CONGEST protocol; it runs on the flat engine only")
-        }
-    }
 }
 
 impl<'g> CongestBackend<'g> {
@@ -83,14 +35,15 @@ impl<'g> CongestBackend<'g> {
     /// Panics if `algo` is [`FlatAlgo::DegreeReduction`], which has no
     /// CONGEST protocol.
     pub fn new(g: &'g Graph, seed: u64, algo: FlatAlgo) -> Self {
-        let flight = arbmis_obs::global_flight();
+        assert!(
+            !matches!(algo, FlatAlgo::DegreeReduction { .. }),
+            "degree reduction has no CONGEST protocol; it runs on the flat engine only"
+        );
+        let sim = Simulator::new(g, seed);
         CongestBackend {
-            g,
-            seed,
+            stepper: sim.stepper(MisProtocol(algo)),
+            sim,
             algo,
-            full_scan: false,
-            inner: build(g, seed, algo, false, &flight),
-            flight,
             mis: BitMask::new(g.n()),
             joiners: Vec::new(),
         }
@@ -102,8 +55,8 @@ impl<'g> CongestBackend<'g> {
     /// the backend against each.
     #[must_use]
     pub fn with_full_scan(mut self, full_scan: bool) -> Self {
-        self.full_scan = full_scan;
-        self.inner = build(self.g, self.seed, self.algo, full_scan, &self.flight);
+        self.sim = self.sim.with_full_scan(full_scan);
+        self.stepper = self.sim.stepper(MisProtocol(self.algo));
         self
     }
 
@@ -111,26 +64,26 @@ impl<'g> CongestBackend<'g> {
     /// adapter's) through `flight` instead of the global ring.
     #[must_use]
     pub fn with_flight(mut self, flight: FlightRecorder) -> Self {
-        self.flight = flight;
-        self.inner = build(self.g, self.seed, self.algo, self.full_scan, &self.flight);
+        self.sim = self.sim.with_flight(flight);
+        self.stepper = self.sim.stepper(MisProtocol(self.algo));
         self
     }
 
     /// The flight recorder this backend writes to.
     pub fn flight(&self) -> &FlightRecorder {
-        &self.flight
+        self.sim.flight()
     }
 
     /// The per-node protocol states (for oracle tests that compare
     /// `active` / `bad` flags beyond the MIS mask).
     pub fn states(&self) -> &[MisNodeState] {
-        dispatch!(&self.inner, st => st.states())
+        self.stepper.states()
     }
 }
 
 impl MisBackend for CongestBackend<'_> {
     fn init(&mut self) {
-        self.inner = build(self.g, self.seed, self.algo, self.full_scan, &self.flight);
+        self.stepper = self.sim.stepper(MisProtocol(self.algo));
         self.mis.clear_all();
         self.joiners.clear();
     }
@@ -141,13 +94,13 @@ impl MisBackend for CongestBackend<'_> {
         // Flight capture needs the active set *entering* the round; the
         // O(n) state scan only runs with a recorder attached, and reads
         // protocol state without touching it (observation only).
-        let (frontier, coin_digest) = if self.flight.enabled() {
-            let states = dispatch!(&self.inner, st => st.states());
+        let (frontier, coin_digest) = if self.flight().enabled() {
+            let states = self.stepper.states();
             let frontier = states.iter().filter(|s| s.active).count() as u64;
             let coin = divergence::coin_digest(
                 &self.algo,
-                self.seed,
-                self.g.n(),
+                self.sim.seed(),
+                states.len(),
                 r,
                 |v| states[v].active,
                 None,
@@ -156,18 +109,15 @@ impl MisBackend for CongestBackend<'_> {
         } else {
             (0, 0)
         };
-        let states = dispatch!(&mut self.inner, st => {
-            st.step()?;
-            st.states()
-        });
-        for (v, s) in states.iter().enumerate() {
+        self.stepper.step()?;
+        for (v, s) in self.stepper.states().iter().enumerate() {
             if s.in_mis && !self.mis.test(v) {
                 self.mis.set(v);
                 self.joiners.push(v);
             }
         }
-        if self.flight.enabled() {
-            self.flight.record(RoundRecord {
+        if self.flight().enabled() {
+            self.flight().record(RoundRecord {
                 engine: "congest-backend",
                 round: r,
                 frontier,
@@ -188,7 +138,7 @@ impl MisBackend for CongestBackend<'_> {
     }
 
     fn is_done(&self) -> bool {
-        dispatch!(&self.inner, st => st.is_done())
+        self.stepper.is_done()
     }
 
     fn mis(&self) -> &BitMask {
@@ -196,6 +146,6 @@ impl MisBackend for CongestBackend<'_> {
     }
 
     fn round(&self) -> u64 {
-        dispatch!(&self.inner, st => st.round())
+        self.stepper.round()
     }
 }

@@ -11,8 +11,11 @@
 //! objects. This crate holds everything that relates the two:
 //!
 //! * [`CongestBackend`] — a thin [`MisBackend`] adapter over the
-//!   simulator's [`arbmis_congest::Stepper`], stepping one CONGEST round
-//!   at a time and diffing node states to report joiners.
+//!   simulator's [`arbmis_congest::Stepper`] of
+//!   [`MisProtocol`](arbmis_core::protocols::MisProtocol)`(algo)`, the one
+//!   CONGEST protocol for every [`FlatAlgo`] but degree reduction,
+//!   stepping one CONGEST round at a time and diffing node states to
+//!   report joiners.
 //! * [`divergence`] — [`localize`] lockstep-replays two backends to the
 //!   first divergent round, and [`ReplayArtifact`] packages a divergence
 //!   for `arbmis replay`.
@@ -78,6 +81,13 @@ mod tests {
             assert!(degree as f64 <= target, "node {v} still above the target");
             assert!(g.neighbors(v).iter().all(|u| !mis[u]), "node {v} dominated");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "degree reduction has no CONGEST protocol")]
+    fn congest_backend_rejects_degree_reduction() {
+        let g = gen::path(4);
+        let _ = CongestBackend::new(&g, 1, FlatAlgo::DegreeReduction { target: 1.0 });
     }
 
     #[test]

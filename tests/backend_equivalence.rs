@@ -18,12 +18,10 @@
 //! drift in protocol semantics, RNG derivation, or round accounting
 //! shows up here as a first-divergence round index.
 
-use arbmis::congest::{Protocol, Simulator};
+use arbmis::congest::Simulator;
 use arbmis::core::backend::schedule_rounds;
 use arbmis::core::bounded_arb::{bounded_arb_independent_set, BoundedArbConfig};
-use arbmis::core::protocols::{
-    BoundedArbProtocol, GhaffariProtocol, LubyProtocol, MetivierProtocol, MisNodeState,
-};
+use arbmis::core::protocols::MisProtocol;
 use arbmis::core::{ghaffari, is_valid_mis, luby, metivier, ArbParams, ParamMode};
 use arbmis::flat::{localize, CongestBackend, FlatAlgo, FlatBackend, MisBackend};
 use arbmis::graph::gen::{self, GraphFamily, GraphSpec};
@@ -89,18 +87,6 @@ fn assert_agree(
     assert_eq!(other.mis(), reference.mis(), "{label}: final MIS");
 }
 
-/// A one-shot `Simulator::run`'s final MIS and round count for `proto`.
-fn simulator_outcome<P>(g: &Graph, seed: u64, proto: &P, max_rounds: u64) -> (Vec<bool>, u64)
-where
-    P: Protocol<State = MisNodeState>,
-{
-    let run = Simulator::new(g, seed).run(proto, max_rounds).unwrap();
-    (
-        run.states.iter().map(|s| s.in_mis).collect(),
-        run.metrics.rounds,
-    )
-}
-
 /// Full matrix for one `(graph, seed, algo)` workload: CONGEST against
 /// the flat engine at every thread count and against its own full scan,
 /// then a one-shot simulator run and the centralized driver against the
@@ -135,20 +121,12 @@ fn assert_workload(label: &str, g: &Graph, seed: u64, algo: FlatAlgo) -> (u64, V
     let rounds = congest.round();
     let mis = congest.mis().to_bools();
 
-    let (sim_mis, sim_rounds) = match algo {
-        FlatAlgo::Luby => simulator_outcome(g, seed, &LubyProtocol, max_rounds),
-        FlatAlgo::Metivier => simulator_outcome(g, seed, &MetivierProtocol, max_rounds),
-        FlatAlgo::Ghaffari => simulator_outcome(g, seed, &GhaffariProtocol, max_rounds),
-        FlatAlgo::BoundedArb { params, rho_cutoff } => simulator_outcome(
-            g,
-            seed,
-            &BoundedArbProtocol { params, rho_cutoff },
-            max_rounds,
-        ),
-        FlatAlgo::DegreeReduction { .. } => unreachable!("no CONGEST protocol"),
-    };
+    let run = Simulator::new(g, seed)
+        .run(&MisProtocol(algo), max_rounds)
+        .unwrap();
+    let sim_mis: Vec<bool> = run.states.iter().map(|s| s.in_mis).collect();
     assert_eq!(sim_mis, mis, "{label}: simulator MIS");
-    assert_eq!(sim_rounds, rounds, "{label}: simulator rounds");
+    assert_eq!(run.metrics.rounds, rounds, "{label}: simulator rounds");
 
     let driver = match algo {
         FlatAlgo::Luby => luby::run(g, seed),

@@ -6,6 +6,7 @@ use arbmis::congest::Simulator;
 use arbmis::core::bounded_arb::{bounded_arb_independent_set, BoundedArbConfig};
 use arbmis::core::params::ParamMode;
 use arbmis::core::protocols::*;
+use arbmis::core::FlatAlgo;
 use arbmis::graph::gen::{GraphFamily, GraphSpec};
 use rand::SeedableRng;
 
@@ -25,15 +26,15 @@ fn all_protocols_within_budget_across_families() {
     for fam in families {
         let g = graph(fam, 400, 5);
         let m1 = Simulator::new(&g, 1)
-            .run(&MetivierProtocol, 50_000)
+            .run(&MisProtocol(FlatAlgo::Metivier), 50_000)
             .unwrap()
             .metrics;
         let m2 = Simulator::new(&g, 1)
-            .run(&LubyProtocol, 50_000)
+            .run(&MisProtocol(FlatAlgo::Luby), 50_000)
             .unwrap()
             .metrics;
         let m3 = Simulator::new(&g, 1)
-            .run(&GhaffariProtocol, 100_000)
+            .run(&MisProtocol(FlatAlgo::Ghaffari), 100_000)
             .unwrap()
             .metrics;
         for (name, m) in [("metivier", m1), ("luby", m2), ("ghaffari", m3)] {
@@ -51,10 +52,10 @@ fn bounded_arb_protocol_within_budget() {
         ..BoundedArbConfig::new(3, 2)
     };
     let fast = bounded_arb_independent_set(&g, &cfg);
-    let proto = BoundedArbProtocol {
+    let proto = MisProtocol(FlatAlgo::BoundedArb {
         params: fast.params,
         rho_cutoff: true,
-    };
+    });
     let run = Simulator::new(&g, 2).run(&proto, fast.rounds + 2).unwrap();
     assert!(run.metrics.within_budget());
     // Degree announcements are the largest payloads; still O(log n).
@@ -112,7 +113,7 @@ fn oversized_messages_rejected() {
 fn message_counts_bounded_by_rounds_times_edges() {
     let g = graph(GraphFamily::ForestUnion { alpha: 2 }, 300, 9);
     let run = Simulator::new(&g, 4)
-        .run(&MetivierProtocol, 50_000)
+        .run(&MisProtocol(FlatAlgo::Metivier), 50_000)
         .unwrap();
     let cap = run.metrics.rounds * 2 * g.m() as u64;
     assert!(run.metrics.messages <= cap);

@@ -8,6 +8,7 @@ use arbmis::congest::{Inbox, NodeInfo, Outgoing, Protocol, Simulator};
 use arbmis::core::bounded_arb::{bounded_arb_independent_set, BoundedArbConfig};
 use arbmis::core::forest_decomp::HPartitionProtocol;
 use arbmis::core::protocols::*;
+use arbmis::core::FlatAlgo;
 use arbmis::graph::gen::{GraphFamily, GraphSpec};
 use rand::SeedableRng;
 
@@ -104,7 +105,7 @@ fn recorder_never_perturbs_transcripts_or_metrics() {
 
     let g = graph(GraphFamily::GnpAvgDegree { d: 5.0 }, 150, 38);
     let (baseline, t_baseline) = Simulator::new(&g, 9)
-        .run_traced(&MetivierProtocol, 50_000)
+        .run_traced(&MisProtocol(FlatAlgo::Metivier), 50_000)
         .unwrap();
     let recorders = [
         Recorder::disabled(),
@@ -113,7 +114,9 @@ fn recorder_never_perturbs_transcripts_or_metrics() {
     ];
     for (i, rec) in recorders.iter().enumerate() {
         let sim = Simulator::new(&g, 9).with_recorder(rec.clone());
-        let (run, t) = sim.run_traced(&MetivierProtocol, 50_000).unwrap();
+        let (run, t) = sim
+            .run_traced(&MisProtocol(FlatAlgo::Metivier), 50_000)
+            .unwrap();
         let label = format!("recorder #{i}");
         assert_eq!(t.digest(), t_baseline.digest(), "{label}: digest");
         assert_eq!(t.entries(), t_baseline.entries(), "{label}: entries");
@@ -161,12 +164,22 @@ fn assert_frontier_differential<P, K>(
 fn frontier_matches_full_scan_mis_protocols() {
     let g = graph(GraphFamily::GnpAvgDegree { d: 5.0 }, 150, 41);
     for seed in 0..2 {
-        assert_frontier_differential(&g, seed, &MetivierProtocol, 50_000, "metivier", |s| {
-            (s.in_mis, s.active)
-        });
-        assert_frontier_differential(&g, seed, &LubyProtocol, 50_000, "luby", |s| {
-            (s.in_mis, s.active)
-        });
+        assert_frontier_differential(
+            &g,
+            seed,
+            &MisProtocol(FlatAlgo::Metivier),
+            50_000,
+            "metivier",
+            |s| (s.in_mis, s.active),
+        );
+        assert_frontier_differential(
+            &g,
+            seed,
+            &MisProtocol(FlatAlgo::Luby),
+            50_000,
+            "luby",
+            |s| (s.in_mis, s.active),
+        );
     }
 }
 
@@ -176,10 +189,10 @@ fn frontier_matches_full_scan_bounded_arb() {
     for seed in 0..2 {
         let cfg = BoundedArbConfig::new(3, seed);
         let fast = bounded_arb_independent_set(&g, &cfg);
-        let proto = BoundedArbProtocol {
+        let proto = MisProtocol(FlatAlgo::BoundedArb {
             params: fast.params,
             rho_cutoff: true,
-        };
+        });
         assert_frontier_differential(&g, seed, &proto, fast.rounds + 2, "bounded_arb", |s| {
             (s.in_mis, s.bad, s.active)
         });

@@ -13,7 +13,7 @@
 //!   and congest-backend flight records agree for every algorithm.
 
 use arbmis::congest::Simulator;
-use arbmis::core::protocols::MetivierProtocol;
+use arbmis::core::protocols::MisProtocol;
 use arbmis::core::{ArbParams, ParamMode};
 use arbmis::flat::divergence::{localize, BackendSpec, DivergenceKind, ReplayArtifact};
 use arbmis::flat::{CoinFlip, CongestBackend, FlatAlgo, FlatBackend, MisBackend};
@@ -205,7 +205,7 @@ fn flipped_luby_and_ghaffari_marks_localize_to_their_node() {
 fn flight_capture_is_observation_only_across_thread_counts() {
     let g = graph(GraphFamily::GnpAvgDegree { d: 5.0 }, 150, 23);
     let seed = 3;
-    let proto = MetivierProtocol;
+    let proto = MisProtocol(FlatAlgo::Metivier);
 
     let (base, t_base) = Simulator::new(&g, seed)
         .run_traced(&proto, MAX_ROUNDS)

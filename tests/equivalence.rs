@@ -5,7 +5,7 @@
 
 use arbmis::congest::Simulator;
 use arbmis::core::protocols::*;
-use arbmis::core::{ghaffari, luby, metivier};
+use arbmis::core::{ghaffari, luby, metivier, FlatAlgo};
 use arbmis::graph::gen::{GraphFamily, GraphSpec};
 use rand::SeedableRng;
 
@@ -26,7 +26,7 @@ fn metivier_equivalence_across_families() {
         for seed in 0..3 {
             let fast = metivier::run(&g, seed);
             let run = Simulator::new(&g, seed)
-                .run(&MetivierProtocol, 50_000)
+                .run(&MisProtocol(FlatAlgo::Metivier), 50_000)
                 .unwrap();
             let mis: Vec<bool> = run.states.iter().map(|s| s.in_mis).collect();
             assert_eq!(mis, fast.in_mis, "{fam} seed {seed}");
@@ -41,7 +41,9 @@ fn luby_equivalence_across_families() {
         let g = GraphSpec::new(fam, 150).generate(&mut rng);
         for seed in 0..3 {
             let fast = luby::run(&g, seed);
-            let run = Simulator::new(&g, seed).run(&LubyProtocol, 50_000).unwrap();
+            let run = Simulator::new(&g, seed)
+                .run(&MisProtocol(FlatAlgo::Luby), 50_000)
+                .unwrap();
             let mis: Vec<bool> = run.states.iter().map(|s| s.in_mis).collect();
             assert_eq!(mis, fast.in_mis, "{fam} seed {seed}");
         }
@@ -56,7 +58,7 @@ fn ghaffari_equivalence_across_families() {
         for seed in 0..3 {
             let fast = ghaffari::run(&g, seed);
             let run = Simulator::new(&g, seed)
-                .run(&GhaffariProtocol, 100_000)
+                .run(&MisProtocol(FlatAlgo::Ghaffari), 100_000)
                 .unwrap();
             let mis: Vec<bool> = run.states.iter().map(|s| s.in_mis).collect();
             assert_eq!(mis, fast.in_mis, "{fam} seed {seed}");

@@ -16,10 +16,8 @@
 //! neighbor, for both broadcast and unicast traffic.
 
 use arbmis::congest::{Inbox, NodeInfo, Outgoing, Protocol, Simulator};
-use arbmis::core::protocols::{
-    BoundedArbProtocol, GhaffariProtocol, LubyProtocol, MetivierProtocol, MisNodeState,
-};
-use arbmis::core::{ArbParams, ParamMode};
+use arbmis::core::protocols::{MisNodeState, MisProtocol};
+use arbmis::core::{ArbParams, FlatAlgo, ParamMode};
 use arbmis::graph::{gen, Graph, NodeId};
 use rand::SeedableRng;
 
@@ -94,21 +92,30 @@ const GOLDEN: [Row; 5] = [
     ),
 ];
 
-fn workload(name: &str) -> (Graph, u64, u8) {
+fn workload(name: &str) -> (Graph, u64, FlatAlgo) {
     match name {
         "gnp300_dense_metivier" => {
             let mut r = rand::rngs::StdRng::seed_from_u64(11);
-            (gen::gnp(300, 0.2, &mut r), 7, 0)
+            (gen::gnp(300, 0.2, &mut r), 7, FlatAlgo::Metivier)
         }
         "gnp150_half_luby" => {
             let mut r = rand::rngs::StdRng::seed_from_u64(12);
-            (gen::gnp(150, 0.5, &mut r), 8, 1)
+            (gen::gnp(150, 0.5, &mut r), 8, FlatAlgo::Luby)
         }
-        "star400_metivier" => (gen::star(400), 9, 0),
-        "star257_ghaffari" => (gen::star(257), 10, 2),
+        "star400_metivier" => (gen::star(400), 9, FlatAlgo::Metivier),
+        "star257_ghaffari" => (gen::star(257), 10, FlatAlgo::Ghaffari),
         "geo1500_bounded_arb" => {
             let mut r = rand::rngs::StdRng::seed_from_u64(13);
-            (gen::random_geometric(1500, 0.06, &mut r), 11, 3)
+            let g = gen::random_geometric(1500, 0.06, &mut r);
+            // One iteration per scale leaves nodes active at each scale
+            // end, and α = 1 understates the graph's arboricity, so scale
+            // ends exile some of them to the bad set.
+            let mode = ParamMode::Practical { lambda_scale: 1e-9 };
+            let algo = FlatAlgo::BoundedArb {
+                params: ArbParams::new(1, g.max_degree(), mode),
+                rho_cutoff: true,
+            };
+            (g, 11, algo)
         }
         _ => unreachable!(),
     }
@@ -116,25 +123,10 @@ fn workload(name: &str) -> (Graph, u64, u8) {
 
 /// The fingerprint row `name`'s workload computes.
 fn computed(name: &'static str) -> Row {
-    let (g, seed, which) = workload(name);
-    let sim = Simulator::new(&g, seed);
-    let (run, t) = match which {
-        0 => sim.run_traced(&MetivierProtocol, 100_000),
-        1 => sim.run_traced(&LubyProtocol, 100_000),
-        2 => sim.run_traced(&GhaffariProtocol, 100_000),
-        _ => {
-            // One iteration per scale leaves nodes active at each scale
-            // end, and α = 1 understates the graph's arboricity, so scale
-            // ends exile some of them to the bad set.
-            let mode = ParamMode::Practical { lambda_scale: 1e-9 };
-            let proto = BoundedArbProtocol {
-                params: ArbParams::new(1, g.max_degree(), mode),
-                rho_cutoff: true,
-            };
-            sim.run_traced(&proto, 100_000)
-        }
-    }
-    .unwrap_or_else(|e| panic!("{name}: run failed: {e}"));
+    let (g, seed, algo) = workload(name);
+    let (run, t) = Simulator::new(&g, seed)
+        .run_traced(&MisProtocol(algo), 100_000)
+        .unwrap_or_else(|e| panic!("{name}: run failed: {e}"));
     (
         name,
         t.digest(),

@@ -6,7 +6,8 @@
 
 use arbmis::congest::Simulator;
 use arbmis::core::arb_mis::{arb_mis_with, ArbMisConfig};
-use arbmis::core::protocols::MetivierProtocol;
+use arbmis::core::protocols::MisProtocol;
+use arbmis::core::FlatAlgo;
 use arbmis::graph::gen::{GraphFamily, GraphSpec};
 use arbmis::obs::report::parse_jsonl;
 use arbmis::obs::{is_timing_class, Recorder};
@@ -94,7 +95,7 @@ fn congest_engine_exports_round_histograms() {
     let rec = Recorder::deterministic();
     let run = Simulator::new(&g, 7)
         .with_recorder(rec.clone())
-        .run(&MetivierProtocol, 50_000)
+        .run(&MisProtocol(FlatAlgo::Metivier), 50_000)
         .unwrap();
     let snap = rec.snapshot();
     let rounds_hist = snap.histogram("congest_round_messages").unwrap();
@@ -119,7 +120,7 @@ fn congest_engine_exports_round_histograms() {
     let rec = Recorder::new();
     Simulator::new(&g, 7)
         .with_recorder(rec.clone())
-        .run(&MetivierProtocol, 50_000)
+        .run(&MisProtocol(FlatAlgo::Metivier), 50_000)
         .unwrap();
     assert!(rec.snapshot().histogram("congest_round_time_ns").is_some());
 }
@@ -130,11 +131,13 @@ fn congest_engine_exports_round_histograms() {
 fn digests_and_metrics_identical_with_observability_on_and_off() {
     let g = graph(GraphFamily::Apollonian, 250, 23);
     let (off, t_off) = Simulator::new(&g, 3)
-        .run_traced(&MetivierProtocol, 50_000)
+        .run_traced(&MisProtocol(FlatAlgo::Metivier), 50_000)
         .unwrap();
     for rec in [Recorder::new(), Recorder::deterministic()] {
         let sim = Simulator::new(&g, 3).with_recorder(rec);
-        let (on, t_on) = sim.run_traced(&MetivierProtocol, 50_000).unwrap();
+        let (on, t_on) = sim
+            .run_traced(&MisProtocol(FlatAlgo::Metivier), 50_000)
+            .unwrap();
         assert_eq!(t_on.digest(), t_off.digest());
         assert_eq!(on.metrics, off.metrics);
     }

@@ -332,7 +332,10 @@ fn real_trace() -> &'static str {
         arbmis::core::arb_mis::arb_mis_with(&g, &ArbMisConfig::new(2, 1), &rec);
         arbmis::congest::Simulator::new(&g, 1)
             .with_recorder(rec.clone())
-            .run(&arbmis::core::protocols::MetivierProtocol, 10_000)
+            .run(
+                &arbmis::core::protocols::MisProtocol(arbmis::core::FlatAlgo::Metivier),
+                10_000,
+            )
             .unwrap();
         rec.snapshot().to_jsonl()
     })

@@ -56,7 +56,10 @@ fn graph_and_stats_roundtrip() {
 fn metrics_and_spec_roundtrip() {
     let g = graph();
     let run = arbmis::congest::Simulator::new(&g, 1)
-        .run(&arbmis::core::protocols::MetivierProtocol, 50_000)
+        .run(
+            &arbmis::core::protocols::MisProtocol(arbmis::core::FlatAlgo::Metivier),
+            50_000,
+        )
         .unwrap();
     let back: arbmis::congest::Metrics =
         serde_json::from_str(&serde_json::to_string(&run.metrics).unwrap()).unwrap();
