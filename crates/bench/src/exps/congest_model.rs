@@ -66,7 +66,7 @@ pub fn e11_congest_plan(quick: bool) -> ExperimentPlan {
                 let equal = fast.params == params && mis == fast.in_mis;
                 out.put("equal", equal as u64 as f64);
             }
-            out.rows = vec![metrics_row(name, run.metrics, sim.budget_bits().unwrap())];
+            out.rows = vec![metrics_row(name, run.metrics, sim.budget_bits())];
             out
         })
     })

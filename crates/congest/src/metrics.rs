@@ -16,8 +16,8 @@ pub struct Metrics {
     pub bits: u64,
     /// Largest single message, in bits.
     pub max_message_bits: u64,
-    /// The bandwidth budget that was enforced (bits per message), if any.
-    pub budget_bits: Option<u64>,
+    /// The bandwidth budget that was enforced (bits per message).
+    pub budget_bits: u64,
 }
 
 impl Metrics {
@@ -50,10 +50,9 @@ impl Metrics {
         }
     }
 
-    /// Whether every message respected the budget (vacuously true when no
-    /// budget was set).
+    /// Whether every message respected the budget.
     pub fn within_budget(&self) -> bool {
-        self.budget_bits.is_none_or(|b| self.max_message_bits <= b)
+        self.max_message_bits <= self.budget_bits
     }
 }
 
@@ -89,15 +88,13 @@ mod tests {
     #[test]
     fn budget_check() {
         let mut m = Metrics {
-            budget_bits: Some(16),
+            budget_bits: 16,
             ..Metrics::default()
         };
         m.record_message(8);
         assert!(m.within_budget());
         m.record_message(17);
         assert!(!m.within_budget());
-        let free = Metrics::default();
-        assert!(free.within_budget());
     }
 
     #[test]

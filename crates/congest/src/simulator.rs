@@ -92,7 +92,7 @@ fn log_n_bits(n: usize) -> usize {
 pub struct Simulator<'g> {
     graph: &'g Graph,
     seed: u64,
-    budget_bits: Option<usize>,
+    budget_bits: usize,
     recorder: Recorder,
     flight: FlightRecorder,
     full_scan: bool,
@@ -104,7 +104,7 @@ impl<'g> Simulator<'g> {
         Simulator {
             graph,
             seed,
-            budget_bits: Some(16 * log_n_bits(graph.n())),
+            budget_bits: 16 * log_n_bits(graph.n()),
             recorder: arbmis_obs::global(),
             flight: arbmis_obs::global_flight(),
             full_scan: false,
@@ -154,8 +154,8 @@ impl<'g> Simulator<'g> {
         &self.flight
     }
 
-    /// The enforced per-message budget in bits, if any.
-    pub fn budget_bits(&self) -> Option<usize> {
+    /// The enforced per-message budget in bits.
+    pub fn budget_bits(&self) -> usize {
         self.budget_bits
     }
 
@@ -253,7 +253,7 @@ impl<'g> Simulator<'g> {
             cur: Plane::new(n),
             next: Plane::new(n),
             metrics: Metrics {
-                budget_bits: self.budget_bits.map(|b| b as u64),
+                budget_bits: self.budget_bits as u64,
                 ..Metrics::default()
             },
             msg_bits_hist: Histogram::new(),
@@ -294,7 +294,7 @@ impl<'g> Simulator<'g> {
 pub struct Stepper<'g, P: Protocol> {
     graph: &'g Graph,
     seed: u64,
-    budget_bits: Option<usize>,
+    budget_bits: usize,
     full_scan: bool,
     recorder: Recorder,
     flight: FlightRecorder,
@@ -523,21 +523,14 @@ impl<P: Protocol> Stepper<'_, P> {
     }
 }
 
-fn check_bits(
-    budget: Option<usize>,
-    from: NodeId,
-    to: NodeId,
-    bits: usize,
-) -> Result<(), SimulatorError> {
-    if let Some(budget) = budget {
-        if bits > budget {
-            return Err(SimulatorError::BandwidthExceeded {
-                from,
-                to,
-                bits,
-                budget,
-            });
-        }
+fn check_bits(budget: usize, from: NodeId, to: NodeId, bits: usize) -> Result<(), SimulatorError> {
+    if bits > budget {
+        return Err(SimulatorError::BandwidthExceeded {
+            from,
+            to,
+            bits,
+            budget,
+        });
     }
     Ok(())
 }
@@ -797,7 +790,7 @@ mod tests {
             assert_eq!(log_n_bits(n), (n as f64).log2().ceil() as usize, "n = {n}");
         }
         let g = gen::path(2);
-        assert_eq!(Simulator::new(&g, 0).budget_bits(), Some(32));
+        assert_eq!(Simulator::new(&g, 0).budget_bits(), 32);
     }
 
     #[test]

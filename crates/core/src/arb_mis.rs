@@ -186,11 +186,12 @@ pub fn arb_mis_with(g: &Graph, cfg: &ArbMisConfig, rec: &Recorder) -> ArbMisOutc
     // O(√(log n·log log n)) rounds" — so the competition is restricted to
     // high-degree nodes and their neighborhoods, leaving the rest of the
     // graph untouched for the shattering phase. The engine built here
-    // carries every later phase.
+    // carries every later phase; it is built outside the phase's span,
+    // so its set-up is charged to `arbmis` itself.
     let target = degree_reduction_target(cfg.alpha, n);
-    let dr_span = rec.span("degree_reduction");
     let mut engine =
         FlatBackend::unobserved(g, cfg.seed ^ 0xdeed, FlatAlgo::DegreeReduction { target });
+    let dr_span = rec.span("degree_reduction");
     let mut reduced = None;
     if cfg.degree_reduction && g.max_degree() as f64 > target {
         let iterations = engine.run_iterations(shatter_budget(n));

@@ -490,7 +490,7 @@ mod tests {
         let run = Simulator::new(&g, 31)
             .run(&MisProtocol(FlatAlgo::Metivier), 10_000)
             .unwrap();
-        let budget = Simulator::new(&g, 31).budget_bits().unwrap() as u64;
+        let budget = Simulator::new(&g, 31).budget_bits() as u64;
         assert!(run.metrics.max_message_bits <= budget);
         // Priorities dominate: 4·⌈log₂ 200⌉ = 32 bits ≈ 5 bytes + tag.
         assert!(run.metrics.max_message_bits <= 8 * 7);

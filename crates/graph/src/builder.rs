@@ -168,6 +168,151 @@ impl GraphBuilder {
     }
 }
 
+/// Builder for graphs generated in node order.
+///
+/// The caller visits nodes 0, 1, 2, … in turn and records each node's
+/// neighbours below it in ascending order, each once:
+/// [`add_lower`](Self::add_lower)`(v, u)` with `u < v`, `v` never
+/// decreasing, and `u` increasing while `v` stays. A node without a call
+/// has no lower neighbours. The builder keeps the runs concatenated, 4
+/// bytes per edge, plus a 4-byte run length per node, and
+/// [`build`](Self::build) lays out the CSR with one count pass and one
+/// scatter: no edge pairs and no row sort, since each row is its node's
+/// lower run followed by the higher nodes whose runs name it, in
+/// ascending order. [`GraphBuilder`] stays the path for edge lists in any
+/// order.
+///
+/// # Example
+///
+/// ```
+/// use arbmis_graph::NodeOrderBuilder;
+///
+/// // A triangle on 0, 1, 2 and the edge {1, 3}.
+/// let mut b = NodeOrderBuilder::new(4);
+/// b.add_lower(1, 0).add_lower(2, 0).add_lower(2, 1).add_lower(3, 1);
+/// assert_eq!(b.entries(), &[0, 0, 1, 1]);
+/// let g = b.build();
+/// assert_eq!(g.neighbors(1).as_slice(), &[0, 2, 3]);
+/// ```
+#[derive(Clone, Debug)]
+pub struct NodeOrderBuilder {
+    n: usize,
+    /// The lower runs of the nodes reached so far, concatenated.
+    lower: Vec<u32>,
+    /// `runs[v]` is the length of node `v`'s run, for every node reached
+    /// so far; the last one's run may still grow. A run holds fewer than
+    /// `n ≤ 2³²` entries, so its length fits 32 bits.
+    runs: Vec<u32>,
+}
+
+impl NodeOrderBuilder {
+    /// Creates a builder for a graph on `n` nodes (ids `0..n`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds [`MAX_NODES`] (2³²), as [`GraphBuilder::new`].
+    pub fn new(n: usize) -> Self {
+        Self::with_capacity(n, 0)
+    }
+
+    /// Creates a builder pre-sized for `m` edges.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds [`MAX_NODES`] (2³²), as [`GraphBuilder::new`].
+    pub fn with_capacity(n: usize, m: usize) -> Self {
+        if let Err(e) = check_width(n) {
+            panic!("{e}");
+        }
+        NodeOrderBuilder {
+            n,
+            lower: Vec::with_capacity(m),
+            runs: Vec::with_capacity(n),
+        }
+    }
+
+    /// Records the edge `{u, v}` as `u`'s entry in `v`'s lower run.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `u < v < n`, `v` is no lower than the node of the
+    /// previous call, and `u` is above the previous entry when `v` is
+    /// that node.
+    pub fn add_lower(&mut self, v: NodeId, u: NodeId) -> &mut Self {
+        assert!(
+            u < v && v < self.n,
+            "lower edge ({v},{u}) out of range for n={}",
+            self.n
+        );
+        let reached = self.runs.len();
+        assert!(
+            v + 1 >= reached,
+            "node {v} recorded after node {}",
+            reached - 1
+        );
+        if v + 1 > reached {
+            self.runs.resize(v + 1, 0);
+        } else if self.runs[v] > 0 {
+            let last = self.lower[self.lower.len() - 1];
+            assert!(
+                u > last as usize,
+                "lower run of node {v} not ascending: {u} after {last}"
+            );
+        }
+        self.runs[v] += 1;
+        self.lower.push(u as u32);
+        self
+    }
+
+    /// Every lower run recorded so far, concatenated in node order.
+    pub fn entries(&self) -> &[u32] {
+        &self.lower
+    }
+
+    /// Finalizes into a normalized [`Graph`] in `O(n + m)`. A count pass
+    /// sets each row's end; a scatter over the nodes in descending order
+    /// then fills each row from its end: first every higher node whose run
+    /// names it, highest first, then its own run, so each row comes out
+    /// ascending.
+    pub fn build(mut self) -> Graph {
+        let n = self.n;
+        self.runs.resize(n, 0);
+        let (lower, runs) = (self.lower, self.runs);
+        // offsets[v] first counts v's degree, then holds the end of its row.
+        let mut offsets = vec![0usize; n + 1];
+        for (o, &len) in offsets.iter_mut().zip(&runs) {
+            *o = len as usize;
+        }
+        for &u in &lower {
+            offsets[u as usize] += 1;
+        }
+        let mut end = 0;
+        for o in &mut offsets[..n] {
+            end += *o;
+            *o = end;
+        }
+        offsets[n] = end;
+        // Row v receives its higher neighbours before its own run, so
+        // offsets[v] ends at the row's start.
+        let mut adj = vec![0u32; end];
+        let mut run_end = lower.len();
+        for v in (0..n).rev() {
+            let run_start = run_end - runs[v] as usize;
+            let run = &lower[run_start..run_end];
+            let row_start = offsets[v] - run.len();
+            adj[row_start..offsets[v]].copy_from_slice(run);
+            offsets[v] = row_start;
+            for &u in run {
+                let u = u as usize;
+                offsets[u] -= 1;
+                adj[offsets[u]] = v as u32;
+            }
+            run_end = run_start;
+        }
+        Graph::from_csr_unchecked(offsets, adj)
+    }
+}
+
 /// Refuses a node count whose ids do not all fit 32 bits.
 fn check_width(n: usize) -> Result<(), String> {
     if n as u64 > MAX_NODES {
@@ -236,6 +381,37 @@ mod tests {
     #[should_panic(expected = "32 bits")]
     fn builder_refuses_more_than_2_pow_32_nodes() {
         let _ = GraphBuilder::new((1 << 32) + 1);
+    }
+
+    #[test]
+    fn node_order_build_closes_trailing_nodes() {
+        let mut b = NodeOrderBuilder::new(5);
+        b.add_lower(2, 0).add_lower(3, 0).add_lower(3, 2);
+        assert_eq!(b.entries(), &[0, 0, 2]);
+        let g = b.build();
+        assert_eq!(g.n(), 5);
+        assert_eq!(g.neighbors(0).as_slice(), &[2, 3]);
+        assert_eq!(g.neighbors(2).as_slice(), &[0, 3]);
+        assert_eq!(g.degree(4), 0);
+        assert_eq!(NodeOrderBuilder::new(0).build(), Graph::empty(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "recorded after node")]
+    fn node_order_refuses_an_earlier_node() {
+        NodeOrderBuilder::new(4).add_lower(3, 0).add_lower(2, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "not ascending")]
+    fn node_order_refuses_a_repeated_lower_neighbour() {
+        NodeOrderBuilder::new(4).add_lower(3, 1).add_lower(3, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn node_order_refuses_a_higher_neighbour() {
+        NodeOrderBuilder::new(4).add_lower(1, 2);
     }
 
     #[test]

@@ -2,28 +2,30 @@
 //! serve as dense/irregular baselines in the comparison experiments.
 
 use crate::graph::Graph;
-use crate::GraphBuilder;
+use crate::NodeOrderBuilder;
 use rand::Rng;
 
 /// Erdős–Rényi `G(n, p)`: every unordered pair is an edge independently
 /// with probability `p`.
 ///
 /// Uses the geometric skipping method of Batagelj–Brandes, so the cost is
-/// `O(n + m)` rather than `O(n²)` for sparse `p`.
+/// `O(n + m)` rather than `O(n²)` for sparse `p`. The walk visits the
+/// pairs `(w, v)`, `w < v`, in node order, so they go straight to a
+/// [`NodeOrderBuilder`].
 ///
 /// # Panics
 ///
 /// Panics if `p` is not in `[0, 1]`.
 pub fn gnp<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Graph {
     assert!((0.0..=1.0).contains(&p), "p={p} out of [0,1]");
-    let mut b = GraphBuilder::new(n);
+    let mut b = NodeOrderBuilder::new(n);
     if p <= 0.0 || n < 2 {
         return b.build();
     }
     if p >= 1.0 {
-        for u in 0..n {
-            for v in (u + 1)..n {
-                b.add_edge(u, v);
+        for v in 0..n {
+            for u in 0..v {
+                b.add_lower(v, u);
             }
         }
         return b.build();
@@ -40,7 +42,7 @@ pub fn gnp<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Graph {
             v += 1;
         }
         if v < n {
-            b.add_edge(w as usize, v);
+            b.add_lower(v, w as usize);
         }
     }
     b.build()

@@ -8,7 +8,7 @@
 //! m-degenerate.
 
 use crate::graph::{Graph, NodeId};
-use crate::GraphBuilder;
+use crate::{GraphBuilder, NodeOrderBuilder};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -51,39 +51,40 @@ pub fn forest_union<R: Rng + ?Sized>(n: usize, alpha: usize, rng: &mut R) -> Gra
 pub fn random_ktree<R: Rng + ?Sized>(n: usize, k: usize, rng: &mut R) -> Graph {
     assert!(k >= 1, "k must be >= 1");
     assert!(n > k, "need at least k+1={} nodes", k + 1);
-    let mut b = GraphBuilder::with_capacity(n, k * n);
+    let seed_entries = k * (k + 1) / 2;
+    let mut b = NodeOrderBuilder::with_capacity(n, seed_entries + (n - k - 1) * k);
     // Seed clique on nodes 0..=k.
-    for u in 0..=k {
-        for v in (u + 1)..=k {
-            b.add_edge(u, v);
+    for v in 1..=k {
+        for u in 0..v {
+            b.add_lower(v, u);
         }
     }
-    // The k-cliques available for attachment, stored flat with stride k,
-    // each with its members ascending: the k + 1 faces of the seed clique,
-    // then k per attached node, 1 + (n − k)·k cliques in all. Members are
-    // stored in 32 bits, as the graph's adjacency (the builder caps n at
-    // 2³²).
-    let mut cliques: Vec<u32> = Vec::with_capacity(k * (1 + (n - k) * k));
-    for omit in 0..=k {
-        cliques.extend((0..=k as u32).filter(|&u| u as usize != omit));
-    }
-    let mut base = vec![0u32; k];
+    // The k-cliques available for attachment are numbered, with no buffer
+    // holding them: clique c ≤ k is the seed clique without node c, and
+    // the k cliques of the i-th attached node p = k + 1 + i, numbered
+    // k + 1 + i·k onwards, are p's parents, each without one of them,
+    // plus p. There are 1 + (v − k)·k cliques when node v attaches. p's
+    // parents are its lower run, which follows the seed clique's
+    // k(k + 1)/2 entries and the k entries of each of the i nodes
+    // attached before p.
+    let mut base: Vec<u32> = Vec::with_capacity(k);
     for v in (k + 1)..n {
-        let c = rng.gen_range(0..cliques.len() / k);
-        base.copy_from_slice(&cliques[c * k..(c + 1) * k]);
-        for &u in &base {
-            b.add_edge(v, u as NodeId);
+        let c = rng.gen_range(0..1 + (v - k) * k);
+        base.clear();
+        if c <= k {
+            base.extend((0..=k as u32).filter(|&u| u as usize != c));
+        } else {
+            let (i, omit) = ((c - k - 1) / k, (c - k - 1) % k);
+            let start = seed_entries + i * k;
+            let parents = &b.entries()[start..start + k];
+            base.extend_from_slice(&parents[..omit]);
+            base.extend_from_slice(&parents[omit + 1..]);
+            base.push((k + 1 + i) as u32);
         }
-        // New k-cliques: for each u in base, (base \ {u}) ∪ {v}. Every
-        // member of base is below v, so appending v keeps them ascending.
-        for omit in 0..k {
-            cliques.extend_from_slice(&base[..omit]);
-            cliques.extend_from_slice(&base[omit + 1..]);
-            cliques.push(v as u32);
+        for &u in &base {
+            b.add_lower(v, u as NodeId);
         }
     }
-    // Free the clique buffer before the CSR build allocates its arrays.
-    drop(cliques);
     b.build()
 }
 
@@ -96,17 +97,18 @@ pub fn random_ktree<R: Rng + ?Sized>(n: usize, k: usize, rng: &mut R) -> Graph {
 /// Panics if `n < 3`.
 pub fn apollonian<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Graph {
     assert!(n >= 3, "apollonian networks need n >= 3");
-    let mut b = GraphBuilder::with_capacity(n, 3 * n);
-    b.add_edge(0, 1);
-    b.add_edge(1, 2);
-    b.add_edge(0, 2);
-    let mut faces: Vec<[NodeId; 3]> = vec![[0, 1, 2]];
+    let mut b = NodeOrderBuilder::with_capacity(n, 3 * n - 6);
+    b.add_lower(1, 0).add_lower(2, 0).add_lower(2, 1);
+    // Corners in 32 bits, as the graph's adjacency.
+    let mut faces: Vec<[u32; 3]> = vec![[0, 1, 2]];
     for v in 3..n {
-        let idx = rng.gen_range(0..faces.len());
-        let [a, bb, c] = faces.swap_remove(idx);
-        b.add_edge(v, a);
-        b.add_edge(v, bb);
-        b.add_edge(v, c);
+        let [a, bb, c] = faces.swap_remove(rng.gen_range(0..faces.len()));
+        let mut corners = [a, bb, c];
+        corners.sort_unstable();
+        for u in corners {
+            b.add_lower(v, u as NodeId);
+        }
+        let v = v as u32;
         faces.push([a, bb, v]);
         faces.push([a, c, v]);
         faces.push([bb, c, v]);
@@ -125,21 +127,22 @@ pub fn apollonian<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Graph {
 pub fn barabasi_albert<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Graph {
     assert!(m >= 1, "attachment m must be >= 1");
     assert!(n > m, "need at least m+1={} nodes", m + 1);
-    let mut b = GraphBuilder::with_capacity(n, m * n);
+    let mut b = NodeOrderBuilder::with_capacity(n, m + (n - m - 1) * m);
     // Repeated-endpoint list: sampling uniformly from it is
     // degree-proportional sampling.
     let mut endpoints: Vec<NodeId> = Vec::with_capacity(2 * m * n);
     // Seed: star on 0..=m (gives every seed node nonzero degree).
     for v in 1..=m {
-        b.add_edge(0, v);
+        b.add_lower(v, 0);
         endpoints.push(0);
         endpoints.push(v);
     }
+    let mut targets: Vec<NodeId> = Vec::with_capacity(m);
     for v in (m + 1)..n {
         // Dedup with an order-preserving Vec, not a HashSet: iterating a
         // HashSet feeds hash order back into `endpoints`, making the graph
         // differ across processes (std's hasher is randomly seeded).
-        let mut targets: Vec<NodeId> = Vec::with_capacity(m);
+        targets.clear();
         while targets.len() < m {
             let t = endpoints[rng.gen_range(0..endpoints.len())];
             if !targets.contains(&t) {
@@ -147,9 +150,13 @@ pub fn barabasi_albert<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Grap
             }
         }
         for &t in &targets {
-            b.add_edge(v, t);
             endpoints.push(v);
             endpoints.push(t);
+        }
+        // `endpoints` keeps the sampled order; the builder takes it sorted.
+        targets.sort_unstable();
+        for &t in &targets {
+            b.add_lower(v, t);
         }
     }
     b.build()

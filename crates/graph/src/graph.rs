@@ -7,9 +7,10 @@
 //! must fit 32 bits (`n ≤ 2³²`); [`NodeId`] and the offsets stay `usize`,
 //! and [`Graph::neighbors`] hands out a [`Neighbors`] view that widens
 //! the entries. Graphs are *simple*: no self loops, no parallel edges.
-//! Construction goes through [`crate::GraphBuilder`] or the
-//! convenience constructors here, all of which normalize (sort + dedup) the
-//! adjacency lists.
+//! Construction goes through [`crate::GraphBuilder`], which normalizes
+//! (sorts and dedups) edges given in any order, the convenience
+//! constructors here, which use it, or [`crate::NodeOrderBuilder`] for
+//! graphs generated in node order, which lays out sorted rows directly.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -63,11 +64,12 @@ impl Graph {
 
     /// Constructs a graph from already-normalized CSR arrays.
     ///
-    /// This is the fast path used by [`crate::GraphBuilder`]. The caller
-    /// promises that `offsets` is monotone with `offsets[0] == 0` and
-    /// `offsets[n] == adj.len()`, each per-node slice of `adj` is strictly
-    /// sorted, contains no self reference, and adjacency is symmetric.
-    /// Debug builds verify all of this.
+    /// This is the fast path used by [`crate::GraphBuilder`] and
+    /// [`crate::NodeOrderBuilder`]. The caller promises that `offsets` is
+    /// monotone with `offsets[0] == 0` and `offsets[n] == adj.len()`, each
+    /// per-node slice of `adj` is strictly sorted, contains no self
+    /// reference, and adjacency is symmetric. Debug builds verify all of
+    /// this.
     pub(crate) fn from_csr_unchecked(offsets: Vec<usize>, adj: Vec<u32>) -> Self {
         let g = Graph { offsets, adj };
         debug_assert!(crate::props::check_well_formed(&g).is_ok());

@@ -54,7 +54,7 @@ pub mod stats;
 pub mod subgraph;
 pub mod traversal;
 
-pub use builder::GraphBuilder;
+pub use builder::{GraphBuilder, NodeOrderBuilder};
 pub use graph::{Graph, NeighborIter, Neighbors, NodeId, MAX_NODES};
 pub use overlay::OverlayGraph;
 pub use subgraph::{InducedSubgraph, ScratchSubgraph, SubgraphScratch};

@@ -59,17 +59,13 @@ fn bounded_arb_protocol_within_budget() {
     let run = Simulator::new(&g, 2).run(&proto, fast.rounds + 2).unwrap();
     assert!(run.metrics.within_budget());
     // Degree announcements are the largest payloads; still O(log n).
-    assert!(run.metrics.max_message_bits <= Simulator::new(&g, 2).budget_bits().unwrap() as u64);
+    assert!(run.metrics.max_message_bits <= Simulator::new(&g, 2).budget_bits() as u64);
 }
 
 #[test]
 fn budget_scales_with_log_n() {
-    let small = Simulator::new(&graph(GraphFamily::RandomTree, 64, 1), 0)
-        .budget_bits()
-        .unwrap();
-    let large = Simulator::new(&graph(GraphFamily::RandomTree, 4096, 1), 0)
-        .budget_bits()
-        .unwrap();
+    let small = Simulator::new(&graph(GraphFamily::RandomTree, 64, 1), 0).budget_bits();
+    let large = Simulator::new(&graph(GraphFamily::RandomTree, 4096, 1), 0).budget_bits();
     assert_eq!(small, 16 * 6);
     assert_eq!(large, 16 * 12);
 }

@@ -1,12 +1,16 @@
 //! Byte-identity pins for the graph layer.
 //!
-//! Every generator funnels through `GraphBuilder::build`, and the peeling
-//! routines read the CSR it lays out. This test pins the FNV-128 digest
-//! of `offsets` and `adj` for every `GraphFamily` at two seeds and for
-//! the three large generators the benchmark runs at 10⁵ nodes, together
-//! with each graph's degeneracy and the digests of its coreness vector
-//! and of its smallest-last `order`. A rewrite of a generator, of the
-//! builder or of a peel must leave every row unchanged.
+//! Every generator lays out its CSR with one of two builders:
+//! `NodeOrderBuilder` for graphs generated in node order (G(n, p),
+//! k-trees, Apollonian and Barabási–Albert graphs) and
+//! `GraphBuilder::build` for edges in any order; the peeling routines read
+//! the CSR either lays out. This test pins the FNV-128 digest of `offsets`
+//! and `adj` for every `GraphFamily` at two seeds and for the three large
+//! generators the benchmark runs at 10⁵ nodes, together with each graph's
+//! degeneracy and the digests of its coreness vector and of its
+//! smallest-last `order`. A rewrite of a generator, of a builder or of a
+//! peel must leave every row unchanged. An ignored test checks the
+//! node-order generators against `GraphBuilder` at 10⁶ nodes.
 //!
 //! On a mismatch the test prints the full table it computed, so a
 //! deliberate change of output can be reviewed row by row.
@@ -140,5 +144,33 @@ fn graph_layer_digests_are_pinned() {
             println!("    \"{r}\",");
         }
         panic!("graph-layer digests differ from the pinned table (computed table printed above)");
+    }
+}
+
+/// The node-order build at 10⁶ nodes: each generator that lays out its
+/// CSR with `NodeOrderBuilder` must give the graph that
+/// `Graph::from_edges` (the sorting `GraphBuilder`) builds from the same
+/// edges. Run in release: `cargo test --release --test graph_digests --
+/// --ignored`.
+#[test]
+#[ignore = "10⁶-node graphs; run in release with --ignored"]
+fn node_order_generators_match_graph_builder_at_scale() {
+    let n = 1_000_000;
+    let rng = || StdRng::seed_from_u64(1);
+    let graphs = [
+        ("random_ktree(k=3)", gen::random_ktree(n, 3, &mut rng())),
+        (
+            "gnp_with_expected_degree(d=4)",
+            gen::gnp_with_expected_degree(n, 4.0, &mut rng()),
+        ),
+        (
+            "barabasi_albert(m=3)",
+            gen::barabasi_albert(n, 3, &mut rng()),
+        ),
+        ("apollonian", gen::apollonian(n, &mut rng())),
+    ];
+    for (name, g) in &graphs {
+        let edges: Vec<(usize, usize)> = g.edges().collect();
+        assert!(Graph::from_edges(n, &edges) == *g, "{name}[{n}]");
     }
 }

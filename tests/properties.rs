@@ -35,6 +35,49 @@ fn edge_list() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
     })
 }
 
+/// Strategy: a node count in `0..300` and up to `2n` raw pairs over it,
+/// so most nodes are isolated at small edge counts.
+fn node_order_input() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
+    (0usize..300).prop_flat_map(|n| {
+        let ids = 0..n.max(1);
+        (
+            Just(n),
+            proptest::collection::vec((ids.clone(), ids), 0..2 * n + 1),
+        )
+    })
+}
+
+/// Feeds the edges of `pairs` (loops and pairs out of range dropped) to a
+/// `NodeOrderBuilder` as ascending lower runs, and checks its graph
+/// against `GraphBuilder::build` over the same pairs.
+fn node_order_matches_builder(n: usize, pairs: Vec<(usize, usize)>) -> Result<(), TestCaseError> {
+    let mut lower: Vec<(usize, usize)> = pairs
+        .iter()
+        .filter(|&&(u, v)| u < n && v < n && u != v)
+        .map(|&(u, v)| (u.max(v), u.min(v)))
+        .collect();
+    lower.sort_unstable();
+    lower.dedup();
+    let mut b = arbmis::graph::NodeOrderBuilder::new(n);
+    for &(v, u) in &lower {
+        b.add_lower(v, u);
+    }
+    let mut reference = arbmis::graph::GraphBuilder::new(n);
+    for (u, v) in pairs {
+        reference.try_add_edge(u, v);
+    }
+    prop_assert_eq!(b.build(), reference.build());
+    Ok(())
+}
+
+#[test]
+fn node_order_build_matches_graph_builder_on_tiny_graphs() {
+    for n in [0, 1] {
+        node_order_matches_builder(n, vec![(0, 0), (0, 1)]).unwrap();
+    }
+    node_order_matches_builder(2, vec![(1, 0)]).unwrap();
+}
+
 /// Strategy: an arbitrary simple graph on 1–64 nodes (single-node
 /// graphs included — the backend contract covers them) for the backend
 /// equivalence properties.
@@ -124,6 +167,12 @@ proptest! {
         }
         let adj: Vec<u32> = arcs.iter().map(|&(_, v)| v as u32).collect();
         prop_assert_eq!(g.as_csr(), (&offsets[..], &adj[..]));
+    }
+
+    #[test]
+    fn node_order_build_matches_graph_builder(input in node_order_input()) {
+        let (n, pairs) = input;
+        node_order_matches_builder(n, pairs)?;
     }
 
     #[test]
@@ -796,7 +845,7 @@ proptest! {
     fn bandwidth_budget_boundary(n in 2usize..600, seed in 0u64..20) {
         let g = gen::path(n);
         let sim = Simulator::new(&g, seed);
-        let budget = sim.budget_bits().unwrap();
+        let budget = sim.budget_bits();
         let logn = (n.max(4) as f64).log2().ceil() as usize;
         // Budget is 16·⌈log₂ max(n, 4)⌉ bits.
         prop_assert_eq!(budget, 16 * logn);
