@@ -187,16 +187,20 @@ pub fn arb_mis_with(g: &Graph, cfg: &ArbMisConfig, rec: &Recorder) -> ArbMisOutc
     // high-degree nodes and their neighborhoods, leaving the rest of the
     // graph untouched for the shattering phase. The engine built here
     // carries every later phase; it is built outside the phase's span,
-    // so its set-up is charged to `arbmis` itself.
+    // so its set-up is charged to `arbmis` itself. That set-up collects
+    // the nodes above the target, so the phase runs no iteration exactly
+    // when Δ ≤ target.
     let target = degree_reduction_target(cfg.alpha, n);
     let mut engine =
         FlatBackend::unobserved(g, cfg.seed ^ 0xdeed, FlatAlgo::DegreeReduction { target });
     let dr_span = rec.span("degree_reduction");
     let mut reduced = None;
-    if cfg.degree_reduction && g.max_degree() as f64 > target {
+    if cfg.degree_reduction {
         let iterations = engine.run_iterations(shatter_budget(n));
-        phases.degree_reduction = schedule_rounds(iterations, 0);
-        reduced = Some(engine.mis().clone());
+        if iterations > 0 {
+            phases.degree_reduction = schedule_rounds(iterations, 0);
+            reduced = Some(engine.mis().clone());
+        }
     }
     rec.point("rounds", phases.degree_reduction);
     drop(dr_span);

@@ -314,7 +314,7 @@ impl NodeOrderBuilder {
 }
 
 /// Refuses a node count whose ids do not all fit 32 bits.
-fn check_width(n: usize) -> Result<(), String> {
+pub(crate) fn check_width(n: usize) -> Result<(), String> {
     if n as u64 > MAX_NODES {
         return Err(format!(
             "node count {n} exceeds 2^32: node ids must fit 32 bits"

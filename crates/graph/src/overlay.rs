@@ -2,20 +2,24 @@
 //!
 //! The static pipeline consumes CSR graphs, but a live service sees the
 //! graph as a *stream* of edge/node inserts and deletes. [`OverlayGraph`]
-//! keeps an immutable CSR base plus per-node sorted delta runs (`added`
-//! neighbors not in the base, `removed` base neighbors) and an `alive`
-//! mask for node churn, so adjacency queries see the mutated graph
-//! without ever rebuilding the CSR.
+//! keeps an immutable CSR base plus one sorted delta record per node
+//! (`added` neighbors not in the base, then `removed` base neighbors) and
+//! an `alive` mask for node churn, so adjacency queries see the mutated
+//! graph without ever rebuilding the CSR.
 //!
-//! Every delta run lives in one arena: a node's record `(start, len,
-//! cap)` addresses a sorted run of `len` ids inside `cap` reserved
-//! slots. An insert into a full run relocates it to the arena's end
-//! with doubled capacity (or grows it in place when it already ends the
-//! arena), and [`compact`](OverlayGraph::compact) clears the arena. A
-//! node's first delta therefore allocates nothing of its own: the arena
-//! grows geometrically, so `k` first touches cost `O(log k)`
-//! allocations. An edge insert looks the base edge up once, in the first
-//! endpoint's CSR row, and the symmetric base answers for both halves.
+//! Every delta record lives in one arena of 32-bit ids: a node's 16-byte
+//! record `(start, cap, added, removed)` addresses `cap` reserved slots
+//! holding its `added` sorted ids followed by its `removed` sorted ids.
+//! An edit in either part shifts the rest of the record; an insert into
+//! a full record relocates it to the arena's end with doubled capacity
+//! (or grows it in place when it already ends the arena), and
+//! [`compact`](OverlayGraph::compact) clears the arena. A node's first
+//! delta therefore allocates nothing of its own: the arena grows
+//! geometrically, so `k` first touches cost `O(log k)` allocations. An
+//! edge insert looks the base edge up once, in the first endpoint's CSR
+//! row, and the symmetric base answers for both halves. With 32-bit
+//! degrees and a one-byte alive flag, a node costs 21 bytes beside its
+//! base row.
 //!
 //! Node ids are **stable**: inserting a node appends id `n`, removing a
 //! node marks it dead (its slot is never reused), and
@@ -23,16 +27,18 @@
 //! CSR base *without renumbering* — dead nodes simply become isolated in
 //! the new base. That stability is what lets an incremental MIS layer
 //! keep per-node state (membership masks, scratch tables) across
-//! arbitrarily long update streams.
+//! arbitrarily long update streams. Ids fit 32 bits, as in the CSR:
+//! [`insert_node`](OverlayGraph::insert_node) refuses id 2³².
 //!
 //! Compaction is deterministic: it is a pure function of the update
 //! sequence (no clocks, no allocator addresses), so two replicas applying
 //! the same updates hold byte-identical structures at every step.
 
-use crate::graph::{Graph, Neighbors, NodeId};
+use crate::builder::check_width;
+use crate::graph::{Graph, NodeId};
 use crate::GraphBuilder;
 
-/// A CSR base graph plus sorted delta runs and an alive mask.
+/// A CSR base graph plus per-node sorted delta records and an alive mask.
 ///
 /// # Example
 ///
@@ -53,78 +59,102 @@ use crate::GraphBuilder;
 pub struct OverlayGraph {
     /// Immutable CSR snapshot; adjacency truth is `base − removed + added`.
     base: Graph,
-    /// Backing store of every delta run (`added` and `removed` alike).
-    arena: Vec<NodeId>,
-    /// Per-node run of sorted neighbor ids present in the overlay but
-    /// not the base. For nodes `>= base.n()` this is the entire
-    /// adjacency.
-    added: Vec<Run>,
-    /// Per-node run of sorted base-neighbor ids deleted by the overlay.
-    /// Only ever references edges present in `base`.
-    removed: Vec<Run>,
+    /// Backing store of every delta record.
+    arena: Vec<u32>,
+    /// Per-node delta record: the sorted neighbor ids present in the
+    /// overlay but not the base (for nodes `>= base.n()`, the entire
+    /// adjacency), then the sorted base-neighbor ids the overlay deleted.
+    delta: Vec<Delta>,
     /// `alive[v]` — dead nodes have no incident edges and reject updates.
     alive: Vec<bool>,
     /// Incrementally-maintained degree (live edges only).
-    deg: Vec<usize>,
+    deg: Vec<u32>,
     /// Live undirected edge count.
     m: usize,
     /// Live node count (`alive.iter().filter(|a| **a).count()`).
     alive_count: usize,
-    /// Directed delta-entry count (`Σ added[v].len + removed[v].len`) —
-    /// the compaction trigger's input.
+    /// Directed delta-entry count (`Σ added + removed` over the
+    /// records) — the compaction trigger's input.
     delta_entries: usize,
     /// Reused buffer for the neighbors [`remove_node`](Self::remove_node)
     /// detaches.
     scratch: Vec<NodeId>,
 }
 
-/// One node's sorted delta run: `len` ids at `arena[start..]`, inside
-/// `cap` reserved slots.
+/// One node's delta record: `cap` slots at `arena[start..]`, holding
+/// `added` sorted overlay-only neighbors, then `removed` sorted deleted
+/// base neighbors. A `removed: bool` argument picks the part.
 #[derive(Clone, Copy, Debug, Default)]
-struct Run {
+struct Delta {
     start: u32,
-    len: u32,
     cap: u32,
+    added: u32,
+    removed: u32,
 }
 
-impl Run {
+impl Delta {
+    /// Arena index of the part's first id.
     #[inline]
-    fn ids(self, arena: &[NodeId]) -> &[NodeId] {
-        &arena[self.start as usize..][..self.len as usize]
+    fn offset(self, removed: bool) -> usize {
+        self.start as usize + if removed { self.added as usize } else { 0 }
     }
 
-    /// Inserts `v` in sorted position; `false` if already present.
-    fn insert(&mut self, arena: &mut Vec<NodeId>, v: NodeId) -> bool {
-        let Err(i) = self.ids(arena).binary_search(&v) else {
+    /// Arena index one past the record's last id.
+    #[inline]
+    fn end(self) -> usize {
+        self.start as usize + self.added as usize + self.removed as usize
+    }
+
+    /// The part's length.
+    #[inline]
+    fn count(&mut self, removed: bool) -> &mut u32 {
+        if removed {
+            &mut self.removed
+        } else {
+            &mut self.added
+        }
+    }
+
+    /// The part's sorted ids.
+    #[inline]
+    fn ids(self, arena: &[u32], removed: bool) -> &[u32] {
+        let len = if removed { self.removed } else { self.added };
+        &arena[self.offset(removed)..][..len as usize]
+    }
+
+    /// Inserts `v` in sorted position in the part; `false` if already
+    /// present.
+    fn insert(&mut self, arena: &mut Vec<u32>, removed: bool, v: u32) -> bool {
+        let Err(i) = self.ids(arena, removed).binary_search(&v) else {
             return false;
         };
-        if self.len == self.cap {
+        if self.added + self.removed == self.cap {
             self.grow(arena);
         }
-        let s = self.start as usize;
-        let len = self.len as usize;
-        arena.copy_within(s + i..s + len, s + i + 1);
-        arena[s + i] = v;
-        self.len += 1;
+        let at = self.offset(removed) + i;
+        arena.copy_within(at..self.end(), at + 1);
+        arena[at] = v;
+        *self.count(removed) += 1;
         true
     }
 
-    /// Removes `v`; `false` if absent. The run keeps its capacity.
-    fn remove(&mut self, arena: &mut [NodeId], v: NodeId) -> bool {
-        let Ok(i) = self.ids(arena).binary_search(&v) else {
+    /// Removes `v` from the part; `false` if absent. The record keeps
+    /// its capacity.
+    fn remove(&mut self, arena: &mut [u32], removed: bool, v: u32) -> bool {
+        let Ok(i) = self.ids(arena, removed).binary_search(&v) else {
             return false;
         };
-        let s = self.start as usize;
-        arena.copy_within(s + i + 1..s + self.len as usize, s + i);
-        self.len -= 1;
+        let at = self.offset(removed) + i;
+        arena.copy_within(at + 1..self.end(), at);
+        *self.count(removed) -= 1;
         true
     }
 
-    /// Doubles the capacity: in place when the run ends the arena, else
-    /// by relocating it to the end. The abandoned slots are reclaimed
-    /// by the next compaction.
-    fn grow(&mut self, arena: &mut Vec<NodeId>) {
-        let (s, len, cap) = (self.start as usize, self.len as usize, self.cap as usize);
+    /// Doubles the capacity: in place when the record ends the arena,
+    /// else by relocating it to the end. The abandoned slots are
+    /// reclaimed by the next compaction.
+    fn grow(&mut self, arena: &mut Vec<u32>) {
+        let (s, end, cap) = (self.start as usize, self.end(), self.cap as usize);
         let in_place = s + cap == arena.len();
         let start = if in_place { s } else { arena.len() };
         let new_cap = (2 * cap).max(2);
@@ -134,7 +164,7 @@ impl Run {
         );
         arena.resize(start + new_cap, 0);
         if !in_place {
-            arena.copy_within(s..s + len, start);
+            arena.copy_within(s..end, start);
         }
         self.start = start as u32;
         self.cap = new_cap as u32;
@@ -146,12 +176,12 @@ impl OverlayGraph {
     pub fn new(base: Graph) -> Self {
         let n = base.n();
         OverlayGraph {
-            deg: (0..n).map(|v| base.degree(v)).collect(),
+            // Degrees are below n ≤ 2³², so they fit 32 bits.
+            deg: (0..n).map(|v| base.degree(v) as u32).collect(),
             m: base.m(),
             alive_count: n,
             arena: Vec::new(),
-            added: vec![Run::default(); n],
-            removed: vec![Run::default(); n],
+            delta: vec![Delta::default(); n],
             alive: vec![true; n],
             delta_entries: 0,
             scratch: Vec::new(),
@@ -190,7 +220,7 @@ impl OverlayGraph {
     /// Live degree of `v` (0 for dead nodes).
     #[inline]
     pub fn degree(&self, v: NodeId) -> usize {
-        self.deg[v]
+        self.deg[v] as usize
     }
 
     /// Directed delta entries currently held (0 right after
@@ -208,24 +238,29 @@ impl OverlayGraph {
 
     /// Whether the live edge `{u, v}` exists.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        if self.added[u].ids(&self.arena).binary_search(&v).is_ok() {
+        let Ok(w) = u32::try_from(v) else {
+            return false;
+        };
+        let d = self.delta[u];
+        if d.ids(&self.arena, false).binary_search(&w).is_ok() {
             return true;
         }
-        self.in_base(u, v) && self.removed[u].ids(&self.arena).binary_search(&v).is_err()
+        self.in_base(u, v) && d.ids(&self.arena, true).binary_search(&w).is_err()
     }
 
     /// Iterates the live neighbors of `v` in ascending order
     /// (base minus removed, merged with added).
     pub fn neighbors(&self, v: NodeId) -> OverlayNeighbors<'_> {
         let base = if v < self.base.n() {
-            self.base.neighbors(v)
+            self.base.neighbors(v).as_slice()
         } else {
-            Neighbors::default()
+            &[]
         };
+        let d = self.delta[v];
         OverlayNeighbors {
             base,
-            removed: self.removed[v].ids(&self.arena),
-            added: self.added[v].ids(&self.arena),
+            removed: d.ids(&self.arena, true),
+            added: d.ids(&self.arena, false),
             bi: 0,
             ai: 0,
         }
@@ -286,11 +321,14 @@ impl OverlayGraph {
     ///
     /// # Panics
     ///
-    /// Panics if a listed neighbor is out of range or dead.
+    /// Panics if a listed neighbor is out of range or dead, or if the new
+    /// id is 2³²: node ids must fit 32 bits.
     pub fn insert_node(&mut self, neighbors: &[NodeId]) -> NodeId {
         let v = self.n();
-        self.added.push(Run::default());
-        self.removed.push(Run::default());
+        if let Err(err) = check_width(v + 1) {
+            panic!("{err}");
+        }
+        self.delta.push(Delta::default());
         self.alive.push(true);
         self.deg.push(0);
         self.alive_count += 1;
@@ -326,8 +364,7 @@ impl OverlayGraph {
     pub fn compact(&mut self) {
         self.base = self.to_graph();
         self.arena.clear();
-        self.added.fill(Run::default());
-        self.removed.fill(Run::default());
+        self.delta.fill(Delta::default());
         self.delta_entries = 0;
         debug_assert_eq!(self.base.m(), self.m);
     }
@@ -354,28 +391,25 @@ impl OverlayGraph {
     }
 
     /// Inserts (`insert`) or removes both directed halves of `{u, v}`
-    /// in `removed` (`in_removed`) or `added`, keeping the delta count.
-    /// Returns `false`, changing nothing, if `u`'s run already agreed;
-    /// `v`'s run always mirrors it.
+    /// in the `removed` (`in_removed`) or `added` part of the endpoints'
+    /// records, keeping the delta count. Returns `false`, changing
+    /// nothing, if `u`'s record already agreed; `v`'s always mirrors it.
+    /// Both endpoints are below [`n`](Self::n) ≤ 2³², so they fit the
+    /// arena's 32-bit entries.
     fn edit_pair(&mut self, u: NodeId, v: NodeId, in_removed: bool, insert: bool) -> bool {
-        let runs = if in_removed {
-            &mut self.removed
-        } else {
-            &mut self.added
-        };
         let arena = &mut self.arena;
-        let mut edit = |run: &mut Run, w: NodeId| {
+        let mut edit = |d: &mut Delta, w: NodeId| {
             if insert {
-                run.insert(arena, w)
+                d.insert(arena, in_removed, w as u32)
             } else {
-                run.remove(arena, w)
+                d.remove(arena, in_removed, w as u32)
             }
         };
-        if !edit(&mut runs[u], v) {
+        if !edit(&mut self.delta[u], v) {
             return false;
         }
-        let mirrored = edit(&mut runs[v], u);
-        assert!(mirrored, "delta runs of ({u},{v}) out of sync");
+        let mirrored = edit(&mut self.delta[v], u);
+        assert!(mirrored, "delta records of ({u},{v}) out of sync");
         if insert {
             self.delta_entries += 2;
         } else {
@@ -389,9 +423,9 @@ impl OverlayGraph {
 /// by [`OverlayGraph::neighbors`].
 #[derive(Clone, Debug)]
 pub struct OverlayNeighbors<'a> {
-    base: Neighbors<'a>,
-    removed: &'a [NodeId],
-    added: &'a [NodeId],
+    base: &'a [u32],
+    removed: &'a [u32],
+    added: &'a [u32],
     bi: usize,
     ai: usize,
 }
@@ -401,7 +435,7 @@ impl Iterator for OverlayNeighbors<'_> {
 
     fn next(&mut self) -> Option<NodeId> {
         loop {
-            let b = self.base.get(self.bi);
+            let b = self.base.get(self.bi).copied();
             let a = self.added.get(self.ai).copied();
             match (b, a) {
                 (Some(bv), av) if av.is_none_or(|av| bv < av) => {
@@ -409,12 +443,12 @@ impl Iterator for OverlayNeighbors<'_> {
                     // `removed` is sorted like `base`; membership test is
                     // a binary search over the (short) removal list.
                     if self.removed.binary_search(&bv).is_err() {
-                        return Some(bv);
+                        return Some(bv as NodeId);
                     }
                 }
                 (_, Some(av)) => {
                     self.ai += 1;
-                    return Some(av);
+                    return Some(av as NodeId);
                 }
                 (Some(_) | None, None) => return None,
             }
@@ -575,11 +609,11 @@ mod tests {
         }
     }
 
-    /// Arena runs: a hub's `added` run fills and relocates several times
-    /// while its spokes' first touches land behind it, empties when the
-    /// fan is torn down, regrows on the next attach, and survives
-    /// compactions between flaps. The base edges the hub loses fill its
-    /// `removed` run the same way.
+    /// Arena records: a hub's `added` part fills and relocates its record
+    /// several times while its spokes' first touches land behind it,
+    /// empties when the fan is torn down, regrows on the next attach, and
+    /// survives compactions between flaps. The base edges the hub loses
+    /// fill its `removed` part of the same record.
     #[test]
     fn arena_runs_relocate_empty_and_regrow() {
         let mut rng = StdRng::seed_from_u64(7);
@@ -593,7 +627,7 @@ mod tests {
             let mut spokes: Vec<usize> = (1..40).filter(|_| rng.gen_bool(0.7)).collect();
             for &s in &spokes {
                 assert_eq!(g.insert_edge(0, s), model.edges.insert((0, s)));
-                starts.insert(g.added[0].start);
+                starts.insert(g.delta[0].start);
                 model.check(&g, step);
                 step += 1;
             }
@@ -616,13 +650,45 @@ mod tests {
                 model.check(&g, step);
                 step += 1;
             }
-            emptied += usize::from(g.added[0].len == 0 && g.added[0].cap > 0);
+            emptied += usize::from(g.delta[0].added == 0 && g.delta[0].cap > 0);
         }
-        assert!(starts.len() >= 3, "hub run relocated only {starts:?}");
+        assert!(starts.len() >= 3, "hub record relocated only {starts:?}");
         assert!(
             emptied >= 2,
-            "hub run emptied with capacity {emptied} times"
+            "hub's added part emptied with capacity {emptied} times"
         );
+    }
+
+    /// Both parts share one record: edits in the `added` part shift the
+    /// `removed` part behind it, and a full record relocates with both.
+    #[test]
+    fn added_and_removed_parts_share_one_record() {
+        let mut g = OverlayGraph::new(gen::star(6)); // hub 0, leaves 1..=5
+        assert!(g.remove_edge(0, 3));
+        assert!(g.remove_edge(0, 1));
+        let v = g.insert_node(&[0]);
+        assert!(!g.insert_edge(0, 2), "base edge already present");
+        assert!(g.remove_edge(0, 5));
+        let d = g.delta[0];
+        assert_eq!((d.added, d.removed), (1, 3));
+        assert_eq!(d.ids(&g.arena, false), [v as u32]);
+        assert_eq!(d.ids(&g.arena, true), [1, 3, 5]);
+        // Undeleting a base edge shifts the removed part left; removing
+        // the overlay edge empties the added part in front of it.
+        assert!(g.insert_edge(3, 0));
+        assert!(g.remove_edge(v, 0));
+        let d = g.delta[0];
+        assert_eq!(d.ids(&g.arena, false), [] as [u32; 0]);
+        assert_eq!(d.ids(&g.arena, true), [1, 5]);
+        assert_eq!(g.neighbors(0).collect::<Vec<_>>(), vec![2, 3, 4]);
+        assert_eq!(g.delta_entries(), 4);
+    }
+
+    /// Per node the overlay holds a 16-byte record, a 4-byte degree and
+    /// a 1-byte alive flag, and each arena entry is 4 bytes.
+    #[test]
+    fn delta_record_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<Delta>(), 16);
     }
 
     #[test]

@@ -94,11 +94,12 @@ impl InducedSubgraph {
 /// [`InducedSubgraph::from_nodes`] allocates two `O(n)` vectors per call
 /// (an inclusion mask and a parent→local table), which dominates when a
 /// finishing phase extracts thousands of tiny components from one big
-/// graph. `SubgraphScratch` keeps those tables alive across calls and
-/// invalidates them in `O(1)` with an epoch stamp, so each
+/// graph. `SubgraphScratch` keeps one 32-bit parent→local table alive
+/// across calls, with `u32::MAX` marking nodes outside the extraction;
+/// each extraction resets only the previous extraction's entries, so each
 /// [`induce`](Self::induce) costs `O(|C| + m(C))` — proportional to the
-/// component, never to `n` (beyond a one-time lazy resize when the parent
-/// graph grows).
+/// component, never to `n` (beyond a one-time lazy resize, 4 bytes per
+/// node, when the parent graph grows).
 ///
 /// # Example
 ///
@@ -113,15 +114,16 @@ impl InducedSubgraph {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct SubgraphScratch {
-    /// Current extraction generation; `stamp[v] == epoch` ⇔ `v` included.
-    epoch: u64,
-    /// Per-parent-node inclusion stamp (lazily sized to the parent graph).
-    stamp: Vec<u64>,
-    /// `local[v]` = local id of `v`, valid only when `stamp[v] == epoch`.
+    /// `local[v]` = local id of `v` in the current extraction, or
+    /// [`OUTSIDE`] (lazily sized to the parent graph).
     local: Vec<u32>,
     /// Sorted, deduplicated node list of the current extraction.
     nodes: Vec<NodeId>,
 }
+
+/// The [`SubgraphScratch`] table entry of a node outside the extraction.
+/// Local ids stay below it: a parent has at most `u32::MAX` nodes.
+const OUTSIDE: u32 = u32::MAX;
 
 impl SubgraphScratch {
     /// Creates an empty scratch; tables are sized on first use.
@@ -129,14 +131,16 @@ impl SubgraphScratch {
         Self::default()
     }
 
-    /// Prepares the next epoch's tables for a parent id space of size `n`.
+    /// Clears the previous extraction's table entries and sizes the
+    /// table for a parent id space of size `n`.
     fn begin(&mut self, n: usize) {
         assert!(n <= u32::MAX as usize, "graph too large for u32 ids");
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-            self.local.resize(n, 0);
+        for &v in &self.nodes {
+            self.local[v] = OUTSIDE;
         }
-        self.epoch += 1;
+        if self.local.len() < n {
+            self.local.resize(n, OUTSIDE);
+        }
         self.nodes.clear();
     }
 
@@ -154,13 +158,12 @@ impl SubgraphScratch {
         I: IntoIterator<Item = NodeId>,
     {
         for (i, &v) in self.nodes.iter().enumerate() {
-            self.stamp[v] = self.epoch;
             self.local[v] = i as u32;
         }
         let mut b = GraphBuilder::new(self.nodes.len());
         for (i, &v) in self.nodes.iter().enumerate() {
             for u in neighbors(v) {
-                if u > v && self.stamp[u] == self.epoch {
+                if u > v && self.local[u] != OUTSIDE {
                     b.add_edge(i, self.local[u] as usize);
                 }
             }
@@ -236,7 +239,8 @@ impl ScratchSubgraph<'_> {
 
     /// Local id of parent node `v`, if included.
     pub fn to_local(&self, v: NodeId) -> Option<usize> {
-        (self.scratch.stamp[v] == self.scratch.epoch).then(|| self.scratch.local[v] as usize)
+        let i = self.scratch.local[v];
+        (i != OUTSIDE).then_some(i as usize)
     }
 
     /// Number of included nodes.
@@ -279,13 +283,13 @@ mod tests {
     }
 
     #[test]
-    fn scratch_matches_induced_subgraph_across_epochs() {
+    fn scratch_matches_induced_subgraph_across_extractions() {
         use rand::SeedableRng;
         let mut r = rand::rngs::StdRng::seed_from_u64(7);
         let g = gen::gnp(200, 0.05, &mut r);
         let mut scratch = SubgraphScratch::new();
-        // Overlapping node sets across epochs: stale stamps must never
-        // leak membership or local ids into a later extraction.
+        // Overlapping node sets across extractions: stale table entries
+        // must never leak membership or local ids into a later one.
         let sets: Vec<Vec<usize>> = vec![
             (0..50).collect(),
             (25..120).collect(),
@@ -352,5 +356,24 @@ mod tests {
         assert_eq!(sub.to_parent(0), 397);
         assert_eq!(sub.to_local(399), Some(2));
         assert_eq!(sub.to_local(0), None);
+    }
+
+    /// The table grows between two extractions: the resize must not skip
+    /// the reset of the first extraction's entries.
+    #[test]
+    fn grown_table_forgets_the_previous_extraction() {
+        let small = gen::path(50);
+        let big = gen::path(500);
+        let mut scratch = SubgraphScratch::new();
+        let first: Vec<usize> = (10..30).collect();
+        assert_eq!(scratch.induce(&small, &first).graph().m(), 19);
+        let sub = scratch.induce(&big, &[400, 401, 402]);
+        for &v in &first {
+            assert_eq!(sub.to_local(v), None, "node {v}");
+        }
+        let included: Vec<usize> = (0..big.n())
+            .filter(|&v| sub.to_local(v).is_some())
+            .collect();
+        assert_eq!(included, [400, 401, 402]);
     }
 }

@@ -1,7 +1,8 @@
 //! Pins the zero-allocation steady state of the serial engine's message
 //! plane and frontier bookkeeping, the component-proportional
-//! allocation bound of `SubgraphScratch`, and the arena-backed deltas and
-//! node churn of `OverlayGraph`.
+//! allocation bound of `SubgraphScratch` and its 4-byte-per-node table,
+//! and the 21-byte-per-node records, arena-backed deltas and node churn
+//! of `OverlayGraph`.
 //!
 //! Strategy for the engine tests: run the same constant-traffic protocol
 //! for R rounds and for 8R rounds under a counting global allocator. Both
@@ -152,6 +153,7 @@ fn alloc_discipline() {
     frontier_bookkeeping_steady_state_allocates_nothing();
     subgraph_scratch_extraction_is_component_proportional();
     flat_backend_steady_state_allocates_nothing();
+    overlay_costs_21_bytes_per_node();
     overlay_first_touches_share_one_arena();
     overlay_node_churn_reuses_its_scratch();
 }
@@ -293,6 +295,20 @@ fn subgraph_scratch_extraction_is_component_proportional() {
     let g_small = build(512); // n = 2048
     let g_big = build(4096); // n = 16384
 
+    // A fresh scratch's first extraction sizes its one table: 4 bytes per
+    // parent node, plus the component's own O(|C| + m(C)) bytes.
+    let first = bytes_during(|| {
+        let mut fresh = SubgraphScratch::new();
+        std::hint::black_box(fresh.induce(&g_big, &[8, 9, 10, 11]).graph().m());
+    });
+    let table = 4 * g_big.n() as u64;
+    assert!(
+        first <= table + 2048,
+        "first scratch extraction from n = {} spent {first} bytes, over 4 bytes \
+         per node ({table}) plus 2048 for the component",
+        g_big.n()
+    );
+
     let mut scratch = SubgraphScratch::new();
     let mut extract = |g: &Graph| {
         // Warmup sizes the epoch tables for this graph outside the window.
@@ -331,7 +347,23 @@ fn subgraph_scratch_extraction_is_component_proportional() {
     );
 }
 
-/// `OverlayGraph` keeps every node's delta run in one arena, so a node's
+/// `OverlayGraph::new` takes its base by value and adds, per node, one
+/// 16-byte delta record, a 4-byte degree and a 1-byte alive flag: at
+/// most 21 bytes per node, and nothing for the empty arena.
+fn overlay_costs_21_bytes_per_node() {
+    use arbmis::graph::{gen, OverlayGraph};
+    let n = 100_000;
+    let base = gen::path(n);
+    let mut overlay = None;
+    let bytes = bytes_during(|| overlay = Some(OverlayGraph::new(base)));
+    assert_eq!(overlay.map(|g| g.n()), Some(n));
+    assert!(
+        bytes <= 21 * n as u64,
+        "OverlayGraph::new spent {bytes} bytes on {n} nodes, over 21 per node"
+    );
+}
+
+/// `OverlayGraph` keeps every node's delta record in one arena, so a node's
 /// first delta allocates nothing of its own: inserting and then removing
 /// 10,000 edges between distinct fresh base nodes (20,000 first touches)
 /// costs only the arena's geometric growth.

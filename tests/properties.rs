@@ -878,3 +878,95 @@ proptest! {
         }
     }
 }
+
+// ------------------------------------------------------- overlay records
+
+/// Applies one random overlay update to `g` and to the edge-set model.
+/// `kind` picks edge insert (40%), edge remove (35%), node insert (10%),
+/// node remove (10%) or compact (5%); `a` and `b` pick endpoints modulo
+/// the current node count, and `b`'s bits pick a new node's neighbors.
+fn apply_overlay_op(
+    g: &mut arbmis::graph::OverlayGraph,
+    model: &mut std::collections::BTreeSet<(usize, usize)>,
+    base: &mut std::collections::BTreeSet<(usize, usize)>,
+    (kind, a, b): (u8, usize, usize),
+) -> Result<(), TestCaseError> {
+    let n = g.n();
+    let (u, v) = (a % n, b % n);
+    let key = (u.min(v), u.max(v));
+    let live = |g: &arbmis::graph::OverlayGraph| u != v && g.is_alive(u) && g.is_alive(v);
+    match kind {
+        0..40 if live(g) => prop_assert_eq!(g.insert_edge(u, v), model.insert(key)),
+        40..75 if live(g) => prop_assert_eq!(g.remove_edge(u, v), model.remove(&key)),
+        75..85 => {
+            let nbrs: Vec<usize> = (0..n)
+                .filter(|&w| g.is_alive(w) && (b >> (w % 64)) & 1 == 1)
+                .collect();
+            prop_assert_eq!(g.insert_node(&nbrs), n);
+            model.extend(nbrs.iter().map(|&w| (w, n)));
+        }
+        85..95 if g.is_alive(u) => {
+            g.remove_node(u);
+            model.retain(|&(x, y)| x != u && y != u);
+        }
+        95.. => {
+            g.compact();
+            base.clone_from(model);
+        }
+        _ => {}
+    }
+    Ok(())
+}
+
+/// Checks the overlay's adjacency, degrees, edge queries, edge count and
+/// delta entries against the edge-set model.
+fn check_overlay(
+    g: &arbmis::graph::OverlayGraph,
+    model: &std::collections::BTreeSet<(usize, usize)>,
+    base: &std::collections::BTreeSet<(usize, usize)>,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(g.m(), model.len());
+    prop_assert_eq!(
+        g.delta_entries(),
+        2 * model.symmetric_difference(base).count()
+    );
+    for v in 0..g.n() {
+        let want: Vec<usize> = (0..g.n())
+            .filter(|&u| model.contains(&(u.min(v), u.max(v))))
+            .collect();
+        let got: Vec<usize> = g.neighbors(v).collect();
+        prop_assert!(got == want, "node {v}: neighbors {got:?}, model {want:?}");
+        prop_assert!(
+            g.degree(v) == want.len(),
+            "node {v}: degree {}",
+            g.degree(v)
+        );
+        for u in 0..g.n() {
+            let has = g.has_edge(v, u);
+            prop_assert!(has == want.contains(&u), "edge {v}-{u}: has_edge {has}");
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `OverlayGraph` under random edge and node churn and compactions on
+    /// bases of at most 12 nodes, where one node's `added` and `removed`
+    /// parts fill, relocate and empty inside one record, matches a
+    /// `BTreeSet` edge model after every step.
+    #[test]
+    fn overlay_matches_edge_set_model(
+        g in arb_graph(13, 30),
+        ops in proptest::collection::vec((0u8..100, 0usize..1 << 40, 0usize..1 << 40), 1..200),
+    ) {
+        let mut base: std::collections::BTreeSet<(usize, usize)> = g.edges().collect();
+        let mut model = base.clone();
+        let mut overlay = arbmis::graph::OverlayGraph::new(g);
+        for op in ops {
+            apply_overlay_op(&mut overlay, &mut model, &mut base, op)?;
+            check_overlay(&overlay, &model, &base)?;
+        }
+    }
+}
